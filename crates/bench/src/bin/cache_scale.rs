@@ -8,7 +8,8 @@
 //! * `--quick`       — short run (~1 s) for the CI smoke in `verify.sh`
 //! * `--out PATH`    — where to write the JSON report (default `BENCH_cache.json`)
 //! * `--gate`        — exit nonzero if the report is malformed, if the two
-//!   implementations disagree on simulated cost, if the sharded cache's
+//!   implementations disagree on simulated cost (in the thread sweeps or
+//!   at the fixed 4 KiB-span point), if the sharded cache's
 //!   single-thread throughput regresses more than 20 % vs the baseline,
 //!   if the miss-heavy (hit = 50 %) sweep has the sharded cache losing to
 //!   the baseline by more than 10 % at any thread count, or (on hosts
@@ -17,7 +18,8 @@
 //! * `--threads-max N` — cap the thread sweep (default 8)
 //! * `--check PATH`  — run no benchmark; re-read a *committed* report and
 //!   enforce the strict acceptance targets: full run, `sim_ns` parity at
-//!   every point, and sharded ≥ baseline at **every** thread count of the
+//!   every point (the span point included), and sharded ≥ baseline at
+//!   **every** thread count of the
 //!   miss-heavy sweep (no noise tolerance — the committed artifact is
 //!   best-of-reps, so a loss there is a real regression)
 //!
@@ -28,8 +30,8 @@
 //! whether the speedup target was armed.
 
 use bench::cache_scale::{
-    check_report, host_cpus, parse_report, run_sweep, summarize, to_json, ScaleConfig,
-    ScaleSummary, SPEEDUP_TARGET_MIN_CPUS, THREAD_SWEEP,
+    check_report, host_cpus, parse_report, run_span_points, run_sweep, span_failures, summarize,
+    to_json, ScaleConfig, ScaleSummary, SPAN_PHASES, SPEEDUP_TARGET_MIN_CPUS, THREAD_SWEEP,
 };
 
 struct Args {
@@ -241,8 +243,16 @@ fn main() {
         sweeps.push((points, s));
     }
 
+    let spans = run_span_points(quick);
+    for p in &spans {
+        println!(
+            "  {:>8} 4 KiB spans: {SPAN_PHASES:?} = {:.1?} ns/line (sim {} ns)",
+            p.cache_impl, p.ns_per_line, p.sim_ns
+        );
+    }
+
     let summaries: Vec<ScaleSummary> = sweeps.iter().map(|(_, s)| *s).collect();
-    let json = to_json(&sweeps, quick, cpus);
+    let json = to_json(&sweeps, &spans, quick, cpus);
     if let Err(e) = std::fs::write(&out, &json) {
         eprintln!("cache-scale: writing {out}: {e}");
         std::process::exit(2);
@@ -259,7 +269,11 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let failures = gate_failures(&summaries, &on_disk, cpus);
+        let mut failures = gate_failures(&summaries, &on_disk, cpus);
+        match parse_report(&on_disk) {
+            Ok(report) => failures.extend(span_failures(&report.spans)),
+            Err(e) => failures.push(format!("report does not parse: {e}")),
+        }
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("cache-scale: GATE FAILURE: {f}");

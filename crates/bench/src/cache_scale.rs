@@ -61,6 +61,8 @@ pub trait DriverCache: Sync {
     ) -> Result<u64, SimError>;
     /// Drop cached lines; returns simulated cost.
     fn invalidate(&self, lat: &LatencyModel, addr: GAddr, len: usize) -> u64;
+    /// Write dirty lines back, keeping them cached; returns simulated cost.
+    fn writeback(&self, global: &GlobalMemory, lat: &LatencyModel, addr: GAddr, len: usize) -> u64;
 }
 
 impl DriverCache for NodeCache {
@@ -87,6 +89,9 @@ impl DriverCache for NodeCache {
     }
     fn invalidate(&self, lat: &LatencyModel, addr: GAddr, len: usize) -> u64 {
         NodeCache::invalidate(self, lat, addr, len)
+    }
+    fn writeback(&self, global: &GlobalMemory, lat: &LatencyModel, addr: GAddr, len: usize) -> u64 {
+        NodeCache::writeback(self, global, lat, addr, len)
     }
 }
 
@@ -346,6 +351,38 @@ impl DriverCache for BaselineCache {
         self.publish(stats);
         cost
     }
+
+    fn writeback(&self, global: &GlobalMemory, lat: &LatencyModel, addr: GAddr, len: usize) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let mut inner = self.inner.lock();
+        let mut cost = 0;
+        let mut first = true;
+        let last = addr.0.saturating_add(len as u64 - 1) / LINE_SIZE as u64;
+        for line_id in (addr.0 / LINE_SIZE as u64)..=last {
+            let Some(line) = inner.lines.get_mut(&line_id).filter(|l| l.dirty) else {
+                continue;
+            };
+            cost += if first {
+                lat.writeback_line_ns
+            } else {
+                lat.transfer_ns(LINE_SIZE).max(1)
+            };
+            first = false;
+            if global
+                .write_bytes(GAddr(line_id * LINE_SIZE as u64), &line.data)
+                .is_ok()
+            {
+                line.dirty = false;
+                inner.stats.writebacks += 1;
+            }
+        }
+        let stats = inner.stats;
+        drop(inner);
+        self.publish(stats);
+        cost
+    }
 }
 
 /// Parameters of one benchmark run.
@@ -534,6 +571,86 @@ pub fn run_sweep(cfg: ScaleConfig, thread_counts: &[usize]) -> Vec<ScalePoint> {
     points
 }
 
+/// Bytes per span of the fixed span point: one 4 KiB page, the unit the
+/// chunk store, the page cache and the deduper move.
+pub const SPAN_BYTES: usize = 4096;
+
+/// Pages in the span point's working set (1 MiB: resident in the default
+/// 8 MiB cache, so only the explicit invalidations make a read cold).
+pub const SPAN_PAGES: u64 = 256;
+
+/// The span point's phases, in measurement order: a cold page read
+/// (every line misses), a full-page write followed by a writeback of the
+/// page, and the invalidation of a resident page. Report fields are
+/// `<phase>_ns_per_line`.
+pub const SPAN_PHASES: [&str; 3] = ["cold_read", "write_writeback", "invalidate"];
+
+/// One implementation's result at the fixed 4 KiB-span point, on a
+/// single thread (also the shape it is re-read from a report in).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanPoint {
+    /// Implementation name (`"sharded"` / `"baseline"`).
+    pub cache_impl: String,
+    /// Wall-clock nanoseconds per 64 B line, per [`SPAN_PHASES`] entry.
+    pub ns_per_line: [f64; 3],
+    /// Total *simulated* nanoseconds over all phases — must match between
+    /// the two implementations.
+    pub sim_ns: u64,
+}
+
+/// Measure the span point: `rounds` sweeps over the working set, each a
+/// cold read of every page, then write + writeback of every page, then
+/// an invalidation of every page. Every phase keeps its best round.
+pub fn run_span_point(cache: &dyn DriverCache, rounds: u32) -> SpanPoint {
+    let global = GlobalMemory::new(SPAN_PAGES as usize * SPAN_BYTES);
+    let lat = LatencyModel::hccs();
+    let page_addr = |p: u64| GAddr(p * SPAN_BYTES as u64);
+    let lines = (SPAN_PAGES as usize * SPAN_BYTES / LINE_SIZE) as f64;
+    let mut buf = vec![0u8; SPAN_BYTES];
+    let mut sim_ns = 0u64;
+    let mut best = [f64::INFINITY; 3];
+    for round in 0..rounds.max(1) {
+        let mut phase = |idx: usize, op: &mut dyn FnMut(u64) -> u64| {
+            let start = Instant::now();
+            for p in 0..SPAN_PAGES {
+                sim_ns += op(p);
+            }
+            best[idx] = best[idx].min(start.elapsed().as_nanos() as f64 / lines);
+        };
+        phase(0, &mut |p| {
+            cache
+                .read(&global, &lat, page_addr(p), &mut buf)
+                .expect("in bounds")
+        });
+        let payload = vec![round as u8; SPAN_BYTES];
+        phase(1, &mut |p| {
+            cache
+                .write(&global, &lat, page_addr(p), &payload)
+                .expect("in bounds")
+                + cache.writeback(&global, &lat, page_addr(p), SPAN_BYTES)
+        });
+        phase(2, &mut |p| cache.invalidate(&lat, page_addr(p), SPAN_BYTES));
+    }
+    std::hint::black_box(buf);
+    SpanPoint {
+        cache_impl: cache.name().into(),
+        ns_per_line: best,
+        sim_ns,
+    }
+}
+
+/// The span point for both implementations, sharded first.
+pub fn run_span_points(quick: bool) -> Vec<SpanPoint> {
+    let rounds = if quick { 4 } else { 24 };
+    vec![
+        run_span_point(&NodeCache::new(CacheConfig::default()), rounds),
+        run_span_point(
+            &BaselineCache::new(CacheConfig::default().max_lines),
+            rounds,
+        ),
+    ]
+}
+
 /// Derived gate metrics for one hit ratio.
 #[derive(Debug, Clone, Copy)]
 pub struct ScaleSummary {
@@ -601,7 +718,12 @@ pub fn host_cpus() -> usize {
 
 /// Render the full report (all sweeps + summaries) as a JSON document.
 /// Hand-rolled: the workspace is hermetic, so no serde.
-pub fn to_json(sweeps: &[(Vec<ScalePoint>, ScaleSummary)], quick: bool, cpus: usize) -> String {
+pub fn to_json(
+    sweeps: &[(Vec<ScalePoint>, ScaleSummary)],
+    spans: &[SpanPoint],
+    quick: bool,
+    cpus: usize,
+) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"cache_scale\",\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
@@ -653,6 +775,20 @@ pub fn to_json(sweeps: &[(Vec<ScalePoint>, ScaleSummary)], quick: bool, cpus: us
             s.sim_ns_parity
         ));
     }
+    out.push_str("\n  ],\n  \"span_results\": [\n");
+    for (i, p) in spans.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        out.push_str(&format!(
+            "    {{ \"span_impl\": \"{}\", \"span_bytes\": {SPAN_BYTES}, \"pages\": {SPAN_PAGES}, ",
+            p.cache_impl
+        ));
+        for (phase, ns) in SPAN_PHASES.iter().zip(p.ns_per_line) {
+            out.push_str(&format!("\"{phase}_ns_per_line\": {ns:.1}, "));
+        }
+        out.push_str(&format!("\"sim_ns\": {} }}", p.sim_ns));
+    }
     out.push_str("\n  ]\n}\n");
     out
 }
@@ -679,6 +815,8 @@ pub struct ParsedReport {
     pub quick: bool,
     /// Every measurement point, in report order.
     pub points: Vec<ParsedPoint>,
+    /// The fixed 4 KiB-span point, one entry per implementation.
+    pub spans: Vec<SpanPoint>,
 }
 
 /// Re-read a report produced by [`to_json`]. Hand-rolled like the writer
@@ -703,7 +841,64 @@ pub fn parse_report(json: &str) -> Result<ParsedReport, String> {
     if points.is_empty() {
         return Err("no results[] entries found".into());
     }
-    Ok(ParsedReport { quick, points })
+    let spans = parse_span_points(json)?;
+    Ok(ParsedReport {
+        quick,
+        points,
+        spans,
+    })
+}
+
+/// Re-read the `span_results[]` entries of a report produced by
+/// [`to_json`].
+///
+/// # Errors
+///
+/// Returns a description of the first missing or malformed field.
+pub fn parse_span_points(json: &str) -> Result<Vec<SpanPoint>, String> {
+    crate::report::objects_with(json, "span_impl")
+        .map(|obj| {
+            let mut ns_per_line = [0.0; 3];
+            for (ns, phase) in ns_per_line.iter_mut().zip(SPAN_PHASES) {
+                *ns = obj.f64_field(&format!("{phase}_ns_per_line"))?;
+            }
+            Ok(SpanPoint {
+                cache_impl: obj.str_field("span_impl")?,
+                ns_per_line,
+                sim_ns: obj.u64_field("sim_ns")?,
+            })
+        })
+        .collect()
+}
+
+/// Failures of the span point shared by the smoke gate and `--check`:
+/// both implementations measured, every phase timed, and identical
+/// simulated cost for the identical page sweep.
+pub fn span_failures(spans: &[SpanPoint]) -> Vec<String> {
+    let mut failures = Vec::new();
+    let find = |name: &str| spans.iter().find(|p| p.cache_impl == name);
+    let (Some(sharded), Some(baseline)) = (find("sharded"), find("baseline")) else {
+        failures.push("report lacks the 4 KiB span point for both implementations".into());
+        return failures;
+    };
+    if sharded.sim_ns != baseline.sim_ns || sharded.sim_ns == 0 {
+        failures.push(format!(
+            "span point: sim_ns parity broken: {} vs {}",
+            sharded.sim_ns, baseline.sim_ns
+        ));
+    }
+    for p in [sharded, baseline] {
+        if p.ns_per_line
+            .iter()
+            .any(|&ns| !(ns > 0.0 && ns.is_finite()))
+        {
+            failures.push(format!(
+                "span point: {} has an untimed phase: {:?}",
+                p.cache_impl, p.ns_per_line
+            ));
+        }
+    }
+    failures
 }
 
 /// The strict acceptance check applied to the *committed*
@@ -716,7 +911,9 @@ pub fn parse_report(json: &str) -> Result<ParsedReport, String> {
 /// * `sim_ns` parity between the implementations at every point;
 /// * miss-heavy sweep present (`hit_permille = 500`) and the sharded
 ///   cache at least as fast as the baseline at **every** thread count
-///   there — including single-threaded (`single_thread_ratio ≥ 1.0`).
+///   there — including single-threaded (`single_thread_ratio ≥ 1.0`);
+/// * the fixed 4 KiB-span point present for both implementations, with
+///   `sim_ns` parity (see [`span_failures`]).
 ///
 /// Returns the list of failures (empty = pass).
 pub fn check_report(report: &ParsedReport) -> Vec<String> {
@@ -758,6 +955,7 @@ pub fn check_report(report: &ParsedReport) -> Vec<String> {
     if !saw_miss_heavy {
         failures.push("report lacks the miss-heavy (hit_permille=500) sweep".into());
     }
+    failures.extend(span_failures(&report.spans));
     failures
 }
 
@@ -801,7 +999,8 @@ mod tests {
         assert!(s.sim_ns_parity, "identical workloads must charge equally");
         assert_eq!(s.top_threads, 2);
         assert!(s.single_thread_ratio > 0.0);
-        let json = to_json(&[(points, s)], true, host_cpus());
+        let spans = run_span_points(true);
+        let json = to_json(&[(points, s)], &spans, true, host_cpus());
         for field in [
             "\"bench\"",
             "\"results\"",
@@ -813,9 +1012,25 @@ mod tests {
             "\"sim_ns_parity\"",
             "\"host_cpus\"",
             "\"speedup_target_armed\"",
+            "\"span_results\"",
+            "\"cold_read_ns_per_line\"",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }
+    }
+
+    #[test]
+    fn span_point_charges_identical_simulated_costs() {
+        // Whole-page spans through the sharded cache must cost what the
+        // line-at-a-time single-mutex port charges for the same sweep.
+        let spans = run_span_points(true);
+        assert_eq!(spans[0].cache_impl, "sharded");
+        assert_eq!(spans[1].cache_impl, "baseline");
+        assert_eq!(spans[0].sim_ns, spans[1].sim_ns);
+        let parsed = parse_span_points(&to_json(&[], &spans, true, 1)).unwrap();
+        assert_eq!(parsed[0].sim_ns, spans[0].sim_ns, "report roundtrip");
+        assert_eq!(span_failures(&parsed), Vec::<String>::new());
+        assert!(!span_failures(&parsed[..1]).is_empty(), "one impl missing");
     }
 
     /// Build a minimal synthetic report through the real writer so the
@@ -840,7 +1055,13 @@ mod tests {
         ];
         let s950 = summarize(&sweep950);
         let s500 = summarize(&sweep500);
-        to_json(&[(sweep950, s950), (sweep500, s500)], quick, 1)
+        let span = |cache_impl: &str| SpanPoint {
+            cache_impl: cache_impl.into(),
+            ns_per_line: [50.0, 90.0, 30.0],
+            sim_ns: 7_000,
+        };
+        let spans = [span("sharded"), span("baseline")];
+        to_json(&[(sweep950, s950), (sweep500, s500)], &spans, quick, 1)
     }
 
     #[test]
@@ -879,5 +1100,11 @@ mod tests {
         assert!(check_report(&no_miss_heavy)
             .iter()
             .any(|f| f.contains("miss-heavy")));
+
+        let mut span_mismatch = parse_report(&synthetic_report(false, 1_100.0)).unwrap();
+        span_mismatch.spans[0].sim_ns += 1;
+        assert!(check_report(&span_mismatch)
+            .iter()
+            .any(|f| f.contains("span point")));
     }
 }

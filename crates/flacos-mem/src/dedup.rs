@@ -89,17 +89,22 @@ impl PageDeduper {
         debug_assert_eq!(hash, fnv1a(content), "hash must name the content");
 
         // Candidate frames under this hash: verify content to be
-        // collision-safe before sharing.
-        let candidates: Vec<GAddr> = {
-            let inner = self.inner.lock();
-            inner.by_hash.get(&hash).cloned().unwrap_or_default()
-        };
-        for cand in candidates {
-            ctx.invalidate(cand, PAGE_SIZE);
-            let mut existing = vec![0u8; PAGE_SIZE];
-            ctx.read(cand, &mut existing)?;
-            if existing == content {
-                let mut inner = self.inner.lock();
+        // collision-safe before sharing. The index lock is held across
+        // the comparison, so a hit takes it once, and every candidate is
+        // read through one buffer.
+        let mut inner = self.inner.lock();
+        if let Some(candidates) = inner.by_hash.get(&hash) {
+            let mut existing = [0u8; PAGE_SIZE];
+            let mut shared = None;
+            for &cand in candidates {
+                ctx.invalidate(cand, PAGE_SIZE);
+                ctx.read(cand, &mut existing)?;
+                if existing[..] == *content {
+                    shared = Some(cand);
+                    break;
+                }
+            }
+            if let Some(cand) = shared {
                 *inner.refcount.entry(cand).or_insert(0) += 1;
                 inner.stats.interned += 1;
                 inner.stats.dedup_hits += 1;
@@ -107,6 +112,7 @@ impl PageDeduper {
                 return Ok(cand);
             }
         }
+        drop(inner);
 
         // New content: allocate and publish a frame.
         let frame = self.frames.alloc(ctx)?;

@@ -34,7 +34,7 @@
 //!    fabric writes out from under the lock the same way. Debug builds
 //!    enforce the rule with a thread-local lock-depth assertion in the
 //!    [`fabric_read`]/[`fabric_write`] helpers — the only fabric call
-//!    sites in this module.
+//!    sites in this module, for single lines and whole runs alike.
 //! 2. **Fills are single-flight.** A second thread missing on a line
 //!    that is already *Filling* does not issue a duplicate fabric read;
 //!    it waits on the bank's condvar and completes as a cost-shared hit
@@ -57,18 +57,86 @@
 //! four pointer swaps, and the eviction victim is always the list tail —
 //! exact LRU in O(1). Behaviour counters are **per-bank relaxed atomics**
 //! shared with [`crate::NodeStats`] through an [`Arc`], so readers
-//! snapshot them without taking any bank lock.
+//! snapshot them without taking any bank lock; the locked paths add to
+//! them once per lock hold, not once per line.
+//!
+//! # The span path
+//!
+//! The unit of work of `read`, `write`, `writeback`, `invalidate` and
+//! `flush` is the byte span, not the 64 B line: a 4 KiB page is one
+//! operation that visits each bank once, not 64 that each take a lock.
+//!
+//! * **Passes.** A span is cut, in address order, into passes of at most
+//!   [`PASS_LINES`] lines (one page), whose staging buffers live on the
+//!   stack. A single-line access is a pass of one and stages nothing.
+//! * **One visit per bank.** Within a pass, the bank of line `first + k`
+//!   (`k < banks`) owns lines `first + k, first + k + banks, …`; they are
+//!   processed in ascending order under one hold of that bank's lock.
+//!   Banks share no state, so each bank sees exactly the sequence of
+//!   hits, fills, publishes and evictions that walking the span front to
+//!   back would show it, and ends in the same state.
+//! * **Costs are sums.** A span's simulated cost is a sum over per-line
+//!   outcomes: `cache_hit_ns` per hit or allocation, `global_read_ns` for
+//!   the span's first miss and the bandwidth tail for each further one,
+//!   `writeback_line_ns` per dirty eviction, and likewise first/tail for
+//!   lines written back or dropped. Which miss is "first" does not change
+//!   the sum, so the cost is independent of the order banks are visited
+//!   in — bit for bit what the line-at-a-time walk charged.
+//! * **One fabric copy.** A read's first miss in a pass claims its line
+//!   *Filling* as any miss does, and with the lock dropped fetches the
+//!   whole pass's lines in one fabric read; later misses of the pass
+//!   install from that image under the lock, with no window at all,
+//!   where the image rule below allows. `writeback`/`flush` snapshot
+//!   dirty lines bank by bank, then write each contiguous run of them
+//!   with one fabric write, then revisit the banks that staged any:
+//!   `writeback` clears `dirty` where the slot's sequence count shows no
+//!   writer ran in between; `flush` drops the staged lines — only now,
+//!   with their bytes in the pool, so that no reader of this node can
+//!   miss on a flushed line and refill it from a not-yet-updated pool.
+//!   A write can only miss on a partial first or last line, so its fills
+//!   stay per line.
+//! * **The image rule.** Only the first miss is claimed before the image
+//!   is read. Any other line of the pass may, before its bank is visited,
+//!   be written back by another thread of this node *after* the image
+//!   was read, and then dropped — installing the image's copy would have
+//!   the node read bytes older than its own flushed write. Each bank
+//!   therefore counts the ready lines that ever left it
+//!   (`BankShard::drops`); the fetch samples every touched bank's count
+//!   before the fabric read, and a miss installs from the image only if
+//!   its bank's count still equals the sample plus the visit's own
+//!   evictions. Otherwise the line fills on its own, claimed *Filling*
+//!   like a first miss.
+//! * **Own evictions.** A bank visit that installs more lines than the
+//!   bank holds evicts lines as it goes, possibly dirty, possibly lines
+//!   the same span is about to touch. The image says nothing about a
+//!   line this visit evicted (it predates the victim's bytes), so such a
+//!   line is never installed from it; queued victims reach the fabric
+//!   before every fabric read of the visit, so the per-line fill finds
+//!   the victim's bytes in the pool.
+//! * **Read hits.** A read walks its lines through the lock-free hit
+//!   path (rule 3) for as long as they hit — at any length — and
+//!   accounts those hits once per bank; it takes locks from the first
+//!   line that does not hit.
+//! * **A span of one.** Single-line reads and writes call the bank visit
+//!   directly; a single-line maintenance op runs the same sweep / write /
+//!   settle steps over one local snapshot (`maintain_line`). Neither
+//!   stages anything nor loops over passes or banks.
 //!
 //! # Partial-span effects on error
 //!
-//! Span operations process one line at a time, front to back. When a
-//! line fill fails mid-span (poisoned or out-of-pool words), the error
-//! propagates after earlier lines already took effect: prefix bytes of
-//! the caller's buffer are filled (reads) or cached dirty (writes), and
-//! their counters are recorded. The *failing* line contributes nothing —
-//! no counter increment, no buffer mutation, no resident line — so the
-//! identity `hits + misses + allocs == successfully accessed line
-//! segments` holds on every path, success or error. Callers needing
+//! A fill fails when its line holds poison or runs past the end of the
+//! pool. A multi-line read or write first asks whether that can happen
+//! anywhere in its lines; if so it gives up bank order and walks the span
+//! **one line per pass, front to back**. The error then propagates after
+//! the lines before the failing one, in address order, already took
+//! effect: prefix bytes of the caller's buffer are filled (reads) or
+//! cached dirty (writes), and their counters are recorded. The *failing*
+//! line contributes nothing — no counter increment, no buffer mutation,
+//! no resident line — so the identity `hits + misses + allocs ==
+//! successfully accessed line segments` holds on every path, success or
+//! error. (Poison injected *while* a span runs can fail a fill in bank
+//! order; the identity still holds, but the lines that took effect are
+//! then those already visited, not an address prefix.) Callers needing
 //! all-or-nothing semantics should pre-validate with
 //! [`GlobalMemory::is_poisoned`].
 
@@ -105,6 +173,13 @@ const CHUNK: usize = 64;
 /// Optimistic-read attempts before the hit path falls back to the lock.
 const HIT_RETRIES: usize = 4;
 
+/// Lines one pass over a span covers (one 4 KiB page): the pass's fabric
+/// image is staged on the stack and its staged-line set fits a `u64`
+/// mask. Longer spans are cut into passes in address order, which keeps
+/// every bank's line sequence ascending, so the cut is invisible to the
+/// simulated cost.
+const PASS_LINES: usize = 64;
+
 /// Debug-only lock-ordering watchdog: counts bank guards held by the
 /// current thread so the fabric helpers can assert the "no bank lock
 /// across fabric ops" rule structurally, on every test run.
@@ -131,28 +206,21 @@ mod lockdep {
     }
 }
 
-/// The only fabric-read call site in this module. Free function outside
-/// any lock scope by construction; debug builds additionally assert the
-/// calling thread holds no bank guard.
-fn fabric_read(
-    global: &GlobalMemory,
-    line_id: u64,
-    data: &mut [u8; LINE_SIZE],
-) -> Result<(), SimError> {
+/// The only fabric-read call site in this module: fills `data` — one line
+/// or a whole run of them — from the pool, starting at `first_line`. Free
+/// function outside any lock scope by construction; debug builds
+/// additionally assert the calling thread holds no bank guard.
+fn fabric_read(global: &GlobalMemory, first_line: u64, data: &mut [u8]) -> Result<(), SimError> {
     #[cfg(debug_assertions)]
-    lockdep::assert_unlocked("fabric line fill");
-    global.read_bytes(GAddr(line_id * LINE_SIZE as u64), data)
+    lockdep::assert_unlocked("fabric fill");
+    global.read_bytes(GAddr(first_line * LINE_SIZE as u64), data)
 }
 
 /// The only fabric-write call site in this module (see [`fabric_read`]).
-fn fabric_write(
-    global: &GlobalMemory,
-    line_id: u64,
-    data: &[u8; LINE_SIZE],
-) -> Result<(), SimError> {
+fn fabric_write(global: &GlobalMemory, first_line: u64, data: &[u8]) -> Result<(), SimError> {
     #[cfg(debug_assertions)]
-    lockdep::assert_unlocked("fabric line writeback");
-    global.write_bytes(GAddr(line_id * LINE_SIZE as u64), data)
+    lockdep::assert_unlocked("fabric writeback");
+    global.write_bytes(GAddr(first_line * LINE_SIZE as u64), data)
 }
 
 /// Configuration of a node's cache over global memory.
@@ -271,10 +339,15 @@ impl SlotCell {
     /// consistency against concurrent writers is the seqlock's job.
     fn load_data(&self) -> [u8; LINE_SIZE] {
         let mut out = [0u8; LINE_SIZE];
+        self.load_into(&mut out);
+        out
+    }
+
+    /// [`SlotCell::load_data`] straight into a staging buffer.
+    fn load_into(&self, out: &mut [u8; LINE_SIZE]) {
         for (w, chunk) in self.words.iter().zip(out.chunks_exact_mut(8)) {
             chunk.copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
         }
-        out
     }
 
     /// Store a whole line into the atomic words. Callers must hold the
@@ -286,6 +359,49 @@ impl SlotCell {
                 Ordering::Relaxed,
             );
         }
+    }
+
+    /// Overwrite the resident line's payload (bank lock held).
+    fn update(&self, data: &[u8; LINE_SIZE]) {
+        self.seq.write_begin();
+        self.store_data(data);
+        self.seq.write_end();
+    }
+
+    /// Overwrite bytes `in_line..in_line + src.len()` of the resident
+    /// line (bank lock held), touching only the words they fall in.
+    fn merge(&self, in_line: usize, mut src: &[u8]) {
+        self.seq.write_begin();
+        let mut at = in_line;
+        while !src.is_empty() {
+            let (word, off) = (&self.words[at / 8], at % 8);
+            let take = (8 - off).min(src.len());
+            let mut bytes = match take {
+                8 => [0u8; 8],
+                _ => word.load(Ordering::Relaxed).to_le_bytes(),
+            };
+            bytes[off..off + take].copy_from_slice(&src[..take]);
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+            at += take;
+            src = &src[take..];
+        }
+        self.seq.write_end();
+    }
+
+    /// Make the cell hold `line_id` with payload `data` (bank lock held).
+    fn publish(&self, line_id: u64, data: &[u8; LINE_SIZE]) {
+        self.seq.write_begin();
+        self.store_data(data);
+        self.line_id.store(line_id, Ordering::Relaxed);
+        self.seq.write_end();
+    }
+
+    /// Make the cell hold no line, so a lock-free reader racing the
+    /// eviction or invalidation fails validation (bank lock held).
+    fn retire(&self) {
+        self.seq.write_begin();
+        self.line_id.store(NO_LINE, Ordering::Relaxed);
+        self.seq.write_end();
     }
 }
 
@@ -614,6 +730,12 @@ struct BankShard {
     state: Mutex<Bank>,
     fill_cv: Condvar,
     fill_waiters: AtomicU32,
+    /// Ready lines that ever left this bank (evicted, invalidated or
+    /// flushed); bumped under the bank lock, sampled without it. A page
+    /// image fetched after sampling `drops` can only have gone stale for
+    /// a line this node wrote back in the meantime if that line was also
+    /// dropped since — which moves the count (see `SpanAccess::fetch`).
+    drops: AtomicU64,
     slab: CellSlab,
     index: LineIndex,
 }
@@ -625,6 +747,7 @@ impl BankShard {
             state: Mutex::new(Bank::new(cap, max_slots)),
             fill_cv: Condvar::new(),
             fill_waiters: AtomicU32::new(0),
+            drops: AtomicU64::new(0),
             slab: CellSlab::new(max_slots),
             index: LineIndex::new(cap),
         }
@@ -663,6 +786,15 @@ impl BankShard {
             self.fill_cv.notify_all();
         }
     }
+
+    /// Count `n` ready lines leaving the bank. Bank lock held, so a plain
+    /// read-modify-write; `Release` pairs with the lock-free sampler's
+    /// `Acquire`, ordering the dropper's earlier fabric writes before
+    /// the sampler's later fabric read.
+    fn note_drops(&self, n: u64) {
+        let now = self.drops.load(Ordering::Relaxed);
+        self.drops.store(now.wrapping_add(n), Ordering::Release);
+    }
 }
 
 /// Locked lookup of `line_id`'s slot. The lock-free index hint, verified
@@ -687,14 +819,81 @@ fn probe_locked(shard: &BankShard, bank: &Bank, line_id: u64) -> Option<u32> {
     bank.map.get(&line_id).copied()
 }
 
+/// [`probe_locked`], for maintenance: `line_id`'s slot if the line is
+/// resident and ready. Lines mid-fill are not maintained (they publish
+/// after the op returns — a legal outcome of racing a fetch).
+#[inline]
+fn ready_slot(shard: &BankShard, bank: &Bank, line_id: u64) -> Option<u32> {
+    probe_locked(shard, bank, line_id).filter(|&i| !bank.meta[i as usize].filling)
+}
+
+/// Drop the ready line `line_id` in slot `i` (bank lock held): out of
+/// the bank, its cell retired so racing lock-free readers fail
+/// validation. The caller reports the drop via `note_drops`.
+#[inline]
+fn drop_line(shard: &BankShard, bank: &mut Bank, i: u32, line_id: u64) {
+    bank.remove_ready(i);
+    shard.slab.get(i).expect("ready slot has a cell").retire();
+    shard.index.retract(line_id, i);
+}
+
+/// Mark `line_id` clean after its snapshot `(slot, seq)` landed in the
+/// pool — unless the line was replaced or written since the snapshot,
+/// which the slot's sequence count reveals (bank lock held).
+#[inline]
+fn mark_clean_if_unchanged(shard: &BankShard, bank: &mut Bank, line_id: u64, tag: (u32, u64)) {
+    let (i, seq0) = tag;
+    if ready_slot(shard, bank, line_id) == Some(i)
+        && shard.slab.get(i).is_some_and(|c| c.seq.current() == seq0)
+    {
+        bank.meta[i as usize].dirty = false;
+    }
+}
+
+/// Counter increments accumulated under one bank-lock hold and added to
+/// the bank's atomics once, when the hold ends. (`writebacks` is counted
+/// where the fabric write lands, outside any hold.)
+#[derive(Debug, Default)]
+struct StatDelta {
+    hits: u64,
+    misses: u64,
+    allocs: u64,
+    invalidations: u64,
+    evictions: u64,
+    coalesced_fills: u64,
+}
+
+impl StatDelta {
+    fn commit(&self, stats: &BankStats) {
+        for (cell, n) in [
+            (&stats.hits, self.hits),
+            (&stats.misses, self.misses),
+            (&stats.allocs, self.allocs),
+            (&stats.invalidations, self.invalidations),
+            (&stats.evictions, self.evictions),
+            (&stats.coalesced_fills, self.coalesced_fills),
+        ] {
+            if n != 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// A dirty eviction victim carried out of the lock scope for its
 /// fabric write: (line id, payload snapshot).
 type Victim = (u64, [u8; LINE_SIZE]);
 
-/// What a miss should do with the filled line.
-enum FillIo<'a> {
-    Read(&'a mut [u8]),
-    Write(&'a [u8]),
+/// What one bank visit of a span access accumulates under the lock.
+#[derive(Default)]
+struct Visit {
+    delta: StatDelta,
+    /// Dirty victims awaiting their fabric write once the lock drops.
+    victims: Vec<Victim>,
+    /// Pass-relative lines this visit evicted (bit `k`: line `pass.0 +
+    /// k`). The pass's image says nothing about them: it predates the
+    /// victim's write, or whatever write the evicted copy already held.
+    evicted: u64,
 }
 
 /// Pop the LRU victim, charge its cost, and queue its dirty payload for
@@ -702,22 +901,24 @@ enum FillIo<'a> {
 /// evictable (every slot is mid-fill).
 fn evict_one(
     shard: &BankShard,
-    stats: &BankStats,
+    visit: &mut Visit,
     guard: &mut BankGuard<'_>,
     lat: &LatencyModel,
-    victims: &mut Vec<Victim>,
+    pass_first: u64,
 ) -> Option<u64> {
     let (i, line_id, dirty) = guard.pop_lru()?;
-    stats.evictions.fetch_add(1, Ordering::Relaxed);
+    visit.delta.evictions += 1;
+    shard.note_drops(1);
+    if let Some(k) = line_id.checked_sub(pass_first).filter(|&k| k < 64) {
+        visit.evicted |= 1 << k;
+    }
     let cell = shard.slab.get(i).expect("resident slot has a cell");
     let mut cost = 0;
     if dirty {
-        victims.push((line_id, cell.load_data()));
+        visit.victims.push((line_id, cell.load_data()));
         cost += lat.writeback_line_ns;
     }
-    cell.seq.write_begin();
-    cell.line_id.store(NO_LINE, Ordering::Relaxed);
-    cell.seq.write_end();
+    cell.retire();
     shard.index.retract(line_id, i);
     Some(cost)
 }
@@ -725,14 +926,14 @@ fn evict_one(
 /// Evict exact-LRU lines until the bank is back under its capacity.
 fn enforce_capacity(
     shard: &BankShard,
-    stats: &BankStats,
+    visit: &mut Visit,
     guard: &mut BankGuard<'_>,
     lat: &LatencyModel,
-    victims: &mut Vec<Victim>,
+    pass_first: u64,
 ) -> u64 {
     let mut cost = 0;
     while guard.ready > guard.cap {
-        match evict_one(shard, stats, guard, lat, victims) {
+        match evict_one(shard, visit, guard, lat, pass_first) {
             Some(c) => cost += c,
             None => break,
         }
@@ -740,15 +941,254 @@ fn enforce_capacity(
     cost
 }
 
-/// Write queued eviction victims to the fabric, outside any bank lock.
-/// Best-effort: poisoned destinations drop the line, mirroring hardware
-/// discarding a line it cannot store (cost was already charged).
-fn flush_victims(global: &GlobalMemory, stats: &BankStats, victims: &[Victim]) {
-    for (line_id, data) in victims {
-        if fabric_write(global, *line_id, data).is_ok() {
-            stats.writebacks.fetch_add(1, Ordering::Relaxed);
+/// Write queued eviction victims to the fabric, outside any bank lock,
+/// and empty the queue. Best-effort: poisoned destinations drop the
+/// line, mirroring hardware discarding a line it cannot store (cost was
+/// already charged).
+fn flush_victims(global: &GlobalMemory, stats: &BankStats, victims: &mut Vec<Victim>) {
+    if victims.is_empty() {
+        return;
+    }
+    let landed = victims
+        .drain(..)
+        .filter(|(line_id, data)| fabric_write(global, *line_id, data).is_ok())
+        .count();
+    if landed != 0 {
+        stats.writebacks.fetch_add(landed as u64, Ordering::Relaxed);
+    }
+}
+
+/// The lines a byte span `[addr, addr + len)` touches. The span, not the
+/// line, is the unit every data-path entry point works in.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    addr: u64,
+    len: usize,
+    first: u64,
+    last: u64,
+}
+
+impl Span {
+    /// `len` must be non-zero. A span ending past `u64::MAX` saturates
+    /// instead of wrapping: lines that high can never be resident, so
+    /// clamping is lossless for the maintenance ops (reads and writes
+    /// reject such spans up front, see `check_span`).
+    fn new(addr: GAddr, len: usize) -> Span {
+        Span {
+            addr: addr.0,
+            len,
+            first: addr.0 / LINE_SIZE as u64,
+            last: addr.0.saturating_add(len as u64 - 1) / LINE_SIZE as u64,
         }
     }
+
+    fn is_single_line(&self) -> bool {
+        self.first == self.last
+    }
+
+    /// Line `line_id`'s share of the span: its offset within the line and
+    /// the matching range of the caller's buffer.
+    fn segment(&self, line_id: u64) -> (usize, std::ops::Range<usize>) {
+        let line_start = line_id * LINE_SIZE as u64;
+        let lo = line_start.max(self.addr);
+        let hi = (line_start + LINE_SIZE as u64).min(self.addr + self.len as u64);
+        (
+            (lo - line_start) as usize,
+            (lo - self.addr) as usize..(hi - self.addr) as usize,
+        )
+    }
+
+    /// The span cut into passes of at most `max_lines` lines, in address
+    /// order: the pass starting at line `lo`, as inclusive line ids.
+    fn pass_from(&self, lo: u64, max_lines: usize) -> (u64, u64) {
+        (lo, (lo + max_lines as u64 - 1).min(self.last))
+    }
+}
+
+/// The bytes of pass-relative line `k` in a staging buffer.
+fn staged(buf: &[u8], k: usize) -> &[u8; LINE_SIZE] {
+    buf[k * LINE_SIZE..(k + 1) * LINE_SIZE]
+        .try_into()
+        .expect("line-sized slice")
+}
+
+/// [`staged`], mutably.
+fn staged_mut(buf: &mut [u8], k: usize) -> &mut [u8; LINE_SIZE] {
+    (&mut buf[k * LINE_SIZE..(k + 1) * LINE_SIZE])
+        .try_into()
+        .expect("line-sized slice")
+}
+
+/// What a span access does with each line's bytes.
+enum SpanIo<'a> {
+    /// Copy the span out to `out`. The first miss of a pass reads all of
+    /// the pass's lines from the fabric into `image` with one call
+    /// (`fetched`), having sampled into `gens[k]` the `drops` count of
+    /// the bank of pass-relative line `k < banks`; the pass's later
+    /// misses install from the image where it is provably still good.
+    Read {
+        out: &'a mut [u8],
+        image: &'a mut [u8],
+        gens: &'a mut [u64],
+        fetched: bool,
+    },
+    /// Merge `src` into the cache. Only a partial first or last line can
+    /// miss (full lines allocate without a fill), so fills stay per line.
+    Write { src: &'a [u8] },
+}
+
+/// One cached read or write of a span, threaded through its bank visits.
+struct SpanAccess<'a> {
+    global: &'a GlobalMemory,
+    lat: &'a LatencyModel,
+    span: Span,
+    io: SpanIo<'a>,
+    /// Burst model: a line of this span already paid the full fabric
+    /// latency, so further misses pay the bandwidth-limited tail.
+    missed: bool,
+    /// The current pass, as inclusive line ids; `image` starts at `pass.0`.
+    pass: (u64, u64),
+}
+
+impl SpanAccess<'_> {
+    /// The `drops` count the bank of pass-relative line `k` had just
+    /// before the pass's image was fetched; `None` while there is no
+    /// image.
+    fn image_gen(&self, k: usize) -> Option<u64> {
+        match &self.io {
+            SpanIo::Read {
+                gens,
+                fetched: true,
+                ..
+            } => Some(gens[k]),
+            _ => None,
+        }
+    }
+
+    /// Line `line_id` of the pass's image.
+    fn image_line(&self, line_id: u64) -> &[u8; LINE_SIZE] {
+        match &self.io {
+            SpanIo::Read { image, .. } => staged(image, (line_id - self.pass.0) as usize),
+            SpanIo::Write { .. } => unreachable!("writes fetch no image"),
+        }
+    }
+
+    /// The fabric read behind a miss on `line_id`, into `data`; call with
+    /// no bank lock held and `line_id` claimed *Filling*. In a multi-line
+    /// pass of a read that has no image yet it fetches the whole pass and
+    /// returns `true`.
+    ///
+    /// Only `line_id` is claimed, so a thread of this node may write any
+    /// other line of the pass back to the pool after the image was read
+    /// and drop it before this access reaches it; installing the image's
+    /// copy would then leave the node reading bytes older than its own
+    /// flushed write. Each touched bank's `drops` count is therefore
+    /// sampled *before* the read: a writeback that completed before a
+    /// drop the sample saw is in the image, and a drop the sample did
+    /// not see still shows when the bank is visited, under its lock.
+    fn fetch(
+        &mut self,
+        shards: &[BankShard],
+        line_id: u64,
+        data: &mut [u8; LINE_SIZE],
+    ) -> Result<bool, SimError> {
+        let (first, last) = self.pass;
+        if let SpanIo::Read {
+            image,
+            gens,
+            fetched: fetched @ false,
+            ..
+        } = &mut self.io
+        {
+            if first != last {
+                let lines = (last - first + 1) as usize;
+                for (k, gen) in gens.iter_mut().enumerate().take(lines.min(shards.len())) {
+                    let b = (first as usize + k) & (shards.len() - 1);
+                    *gen = shards[b].drops.load(Ordering::Acquire);
+                }
+                fabric_read(self.global, first, &mut image[..lines * LINE_SIZE])?;
+                *fetched = true;
+                *data = *staged(image, (line_id - first) as usize);
+                return Ok(true);
+            }
+        }
+        fabric_read(self.global, line_id, data).map(|()| false)
+    }
+}
+
+/// Dirty lines of one maintenance pass staged for their fabric writes.
+struct Stage<'a> {
+    /// Pass-relative line images (see [`staged`]).
+    data: &'a mut [u8],
+    /// Per staged line: its slot and the slot's sequence count at the
+    /// snapshot, so `dirty` is only cleared if no writer ran since.
+    tags: &'a mut [(u32, u64)],
+    /// Bit `k` set: pass-relative line `k` is staged.
+    mask: u64,
+}
+
+/// Running cost of one maintenance span under the burst model: the first
+/// line written back (dropped) pays the full latency, later ones the
+/// bandwidth-limited (bookkeeping) tail.
+#[derive(Debug, Default)]
+struct MaintCost {
+    ns: u64,
+    wrote: bool,
+    dropped: bool,
+}
+
+impl MaintCost {
+    /// Charge one line's writeback. Out of line (as is
+    /// [`MaintCost::charge_drop`]) so a sweep that finds nothing to do
+    /// never computes a cost.
+    #[inline(never)]
+    fn charge_writeback(&mut self, lat: &LatencyModel) {
+        self.ns += if self.wrote {
+            lat.transfer_ns(LINE_SIZE).max(1)
+        } else {
+            lat.writeback_line_ns
+        };
+        self.wrote = true;
+    }
+
+    /// Charge one line's invalidation: local bookkeeping, one
+    /// instruction's latency up front, then a small per-line tail cost.
+    #[inline(never)]
+    fn charge_drop(&mut self, lat: &LatencyModel) {
+        self.ns += if self.dropped {
+            lat.invalidate_extra_line_ns
+        } else {
+            lat.invalidate_line_ns
+        };
+        self.dropped = true;
+    }
+}
+
+/// Write each contiguous run of staged lines with one fabric call, no
+/// bank lock held, and return the mask of lines that landed. A run the
+/// pool rejects (a poisoned destination) is retried line by line, so a
+/// bad line costs only itself — the line is then dropped best-effort,
+/// as for eviction victims.
+fn write_runs(global: &GlobalMemory, pass_first: u64, stage: &Stage<'_>) -> u64 {
+    let mut written = 0u64;
+    let mut left = stage.mask;
+    while left != 0 {
+        let s = left.trailing_zeros() as usize;
+        let n = (left >> s).trailing_ones() as usize;
+        let run = (u64::MAX >> (64 - n)) << s;
+        let bytes = &stage.data[s * LINE_SIZE..(s + n) * LINE_SIZE];
+        if fabric_write(global, pass_first + s as u64, bytes).is_ok() {
+            written |= run;
+        } else if n > 1 {
+            for k in s..s + n {
+                if fabric_write(global, pass_first + k as u64, staged(stage.data, k)).is_ok() {
+                    written |= 1 << k;
+                }
+            }
+        }
+        left &= !run;
+    }
+    written
 }
 
 /// A single node's software-managed, non-coherent cache of global memory.
@@ -760,6 +1200,11 @@ pub struct NodeCache {
     shards: Box<[BankShard]>,
     cells: Arc<CacheStatsCells>,
     bank_mask: u64,
+    /// `log2(banks)`.
+    bank_shift: u32,
+    /// Bits `0, banks, 2·banks, …` below 64: shifted left by `k`, the
+    /// pass-relative lines that share a bank with pass-relative line `k`.
+    stride_bits: u64,
 }
 
 impl NodeCache {
@@ -781,6 +1226,10 @@ impl NodeCache {
                 .collect(),
             cells: Arc::new(CacheStatsCells::new(config.banks)),
             bank_mask: config.banks as u64 - 1,
+            bank_shift: config.banks.trailing_zeros(),
+            stride_bits: (0..PASS_LINES)
+                .step_by(config.banks)
+                .fold(0, |bits, k| bits | 1 << k),
         }
     }
 
@@ -803,6 +1252,19 @@ impl NodeCache {
     /// flight are not counted until they publish.
     pub fn resident_lines(&self) -> usize {
         self.shards.iter().map(|s| s.lock().ready).sum()
+    }
+
+    /// Ids of the currently resident (published) lines, ascending — the
+    /// cache's observable state, for tests and diagnostics.
+    pub fn resident_line_ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = Vec::new();
+        for shard in self.shards.iter() {
+            let bank = shard.lock();
+            ids.extend(bank.meta.iter().filter(|m| !m.filling).map(|m| m.line_id));
+        }
+        ids.retain(|&id| id != NO_LINE);
+        ids.sort_unstable();
+        ids
     }
 
     #[inline]
@@ -845,162 +1307,256 @@ impl NodeCache {
         false
     }
 
-    /// Best-effort LRU touch after a lock-free hit: exact whenever the
-    /// bank lock is uncontended (always, single-threaded — preserving
-    /// exact-LRU determinism), skipped under contention so the hit path
-    /// never blocks.
-    fn touch_best_effort(&self, shard: &BankShard, line_id: u64) {
-        let Some(mut guard) = shard.try_lock() else {
-            return;
-        };
-        let Some(i) = probe_locked(shard, &guard, line_id) else {
-            return;
-        };
-        if !guard.meta[i as usize].filling {
-            guard.touch(i);
+    /// Account lock-free hits on lines `lo..=hi`, one visit per bank:
+    /// count them, and touch them for LRU recency in ascending order,
+    /// best-effort — exact whenever the bank lock is uncontended (always,
+    /// single-threaded — preserving exact-LRU determinism), skipped under
+    /// contention so the hit path never blocks.
+    fn record_lock_free_hits(&self, lo: u64, hi: u64) {
+        let banks = self.shards.len() as u64;
+        let mut start = lo;
+        while start <= hi && start - lo < banks {
+            let b = self.bank_of(start);
+            let shard = &self.shards[b];
+            self.cells.banks[b]
+                .hits
+                .fetch_add(((hi - start) >> self.bank_shift) + 1, Ordering::Relaxed);
+            if let Some(mut guard) = shard.try_lock() {
+                let mut line_id = start;
+                while line_id <= hi {
+                    if let Some(i) = probe_locked(shard, &guard, line_id) {
+                        if !guard.meta[i as usize].filling {
+                            guard.touch(i);
+                        }
+                    }
+                    line_id += banks;
+                }
+            }
+            start += 1;
         }
     }
 
-    /// The locked access path for one line segment: hit, coalesced wait
-    /// on an in-flight fill, full-line write allocation, or single-flight
-    /// miss fill with the bank lock dropped across the fabric read.
-    fn access_line(
+    /// Whether the span's lines lie wholly inside the pool and hold no
+    /// poison, i.e. no fill of the span can fail (short of a poison
+    /// injected while the access runs).
+    fn fills_cannot_fail(global: &GlobalMemory, span: &Span) -> bool {
+        let start = span.first * LINE_SIZE as u64;
+        let len = (span.last - span.first + 1) as usize * LINE_SIZE;
+        start + len as u64 <= global.capacity() as u64 && !global.is_poisoned(GAddr(start), len)
+    }
+
+    /// Run a cached read or write: cut the span into passes of at most
+    /// `pass_lines` lines and visit each bank a pass touches once.
+    ///
+    /// A multi-line span some fill of which could fail is instead walked
+    /// one line per pass, i.e. strictly in address order, which is what
+    /// the partial-effects contract is stated in (see the module docs).
+    #[inline(always)]
+    fn access_span(
         &self,
-        global: &GlobalMemory,
-        lat: &LatencyModel,
-        line_id: u64,
-        in_line: usize,
-        io: FillIo<'_>,
-        missed: &mut bool,
+        acc: &mut SpanAccess<'_>,
+        mut pass_lines: usize,
     ) -> Result<u64, SimError> {
-        let b = self.bank_of(line_id);
+        let span = acc.span;
+        if span.is_single_line() {
+            // A span of one: one bank, one line, no loop around it (worth
+            // ~2 ns on the commonest access there is).
+            acc.pass = (span.first, span.first);
+            return self.access_bank(acc, span.first);
+        }
+        if !Self::fills_cannot_fail(acc.global, &span) {
+            pass_lines = 1;
+        }
+        let banks = self.shards.len() as u64;
+        let mut cost = 0;
+        let mut lo = span.first;
+        loop {
+            acc.pass = span.pass_from(lo, pass_lines);
+            if let SpanIo::Read { fetched, .. } = &mut acc.io {
+                *fetched = false;
+            }
+            for k in 0..banks.min(acc.pass.1 - lo + 1) {
+                cost += self.access_bank(acc, lo + k)?;
+            }
+            if acc.pass.1 == span.last {
+                return Ok(cost);
+            }
+            lo = acc.pass.1 + 1;
+        }
+    }
+
+    /// One bank's share of a pass — lines `start, start + banks, …` —
+    /// under one lock hold, in ascending order, so the bank sees exactly
+    /// the hit/fill/publish/evict sequence an address-order walk of the
+    /// span would show it. Per line: hit, coalesced wait on another
+    /// thread's in-flight fill, full-line write allocation, or miss.
+    ///
+    /// The lock is dropped across the fabric read of a miss, with the
+    /// line claimed *Filling* (single-flight). A read's later misses in
+    /// the pass install from the image that read fetched, with no window
+    /// at all — as long as no line left the bank since the image's
+    /// sample other than by this visit's own evictions, and the line is
+    /// not one of those; otherwise they fill one by one like a first
+    /// miss (eviction victims reach the pool before any such read).
+    #[inline(always)]
+    fn access_bank(&self, acc: &mut SpanAccess<'_>, start: u64) -> Result<u64, SimError> {
+        let b = self.bank_of(start);
         let shard = &self.shards[b];
         let stats = &self.cells.banks[b];
+        let (global, lat, span, (first, last)) = (acc.global, acc.lat, acc.span, acc.pass);
+        let mut visit = Visit::default();
         let mut cost = 0u64;
-        let mut waited = false;
         let mut published = false;
-        let mut victims: Vec<Victim> = Vec::new();
+        // The bank's `drops` count at which the image is still good,
+        // less this visit's own evictions so far.
+        let mut image_base = acc.image_gen((start - first) as usize);
         let mut guard = shard.lock();
-        loop {
-            match probe_locked(shard, &guard, line_id) {
-                Some(i) if !guard.meta[i as usize].filling => {
-                    stats.hits.fetch_add(1, Ordering::Relaxed);
-                    if waited {
-                        stats.coalesced_fills.fetch_add(1, Ordering::Relaxed);
-                    }
-                    guard.touch(i);
-                    let cell = shard.slab.get(i).expect("ready slot has a cell");
-                    match io {
-                        FillIo::Read(out) => {
-                            let take = out.len();
-                            let data = cell.load_data();
-                            out.copy_from_slice(&data[in_line..in_line + take]);
+        let mut line_id = start;
+        while line_id <= last {
+            let (in_line, seg) = span.segment(line_id);
+            let mut waited = false;
+            loop {
+                match probe_locked(shard, &guard, line_id) {
+                    Some(i) if !guard.meta[i as usize].filling => {
+                        visit.delta.hits += 1;
+                        if waited {
+                            visit.delta.coalesced_fills += 1;
                         }
-                        FillIo::Write(src) => {
-                            let mut data = cell.load_data();
-                            data[in_line..in_line + src.len()].copy_from_slice(src);
-                            cell.seq.write_begin();
-                            cell.store_data(&data);
-                            cell.seq.write_end();
-                            guard.meta[i as usize].dirty = true;
+                        guard.touch(i);
+                        let cell = shard.slab.get(i).expect("ready slot has a cell");
+                        match &mut acc.io {
+                            SpanIo::Read { out, .. } => {
+                                let data = cell.load_data();
+                                let take = seg.len();
+                                out[seg].copy_from_slice(&data[in_line..in_line + take]);
+                            }
+                            SpanIo::Write { src } => {
+                                let src = &src[seg];
+                                match <&[u8; LINE_SIZE]>::try_from(src) {
+                                    Ok(line) => cell.update(line),
+                                    Err(_) => cell.merge(in_line, src),
+                                }
+                                guard.meta[i as usize].dirty = true;
+                            }
                         }
+                        cost += lat.cache_hit_ns;
+                        break;
                     }
-                    cost += lat.cache_hit_ns;
-                    break;
-                }
-                Some(_) => {
-                    // Another thread's fill is in flight: single-flight
-                    // means we wait and cost-share instead of issuing a
-                    // duplicate fabric read.
-                    waited = true;
-                    guard = shard.wait_for_fill(guard);
-                }
-                None => {
-                    let Some(slot) = guard.grant_slot() else {
-                        if guard.ready > 0 {
-                            cost +=
-                                evict_one(shard, stats, &mut guard, lat, &mut victims).unwrap_or(0);
+                    Some(_) => {
+                        // Another thread's fill is in flight: single-flight
+                        // means we wait and cost-share instead of issuing a
+                        // duplicate fabric read.
+                        waited = true;
+                        guard = shard.wait_for_fill(guard);
+                    }
+                    None => {
+                        let Some(slot) = guard.grant_slot() else {
+                            if guard.ready > 0 {
+                                cost += evict_one(shard, &mut visit, &mut guard, lat, first)
+                                    .unwrap_or(0);
+                            } else {
+                                // Every slot is mid-fill; wait for a publish
+                                // or abort, then re-dispatch from the map.
+                                guard = shard.wait_for_fill(guard);
+                            }
+                            continue;
+                        };
+                        let cell = shard.slab.ensure(slot);
+                        if let SpanIo::Write { src } = &acc.io {
+                            if let Ok(line) = <&[u8; LINE_SIZE]>::try_from(&src[seg.clone()]) {
+                                // Full-line write: allocate without fetching.
+                                visit.delta.allocs += 1;
+                                cell.publish(line_id, line);
+                                guard.install_ready(slot, line_id, true);
+                                shard.index.publish(line_id, slot);
+                                cost += lat.cache_hit_ns;
+                                cost += enforce_capacity(shard, &mut visit, &mut guard, lat, first);
+                                published = true;
+                                break;
+                            }
+                        }
+                        let mut data = [0u8; LINE_SIZE];
+                        let in_image = visit.evicted >> (line_id - first) & 1 == 0
+                            && image_base.is_some_and(|base| {
+                                shard.drops.load(Ordering::Relaxed)
+                                    == base.wrapping_add(visit.delta.evictions)
+                            });
+                        if in_image {
+                            data = *acc.image_line(line_id);
                         } else {
-                            // Every slot is mid-fill; wait for a publish
-                            // or abort, then re-dispatch from the map.
-                            guard = shard.wait_for_fill(guard);
+                            // Single-flight miss fill: claim the line, drop
+                            // the bank lock for the fabric read, re-acquire
+                            // to publish.
+                            guard.begin_fill(slot, line_id);
+                            drop(guard);
+                            if published {
+                                shard.notify_fill_waiters();
+                            }
+                            flush_victims(global, stats, &mut visit.victims);
+                            let fetched = acc.fetch(&self.shards, line_id, &mut data);
+                            guard = shard.lock();
+                            match fetched {
+                                Ok(true) => {
+                                    let sampled = acc.image_gen((start - first) as usize);
+                                    image_base =
+                                        sampled.map(|g| g.wrapping_sub(visit.delta.evictions));
+                                }
+                                Ok(false) => {}
+                                Err(e) => {
+                                    // Failing line leaves no trace: no counters,
+                                    // no buffer bytes, no resident line (see
+                                    // module docs on partial-span effects).
+                                    guard.abort_fill(slot);
+                                    drop(guard);
+                                    visit.delta.commit(stats);
+                                    shard.notify_fill_waiters();
+                                    return Err(e);
+                                }
+                            }
                         }
-                        continue;
-                    };
-                    let cell = shard.slab.ensure(slot);
-                    if let FillIo::Write(src) = &io {
-                        if src.len() == LINE_SIZE {
-                            // Full-line write: allocate without fetching.
-                            stats.allocs.fetch_add(1, Ordering::Relaxed);
-                            let mut data = [0u8; LINE_SIZE];
-                            data.copy_from_slice(src);
-                            cell.seq.write_begin();
-                            cell.store_data(&data);
-                            cell.line_id.store(line_id, Ordering::Relaxed);
-                            cell.seq.write_end();
-                            guard.install_ready(slot, line_id, true);
-                            shard.index.publish(line_id, slot);
-                            cost += lat.cache_hit_ns;
-                            cost += enforce_capacity(shard, stats, &mut guard, lat, &mut victims);
-                            published = true;
-                            break;
+                        visit.delta.misses += 1;
+                        // Burst model: full fabric latency for the first
+                        // missed line of the span, bandwidth-limited
+                        // continuation after.
+                        cost += if acc.missed {
+                            lat.transfer_ns(LINE_SIZE).max(1)
+                        } else {
+                            lat.global_read_ns
+                        };
+                        acc.missed = true;
+                        let dirty = match &mut acc.io {
+                            SpanIo::Read { out, .. } => {
+                                let take = seg.len();
+                                out[seg].copy_from_slice(&data[in_line..in_line + take]);
+                                false
+                            }
+                            SpanIo::Write { src } => {
+                                let src = &src[seg];
+                                data[in_line..in_line + src.len()].copy_from_slice(src);
+                                true
+                            }
+                        };
+                        cell.publish(line_id, &data);
+                        if in_image {
+                            guard.install_ready(slot, line_id, dirty);
+                        } else {
+                            guard.publish_fill(slot, dirty);
                         }
+                        shard.index.publish(line_id, slot);
+                        cost += enforce_capacity(shard, &mut visit, &mut guard, lat, first);
+                        published = true;
+                        break;
                     }
-                    // Single-flight miss fill: claim the line, drop the
-                    // bank lock for the fabric read, re-acquire to publish.
-                    guard.begin_fill(slot, line_id);
-                    drop(guard);
-                    let mut data = [0u8; LINE_SIZE];
-                    let filled = fabric_read(global, line_id, &mut data);
-                    guard = shard.lock();
-                    if let Err(e) = filled {
-                        // Failing line leaves no trace: no counters, no
-                        // buffer bytes, no resident line (see module docs
-                        // on partial-span effects).
-                        guard.abort_fill(slot);
-                        drop(guard);
-                        shard.notify_fill_waiters();
-                        flush_victims(global, stats, &victims);
-                        return Err(e);
-                    }
-                    stats.misses.fetch_add(1, Ordering::Relaxed);
-                    // Burst model: full fabric latency for the first
-                    // missed line of the span, bandwidth-limited
-                    // continuation after.
-                    cost += if *missed {
-                        lat.transfer_ns(LINE_SIZE).max(1)
-                    } else {
-                        lat.global_read_ns
-                    };
-                    *missed = true;
-                    let dirty = match io {
-                        FillIo::Read(out) => {
-                            let take = out.len();
-                            out.copy_from_slice(&data[in_line..in_line + take]);
-                            false
-                        }
-                        FillIo::Write(src) => {
-                            data[in_line..in_line + src.len()].copy_from_slice(src);
-                            true
-                        }
-                    };
-                    cell.seq.write_begin();
-                    cell.store_data(&data);
-                    cell.line_id.store(line_id, Ordering::Relaxed);
-                    cell.seq.write_end();
-                    guard.publish_fill(slot, dirty);
-                    shard.index.publish(line_id, slot);
-                    cost += enforce_capacity(shard, stats, &mut guard, lat, &mut victims);
-                    published = true;
-                    break;
                 }
             }
+            line_id += self.shards.len() as u64;
         }
         drop(guard);
+        visit.delta.commit(stats);
         if published {
             shard.notify_fill_waiters();
         }
-        flush_victims(global, stats, &victims);
+        flush_victims(global, stats, &mut visit.victims);
         Ok(cost)
     }
 
@@ -1026,35 +1582,70 @@ impl NodeCache {
             return Ok(0);
         }
         Self::check_span(global, addr, buf.len())?;
-        let mut cost = 0u64;
-        let mut pos = 0usize;
-        let mut a = addr.0;
-        let mut missed = false;
-        while pos < buf.len() {
-            let line_id = a / LINE_SIZE as u64;
-            let in_line = (a % LINE_SIZE as u64) as usize;
-            let take = (LINE_SIZE - in_line).min(buf.len() - pos);
-            let seg = &mut buf[pos..pos + take];
-            let b = self.bank_of(line_id);
-            let shard = &self.shards[b];
-            cost += if self.try_seqlock_hit(shard, line_id, in_line, seg) {
-                self.cells.banks[b].hits.fetch_add(1, Ordering::Relaxed);
-                self.touch_best_effort(shard, line_id);
-                lat.cache_hit_ns
-            } else {
-                self.access_line(
-                    global,
-                    lat,
-                    line_id,
-                    in_line,
-                    FillIo::Read(seg),
-                    &mut missed,
-                )?
-            };
+        // Rule 3: lines are served lock-free for as long as they hit; the
+        // locks are taken from the first line that does not.
+        let len = buf.len();
+        let first = addr.0 / LINE_SIZE as u64;
+        let mut next = first;
+        let mut in_line = (addr.0 % LINE_SIZE as u64) as usize;
+        let mut pos = 0;
+        while pos < len {
+            let take = (LINE_SIZE - in_line).min(len - pos);
+            let shard = &self.shards[self.bank_of(next)];
+            if !self.try_seqlock_hit(shard, next, in_line, &mut buf[pos..pos + take]) {
+                break;
+            }
             pos += take;
-            a += take as u64;
+            next += 1;
+            in_line = 0;
         }
-        Ok(cost)
+        let mut cost = 0;
+        if next > first {
+            self.record_lock_free_hits(first, next - 1);
+            cost = (next - first) * lat.cache_hit_ns;
+            if pos == len {
+                return Ok(cost);
+            }
+        }
+        let rest = Span::new(GAddr(addr.0 + pos as u64), len - pos);
+        let out = &mut buf[pos..];
+        Ok(cost
+            + if rest.is_single_line() {
+                self.read_staged::<0>(global, lat, rest, out)
+            } else {
+                self.read_staged::<PASS_LINES>(global, lat, rest, out)
+            }?)
+    }
+
+    /// A locked-path read in passes of `N` lines, the pass's fabric image
+    /// in this frame (`N = 0`: a single line, which fills straight from
+    /// the fabric and needs no image). Out of line, so the single-line
+    /// path does not pay for the frame (or the zeroing) a page-sized pass
+    /// needs.
+    #[inline(never)]
+    fn read_staged<const N: usize>(
+        &self,
+        global: &GlobalMemory,
+        lat: &LatencyModel,
+        span: Span,
+        out: &mut [u8],
+    ) -> Result<u64, SimError> {
+        let mut image = [[0u8; LINE_SIZE]; N];
+        let mut gens = [0u64; N];
+        let mut acc = SpanAccess {
+            global,
+            lat,
+            span,
+            io: SpanIo::Read {
+                out,
+                image: image.as_flattened_mut(),
+                gens: &mut gens,
+                fetched: false,
+            },
+            missed: false,
+            pass: (span.first, span.first),
+        };
+        self.access_span(&mut acc, N.max(1))
     }
 
     /// Write `buf` at `addr` into the cache (write-allocate, write-back).
@@ -1077,26 +1668,16 @@ impl NodeCache {
             return Ok(0);
         }
         Self::check_span(global, addr, buf.len())?;
-        let mut cost = 0u64;
-        let mut pos = 0usize;
-        let mut a = addr.0;
-        let mut missed = false;
-        while pos < buf.len() {
-            let line_id = a / LINE_SIZE as u64;
-            let in_line = (a % LINE_SIZE as u64) as usize;
-            let take = (LINE_SIZE - in_line).min(buf.len() - pos);
-            cost += self.access_line(
-                global,
-                lat,
-                line_id,
-                in_line,
-                FillIo::Write(&buf[pos..pos + take]),
-                &mut missed,
-            )?;
-            pos += take;
-            a += take as u64;
-        }
-        Ok(cost)
+        let span = Span::new(addr, buf.len());
+        let mut acc = SpanAccess {
+            global,
+            lat,
+            span,
+            io: SpanIo::Write { src: buf },
+            missed: false,
+            pass: (span.first, span.first),
+        };
+        self.access_span(&mut acc, PASS_LINES)
     }
 
     /// Reject spans whose end overflows `u64` or exceeds the pool, before
@@ -1115,18 +1696,10 @@ impl NodeCache {
         Ok(())
     }
 
-    fn line_range(addr: GAddr, len: usize) -> std::ops::RangeInclusive<u64> {
-        let first = addr.0 / LINE_SIZE as u64;
-        // Saturate instead of wrapping for spans ending past `u64::MAX`:
-        // lines that high can never be resident, so clamping is lossless.
-        let last = addr.0.saturating_add(len.max(1) as u64 - 1) / LINE_SIZE as u64;
-        first..=last
-    }
-
     /// Write back (but keep cached) any dirty lines covering `[addr, addr+len)`.
     /// Returns the simulated cost.
     ///
-    /// The fabric write happens with no bank lock held; `dirty` is only
+    /// The fabric writes happen with no bank lock held; `dirty` is only
     /// cleared afterwards if no writer touched the line in the interim
     /// (checked via the slot's sequence counter), so a racing write can
     /// never be silently marked clean.
@@ -1137,49 +1710,7 @@ impl NodeCache {
         addr: GAddr,
         len: usize,
     ) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let mut cost = 0;
-        let mut first = true;
-        for line_id in Self::line_range(addr, len) {
-            let b = self.bank_of(line_id);
-            let shard = &self.shards[b];
-            let stats = &self.cells.banks[b];
-            let mut pending: Option<(u32, u64, [u8; LINE_SIZE])> = None;
-            {
-                let guard = shard.lock();
-                if let Some(&i) = guard.map.get(&line_id) {
-                    let m = &guard.meta[i as usize];
-                    if !m.filling && m.dirty {
-                        let cell = shard.slab.get(i).expect("ready slot has a cell");
-                        pending = Some((i, cell.seq.current(), cell.load_data()));
-                        // Burst model: full latency for the first line of
-                        // the range, bandwidth-limited for the rest.
-                        cost += if first {
-                            lat.writeback_line_ns
-                        } else {
-                            lat.transfer_ns(LINE_SIZE).max(1)
-                        };
-                        first = false;
-                    }
-                }
-            }
-            let Some((i, seq0, data)) = pending else {
-                continue;
-            };
-            if fabric_write(global, line_id, &data).is_ok() {
-                stats.writebacks.fetch_add(1, Ordering::Relaxed);
-                let mut guard = shard.lock();
-                if guard.map.get(&line_id) == Some(&i)
-                    && !guard.meta[i as usize].filling
-                    && shard.slab.get(i).is_some_and(|c| c.seq.current() == seq0)
-                {
-                    guard.meta[i as usize].dirty = false;
-                }
-            }
-        }
-        cost
+        self.maintain(lat, addr, len, Some(global), false)
     }
 
     /// Drop cached lines covering `[addr, addr+len)`. Dirty data that was
@@ -1190,45 +1721,276 @@ impl NodeCache {
     /// after this invalidate returns, which is a legal outcome of racing
     /// an invalidate against a concurrent fetch of the same line.
     pub fn invalidate(&self, lat: &LatencyModel, addr: GAddr, len: usize) -> u64 {
+        self.maintain(lat, addr, len, None, true)
+    }
+
+    /// Write back then invalidate `[addr, addr+len)` (clean+invalidate),
+    /// in one pass: each covered line is snapshotted if dirty and dropped
+    /// under the same lock hold. Costs what [`NodeCache::writeback`]
+    /// followed by [`NodeCache::invalidate`] costs.
+    pub fn flush(&self, global: &GlobalMemory, lat: &LatencyModel, addr: GAddr, len: usize) -> u64 {
+        self.maintain(lat, addr, len, Some(global), true)
+    }
+
+    /// The maintenance ops: write the span's dirty lines back to
+    /// `writeback_to` (if any) and/or drop its lines.
+    #[inline]
+    fn maintain(
+        &self,
+        lat: &LatencyModel,
+        addr: GAddr,
+        len: usize,
+        writeback_to: Option<&GlobalMemory>,
+        drop_lines: bool,
+    ) -> u64 {
         if len == 0 {
             return 0;
         }
-        let mut cost = 0;
-        let mut first = true;
-        for line_id in Self::line_range(addr, len) {
-            let b = self.bank_of(line_id);
-            let shard = &self.shards[b];
-            let mut guard = shard.lock();
-            let Some(&i) = guard.map.get(&line_id) else {
-                continue;
-            };
-            if guard.meta[i as usize].filling {
-                continue;
-            }
-            guard.remove_ready(i);
-            let cell = shard.slab.get(i).expect("ready slot has a cell");
-            cell.seq.write_begin();
-            cell.line_id.store(NO_LINE, Ordering::Relaxed);
-            cell.seq.write_end();
-            shard.index.retract(line_id, i);
-            self.cells.banks[b]
-                .invalidations
-                .fetch_add(1, Ordering::Relaxed);
-            // Invalidation is local bookkeeping: one instruction's
-            // latency up front, then a small per-line tail cost.
-            cost += if first {
-                lat.invalidate_line_ns
-            } else {
-                lat.invalidate_extra_line_ns
-            };
-            first = false;
+        let span = Span::new(addr, len);
+        if span.is_single_line() {
+            return self.maintain_line(lat, span.first, writeback_to, drop_lines);
         }
-        cost
+        match writeback_to {
+            None => self.maintain_staged::<0>(lat, span, None, drop_lines),
+            // Zeroing the page-sized staging frame costs ~40 ns a call —
+            // as much again as a two-line writeback's cache work.
+            Some(_) if span.last - span.first < 8 => {
+                self.maintain_staged::<8>(lat, span, writeback_to, drop_lines)
+            }
+            Some(_) => self.maintain_staged::<PASS_LINES>(lat, span, writeback_to, drop_lines),
+        }
     }
 
-    /// Write back then invalidate `[addr, addr+len)` (clean+invalidate).
-    pub fn flush(&self, global: &GlobalMemory, lat: &LatencyModel, addr: GAddr, len: usize) -> u64 {
-        self.writeback(global, lat, addr, len) + self.invalidate(lat, addr, len)
+    /// [`NodeCache::maintain`] of a span of one: one bank, one line, the
+    /// snapshot in a local — no pass, no bank loop, no staging. The same
+    /// steps in the same order as a bank's share of a longer span
+    /// ([`NodeCache::sweep_bank`], the fabric write, [`NodeCache::settle`]).
+    fn maintain_line(
+        &self,
+        lat: &LatencyModel,
+        line_id: u64,
+        writeback_to: Option<&GlobalMemory>,
+        drop_lines: bool,
+    ) -> u64 {
+        let b = self.bank_of(line_id);
+        let shard = &self.shards[b];
+        let stats = &self.cells.banks[b];
+        let mut guard = shard.lock();
+        let Some(mut i) = ready_slot(shard, &guard, line_id) else {
+            return 0;
+        };
+        let mut cost = 0;
+        if let Some(global) = writeback_to.filter(|_| guard.meta[i as usize].dirty) {
+            let cell = shard.slab.get(i).expect("ready slot has a cell");
+            let (tag, data) = ((i, cell.seq.current()), cell.load_data());
+            drop(guard);
+            cost += lat.writeback_line_ns;
+            let landed = fabric_write(global, line_id, &data).is_ok();
+            if landed {
+                stats.writebacks.fetch_add(1, Ordering::Relaxed);
+            }
+            guard = shard.lock();
+            if !drop_lines {
+                if landed {
+                    mark_clean_if_unchanged(shard, &mut guard, line_id, tag);
+                }
+                return cost;
+            }
+            // A flush drops the line only now that its bytes are in the
+            // pool (see `sweep_bank`) — whatever slot it is in by now.
+            match ready_slot(shard, &guard, line_id) {
+                Some(now) => i = now,
+                None => return cost,
+            }
+        } else if !drop_lines {
+            return cost;
+        }
+        drop_line(shard, &mut guard, i, line_id);
+        shard.note_drops(1);
+        drop(guard);
+        stats.invalidations.fetch_add(1, Ordering::Relaxed);
+        cost + lat.invalidate_line_ns
+    }
+
+    /// [`NodeCache::maintain`] of a multi-line span, pass by pass, with
+    /// room to stage `N` dirty lines per pass in this frame (`N = 0`:
+    /// nothing is written back).
+    fn maintain_staged<const N: usize>(
+        &self,
+        lat: &LatencyModel,
+        span: Span,
+        writeback_to: Option<&GlobalMemory>,
+        drop_lines: bool,
+    ) -> u64 {
+        let mut data = [[0u8; LINE_SIZE]; N];
+        let mut tags = [(0u32, 0u64); N];
+        let stage = Stage {
+            data: data.as_flattened_mut(),
+            tags: &mut tags,
+            mask: 0,
+        };
+        self.maintain_passes(lat, span, writeback_to, drop_lines, stage)
+    }
+
+    /// The passes of a maintenance span, in address order.
+    #[inline(always)]
+    fn maintain_passes(
+        &self,
+        lat: &LatencyModel,
+        span: Span,
+        writeback_to: Option<&GlobalMemory>,
+        drop_lines: bool,
+        mut stage: Stage<'_>,
+    ) -> u64 {
+        let pass_lines = match writeback_to {
+            Some(_) => stage.tags.len(),
+            None => PASS_LINES,
+        };
+        let mut cost = MaintCost::default();
+        let mut pass = span.pass_from(span.first, pass_lines);
+        loop {
+            self.maintain_pass(lat, pass, writeback_to, drop_lines, &mut stage, &mut cost);
+            if pass.1 == span.last {
+                return cost.ns;
+            }
+            pass = span.pass_from(pass.1 + 1, pass_lines);
+        }
+    }
+
+    /// One maintenance pass: visit each bank the pass touches once, then
+    /// (with no lock held) write the staged dirty lines out, then revisit
+    /// the banks that had any to account for them.
+    #[inline(always)]
+    fn maintain_pass(
+        &self,
+        lat: &LatencyModel,
+        pass: (u64, u64),
+        writeback_to: Option<&GlobalMemory>,
+        drop_lines: bool,
+        stage: &mut Stage<'_>,
+        cost: &mut MaintCost,
+    ) {
+        stage.mask = 0;
+        let banks = self.shards.len() as u64;
+        let writeback = writeback_to.is_some();
+        for k in 0..banks.min(pass.1 - pass.0 + 1) {
+            self.sweep_bank(lat, pass, pass.0 + k, writeback, drop_lines, stage, cost);
+        }
+        if let (Some(global), true) = (writeback_to, stage.mask != 0) {
+            let written = write_runs(global, pass.0, stage);
+            self.settle(lat, pass.0, stage, written, drop_lines, cost);
+        }
+    }
+
+    /// One bank's share of a maintenance pass, under one lock hold:
+    /// snapshot each dirty line into `stage` (`writeback`) and/or drop
+    /// each resident line (`drop_lines`). Lines mid-fill are skipped. A
+    /// line staged by a flush stays resident until [`NodeCache::settle`]
+    /// drops it, *after* its bytes reached the pool — dropped first, a
+    /// reader on this node could miss on it in between, fill from the
+    /// not-yet-updated pool and keep a copy older than the flush.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn sweep_bank(
+        &self,
+        lat: &LatencyModel,
+        pass: (u64, u64),
+        start: u64,
+        writeback: bool,
+        drop_lines: bool,
+        stage: &mut Stage<'_>,
+        cost: &mut MaintCost,
+    ) {
+        let b = self.bank_of(start);
+        let shard = &self.shards[b];
+        let mut dropped = 0u64;
+        let mut guard = shard.lock();
+        let mut line_id = start;
+        while line_id <= pass.1 {
+            let Some(i) = ready_slot(shard, &guard, line_id) else {
+                line_id += self.shards.len() as u64;
+                continue;
+            };
+            if writeback && guard.meta[i as usize].dirty {
+                let cell = shard.slab.get(i).expect("ready slot has a cell");
+                let k = (line_id - pass.0) as usize;
+                cell.load_into(staged_mut(stage.data, k));
+                stage.tags[k] = (i, cell.seq.current());
+                stage.mask |= 1 << k;
+                cost.charge_writeback(lat);
+            } else if drop_lines {
+                drop_line(shard, &mut guard, i, line_id);
+                dropped += 1;
+                cost.charge_drop(lat);
+            }
+            line_id += self.shards.len() as u64;
+        }
+        if dropped != 0 {
+            shard.note_drops(dropped);
+        }
+        drop(guard);
+        if dropped != 0 {
+            self.cells.banks[b]
+                .invalidations
+                .fetch_add(dropped, Ordering::Relaxed);
+        }
+    }
+
+    /// Revisit, once each, the banks that staged lines, now that the
+    /// fabric writes are done: count those that landed (`written`), then
+    /// either drop every staged line (`drop_lines`: a flush — landed or
+    /// not, as the invalidate half of the flush would) or mark the landed
+    /// ones clean — unless the line was replaced or written since its
+    /// snapshot, which the slot's sequence count reveals.
+    fn settle(
+        &self,
+        lat: &LatencyModel,
+        pass_first: u64,
+        stage: &Stage<'_>,
+        written: u64,
+        drop_lines: bool,
+        cost: &mut MaintCost,
+    ) {
+        let mut left = stage.mask;
+        while left != 0 {
+            // The lowest line left and every later one sharing its bank.
+            let k = left.trailing_zeros();
+            let mut bits = left & (self.stride_bits << k);
+            left &= !bits;
+            let b = self.bank_of(pass_first + u64::from(k));
+            let shard = &self.shards[b];
+            let landed = u64::from((bits & written).count_ones());
+            if landed != 0 {
+                self.cells.banks[b]
+                    .writebacks
+                    .fetch_add(landed, Ordering::Relaxed);
+            }
+            let mut dropped = 0u64;
+            let mut guard = shard.lock();
+            while bits != 0 {
+                let k = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let line_id = pass_first + k as u64;
+                if !drop_lines {
+                    if written >> k & 1 != 0 {
+                        mark_clean_if_unchanged(shard, &mut guard, line_id, stage.tags[k]);
+                    }
+                } else if let Some(i) = ready_slot(shard, &guard, line_id) {
+                    drop_line(shard, &mut guard, i, line_id);
+                    dropped += 1;
+                    cost.charge_drop(lat);
+                }
+            }
+            if dropped != 0 {
+                shard.note_drops(dropped);
+            }
+            drop(guard);
+            if dropped != 0 {
+                self.cells.banks[b]
+                    .invalidations
+                    .fetch_add(dropped, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Write back every dirty line and drop the whole cache. Lines whose
@@ -1238,6 +2000,7 @@ impl NodeCache {
         for (b, shard) in self.shards.iter().enumerate() {
             let stats = &self.cells.banks[b];
             let mut victims: Vec<Victim> = Vec::new();
+            let mut dropped = 0u64;
             let mut guard = shard.lock();
             while let Some((i, line_id, dirty)) = guard.pop_lru() {
                 let cell = shard.slab.get(i).expect("resident slot has a cell");
@@ -1245,15 +2008,15 @@ impl NodeCache {
                     victims.push((line_id, cell.load_data()));
                     cost += lat.writeback_line_ns;
                 }
-                cell.seq.write_begin();
-                cell.line_id.store(NO_LINE, Ordering::Relaxed);
-                cell.seq.write_end();
+                cell.retire();
                 shard.index.retract(line_id, i);
-                stats.invalidations.fetch_add(1, Ordering::Relaxed);
+                dropped += 1;
                 cost += lat.invalidate_line_ns;
             }
+            shard.note_drops(dropped);
             drop(guard);
-            flush_victims(global, stats, &victims);
+            stats.invalidations.fetch_add(dropped, Ordering::Relaxed);
+            flush_victims(global, stats, &mut victims);
         }
         cost
     }
@@ -1563,6 +2326,80 @@ mod tests {
             2,
             "identity holds across both error paths"
         );
+    }
+
+    #[test]
+    fn failing_span_takes_effect_in_address_order() {
+        // With two banks a four-line span visits lines 0, 2 (bank 0) and
+        // then 1, 3 (bank 1). When a fill can fail the span must instead
+        // walk in address order, so that exactly the lines before the
+        // failing one take effect — here line 0 alone, not line 2.
+        let lat = LatencyModel::hccs();
+        let config = CacheConfig {
+            max_lines: 64,
+            banks: 2,
+        };
+        let g = GlobalMemory::new(LINE_SIZE * 8);
+        g.poison(GAddr(LINE_SIZE as u64), 8);
+        let c = NodeCache::new(config.clone());
+        let mut buf = [0xAAu8; 4 * LINE_SIZE];
+        assert!(matches!(
+            c.read(&g, &lat, GAddr(0), &mut buf),
+            Err(SimError::PoisonedMemory { .. })
+        ));
+        assert_eq!(c.resident_line_ids(), vec![0]);
+        assert_eq!(c.stats().misses, 1);
+        assert_eq!(buf[..LINE_SIZE], [0u8; LINE_SIZE]);
+        assert_eq!(buf[LINE_SIZE..], [0xAAu8; 3 * LINE_SIZE]);
+
+        // The same for a line that runs off the end of the pool: the
+        // last line of a 104-byte pool can never be filled.
+        let g = GlobalMemory::new(100);
+        let c = NodeCache::new(config);
+        let mut buf = [0xAAu8; 20];
+        assert!(matches!(
+            c.read(&g, &lat, GAddr(60), &mut buf),
+            Err(SimError::OutOfBounds { .. })
+        ));
+        assert_eq!(c.resident_line_ids(), vec![0]);
+        assert_eq!(
+            buf,
+            [
+                0, 0, 0, 0, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA,
+                0xAA, 0xAA, 0xAA, 0xAA
+            ]
+        );
+    }
+
+    #[test]
+    fn writeback_run_with_a_poisoned_line_lands_the_rest() {
+        // One poisoned destination fails the whole run's fabric write;
+        // the retry line by line must land every other line, count only
+        // those, and leave only the dropped line dirty.
+        let lat = LatencyModel::hccs();
+        let g = GlobalMemory::new(LINE_SIZE * 8);
+        let c = NodeCache::new(CacheConfig::default());
+        c.write(&g, &lat, GAddr(0), &[7u8; 4 * LINE_SIZE]).unwrap();
+        g.poison(GAddr(2 * LINE_SIZE as u64), 8);
+        let tail = lat.transfer_ns(LINE_SIZE).max(1);
+        assert_eq!(
+            c.writeback(&g, &lat, GAddr(0), 4 * LINE_SIZE),
+            lat.writeback_line_ns + 3 * tail,
+            "all four dirty lines are charged"
+        );
+        assert_eq!(c.stats().writebacks, 3);
+        g.scrub(GAddr(2 * LINE_SIZE as u64), 8);
+        let mut pool = [0u8; 4 * LINE_SIZE];
+        g.read_bytes(GAddr(0), &mut pool).unwrap();
+        assert_eq!(pool[..2 * LINE_SIZE], [7u8; 2 * LINE_SIZE]);
+        assert_eq!(pool[2 * LINE_SIZE..3 * LINE_SIZE], [0u8; LINE_SIZE]);
+        assert_eq!(pool[3 * LINE_SIZE..], [7u8; LINE_SIZE]);
+        // Only line 2 is still dirty.
+        assert_eq!(
+            c.writeback(&g, &lat, GAddr(0), 4 * LINE_SIZE),
+            lat.writeback_line_ns
+        );
+        assert_eq!(c.stats().writebacks, 4);
     }
 
     #[test]

@@ -344,18 +344,35 @@ impl GlobalMemory {
         let first = addr.word_index();
         let last = GAddr(addr.0 + buf.len() as u64 - 1).word_index();
         self.check_poison(first, last)?;
-        let mut pos = 0usize;
-        let mut a = addr.0 as usize;
-        while pos < buf.len() {
-            let widx = a / 8;
-            let in_word = a % 8;
-            let take = (8 - in_word).min(buf.len() - pos);
-            let word = self.words[widx].load(Ordering::SeqCst).to_le_bytes();
-            buf[pos..pos + take].copy_from_slice(&word[in_word..in_word + take]);
-            pos += take;
-            a += take;
+        // Partial head word, whole words, partial tail word: an
+        // 8-byte-aligned span (every line fill) is whole words only.
+        let mut w = first;
+        let mut rest = buf;
+        let in_word = (addr.0 % 8) as usize;
+        if in_word != 0 {
+            let (head, tail) = rest.split_at_mut((8 - in_word).min(rest.len()));
+            let word = self.words[w].load(Ordering::SeqCst).to_le_bytes();
+            head.copy_from_slice(&word[in_word..in_word + head.len()]);
+            rest = tail;
+            w += 1;
+        }
+        let mut chunks = rest.chunks_exact_mut(8);
+        for (chunk, word) in (&mut chunks).zip(&self.words[w..]) {
+            chunk.copy_from_slice(&word.load(Ordering::SeqCst).to_le_bytes());
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            let word = self.words[last].load(Ordering::SeqCst).to_le_bytes();
+            tail.copy_from_slice(&word[..tail.len()]);
         }
         Ok(())
+    }
+
+    /// Read-modify-write `bytes` into word `w` at byte offset `in_word`.
+    fn merge_word(&self, w: usize, in_word: usize, bytes: &[u8]) {
+        let mut word = self.words[w].load(Ordering::SeqCst).to_le_bytes();
+        word[in_word..in_word + bytes.len()].copy_from_slice(bytes);
+        self.words[w].store(u64::from_le_bytes(word), Ordering::SeqCst);
     }
 
     /// Copy `buf` into global memory starting at `addr`, bypassing caches.
@@ -372,24 +389,25 @@ impl GlobalMemory {
         let first = addr.word_index();
         let last = GAddr(addr.0 + buf.len() as u64 - 1).word_index();
         self.check_poison(first, last)?;
-        let mut pos = 0usize;
-        let mut a = addr.0 as usize;
-        while pos < buf.len() {
-            let widx = a / 8;
-            let in_word = a % 8;
-            let take = (8 - in_word).min(buf.len() - pos);
-            if take == 8 {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(&buf[pos..pos + 8]);
-                self.words[widx].store(u64::from_le_bytes(w), Ordering::SeqCst);
-            } else {
-                // Read-modify-write of the partial word.
-                let mut w = self.words[widx].load(Ordering::SeqCst).to_le_bytes();
-                w[in_word..in_word + take].copy_from_slice(&buf[pos..pos + take]);
-                self.words[widx].store(u64::from_le_bytes(w), Ordering::SeqCst);
-            }
-            pos += take;
-            a += take;
+        // Same head/whole-words/tail split as `read_bytes`; only the
+        // partial words at the ends need a read-modify-write.
+        let mut w = first;
+        let mut rest = buf;
+        let in_word = (addr.0 % 8) as usize;
+        if in_word != 0 {
+            let (head, tail) = rest.split_at((8 - in_word).min(rest.len()));
+            self.merge_word(w, in_word, head);
+            rest = tail;
+            w += 1;
+        }
+        let chunks = rest.chunks_exact(8);
+        let tail = chunks.remainder();
+        for (chunk, word) in chunks.zip(&self.words[w..]) {
+            let value = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+            word.store(value, Ordering::SeqCst);
+        }
+        if !tail.is_empty() {
+            self.merge_word(last, 0, tail);
         }
         Ok(())
     }
@@ -612,6 +630,33 @@ mod tests {
         let mut edge = [0u8; 3];
         m.read_bytes(GAddr(0), &mut edge).unwrap();
         assert_eq!(edge, [0, 0, 0]);
+    }
+
+    #[test]
+    fn byte_rw_matches_a_byte_array_at_every_alignment() {
+        // Head word, whole words, tail word: every (offset, length)
+        // combination up to three words, against a plain byte array.
+        let m = GlobalMemory::new(64);
+        let mut model = [0u8; 64];
+        let mut next = 1u8;
+        for offset in 0..16usize {
+            for len in 0..=24usize {
+                let data: Vec<u8> = (0..len)
+                    .map(|_| {
+                        next = next.wrapping_mul(31).wrapping_add(7);
+                        next
+                    })
+                    .collect();
+                m.write_bytes(GAddr(offset as u64), &data).unwrap();
+                model[offset..offset + len].copy_from_slice(&data);
+                let mut all = [0u8; 64];
+                m.read_bytes(GAddr(0), &mut all).unwrap();
+                assert_eq!(all, model, "write of {len} at {offset}");
+                let mut out = vec![0u8; len];
+                m.read_bytes(GAddr(offset as u64), &mut out).unwrap();
+                assert_eq!(out, data, "read of {len} at {offset}");
+            }
+        }
     }
 
     #[test]

@@ -252,6 +252,92 @@ fn sharded_cache_cost_totals_are_interleaving_independent() {
 }
 
 #[test]
+fn overlapping_page_spans_cost_totals_are_interleaving_independent() {
+    // The same contract at span granularity. Four threads on ONE node
+    // issue 4 KiB (and longer) spans, which touch every bank, so unlike
+    // the test above they contend for all sixteen bank locks at once, and
+    // their read windows over a shared warm region overlap line for line.
+    // Determinism survives because shared lines are only ever *hit* (a
+    // hit costs the same whoever else is hitting it) while every line
+    // that misses, dirties, writes back or drops is private to one
+    // thread, so its history follows that thread's program order.
+    const THREADS: u64 = 4;
+    const ROUNDS: u64 = 12;
+    const PAGE: usize = 4096;
+    const SHARED_PAGES: usize = 8;
+
+    fn thread_program(node: &rack_sim::NodeCtx, shared: GAddr, private: GAddr, t: u64) {
+        let mut window = vec![0u8; PAGE];
+        for round in 0..ROUNDS {
+            // Unaligned 4 KiB window (65 lines) into the warm region.
+            let off = (t * 1000 + round * 712) % ((SHARED_PAGES as u64 - 2) * PAGE as u64);
+            node.read(GAddr(shared.0 + off), &mut window).unwrap();
+            assert!(window.iter().all(|&b| b == 0x5A), "warm region is constant");
+
+            let fill = (t * 16 + round) as u8;
+            node.write(private, &vec![fill; PAGE]).unwrap();
+            node.write(GAddr(private.0 + PAGE as u64 + 10), &[fill; 300])
+                .unwrap();
+            node.writeback(private, 2 * PAGE);
+            node.read(private, &mut window).unwrap();
+            assert!(window.iter().all(|&b| b == fill), "own page reads back");
+            if round % 3 == 0 {
+                node.flush(GAddr(private.0 + PAGE as u64), PAGE);
+            }
+            if round % 4 == 0 {
+                node.invalidate(private, PAGE);
+                node.read(private, &mut window).unwrap(); // cold span refill
+                assert!(window.iter().all(|&b| b == fill));
+            }
+        }
+    }
+
+    let run = |parallel: bool| {
+        let rack = rack();
+        let n0 = rack.node(0);
+        let shared = rack.global().alloc(SHARED_PAGES * PAGE, PAGE).unwrap();
+        let private = rack
+            .global()
+            .alloc(THREADS as usize * 2 * PAGE, PAGE)
+            .unwrap();
+        // Warm the shared region (written by another node, so node 0
+        // holds it clean).
+        let n1 = rack.node(1);
+        n1.write(shared, &vec![0x5A; SHARED_PAGES * PAGE]).unwrap();
+        n1.writeback(shared, SHARED_PAGES * PAGE);
+        n0.read(shared, &mut vec![0u8; SHARED_PAGES * PAGE])
+            .unwrap();
+
+        let private_of = |t: u64| GAddr(private.0 + t * 2 * PAGE as u64);
+        if parallel {
+            thread::scope(|s| {
+                for t in 0..THREADS {
+                    let n0 = n0.clone();
+                    s.spawn(move || thread_program(&n0, shared, private_of(t), t));
+                }
+            });
+        } else {
+            for t in 0..THREADS {
+                thread_program(&n0, shared, private_of(t), t);
+            }
+        }
+        let snap = n0.stats().snapshot();
+        assert_eq!(snap.total_charged_ns(), n0.clock().now());
+        (n0.clock().now(), n0.cache_stats())
+    };
+
+    let serial = run(false);
+    assert_eq!(serial.1.coalesced_fills, 0);
+    for attempt in 0..4 {
+        assert_eq!(
+            run(true),
+            serial,
+            "parallel run {attempt} diverged from the serial baseline"
+        );
+    }
+}
+
+#[test]
 fn cache_incoherence_is_thread_safe_even_if_stale() {
     // Two threads on different nodes read/write the same line through
     // their own caches. Values may be stale (that is the model!) but the
@@ -330,6 +416,125 @@ fn cold_miss_storm_is_single_flight_per_line() {
         LINES * lat.global_read_ns + (THREADS - 1) * LINES * lat.cache_hit_ns,
         "summed simulated cost is an interleaving-independent constant"
     );
+}
+
+#[test]
+fn cold_page_storm_is_single_flight_per_line() {
+    // The storm above with whole-page spans: four threads read the same
+    // cold 4 KiB page, each as ONE span. Whichever thread reaches a line
+    // first fills it — from its own in-flight fabric read or from the
+    // page image an earlier miss of its span already fetched — and the
+    // others coalesce or hit, so there is still exactly one miss per
+    // line. Only the split of the 64 misses over the threads varies, and
+    // with it how many spans pay the full first-miss latency: one per
+    // thread that missed at all.
+    use rack_sim::cache::{CacheConfig, NodeCache};
+    use rack_sim::{GlobalMemory, LatencyModel, LINE_SIZE};
+    use std::sync::Barrier;
+
+    const THREADS: u64 = 4;
+    const LINES: u64 = 64;
+    let global = GlobalMemory::new(LINES as usize * LINE_SIZE);
+    let pattern: Vec<u8> = (0..LINES as usize * LINE_SIZE)
+        .map(|i| (i / 7) as u8)
+        .collect();
+    global.write_bytes(GAddr(0), &pattern).unwrap();
+    let lat = LatencyModel::hccs();
+    let cache = NodeCache::new(CacheConfig::default());
+    let barrier = Barrier::new(THREADS as usize);
+
+    let total_cost: u64 = thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (cache, global, lat, barrier, pattern) =
+                    (&cache, &global, &lat, &barrier, &pattern);
+                s.spawn(move || {
+                    barrier.wait();
+                    let mut page = vec![0u8; pattern.len()];
+                    let cost = cache.read(global, lat, GAddr(0), &mut page).unwrap();
+                    assert!(page == *pattern, "every thread reads the page intact");
+                    cost
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+
+    let stats = cache.stats();
+    assert_eq!(stats.misses, LINES, "exactly one fill per cold line");
+    assert_eq!(stats.hits, (THREADS - 1) * LINES);
+    assert!(stats.coalesced_fills <= stats.hits);
+    let tail = lat.transfer_ns(LINE_SIZE).max(1);
+    let with_first_misses = |spans: u64| {
+        stats.hits * lat.cache_hit_ns + spans * lat.global_read_ns + (LINES - spans) * tail
+    };
+    assert!(
+        (1..=THREADS).any(|spans| total_cost == with_first_misses(spans)),
+        "summed cost {total_cost} is not 64 misses spread over 1..=4 spans"
+    );
+}
+
+#[test]
+fn page_read_never_installs_bytes_older_than_the_nodes_own_flushed_write() {
+    // Two threads of ONE node. The publisher writes line X, makes the
+    // write global and drops the line, then reads X back: program order
+    // on one node, so it must see its own write. The page reader keeps
+    // re-reading the page around X as one span whose first miss (line 0,
+    // flushed each round) fetches the page image early; if it installed
+    // X from an image taken before the publisher's write reached the
+    // pool, the publisher would read back bytes older than its own
+    // flushed write. Both publish sequences are covered: writeback +
+    // invalidate, and the one-call flush.
+    use rack_sim::cache::{CacheConfig, NodeCache};
+    use rack_sim::{GlobalMemory, LatencyModel, LINE_SIZE};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    const ROUNDS: u64 = 200_000;
+    const PAGE: usize = 64 * LINE_SIZE;
+    let x = GAddr(37 * LINE_SIZE as u64);
+    for publish_with_flush in [false, true] {
+        let global = GlobalMemory::new(PAGE);
+        let lat = LatencyModel::hccs();
+        let cache = NodeCache::new(CacheConfig::default());
+        let done = AtomicBool::new(false);
+        let barrier = Barrier::new(2);
+        let stale = thread::scope(|s| {
+            let (cache, global, lat, done, barrier) = (&cache, &global, &lat, &done, &barrier);
+            s.spawn(move || {
+                let mut page = vec![0u8; PAGE];
+                barrier.wait();
+                while !done.load(Ordering::Relaxed) {
+                    cache.flush(global, lat, GAddr(0), 8);
+                    cache.read(global, lat, GAddr(0), &mut page).unwrap();
+                }
+            });
+            let publisher = s.spawn(move || {
+                let mut stale = 0u64;
+                barrier.wait();
+                for i in 1..=ROUNDS {
+                    cache.write(global, lat, x, &i.to_le_bytes()).unwrap();
+                    if publish_with_flush {
+                        cache.flush(global, lat, x, 8);
+                    } else {
+                        cache.writeback(global, lat, x, 8);
+                        cache.invalidate(lat, x, 8);
+                    }
+                    let mut back = [0u8; 8];
+                    cache.read(global, lat, x, &mut back).unwrap();
+                    stale += u64::from(u64::from_le_bytes(back) != i);
+                }
+                done.store(true, Ordering::Relaxed);
+                stale
+            });
+            publisher.join().unwrap()
+        });
+        assert_eq!(
+            stale, 0,
+            "publisher read back bytes older than its own flushed write \
+             (publish_with_flush = {publish_with_flush})"
+        );
+    }
 }
 
 // The two tests below watch an in-flight fabric operation from another
@@ -456,4 +661,51 @@ fn dirty_eviction_writeback_does_not_block_hits_in_same_bank() {
     assert_eq!(stats.evictions, 1);
     assert_eq!(stats.writebacks, 1);
     assert_eq!(stats.allocs, 1);
+}
+
+#[cfg(debug_assertions)]
+#[test]
+fn flush_keeps_a_dirty_line_resident_until_its_bytes_reach_the_pool() {
+    // flush = write the dirty line to the pool, THEN drop it. With a
+    // 50 ms fabric delay, a second thread of the node reads the line
+    // while the flusher is inside its fabric write: the line must still
+    // be resident (a hit on the new bytes). Dropped first, that read
+    // would miss, fill from the not-yet-updated pool, and leave a stale
+    // clean copy behind that outlives the flush.
+    use rack_sim::cache::{CacheConfig, NodeCache};
+    use rack_sim::{GlobalMemory, LatencyModel, LINE_SIZE};
+    use std::sync::Barrier;
+    use std::time::Duration;
+
+    let global = GlobalMemory::new(4 * LINE_SIZE);
+    let lat = LatencyModel::hccs();
+    let cache = NodeCache::new(CacheConfig::default());
+    let x = GAddr(LINE_SIZE as u64);
+    cache.write(&global, &lat, x, &[5u8; 8]).unwrap();
+    global.set_fabric_delay_for_tests(50_000_000);
+
+    let barrier = Barrier::new(2);
+    thread::scope(|s| {
+        let (cache, global, lat, barrier) = (&cache, &global, &lat, &barrier);
+        s.spawn(move || {
+            barrier.wait();
+            cache.flush(global, lat, x, 8);
+        });
+        s.spawn(move || {
+            barrier.wait();
+            thread::sleep(Duration::from_millis(5));
+            let mut buf = [0u8; 8];
+            let cost = cache.read(global, lat, x, &mut buf).unwrap();
+            assert_eq!(buf, [5u8; 8], "the node's own write is visible");
+            assert_eq!(cost, lat.cache_hit_ns, "still resident mid-flush");
+        });
+    });
+
+    global.set_fabric_delay_for_tests(0);
+    assert_eq!(cache.resident_lines(), 0, "the flush dropped the line");
+    let mut buf = [0u8; 8];
+    cache.read(&global, &lat, x, &mut buf).unwrap();
+    assert_eq!(buf, [5u8; 8], "refetched from the updated pool");
+    let stats = cache.stats();
+    assert_eq!((stats.writebacks, stats.invalidations), (1, 1));
 }

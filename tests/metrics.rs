@@ -215,6 +215,87 @@ fn unaligned_cross_bank_write_mixes_miss_alloc_and_tail() {
 }
 
 #[test]
+fn multi_bank_spans_in_the_capacity_regime_charge_exactly() {
+    // A 4 KiB page (64 lines) through a 32-line, 4-bank cache: every bank
+    // holds 8 lines and is handed 16, so spans evict their own lines —
+    // dirty ones included — while they run. Costs stay sums over
+    // per-line outcomes: a hit, the first miss of a span at full fabric
+    // latency and every later one at the bandwidth tail, plus one
+    // `writeback_line_ns` per dirty eviction, wherever in the span it
+    // falls.
+    let mut config = RackConfig::small_test().with_global_mem(1 << 20);
+    config.cache = rack_sim::CacheConfig {
+        max_lines: 32,
+        banks: 4,
+    };
+    let rack = Rack::new(config);
+    let n0 = rack.node(0);
+    let lat = n0.latency().clone();
+    let tail = lat.transfer_ns(rack_sim::LINE_SIZE).max(1);
+    let page = rack.global().alloc(4096, 4096).unwrap();
+    let charged = |f: &dyn Fn()| {
+        let t = n0.clock().now();
+        f();
+        n0.clock().now() - t
+    };
+
+    // Full-line writes allocate all 64 lines; each bank's second eight
+    // installs evict its first eight, dirty.
+    let cost = charged(&|| n0.write(page, &[0x11u8; 4096]).unwrap());
+    assert_eq!(cost, 64 * lat.cache_hit_ns + 32 * lat.writeback_line_ns);
+    let cs = n0.cache_stats();
+    assert_eq!((cs.allocs, cs.evictions, cs.writebacks), (64, 32, 32));
+
+    // Reading the page back misses on all 64 lines: the first 32 were
+    // evicted above, and refilling them evicts the (dirty) other 32
+    // before the span reaches them — each of those is re-missed in the
+    // same bank visit that evicted it, and must still read back intact.
+    let mut buf = [0u8; 4096];
+    let cost = charged(&|| {
+        let mut out = [0u8; 4096];
+        n0.read(page, &mut out).unwrap();
+        assert!(
+            out == [0x11u8; 4096],
+            "evicted dirty lines read back intact"
+        );
+    });
+    assert_eq!(
+        cost,
+        lat.global_read_ns + 63 * tail + 32 * lat.writeback_line_ns
+    );
+    let cs = n0.cache_stats();
+    assert_eq!((cs.misses, cs.hits), (64, 0));
+    assert_eq!((cs.evictions, cs.writebacks), (96, 64));
+
+    // An unaligned write over non-resident lines 0..=4: partial edge
+    // lines fill (full latency, then tail), the three full lines between
+    // them allocate; every install evicts a clean line at no cost.
+    let addr = rack_sim::GAddr(page.0 + 10);
+    let cost = charged(&|| n0.write(addr, &[0x22u8; 300]).unwrap());
+    assert_eq!(cost, lat.global_read_ns + tail + 3 * lat.cache_hit_ns);
+    let cs = n0.cache_stats();
+    assert_eq!((cs.misses, cs.allocs, cs.evictions), (66, 67, 101));
+
+    // Writeback finds exactly those five lines dirty; the flush after it
+    // finds nothing dirty and drops the 32 resident lines.
+    let cost = charged(&|| n0.writeback(page, 4096));
+    assert_eq!(cost, lat.writeback_line_ns + 4 * tail);
+    let cost = charged(&|| n0.flush(page, 4096));
+    assert_eq!(
+        cost,
+        lat.invalidate_line_ns + 31 * lat.invalidate_extra_line_ns
+    );
+    let cs = n0.cache_stats();
+    assert_eq!((cs.writebacks, cs.invalidations), (69, 32));
+
+    rack.global().read_bytes(page, &mut buf).unwrap();
+    assert!(buf[..10].iter().all(|&b| b == 0x11));
+    assert!(buf[10..310].iter().all(|&b| b == 0x22));
+    assert!(buf[310..].iter().all(|&b| b == 0x11));
+    assert_eq!(n0.stats().snapshot().total_charged_ns(), n0.clock().now());
+}
+
+#[test]
 fn page_cache_publishes_subsystem_counters() {
     let rack = small_rack();
     let n0 = rack.node(0);

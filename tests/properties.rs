@@ -24,7 +24,10 @@ use flacos_mem::PAGE_SIZE;
 use flacos_mem::{AddressSpace, PageSize, PhysFrame, Pte, HUGE_PAGE_SIZE, PAGES_PER_HUGE};
 use flacos_tier::migrate::{split_region, RegionMigration};
 use flacos_tier::Migration;
-use rack_sim::{GAddr, Rack, RackConfig, SimError, SplitMix64};
+use rack_sim::cache::{CacheConfig, CacheStats, NodeCache};
+use rack_sim::{
+    GAddr, GlobalMemory, LatencyModel, Rack, RackConfig, SimError, SplitMix64, LINE_SIZE,
+};
 use redis_mini::resp::{Command, Reply};
 use std::collections::{HashMap, VecDeque};
 
@@ -876,4 +879,193 @@ fn node_replicated_combine_matches_replay_on_every_replica() {
             assert_eq!(committed_a, committed_b, "op count diverged across reruns");
         },
     );
+}
+
+/// One node-cache operation over a byte span, for the span/line
+/// differential below.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum CacheOp {
+    Read,
+    Write,
+    Writeback,
+    Invalidate,
+    Flush,
+}
+
+/// A cache over a pool of its own, so two of them can be driven with the
+/// same op stream and compared.
+struct CacheUnderTest {
+    global: GlobalMemory,
+    cache: NodeCache,
+}
+
+impl CacheUnderTest {
+    fn new(pool: usize, config: CacheConfig) -> Self {
+        CacheUnderTest {
+            global: GlobalMemory::new(pool),
+            cache: NodeCache::new(config),
+        }
+    }
+
+    /// Apply `op` to `[addr, addr + buf.len())` as one span; returns the
+    /// simulated cost. `buf` is the write payload or the read target.
+    fn apply(&self, lat: &LatencyModel, op: CacheOp, addr: u64, buf: &mut [u8]) -> u64 {
+        let (g, c, a) = (&self.global, &self.cache, GAddr(addr));
+        match op {
+            CacheOp::Read => c.read(g, lat, a, buf).unwrap(),
+            CacheOp::Write => c.write(g, lat, a, buf).unwrap(),
+            CacheOp::Writeback => c.writeback(g, lat, a, buf.len()),
+            CacheOp::Invalidate => c.invalidate(lat, a, buf.len()),
+            CacheOp::Flush => c.flush(g, lat, a, buf.len()),
+        }
+    }
+
+    /// Apply `op` to the same span cut at line boundaries, front to back:
+    /// the line-at-a-time walk the span path replaced.
+    fn apply_cut(&self, lat: &LatencyModel, op: CacheOp, addr: u64, buf: &mut [u8]) -> u64 {
+        let mut cost = 0;
+        let mut pos = 0usize;
+        while pos < buf.len() {
+            let a = addr + pos as u64;
+            let take = (LINE_SIZE - (a as usize % LINE_SIZE)).min(buf.len() - pos);
+            cost += self.apply(lat, op, a, &mut buf[pos..pos + take]);
+            pos += take;
+        }
+        cost
+    }
+
+    fn pool_bytes(&self) -> Vec<u8> {
+        let mut bytes = vec![0u8; self.global.capacity()];
+        self.global.read_bytes(GAddr(0), &mut bytes).unwrap();
+        bytes
+    }
+}
+
+#[test]
+fn span_ops_match_the_same_spans_cut_at_line_boundaries() {
+    // Differential check of the span-granular data path: one cache is
+    // given whole spans, the other the same spans cut into per-line
+    // pieces. Caches are small enough that spans evict (their own lines
+    // included), spans run from 1 B to 16 KiB, aligned and not. After
+    // every op the two must agree on the bytes a read returned, on the
+    // pool's contents, on every counter and on the resident set; and the
+    // whole span must cost exactly what the pieces cost minus the burst
+    // discount — every miss (dirty line written back, line dropped)
+    // after a span's first pays the tail instead of the full latency.
+    const POOL: usize = 32 << 10;
+    let lat = LatencyModel::hccs();
+    let tail = lat.transfer_ns(LINE_SIZE).max(1);
+    check(
+        "span_ops_match_the_same_spans_cut_at_line_boundaries",
+        |rng| {
+            let config = CacheConfig {
+                max_lines: [16, 64, 160][rng.gen_index(3)],
+                banks: [1, 4, 16][rng.gen_index(3)],
+            };
+            let whole = CacheUnderTest::new(POOL, config.clone());
+            let cut = CacheUnderTest::new(POOL, config);
+            for step in 0..48 {
+                let op = [
+                    CacheOp::Read,
+                    CacheOp::Write,
+                    CacheOp::Write,
+                    CacheOp::Writeback,
+                    CacheOp::Invalidate,
+                    CacheOp::Flush,
+                ][rng.gen_index(6)];
+                let len = match rng.gen_index(4) {
+                    0 => 1 + rng.gen_index(LINE_SIZE),
+                    1 => 1 + rng.gen_index(1024),
+                    2 => LINE_SIZE * (1 + rng.gen_index(64)),
+                    _ => 1 + rng.gen_index(16 << 10),
+                };
+                let mut addr = rng.gen_index(POOL - len + 1);
+                if rng.gen_bool() {
+                    addr -= addr % LINE_SIZE;
+                }
+                let mut buf_whole = rng.gen_bytes(len);
+                let mut buf_cut = buf_whole.clone();
+
+                let before: CacheStats = whole.cache.stats();
+                let cost_whole = whole.apply(&lat, op, addr as u64, &mut buf_whole);
+                let cost_cut = cut.apply_cut(&lat, op, addr as u64, &mut buf_cut);
+                let ctx = format!("step {step}: {op:?} at {addr:#x}+{len}");
+
+                assert!(buf_whole == buf_cut, "{ctx}: bytes returned");
+                assert_eq!(whole.cache.stats(), cut.cache.stats(), "{ctx}: counters");
+                assert_eq!(
+                    whole.cache.resident_line_ids(),
+                    cut.cache.resident_line_ids(),
+                    "{ctx}: resident set"
+                );
+                assert!(
+                    whole.pool_bytes() == cut.pool_bytes(),
+                    "{ctx}: pool contents"
+                );
+
+                let after = whole.cache.stats();
+                let extra = |n: u64, full: u64, rest: u64| n.saturating_sub(1) * (full - rest);
+                let discount = match op {
+                    CacheOp::Read | CacheOp::Write => {
+                        extra(after.misses - before.misses, lat.global_read_ns, tail)
+                    }
+                    // No eviction runs inside a maintenance op, so the
+                    // writebacks it counted are exactly the dirty lines it
+                    // charged.
+                    CacheOp::Writeback | CacheOp::Invalidate | CacheOp::Flush => {
+                        extra(
+                            after.writebacks - before.writebacks,
+                            lat.writeback_line_ns,
+                            tail,
+                        ) + extra(
+                            after.invalidations - before.invalidations,
+                            lat.invalidate_line_ns,
+                            lat.invalidate_extra_line_ns,
+                        )
+                    }
+                };
+                assert_eq!(cost_whole + discount, cost_cut, "{ctx}: burst discount");
+            }
+        },
+    );
+}
+
+#[test]
+fn span_re_missing_its_own_dirty_victim_takes_the_victims_bytes() {
+    // A span longer than its bank's capacity can evict a dirty line and
+    // miss on that same line later in the same bank visit — after the
+    // span's one fabric read, and before the victim has reached the
+    // pool. The line's contents are then the victim's bytes, not the
+    // (older) pool bytes the span prefetched.
+    let lat = LatencyModel::hccs();
+    let t = CacheUnderTest::new(
+        8 * LINE_SIZE,
+        CacheConfig {
+            max_lines: 2,
+            banks: 1,
+        },
+    );
+    let line3 = 3 * LINE_SIZE as u64;
+    let mut payload = [0xABu8; 24];
+    t.apply(&lat, CacheOp::Write, line3 + 8, &mut payload); // line 3: resident, dirty
+
+    // Lines 0..=3 in one span. Line 0 misses and fetches all four lines
+    // (line 3's pool bytes are still zero); line 1's install evicts dirty
+    // line 3; line 3 then misses with its victim still queued.
+    let mut out = [0x55u8; 4 * LINE_SIZE];
+    let cost = t.apply(&lat, CacheOp::Read, 0, &mut out);
+
+    let mut expect = [0u8; 4 * LINE_SIZE];
+    expect[3 * LINE_SIZE + 8..3 * LINE_SIZE + 32].fill(0xAB);
+    assert!(out == expect, "line 3 must carry the bytes written to it");
+    assert!(
+        t.pool_bytes()[..4 * LINE_SIZE] == expect,
+        "the victim still reaches the pool"
+    );
+    let s = t.cache.stats();
+    assert_eq!((s.misses, s.hits, s.allocs), (5, 0, 0));
+    assert_eq!((s.evictions, s.writebacks), (3, 1));
+    assert_eq!(t.cache.resident_line_ids(), vec![2, 3]);
+    let tail = lat.transfer_ns(LINE_SIZE).max(1);
+    assert_eq!(cost, lat.global_read_ns + 3 * tail + lat.writeback_line_ns);
 }
