@@ -10,8 +10,9 @@
 //! * `--gate`     — exit nonzero unless every deterministic invariant
 //!   holds: rerun parity at every point, node-replicated at least as
 //!   fast as delegated at every multi-writer point (strictly faster at
-//!   ≥ 2 of the pure-write {2,4,8}-writer points), and zero fabric
-//!   operations on the replica-hit read path
+//!   ≥ 2 of the pure-write {2,4,8}-writer points), zero fabric
+//!   operations on the replica-hit read path, and one burst read per
+//!   span on the replica catch-up and the combiner's slot scan
 //! * `--check PATH` — run no benchmark; re-read a *committed* report
 //!   and enforce the strict acceptance targets: full run, full sweep
 //!   coverage, and every gate invariant
@@ -22,7 +23,7 @@
 //! tolerance at all.
 
 use bench::sync_scale::{
-    check_report, gate_failures, parse_report, run_numa_probe, run_replica_probe, run_sweep,
+    check_report, gate_failures, parse_points, parse_report, run_numa_probe, run_probes, run_sweep,
     to_json, SyncScaleConfig,
 };
 
@@ -95,7 +96,8 @@ fn run_check(path: &str) -> ! {
     }
     println!(
         "flac-sync-scale: check OK — {path}: node-replicated holds at every \
-         multi-writer point across {} measurements, replica-hit reads = 0 fabric ops",
+         multi-writer point across {} measurements, replica-hit reads = 0 fabric ops, \
+         one burst read per catch-up and per combine",
         report.points.len()
     );
     std::process::exit(0);
@@ -137,8 +139,16 @@ fn main() {
             p.parity()
         );
     }
-    let probe = run_replica_probe();
-    println!("  replica-hit read path: {probe} fabric ops across 64 reads");
+    let probes = run_probes();
+    println!(
+        "  replica-hit read path: {} fabric ops across 64 reads",
+        probes.replica_hit_fabric_ops
+    );
+    println!(
+        "  span-granular read side: {} global reads per 16-entry catch-up, \
+         {} per 8-slot combine",
+        probes.catch_up_global_reads, probes.combine_global_reads
+    );
     let (flat_claims, pod_claims) = run_numa_probe(if args.quick { 8 } else { 64 });
     println!(
         "  NUMA combiner placement: remote combiner claims flat={flat_claims} \
@@ -146,7 +156,13 @@ fn main() {
         pod_claims - flat_claims
     );
 
-    let json = to_json(cfg, &points, probe);
+    // A full run re-records the committed report: rows that moved since
+    // the recording it replaces keep their old figure alongside.
+    let previous = std::fs::read_to_string(&args.out)
+        .ok()
+        .and_then(|text| parse_points(&text).ok())
+        .unwrap_or_default();
+    let json = to_json(cfg, &points, probes, &previous);
     if let Err(e) = std::fs::write(&args.out, &json) {
         eprintln!("flac-sync-scale: writing {}: {e}", args.out);
         std::process::exit(2);
@@ -154,7 +170,7 @@ fn main() {
     println!("flac-sync-scale: report written to {}", args.out);
 
     if args.gate {
-        let failures = gate_failures(&points, probe);
+        let failures = gate_failures(&points, probes);
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("flac-sync-scale: GATE FAILURE: {f}");

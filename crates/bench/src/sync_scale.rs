@@ -28,7 +28,9 @@
 //!
 //! A separate probe pins the read story: after an explicit
 //! [`SyncCell::sync_replica`], node-local reads
-//! ([`SyncCell::read_local`]) must perform **zero** fabric operations —
+//! ([`SyncCell::read_local`]) must perform **zero** fabric operations,
+//! and the catch-up itself and the combiner's slot scan each cost
+//! **one** burst read however many entries or slots they cover —
 //! verified against the rack's hardware counters, not the cost model.
 //!
 //! Everything is simulated time on a seedless deterministic driver, so
@@ -260,31 +262,68 @@ pub fn run_sweep(cfg: SyncScaleConfig) -> Vec<SyncPoint> {
     out
 }
 
-/// The zero-fabric-read probe: warm a node-replicated cell, catch one
-/// node's replica up, then count the **hardware** fabric operations a
-/// burst of [`SyncCell::read_local`] calls performs. Returns that count
-/// (the gate requires 0).
-pub fn run_replica_probe() -> u64 {
+/// Hardware-counter probes of the node-replicated read side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probes {
+    /// Fabric operations of a burst of replica-hit
+    /// [`SyncCell::read_local`] calls (the gate requires 0).
+    pub replica_hit_fabric_ops: u64,
+    /// Global reads of one [`SyncCell::sync_replica`] that is a full
+    /// round ([`NODES`] × [`OPS_PER_PUB`] contiguous entries) behind.
+    pub catch_up_global_reads: u64,
+    /// Global reads of one [`SyncCell::nr_combine`] over [`NODES`]
+    /// flagged publication slots.
+    pub combine_global_reads: u64,
+}
+
+impl Probes {
+    /// A catch-up's reads: the tail and head probes plus **one** burst
+    /// over the contiguous log run — not three reads per entry.
+    pub const CATCH_UP_GLOBAL_READS: u64 = 3;
+    /// A combine's reads: the summary-mask probe, **one** burst over the
+    /// flagged slot span, and the append's tail and head probes — not
+    /// three reads per slot.
+    pub const COMBINE_GLOBAL_READS: u64 = 4;
+}
+
+/// Run the read-side probes: drive one full publish/combine round and a
+/// replica catch-up over it, then a burst of replica-hit reads, counting
+/// **hardware** fabric operations throughout.
+pub fn run_probes() -> Probes {
     let rack = Rack::new(RackConfig::n_node(NODES));
     let cell = alloc_cell(&rack, SyncPolicy::NodeReplicated);
-    for i in 0..24usize {
-        cell.update(&rack.node(i % 4), &tally_op(i % 4, 1))
-            .expect("warm write");
-    }
     let reader = rack.node(NODES - 1);
+    cell.sync_replica(&reader).expect("materialize replica");
+    for w in 0..NODES {
+        let batch = [tally_op(w, 1), tally_op(w, 1)];
+        let refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+        cell.nr_publish_batch(&rack.node(w), &refs)
+            .expect("publish");
+    }
+    let global_reads = |node: &rack_sim::NodeCtx| node.stats().snapshot().global_reads;
+    let combiner = rack.node(0);
+    let before = global_reads(&combiner);
+    cell.nr_combine(&combiner).expect("combine");
+    let combine_global_reads = global_reads(&combiner) - before;
+    let before = global_reads(&reader);
     cell.sync_replica(&reader).expect("sync replica");
-    // First read_local materializes nothing further; measure a burst.
-    cell.read_local(&reader, |t| t.total).expect("warm read");
+    let catch_up_global_reads = global_reads(&reader) - before;
+
+    let written = (NODES * OPS_PER_PUB) as u64;
     let before = reader.stats().snapshot();
     for _ in 0..64 {
         let total = cell.read_local(&reader, |t| t.total).expect("read");
-        assert_eq!(total, 24);
+        assert_eq!(total, written);
     }
     let after = reader.stats().snapshot();
-    (after.global_reads - before.global_reads)
-        + (after.global_writes - before.global_writes)
-        + (after.global_atomics - before.global_atomics)
-        + (after.messages_sent - before.messages_sent)
+    Probes {
+        replica_hit_fabric_ops: (after.global_reads - before.global_reads)
+            + (after.global_writes - before.global_writes)
+            + (after.global_atomics - before.global_atomics)
+            + (after.messages_sent - before.messages_sent),
+        catch_up_global_reads,
+        combine_global_reads,
+    }
 }
 
 /// NUMA combiner-placement probe: the same round-robin write workload
@@ -332,8 +371,10 @@ pub fn run_numa_probe(rounds: usize) -> (u64, u64) {
 ///   (writers ≥ 2, all read ratios);
 /// * node-replicated strictly faster on the pure-write sweep at ≥ 2 of
 ///   the {2, 4, 8}-writer points;
-/// * the replica-hit read path performed exactly 0 fabric operations.
-pub fn gate_failures(points: &[SyncPoint], replica_hit_fabric_ops: u64) -> Vec<String> {
+/// * the replica-hit read path performed exactly 0 fabric operations;
+/// * a replica catch-up and a combine each read the fabric once per
+///   span, not once per entry or slot.
+pub fn gate_failures(points: &[SyncPoint], probes: Probes) -> Vec<String> {
     let mut failures = Vec::new();
     for p in points {
         if !p.parity() {
@@ -378,17 +419,42 @@ pub fn gate_failures(points: &[SyncPoint], replica_hit_fabric_ops: u64) -> Vec<S
              {{2,4,8}}-writer points; won {strict_wins}"
         ));
     }
-    if replica_hit_fabric_ops != 0 {
+    if probes.replica_hit_fabric_ops != 0 {
         failures.push(format!(
-            "replica-hit reads performed {replica_hit_fabric_ops} fabric ops; must be 0"
+            "replica-hit reads performed {} fabric ops; must be 0",
+            probes.replica_hit_fabric_ops
+        ));
+    }
+    if probes.catch_up_global_reads != Probes::CATCH_UP_GLOBAL_READS {
+        failures.push(format!(
+            "a replica catch-up over one contiguous run performed {} global reads; \
+             must be {} (two probes + one burst)",
+            probes.catch_up_global_reads,
+            Probes::CATCH_UP_GLOBAL_READS
+        ));
+    }
+    if probes.combine_global_reads != Probes::COMBINE_GLOBAL_READS {
+        failures.push(format!(
+            "a combine over {NODES} flagged slots performed {} global reads; \
+             must be {} (three probes + one slot-span burst)",
+            probes.combine_global_reads,
+            Probes::COMBINE_GLOBAL_READS
         ));
     }
     failures
 }
 
 /// Render the committed JSON report (one `results[]` object per line —
-/// the shape [`crate::report`] re-reads exactly).
-pub fn to_json(cfg: SyncScaleConfig, points: &[SyncPoint], replica_hit_fabric_ops: u64) -> String {
+/// the shape [`crate::report`] re-reads exactly). `previous` is the
+/// report this one replaces, if any: every point whose cost moved keeps
+/// its old figure in a `before[]` row, so a re-recording carries its own
+/// before/after table.
+pub fn to_json(
+    cfg: SyncScaleConfig,
+    points: &[SyncPoint],
+    probes: Probes,
+    previous: &[SyncPoint],
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"sync-scale\",\n");
@@ -396,8 +462,37 @@ pub fn to_json(cfg: SyncScaleConfig, points: &[SyncPoint], replica_hit_fabric_op
     out.push_str(&format!("  \"nodes\": {NODES},\n"));
     out.push_str(&format!("  \"rounds\": {},\n", cfg.rounds));
     out.push_str(&format!(
-        "  \"replica_hit_fabric_ops\": {replica_hit_fabric_ops},\n"
+        "  \"replica_hit_fabric_ops\": {},\n",
+        probes.replica_hit_fabric_ops
     ));
+    out.push_str(&format!(
+        "  \"catch_up_global_reads\": {},\n",
+        probes.catch_up_global_reads
+    ));
+    out.push_str(&format!(
+        "  \"combine_global_reads\": {},\n",
+        probes.combine_global_reads
+    ));
+    let moved: Vec<String> = previous
+        .iter()
+        .filter_map(|was| {
+            let now = points.iter().find(|p| {
+                (&p.policy, p.writers, p.read_pct) == (&was.policy, was.writers, was.read_pct)
+            })?;
+            (now.avg_ns_per_op != was.avg_ns_per_op).then(|| {
+                format!(
+                    "    {{\"was\": \"{}\", \"writers\": {}, \"read_pct\": {}, \
+                     \"avg_ns_per_op_before\": {}, \"avg_ns_per_op_after\": {}}}",
+                    was.policy, was.writers, was.read_pct, was.avg_ns_per_op, now.avg_ns_per_op
+                )
+            })
+        })
+        .collect();
+    if !moved.is_empty() {
+        out.push_str("  \"before\": [\n");
+        out.push_str(&moved.join(",\n"));
+        out.push_str("\n  ],\n");
+    }
     out.push_str("  \"results\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
@@ -422,22 +517,20 @@ pub fn to_json(cfg: SyncScaleConfig, points: &[SyncPoint], replica_hit_fabric_op
 pub struct ParsedSyncReport {
     /// Whether the report came from a `--quick` smoke run.
     pub quick: bool,
-    /// The committed replica-hit fabric-op count.
-    pub replica_hit_fabric_ops: u64,
+    /// The committed read-side probe counts.
+    pub probes: Probes,
     /// Every measurement point, in report order.
     pub points: Vec<SyncPoint>,
 }
 
-/// Re-read a report produced by [`to_json`], via the shared
-/// [`crate::report`] one-object-per-line extraction.
+/// The `results[]` rows of a report, via the shared [`crate::report`]
+/// one-object-per-line extraction (also reads reports recorded before
+/// the probe fields existed).
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed line or missing field.
-pub fn parse_report(json: &str) -> Result<ParsedSyncReport, String> {
-    let quick = crate::report::parse_quick(json)?;
-    let replica_hit_fabric_ops = crate::report::object_with(json, "replica_hit_fabric_ops")?
-        .u64_field("replica_hit_fabric_ops")?;
+pub fn parse_points(json: &str) -> Result<Vec<SyncPoint>, String> {
     let mut points = Vec::new();
     for obj in crate::report::objects_with(json, "policy") {
         points.push(SyncPoint {
@@ -453,9 +546,27 @@ pub fn parse_report(json: &str) -> Result<ParsedSyncReport, String> {
     if points.is_empty() {
         return Err("no results[] entries found".into());
     }
+    Ok(points)
+}
+
+/// Re-read a report produced by [`to_json`], via the shared
+/// [`crate::report`] one-object-per-line extraction.
+///
+/// # Errors
+///
+/// Returns a description of the first malformed line or missing field.
+pub fn parse_report(json: &str) -> Result<ParsedSyncReport, String> {
+    let quick = crate::report::parse_quick(json)?;
+    let top = |key: &str| crate::report::object_with(json, key)?.u64_field(key);
+    let probes = Probes {
+        replica_hit_fabric_ops: top("replica_hit_fabric_ops")?,
+        catch_up_global_reads: top("catch_up_global_reads")?,
+        combine_global_reads: top("combine_global_reads")?,
+    };
+    let points = parse_points(json)?;
     Ok(ParsedSyncReport {
         quick,
-        replica_hit_fabric_ops,
+        probes,
         points,
     })
 }
@@ -483,7 +594,7 @@ pub fn check_report(report: &ParsedSyncReport) -> Vec<String> {
             }
         }
     }
-    failures.extend(gate_failures(&report.points, report.replica_hit_fabric_ops));
+    failures.extend(gate_failures(&report.points, report.probes));
     failures
 }
 
@@ -495,8 +606,7 @@ mod tests {
     fn quick_sweep_passes_its_own_gate() {
         let cfg = SyncScaleConfig::quick();
         let points = run_sweep(cfg);
-        let probe = run_replica_probe();
-        let failures = gate_failures(&points, probe);
+        let failures = gate_failures(&points, run_probes());
         assert!(failures.is_empty(), "{failures:?}");
     }
 
@@ -504,11 +614,17 @@ mod tests {
     fn report_roundtrips_and_checks() {
         let cfg = SyncScaleConfig::quick();
         let points = run_sweep(cfg);
-        let probe = run_replica_probe();
-        let json = to_json(cfg, &points, probe);
+        let probes = run_probes();
+        // A previous recording in which one point was slower: that row,
+        // and only that row, is carried as a before/after pair that the
+        // re-read ignores.
+        let mut previous = points.clone();
+        previous[1].avg_ns_per_op += 7;
+        let json = to_json(cfg, &points, probes, &previous);
+        assert_eq!(json.matches("\"was\":").count(), 1);
         let parsed = parse_report(&json).expect("parse");
         assert_eq!(parsed.points.len(), points.len());
-        assert_eq!(parsed.replica_hit_fabric_ops, probe);
+        assert_eq!(parsed.probes, probes);
         for (a, b) in parsed.points.iter().zip(points.iter()) {
             assert_eq!(a, b);
         }
@@ -521,7 +637,27 @@ mod tests {
 
     #[test]
     fn replica_probe_counts_zero_fabric_ops() {
-        assert_eq!(run_replica_probe(), 0);
+        assert_eq!(
+            run_probes(),
+            Probes {
+                replica_hit_fabric_ops: 0,
+                catch_up_global_reads: Probes::CATCH_UP_GLOBAL_READS,
+                combine_global_reads: Probes::COMBINE_GLOBAL_READS,
+            }
+        );
+    }
+
+    #[test]
+    fn gate_rejects_a_per_entry_walk() {
+        let per_entry = Probes {
+            replica_hit_fabric_ops: 0,
+            catch_up_global_reads: 2 + 3 * (NODES * OPS_PER_PUB) as u64,
+            combine_global_reads: 3 + 3 * NODES as u64,
+        };
+        // No sweep needed: only the probe failures are counted.
+        let failures = gate_failures(&[], per_entry);
+        let about_reads = failures.iter().filter(|f| f.contains("global reads"));
+        assert_eq!(about_reads.count(), 2, "{failures:?}");
     }
 
     #[test]

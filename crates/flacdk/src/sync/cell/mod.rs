@@ -43,6 +43,7 @@ use crate::sync::oplog::SharedOpLog;
 use crate::sync::spinlock::GlobalSpinLock;
 use node_replicated::Replica;
 use rack_sim::{GAddr, GlobalMemory, NodeCtx, NodeId, SimError, LINE_SIZE};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -455,28 +456,30 @@ impl<T: SyncState> SyncCell<T> {
         Ok(())
     }
 
-    /// [`SyncCell::drain_to`] over the cheap unchecked entry read — the
-    /// caller must have loaded a `target` at or below the current tail.
+    /// [`SyncCell::drain_to`] over the range reader: one invalidate and
+    /// one burst read per contiguous log run instead of a round trip per
+    /// entry. The caller must have loaded a `target` at or below the
+    /// current tail. Every append happens under the host mutex the caller
+    /// holds, so an uncommitted slot here is never in flight — it is a
+    /// hole, as in [`SyncCell::drain_to`].
     fn drain_to_cheap(
         &self,
         ctx: &NodeCtx,
         inner: &mut CellInner<T>,
         target: u64,
     ) -> Result<(), SimError> {
-        while inner.applied < target {
-            match self.log.read_entry(ctx, inner.applied)? {
-                Some(payload) => match unframe(&payload) {
-                    Some((_, op)) => {
-                        inner.state.apply(op);
-                        ctx.charge(ctx.latency().local_write_ns);
-                    }
-                    None => inner.holes += 1,
-                },
+        let from = inner.applied;
+        self.log.read_range(ctx, from, target, |idx, entry| {
+            match entry.and_then(unframe) {
+                Some((_, op)) => {
+                    inner.state.apply(op);
+                    ctx.charge(ctx.latency().local_write_ns);
+                }
                 None => inner.holes += 1,
             }
-            inner.applied += 1;
-        }
-        Ok(())
+            inner.applied = idx + 1;
+            ControlFlow::Continue(())
+        })
     }
 
     /// Per-policy cost + fabric work for one operation. Returns whether

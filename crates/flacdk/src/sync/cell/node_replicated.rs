@@ -26,11 +26,14 @@
 //! ## The combiner
 //!
 //! Whoever CASes the combiner cell from 0 to `node+1` drains every
-//! `PENDING` slot and appends the whole batch with **one** fabric CAS on
-//! the log tail ([`SharedOpLog::append_batch`]), then folds the batch
-//! into the authoritative state and marks each drained slot
+//! `PENDING` slot — one invalidate and one burst read over the span from
+//! the first to the last flagged slot, not a round trip per slot — and
+//! appends the whole batch with **one** fabric CAS on the log tail
+//! ([`SharedOpLog::append_batch`]), then folds the batch into the
+//! authoritative state and marks each drained slot
 //! `CONSUMED | first idx << 8` so its publisher learns where its ops
-//! landed (a slot's ops occupy consecutive log indices).
+//! landed (a slot's ops occupy consecutive log indices); one flush over
+//! the slot span makes all the marks visible.
 //! An updating node tries the claim *first*: the winner's own op rides
 //! the batch straight from memory and is never published at all. Losers
 //! publish, then alternate between polling their slot and re-trying the
@@ -39,11 +42,14 @@
 //! ## Replicas and reads
 //!
 //! [`SyncCell::read`] on this backend stays linearizable: it loads the
-//! tail and folds the authoritative state forward (cheap unchecked entry
-//! reads). [`SyncCell::read_local`] serves from this node's lazily
-//! materialized replica with **zero fabric operations** on the hit path;
-//! [`SyncCell::sync_replica`] is the explicit catch-up for
-//! linearization-sensitive readers that want the replica warm.
+//! tail and folds the authoritative state forward. [`SyncCell::read_local`]
+//! serves from this node's lazily materialized replica with **zero
+//! fabric operations** on the hit path; [`SyncCell::sync_replica`] is
+//! the explicit catch-up for linearization-sensitive readers that want
+//! the replica warm. Both replays read the log one *contiguous run* at a
+//! time ([`SharedOpLog::read_range`]): one invalidate and one burst read
+//! per run, so catching up `k` entries costs one fabric round trip plus
+//! bandwidth, not `k` round trips.
 //!
 //! ## Crash recovery
 //!
@@ -58,9 +64,11 @@
 //! windows to `flac-faultstorm`.
 //!
 //! [`SharedOpLog::append_batch`]: crate::sync::oplog::SharedOpLog::append_batch
+//! [`SharedOpLog::read_range`]: crate::sync::oplog::SharedOpLog::read_range
 
 use super::{frame_op, lines, unframe, CellInner, SyncCell, SyncState};
 use rack_sim::{GAddr, NodeCtx, NodeId, SimError};
+use std::ops::ControlFlow;
 
 /// Publication-slot states (low byte; consumed carries `first idx << 8`).
 const SLOT_FREE: u64 = 0;
@@ -177,29 +185,59 @@ impl<T: SyncState> SyncCell<T> {
         Ok(unpack_ops(&packed).map(|ops| Pending { node, ops }))
     }
 
+    /// Decode one slot image (`slot_stride` bytes, as read from the
+    /// fabric) if it is `PENDING`. A corrupt length or framing reads as
+    /// not pending: the publication is never acknowledged.
+    fn decode_slot(&self, node: usize, image: &[u8]) -> Option<Pending> {
+        let word =
+            |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().expect("8-byte slot word"));
+        if word(0) != SLOT_PENDING {
+            return None;
+        }
+        let packed = image.get(16..)?.get(..usize::try_from(word(8)).ok()?)?;
+        unpack_ops(packed).map(|ops| Pending { node, ops })
+    }
+
     /// The combine-path scan: one fabric read of the summary mask, then
-    /// only the flagged slots, in node order (deterministic batch
+    /// **one** invalidate and **one** burst read over the span from the
+    /// first to the last flagged slot (slots are contiguous at
+    /// `slot_stride`), decoded in node order (deterministic batch
     /// order). Returns the publications plus the mask bits they cover
     /// (the caller clears those bits once the slots are resolved). An
-    /// empty combine costs one fabric read, not a full slot sweep.
+    /// empty combine costs one fabric read, not a slot sweep.
+    ///
+    /// Unflagged slots that lie inside the span ride along; that is safe
+    /// because the combiner's cache never holds them dirty (its own
+    /// publications and earlier consumed marks were flushed, and the
+    /// combiner holds its node's publisher lock), so the invalidate
+    /// discards nothing.
     fn scan_pending_masked(
         &self,
         ctx: &NodeCtx,
         skip: Option<usize>,
     ) -> Result<(Vec<Pending>, u64), SimError> {
-        let mask = self.pending_mask.load(ctx)?;
+        let mut mask = self.pending_mask.load(ctx)?;
+        if let Some(me) = skip {
+            mask &= !(1 << me);
+        }
         if mask == 0 {
             return Ok((Vec::new(), 0));
         }
+        let first = mask.trailing_zeros() as usize;
+        let last = 63 - mask.leading_zeros() as usize;
+        let mut image = vec![0u8; (last - first + 1) * self.slot_stride];
+        ctx.invalidate(self.slot_addr(first), image.len());
+        ctx.read(self.slot_addr(first), &mut image)?;
         let mut out = Vec::new();
         let mut bits = 0u64;
-        for node in 0..self.slot_locks.len() {
-            if mask & (1 << node) == 0 || Some(node) == skip {
+        for node in first..=last {
+            if mask & (1 << node) == 0 {
                 continue;
             }
             // A flagged slot that is not (yet) PENDING keeps its bit: a
             // later combine picks it up once the publish lands.
-            if let Some(p) = self.read_slot(ctx, node)? {
+            let at = (node - first) * self.slot_stride;
+            if let Some(p) = self.decode_slot(node, &image[at..at + self.slot_stride]) {
                 bits |= 1 << node;
                 out.push(p);
             }
@@ -232,9 +270,10 @@ impl<T: SyncState> SyncCell<T> {
         Ok(())
     }
 
-    /// Tell `node`'s publisher its op landed at `idx`. The combiner
-    /// already holds the slot line from the scan, so this is a cached
-    /// write plus a line write-back, not an uncached store.
+    /// Tell `node`'s publisher its op landed at `idx`, one slot at a
+    /// time (the recovery drain; a live combine marks its whole batch
+    /// with one flush). The slot line is resident from the scan, so this
+    /// is a cached write plus a line write-back, not an uncached store.
     fn mark_consumed(&self, ctx: &NodeCtx, node: usize, idx: u64) -> Result<(), SimError> {
         let slot = self.slot_addr(node);
         ctx.write_u64(slot, consumed_word(idx))?;
@@ -263,11 +302,9 @@ impl<T: SyncState> SyncCell<T> {
         f: impl FnOnce(&T) -> R,
     ) -> Result<(Option<u64>, Option<R>, u64), SimError> {
         let (pend, bits) = self.scan_pending_masked(ctx, own.map(|(me, _)| me))?;
-        let mut payloads = Vec::with_capacity(pend.len() + 1);
-        if let Some((_, framed)) = own {
-            payloads.push(framed.to_vec());
-        }
-        payloads.extend(pend.iter().flat_map(|p| p.ops.iter().cloned()));
+        let mut payloads: Vec<&[u8]> = Vec::with_capacity(pend.len() + 1);
+        payloads.extend(own.map(|(_, framed)| framed));
+        payloads.extend(pend.iter().flat_map(|p| p.ops.iter().map(Vec::as_slice)));
         if payloads.is_empty() {
             return Ok((None, None, 0));
         }
@@ -299,8 +336,9 @@ impl<T: SyncState> SyncCell<T> {
         }
         for p in &pend {
             // A publication's ops land consecutively; the consumed word
-            // carries the first index.
-            self.mark_consumed(ctx, p.node, idx)?;
+            // carries the first index. The slot line is resident from
+            // the scan, so this is a cached write.
+            ctx.write_u64(self.slot_addr(p.node), consumed_word(idx))?;
             for framed in &p.ops {
                 if let Some((_, op)) = unframe(framed) {
                     inner.state.apply(op);
@@ -309,6 +347,15 @@ impl<T: SyncState> SyncCell<T> {
                 inner.applied = idx + 1;
                 idx += 1;
             }
+        }
+        // One flush makes every mark visible (`pend` is in node order).
+        // It also covers the unflagged slots in between: those were never
+        // written here, so they are clean and the flush only drops them.
+        if let (Some(lo), Some(hi)) = (pend.first(), pend.last()) {
+            ctx.flush(
+                self.slot_addr(lo.node),
+                (hi.node - lo.node) * self.slot_stride + 8,
+            );
         }
         self.clear_mask_bits(ctx, bits)?;
         Ok((own_idx, out, combined))
@@ -450,9 +497,19 @@ impl<T: SyncState> SyncCell<T> {
         guard
     }
 
-    /// Advance a replica to `target` by replaying committed entries
-    /// (holes skipped). Re-snapshots from the authoritative state when
-    /// GC collected entries the replica still needed.
+    /// Advance a replica toward `target` by replaying committed entries,
+    /// one burst read per contiguous log run. Re-snapshots from the
+    /// authoritative state when GC collected entries the replica still
+    /// needed.
+    ///
+    /// An uncommitted slot below the tail is either a sealed hole (its
+    /// appender died) or an entry still in flight: `append_batch` moves
+    /// the tail with its CAS *before* the flush that commits the batch.
+    /// The authoritative `applied` watermark, sampled once up front,
+    /// tells them apart — the combiner folds its batch under the host
+    /// mutex, so everything below the watermark is settled. A hole below
+    /// it is skipped; an uncommitted slot at or above it stops the
+    /// catch-up there, to be retried by the next call.
     fn replica_catch_up(
         &self,
         ctx: &NodeCtx,
@@ -463,26 +520,34 @@ impl<T: SyncState> SyncCell<T> {
             return Ok(());
         }
         let head = self.log.head(ctx)?;
-        if rep.applied < head {
+        let settled = {
             let inner = self.inner.lock();
-            let lat = ctx.latency();
-            ctx.charge(
-                lines(self.footprint_bytes) * (lat.invalidate_line_ns + lat.local_write_ns)
-                    + lat.global_read_ns,
-            );
-            rep.state = inner.state.clone();
-            rep.applied = inner.applied;
-        }
-        while rep.applied < target {
-            if let Some(payload) = self.log.read_entry(ctx, rep.applied)? {
-                if let Some((_, op)) = unframe(&payload) {
-                    rep.state.apply(op);
-                    ctx.charge(ctx.latency().local_write_ns);
-                }
+            if rep.applied < head {
+                let lat = ctx.latency();
+                ctx.charge(
+                    lines(self.footprint_bytes) * (lat.invalidate_line_ns + lat.local_write_ns)
+                        + lat.global_read_ns,
+                );
+                rep.state = inner.state.clone();
+                rep.applied = inner.applied;
             }
-            rep.applied += 1;
-        }
-        Ok(())
+            inner.applied
+        };
+        let from = rep.applied;
+        self.log.read_range(ctx, from, target, |idx, entry| {
+            match entry {
+                Some(payload) => {
+                    if let Some((_, op)) = unframe(payload) {
+                        rep.state.apply(op);
+                        ctx.charge(ctx.latency().local_write_ns);
+                    }
+                }
+                None if idx < settled => {}
+                None => return ControlFlow::Break(()),
+            }
+            rep.applied = idx + 1;
+            ControlFlow::Continue(())
+        })
     }
 
     /// Read from this node's replica with **zero fabric operations** on
@@ -692,6 +757,10 @@ impl<T: SyncState> SyncCell<T> {
     /// memory errors are propagated.
     pub fn nr_combine(&self, ctx: &NodeCtx) -> Result<u64, SimError> {
         let me = self.me(ctx);
+        // As on the update path, the combiner holds its node's publisher
+        // lock: no same-node publication can sit dirty in the cache the
+        // slot-span invalidate and flush sweep.
+        let _publisher = self.slot_locks[me].lock();
         if self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? != 0 {
             return Err(SimError::Protocol("combiner role already claimed".into()));
         }

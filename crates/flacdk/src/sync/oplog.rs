@@ -10,9 +10,29 @@
 //! The log is a bounded ring: slots are reused after the head is advanced
 //! by garbage collection (only once every consumer is known to have
 //! applied past them).
+//!
+//! ## Readers
+//!
+//! Entries are small (48 B in the sync cells) and share cache lines, so
+//! the unit of fabric I/O on the replay hot path is the *contiguous run*
+//! of slots, not the entry:
+//!
+//! * [`SharedOpLog::read_range`] — one invalidate + one burst read per
+//!   run. Used by every steady-state replay of the node-replicated
+//!   backend (`SyncCell`'s replica catch-up and the authoritative
+//!   `drain_to_cheap`).
+//! * [`SharedOpLog::read`] — per entry, bounds-checked against head and
+//!   tail, flag probed uncached. Deliberately kept for the recovery-side
+//!   scans (`SyncCell::drain_to`, `SyncCell::replay`,
+//!   `ReplicatedHandle::catch_up_to`, the journal), which must not trust
+//!   a tail they loaded before a crash.
+//! * [`SharedOpLog::read_entry`] — per entry, unchecked. Deliberately
+//!   kept for the one point lookup left: the combiner-takeover dedup
+//!   search (`nr_recover_drain`).
 
 use crate::hw::GlobalCell;
 use rack_sim::{GAddr, GlobalMemory, NodeCtx, SimError, LINE_SIZE};
+use std::ops::ControlFlow;
 
 /// Slot states.
 const EMPTY: u64 = 0;
@@ -162,16 +182,20 @@ impl SharedOpLog {
     ///   exceeds the slot payload size, or the ring lacks room for the
     ///   whole batch (GC has not caught up).
     /// * Memory errors are propagated.
-    pub fn append_batch(&self, ctx: &NodeCtx, payloads: &[Vec<u8>]) -> Result<u64, SimError> {
+    pub fn append_batch<P: AsRef<[u8]>>(
+        &self,
+        ctx: &NodeCtx,
+        payloads: &[P],
+    ) -> Result<u64, SimError> {
         if payloads.is_empty() {
             return Err(SimError::Protocol("empty batch append".into()));
         }
         let cap = Self::payload_capacity(self.entry_size as usize);
         for p in payloads {
-            if p.len() > cap {
+            let len = p.as_ref().len();
+            if len > cap {
                 return Err(SimError::Protocol(format!(
-                    "op of {} bytes exceeds slot payload capacity {cap}",
-                    p.len()
+                    "op of {len} bytes exceeds slot payload capacity {cap}"
                 )));
             }
         }
@@ -201,7 +225,7 @@ impl SharedOpLog {
             let run = (self.capacity - (start % self.capacity)).min(k - done);
             let base = self.slot_addr(start);
             for j in 0..run {
-                let payload = &payloads[(done + j) as usize];
+                let payload = payloads[(done + j) as usize].as_ref();
                 let slot = base.offset(j * self.entry_size);
                 ctx.write_u64(slot, COMMITTED)?;
                 ctx.write_u64(slot.offset(8), payload.len() as u64)?;
@@ -276,6 +300,66 @@ impl SharedOpLog {
         let mut buf = vec![0u8; len];
         ctx.read(slot.offset(16), &mut buf)?;
         Ok(Some(buf))
+    }
+
+    /// Visit entries `[from, to)` in index order, one burst per
+    /// *contiguous run* of slots (a run ends only at the ring wrap): one
+    /// invalidate and one read of the whole run into a buffer reused
+    /// across runs, then every entry is decoded from the buffer and lent
+    /// to `visit` as `Some(payload)`, or `None` for an uncommitted slot.
+    /// `visit` returns [`ControlFlow::Break`] to stop early. Same
+    /// contract as [`SharedOpLog::read_entry`]: the caller keeps the
+    /// range inside `[head, tail)`.
+    ///
+    /// The invalidate is issued over the run's exact byte span, so it
+    /// covers the partial first and last cache line: slots share lines,
+    /// and a reader that stopped mid-line must refetch that line to see
+    /// entries appended into it later.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] on a corrupt length (entries before it have
+    /// been visited); memory errors are propagated.
+    pub fn read_range(
+        &self,
+        ctx: &NodeCtx,
+        from: u64,
+        to: u64,
+        mut visit: impl FnMut(u64, Option<&[u8]>) -> ControlFlow<()>,
+    ) -> Result<(), SimError> {
+        let entry_size = self.entry_size as usize;
+        let cap = Self::payload_capacity(entry_size);
+        let mut buf = Vec::new();
+        let mut start = from;
+        while start < to {
+            let run = (self.capacity - (start % self.capacity)).min(to - start);
+            let bytes = run as usize * entry_size;
+            let base = self.slot_addr(start);
+            buf.resize(bytes, 0);
+            ctx.invalidate(base, bytes);
+            ctx.read(base, &mut buf)?;
+            for (idx, slot) in (start..).zip(buf.chunks_exact(entry_size)) {
+                let word = |at: usize| {
+                    u64::from_le_bytes(slot[at..at + 8].try_into().expect("8-byte slot word"))
+                };
+                let entry = if word(0) == COMMITTED {
+                    let len = word(8) as usize;
+                    if len > cap {
+                        return Err(SimError::Protocol(format!(
+                            "corrupt length {len} in entry {idx}"
+                        )));
+                    }
+                    Some(&slot[16..16 + len])
+                } else {
+                    None
+                };
+                if visit(idx, entry).is_break() {
+                    return Ok(());
+                }
+            }
+            start += run;
+        }
+        Ok(())
     }
 
     /// Advance the head to `new_head`, releasing slots `[head, new_head)`
@@ -423,7 +507,7 @@ mod tests {
         let rack = Rack::new(RackConfig::small_test());
         let n0 = rack.node(0);
         let l = log(&rack, 4);
-        assert!(l.append_batch(&n0, &[]).is_err(), "empty batch");
+        assert!(l.append_batch::<Vec<u8>>(&n0, &[]).is_err(), "empty batch");
         assert!(
             l.append_batch(&n0, &[vec![0u8; 64]]).is_err(),
             "oversize payload"

@@ -38,6 +38,14 @@
 # `*_range` call pays one. Any non-ranged call in crates/flacos-tier or
 # crates/flacos needs a `// single-page: <why>` annotation (same 3-line
 # lookback) arguing the vpns are genuinely non-contiguous.
+#
+# Sixth check: the node-replicated backend replays the log one
+# contiguous run at a time (`SharedOpLog::read_range`: one invalidate +
+# one burst read per run). A per-entry `read_entry(` loop on that path
+# pays a fabric round trip per 48-byte entry — the walk the range reader
+# replaced. In crates/flacdk/src/sync/cell/{mod,node_replicated}.rs the
+# only function allowed to call `read_entry(` is `nr_recover_drain`, the
+# combiner-takeover dedup search, which stays per-entry on purpose.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -154,6 +162,23 @@ while IFS=: read -r file line text; do
     fail=1
 done < <(grep -rn --include='*.rs' -E '(begin_shootdown|shootdown_stepped)\(' crates/flacos-tier/src crates/flacos/src 2>/dev/null || true)
 
+# Check 6: attribute each `read_entry(` call to its enclosing `fn` (the
+# nearest preceding `fn name` line; comment lines skipped).
+for file in crates/flacdk/src/sync/cell/mod.rs crates/flacdk/src/sync/cell/node_replicated.rs; do
+    if ! awk '
+        /^[ \t]*\/\// { next }
+        match($0, /fn [a-z_0-9]+/) { current = substr($0, RSTART + 3, RLENGTH - 3) }
+        /read_entry\(/ && current != "nr_recover_drain" {
+            printf "lint_sync: %s:%d: per-entry log read in %s: %s\n", \
+                FILENAME, NR, current, $0 > "/dev/stderr"
+            bad = 1
+        }
+        END { exit bad }
+    ' "$file"; then
+        fail=1
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_sync: FAILED — migrate the state onto flacdk::sync::SyncCell" >&2
     echo "lint_sync: or annotate the declaration with '// coherent-local: <why>'." >&2
@@ -165,6 +190,8 @@ if [ "$fail" -ne 0 ]; then
     echo "lint_sync: append_batch/nr_publish_batch or annotate '// single-op: <why>'." >&2
     echo "lint_sync: for page-at-a-time shootdowns, use the *_range variant" >&2
     echo "lint_sync: over contiguous vpns or annotate '// single-page: <why>'." >&2
+    echo "lint_sync: for per-entry log reads in the sync cell, replay through" >&2
+    echo "lint_sync: SharedOpLog::read_range (only nr_recover_drain reads per entry)." >&2
     exit 1
 fi
 echo "lint_sync: OK"

@@ -14,8 +14,10 @@ use flacdk::hw::GlobalCell;
 use flacdk::sync::oplog::SharedOpLog;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
+use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use rack_sim::{GAddr, Rack, RackConfig, SimError};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
 fn rack() -> Rack {
@@ -708,4 +710,76 @@ fn flush_keeps_a_dirty_line_resident_until_its_bytes_reach_the_pool() {
     assert_eq!(buf, [5u8; 8], "refetched from the updated pool");
     let stats = cache.stats();
     assert_eq!((stats.writebacks, stats.invalidations), (1, 1));
+}
+
+/// Committed-op counter: every op adds one.
+#[derive(Debug, Default, Clone)]
+struct OpCount(u64);
+
+impl SyncState for OpCount {
+    fn apply(&mut self, _op: &[u8]) {
+        self.0 += 1;
+    }
+}
+
+/// `append_batch` moves the log tail with its CAS *before* the flush that
+/// commits the batch, so a replica that loads the new tail can find the
+/// live combiner's entries still uncommitted. Skipping such a slot as a
+/// hole loses its op from that replica for good; the catch-up must stop
+/// at it and pick it up on the next call.
+#[test]
+fn replica_never_skips_a_live_combiners_in_flight_batch() {
+    const ROUNDS: usize = 12;
+    const WRITERS: usize = 4;
+    const PER_WRITER: u64 = 1_000;
+    const TOTAL: u64 = WRITERS as u64 * PER_WRITER;
+
+    for round in 0..ROUNDS {
+        let rack = Rack::new(RackConfig::n_node(WRITERS + 1).with_global_mem(16 << 20));
+        let cell = SyncCell::alloc(
+            rack.global(),
+            "replica_stress",
+            SyncCellConfig::new(WRITERS + 1, SyncPolicy::NodeReplicated).with_log(16_384, 48),
+            OpCount::default(),
+        )
+        .unwrap();
+        let reader = rack.node(WRITERS);
+        let done = AtomicBool::new(false);
+
+        thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (cell, node) = (&cell, rack.node(w));
+                    s.spawn(move || {
+                        (0..PER_WRITER)
+                            .try_for_each(|i| cell.update(&node, &i.to_le_bytes()).map(|_| ()))
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                let mut seen = 0;
+                while !done.load(Ordering::Acquire) {
+                    cell.sync_replica(&reader).unwrap();
+                    let now = cell.read_local(&reader, |c| c.0).unwrap();
+                    assert!(now >= seen, "replica went backwards: {seen} -> {now}");
+                    seen = now;
+                }
+            });
+            // Release the reader before judging the writers, so a failed
+            // writer fails the test instead of hanging it.
+            let results: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+            done.store(true, Ordering::Release);
+            for r in results {
+                r.expect("writer panicked").expect("update failed");
+            }
+        });
+
+        // Quiesced: one more catch-up must reach every committed op.
+        assert_eq!(cell.sync_replica(&reader).unwrap(), TOTAL, "round {round}");
+        assert_eq!(
+            cell.read_local(&reader, |c| c.0).unwrap(),
+            TOTAL,
+            "round {round}: the replica skipped an op that was in flight"
+        );
+    }
 }

@@ -6,10 +6,11 @@
 use flacdk::alloc::GlobalAllocator;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
+use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacos_fs::page_cache::SharedPageCache;
 use flacos_ipc::channel::FlacChannel;
 use rack_sim::metrics::bucket_index;
-use rack_sim::{CostClass, OpKind, Rack, RackConfig};
+use rack_sim::{AddrClass, CostClass, NodeCtx, OpKind, Rack, RackConfig, LINE_SIZE};
 
 fn small_rack() -> Rack {
     Rack::new(RackConfig::small_test().with_global_mem(32 << 20))
@@ -293,6 +294,142 @@ fn multi_bank_spans_in_the_capacity_regime_charge_exactly() {
     assert!(buf[10..310].iter().all(|&b| b == 0x22));
     assert!(buf[310..].iter().all(|&b| b == 0x11));
     assert_eq!(n0.stats().snapshot().total_charged_ns(), n0.clock().now());
+}
+
+/// Committed-op counter for the node-replicated cost tests.
+#[derive(Debug, Default, Clone)]
+struct OpCount(u64);
+
+impl SyncState for OpCount {
+    fn apply(&mut self, _op: &[u8]) {
+        self.0 += 1;
+    }
+}
+
+/// A 16-slot ring of 48-byte entries: exactly 12 cache lines.
+fn nr_ring_cell(rack: &Rack) -> std::sync::Arc<SyncCell<OpCount>> {
+    SyncCell::alloc(
+        rack.global(),
+        "nr_cost",
+        SyncCellConfig::new(4, SyncPolicy::NodeReplicated).with_log(16, 48),
+        OpCount::default(),
+    )
+    .unwrap()
+}
+
+/// `(simulated ns, global reads)` one `sync_replica` costs `node`.
+fn sync_replica_cost(cell: &SyncCell<OpCount>, node: &NodeCtx, expect: u64) -> (u64, u64) {
+    let (t, reads) = (node.clock().now(), node.stats().snapshot().global_reads);
+    assert_eq!(cell.sync_replica(node).unwrap(), expect);
+    (
+        node.clock().now() - t,
+        node.stats().snapshot().global_reads - reads,
+    )
+}
+
+#[test]
+fn replica_catch_up_charges_one_burst_per_contiguous_log_run() {
+    let rack = Rack::new(RackConfig::n_node(4).with_global_mem(1 << 20));
+    let (writer, reader) = (rack.node(0), rack.node(3));
+    let lat = reader.latency().clone();
+    let cell = nr_ring_cell(&rack);
+    let tail_ns = lat.transfer_ns(LINE_SIZE).max(1);
+    // The tail and head probes every catch-up pays before the range read.
+    let probes = 2 * lat.global_read_ns;
+    // One run of `lines` cache lines, all resident from the lap before.
+    let run = |lines: u64| {
+        lat.invalidate_line_ns
+            + (lines - 1) * lat.invalidate_extra_line_ns
+            + lat.global_read_ns
+            + (lines - 1) * tail_ns
+    };
+    let write = |k: u64| {
+        for i in 0..k {
+            cell.update(&writer, &i.to_le_bytes()).unwrap();
+        }
+    };
+
+    assert_eq!(sync_replica_cost(&cell, &reader, 0).1, 1, "tail probe only");
+    // First lap: nothing resident, so the invalidate drops (and costs)
+    // nothing; the read is one burst over the ring's 12 lines.
+    write(16);
+    assert_eq!(
+        sync_replica_cost(&cell, &reader, 16),
+        (
+            probes + lat.global_read_ns + 11 * tail_ns + 16 * lat.local_write_ns,
+            2 + 1
+        )
+    );
+    // Second lap over the same slots: 16 contiguous entries, 12 resident
+    // lines, one invalidate and one global read for the lot.
+    cell.gc(&writer).unwrap();
+    write(16);
+    assert_eq!(
+        sync_replica_cost(&cell, &reader, 32),
+        (probes + run(12) + 16 * lat.local_write_ns, 2 + 1)
+    );
+    // Park the tail mid-ring, then catch up 16 entries across the wrap:
+    // two runs of 8 entries (6 lines each), two global reads.
+    cell.gc(&writer).unwrap();
+    write(8);
+    assert_eq!(
+        sync_replica_cost(&cell, &reader, 40),
+        (probes + run(6) + 8 * lat.local_write_ns, 2 + 1)
+    );
+    cell.gc(&writer).unwrap();
+    write(16);
+    assert_eq!(
+        sync_replica_cost(&cell, &reader, 56),
+        (probes + 2 * run(6) + 16 * lat.local_write_ns, 2 + 2)
+    );
+    // Caught up: the replica serves reads with no fabric traffic at all.
+    let before = reader.stats().snapshot();
+    assert_eq!(cell.read_local(&reader, |c| c.0).unwrap(), 56);
+    let after = reader.stats().snapshot();
+    assert_eq!(after.global_reads, before.global_reads);
+    assert_eq!(
+        reader.stats().snapshot().total_charged_ns(),
+        reader.clock().now()
+    );
+}
+
+#[test]
+fn combine_scans_and_marks_the_publication_slots_in_one_span_each() {
+    let rack = Rack::new(RackConfig::n_node(4).with_global_mem(1 << 20));
+    let cell = nr_ring_cell(&rack);
+    for n in 1..4 {
+        cell.nr_publish(&rack.node(n), &[n as u8]).unwrap();
+    }
+    let combiner = rack.node(0);
+    rack.enable_tracing();
+    assert_eq!(cell.nr_combine(&combiner).unwrap(), 3);
+    rack.disable_tracing();
+
+    let events = combiner.stats().trace().events();
+    let count = |kind: OpKind, class: AddrClass| {
+        events
+            .iter()
+            .filter(|e| e.kind == kind && e.addr_class == class)
+            .count()
+    };
+    assert_eq!(
+        count(OpKind::Read, AddrClass::Global),
+        1,
+        "one span read covers all three flagged slots"
+    );
+    assert_eq!(
+        count(OpKind::Invalidate, AddrClass::Global),
+        1,
+        "one invalidate ahead of the span read"
+    );
+    assert_eq!(
+        count(OpKind::Flush, AddrClass::Global),
+        2,
+        "one flush commits the batch, one publishes all three marks"
+    );
+    for n in 1..4u64 {
+        assert_eq!(cell.nr_poll(&rack.node(n as usize)).unwrap(), Some(n - 1));
+    }
 }
 
 #[test]

@@ -30,6 +30,7 @@ use rack_sim::{
 };
 use redis_mini::resp::{Command, Reply};
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
 
 /// Base seed for every generator in this file. Bump to explore a fresh
 /// schedule; keep fixed for run-to-run reproducibility.
@@ -295,6 +296,156 @@ fn oplog_preserves_append_order_and_content() {
         }
         assert_eq!(log.tail(&a).unwrap(), payloads.len() as u64);
     });
+}
+
+/// Collect `[from, to)` through the range reader.
+fn range_entries(
+    log: &SharedOpLog,
+    node: &rack_sim::NodeCtx,
+    from: u64,
+    to: u64,
+) -> Vec<(u64, Option<Vec<u8>>)> {
+    let mut out = Vec::new();
+    log.read_range(node, from, to, |idx, entry| {
+        out.push((idx, entry.map(<[u8]>::to_vec)));
+        ControlFlow::Continue(())
+    })
+    .unwrap();
+    out
+}
+
+#[test]
+fn oplog_range_reader_matches_per_entry_reads() {
+    // Property: over any log built from single and batched appends —
+    // entry sizes that do and do not divide a cache line, rings small
+    // enough to wrap, claimed-but-uncommitted holes — `read_range`
+    // yields exactly the per-index sequence `read_entry` yields, for any
+    // sub-range of the live window including the empty one.
+    check("oplog_range_reader_matches_per_entry_reads", |rng| {
+        let rack = Rack::new(RackConfig::n_node(4).with_global_mem(1 << 20));
+        let entry_size = 24 + 8 * rng.gen_index(14); // 24..=128
+        let capacity = 3 + rng.gen_index(10); // 3..=12
+        let log = SharedOpLog::alloc(rack.global(), capacity, entry_size).unwrap();
+        let max_payload = SharedOpLog::payload_capacity(entry_size);
+        let (ranged, single) = (rack.node(2), rack.node(3));
+        let gc = rack.node(0);
+
+        let (mut head, mut tail) = (0u64, 0u64);
+        while tail < 3 * capacity as u64 {
+            let room = capacity as u64 - (tail - head);
+            if room == 0 || (tail > head && rng.gen_ratio(0.2)) {
+                head += 1 + rng.next_below(tail - head);
+                log.advance_head(&gc, head).unwrap();
+                continue;
+            }
+            let k = 1 + rng.next_below(room.min(4));
+            let payloads: Vec<Vec<u8>> = (0..k)
+                .map(|_| {
+                    let len = rng.gen_index(max_payload + 1);
+                    rng.gen_bytes(len)
+                })
+                .collect();
+            let node = rack.node(rng.gen_index(2));
+            if k == 1 && rng.gen_bool() {
+                // single-op: the property mixes both append primitives.
+                log.append(&node, &payloads[0]).unwrap();
+            } else {
+                log.append_batch(&node, &payloads).unwrap();
+            }
+            tail += k;
+            // The range reader walks the window as it grows, so later
+            // passes start from a cache holding earlier ring laps.
+            if rng.gen_ratio(0.3) {
+                range_entries(&log, &ranged, head, tail);
+            }
+        }
+        // Holes: an appender that claimed a slot and died before the
+        // commit leaves the flag word clear.
+        for idx in head..tail {
+            if rng.gen_ratio(0.2) {
+                let slot = (idx % capacity as u64) * entry_size as u64;
+                rack.global().store_u64(log.base().offset(slot), 0).unwrap();
+            }
+        }
+
+        for _ in 0..8 {
+            let from = head + rng.next_below(tail - head + 1);
+            let to = from + rng.next_below(tail - from + 1);
+            let want: Vec<_> = (from..to)
+                .map(|idx| (idx, log.read_entry(&single, idx).unwrap()))
+                .collect();
+            assert_eq!(
+                range_entries(&log, &ranged, from, to),
+                want,
+                "entry_size {entry_size} capacity {capacity} window [{head}, {tail}) range [{from}, {to})"
+            );
+        }
+        let before = ranged.stats().snapshot();
+        assert_eq!(range_entries(&log, &ranged, tail, tail), vec![]);
+        let after = ranged.stats().snapshot();
+        assert_eq!(
+            after.global_reads, before.global_reads,
+            "empty range reads nothing"
+        );
+
+        // An early break stops the visit right there.
+        if tail > head {
+            let stop = head + rng.next_below(tail - head);
+            let mut visited = Vec::new();
+            log.read_range(&ranged, head, tail, |idx, _| {
+                visited.push(idx);
+                if idx == stop {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })
+            .unwrap();
+            assert_eq!(visited, (head..=stop).collect::<Vec<_>>());
+        }
+    });
+}
+
+/// 48-byte entries share cache lines, so a replica that stopped at a
+/// mid-line entry holds the head of the next slot in its cache. The next
+/// catch-up's invalidate must cover that partial first line or the
+/// replica reads the stale (empty) flag of an entry appended since.
+#[test]
+fn replica_caught_up_to_mid_line_sees_later_appends_into_that_line() {
+    use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
+
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Seen(Vec<u8>);
+    impl SyncState for Seen {
+        fn apply(&mut self, op: &[u8]) {
+            self.0.extend_from_slice(op);
+        }
+    }
+
+    let rack = Rack::new(RackConfig::n_node(4).with_global_mem(1 << 20));
+    let cell = SyncCell::alloc(
+        rack.global(),
+        "mid_line",
+        SyncCellConfig::new(4, SyncPolicy::NodeReplicated).with_log(64, 48),
+        Seen::default(),
+    )
+    .unwrap();
+    let reader = rack.node(3);
+    // Materialize the replica at the empty log so it replays from there.
+    assert_eq!(cell.sync_replica(&reader).unwrap(), 0);
+    // Entries 0..3 end at byte 144: mid-way through the third line.
+    for i in 0..3u8 {
+        cell.update(&rack.node(0), &[i]).unwrap();
+    }
+    assert_eq!(cell.sync_replica(&reader).unwrap(), 3);
+    // Entry 3 starts in that same line, written by another node.
+    cell.update(&rack.node(1), &[3]).unwrap();
+    cell.update(&rack.node(2), &[4]).unwrap();
+    assert_eq!(cell.sync_replica(&reader).unwrap(), 5);
+    assert_eq!(
+        cell.read_local(&reader, |s| s.0.clone()).unwrap(),
+        vec![0, 1, 2, 3, 4]
+    );
 }
 
 #[test]
