@@ -12,7 +12,8 @@
 //!   at the fixed 4 KiB-span point), if the sharded cache's
 //!   single-thread throughput regresses more than 20 % vs the baseline,
 //!   if the miss-heavy (hit = 50 %) sweep has the sharded cache losing to
-//!   the baseline by more than 10 % at any thread count, or (on hosts
+//!   the baseline by more than 10 % at any thread count the host has
+//!   CPUs for (over-subscribed points are printed, not gated), or (on hosts
 //!   with ≥ 8 CPUs, where parallel speedup is physically expressible) if
 //!   the 8-thread speedup falls below 4x
 //! * `--threads-max N` — cap the thread sweep (default 8)
@@ -30,8 +31,9 @@
 //! whether the speedup target was armed.
 
 use bench::cache_scale::{
-    check_report, host_cpus, parse_report, run_span_points, run_sweep, span_failures, summarize,
-    to_json, ScaleConfig, ScaleSummary, SPAN_PHASES, SPEEDUP_TARGET_MIN_CPUS, THREAD_SWEEP,
+    check_report, host_cpus, miss_heavy_smoke, parse_report, run_span_points, run_sweep,
+    span_failures, summarize, to_json, ScaleConfig, ScalePoint, ScaleSummary, SPAN_PHASES,
+    SPEEDUP_TARGET_MIN_CPUS, THREAD_SWEEP,
 };
 
 struct Args {
@@ -119,7 +121,11 @@ fn run_check(path: &str) -> ! {
     std::process::exit(0);
 }
 
-fn gate_failures(summaries: &[ScaleSummary], json: &str, cpus: usize) -> Vec<String> {
+fn gate_failures(
+    sweeps: &[(Vec<ScalePoint>, ScaleSummary)],
+    json: &str,
+    cpus: usize,
+) -> Vec<String> {
     let mut failures = Vec::new();
     for field in [
         "\"bench\"",
@@ -137,7 +143,7 @@ fn gate_failures(summaries: &[ScaleSummary], json: &str, cpus: usize) -> Vec<Str
             failures.push(format!("report is missing the {field} field"));
         }
     }
-    for s in summaries {
+    for (points, s) in sweeps {
         if !s.sim_ns_parity {
             failures.push(format!(
                 "hit_permille={}: sharded and baseline charged different simulated ns \
@@ -166,15 +172,18 @@ fn gate_failures(summaries: &[ScaleSummary], json: &str, cpus: usize) -> Vec<Str
             ));
         }
         // Miss-heavy gate: per-op efficiency, not parallel speedup, so it
-        // arms regardless of host CPU count. The smoke tolerance is 10 %;
-        // the strict ≥ 1.0 target is enforced on the committed report by
-        // `--check`.
-        if s.hit_permille == 500 && s.min_thread_ratio < 0.90 {
-            failures.push(format!(
-                "hit_permille=500: sharded/baseline ratio {:.3} < 0.90 at some thread count \
-                 — the miss path is losing to the single-mutex baseline",
-                s.min_thread_ratio
-            ));
+        // arms on any host, over the thread counts the host can run. The
+        // smoke tolerance is 10 %; the strict ≥ 1.0 target at every thread
+        // count is enforced on the committed report by `--check`.
+        if s.hit_permille == 500 {
+            let (failure, skipped) = miss_heavy_smoke(points, cpus);
+            for (threads, ratio) in skipped {
+                println!(
+                    "cache-scale: miss-heavy smoke skips {threads} threads on a {cpus}-CPU \
+                     host (sharded/baseline {ratio:.3}, not gated)"
+                );
+            }
+            failures.extend(failure);
         }
     }
     failures
@@ -251,7 +260,6 @@ fn main() {
         );
     }
 
-    let summaries: Vec<ScaleSummary> = sweeps.iter().map(|(_, s)| *s).collect();
     let json = to_json(&sweeps, &spans, quick, cpus);
     if let Err(e) = std::fs::write(&out, &json) {
         eprintln!("cache-scale: writing {out}: {e}");
@@ -269,7 +277,7 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let mut failures = gate_failures(&summaries, &on_disk, cpus);
+        let mut failures = gate_failures(&sweeps, &on_disk, cpus);
         match parse_report(&on_disk) {
             Ok(report) => failures.extend(span_failures(&report.spans)),
             Err(e) => failures.push(format!("report does not parse: {e}")),

@@ -27,7 +27,8 @@
 //!
 //! 1. **No bank lock is ever held across a fabric operation.** A miss
 //!    installs a per-line in-flight guard (slot state *Filling*: present
-//!    in the bank map with `SlotMeta::filling` set, not on the LRU list),
+//!    in the bank's line directory with `SlotMeta::filling` set, not on
+//!    the LRU list),
 //!    releases the bank mutex, performs the `GlobalMemory` read with no
 //!    node-local lock held, then re-acquires the mutex to publish the
 //!    line. Dirty eviction victims and explicit writebacks move their
@@ -52,10 +53,26 @@
 //!    `try_lock` (exact when uncontended, so single-threaded runs keep
 //!    exact-LRU determinism).
 //!
-//! Within a bank, resident lines are threaded onto an **intrusive
-//! doubly-linked LRU list** by slab index: a hit is one hash lookup plus
-//! four pointer swaps, and the eviction victim is always the list tail —
-//! exact LRU in O(1). Behaviour counters are **per-bank relaxed atomics**
+//! Within a bank, a line is found through a **line directory**
+//! ([`LineDir`]) indexed by address, not by hash: the bank-local line
+//! number `line_id >> log2(banks)` picks a `u32` entry of `dir` per 64
+//! lines, naming a leaf of 64 slot numbers. A lookup is two dependent
+//! array loads, and a 4 KiB span's lines fall in one leaf per bank, so a
+//! page's bookkeeping walks memory sequentially. Leaves come from a
+//! per-bank arena of fixed-size chunks and return to a free list when
+//! their last line leaves, so leaf memory is bounded by the most lines
+//! the bank held at once (one leaf per resident line at worst, ~one per
+//! 64 for page-shaped access); `dir` adds 4 B per 64 bank-local lines up
+//! to the highest address the bank installed. Lookups past its end miss
+//! and never grow it. The lock-free [`LineIndex`] hint of rule 3 stays a
+//! separate fixed-size table: a directory readable without the lock
+//! could never free a leaf, and its memory would follow the address
+//! range the node ever touched instead of the lines it holds.
+//!
+//! Resident lines are threaded onto an **intrusive doubly-linked LRU
+//! list** by slab index: a hit is one directory lookup plus four pointer
+//! swaps, and the eviction victim is always the list tail — exact LRU in
+//! O(1). Behaviour counters are **per-bank relaxed atomics**
 //! shared with [`crate::NodeStats`] through an [`Arc`], so readers
 //! snapshot them without taking any bank lock; the locked paths add to
 //! them once per lock hold, not once per line.
@@ -144,8 +161,6 @@ use crate::error::SimError;
 use crate::latency::LatencyModel;
 use crate::memory::{GAddr, GlobalMemory};
 use crate::sync::{Condvar, Mutex, SeqCount};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard, OnceLock};
@@ -169,6 +184,21 @@ const FILL_HEADROOM: usize = 256;
 
 /// Slots per lazily-allocated slab chunk.
 const CHUNK: usize = 64;
+
+/// Bank-local lines one [`LineDir`] leaf maps.
+const LEAF_LINES: usize = 64;
+
+/// Leaves per [`LineDir`] arena chunk (~4 KiB).
+const LEAF_CHUNK: usize = 16;
+
+/// `LineDir::dir` entry of a 64-line run with no leaf.
+const NO_LEAF: u32 = u32::MAX;
+
+/// Bank-local lines a [`LineDir`] may map: a `u32` worth of directory
+/// entries, 16 TiB of pool per bank. Reads and writes insert only lines
+/// inside the pool (`check_span`), far below it; lookups of any line,
+/// however high, just miss.
+const DIR_LINE_LIMIT: u64 = (u32::MAX as u64) * LEAF_LINES as u64;
 
 /// Optimistic-read attempts before the hit path falls back to the lock.
 const HIT_RETRIES: usize = 4;
@@ -438,8 +468,13 @@ impl CellSlab {
 
 /// A lock-free, direct-mapped hint from line id to slot index (+1; 0 is
 /// empty). Published/retracted only under the bank lock; probed without
-/// it. Purely a cache-of-the-map: a stale or colliding entry sends the
-/// reader to the locked slow path, whose `HashMap` stays authoritative.
+/// it. Purely a cache of the directory: a stale or colliding entry sends
+/// the reader to the locked slow path, whose [`LineDir`] is authoritative.
+///
+/// It is kept apart from the directory on purpose: a lock-free directory
+/// could never free a leaf (a reader might still be in it), so its memory
+/// would follow the address range the node ever touched; this table is a
+/// fixed few KiB per bank.
 #[derive(Debug)]
 struct LineIndex {
     entries: Box<[AtomicU32]>,
@@ -481,36 +516,148 @@ impl LineIndex {
     }
 }
 
-/// Multiply–xor-shift hasher for the bank map's `u64` line-id keys.
-/// SipHash (the `HashMap` default) costs more than the rest of a bank-map
-/// probe combined on the miss path; line ids need no DoS resistance, so
-/// one multiply with an avalanche finalizer is both faster and spreads
-/// the per-bank stride-`banks` id sequences well.
-#[derive(Debug, Default)]
-struct LineIdHasher(u64);
+/// One directory leaf: the slots of 64 consecutive bank-local lines
+/// (`NIL` = not resident) and how many of them are set.
+#[derive(Debug)]
+struct Leaf {
+    slots: [u32; LEAF_LINES],
+    count: u32,
+}
 
-impl std::hash::Hasher for LineIdHasher {
+/// The bank's authoritative line → slot map, indexed by address: `dir`
+/// holds, per run of 64 bank-local lines, the index of the leaf that maps
+/// them (`NO_LEAF` = none resident). A lookup is two dependent array
+/// loads; a page span's lines share one leaf per bank.
+///
+/// Leaves live in an arena of fixed-size chunks that is never shrunk; a
+/// leaf whose last line leaves goes back on `free` and is reused before
+/// the arena grows. Leaf memory therefore follows the most lines the bank
+/// held at once, never the address range it touched: `dir` itself costs
+/// 4 B per 64 bank-local lines up to the highest one ever inserted.
+#[derive(Debug, Default)]
+struct LineDir {
+    dir: Vec<u32>,
+    chunks: Vec<Box<[Leaf; LEAF_CHUNK]>>,
+    /// Leaves handed out so far (live or on `free`): the arena's length.
+    leaves: u32,
+    free: Vec<u32>,
+}
+
+impl LineDir {
     #[inline]
-    fn finish(&self) -> u64 {
-        self.0
+    fn leaf(&self, l: u32) -> &Leaf {
+        &self.chunks[l as usize / LEAF_CHUNK][l as usize % LEAF_CHUNK]
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        // FNV-style fallback; the bank map only ever hashes u64 keys.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+    #[inline]
+    fn leaf_mut(&mut self, l: u32) -> &mut Leaf {
+        &mut self.chunks[l as usize / LEAF_CHUNK][l as usize % LEAF_CHUNK]
+    }
+
+    /// The slot of bank-local line `local`, if mapped.
+    #[inline]
+    fn get(&self, local: u64) -> Option<u32> {
+        let l = *self
+            .dir
+            .get(usize::try_from(local / LEAF_LINES as u64).ok()?)?;
+        if l == NO_LEAF {
+            return None;
+        }
+        let s = self.leaf(l).slots[local as usize % LEAF_LINES];
+        (s != NIL).then_some(s)
+    }
+
+    /// Map bank-local line `local` to `slot`, replacing any mapping.
+    fn insert(&mut self, local: u64, slot: u32) {
+        debug_assert!(
+            local < DIR_LINE_LIMIT,
+            "bank-local line {local} is outside the directory"
+        );
+        let d = (local / LEAF_LINES as u64) as usize;
+        if d >= self.dir.len() {
+            self.dir.resize(d + 1, NO_LEAF);
+        }
+        let l = match self.dir[d] {
+            NO_LEAF => {
+                let l = self.new_leaf();
+                self.dir[d] = l;
+                l
+            }
+            l => l,
+        };
+        let leaf = self.leaf_mut(l);
+        let old = std::mem::replace(&mut leaf.slots[local as usize % LEAF_LINES], slot);
+        if old == NIL {
+            leaf.count += 1;
         }
     }
 
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let x = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = x ^ (x >> 32);
+    /// Unmap bank-local line `local`, returning its slot; a leaf left
+    /// empty goes back on the free list.
+    fn remove(&mut self, local: u64) -> Option<u32> {
+        let d = usize::try_from(local / LEAF_LINES as u64).ok()?;
+        let l = *self.dir.get(d)?;
+        if l == NO_LEAF {
+            return None;
+        }
+        let leaf = self.leaf_mut(l);
+        let s = std::mem::replace(&mut leaf.slots[local as usize % LEAF_LINES], NIL);
+        if s == NIL {
+            return None;
+        }
+        leaf.count -= 1;
+        if leaf.count == 0 {
+            self.dir[d] = NO_LEAF;
+            self.free.push(l);
+        }
+        Some(s)
+    }
+
+    /// An empty leaf: a freed one, or the arena's next, growing it by a
+    /// chunk when the last one is full.
+    fn new_leaf(&mut self) -> u32 {
+        if let Some(l) = self.free.pop() {
+            return l;
+        }
+        let l = self.leaves;
+        if (l as usize).is_multiple_of(LEAF_CHUNK) {
+            self.chunks.push(Box::new(std::array::from_fn(|_| Leaf {
+                slots: [NIL; LEAF_LINES],
+                count: 0,
+            })));
+        }
+        // No overflow: a live leaf holds a slot, and slots are `u32`s.
+        self.leaves += 1;
+        l
+    }
+
+    /// Mapped lines.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.dir
+            .iter()
+            .filter(|&&l| l != NO_LEAF)
+            .map(|&l| self.leaf(l).count as usize)
+            .sum()
+    }
+
+    /// Every `(bank-local line, slot)` mapping, ascending by line.
+    fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.dir
+            .iter()
+            .enumerate()
+            .filter(|&(_, &l)| l != NO_LEAF)
+            .flat_map(move |(d, &l)| {
+                let base = (d * LEAF_LINES) as u64;
+                self.leaf(l)
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &s)| s != NIL)
+                    .map(move |(k, &s)| (base + k as u64, s))
+            })
     }
 }
-
-/// The bank's authoritative line-id → slot map.
-type LineMap = HashMap<u64, u32, BuildHasherDefault<LineIdHasher>>;
 
 /// Per-slot bookkeeping guarded by the bank mutex: the intrusive LRU
 /// links plus the dirty and in-flight-fill flags. Payload bytes live in
@@ -524,28 +671,32 @@ struct SlotMeta {
     filling: bool,
 }
 
-/// One bank's locked state: line-id → slot map, the slot metadata slab,
+/// One bank's locked state: the line directory, the slot metadata slab,
 /// and the intrusive LRU list (head = MRU, tail = LRU victim) threaded
-/// through *ready* slots only — a slot mid-fill is in `map` (so misses
+/// through *ready* slots only — a slot mid-fill is in `dir` (so misses
 /// coalesce onto it) but not on the list (so it cannot be evicted).
 #[derive(Debug)]
 struct Bank {
-    map: LineMap,
+    /// Keyed by bank-local line number, `line_id >> shift`.
+    dir: LineDir,
+    /// `log2(banks)`.
+    shift: u32,
     meta: Vec<SlotMeta>,
     free: Vec<u32>,
     head: u32,
     tail: u32,
     cap: usize,
     max_slots: usize,
-    /// Published (ready) resident lines; `map.len() - ready` fills are in
-    /// flight. Capacity is enforced against this count.
+    /// Published (ready) resident lines; the directory's other lines are
+    /// fills in flight. Capacity is enforced against this count.
     ready: usize,
 }
 
 impl Bank {
-    fn new(cap: usize, max_slots: usize) -> Self {
+    fn new(cap: usize, max_slots: usize, shift: u32) -> Self {
         Bank {
-            map: LineMap::default(),
+            dir: LineDir::default(),
+            shift,
             meta: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -585,6 +736,29 @@ impl Bank {
         self.head = i;
     }
 
+    /// `line_id`'s slot, ready or mid-fill.
+    #[inline]
+    fn slot_of(&self, line_id: u64) -> Option<u32> {
+        self.dir.get(line_id >> self.shift)
+    }
+
+    /// `line_id`'s slot if the line is resident and ready. Lines mid-fill
+    /// are not maintained (they publish after the op returns — a legal
+    /// outcome of racing a fetch).
+    #[inline]
+    fn ready_slot(&self, line_id: u64) -> Option<u32> {
+        self.slot_of(line_id)
+            .filter(|&i| !self.meta[i as usize].filling)
+    }
+
+    fn map(&mut self, line_id: u64, i: u32) {
+        self.dir.insert(line_id >> self.shift, i);
+    }
+
+    fn unmap(&mut self, line_id: u64) {
+        self.dir.remove(line_id >> self.shift);
+    }
+
     /// Move slot `i` to the MRU position.
     fn touch(&mut self, i: u32) {
         if self.head != i {
@@ -613,7 +787,7 @@ impl Bank {
     }
 
     /// Claim `line_id` for an in-flight fill in slot `i`: visible in the
-    /// map (later misses coalesce) but not on the LRU list.
+    /// directory (later misses coalesce) but not on the LRU list.
     fn begin_fill(&mut self, i: u32, line_id: u64) {
         self.meta[i as usize] = SlotMeta {
             line_id,
@@ -622,21 +796,19 @@ impl Bank {
             dirty: false,
             filling: true,
         };
-        self.map.insert(line_id, i);
+        self.map(line_id, i);
     }
 
     /// Abandon an in-flight fill (the fabric read failed).
     fn abort_fill(&mut self, i: u32) {
         let line_id = self.meta[i as usize].line_id;
-        self.map.remove(&line_id);
+        self.unmap(line_id);
         self.meta[i as usize].filling = false;
-        self.meta[i as usize].line_id = NO_LINE;
         self.free.push(i);
     }
 
-    /// Flip an in-flight fill to ready at the MRU position. The map
-    /// entry already exists from [`Bank::begin_fill`], so unlike
-    /// [`Bank::install_ready`] no hash probe is needed.
+    /// Flip an in-flight fill to ready at the MRU position. The directory
+    /// entry already exists from [`Bank::begin_fill`].
     fn publish_fill(&mut self, i: u32, dirty: bool) {
         let m = &mut self.meta[i as usize];
         debug_assert!(m.filling, "publish_fill on a slot not mid-fill");
@@ -656,19 +828,16 @@ impl Bank {
             dirty,
             filling: false,
         };
-        self.map.insert(line_id, i);
+        self.map(line_id, i);
         self.push_front(i);
         self.ready += 1;
     }
 
-    /// Drop the ready slot `i` from the map, list, and ready count.
+    /// Drop the ready slot `i` from the directory, list, and ready count.
     fn remove_ready(&mut self, i: u32) {
         let line_id = self.meta[i as usize].line_id;
-        self.map.remove(&line_id);
+        self.unmap(line_id);
         self.unlink(i);
-        // Freed slots carry no line id, so a stale index hint can never
-        // verify against leftover metadata (see `probe_locked`).
-        self.meta[i as usize].line_id = NO_LINE;
         self.free.push(i);
         self.ready -= 1;
     }
@@ -684,9 +853,8 @@ impl Bank {
             let s = &self.meta[i as usize];
             (s.line_id, s.dirty)
         };
-        self.map.remove(&line_id);
+        self.unmap(line_id);
         self.unlink(i);
-        self.meta[i as usize].line_id = NO_LINE;
         self.free.push(i);
         self.ready -= 1;
         Some((i, line_id, dirty))
@@ -741,10 +909,10 @@ struct BankShard {
 }
 
 impl BankShard {
-    fn new(cap: usize) -> Self {
+    fn new(cap: usize, shift: u32) -> Self {
         let max_slots = cap.saturating_add(FILL_HEADROOM);
         BankShard {
-            state: Mutex::new(Bank::new(cap, max_slots)),
+            state: Mutex::new(Bank::new(cap, max_slots, shift)),
             fill_cv: Condvar::new(),
             fill_waiters: AtomicU32::new(0),
             drops: AtomicU64::new(0),
@@ -768,7 +936,7 @@ impl BankShard {
     }
 
     /// Block on the fill condvar, releasing and reacquiring the bank
-    /// lock. Spurious wakeups are possible; callers loop on the map.
+    /// lock. Spurious wakeups are possible; callers loop on the directory.
     fn wait_for_fill<'a>(&self, mut g: BankGuard<'a>) -> BankGuard<'a> {
         // Registered before the lock is released, so a publisher that
         // later acquires the lock is guaranteed to observe the waiter.
@@ -797,36 +965,6 @@ impl BankShard {
     }
 }
 
-/// Locked lookup of `line_id`'s slot. The lock-free index hint, verified
-/// against the locked slot metadata, short-circuits the hash-map probe on
-/// the hot ready-hit case: a hint that matches the slot's metadata implies
-/// a ready resident line, because fills publish to the index only once
-/// ready and every eviction/invalidation retracts (or overwrites) the
-/// entry before the slot can be reused. Anything else falls back to the
-/// authoritative map.
-#[inline]
-fn probe_locked(shard: &BankShard, bank: &Bank, line_id: u64) -> Option<u32> {
-    if let Some(s) = shard.index.slot_hint(line_id) {
-        if bank
-            .meta
-            .get(s as usize)
-            .is_some_and(|m| m.line_id == line_id && !m.filling)
-        {
-            debug_assert_eq!(bank.map.get(&line_id), Some(&s));
-            return Some(s);
-        }
-    }
-    bank.map.get(&line_id).copied()
-}
-
-/// [`probe_locked`], for maintenance: `line_id`'s slot if the line is
-/// resident and ready. Lines mid-fill are not maintained (they publish
-/// after the op returns — a legal outcome of racing a fetch).
-#[inline]
-fn ready_slot(shard: &BankShard, bank: &Bank, line_id: u64) -> Option<u32> {
-    probe_locked(shard, bank, line_id).filter(|&i| !bank.meta[i as usize].filling)
-}
-
 /// Drop the ready line `line_id` in slot `i` (bank lock held): out of
 /// the bank, its cell retired so racing lock-free readers fail
 /// validation. The caller reports the drop via `note_drops`.
@@ -843,7 +981,7 @@ fn drop_line(shard: &BankShard, bank: &mut Bank, i: u32, line_id: u64) {
 #[inline]
 fn mark_clean_if_unchanged(shard: &BankShard, bank: &mut Bank, line_id: u64, tag: (u32, u64)) {
     let (i, seq0) = tag;
-    if ready_slot(shard, bank, line_id) == Some(i)
+    if bank.ready_slot(line_id) == Some(i)
         && shard.slab.get(i).is_some_and(|c| c.seq.current() == seq0)
     {
         bank.meta[i as usize].dirty = false;
@@ -1222,7 +1360,7 @@ impl NodeCache {
         let per_bank = (config.max_lines / config.banks).max(1);
         NodeCache {
             shards: (0..config.banks)
-                .map(|_| BankShard::new(per_bank))
+                .map(|_| BankShard::new(per_bank, config.banks.trailing_zeros()))
                 .collect(),
             cells: Arc::new(CacheStatsCells::new(config.banks)),
             bank_mask: config.banks as u64 - 1,
@@ -1258,11 +1396,15 @@ impl NodeCache {
     /// cache's observable state, for tests and diagnostics.
     pub fn resident_line_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = Vec::new();
-        for shard in self.shards.iter() {
+        for (b, shard) in self.shards.iter().enumerate() {
             let bank = shard.lock();
-            ids.extend(bank.meta.iter().filter(|m| !m.filling).map(|m| m.line_id));
+            ids.extend(
+                bank.dir
+                    .iter()
+                    .filter(|&(_, i)| !bank.meta[i as usize].filling)
+                    .map(|(local, _)| local << self.bank_shift | b as u64),
+            );
         }
-        ids.retain(|&id| id != NO_LINE);
         ids.sort_unstable();
         ids
     }
@@ -1324,7 +1466,7 @@ impl NodeCache {
             if let Some(mut guard) = shard.try_lock() {
                 let mut line_id = start;
                 while line_id <= hi {
-                    if let Some(i) = probe_locked(shard, &guard, line_id) {
+                    if let Some(i) = guard.slot_of(line_id) {
                         if !guard.meta[i as usize].filling {
                             guard.touch(i);
                         }
@@ -1416,7 +1558,7 @@ impl NodeCache {
             let (in_line, seg) = span.segment(line_id);
             let mut waited = false;
             loop {
-                match probe_locked(shard, &guard, line_id) {
+                match guard.slot_of(line_id) {
                     Some(i) if !guard.meta[i as usize].filling => {
                         visit.delta.hits += 1;
                         if waited {
@@ -1456,7 +1598,7 @@ impl NodeCache {
                                     .unwrap_or(0);
                             } else {
                                 // Every slot is mid-fill; wait for a publish
-                                // or abort, then re-dispatch from the map.
+                                // or abort, then re-dispatch from the directory.
                                 guard = shard.wait_for_fill(guard);
                             }
                             continue;
@@ -1776,7 +1918,7 @@ impl NodeCache {
         let shard = &self.shards[b];
         let stats = &self.cells.banks[b];
         let mut guard = shard.lock();
-        let Some(mut i) = ready_slot(shard, &guard, line_id) else {
+        let Some(mut i) = guard.ready_slot(line_id) else {
             return 0;
         };
         let mut cost = 0;
@@ -1798,7 +1940,7 @@ impl NodeCache {
             }
             // A flush drops the line only now that its bytes are in the
             // pool (see `sweep_bank`) — whatever slot it is in by now.
-            match ready_slot(shard, &guard, line_id) {
+            match guard.ready_slot(line_id) {
                 Some(now) => i = now,
                 None => return cost,
             }
@@ -1907,7 +2049,7 @@ impl NodeCache {
         let mut guard = shard.lock();
         let mut line_id = start;
         while line_id <= pass.1 {
-            let Some(i) = ready_slot(shard, &guard, line_id) else {
+            let Some(i) = guard.ready_slot(line_id) else {
                 line_id += self.shards.len() as u64;
                 continue;
             };
@@ -1975,7 +2117,7 @@ impl NodeCache {
                     if written >> k & 1 != 0 {
                         mark_clean_if_unchanged(shard, &mut guard, line_id, stage.tags[k]);
                     }
-                } else if let Some(i) = ready_slot(shard, &guard, line_id) {
+                } else if let Some(i) = guard.ready_slot(line_id) {
                     drop_line(shard, &mut guard, i, line_id);
                     dropped += 1;
                     cost.charge_drop(lat);
@@ -2198,7 +2340,7 @@ mod tests {
         assert_eq!(c.resident_lines(), 16);
         for (b, shard) in c.shards.iter().enumerate() {
             assert_eq!(
-                shard.lock().map.len(),
+                shard.lock().dir.len(),
                 1,
                 "line {b} should land alone in bank {b}"
             );
@@ -2225,12 +2367,7 @@ mod tests {
             c.read(&g, &lat, GAddr(0), &mut buf).unwrap();
             c.read(&g, &lat, GAddr(3 * LINE_SIZE as u64), &mut buf)
                 .unwrap();
-            let mut resident: Vec<u64> = {
-                let bank = c.shards[0].lock();
-                bank.map.keys().copied().collect()
-            };
-            resident.sort_unstable();
-            (resident, c.stats().evictions)
+            (c.resident_line_ids(), c.stats().evictions)
         };
         let (resident, evictions) = run();
         assert_eq!(resident, vec![0, 2, 3], "LRU line 1 evicted");
@@ -2282,6 +2419,165 @@ mod tests {
         assert_eq!(c.writeback(&g, &lat, top, 16), 0);
         assert_eq!(c.invalidate(&lat, top, 16), 0);
         assert_eq!(c.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn maintenance_past_the_pool_end_is_a_no_op() {
+        // Lookups never grow the directory: maintenance over lines no read
+        // or write could have installed costs nothing and allocates nothing.
+        let lat = LatencyModel::hccs();
+        let g = GlobalMemory::new(LINE_SIZE * 256);
+        let c = NodeCache::new(CacheConfig::default());
+        c.write(&g, &lat, GAddr(0), &[3u8; 4096]).unwrap();
+        let dir_lens = || -> Vec<(usize, usize)> {
+            c.shards
+                .iter()
+                .map(|s| {
+                    let bank = s.lock();
+                    (bank.dir.dir.len(), bank.dir.len())
+                })
+                .collect()
+        };
+        let (before, stats) = (dir_lens(), c.stats());
+        let end = g.capacity() as u64;
+        for addr in [end, end + 4096, u64::MAX - 63] {
+            for len in [1, LINE_SIZE, 4096, 1 << 20] {
+                let a = GAddr(addr);
+                assert_eq!(c.invalidate(&lat, a, len), 0, "invalidate {addr:#x}+{len}");
+                assert_eq!(
+                    c.writeback(&g, &lat, a, len),
+                    0,
+                    "writeback {addr:#x}+{len}"
+                );
+                assert_eq!(c.flush(&g, &lat, a, len), 0, "flush {addr:#x}+{len}");
+            }
+        }
+        assert_eq!(dir_lens(), before);
+        assert_eq!(c.stats(), stats);
+        assert_eq!(c.resident_lines(), 64);
+    }
+
+    #[test]
+    fn line_dir_matches_a_hash_map_model() {
+        use crate::rng::SplitMix64;
+        use std::collections::{BTreeMap, HashMap};
+        for seed in 0..16 {
+            let mut rng = SplitMix64::new(seed);
+            let mut dir = LineDir::default();
+            let mut model: HashMap<u64, u32> = HashMap::new();
+            // Mapped lines per 64-line run: the leaves that must be live.
+            let mut runs: BTreeMap<u64, u32> = BTreeMap::new();
+            let mut inserted: Vec<u64> = Vec::new();
+            let mut peak_leaves = 0;
+            for step in 0..3_000u64 {
+                let key = match rng.next_below(8) {
+                    // Dense page streams: whole 64-line runs, in order.
+                    0..=2 => rng.next_below(8) * 64 + step % 64,
+                    // Sparse scatter over a wide range.
+                    3 => rng.next_below(1 << 22),
+                    // Far past the directory's end, up to `u64::MAX`:
+                    // lookups only, which must miss and not grow it.
+                    4 => {
+                        let far = u64::MAX - rng.next_below(1 << 12) * 64 - rng.next_below(64);
+                        let (dir_len, leaves) = (dir.dir.len(), dir.leaves);
+                        assert_eq!(dir.get(far), None);
+                        assert_eq!(dir.remove(far), None);
+                        assert_eq!(dir.get(dir_len as u64 * 64), None);
+                        assert_eq!((dir.dir.len(), dir.leaves), (dir_len, leaves));
+                        continue;
+                    }
+                    // A key inserted before, so removals find something.
+                    _ if !inserted.is_empty() => inserted[rng.gen_index(inserted.len())],
+                    _ => continue,
+                };
+                if rng.next_below(3) == 0 {
+                    let got = dir.remove(key);
+                    assert_eq!(got, model.remove(&key), "seed {seed} remove {key}");
+                    if got.is_some() {
+                        let run = runs.get_mut(&(key / 64)).expect("run of a mapped key");
+                        *run -= 1;
+                        if *run == 0 {
+                            runs.remove(&(key / 64));
+                        }
+                    }
+                } else {
+                    let slot = rng.next_below(NIL as u64) as u32;
+                    dir.insert(key, slot);
+                    if model.insert(key, slot).is_none() {
+                        *runs.entry(key / 64).or_default() += 1;
+                    }
+                    inserted.push(key);
+                }
+                assert_eq!(dir.get(key), model.get(&key).copied());
+                peak_leaves = peak_leaves.max(runs.len());
+                // Empty every leaf now and then, so freed leaves recycle.
+                if step % 1_000 == 999 {
+                    for k in model.drain().map(|(k, _)| k) {
+                        assert!(dir.remove(k).is_some());
+                    }
+                    runs.clear();
+                    assert_eq!(dir.free.len(), dir.leaves as usize, "every leaf freed");
+                }
+                assert_eq!(dir.leaves as usize - dir.free.len(), runs.len());
+                if step % 100 == 0 {
+                    assert_eq!(dir.len(), model.len());
+                }
+            }
+            assert!(
+                dir.leaves as usize <= peak_leaves,
+                "seed {seed}: arena grew to {} leaves, never more than {peak_leaves} live",
+                dir.leaves
+            );
+            let mut want: Vec<(u64, u32)> = model.into_iter().collect();
+            want.sort_unstable();
+            assert_eq!(
+                dir.iter().collect::<Vec<_>>(),
+                want,
+                "seed {seed}: iteration"
+            );
+        }
+    }
+
+    #[test]
+    fn directory_memory_follows_resident_lines_not_touched_range() {
+        // Stream 8× capacity through one bank, then invalidate it all.
+        let lat = LatencyModel::hccs();
+        let cap = 256u64;
+        // (line stride, bytes per read, most leaves the arena may hold).
+        // A sequential stream keeps at most cap + 1 lines (the ready ones
+        // plus the one being installed before its eviction) in
+        // cap / 64 + 2 leaves; a stride-64 scatter gives each line a leaf.
+        for (stride, len, bound) in [(1, 4096, cap / 64 + 2), (64, 8, cap + 1)] {
+            let lines = 8 * cap * stride;
+            let g = GlobalMemory::new(LINE_SIZE * lines as usize);
+            let c = NodeCache::new(CacheConfig {
+                max_lines: cap as usize,
+                banks: 1,
+            });
+            let mut buf = vec![0u8; len];
+            let step = (len as u64).max(stride * LINE_SIZE as u64);
+            for addr in (0..lines * LINE_SIZE as u64).step_by(step as usize) {
+                c.read(&g, &lat, GAddr(addr), &mut buf).unwrap();
+            }
+            assert_eq!(c.resident_lines(), cap as usize);
+            c.invalidate(&lat, GAddr(0), g.capacity());
+            assert_eq!(c.resident_lines(), 0);
+            let bank = c.shards[0].lock();
+            let leaves = u64::from(bank.dir.leaves);
+            assert!(
+                leaves <= bound,
+                "stride {stride}: {leaves} leaves for {cap} resident lines (bound {bound})"
+            );
+            assert_eq!(
+                bank.dir.free.len() as u64,
+                leaves,
+                "all leaves back on the free list"
+            );
+            assert_eq!(
+                bank.dir.chunks.len() as u64,
+                leaves.div_ceil(LEAF_CHUNK as u64)
+            );
+        }
     }
 
     #[test]
