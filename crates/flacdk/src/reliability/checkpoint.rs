@@ -5,14 +5,22 @@
 //! here pins the RCU epoch for its duration, so every version it copies
 //! is guaranteed to stay allocated while being read (reclamation respects
 //! pins — see [`crate::sync::reclaim`]). Snapshots are themselves stored
-//! in global memory with per-object checksums so restores can verify
-//! integrity.
+//! in global memory with per-object checksums ([`crate::wire::checksum`])
+//! so restores can verify integrity.
+//!
+//! A capture reads every object once. Capturing over a previous
+//! checkpoint ([`CheckpointManager::capture_over`]) copies only the
+//! objects whose checksum changed and shares the previous copy of the
+//! rest; discarding the superseded checkpoint then frees only the copies
+//! the new one does not share ([`CheckpointManager::discard_except`]).
+//! Reuse trusts checksum equality, as [`CheckpointManager::restore`]'s
+//! integrity check and the fault detector already do.
 
 use crate::alloc::object::GlobalAllocator;
 use crate::sync::rcu::EpochManager;
-use crate::wire::fnv1a;
+use crate::wire::checksum;
 use rack_sim::{GAddr, NodeCtx, SimError};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One object captured in a checkpoint.
@@ -33,7 +41,7 @@ pub struct CheckpointEntry {
 /// A completed checkpoint of a set of objects.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    entries: HashMap<u64, CheckpointEntry>,
+    entries: BTreeMap<u64, CheckpointEntry>,
     /// Epoch pinned while the checkpoint was taken.
     pub epoch: u64,
     /// Simulated time at which the capture completed.
@@ -63,13 +71,13 @@ impl Checkpoint {
 
     /// All entries (deterministic order by id).
     pub fn entries(&self) -> Vec<CheckpointEntry> {
-        let mut v: Vec<CheckpointEntry> = self.entries.values().copied().collect();
-        v.sort_by_key(|e| e.id);
-        v
+        self.entries.values().copied().collect()
     }
 }
 
-/// Captures and restores checkpoints.
+/// Captures and restores checkpoints. Consecutive checkpoints of the same
+/// objects may share copies ([`CheckpointManager::capture_over`]); a
+/// copy is freed only when no kept checkpoint shares it.
 #[derive(Debug, Clone)]
 pub struct CheckpointManager {
     alloc: GlobalAllocator,
@@ -94,31 +102,64 @@ impl CheckpointManager {
         ctx: &NodeCtx,
         objects: &[(u64, GAddr, usize)],
     ) -> Result<Checkpoint, SimError> {
-        let pin = self.epochs.pin(ctx)?;
-        let epoch = self.epochs.current(ctx)?;
-        let result = self.capture_inner(ctx, objects);
-        self.epochs.unpin(pin);
-        let entries = result?;
-        Ok(Checkpoint {
-            entries,
-            epoch,
-            at_ns: ctx.clock().now(),
-        })
+        self.capture_over(ctx, None, objects)
     }
 
-    fn capture_inner(
+    /// Capture `objects`, reading each once. An object whose location,
+    /// length and checksum match its entry in `base` shares `base`'s copy;
+    /// only the others are copied. Retire `base` afterwards with
+    /// [`CheckpointManager::discard_except`], keeping the new checkpoint.
+    ///
+    /// A failed capture frees every copy it made and shares nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`CheckpointManager::capture`].
+    pub fn capture_over(
         &self,
         ctx: &NodeCtx,
+        base: Option<&Checkpoint>,
         objects: &[(u64, GAddr, usize)],
-    ) -> Result<HashMap<u64, CheckpointEntry>, SimError> {
-        let mut entries = HashMap::new();
+    ) -> Result<Checkpoint, SimError> {
+        let pin = self.epochs.pin(ctx)?;
+        let epoch = self.epochs.current(ctx)?;
+        let mut ckpt = Checkpoint {
+            entries: BTreeMap::new(),
+            epoch,
+            at_ns: 0,
+        };
+        let result = self.copy_changed(ctx, base, objects, &mut ckpt.entries);
+        self.epochs.unpin(pin);
+        if let Err(e) = result {
+            self.discard_except(ctx, ckpt, base);
+            return Err(e);
+        }
+        ckpt.at_ns = ctx.clock().now();
+        Ok(ckpt)
+    }
+
+    fn copy_changed(
+        &self,
+        ctx: &NodeCtx,
+        base: Option<&Checkpoint>,
+        objects: &[(u64, GAddr, usize)],
+        entries: &mut BTreeMap<u64, CheckpointEntry>,
+    ) -> Result<(), SimError> {
+        let mut buf = Vec::new();
         for &(id, src, len) in objects {
             ctx.invalidate(src, len);
-            let mut buf = vec![0u8; len];
+            buf.resize(len, 0);
             ctx.read(src, &mut buf)?;
+            let sum = checksum(&buf);
+            let unchanged = base
+                .and_then(|b| b.entry(id))
+                .filter(|e| e.src == src && e.len == len && e.sum == sum);
+            if let Some(e) = unchanged {
+                entries.insert(id, *e);
+                continue;
+            }
             let copy = self.alloc.alloc(ctx, len)?;
-            ctx.write(copy, &buf)?;
-            ctx.writeback(copy, len);
+            // Recorded before the write so a failed capture frees it.
             entries.insert(
                 id,
                 CheckpointEntry {
@@ -126,41 +167,13 @@ impl CheckpointManager {
                     src,
                     copy,
                     len,
-                    sum: fnv1a(&buf),
+                    sum,
                 },
             );
+            ctx.write(copy, &buf)?;
+            ctx.writeback(copy, len);
         }
-        Ok(entries)
-    }
-
-    /// Incremental capture: reuse `base`'s snapshot for objects not in
-    /// `dirty`, copy only dirty ones. Objects absent from `base` are
-    /// always copied.
-    ///
-    /// # Errors
-    ///
-    /// As [`CheckpointManager::capture`].
-    pub fn capture_incremental(
-        &self,
-        ctx: &NodeCtx,
-        base: &Checkpoint,
-        objects: &[(u64, GAddr, usize)],
-        dirty: &[u64],
-    ) -> Result<Checkpoint, SimError> {
-        let to_copy: Vec<(u64, GAddr, usize)> = objects
-            .iter()
-            .copied()
-            .filter(|(id, _, _)| dirty.contains(id) || base.entry(*id).is_none())
-            .collect();
-        let mut ckpt = self.capture(ctx, &to_copy)?;
-        for (id, _, _) in objects {
-            if !ckpt.entries.contains_key(id) {
-                if let Some(e) = base.entry(*id) {
-                    ckpt.entries.insert(*id, *e);
-                }
-            }
-        }
-        Ok(ckpt)
+        Ok(())
     }
 
     /// Restore object `id` from `ckpt` back to its source location,
@@ -177,7 +190,7 @@ impl CheckpointManager {
         ctx.invalidate(e.copy, e.len);
         let mut buf = vec![0u8; e.len];
         ctx.read(e.copy, &mut buf)?;
-        if fnv1a(&buf) != e.sum {
+        if checksum(&buf) != e.sum {
             return Err(SimError::Protocol(format!(
                 "checkpoint copy of object {id} corrupt"
             )));
@@ -192,8 +205,19 @@ impl CheckpointManager {
 
     /// Release a checkpoint's snapshot storage.
     pub fn discard(&self, ctx: &NodeCtx, ckpt: Checkpoint) {
+        self.discard_except(ctx, ckpt, None);
+    }
+
+    /// Release the copies of `ckpt` that `kept` does not share: the
+    /// superseded checkpoint after [`CheckpointManager::capture_over`]
+    /// (keeping the new one), or a new one abandoned in favour of its
+    /// base.
+    pub fn discard_except(&self, ctx: &NodeCtx, ckpt: Checkpoint, kept: Option<&Checkpoint>) {
         for e in ckpt.entries.values() {
-            self.alloc.free(ctx, e.copy, e.len);
+            let shared = kept.and_then(|k| k.entry(e.id)).map(|k| k.copy) == Some(e.copy);
+            if !shared {
+                self.alloc.free(ctx, e.copy, e.len);
+            }
         }
     }
 
@@ -249,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_copies_only_dirty() {
+    fn capture_over_copies_only_changed_objects() {
         let (rack, cm) = setup();
         let n0 = rack.node(0);
         let a = rack.global().alloc(64, 8).unwrap();
@@ -263,18 +287,52 @@ mod tests {
 
         n0.write(b, &[3; 64]).unwrap();
         n0.writeback(b, 64);
-        let inc = cm.capture_incremental(&n0, &base, &objects, &[2]).unwrap();
-        // Clean object shares the base copy; dirty one got a fresh copy.
-        assert_eq!(inc.entry(1).unwrap().copy, base.entry(1).unwrap().copy);
-        assert_ne!(inc.entry(2).unwrap().copy, base.entry(2).unwrap().copy);
+        let writes = n0.stats().snapshot().global_writes;
+        let next = cm.capture_over(&n0, Some(&base), &objects).unwrap();
+        assert_eq!(
+            n0.stats().snapshot().global_writes - writes,
+            1,
+            "only the changed object is copied"
+        );
+        // The unchanged object shares the base copy; the changed one got
+        // a fresh copy.
+        assert_eq!(next.entry(1).unwrap().copy, base.entry(1).unwrap().copy);
+        assert_ne!(next.entry(2).unwrap().copy, base.entry(2).unwrap().copy);
 
-        // Restoring from the incremental checkpoint yields the new data.
+        // Retiring the base frees only the copy the new one dropped.
+        cm.discard_except(&n0, base, Some(&next));
+        assert_eq!(cm.allocator().free_count(64), 1);
+
+        // Restoring from the new checkpoint yields the new data, and the
+        // shared copy still verifies.
         rack.global().poison(b, 64);
-        cm.restore(&n0, &inc, 2).unwrap();
+        cm.restore(&n0, &next, 2).unwrap();
+        cm.restore(&n0, &next, 1).unwrap();
         let mut buf = [0u8; 64];
         n0.invalidate(b, 64);
         n0.read(b, &mut buf).unwrap();
         assert_eq!(buf, [3; 64]);
+    }
+
+    #[test]
+    fn failed_capture_frees_its_copies_and_shares_nothing() {
+        let (rack, cm) = setup();
+        let n0 = rack.node(0);
+        let a = rack.global().alloc(64, 8).unwrap();
+        let b = rack.global().alloc(64, 8).unwrap();
+        let objects = [(1u64, a, 64usize), (2, b, 64)];
+        let base = cm.capture(&n0, &objects).unwrap();
+        n0.write(a, &[5; 64]).unwrap();
+        n0.writeback(a, 64);
+        rack.global().poison(b, 8);
+        assert!(cm.capture_over(&n0, Some(&base), &objects).is_err());
+        assert_eq!(
+            cm.allocator().free_count(64),
+            1,
+            "the new copy of `a` is freed, the base's copies are not"
+        );
+        rack.global().scrub(b, 8);
+        assert_eq!(cm.restore(&n0, &base, 1).unwrap(), 64);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Detections feed the recovery manager, which scrubs and restores from
 //! checkpoints.
 
-use crate::wire::fnv1a;
+use crate::wire::checksum;
 use rack_sim::{GAddr, NodeCtx, SimError};
 use std::collections::HashMap;
 
@@ -79,7 +79,7 @@ impl FaultDetector {
             Guarded {
                 addr,
                 len,
-                sum: fnv1a(&buf),
+                sum: checksum(&buf),
             },
         );
         Ok(())
@@ -97,6 +97,22 @@ impl FaultDetector {
             .get(&region)
             .ok_or_else(|| SimError::Protocol(format!("unknown region {region}")))?;
         self.protect(ctx, region, g.addr, g.len)
+    }
+
+    /// Re-baseline `region` to a checksum the caller already holds (one
+    /// taken with [`crate::wire::checksum`] over the region's current
+    /// content, e.g. a checkpoint entry's), without re-reading it.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] for unknown regions.
+    pub fn set_baseline(&mut self, region: u64, sum: u64) -> Result<(), SimError> {
+        let g = self
+            .regions
+            .get_mut(&region)
+            .ok_or_else(|| SimError::Protocol(format!("unknown region {region}")))?;
+        g.sum = sum;
+        Ok(())
     }
 
     /// Stop guarding `region`.
@@ -119,7 +135,7 @@ impl FaultDetector {
             Err(SimError::PoisonedMemory { addr }) => Ok(Detection::Poisoned { addr }),
             Err(e) => Err(e),
             Ok(buf) => {
-                let actual = fnv1a(&buf);
+                let actual = checksum(&buf);
                 if actual == g.sum {
                     Ok(Detection::Clean)
                 } else {
@@ -216,6 +232,22 @@ mod tests {
         // Legitimate update + refresh re-baselines.
         det.refresh(&n0, 2).unwrap();
         assert_eq!(det.check(&n0, 2).unwrap(), Detection::Clean);
+    }
+
+    #[test]
+    fn set_baseline_accepts_a_known_sum_without_reading() {
+        let (rack, mut det) = setup();
+        let (n0, n1) = (rack.node(0), rack.node(1));
+        let a = rack.global().alloc(64, 8).unwrap();
+        det.protect(&n0, 3, a, 64).unwrap();
+        n1.store_uncached_u64(a, 7).unwrap();
+        let mut now = [0u8; 64];
+        rack.global().read_bytes(a, &mut now).unwrap();
+        let reads = n0.stats().snapshot().global_reads;
+        det.set_baseline(3, checksum(&now)).unwrap();
+        assert_eq!(n0.stats().snapshot().global_reads, reads, "no read");
+        assert_eq!(det.check(&n0, 3).unwrap(), Detection::Clean);
+        assert!(det.set_baseline(4, 0).is_err(), "unknown region");
     }
 
     #[test]

@@ -281,6 +281,13 @@ fn lines(bytes: usize) -> u64 {
     bytes.div_ceil(rack_sim::LINE_SIZE) as u64
 }
 
+/// Most entries one burst of [`SyncCell::replay`] reads. A from-scratch
+/// replay walks the whole uncollected log, and one burst of it would need
+/// a host buffer as large as the log (83 MB for 1.7 M entries of 48 B);
+/// at 4 096 entries the buffer stays at a few hundred KiB and the extra
+/// burst start-ups cost < 1 % of the replay's simulated time.
+const REPLAY_BURST: u64 = 4096;
+
 impl<T: SyncState> SyncCell<T> {
     /// Allocate the cell's fabric state and wrap `init`.
     ///
@@ -413,6 +420,21 @@ impl<T: SyncState> SyncCell<T> {
         self.inner.lock().queue_peak
     }
 
+    /// Where the authoritative state stands in the log: `(applied,
+    /// holes)` — the next index it folds and how many uncommitted or
+    /// malformed entries it skipped. Diagnostics, like [`SyncCell::peek`].
+    pub fn fold_position(&self) -> (u64, u64) {
+        let inner = self.inner.lock();
+        (inner.applied, inner.holes)
+    }
+
+    /// The committed-op log itself, for diagnostics and differential
+    /// tests that read it entry by entry. Kernel paths go through
+    /// [`SyncCell::update`]; an append made here bypasses the cell.
+    pub fn op_log(&self) -> SharedOpLog {
+        self.log
+    }
+
     fn me(&self, ctx: &NodeCtx) -> usize {
         let id = ctx.id().0;
         assert!(
@@ -430,39 +452,19 @@ impl<T: SyncState> SyncCell<T> {
         self.seqs[node].fetch_add(1, Ordering::Relaxed) as u32
     }
 
-    /// Fold committed entries `[inner.applied, target)` into the state.
-    /// Claimed-but-uncommitted holes (appender crashed mid-publish) are
-    /// skipped: their op was never acknowledged to anyone. Uses the
-    /// bounds-checked log read (recovery-safe).
+    /// Fold committed entries `[inner.applied, target)` into the state,
+    /// one invalidate and one burst read per contiguous log run.
+    /// Claimed-but-uncommitted holes (appender crashed mid-publish) and
+    /// malformed entries are skipped: their op was never acknowledged to
+    /// anyone.
+    ///
+    /// The caller holds the host mutex and loaded `target` at or below
+    /// the tail. Every append to the log happens under that mutex, so an
+    /// uncommitted slot below `target` is never in flight — it is a sealed
+    /// hole. [`SyncCell::gc`] advances the head only to `applied`, so
+    /// `[applied, target)` lies inside the live window `[head, tail)` and
+    /// the range needs no per-entry bounds check.
     fn drain_to(
-        &self,
-        ctx: &NodeCtx,
-        inner: &mut CellInner<T>,
-        target: u64,
-    ) -> Result<(), SimError> {
-        while inner.applied < target {
-            match self.log.read(ctx, inner.applied)? {
-                Some(payload) => match unframe(&payload) {
-                    Some((_, op)) => {
-                        inner.state.apply(op);
-                        ctx.charge(ctx.latency().local_write_ns);
-                    }
-                    None => inner.holes += 1,
-                },
-                None => inner.holes += 1,
-            }
-            inner.applied += 1;
-        }
-        Ok(())
-    }
-
-    /// [`SyncCell::drain_to`] over the range reader: one invalidate and
-    /// one burst read per contiguous log run instead of a round trip per
-    /// entry. The caller must have loaded a `target` at or below the
-    /// current tail. Every append happens under the host mutex the caller
-    /// holds, so an uncommitted slot here is never in flight — it is a
-    /// hole, as in [`SyncCell::drain_to`].
-    fn drain_to_cheap(
         &self,
         ctx: &NodeCtx,
         inner: &mut CellInner<T>,
@@ -688,24 +690,33 @@ impl<T: SyncState> SyncCell<T> {
     }
 
     /// Rebuild a state from scratch by replaying every committed log
-    /// entry (the recovery/verification path). Returns the rebuilt state
-    /// and the number of entries replayed (holes skipped). Only complete
-    /// while the log has not been garbage collected.
+    /// entry (the recovery/verification path), one burst read per
+    /// contiguous run of at most [`REPLAY_BURST`] entries. Returns the
+    /// rebuilt state and the number of entries replayed (holes skipped).
+    /// Only complete while the log has not been garbage collected.
+    ///
+    /// Holds the host mutex, as [`SyncCell::drain_to`] does: no append
+    /// or GC runs meanwhile, so `[head, tail)` is settled.
     ///
     /// # Errors
     ///
     /// Propagates memory errors.
     pub fn replay(&self, ctx: &NodeCtx, mut init: T) -> Result<(T, u64), SimError> {
+        let _inner = self.inner.lock();
         let head = self.log.head(ctx)?;
         let tail = self.log.tail(ctx)?;
         let mut replayed = 0;
-        for idx in head..tail {
-            if let Some(payload) = self.log.read(ctx, idx)? {
-                if let Some((_, op)) = unframe(&payload) {
+        let mut from = head;
+        while from < tail {
+            let to = tail.min(from + REPLAY_BURST);
+            self.log.read_range(ctx, from, to, |_, entry| {
+                if let Some((_, op)) = entry.and_then(unframe) {
                     init.apply(op);
                     replayed += 1;
                 }
-            }
+                ControlFlow::Continue(())
+            })?;
+            from = to;
         }
         Ok((init, replayed))
     }
@@ -879,6 +890,32 @@ mod tests {
         let (rebuilt, replayed) = c.replay(&n0, Kv::default()).unwrap();
         assert_eq!(replayed, 16);
         assert_eq!(c.peek(|kv| kv.clone()), rebuilt);
+    }
+
+    #[test]
+    fn replay_longer_than_one_burst_matches_the_state() {
+        let rack = Rack::new(RackConfig::small_test().with_global_mem(8 << 20));
+        let c: Arc<SyncCell<Kv>> = SyncCell::alloc(
+            rack.global(),
+            "test_replay_bursts",
+            SyncCellConfig::new(2, SyncPolicy::Delegated).with_log(2 * REPLAY_BURST as usize, 64),
+            Kv::default(),
+        )
+        .unwrap();
+        let n0 = rack.node(0);
+        let n = REPLAY_BURST + 100;
+        for i in 0..n {
+            c.update(&n0, &ins(i % 64, i)).unwrap();
+        }
+        let reads = n0.stats().snapshot().global_reads;
+        let (rebuilt, replayed) = c.replay(&n0, Kv::default()).unwrap();
+        assert_eq!(replayed, n);
+        assert_eq!(rebuilt, c.peek(Kv::clone));
+        assert_eq!(
+            n0.stats().snapshot().global_reads - reads,
+            2 + 2,
+            "head and tail probes, then two bounded bursts"
+        );
     }
 
     #[test]

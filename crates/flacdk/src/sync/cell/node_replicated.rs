@@ -58,10 +58,12 @@
 //! landed but before consuming the slots (committed — re-appending
 //! would double-apply). [`SyncCell::on_node_crash`] therefore re-elects
 //! a combiner with a CAS on the claim word and drains every `PENDING`
-//! slot **with dedup**: the `[node][seq]` frame of each publication is
-//! searched in the committed window first, and only unseen ops are
-//! re-appended. The `nr_combine_crash_*` hooks expose exactly those two
-//! windows to `flac-faultstorm`.
+//! slot **with dedup**: one range pass over the committed window looks
+//! up the `[node][seq]` frame of every publication's first op, and only
+//! unseen ops are re-appended. Recovery runs under the host mutex every
+//! append runs under, so that window holds no in-flight slot. The
+//! `nr_combine_crash_*` hooks expose exactly those two windows to
+//! `flac-faultstorm`.
 //!
 //! [`SharedOpLog::append_batch`]: crate::sync::oplog::SharedOpLog::append_batch
 //! [`SharedOpLog::read_range`]: crate::sync::oplog::SharedOpLog::read_range
@@ -320,7 +322,7 @@ impl<T: SyncState> SyncCell<T> {
         };
         // Fold committed entries older than the batch before the batch
         // itself, so log order and apply order agree.
-        self.drain_to_cheap(ctx, &mut inner, first)?;
+        self.drain_to(ctx, &mut inner, first)?;
         let mut idx = first;
         let (mut own_idx, mut out) = (None, None);
         if let Some((me, framed)) = own {
@@ -458,19 +460,19 @@ impl<T: SyncState> SyncCell<T> {
         drop(guard);
         let mut inner = self.inner.lock();
         let tail = self.log.tail(ctx)?;
-        self.drain_to_cheap(ctx, &mut inner, tail)?;
+        self.drain_to(ctx, &mut inner, tail)?;
         Ok(f(&inner.state))
     }
 
     /// Linearizable read on the node-replicated backend: catch the
-    /// authoritative state up to the tail with cheap entry reads.
+    /// authoritative state up to the tail, one burst read per log run.
     pub(super) fn nr_read_pre_op(
         &self,
         ctx: &NodeCtx,
         inner: &mut CellInner<T>,
     ) -> Result<(), SimError> {
         let tail = self.log.tail(ctx)?;
-        self.drain_to_cheap(ctx, inner, tail)
+        self.drain_to(ctx, inner, tail)
     }
 
     /// Materialize `me`'s replica if absent (a clone of the
@@ -632,39 +634,53 @@ impl<T: SyncState> SyncCell<T> {
         Ok(reelected)
     }
 
-    /// The dedup drain: committed-window search per pending publication,
-    /// re-append of the unseen ones, then fold to the new tail.
+    /// The dedup drain: one range pass over the committed window finds
+    /// every pending publication that already landed, the unseen ones are
+    /// re-appended, then the state folds to the new tail.
     fn nr_recover_drain(&self, ctx: &NodeCtx, inner: &mut CellInner<T>) -> Result<(), SimError> {
         let pend = self.scan_pending(ctx, None)?;
         if pend.is_empty() {
             return Ok(());
         }
         let bits = pend.iter().fold(0u64, |b, p| b | 1 << p.node);
-        let head = self.log.head(ctx)?;
-        let tail = self.log.tail(ctx)?;
-        let mut fresh: Vec<Pending> = Vec::new();
+        // Dedup on each publication's *first* op: a slot's ops were
+        // appended together (the batch append is all-or-nothing and keeps
+        // them adjacent), so either every op committed or none did.
+        // `(key, committed at, publication)`.
+        let mut keyed: Vec<(u64, Option<u64>, Pending)> = Vec::with_capacity(pend.len());
         for p in pend {
-            // Dedup on the publication's *first* op: a slot's ops were
-            // appended together (the batch append is all-or-nothing and
-            // keeps them adjacent), so either every op committed or
-            // none did.
-            let Some((key, _)) = p.ops.first().and_then(|framed| unframe(framed)) else {
+            match p.ops.first().and_then(|framed| unframe(framed)) {
+                Some((key, _)) => keyed.push((key, None, p)),
                 // Malformed publication: never acknowledged, drop it.
-                ctx.store_uncached_u64(self.slot_addr(p.node), SLOT_FREE)?;
-                continue;
-            };
-            let mut committed_at = None;
-            for idx in head..tail {
-                if let Some(entry) = self.log.read_entry(ctx, idx)? {
-                    if let Some((k, _)) = unframe(&entry) {
-                        if k == key {
-                            committed_at = Some(idx);
-                            break;
+                None => ctx.store_uncached_u64(self.slot_addr(p.node), SLOT_FREE)?,
+            }
+        }
+        // One pass over `[head, tail)` records the first index of each
+        // key and stops once every key is found. The window is settled:
+        // the caller holds the host mutex every append runs under.
+        let mut unseen = keyed.len();
+        if unseen > 0 {
+            let head = self.log.head(ctx)?;
+            let tail = self.log.tail(ctx)?;
+            self.log.read_range(ctx, head, tail, |idx, entry| {
+                if let Some((k, _)) = entry.and_then(unframe) {
+                    for (key, at, _) in keyed.iter_mut() {
+                        if at.is_none() && *key == k {
+                            *at = Some(idx);
+                            unseen -= 1;
                         }
                     }
                 }
-            }
-            match committed_at {
+                if unseen == 0 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })?;
+        }
+        let mut fresh: Vec<Pending> = Vec::new();
+        for (_, at, p) in keyed {
+            match at {
                 Some(idx) => self.mark_consumed(ctx, p.node, idx)?,
                 None => fresh.push(p),
             }

@@ -18,17 +18,19 @@
 //! of slots, not the entry:
 //!
 //! * [`SharedOpLog::read_range`] — one invalidate + one burst read per
-//!   run. Used by every steady-state replay of the node-replicated
-//!   backend (`SyncCell`'s replica catch-up and the authoritative
-//!   `drain_to_cheap`).
+//!   run. Every `SyncCell` log walk uses it: replica catch-up, the
+//!   authoritative fold (`drain_to`, including the crash-recovery drain),
+//!   the combiner-takeover dedup search (`nr_recover_drain`) and
+//!   `SyncCell::replay`. Those callers hold the cell's host mutex, under
+//!   which every append happens, so a range they read below a freshly
+//!   loaded tail is settled (replica catch-up, which does not hold it,
+//!   bounds itself by the authoritative watermark instead).
 //! * [`SharedOpLog::read`] — per entry, bounds-checked against head and
-//!   tail, flag probed uncached. Deliberately kept for the recovery-side
-//!   scans (`SyncCell::drain_to`, `SyncCell::replay`,
-//!   `ReplicatedHandle::catch_up_to`, the journal), which must not trust
-//!   a tail they loaded before a crash.
-//! * [`SharedOpLog::read_entry`] — per entry, unchecked. Deliberately
-//!   kept for the one point lookup left: the combiner-takeover dedup
-//!   search (`nr_recover_drain`).
+//!   tail, flag probed uncached. Kept for the first-generation readers
+//!   (`ReplicatedHandle::catch_up_to`, the journal, log-replay recovery),
+//!   which share no mutex with their appenders and re-check the window
+//!   on every entry, and for the `Replicated` cell backend's per-node
+//!   catch-up pricing.
 
 use crate::hw::GlobalCell;
 use rack_sim::{GAddr, GlobalMemory, NodeCtx, SimError, LINE_SIZE};
@@ -274,42 +276,14 @@ impl SharedOpLog {
         Ok(Some(buf))
     }
 
-    /// Read entry `idx` without the bounds-checking head/tail loads —
-    /// the cheap catch-up path for replicas that already know the tail.
-    ///
-    /// Returns `Ok(None)` for uncommitted slots. The caller must keep
-    /// `idx` inside `[head, tail)`; an out-of-window index reads
-    /// whatever the ring slot currently holds.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] on a corrupt length; memory errors are
-    /// propagated.
-    pub fn read_entry(&self, ctx: &NodeCtx, idx: u64) -> Result<Option<Vec<u8>>, SimError> {
-        let slot = self.slot_addr(idx);
-        ctx.invalidate(slot, self.entry_size as usize);
-        if ctx.read_u64(slot)? != COMMITTED {
-            return Ok(None);
-        }
-        let len = ctx.read_u64(slot.offset(8))? as usize;
-        if len > Self::payload_capacity(self.entry_size as usize) {
-            return Err(SimError::Protocol(format!(
-                "corrupt length {len} in entry {idx}"
-            )));
-        }
-        let mut buf = vec![0u8; len];
-        ctx.read(slot.offset(16), &mut buf)?;
-        Ok(Some(buf))
-    }
-
     /// Visit entries `[from, to)` in index order, one burst per
     /// *contiguous run* of slots (a run ends only at the ring wrap): one
     /// invalidate and one read of the whole run into a buffer reused
     /// across runs, then every entry is decoded from the buffer and lent
     /// to `visit` as `Some(payload)`, or `None` for an uncommitted slot.
-    /// `visit` returns [`ControlFlow::Break`] to stop early. Same
-    /// contract as [`SharedOpLog::read_entry`]: the caller keeps the
-    /// range inside `[head, tail)`.
+    /// `visit` returns [`ControlFlow::Break`] to stop early. No head or
+    /// tail is loaded: the caller keeps the range inside `[head, tail)`;
+    /// an out-of-window index reads whatever the ring slot holds.
     ///
     /// The invalidate is issued over the run's exact byte span, so it
     /// covers the partial first and last cache line: slots share lines,
@@ -486,8 +460,21 @@ mod tests {
         assert_eq!(l.read(&n0, 1).unwrap().unwrap(), b"a");
         assert_eq!(l.read(&n0, 2).unwrap().unwrap(), b"bb");
         assert_eq!(l.read(&n0, 3).unwrap().unwrap(), b"ccc");
-        // The cheap path agrees with the checked path.
-        assert_eq!(l.read_entry(&n1, 2).unwrap().unwrap(), b"bb");
+        // The range reader agrees with the checked path.
+        let mut seen = Vec::new();
+        l.read_range(&n1, 1, 4, |idx, entry| {
+            seen.push((idx, entry.map(<[u8]>::to_vec)));
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        assert_eq!(
+            seen,
+            vec![
+                (1, Some(b"a".to_vec())),
+                (2, Some(b"bb".to_vec())),
+                (3, Some(b"ccc".to_vec()))
+            ]
+        );
     }
 
     #[test]
@@ -521,13 +508,22 @@ mod tests {
     }
 
     #[test]
-    fn read_entry_sees_uncommitted_as_none() {
+    fn read_range_sees_uncommitted_as_none() {
         let rack = Rack::new(RackConfig::small_test());
         let n0 = rack.node(0);
         let l = log(&rack, 4);
-        assert_eq!(l.read_entry(&n0, 0).unwrap(), None, "never claimed");
+        let first = |l: &SharedOpLog| {
+            let mut got = None;
+            l.read_range(&n0, 0, 1, |_, entry| {
+                got = Some(entry.map(<[u8]>::to_vec));
+                ControlFlow::Break(())
+            })
+            .unwrap();
+            got.expect("one slot visited")
+        };
+        assert_eq!(first(&l), None, "never claimed");
         l.append(&n0, b"a").unwrap();
-        assert_eq!(l.read_entry(&n0, 0).unwrap().unwrap(), b"a");
+        assert_eq!(first(&l).unwrap(), b"a");
     }
 
     #[test]

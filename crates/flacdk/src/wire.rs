@@ -139,12 +139,42 @@ impl<'a> Decoder<'a> {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
 /// FNV-1a 64-bit hash, used for keys and content hashes across the stack.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Integrity checksum of a memory region: FNV-style over little-endian
+/// `u64` words (the tail word zero-padded), with the length mixed in
+/// first so a zero-padded tail cannot alias a longer region.
+///
+/// Eight times fewer steps than [`fnv1a`] over the same bytes. Every
+/// step is `h = (h ^ w) * FNV_PRIME` with an odd prime, a bijection of
+/// `h` for a fixed word, so a change confined to one 8-byte word always
+/// changes the sum. The fault detector and the checkpoint manager share
+/// this function: recovery seeds detector baselines from checkpoint sums.
+/// Content addresses (chunk ids, shard routing, layer ids, dedup) keep
+/// [`fnv1a`].
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(FNV_PRIME);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = step(FNV_OFFSET, bytes.len() as u64);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte word")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(w));
     }
     h
 }
@@ -196,5 +226,25 @@ mod tests {
         assert_eq!(fnv1a(b"flacos"), fnv1a(b"flacos"));
         assert_ne!(fnv1a(b"flacos"), fnv1a(b"flacos!"));
         assert_ne!(fnv1a(b""), 0);
+    }
+
+    #[test]
+    fn checksum_sees_every_single_word_change_and_the_length() {
+        let base: Vec<u8> = (0..61u8).collect();
+        let sum = checksum(&base);
+        assert_eq!(checksum(&base), sum, "stable");
+        // Any change confined to one word — the zero-padded tail word
+        // included — moves the sum.
+        for word in 0..base.len().div_ceil(8) {
+            for flip in [1u8, 0x80, 0xff] {
+                let mut changed = base.clone();
+                let at = (8 * word + word % 8).min(base.len() - 1);
+                changed[at] ^= flip;
+                assert_ne!(checksum(&changed), sum, "word {word} flip {flip:#x}");
+            }
+        }
+        // Trailing zeros are not the zero padding.
+        assert_ne!(checksum(&[1, 2, 3]), checksum(&[1, 2, 3, 0]));
+        assert_ne!(checksum(&[]), checksum(&[0; 8]));
     }
 }

@@ -95,22 +95,49 @@ impl RecoveryOrchestrator {
         app_id * 1_000_000 + obj_id
     }
 
-    /// Refresh detector baselines and protection captures for `app_id`
-    /// after it legitimately mutated its state.
+    /// Acknowledge `app_id`'s legitimate state changes: run its
+    /// protection tick, which reads every object once and copies only the
+    /// changed ones, and re-baseline the detector from the capture's
+    /// checksums. When the tick does not capture (period not elapsed, or
+    /// execution-time protection), the detector re-reads the objects.
     ///
     /// # Errors
     ///
-    /// [`SimError::Protocol`] for unknown apps.
+    /// [`SimError::Protocol`] for unknown apps; propagates capture and
+    /// memory errors.
     pub fn refresh(&mut self, ctx: &Arc<NodeCtx>, app_id: u64) -> Result<(), SimError> {
         let (fbox, protection) = self
             .boxes
             .get_mut(&app_id)
             .ok_or_else(|| SimError::Protocol(format!("unknown app {app_id}")))?;
-        for (obj_id, _, _) in fbox.memory_objects() {
-            self.detector
-                .refresh(ctx, Self::region_id(app_id, obj_id))?;
+        if protection.tick(ctx, fbox)? {
+            Self::baseline_from_capture(&mut self.detector, fbox, protection)
+        } else {
+            for (obj_id, _, _) in fbox.memory_objects() {
+                self.detector
+                    .refresh(ctx, Self::region_id(app_id, obj_id))?;
+            }
+            Ok(())
         }
-        protection.tick(ctx, fbox)?;
+    }
+
+    /// Set `fbox`'s detector baselines to the latest capture's checksums,
+    /// without reading the objects: the caller knows they hold exactly
+    /// the captured bytes.
+    fn baseline_from_capture(
+        detector: &mut FaultDetector,
+        fbox: &FaultBox,
+        protection: &Protection,
+    ) -> Result<(), SimError> {
+        let ckpt = protection
+            .latest()
+            .ok_or_else(|| SimError::Protocol("no checkpoint to baseline from".into()))?;
+        for (obj_id, _, _) in fbox.memory_objects() {
+            let entry = ckpt
+                .entry(obj_id)
+                .ok_or_else(|| SimError::Protocol(format!("object {obj_id} not in checkpoint")))?;
+            detector.set_baseline(Self::region_id(fbox.app_id(), obj_id), entry.sum)?;
+        }
         Ok(())
     }
 
@@ -185,16 +212,21 @@ impl RecoveryOrchestrator {
 
     /// Graceful degradation after `crash_node`: every registered box
     /// homed on `crashed` is **re-elected** onto `ctx`'s node
-    /// ([`FaultBox::adopt`]), rolled back to its last consistent capture
-    /// (the dead node's un-written-back lines are lost, so partial state
-    /// must not survive), then re-replicated on the new home and
-    /// re-baselined in the detector. Returns the re-homed app ids in
-    /// ascending order.
+    /// ([`FaultBox::adopt`]) and recovered in place. Its objects and its
+    /// last capture both live in global memory, which outlives the dead
+    /// CPU, so recovery validates instead of copying: each object is read
+    /// once and compared with the capture's checksum, and only objects
+    /// that differ (the dead node's unacknowledged writes) or read as
+    /// poisoned are restored ([`Protection::restore_changed`]). The state
+    /// then equals the capture, so the capture stays in force and the
+    /// detector is re-baselined from its checksums without another read.
+    /// Returns the re-homed app ids in ascending order.
     ///
     /// # Errors
     ///
     /// [`SimError::NodeDown`] when the adopting node is itself down;
-    /// propagates restore/capture errors.
+    /// [`SimError::Protocol`] when a box has no capture or a changed
+    /// object's copy fails its checksum; propagates memory errors.
     pub fn handle_node_crash(
         &mut self,
         ctx: &Arc<NodeCtx>,
@@ -210,12 +242,8 @@ impl RecoveryOrchestrator {
         for app_id in &victims {
             let (fbox, protection) = self.boxes.get_mut(app_id).expect("victim registered");
             fbox.adopt(ctx)?;
-            protection.restore_all(ctx, fbox)?;
-            protection.force_capture(ctx, fbox)?; // re-replicate on the new home
-            for (obj_id, _, _) in fbox.memory_objects() {
-                self.detector
-                    .refresh(ctx, Self::region_id(*app_id, obj_id))?;
-            }
+            protection.restore_changed(ctx, fbox)?;
+            Self::baseline_from_capture(&mut self.detector, fbox, protection)?;
         }
         // Repair attached coordination cells: a crash mid-delegation must
         // not strand committed ops behind a dead owner. The cell itself
@@ -275,7 +303,19 @@ mod tests {
     use rack_sim::{Rack, RackConfig};
 
     fn setup(apps: usize) -> (Rack, RecoveryOrchestrator) {
-        let rack = Rack::new(RackConfig::small_test().with_global_mem(128 << 20));
+        setup_with(
+            RackConfig::small_test(),
+            apps,
+            RedundancyPolicy::PeriodicCheckpoint { period_ns: 1 },
+        )
+    }
+
+    fn setup_with(
+        cfg: RackConfig,
+        apps: usize,
+        policy: RedundancyPolicy,
+    ) -> (Rack, RecoveryOrchestrator) {
+        let rack = Rack::new(cfg.with_global_mem(128 << 20));
         let alloc = GlobalAllocator::new(rack.global().clone());
         let frames = FrameAllocator::new(rack.global().clone());
         let epochs = EpochManager::alloc(rack.global(), rack.node_count()).unwrap();
@@ -291,13 +331,37 @@ mod tests {
                 .write(&n0, fbox.heap_va(0), format!("app-{app}").as_bytes())
                 .unwrap();
             let protection = Protection::new(
-                RedundancyPolicy::PeriodicCheckpoint { period_ns: 1 },
+                policy,
                 CheckpointManager::new(alloc.clone(), epochs.clone()),
             );
             orch.register(&n0, fbox, protection).unwrap();
         }
         (rack, orch)
     }
+
+    /// `app`'s heap prefix as `node` reads it.
+    fn heap_prefix(orch: &RecoveryOrchestrator, node: &Arc<NodeCtx>, app: u64) -> [u8; 5] {
+        let fbox = orch.fault_box(app).unwrap();
+        let mut buf = [0u8; 5];
+        fbox.space().read(node, fbox.heap_va(0), &mut buf).unwrap();
+        buf
+    }
+
+    /// Address of object `obj` of `app`, and of its copy in the latest
+    /// capture.
+    fn object_and_copy(orch: &RecoveryOrchestrator, app: u64, obj: u64) -> (GAddr, GAddr) {
+        let (fbox, protection) = &orch.boxes[&app];
+        let (_, addr, _) = fbox
+            .memory_objects()
+            .into_iter()
+            .find(|(id, _, _)| *id == obj)
+            .unwrap();
+        (addr, protection.latest().unwrap().entry(obj).unwrap().copy)
+    }
+
+    /// Heap and stack object ids (see the fault-box object namespace).
+    const HEAP: u64 = 2_000;
+    const STACK: u64 = 1_000;
 
     use crate::redundancy::Protection;
 
@@ -370,7 +434,7 @@ mod tests {
             fbox.space().read(&n1, fbox.heap_va(0), &mut buf).unwrap();
             assert_eq!(&buf[..], format!("app-{app}").as_bytes());
         }
-        // The re-replicated population keeps operating on the new home.
+        // The recovered population keeps operating on the new home.
         let report = orch.sweep(&n1).unwrap();
         assert_eq!(report.faults_detected, 0);
     }
@@ -434,5 +498,145 @@ mod tests {
         assert_eq!(report.faults_detected, 0);
         assert_eq!(orch.len(), 2);
         assert!(!orch.is_empty());
+    }
+
+    #[test]
+    fn crash_recovery_writes_only_the_scribbled_object() {
+        let (rack, mut orch) = setup(2);
+        let (n0, n1) = (rack.node(0), rack.node(1));
+        {
+            let fbox = orch.fault_box(1).unwrap();
+            fbox.space()
+                .write(&n0, fbox.heap_va(0), b"unacknowledged")
+                .unwrap();
+        }
+        rack.faults().crash_node(n0.id(), 0);
+        let before = n1.stats().snapshot();
+        assert_eq!(orch.handle_node_crash(&n1, n0.id()).unwrap(), vec![0, 1]);
+        let after = n1.stats().snapshot();
+        // Six objects validated by reading them; one restored: one read of
+        // its copy and one write of the page.
+        assert_eq!(after.global_writes - before.global_writes, 1);
+        assert_eq!(after.global_reads - before.global_reads, 6 + 1);
+        assert_eq!(&heap_prefix(&orch, &n1, 1), b"app-1");
+        assert_eq!(&heap_prefix(&orch, &n1, 0), b"app-0");
+        assert_eq!(orch.sweep(&n1).unwrap().faults_detected, 0);
+    }
+
+    #[test]
+    fn crash_recovery_restores_a_poisoned_object_in_place() {
+        let (rack, mut orch) = setup(1);
+        let (n0, n1) = (rack.node(0), rack.node(1));
+        let (stack, _) = object_and_copy(&orch, 0, STACK);
+        rack.faults().poison_memory(rack.global(), stack, 64, 0);
+        rack.faults().crash_node(n0.id(), 0);
+        orch.handle_node_crash(&n1, n0.id()).unwrap();
+        let report = orch.sweep(&n1).unwrap();
+        assert_eq!(report.faults_detected, 0, "poison scrubbed and restored");
+        assert_eq!(&heap_prefix(&orch, &n1, 0), b"app-0");
+    }
+
+    #[test]
+    fn crash_recovery_refuses_a_corrupt_copy_of_a_changed_object() {
+        let (rack, mut orch) = setup(1);
+        let (n0, n1) = (rack.node(0), rack.node(1));
+        {
+            let fbox = orch.fault_box(0).unwrap();
+            fbox.space().write(&n0, fbox.heap_va(0), b"dirty").unwrap();
+        }
+        let (_, copy) = object_and_copy(&orch, 0, HEAP);
+        n1.store_uncached_u64(copy, 0xdead).unwrap();
+        rack.faults().crash_node(n0.id(), 0);
+        assert!(matches!(
+            orch.handle_node_crash(&n1, n0.id()),
+            Err(SimError::Protocol(_))
+        ));
+        assert_eq!(
+            &heap_prefix(&orch, &n1, 0),
+            b"dirty",
+            "the corrupt copy was never written back"
+        );
+    }
+
+    #[test]
+    fn crash_recovery_rolls_back_to_the_capture_when_the_baseline_is_newer() {
+        let (rack, mut orch) = setup_with(
+            RackConfig::small_test(),
+            1,
+            RedundancyPolicy::PeriodicCheckpoint {
+                period_ns: u64::MAX,
+            },
+        );
+        let (n0, n1) = (rack.node(0), rack.node(1));
+        {
+            let fbox = orch.fault_box(0).unwrap();
+            fbox.space().write(&n0, fbox.heap_va(0), b"newer").unwrap();
+        }
+        // Inside the period: the detector re-baselines, the capture does
+        // not move.
+        orch.refresh(&n0, 0).unwrap();
+        assert_eq!(orch.sweep(&n0).unwrap().faults_detected, 0);
+        rack.faults().crash_node(n0.id(), 0);
+        orch.handle_node_crash(&n1, n0.id()).unwrap();
+        assert_eq!(&heap_prefix(&orch, &n1, 0), b"app-0", "rolled back");
+        assert_eq!(orch.sweep(&n1).unwrap().faults_detected, 0);
+    }
+
+    #[test]
+    fn adopter_crash_right_after_recovery_recovers_again() {
+        let (rack, mut orch) = setup_with(
+            RackConfig::n_node(3),
+            2,
+            RedundancyPolicy::PeriodicCheckpoint { period_ns: 1 },
+        );
+        let (n0, n1, n2) = (rack.node(0), rack.node(1), rack.node(2));
+        {
+            let fbox = orch.fault_box(0).unwrap();
+            fbox.space().write(&n0, fbox.heap_va(0), b"lost!").unwrap();
+        }
+        rack.faults().crash_node(n0.id(), 0);
+        assert_eq!(orch.handle_node_crash(&n1, n0.id()).unwrap(), vec![0, 1]);
+        {
+            let fbox = orch.fault_box(1).unwrap();
+            fbox.space().write(&n1, fbox.heap_va(0), b"lost?").unwrap();
+        }
+        rack.faults().crash_node(n1.id(), 0);
+        assert_eq!(orch.handle_node_crash(&n2, n1.id()).unwrap(), vec![0, 1]);
+        for app in 0..2u64 {
+            assert_eq!(orch.fault_box(app).unwrap().home(), n2.id());
+            assert_eq!(
+                &heap_prefix(&orch, &n2, app),
+                format!("app-{app}").as_bytes()
+            );
+        }
+        assert_eq!(orch.sweep(&n2).unwrap().faults_detected, 0);
+        // The recovered boxes keep acknowledging on their new home.
+        {
+            let fbox = orch.fault_box(0).unwrap();
+            fbox.space().write(&n2, fbox.heap_va(0), b"v2-ok").unwrap();
+        }
+        orch.refresh(&n2, 0).unwrap();
+        assert_eq!(orch.sweep(&n2).unwrap().faults_detected, 0);
+    }
+
+    #[test]
+    fn refresh_baselines_from_the_capture_without_a_second_read() {
+        let (rack, mut orch) = setup(1);
+        let n0 = rack.node(0);
+        {
+            let fbox = orch.fault_box(0).unwrap();
+            fbox.space().write(&n0, fbox.heap_va(0), b"next!").unwrap();
+        }
+        let (reads, writes) = {
+            let s = n0.stats().snapshot();
+            (s.global_reads, s.global_writes)
+        };
+        orch.refresh(&n0, 0).unwrap();
+        let s = n0.stats().snapshot();
+        // Two epoch-word loads (the capture's pin), then each of the
+        // three objects once.
+        assert_eq!(s.global_reads - reads, 2 + 3, "each object read once");
+        assert_eq!(s.global_writes - writes, 1, "only the changed page copied");
+        assert_eq!(orch.sweep(&n0).unwrap().faults_detected, 0);
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::fault_box::FaultBox;
 use flacdk::reliability::checkpoint::{Checkpoint, CheckpointManager};
+use flacdk::wire::checksum;
 use rack_sim::{NodeCtx, SimError};
 use std::sync::Arc;
 
@@ -55,6 +56,12 @@ impl RedundancyPolicy {
 }
 
 /// Runtime protection state for one fault box.
+///
+/// Captures live in global memory, so they outlive the node that took
+/// them. Each capture reads every object once and copies only what
+/// changed since the previous one ([`CheckpointManager::capture_over`]);
+/// after a crash, [`Protection::restore_changed`] puts back only the
+/// objects that no longer match the latest capture.
 #[derive(Debug)]
 pub struct Protection {
     policy: RedundancyPolicy,
@@ -94,7 +101,12 @@ impl Protection {
 
     /// Run the policy's periodic work. For checkpoint policies this
     /// captures when the period elapsed; for replication it refreshes
-    /// every standby copy. Returns whether state was captured.
+    /// every standby copy (each over its own predecessor, so standbys
+    /// never share storage with each other). Returns whether state was
+    /// captured; the new [`Protection::latest`] then holds a checksum of
+    /// every object's current content.
+    ///
+    /// A failed capture leaves the previous captures in force.
     ///
     /// # Errors
     ///
@@ -110,12 +122,26 @@ impl Protection {
                 Ok(true)
             }
             RedundancyPolicy::PartialReplication { replicas } => {
-                for old in self.replicas.drain(..) {
-                    self.checkpoints.discard(ctx, old);
+                // Capture every new standby before discarding any old one.
+                let objects = fbox.memory_objects();
+                let mut fresh = Vec::with_capacity(replicas as usize);
+                for i in 0..replicas as usize {
+                    let base = self.replicas.get(i);
+                    match self.checkpoints.capture_over(ctx, base, &objects) {
+                        Ok(ckpt) => fresh.push(ckpt),
+                        Err(e) => {
+                            for (j, ckpt) in fresh.into_iter().enumerate() {
+                                self.checkpoints
+                                    .discard_except(ctx, ckpt, self.replicas.get(j));
+                            }
+                            return Err(e);
+                        }
+                    }
                 }
-                for _ in 0..replicas {
-                    self.replicas
-                        .push(self.checkpoints.capture(ctx, &fbox.memory_objects())?);
+                let old = std::mem::replace(&mut self.replicas, fresh);
+                for (i, ckpt) in old.into_iter().enumerate() {
+                    self.checkpoints
+                        .discard_except(ctx, ckpt, self.replicas.get(i));
                 }
                 // The first replica doubles as the restore source.
                 self.latest = self.replicas.first().cloned();
@@ -126,9 +152,12 @@ impl Protection {
     }
 
     fn capture_checkpoint(&mut self, ctx: &Arc<NodeCtx>, fbox: &FaultBox) -> Result<(), SimError> {
-        let ckpt = self.checkpoints.capture(ctx, &fbox.memory_objects())?;
+        let ckpt =
+            self.checkpoints
+                .capture_over(ctx, self.latest.as_ref(), &fbox.memory_objects())?;
         if let Some(old) = self.latest.replace(ckpt) {
-            self.checkpoints.discard(ctx, old);
+            self.checkpoints
+                .discard_except(ctx, old, self.latest.as_ref());
         }
         self.last_checkpoint_ns = ctx.clock().now();
         Ok(())
@@ -136,7 +165,9 @@ impl Protection {
 
     /// Capture protection state *now*, regardless of the periodic
     /// schedule — used at explicit consistency points (after an
-    /// application commits important state).
+    /// application commits important state). Crash recovery does not need
+    /// it: [`Protection::restore_changed`] leaves the state equal to the
+    /// surviving capture.
     ///
     /// # Errors
     ///
@@ -165,6 +196,51 @@ impl Protection {
         for (id, _, _) in fbox.memory_objects() {
             total += self.checkpoints.restore(ctx, ckpt, id)?;
         }
+        Ok(total)
+    }
+
+    /// Bring `fbox` back to the latest capture in place: read every
+    /// object once and restore (through [`CheckpointManager::restore`],
+    /// which verifies the copy and scrubs poison) only the objects whose
+    /// checksum differs from the capture's or that read as poisoned.
+    /// Afterwards every object equals the capture, which therefore needs
+    /// no recapture: it stands for the state as of `ctx`'s clock, and the
+    /// periodic schedule restarts there (an adopting node's clock may lag
+    /// the dead home's). Returns the restored byte count.
+    ///
+    /// Reads go through `ctx`'s cache: the caller must already have
+    /// dropped its cached view of the box ([`FaultBox::adopt`] does).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] when no capture exists or a changed
+    /// object's copy fails its checksum; memory errors are propagated.
+    pub fn restore_changed(
+        &mut self,
+        ctx: &Arc<NodeCtx>,
+        fbox: &FaultBox,
+    ) -> Result<usize, SimError> {
+        let ckpt = self
+            .latest
+            .as_ref()
+            .ok_or_else(|| SimError::Protocol("no checkpoint to restore from".into()))?;
+        let mut buf = Vec::new();
+        let mut total = 0;
+        for (id, addr, len) in fbox.memory_objects() {
+            let entry = ckpt
+                .entry(id)
+                .ok_or_else(|| SimError::Protocol(format!("object {id} not in checkpoint")))?;
+            buf.resize(len, 0);
+            let intact = match ctx.read(addr, &mut buf) {
+                Ok(()) => checksum(&buf) == entry.sum,
+                Err(SimError::PoisonedMemory { .. }) => false,
+                Err(e) => return Err(e),
+            };
+            if !intact {
+                total += self.checkpoints.restore(ctx, ckpt, id)?;
+            }
+        }
+        self.last_checkpoint_ns = ctx.clock().now();
         Ok(total)
     }
 
@@ -206,9 +282,10 @@ pub fn nmr_execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault_box::FaultBoxBuilder;
+    use crate::fault_box::{FaultBoxBuilder, CONTEXT_BYTES};
     use flacdk::alloc::GlobalAllocator;
     use flacdk::sync::rcu::EpochManager;
+    use flacos_mem::addr::PAGE_SIZE;
     use flacos_mem::fault::FrameAllocator;
     use rack_sim::{Rack, RackConfig};
 
@@ -298,6 +375,92 @@ mod tests {
         p.tick(&n0, &fbox).unwrap();
         assert_eq!(p.replicas().len(), 2);
         assert!(p.latest().is_some());
+    }
+
+    /// Object `id`'s live address in `fbox`.
+    fn object(fbox: &FaultBox, id: u64) -> rack_sim::GAddr {
+        let (_, addr, _) = fbox
+            .memory_objects()
+            .into_iter()
+            .find(|(obj, _, _)| *obj == id)
+            .unwrap();
+        addr
+    }
+
+    const HEAP: u64 = 2_000;
+    const STACK: u64 = 1_000;
+
+    #[test]
+    fn failed_replication_tick_keeps_the_previous_replica_restorable() {
+        let (rack, fbox, cm) = setup();
+        let n0 = rack.node(0);
+        fbox.space()
+            .write(&n0, fbox.heap_va(0), b"acknowledged")
+            .unwrap();
+        let mut p = Protection::new(RedundancyPolicy::PartialReplication { replicas: 1 }, cm);
+        assert!(p.tick(&n0, &fbox).unwrap());
+        rack.faults()
+            .poison_memory(rack.global(), object(&fbox, HEAP), 64, 0);
+        assert!(p.tick(&n0, &fbox).is_err(), "a poisoned source fails");
+        // A same-size block takes whatever the failed tick freed.
+        let alloc = p.checkpoints().allocator().clone();
+        let block = alloc.alloc(&n0, PAGE_SIZE).unwrap();
+        n0.write(block, &[0xEE; PAGE_SIZE]).unwrap();
+        n0.writeback(block, PAGE_SIZE);
+        p.restore_all(&n0, &fbox)
+            .expect("the previous replica is intact");
+        let mut buf = [0u8; 12];
+        fbox.space().read(&n0, fbox.heap_va(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"acknowledged");
+    }
+
+    #[test]
+    fn recapture_shares_unchanged_copies_and_frees_only_the_replaced_one() {
+        let (rack, fbox, cm) = setup();
+        let n0 = rack.node(0);
+        let mut p = Protection::new(RedundancyPolicy::PeriodicCheckpoint { period_ns: 1 }, cm);
+        p.tick(&n0, &fbox).unwrap();
+        let first = p.latest().unwrap().clone();
+        fbox.space().write(&n0, fbox.heap_va(0), b"v2").unwrap();
+        n0.charge(1);
+        assert!(p.tick(&n0, &fbox).unwrap());
+        let second = p.latest().unwrap();
+        assert_eq!(
+            second.entry(STACK).unwrap().copy,
+            first.entry(STACK).unwrap().copy,
+            "unchanged stack shares the copy"
+        );
+        assert_ne!(
+            second.entry(HEAP).unwrap().copy,
+            first.entry(HEAP).unwrap().copy
+        );
+        let alloc = p.checkpoints().allocator();
+        assert_eq!(alloc.free_count(PAGE_SIZE), 1, "only the old heap copy");
+        assert_eq!(alloc.free_count(CONTEXT_BYTES), 0, "context copy shared");
+        // The shared copies still verify on restore.
+        rack.global().poison(object(&fbox, STACK), 64);
+        rack.global().poison(object(&fbox, HEAP), 64);
+        assert_eq!(p.restore_all(&n0, &fbox).unwrap(), fbox.state_bytes());
+        let mut buf = [0u8; 2];
+        fbox.space().read(&n0, fbox.heap_va(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"v2");
+    }
+
+    #[test]
+    fn restore_changed_restores_exactly_the_scribbled_page() {
+        let (rack, mut fbox, cm) = setup();
+        let (n0, n1) = (rack.node(0), rack.node(1));
+        let mut p = Protection::new(RedundancyPolicy::PeriodicCheckpoint { period_ns: 1 }, cm);
+        fbox.space().write(&n0, fbox.heap_va(0), b"good").unwrap();
+        p.tick(&n0, &fbox).unwrap();
+        fbox.space().write(&n0, fbox.heap_va(0), b"bad!").unwrap();
+        rack.faults().crash_node(n0.id(), 0);
+        fbox.adopt(&n1).unwrap();
+        assert_eq!(p.restore_changed(&n1, &fbox).unwrap(), PAGE_SIZE);
+        assert_eq!(p.restore_changed(&n1, &fbox).unwrap(), 0, "now intact");
+        let mut buf = [0u8; 4];
+        fbox.space().read(&n1, fbox.heap_va(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"good");
     }
 
     #[test]

@@ -39,13 +39,13 @@
 # crates/flacos needs a `// single-page: <why>` annotation (same 3-line
 # lookback) arguing the vpns are genuinely non-contiguous.
 #
-# Sixth check: the node-replicated backend replays the log one
-# contiguous run at a time (`SharedOpLog::read_range`: one invalidate +
-# one burst read per run). A per-entry `read_entry(` loop on that path
-# pays a fabric round trip per 48-byte entry — the walk the range reader
-# replaced. In crates/flacdk/src/sync/cell/{mod,node_replicated}.rs the
-# only function allowed to call `read_entry(` is `nr_recover_drain`, the
-# combiner-takeover dedup search, which stays per-entry on purpose.
+# Sixth check: every log walk in the sync cell reads whole contiguous
+# runs (`SharedOpLog::read_range`: one invalidate + one burst read per
+# run) — the authoritative fold and the crash-recovery drain, the
+# combiner-takeover dedup search, replica catch-up and `replay`. A
+# per-entry read (`read_entry(` or `log.read(`) pays a fabric round trip
+# per 48-byte entry, the walk the range reader replaced. No function in
+# crates/flacdk/src/sync/cell/{mod,node_replicated}.rs is exempt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -162,21 +162,17 @@ while IFS=: read -r file line text; do
     fail=1
 done < <(grep -rn --include='*.rs' -E '(begin_shootdown|shootdown_stepped)\(' crates/flacos-tier/src crates/flacos/src 2>/dev/null || true)
 
-# Check 6: attribute each `read_entry(` call to its enclosing `fn` (the
-# nearest preceding `fn name` line; comment lines skipped).
+# Check 6: no per-entry log read anywhere in the two files (comment
+# lines skipped).
 for file in crates/flacdk/src/sync/cell/mod.rs crates/flacdk/src/sync/cell/node_replicated.rs; do
-    if ! awk '
-        /^[ \t]*\/\// { next }
-        match($0, /fn [a-z_0-9]+/) { current = substr($0, RSTART + 3, RLENGTH - 3) }
-        /read_entry\(/ && current != "nr_recover_drain" {
-            printf "lint_sync: %s:%d: per-entry log read in %s: %s\n", \
-                FILENAME, NR, current, $0 > "/dev/stderr"
-            bad = 1
-        }
-        END { exit bad }
-    ' "$file"; then
+    while IFS=: read -r line text; do
+        stripped="${text#"${text%%[![:space:]]*}"}"
+        case "$stripped" in
+        //*) continue ;;
+        esac
+        echo "lint_sync: $file:$line: per-entry log read: $stripped" >&2
         fail=1
-    fi
+    done < <(grep -n -E 'read_entry\(|log\.read\(' "$file" || true)
 done
 
 if [ "$fail" -ne 0 ]; then
@@ -191,7 +187,7 @@ if [ "$fail" -ne 0 ]; then
     echo "lint_sync: for page-at-a-time shootdowns, use the *_range variant" >&2
     echo "lint_sync: over contiguous vpns or annotate '// single-page: <why>'." >&2
     echo "lint_sync: for per-entry log reads in the sync cell, replay through" >&2
-    echo "lint_sync: SharedOpLog::read_range (only nr_recover_drain reads per entry)." >&2
+    echo "lint_sync: SharedOpLog::read_range (no per-entry reads in sync/cell)." >&2
     exit 1
 fi
 echo "lint_sync: OK"

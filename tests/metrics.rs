@@ -394,6 +394,107 @@ fn replica_catch_up_charges_one_burst_per_contiguous_log_run() {
 }
 
 #[test]
+fn recovery_drain_charges_one_burst_per_contiguous_log_run() {
+    let rack = Rack::new(RackConfig::n_node(4).with_global_mem(1 << 20));
+    let (writer, survivor) = (rack.node(0), rack.node(1));
+    let lat = survivor.latency().clone();
+    // A 16-slot ring of 48-byte entries (12 lines). Node 0 owns the
+    // delegation, so node 3's crash costs the survivor exactly the
+    // committed-tail drain: no re-election.
+    let cell = SyncCell::alloc(
+        rack.global(),
+        "drain_cost",
+        SyncCellConfig::new(4, SyncPolicy::Delegated).with_log(16, 48),
+        OpCount::default(),
+    )
+    .unwrap();
+    let log = cell.op_log();
+    rack.faults().crash_node(rack_sim::NodeId(3), 0);
+    let tail_ns = lat.transfer_ns(LINE_SIZE).max(1);
+    let run = |lines: u64| {
+        lat.invalidate_line_ns
+            + (lines - 1) * lat.invalidate_extra_line_ns
+            + lat.global_read_ns
+            + (lines - 1) * tail_ns
+    };
+    // Entries committed to the log that no fold has applied yet (as a
+    // combiner that died after its batch append leaves them).
+    let mut seq = 0u32;
+    let mut commit = |k: u32| {
+        let framed: Vec<Vec<u8>> = (0..k)
+            .map(|_| {
+                seq += 1;
+                [0u32.to_le_bytes(), seq.to_le_bytes()].concat()
+            })
+            .collect();
+        log.append_batch(&writer, &framed).unwrap();
+    };
+    // `(simulated ns, global reads)` the survivor's recovery costs.
+    let recover = |applied: u64| {
+        let (t, reads) = (
+            survivor.clock().now(),
+            survivor.stats().snapshot().global_reads,
+        );
+        assert!(!cell.on_node_crash(&survivor, rack_sim::NodeId(3)).unwrap());
+        assert_eq!(cell.fold_position().0, applied);
+        (
+            survivor.clock().now() - t,
+            survivor.stats().snapshot().global_reads - reads,
+        )
+    };
+
+    assert_eq!(recover(0), (lat.global_read_ns, 1), "tail probe only");
+    // First lap: nothing resident, so the invalidate costs nothing; one
+    // burst over all 12 lines.
+    commit(16);
+    assert_eq!(
+        recover(16),
+        (
+            lat.global_read_ns + lat.global_read_ns + 11 * tail_ns + 16 * lat.local_write_ns,
+            1 + 1
+        )
+    );
+    // Second lap over the same, now resident, lines: one invalidate and
+    // one burst for all 16 entries. A hole (an appender that died before
+    // its commit flag) is skipped without an apply.
+    cell.gc(&writer).unwrap();
+    commit(16);
+    rack.global()
+        .store_u64(log.base().offset(5 * 48), 0)
+        .unwrap();
+    assert_eq!(
+        recover(32),
+        (
+            lat.global_read_ns + run(12) + 15 * lat.local_write_ns,
+            1 + 1
+        )
+    );
+    assert_eq!(cell.fold_position(), (32, 1));
+    // Park the tail mid-ring, then drain 16 entries across the wrap: two
+    // runs of 8 entries (6 lines each), two bursts.
+    cell.gc(&writer).unwrap();
+    commit(8);
+    assert_eq!(
+        recover(40),
+        (lat.global_read_ns + run(6) + 8 * lat.local_write_ns, 1 + 1)
+    );
+    cell.gc(&writer).unwrap();
+    commit(16);
+    assert_eq!(
+        recover(56),
+        (
+            lat.global_read_ns + 2 * run(6) + 16 * lat.local_write_ns,
+            1 + 2
+        )
+    );
+    assert_eq!(cell.peek(|c| c.0), 56 - 1);
+    assert_eq!(
+        survivor.stats().snapshot().total_charged_ns(),
+        survivor.clock().now()
+    );
+}
+
+#[test]
 fn combine_scans_and_marks_the_publication_slots_in_one_span_each() {
     let rack = Rack::new(RackConfig::n_node(4).with_global_mem(1 << 20));
     let cell = nr_ring_cell(&rack);

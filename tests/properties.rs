@@ -319,8 +319,9 @@ fn oplog_range_reader_matches_per_entry_reads() {
     // Property: over any log built from single and batched appends —
     // entry sizes that do and do not divide a cache line, rings small
     // enough to wrap, claimed-but-uncommitted holes — `read_range`
-    // yields exactly the per-index sequence `read_entry` yields, for any
-    // sub-range of the live window including the empty one.
+    // yields exactly the per-index sequence the bounds-checked per-entry
+    // `read` yields, for any sub-range of the live window including the
+    // empty one.
     check("oplog_range_reader_matches_per_entry_reads", |rng| {
         let rack = Rack::new(RackConfig::n_node(4).with_global_mem(1 << 20));
         let entry_size = 24 + 8 * rng.gen_index(14); // 24..=128
@@ -372,7 +373,7 @@ fn oplog_range_reader_matches_per_entry_reads() {
             let from = head + rng.next_below(tail - head + 1);
             let to = from + rng.next_below(tail - from + 1);
             let want: Vec<_> = (from..to)
-                .map(|idx| (idx, log.read_entry(&single, idx).unwrap()))
+                .map(|idx| (idx, log.read(&single, idx).unwrap()))
                 .collect();
             assert_eq!(
                 range_entries(&log, &ranged, from, to),
@@ -404,6 +405,199 @@ fn oplog_range_reader_matches_per_entry_reads() {
             assert_eq!(visited, (head..=stop).collect::<Vec<_>>());
         }
     });
+}
+
+#[test]
+fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
+    use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState, FRAME_BYTES};
+    use rack_sim::NodeId;
+
+    /// Records every applied op, so loss, duplication and reordering all
+    /// show.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Ledger(Vec<Vec<u8>>);
+    impl SyncState for Ledger {
+        fn apply(&mut self, op: &[u8]) {
+            self.0.push(op.to_vec());
+        }
+    }
+
+    /// The cell's `[node u32][seq u32]` entry frame: dedup key and op.
+    fn unframe(payload: &[u8]) -> Option<(u64, &[u8])> {
+        let (frame, op) = (payload.get(..FRAME_BYTES)?, &payload[FRAME_BYTES..]);
+        let word = |at: usize| u64::from(u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()));
+        Some(((word(0) << 32) | word(4), op))
+    }
+
+    /// A slot as its publisher polls it: consumed at an index, pending,
+    /// or free (never published, or aborted).
+    fn poll(cell: &SyncCell<Ledger>, node: &rack_sim::NodeCtx) -> Option<Option<u64>> {
+        cell.nr_poll(node).ok()
+    }
+
+    const NODES: usize = 5;
+    const ENTRY: usize = 48;
+    /// A pending publication: publishing node, dedup keys, raw ops.
+    type Publication = (usize, Vec<u64>, Vec<Vec<u8>>);
+
+    // Property: after any crash window — a combiner dead after its batch
+    // append (publications committed but still pending), a combiner dead
+    // before it (nothing committed), or a dead publisher — with holes
+    // left by crashed appenders, malformed entries, a wrapped ring and a
+    // collected head, `on_node_crash` (one range pass per walk) leaves
+    // exactly the state, fold position, hole count, slot marks and log
+    // tail that the per-entry algorithm computes with the bounds-checked
+    // `SharedOpLog::read`, one entry at a time.
+    check(
+        "node_replicated_recovery_drain_matches_a_per_entry_reference",
+        |rng| {
+            let rack = Rack::new(RackConfig::n_node(NODES).with_global_mem(1 << 20));
+            let capacity = 24 + rng.gen_index(9); // 24..=32
+            let cell = SyncCell::alloc(
+                rack.global(),
+                "prop_recover",
+                SyncCellConfig::new(NODES, SyncPolicy::NodeReplicated).with_log(capacity, ENTRY),
+                Ledger::default(),
+            )
+            .unwrap();
+            let log = cell.op_log();
+            let dead = rng.gen_index(NODES);
+            let recoverer = (dead + 1 + rng.gen_index(NODES - 1)) % NODES;
+            let observer = (0..NODES).find(|&n| n != dead && n != recoverer).unwrap();
+            let obs = rack.node(observer);
+            let mut seq = 0u32;
+            let mut next_op = |node: usize| {
+                seq += 1;
+                let mut e = Encoder::new();
+                e.put_u32(node as u32).put_u32(seq);
+                e.into_vec()
+            };
+            let window = |obs: &rack_sim::NodeCtx| (log.head(obs).unwrap(), log.tail(obs).unwrap());
+
+            // History: updates from every node, laps of the ring, GC.
+            for _ in 0..rng.gen_index(3 * capacity) {
+                let (head, tail) = window(&obs);
+                if tail - head + 1 >= capacity as u64 || rng.gen_ratio(0.1) {
+                    cell.gc(&rack.node(0)).unwrap();
+                    continue;
+                }
+                let node = rng.gen_index(NODES);
+                cell.update(&rack.node(node), &next_op(node)).unwrap();
+            }
+            // Room for the crash window: two malformed entries, a dead
+            // combiner's batch (at most two ops per node) and a re-append
+            // of as many.
+            let (head, tail) = window(&obs);
+            if tail - head + (2 + 4 * NODES) as u64 > capacity as u64 {
+                cell.gc(&rack.node(0)).unwrap();
+            }
+
+            // Appenders that left a malformed (frame-less) entry.
+            let malformed = |rng: &mut SplitMix64| {
+                if rng.gen_ratio(0.3) {
+                    let len = rng.gen_index(FRAME_BYTES);
+                    // single-op: models a corrupt appender, not the cell.
+                    log.append(&rack.node(observer), &rng.gen_bytes(len))
+                        .unwrap();
+                }
+            };
+            malformed(rng);
+
+            // Publications, then the crash window.
+            let mut pending: Vec<Publication> = Vec::new();
+            let mut publish = |rng: &mut SplitMix64,
+                               node: usize,
+                               pending: &mut Vec<Publication>| {
+                let ops: Vec<Vec<u8>> = (0..1 + rng.gen_index(2)).map(|_| next_op(node)).collect();
+                let refs: Vec<&[u8]> = ops.iter().map(Vec::as_slice).collect();
+                let keys = cell.nr_publish_batch(&rack.node(node), &refs).unwrap();
+                pending.push((node, keys, ops));
+            };
+            for node in 0..NODES {
+                if rng.gen_ratio(0.5) {
+                    publish(rng, node, &mut pending);
+                }
+            }
+            let window_kind = rng.gen_index(3);
+            match window_kind {
+                0 => {
+                    cell.nr_combine_crash_after_append(&rack.node(dead))
+                        .unwrap();
+                }
+                1 => {
+                    cell.nr_combine_crash_before_append(&rack.node(dead))
+                        .unwrap();
+                }
+                _ => {}
+            }
+            // Survivors without a pending publication publish again; the
+            // dead combiner never saw these.
+            for node in 0..NODES {
+                if node != dead && !pending.iter().any(|p| p.0 == node) && rng.gen_ratio(0.5) {
+                    publish(rng, node, &mut pending);
+                }
+            }
+            pending.sort_by_key(|p| p.0);
+            malformed(rng);
+            // Crashed appenders: claimed slots whose commit flag never
+            // landed.
+            let (head, tail) = window(&obs);
+            for idx in head..tail {
+                if rng.gen_ratio(0.15) {
+                    let slot = (idx % capacity as u64) * ENTRY as u64;
+                    rack.global().store_u64(log.base().offset(slot), 0).unwrap();
+                }
+            }
+            let marks_before: Vec<_> = (0..NODES).map(|n| poll(&cell, &rack.node(n))).collect();
+            rack.faults().crash_node(NodeId(dead), 0);
+
+            // The reference, entry by entry through the checked reader.
+            let read = |idx: u64| log.read(&obs, idx).unwrap();
+            let (applied, mut holes) = cell.fold_position();
+            let mut state = cell.peek(Ledger::clone);
+            for idx in applied..tail {
+                match read(idx).as_deref().and_then(unframe) {
+                    Some((_, op)) => state.apply(op),
+                    None => holes += 1,
+                }
+            }
+            let mut marks = marks_before;
+            let mut fresh_at = tail;
+            let mut fresh_ops = Vec::new();
+            for (node, keys, ops) in &pending {
+                let found = (head..tail).find(|&idx| {
+                    read(idx).as_deref().and_then(unframe).map(|(k, _)| k) == Some(keys[0])
+                });
+                match found {
+                    Some(idx) => marks[*node] = Some(Some(idx)),
+                    None => {
+                        marks[*node] = Some(Some(fresh_at));
+                        fresh_at += ops.len() as u64;
+                        fresh_ops.extend(ops.iter().cloned());
+                    }
+                }
+            }
+            for op in &fresh_ops {
+                state.apply(op);
+            }
+            let applied = fresh_at;
+
+            // The range drain under test.
+            let reelected = cell
+                .on_node_crash(&rack.node(recoverer), NodeId(dead))
+                .unwrap();
+            rack.faults().restart_node(NodeId(dead), 0);
+            let ctx = format!(
+                "window {window_kind}, dead {dead}, capacity {capacity}, log [{head}, {tail})"
+            );
+            assert_eq!(reelected, window_kind < 2, "{ctx}");
+            assert_eq!(cell.peek(Ledger::clone), state, "state: {ctx}");
+            assert_eq!(cell.fold_position(), (applied, holes), "fold: {ctx}");
+            assert_eq!(cell.committed(&obs).unwrap(), fresh_at, "tail: {ctx}");
+            let marks_after: Vec<_> = (0..NODES).map(|n| poll(&cell, &rack.node(n))).collect();
+            assert_eq!(marks_after, marks, "slot marks: {ctx}");
+        },
+    );
 }
 
 /// 48-byte entries share cache lines, so a replica that stopped at a
