@@ -17,7 +17,7 @@ use rack_sim::{Rack, RackConfig, SplitMix64};
 const NODES: usize = 8;
 /// Deterministic workload seed.
 const SEED: u64 = 0x0F1A_C0A8;
-/// Ops before measurement starts (lets the adaptive driver settle).
+/// Ops before measurement starts (lets the adaptive driver converge).
 const WARMUP_OPS: usize = 200;
 /// Measured ops per cell.
 const MEASURED_OPS: usize = 1600;

@@ -1,17 +1,19 @@
-//! `bench::cache_scale` — wall-clock scalability of the sharded node cache.
+//! `bench::cache_scale` — wall-clock cost per operation of the node cache.
 //!
 //! Unlike every other module in this crate, which measures *simulated*
-//! nanoseconds, this benchmark measures **real** time: it pits the
-//! sharded, bank-locked [`rack_sim::cache::NodeCache`] against a faithful
-//! port of the pre-shard design (one mutex around a `HashMap` + lazy LRU
-//! queue, stats copied out under the lock after every operation) and
-//! reports aggregate operations per wall-clock second at 1..=8 threads.
+//! nanoseconds, this benchmark measures **real** time: it pits
+//! [`rack_sim::cache::NodeCache`] against a faithful port of the original
+//! node cache (one mutex around a `HashMap` + lazy LRU queue, stats copied
+//! out under the lock after every operation) on one thread, and reports
+//! operations per wall-clock second at a hit-heavy and a miss-heavy ratio.
+//! Every workload and driver of the repo runs one thread per node cache,
+//! so per-operation efficiency is what this measures, not parallel
+//! scaling.
 //!
-//! Both implementations run the *identical* deterministic per-thread op
-//! sequence (seeded [`SplitMix64`], disjoint working sets per thread), so
-//! besides throughput the run cross-checks the cost model: the total
-//! simulated nanoseconds charged by the two designs must be equal, and
-//! equal across thread counts. A divergence fails the `--gate` check.
+//! Both implementations run the *identical* deterministic op sequence
+//! (seeded [`SplitMix64`]), so besides throughput the run cross-checks
+//! the cost model: the total simulated nanoseconds charged by the two
+//! designs must be equal. A divergence fails the `--gate` check.
 //!
 //! The `cache-scale` binary writes the results as `BENCH_cache.json`;
 //! `scripts/verify.sh` runs it in `--quick --gate` mode as a smoke test.
@@ -21,18 +23,18 @@ use rack_sim::sync::Mutex;
 use rack_sim::{GAddr, GlobalMemory, LatencyModel, SimError, SplitMix64, LINE_SIZE};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
-/// Thread counts exercised by the sweep (the gate compares the ends).
-pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+/// Hit ratios (permille) every run measures: the common case and the
+/// miss-heavy case.
+pub const HIT_RATIOS: [u64; 2] = [950, 500];
 
-/// Minimum host CPUs for the 4x multi-thread speedup target to be
-/// physically meaningful (see [`host_cpus`]).
-pub const SPEEDUP_TARGET_MIN_CPUS: usize = 8;
+/// Lowest node-cache / baseline throughput ratio the committed report
+/// may show at either hit ratio.
+pub const SINGLE_THREAD_RATIO_MIN: f64 = 0.95;
 
 /// Cache-op driver interface shared by the two implementations.
-pub trait DriverCache: Sync {
+pub trait DriverCache {
     /// Human-readable implementation name used in the report.
     fn name(&self) -> &'static str;
     /// Cached read; returns simulated cost.
@@ -67,7 +69,7 @@ pub trait DriverCache: Sync {
 
 impl DriverCache for NodeCache {
     fn name(&self) -> &'static str {
-        "sharded"
+        "node_cache"
     }
     fn read(
         &self,
@@ -111,10 +113,10 @@ struct BaselineInner {
     max_lines: usize,
 }
 
-/// Faithful port of the pre-shard node cache: every operation takes one
-/// node-wide mutex, LRU is a lazily-compacted tick queue, and (as the old
-/// `NodeCtx` did) the whole `CacheStats` struct is copied out under the
-/// lock and re-published after each op.
+/// Faithful port of the original node cache: every operation takes one
+/// node-wide mutex, lines live in a `HashMap`, LRU is a lazily-compacted
+/// tick queue, and (as the old `NodeCtx` did) the whole `CacheStats`
+/// struct is copied out under the lock and re-published after each op.
 #[derive(Debug)]
 pub struct BaselineCache {
     inner: Mutex<BaselineInner>,
@@ -388,13 +390,13 @@ impl DriverCache for BaselineCache {
 /// Parameters of one benchmark run.
 #[derive(Debug, Clone, Copy)]
 pub struct ScaleConfig {
-    /// Operations per thread in the timed region.
-    pub ops_per_thread: u64,
-    /// Cache lines in each thread's (disjoint) working set.
-    pub lines_per_thread: u64,
+    /// Operations in the timed region.
+    pub ops: u64,
+    /// Cache lines in the working set.
+    pub lines: u64,
     /// Target hit ratio in permille (e.g. 950 = 95 % of reads hit).
     pub hit_permille: u64,
-    /// Base RNG seed; thread `t` uses `seed + t`.
+    /// RNG seed of the op stream.
     pub seed: u64,
     /// Measurement repetitions per point; best (shortest) run is kept, so
     /// one bad scheduling quantum cannot sink a point.
@@ -405,8 +407,8 @@ impl ScaleConfig {
     /// Full-run parameters (committed `BENCH_cache.json`).
     pub fn full(hit_permille: u64) -> Self {
         ScaleConfig {
-            ops_per_thread: 200_000,
-            lines_per_thread: 2048,
+            ops: 200_000,
+            lines: 2048,
             hit_permille,
             seed: 0xCAC4E_5CA1E,
             reps: 3,
@@ -416,41 +418,32 @@ impl ScaleConfig {
     /// Quick parameters for the ~1 s CI smoke run.
     pub fn quick(hit_permille: u64) -> Self {
         ScaleConfig {
-            ops_per_thread: 30_000,
+            ops: 30_000,
             reps: 2,
             ..Self::full(hit_permille)
         }
     }
-
-    /// Hit ratios swept by a run (permille). The miss-heavy 500 sweep is
-    /// part of *both* modes: it is the one that exposed the serialized
-    /// miss path, so the smoke run must keep exercising it.
-    pub fn hit_ratios(_quick: bool) -> &'static [u64] {
-        &[950, 500]
-    }
 }
 
-/// Result of one (implementation, thread count) measurement.
+/// Result of one implementation's measurement at one hit ratio.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
-    /// Implementation name (`"sharded"` / `"baseline"`).
+    /// Implementation name (`"node_cache"` / `"baseline"`).
     pub cache_impl: &'static str,
-    /// Worker threads driving the cache.
-    pub threads: usize,
     /// Hit-ratio target in permille.
     pub hit_permille: u64,
-    /// Total cache operations across all threads.
+    /// Total cache operations.
     pub total_ops: u64,
     /// Wall-clock duration of the timed region, nanoseconds.
     pub elapsed_ns: u64,
-    /// Aggregate throughput, operations per wall-clock second.
+    /// Throughput, operations per wall-clock second.
     pub ops_per_sec: f64,
     /// Total *simulated* nanoseconds charged — must match between the two
-    /// implementations for the same (threads, hit_permille) workload.
+    /// implementations for the same workload.
     pub sim_ns: u64,
 }
 
-/// One thread's deterministic op stream against `cache`.
+/// The deterministic op stream against `cache`.
 ///
 /// Returns (ops performed, simulated ns charged). The mix is ~1/8 writes;
 /// a miss is forced by invalidating the target line first with
@@ -460,15 +453,13 @@ fn drive(
     global: &GlobalMemory,
     lat: &LatencyModel,
     cfg: ScaleConfig,
-    thread_idx: usize,
 ) -> (u64, u64) {
-    let mut rng = SplitMix64::new(cfg.seed + thread_idx as u64);
-    let base_line = thread_idx as u64 * cfg.lines_per_thread;
+    let mut rng = SplitMix64::new(cfg.seed);
     let mut sim_ns = 0u64;
     let mut ops = 0u64;
     let mut buf = [0u8; 8];
-    for _ in 0..cfg.ops_per_thread {
-        let line = base_line + rng.next_below(cfg.lines_per_thread);
+    for _ in 0..cfg.ops {
+        let line = rng.next_below(cfg.lines);
         let addr = GAddr(line * LINE_SIZE as u64);
         if rng.next_below(1000) >= cfg.hit_permille {
             sim_ns += cache.invalidate(lat, addr, 8);
@@ -486,52 +477,25 @@ fn drive(
     (ops, sim_ns)
 }
 
-/// Measure one implementation at one thread count.
-pub fn run_point(cache: &dyn DriverCache, cfg: ScaleConfig, threads: usize) -> ScalePoint {
-    let global = GlobalMemory::new((threads as u64 * cfg.lines_per_thread) as usize * LINE_SIZE);
+/// Measure one implementation.
+pub fn run_point(cache: &dyn DriverCache, cfg: ScaleConfig) -> ScalePoint {
+    let global = GlobalMemory::new(cfg.lines as usize * LINE_SIZE);
     let lat = LatencyModel::hccs();
 
-    // Warm every working set before the timed region so the measured
-    // hit ratio matches `hit_permille` instead of cold-start misses.
-    for t in 0..threads {
-        let base = t as u64 * cfg.lines_per_thread;
-        for l in 0..cfg.lines_per_thread {
-            let mut b = [0u8; 8];
-            cache
-                .read(&global, &lat, GAddr((base + l) * LINE_SIZE as u64), &mut b)
-                .expect("warm-up read in bounds");
-        }
+    // Warm the working set before the timed region so the measured hit
+    // ratio matches `hit_permille` instead of cold-start misses.
+    for l in 0..cfg.lines {
+        let mut b = [0u8; 8];
+        cache
+            .read(&global, &lat, GAddr(l * LINE_SIZE as u64), &mut b)
+            .expect("warm-up read in bounds");
     }
 
-    let barrier = Barrier::new(threads + 1);
-    let (elapsed_ns, per_thread) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let global = &global;
-                let lat = &lat;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                    drive(cache, global, lat, cfg, t)
-                })
-            })
-            .collect();
-        // Timestamp BEFORE entering the barrier: workers cannot start
-        // until main arrives, so this bounds the timed region from above
-        // even if main is descheduled right after the release (on a
-        // single-core host the workers may otherwise run — or finish —
-        // before a post-barrier `Instant::now()` executes).
-        let start = Instant::now();
-        barrier.wait();
-        let per_thread: Vec<(u64, u64)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        (start.elapsed().as_nanos() as u64, per_thread)
-    });
-
-    let total_ops: u64 = per_thread.iter().map(|(o, _)| o).sum();
-    let sim_ns: u64 = per_thread.iter().map(|(_, s)| s).sum();
+    let start = Instant::now();
+    let (total_ops, sim_ns) = drive(cache, &global, &lat, cfg);
+    let elapsed_ns = start.elapsed().as_nanos() as u64;
     ScalePoint {
         cache_impl: cache.name(),
-        threads,
         hit_permille: cfg.hit_permille,
         total_ops,
         elapsed_ns,
@@ -542,33 +506,22 @@ pub fn run_point(cache: &dyn DriverCache, cfg: ScaleConfig, threads: usize) -> S
 
 /// Best-of-`reps` measurement: a fresh cache per rep (so every rep runs
 /// the identical deterministic workload) and the shortest wall-clock kept.
-fn best_point(
-    make: &dyn Fn() -> Box<dyn DriverCache>,
-    cfg: ScaleConfig,
-    threads: usize,
-) -> ScalePoint {
+fn best_point(make: &dyn Fn() -> Box<dyn DriverCache>, cfg: ScaleConfig) -> ScalePoint {
     (0..cfg.reps.max(1))
-        .map(|_| run_point(&*make(), cfg, threads))
+        .map(|_| run_point(&*make(), cfg))
         .max_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec))
         .expect("at least one rep")
 }
 
-/// Sweep both implementations over `thread_counts` at one hit ratio.
-pub fn run_sweep(cfg: ScaleConfig, thread_counts: &[usize]) -> Vec<ScalePoint> {
-    let mut points = Vec::new();
-    for &threads in thread_counts {
-        points.push(best_point(
-            &|| Box::new(NodeCache::new(CacheConfig::default())),
-            cfg,
-            threads,
-        ));
-        points.push(best_point(
+/// Measure both implementations at one hit ratio, node cache first.
+pub fn run_pair(cfg: ScaleConfig) -> Vec<ScalePoint> {
+    vec![
+        best_point(&|| Box::new(NodeCache::new(CacheConfig::default())), cfg),
+        best_point(
             &|| Box::new(BaselineCache::new(CacheConfig::default().max_lines)),
             cfg,
-            threads,
-        ));
-    }
-    points
+        ),
+    ]
 }
 
 /// Bytes per span of the fixed span point: one 4 KiB page, the unit the
@@ -589,7 +542,7 @@ pub const SPAN_PHASES: [&str; 3] = ["cold_read", "write_writeback", "invalidate"
 /// single thread (also the shape it is re-read from a report in).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanPoint {
-    /// Implementation name (`"sharded"` / `"baseline"`).
+    /// Implementation name (`"node_cache"` / `"baseline"`).
     pub cache_impl: String,
     /// Wall-clock nanoseconds per 64 B line, per [`SPAN_PHASES`] entry.
     pub ns_per_line: [f64; 3],
@@ -639,7 +592,7 @@ pub fn run_span_point(cache: &dyn DriverCache, rounds: u32) -> SpanPoint {
     }
 }
 
-/// The span point for both implementations, sharded first.
+/// The span point for both implementations, node cache first.
 pub fn run_span_points(quick: bool) -> Vec<SpanPoint> {
     let rounds = if quick { 4 } else { 24 };
     vec![
@@ -656,131 +609,47 @@ pub fn run_span_points(quick: bool) -> Vec<SpanPoint> {
 pub struct ScaleSummary {
     /// Hit-ratio target in permille.
     pub hit_permille: u64,
-    /// sharded / baseline throughput at 1 thread (target: ≥ 0.95).
+    /// node-cache / baseline throughput on one thread (target: ≥
+    /// [`SINGLE_THREAD_RATIO_MIN`]).
     pub single_thread_ratio: f64,
-    /// sharded / baseline throughput at the top of the sweep (target: ≥ 4).
-    pub speedup_top: f64,
-    /// Thread count the speedup was taken at.
-    pub top_threads: usize,
-    /// Minimum sharded / baseline throughput ratio over every measured
-    /// thread count. The miss-heavy gate requires this ≥ 1 at
-    /// `hit_permille = 500` in the committed report: the sharded cache
-    /// must never lose to the single-mutex baseline.
-    pub min_thread_ratio: f64,
-    /// Whether both impls charged identical simulated ns at every point.
+    /// Whether both impls charged identical simulated ns.
     pub sim_ns_parity: bool,
 }
 
-/// Compute the gate metrics from a sweep's points.
+/// Compute the gate metrics from one [`run_pair`].
 ///
 /// # Panics
 ///
-/// Panics if `points` lacks a (sharded, baseline) pair at some thread
-/// count — `run_sweep` always produces matched pairs.
+/// Panics if `points` lacks either implementation.
 pub fn summarize(points: &[ScalePoint]) -> ScaleSummary {
-    let get = |name: &str, threads: usize| {
+    let get = |name: &str| {
         points
             .iter()
-            .find(|p| p.cache_impl == name && p.threads == threads)
-            .expect("matched pair per thread count")
+            .find(|p| p.cache_impl == name)
+            .expect("both implementations measured")
     };
-    let top = points.iter().map(|p| p.threads).max().unwrap_or(1);
-    let parity = points
-        .iter()
-        .filter(|p| p.cache_impl == "sharded")
-        .all(|p| p.sim_ns == get("baseline", p.threads).sim_ns);
-    let min_ratio = points
-        .iter()
-        .filter(|p| p.cache_impl == "sharded")
-        .map(|p| p.ops_per_sec / get("baseline", p.threads).ops_per_sec)
-        .fold(f64::INFINITY, f64::min);
+    let (node, base) = (get("node_cache"), get("baseline"));
     ScaleSummary {
-        hit_permille: points.first().map(|p| p.hit_permille).unwrap_or(0),
-        single_thread_ratio: get("sharded", 1).ops_per_sec / get("baseline", 1).ops_per_sec,
-        speedup_top: get("sharded", top).ops_per_sec / get("baseline", top).ops_per_sec,
-        top_threads: top,
-        min_thread_ratio: min_ratio,
-        sim_ns_parity: parity,
+        hit_permille: node.hit_permille,
+        single_thread_ratio: node.ops_per_sec / base.ops_per_sec,
+        sim_ns_parity: node.sim_ns == base.sim_ns,
     }
 }
 
-/// Lowest sharded / baseline throughput ratio the `--gate` smoke accepts
-/// on the miss-heavy sweep (the committed report must show ≥ 1).
-const MISS_HEAVY_SMOKE_MIN: f64 = 0.90;
-
-/// The smoke gate's miss-heavy check over one sweep's points: the
-/// sharded / baseline throughput ratio must be at least
-/// [`MISS_HEAVY_SMOKE_MIN`] at every thread count the host can run at
-/// once (≤ `cpus`). An over-subscribed point time-slices its threads on
-/// fewer cores, so its ratio measures the host's scheduler rather than
-/// the miss path; it is left out, as the 4x speedup target is unarmed
-/// below [`SPEEDUP_TARGET_MIN_CPUS`]. `--check` on the committed report
-/// still holds every thread count.
-///
-/// Returns the failure, if any, and the `(threads, ratio)` points left
-/// out.
-pub fn miss_heavy_smoke(points: &[ScalePoint], cpus: usize) -> (Option<String>, Vec<(usize, f64)>) {
-    let mut skipped = Vec::new();
-    let mut worst: Option<(usize, f64)> = None;
-    for p in points.iter().filter(|p| p.cache_impl == "sharded") {
-        let Some(base) = points
-            .iter()
-            .find(|q| q.cache_impl == "baseline" && q.threads == p.threads)
-        else {
-            continue;
-        };
-        let ratio = p.ops_per_sec / base.ops_per_sec;
-        if p.threads > cpus {
-            skipped.push((p.threads, ratio));
-        } else if worst.is_none_or(|(_, w)| ratio < w) {
-            worst = Some((p.threads, ratio));
-        }
-    }
-    let failure = worst
-        .filter(|&(_, ratio)| ratio < MISS_HEAVY_SMOKE_MIN)
-        .map(|(threads, ratio)| {
-            format!(
-                "hit_permille=500: sharded/baseline ratio {ratio:.3} < {MISS_HEAVY_SMOKE_MIN:.2} \
-                 at {threads} thread(s) on a {cpus}-CPU host — the miss path is losing to the \
-                 single-mutex baseline"
-            )
-        });
-    (failure, skipped)
-}
-
-/// CPUs the benchmark process may actually run on.
-///
-/// Wall-clock *parallel* speedup is physically bounded by this: on a
-/// 1-CPU host, 8 threads time-slice one core and aggregate throughput
-/// can only reflect per-op efficiency, never parallel scaling. The gate
-/// therefore arms the 4x speedup target only when enough CPUs exist.
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Render the full report (all sweeps + summaries) as a JSON document.
+/// Render the full report (all points + summaries) as a JSON document.
 /// Hand-rolled: the workspace is hermetic, so no serde.
 pub fn to_json(
     sweeps: &[(Vec<ScalePoint>, ScaleSummary)],
     spans: &[SpanPoint],
     quick: bool,
-    cpus: usize,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"cache_scale\",\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"line_size\": {LINE_SIZE},\n"));
-    out.push_str(&format!("  \"host_cpus\": {cpus},\n"));
     out.push_str(&format!(
-        "  \"speedup_target_armed\": {},\n",
-        cpus >= SPEEDUP_TARGET_MIN_CPUS
+        "  \"targets\": {{ \"single_thread_ratio_min\": {SINGLE_THREAD_RATIO_MIN} }},\n"
     ));
-    out.push_str(
-        "  \"targets\": { \"speedup_top_min\": 4.0, \"single_thread_ratio_min\": 0.95, \
-         \"speedup_min_requires_cpus\": 8, \"miss_heavy_min_thread_ratio_min\": 1.0 },\n",
-    );
     out.push_str("  \"results\": [\n");
     let mut first = true;
     for (points, _) in sweeps {
@@ -790,15 +659,9 @@ pub fn to_json(
             }
             first = false;
             out.push_str(&format!(
-                "    {{ \"impl\": \"{}\", \"threads\": {}, \"hit_permille\": {}, \
-                 \"total_ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.1}, \"sim_ns\": {} }}",
-                p.cache_impl,
-                p.threads,
-                p.hit_permille,
-                p.total_ops,
-                p.elapsed_ns,
-                p.ops_per_sec,
-                p.sim_ns
+                "    {{ \"impl\": \"{}\", \"hit_permille\": {}, \"total_ops\": {}, \
+                 \"elapsed_ns\": {}, \"ops_per_sec\": {:.1}, \"sim_ns\": {} }}",
+                p.cache_impl, p.hit_permille, p.total_ops, p.elapsed_ns, p.ops_per_sec, p.sim_ns
             ));
         }
     }
@@ -808,15 +671,8 @@ pub fn to_json(
             out.push_str(",\n");
         }
         out.push_str(&format!(
-            "    {{ \"hit_permille\": {}, \"single_thread_ratio\": {:.3}, \
-             \"speedup_top\": {:.2}, \"top_threads\": {}, \"min_thread_ratio\": {:.3}, \
-             \"sim_ns_parity\": {} }}",
-            s.hit_permille,
-            s.single_thread_ratio,
-            s.speedup_top,
-            s.top_threads,
-            s.min_thread_ratio,
-            s.sim_ns_parity
+            "    {{ \"hit_permille\": {}, \"single_thread_ratio\": {:.3}, \"sim_ns_parity\": {} }}",
+            s.hit_permille, s.single_thread_ratio, s.sim_ns_parity
         ));
     }
     out.push_str("\n  ],\n  \"span_results\": [\n");
@@ -840,13 +696,11 @@ pub fn to_json(
 /// One `results[]` entry re-read from a report on disk.
 #[derive(Debug, Clone)]
 pub struct ParsedPoint {
-    /// Implementation name (`"sharded"` / `"baseline"`).
+    /// Implementation name (`"node_cache"` / `"baseline"`).
     pub cache_impl: String,
-    /// Worker threads driving the cache.
-    pub threads: usize,
     /// Hit-ratio target in permille.
     pub hit_permille: u64,
-    /// Aggregate throughput, operations per wall-clock second.
+    /// Throughput, operations per wall-clock second.
     pub ops_per_sec: f64,
     /// Total simulated nanoseconds charged.
     pub sim_ns: u64,
@@ -876,7 +730,6 @@ pub fn parse_report(json: &str) -> Result<ParsedReport, String> {
     for obj in crate::report::objects_with(json, "impl") {
         points.push(ParsedPoint {
             cache_impl: obj.str_field("impl")?,
-            threads: obj.usize_field("threads")?,
             hit_permille: obj.u64_field("hit_permille")?,
             ops_per_sec: obj.f64_field("ops_per_sec")?,
             sim_ns: obj.u64_field("sim_ns")?,
@@ -921,17 +774,17 @@ pub fn parse_span_points(json: &str) -> Result<Vec<SpanPoint>, String> {
 pub fn span_failures(spans: &[SpanPoint]) -> Vec<String> {
     let mut failures = Vec::new();
     let find = |name: &str| spans.iter().find(|p| p.cache_impl == name);
-    let (Some(sharded), Some(baseline)) = (find("sharded"), find("baseline")) else {
+    let (Some(node), Some(baseline)) = (find("node_cache"), find("baseline")) else {
         failures.push("report lacks the 4 KiB span point for both implementations".into());
         return failures;
     };
-    if sharded.sim_ns != baseline.sim_ns || sharded.sim_ns == 0 {
+    if node.sim_ns != baseline.sim_ns || node.sim_ns == 0 {
         failures.push(format!(
             "span point: sim_ns parity broken: {} vs {}",
-            sharded.sim_ns, baseline.sim_ns
+            node.sim_ns, baseline.sim_ns
         ));
     }
-    for p in [sharded, baseline] {
+    for p in [node, baseline] {
         if p.ns_per_line
             .iter()
             .any(|&ns| !(ns > 0.0 && ns.is_finite()))
@@ -950,12 +803,11 @@ pub fn span_failures(spans: &[SpanPoint]) -> Vec<String> {
 /// Recomputes every ratio from the raw points rather than trusting the
 /// report's own summary block. Requirements:
 ///
-/// * full (non-quick) run with a (sharded, baseline) pair at every
-///   (threads, hit ratio) point;
+/// * full (non-quick) run with a (node cache, baseline) pair at each of
+///   [`HIT_RATIOS`];
 /// * `sim_ns` parity between the implementations at every point;
-/// * miss-heavy sweep present (`hit_permille = 500`) and the sharded
-///   cache at least as fast as the baseline at **every** thread count
-///   there — including single-threaded (`single_thread_ratio ≥ 1.0`);
+/// * node-cache / baseline throughput at least
+///   [`SINGLE_THREAD_RATIO_MIN`] at every point;
 /// * the fixed 4 KiB-span point present for both implementations, with
 ///   `sim_ns` parity (see [`span_failures`]).
 ///
@@ -965,39 +817,33 @@ pub fn check_report(report: &ParsedReport) -> Vec<String> {
     if report.quick {
         failures.push("committed report must come from a full run, not --quick".into());
     }
-    let mut saw_miss_heavy = false;
-    for p in report.points.iter().filter(|p| p.cache_impl == "sharded") {
-        let Some(base) = report.points.iter().find(|q| {
-            q.cache_impl == "baseline" && q.threads == p.threads && q.hit_permille == p.hit_permille
-        }) else {
+    for hit_permille in HIT_RATIOS {
+        let find = |name: &str| {
+            report
+                .points
+                .iter()
+                .find(|p| p.cache_impl == name && p.hit_permille == hit_permille)
+        };
+        let (Some(node), Some(base)) = (find("node_cache"), find("baseline")) else {
             failures.push(format!(
-                "no baseline point pairs (threads={}, hit_permille={})",
-                p.threads, p.hit_permille
+                "report lacks a (node_cache, baseline) pair at hit_permille={hit_permille}"
             ));
             continue;
         };
-        if p.sim_ns != base.sim_ns {
+        if node.sim_ns != base.sim_ns {
             failures.push(format!(
-                "sim_ns parity broken at threads={}, hit_permille={}: {} vs {}",
-                p.threads, p.hit_permille, p.sim_ns, base.sim_ns
+                "sim_ns parity broken at hit_permille={hit_permille}: {} vs {}",
+                node.sim_ns, base.sim_ns
             ));
         }
-        if p.hit_permille == 500 {
-            saw_miss_heavy = true;
-            if p.ops_per_sec < base.ops_per_sec {
-                failures.push(format!(
-                    "miss-heavy sweep: sharded loses to baseline at {} thread(s) \
-                     ({:.0} vs {:.0} ops/s, ratio {:.3} < 1.0)",
-                    p.threads,
-                    p.ops_per_sec,
-                    base.ops_per_sec,
-                    p.ops_per_sec / base.ops_per_sec
-                ));
-            }
+        let ratio = node.ops_per_sec / base.ops_per_sec;
+        if ratio < SINGLE_THREAD_RATIO_MIN {
+            failures.push(format!(
+                "hit_permille={hit_permille}: node cache loses to baseline \
+                 ({:.0} vs {:.0} ops/s, ratio {ratio:.3} < {SINGLE_THREAD_RATIO_MIN})",
+                node.ops_per_sec, base.ops_per_sec
+            ));
         }
-    }
-    if !saw_miss_heavy {
-        failures.push("report lacks the miss-heavy (hit_permille=500) sweep".into());
     }
     failures.extend(span_failures(&report.spans));
     failures
@@ -1012,50 +858,43 @@ mod tests {
         // The cost-model parity that makes the wall-clock comparison fair:
         // same deterministic op stream, same simulated charge.
         let cfg = ScaleConfig {
-            ops_per_thread: 2_000,
-            lines_per_thread: 64,
+            ops: 4_000,
+            lines: 128,
             hit_permille: 900,
             seed: 42,
             reps: 1,
         };
-        let sharded = run_point(&NodeCache::new(CacheConfig::default()), cfg, 2);
-        let baseline = run_point(
-            &BaselineCache::new(CacheConfig::default().max_lines),
-            cfg,
-            2,
-        );
-        assert_eq!(sharded.sim_ns, baseline.sim_ns);
-        assert_eq!(sharded.total_ops, baseline.total_ops);
-        assert!(sharded.sim_ns > 0);
+        let node = run_point(&NodeCache::new(CacheConfig::default()), cfg);
+        let baseline = run_point(&BaselineCache::new(CacheConfig::default().max_lines), cfg);
+        assert_eq!(node.sim_ns, baseline.sim_ns);
+        assert_eq!(node.total_ops, baseline.total_ops);
+        assert!(node.sim_ns > 0);
     }
 
     #[test]
     fn summary_reports_matched_pairs() {
         let cfg = ScaleConfig {
-            ops_per_thread: 500,
-            lines_per_thread: 32,
+            ops: 500,
+            lines: 32,
             hit_permille: 950,
             seed: 7,
             reps: 1,
         };
-        let points = run_sweep(cfg, &[1, 2]);
+        let points = run_pair(cfg);
         let s = summarize(&points);
         assert!(s.sim_ns_parity, "identical workloads must charge equally");
-        assert_eq!(s.top_threads, 2);
+        assert_eq!(s.hit_permille, 950);
         assert!(s.single_thread_ratio > 0.0);
         let spans = run_span_points(true);
-        let json = to_json(&[(points, s)], &spans, true, host_cpus());
+        let json = to_json(&[(points, s)], &spans, true);
         for field in [
             "\"bench\"",
+            "\"targets\"",
             "\"results\"",
             "\"summaries\"",
             "\"ops_per_sec\"",
             "\"single_thread_ratio\"",
-            "\"speedup_top\"",
-            "\"min_thread_ratio\"",
             "\"sim_ns_parity\"",
-            "\"host_cpus\"",
-            "\"speedup_target_armed\"",
             "\"span_results\"",
             "\"cold_read_ns_per_line\"",
         ] {
@@ -1065,13 +904,13 @@ mod tests {
 
     #[test]
     fn span_point_charges_identical_simulated_costs() {
-        // Whole-page spans through the sharded cache must cost what the
+        // Whole-page spans through the node cache must cost what the
         // line-at-a-time single-mutex port charges for the same sweep.
         let spans = run_span_points(true);
-        assert_eq!(spans[0].cache_impl, "sharded");
+        assert_eq!(spans[0].cache_impl, "node_cache");
         assert_eq!(spans[1].cache_impl, "baseline");
         assert_eq!(spans[0].sim_ns, spans[1].sim_ns);
-        let parsed = parse_span_points(&to_json(&[], &spans, true, 1)).unwrap();
+        let parsed = parse_span_points(&to_json(&[], &spans, true)).unwrap();
         assert_eq!(parsed[0].sim_ns, spans[0].sim_ns, "report roundtrip");
         assert_eq!(span_failures(&parsed), Vec::<String>::new());
         assert!(!span_failures(&parsed[..1]).is_empty(), "one impl missing");
@@ -1079,33 +918,33 @@ mod tests {
 
     /// Build a minimal synthetic report through the real writer so the
     /// parser/checker tests cover the actual on-disk shape.
-    fn synthetic_report(quick: bool, miss_heavy_sharded_ops: f64) -> String {
-        let mk = |cache_impl: &'static str, threads, hit_permille, ops| ScalePoint {
+    fn synthetic_report(quick: bool, miss_heavy_node_ops: f64) -> String {
+        let mk = |cache_impl: &'static str, hit_permille, ops| ScalePoint {
             cache_impl,
-            threads,
             hit_permille,
             total_ops: 1000,
             elapsed_ns: 1_000_000,
             ops_per_sec: ops,
             sim_ns: 5_000,
         };
-        let sweep500 = vec![
-            mk("sharded", 1, 500, miss_heavy_sharded_ops),
-            mk("baseline", 1, 500, 1_000.0),
-        ];
-        let sweep950 = vec![
-            mk("sharded", 1, 950, 2_000.0),
-            mk("baseline", 1, 950, 1_500.0),
-        ];
-        let s950 = summarize(&sweep950);
-        let s500 = summarize(&sweep500);
+        let sweeps = [
+            vec![mk("node_cache", 950, 2_000.0), mk("baseline", 950, 1_500.0)],
+            vec![
+                mk("node_cache", 500, miss_heavy_node_ops),
+                mk("baseline", 500, 1_000.0),
+            ],
+        ]
+        .map(|points| {
+            let s = summarize(&points);
+            (points, s)
+        });
         let span = |cache_impl: &str| SpanPoint {
             cache_impl: cache_impl.into(),
             ns_per_line: [50.0, 90.0, 30.0],
             sim_ns: 7_000,
         };
-        let spans = [span("sharded"), span("baseline")];
-        to_json(&[(sweep950, s950), (sweep500, s500)], &spans, quick, 1)
+        let spans = [span("node_cache"), span("baseline")];
+        to_json(&sweeps, &spans, quick)
     }
 
     #[test]
@@ -1115,7 +954,7 @@ mod tests {
         assert!(!parsed.quick);
         assert_eq!(parsed.points.len(), 4);
         let p = &parsed.points[2];
-        assert_eq!(p.cache_impl, "sharded");
+        assert_eq!(p.cache_impl, "node_cache");
         assert_eq!(p.hit_permille, 500);
         assert_eq!(p.sim_ns, 5_000);
         assert!((p.ops_per_sec - 1_100.0).abs() < 0.5);
@@ -1125,37 +964,9 @@ mod tests {
     fn check_report_accepts_winning_full_run() {
         let parsed = parse_report(&synthetic_report(false, 1_100.0)).unwrap();
         assert_eq!(check_report(&parsed), Vec::<String>::new());
-    }
-
-    #[test]
-    fn miss_heavy_smoke_gates_only_thread_counts_the_host_can_run() {
-        let mk = |cache_impl: &'static str, threads, ops| ScalePoint {
-            cache_impl,
-            threads,
-            hit_permille: 500,
-            total_ops: 1000,
-            elapsed_ns: 1_000_000,
-            ops_per_sec: ops,
-            sim_ns: 5_000,
-        };
-        let sweep = |sharded_at_4: f64| {
-            [1, 2, 4]
-                .map(|t| {
-                    let ops = if t == 4 { sharded_at_4 } else { 1_000.0 };
-                    [mk("sharded", t, ops), mk("baseline", t, 1_000.0)]
-                })
-                .concat()
-        };
-        // A losing over-subscribed point passes, and is reported skipped.
-        let (failure, skipped) = miss_heavy_smoke(&sweep(500.0), 2);
-        assert_eq!(failure, None);
-        assert_eq!(skipped, vec![(4, 0.5)]);
-        // The same loss at a thread count the host can run fails.
-        let (failure, skipped) = miss_heavy_smoke(&sweep(500.0), 4);
-        assert!(failure.is_some_and(|f| f.contains("0.500") && f.contains("4 thread")));
-        assert!(skipped.is_empty());
-        // Within tolerance passes everywhere.
-        assert_eq!(miss_heavy_smoke(&sweep(950.0), 4).0, None);
+        // Within the 5 % tolerance still passes.
+        let close = parse_report(&synthetic_report(false, 960.0)).unwrap();
+        assert_eq!(check_report(&close), Vec::<String>::new());
     }
 
     #[test]
@@ -1163,7 +974,9 @@ mod tests {
         let losing = parse_report(&synthetic_report(false, 900.0)).unwrap();
         let failures = check_report(&losing);
         assert!(
-            failures.iter().any(|f| f.contains("loses to baseline")),
+            failures
+                .iter()
+                .any(|f| f.contains("hit_permille=500") && f.contains("loses to baseline")),
             "expected a miss-heavy loss failure, got {failures:?}"
         );
 
@@ -1174,7 +987,13 @@ mod tests {
         no_miss_heavy.points.retain(|p| p.hit_permille != 500);
         assert!(check_report(&no_miss_heavy)
             .iter()
-            .any(|f| f.contains("miss-heavy")));
+            .any(|f| f.contains("pair at hit_permille=500")));
+
+        let mut sim_mismatch = parse_report(&synthetic_report(false, 1_100.0)).unwrap();
+        sim_mismatch.points[0].sim_ns += 1;
+        assert!(check_report(&sim_mismatch)
+            .iter()
+            .any(|f| f.contains("parity broken at hit_permille=950")));
 
         let mut span_mismatch = parse_report(&synthetic_report(false, 1_100.0)).unwrap();
         span_mismatch.spans[0].sim_ns += 1;

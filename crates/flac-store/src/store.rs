@@ -11,8 +11,7 @@
 //! chunks resident rack-wide". Chunks already present cost a batched
 //! index read; chunks nobody holds are claimed, fetched and committed
 //! by this node; chunks another node is mid-fetch on are *waited for*
-//! (fill coalescing — the same discipline the node cache uses for
-//! single-flight fills) and charged one cache hit, not a download.
+//! (fetch coalescing) and charged one cache hit, not a download.
 //!
 //! Crash safety: a fetcher that dies mid-fetch leaves `Fetching`
 //! entries in the index. [`ChunkStore`] implements
@@ -161,7 +160,7 @@ pub struct ChunkStore {
     // waiting; the rack-visible protocol state is the SyncCell index,
     // and waiters re-validate against it (charged) before returning.
     fill_epoch: Mutex<u64>,
-    fill_cv: Condvar,
+    fetch_cv: Condvar,
     stats: StatCells,
 }
 
@@ -202,7 +201,7 @@ impl ChunkStore {
             dedup,
             claim_batch: cfg.claim_batch,
             fill_epoch: Mutex::new(0),
-            fill_cv: Condvar::new(),
+            fetch_cv: Condvar::new(),
             stats: StatCells::default(),
         }))
     }
@@ -238,7 +237,7 @@ impl ChunkStore {
     fn notify_fills(&self) {
         let mut epoch = self.fill_epoch.lock();
         *epoch += 1;
-        self.fill_cv.notify_all();
+        self.fetch_cv.notify_all();
     }
 
     /// Claim fetch ownership of `hashes`. One batched index read
@@ -405,7 +404,7 @@ impl ChunkStore {
                     .any(|&h| matches!(s.get(h), Some(ChunkState::Fetching { .. })))
             });
             if still_in_flight {
-                drop(self.fill_cv.wait(guard));
+                drop(self.fetch_cv.wait(guard));
             }
         }
     }

@@ -5,7 +5,6 @@
 //! tree."* Each structure is built on one of the lock-free families,
 //! chosen to match its access pattern:
 //!
-//! * [`vector::SharedVec`] — replication-based (read-mostly sequences).
 //! * [`hashmap::ReplicatedKv`] — replication-based map; reads stay local.
 //! * [`hashmap::DelegatedKvSim`] — delegation-based partitioned map;
 //!   write-heavy workloads ship ops to partition owners.
@@ -17,9 +16,7 @@
 pub mod hashmap;
 pub mod radix;
 pub mod ringbuf;
-pub mod vector;
 
 pub use hashmap::{DelegatedKvSim, KvService, ReplicatedKv};
 pub use radix::RadixTree;
 pub use ringbuf::SpscRing;
-pub use vector::SharedVec;

@@ -1040,7 +1040,7 @@ mod tests {
             let c = cell(&rack, policy);
             c.update(&rack.node(0), &ins(1, 1)).unwrap();
             let n1 = rack.node(1);
-            c.read(&n1, |_| ()).unwrap(); // settle watermarks
+            c.read(&n1, |_| ()).unwrap(); // advance the watermarks
             let t0 = n1.clock().now();
             if read {
                 c.read(&n1, |_| ()).unwrap();

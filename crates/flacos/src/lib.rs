@@ -37,14 +37,12 @@
 //! | This crate: boot, node OS instances, processes, scheduling | — |
 
 pub mod boot;
-pub mod ipi;
 pub mod node_os;
 pub mod process;
 pub mod rack;
 pub mod scheduler;
 
 pub use boot::BootTable;
-pub use ipi::RackIpi;
 pub use node_os::NodeOs;
 pub use process::{Process, ProcessState};
 pub use rack::FlacRack;

@@ -93,9 +93,9 @@ pub struct GlobalMemory {
     /// locked set. Every access path checks this relaxed atomic first, so
     /// the common no-poison case never touches the `poisoned_words` lock —
     /// line fills from every node's cache funnel through here, and taking
-    /// a shared `RwLock` per fill serialized exactly the path the sharded
-    /// caches parallelize. (A poison racing an access may land either
-    /// before or after it, as on real hardware.)
+    /// a shared `RwLock` per fill would put every node's fills behind one
+    /// lock. (A poison racing an access may land either before or after
+    /// it, as on real hardware.)
     poison_count: AtomicUsize,
     poisoned_words: RwLock<HashSet<usize>>,
     /// Debug-only proof that the fast path works: every acquisition of
@@ -103,12 +103,6 @@ pub struct GlobalMemory {
     /// assert the clean case takes the lock exactly zero times.
     #[cfg(debug_assertions)]
     poison_lock_acquires: AtomicU64,
-    /// Debug-only test seam: when non-zero, `read_bytes`/`write_bytes`
-    /// sleep this many wall-clock nanoseconds, making in-flight fabric
-    /// operations observable to deterministic concurrency tests
-    /// (single-flight fill coalescing, eviction-writeback overlap).
-    #[cfg(debug_assertions)]
-    fabric_delay_ns: AtomicU64,
 }
 
 impl fmt::Debug for GlobalMemory {
@@ -136,8 +130,6 @@ impl GlobalMemory {
             poisoned_words: RwLock::new(HashSet::new()),
             #[cfg(debug_assertions)]
             poison_lock_acquires: AtomicU64::new(0),
-            #[cfg(debug_assertions)]
-            fabric_delay_ns: AtomicU64::new(0),
         }
     }
 
@@ -154,26 +146,6 @@ impl GlobalMemory {
     #[cfg(debug_assertions)]
     pub fn poison_lock_acquisitions(&self) -> u64 {
         self.poison_lock_acquires.load(Ordering::Relaxed)
-    }
-
-    /// Debug-only test seam: make every subsequent `read_bytes`/
-    /// `write_bytes` sleep `ns` wall-clock nanoseconds, so concurrency
-    /// tests can observe an in-flight fabric operation deterministically.
-    #[cfg(debug_assertions)]
-    pub fn set_fabric_delay_for_tests(&self, ns: u64) {
-        self.fabric_delay_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// Apply the debug-only fabric delay (no-op in release builds).
-    #[inline]
-    fn fabric_delay(&self) {
-        #[cfg(debug_assertions)]
-        {
-            let ns = self.fabric_delay_ns.load(Ordering::Relaxed);
-            if ns > 0 {
-                std::thread::sleep(std::time::Duration::from_nanos(ns));
-            }
-        }
     }
 
     /// Total capacity in bytes.
@@ -340,7 +312,6 @@ impl GlobalMemory {
         if buf.is_empty() {
             return Ok(());
         }
-        self.fabric_delay();
         let first = addr.word_index();
         let last = GAddr(addr.0 + buf.len() as u64 - 1).word_index();
         self.check_poison(first, last)?;
@@ -385,7 +356,6 @@ impl GlobalMemory {
         if buf.is_empty() {
             return Ok(());
         }
-        self.fabric_delay();
         let first = addr.word_index();
         let last = GAddr(addr.0 + buf.len() as u64 - 1).word_index();
         self.check_poison(first, last)?;

@@ -28,8 +28,7 @@ pub struct NodeCtx {
     id: NodeId,
     global: Arc<GlobalMemory>,
     local: LocalMemory,
-    /// Sharded internally (per-bank locks): threads touching different
-    /// banks proceed concurrently, so no node-wide mutex is needed here.
+    /// Locked internally, one lock per cache, so no mutex is needed here.
     cache: NodeCache,
     clock: SimClock,
     latency: Arc<LatencyModel>,
@@ -51,7 +50,7 @@ impl NodeCtx {
     ) -> Self {
         let cache = NodeCache::new(cache_config);
         let stats = NodeStats::new();
-        // The stats handle reads the cache's per-bank counters directly;
+        // The stats handle reads the cache's counters directly;
         // no publish/copy step runs on the access path.
         stats.attach_cache(cache.stats_cells());
         NodeCtx {
@@ -251,7 +250,7 @@ impl NodeCtx {
     }
 
     /// Cache behaviour counters for this node (lock-free snapshot of the
-    /// per-bank atomics).
+    /// cache's atomics).
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
         self.cache.stats()
     }

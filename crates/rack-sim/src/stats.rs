@@ -26,7 +26,7 @@ pub struct NodeStats {
 #[derive(Debug, Default)]
 struct Inner {
     counters: Counters,
-    /// Shared handle to the node cache's per-bank atomic counters,
+    /// Shared handle to the node cache's atomic counters,
     /// attached once by the owning `NodeCtx`. Snapshots read the cache's
     /// own cells; nothing is copied or published on the access path.
     cache: OnceLock<Arc<crate::cache::CacheStatsCells>>,
@@ -82,9 +82,8 @@ pub struct StatsSnapshot {
     pub cache_invalidations: u64,
     /// Lines evicted for capacity.
     pub cache_evictions: u64,
-    /// Hits that cost-shared another thread's in-flight line fill
-    /// instead of issuing a duplicate fabric read (subset of
-    /// `cache_hits`).
+    /// Hits that waited on another thread's in-flight line fill; always
+    /// 0, since the node cache completes every fill under its lock.
     pub cache_coalesced_fills: u64,
     /// Per-cost-class latency histograms, indexed by [`CostClass::index`].
     pub histograms: [HistogramSnapshot; CostClass::ALL.len()],

@@ -9,7 +9,6 @@
 //! state guarded by these locks is valid under inner-mutation at any
 //! point (counters, queues, maps), so clearing poison is sound.
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{self, LockResult, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 fn unpoison<G>(result: LockResult<G>) -> G {
@@ -156,77 +155,6 @@ impl Condvar {
     }
 }
 
-/// A seqlock sequence counter: the optimistic-concurrency half of a
-/// seqlock, used by the node cache's lock-free read-hit path.
-///
-/// Writers (who are serialized externally, e.g. by a bank mutex) bracket
-/// every mutation of the protected data with
-/// [`SeqCount::write_begin`]/[`SeqCount::write_end`], leaving the counter
-/// odd while a write is in flight. Readers sample the counter with
-/// [`SeqCount::read_begin`], copy the data out of atomics (so torn
-/// *words* are impossible and the protocol is safe Rust), and accept the
-/// copy only if [`SeqCount::read_validate`] confirms no writer ran
-/// concurrently. A failed validation means "retry or fall back to the
-/// lock", never corruption.
-#[derive(Debug, Default)]
-pub struct SeqCount {
-    seq: AtomicU64,
-}
-
-impl SeqCount {
-    /// A new counter in the stable (even) state.
-    pub const fn new() -> Self {
-        SeqCount {
-            seq: AtomicU64::new(0),
-        }
-    }
-
-    /// Sample the counter before an optimistic read. Returns `None` when a
-    /// write is in flight (odd count) — callers should retry or fall back.
-    #[inline]
-    pub fn read_begin(&self) -> Option<u64> {
-        let s = self.seq.load(Ordering::Acquire);
-        if s & 1 == 1 {
-            None
-        } else {
-            Some(s)
-        }
-    }
-
-    /// Validate an optimistic read begun at `begin`. Must be called after
-    /// every protected load; `true` means no writer ran in between.
-    #[inline]
-    pub fn read_validate(&self, begin: u64) -> bool {
-        fence(Ordering::Acquire);
-        self.seq.load(Ordering::Relaxed) == begin
-    }
-
-    /// Enter the write-in-flight (odd) state. The caller must hold the
-    /// external writer lock; nested `write_begin` is a logic error.
-    #[inline]
-    pub fn write_begin(&self) {
-        let s = self.seq.load(Ordering::Relaxed);
-        debug_assert_eq!(s & 1, 0, "nested SeqCount::write_begin");
-        self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-    }
-
-    /// Leave the write-in-flight state, publishing the mutation.
-    #[inline]
-    pub fn write_end(&self) {
-        let s = self.seq.load(Ordering::Relaxed);
-        debug_assert_eq!(s & 1, 1, "SeqCount::write_end without write_begin");
-        self.seq.store(s.wrapping_add(1), Ordering::Release);
-    }
-
-    /// The current raw count (even = stable). Lets writers detect whether
-    /// protected data changed between two locked inspections.
-    #[inline]
-    pub fn current(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,21 +183,6 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(g);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn seqcount_read_write_protocol() {
-        let s = SeqCount::new();
-        let r = s.read_begin().expect("stable counter readable");
-        assert!(s.read_validate(r), "no writer ran");
-        s.write_begin();
-        assert!(s.read_begin().is_none(), "odd count rejects readers");
-        assert!(!s.read_validate(r), "in-flight write invalidates");
-        s.write_end();
-        assert!(!s.read_validate(r), "completed write invalidates");
-        let r2 = s.read_begin().unwrap();
-        assert_eq!(r2, r + 2);
-        assert!(s.read_validate(r2));
     }
 
     #[test]

@@ -16,22 +16,14 @@
 # paths must hold the `Counter` from `CounterRegistry::counter` instead;
 # debug builds additionally enforce a per-counter call budget at runtime.
 #
-# Third check: the node cache must never perform a fabric access
-# (`read_bytes`/`write_bytes`) while lexically inside a `.lock()` scope
-# in crates/rack-sim/src/cache.rs — holding a bank lock across a
-# fabric-latency operation is exactly the serialization this module was
-# rebuilt to remove (debug builds also enforce it dynamically via the
-# lockdep counter). Escape hatch: annotate the call, or one of the three
-# preceding lines, with `// fill-publish: <why>`.
-#
-# Fourth check: outside crates/flacdk, a direct `SharedOpLog::append`
+# Third check: outside crates/flacdk, a direct `SharedOpLog::append`
 # bypasses the flat-combining batcher and pays one interconnect CAS per
 # op — the exact serialization the node-replicated tier amortizes away.
 # Any `.append(` call in a non-flacdk file that names `SharedOpLog` must
 # carry a `// single-op: <why>` annotation (same 3-line lookback);
 # `append_batch` is the blessed path and never flagged.
 #
-# Fifth check: outside flacos-mem (where the primitive lives), the
+# Fourth check: outside flacos-mem (where the primitive lives), the
 # tiering/OS crates must not issue page-at-a-time TLB shootdowns — a
 # loop of `begin_shootdown`/`shootdown_stepped` over the 512 contiguous
 # vpns of a 2 MiB region pays 512 broadcast/ack rounds where one
@@ -39,7 +31,7 @@
 # crates/flacos needs a `// single-page: <why>` annotation (same 3-line
 # lookback) arguing the vpns are genuinely non-contiguous.
 #
-# Sixth check: every log walk in the sync cell reads whole contiguous
+# Fifth check: every log walk in the sync cell reads whole contiguous
 # runs (`SharedOpLog::read_range`: one invalidate + one burst read per
 # run) — the authoritative fold and the crash-recovery drain, the
 # combiner-takeover dedup search, replica catch-up and `replay`. A
@@ -85,46 +77,6 @@ while IFS=: read -r file line text; do
     fail=1
 done < <(grep -rn --include='*.rs' -F 'registry().add(' crates/flacdk/src crates/flacos-fs/src crates/flacos-ipc/src crates/flacos-mem/src crates/flacos-fault/src crates/flacos-tier/src crates/flacos/src 2>/dev/null || true)
 
-# Lexical scope scan for check 3: tracks brace depth, treats a
-# `.lock()`/`.try_lock()` call as acquiring a guard that lives until its
-# enclosing block closes or an explicit `drop(...)` releases it, and
-# flags `read_bytes`/`write_bytes` calls while any guard is live. A
-# lexical approximation, deliberately conservative: the dynamic lockdep
-# assertion in debug builds is the precise backstop.
-check_fabric_under_lock() {
-    awk '
-    function stripped(s) {
-        gsub(/"[^"]*"/, "\"\"", s)
-        sub(/\/\/.*$/, "", s)
-        return s
-    }
-    {
-        raw[NR] = $0
-        line = stripped($0)
-        if (nguards > 0 && line ~ /(read_bytes|write_bytes)[ \t]*\(/) {
-            ok = 0
-            for (j = NR - 3; j <= NR; j++)
-                if (j >= 1 && raw[j] ~ /fill-publish:/) ok = 1
-            if (!ok) {
-                printf "lint_sync: %s:%d: fabric access lexically inside a .lock() scope: %s\n", \
-                    FILENAME, NR, $0 > "/dev/stderr"
-                bad = 1
-            }
-        }
-        if (line ~ /drop\(/ && nguards > 0) nguards--
-        if (line ~ /\.(try_)?lock\(\)/) { nguards++; gdepth[nguards] = depth }
-        depth += gsub(/{/, "{", line)
-        depth -= gsub(/}/, "}", line)
-        while (nguards > 0 && gdepth[nguards] > depth) nguards--
-    }
-    END { exit bad }
-    ' "$1"
-}
-
-if ! check_fabric_under_lock crates/rack-sim/src/cache.rs; then
-    fail=1
-fi
-
 while IFS=: read -r file line text; do
     stripped="${text#"${text%%[![:space:]]*}"}"
     case "$stripped" in
@@ -162,7 +114,7 @@ while IFS=: read -r file line text; do
     fail=1
 done < <(grep -rn --include='*.rs' -E '(begin_shootdown|shootdown_stepped)\(' crates/flacos-tier/src crates/flacos/src 2>/dev/null || true)
 
-# Check 6: no per-entry log read anywhere in the two files (comment
+# Check 5: no per-entry log read anywhere in the two files (comment
 # lines skipped).
 for file in crates/flacdk/src/sync/cell/mod.rs crates/flacdk/src/sync/cell/node_replicated.rs; do
     while IFS=: read -r line text; do
@@ -180,8 +132,6 @@ if [ "$fail" -ne 0 ]; then
     echo "lint_sync: or annotate the declaration with '// coherent-local: <why>'." >&2
     echo "lint_sync: for registry().add, hold a Counter handle on hot paths" >&2
     echo "lint_sync: or annotate the call with '// cold-path: <why>'." >&2
-    echo "lint_sync: for fabric-under-lock, stage the bytes and drop the" >&2
-    echo "lint_sync: bank guard first, or annotate '// fill-publish: <why>'." >&2
     echo "lint_sync: for SharedOpLog::append outside flacdk, batch through" >&2
     echo "lint_sync: append_batch/nr_publish_batch or annotate '// single-op: <why>'." >&2
     echo "lint_sync: for page-at-a-time shootdowns, use the *_range variant" >&2

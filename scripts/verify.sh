@@ -23,11 +23,11 @@ cargo test -q --offline --workspace
 echo "== bench targets compile (offline, feature-gated) =="
 cargo build --offline -p bench --benches --features criterion
 
-echo "== cache-scale smoke (~1 s wall-clock gate, JSON shape + regressions) =="
+echo "== cache-scale smoke (~1 s wall-clock gate, JSON shape + cost parity) =="
 cargo run --release --offline -p bench --bin cache-scale -- \
     --quick --out target/BENCH_cache.quick.json --gate
 
-echo "== committed BENCH_cache.json honors the miss-heavy acceptance targets =="
+echo "== committed BENCH_cache.json honors the single-thread acceptance target =="
 cargo run --release --offline -p bench --bin cache-scale -- --check BENCH_cache.json
 
 echo "== serve-scale smoke (open-loop loadgen gate, JSON shape + invariants) =="
