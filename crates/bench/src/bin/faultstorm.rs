@@ -14,8 +14,9 @@
 //!   migrations under crashes; old copy stays authoritative)
 //! * `--sync`     — run the sync-cell campaigns instead: the delegated
 //!   cell under owner crashes, then the node-replicated cell with
-//!   combiners killed mid-batch (both fatal windows); no committed or
-//!   published update lost or double-applied, log replay exact
+//!   combiners killed mid-batch (both fatal windows) and publishers
+//!   killed before their summary bit; no committed or published update
+//!   lost or double-applied, log replay exact
 //! * `--store`    — run the chunk-store campaign instead (cold starts
 //!   under fetcher crashes; no chunk ever downloaded twice, index
 //!   consistent and replay-exact after the heal)
@@ -134,7 +135,7 @@ fn run_sync(seeds: u64, base_seed: u64, steps: u32, verify: bool) -> u64 {
             run_sync_campaign as fn(u64, u32) -> SyncSurvivalReport,
         ),
         (
-            "node-replicated cell (combiners killed mid-batch)",
+            "node-replicated cell (combiners and publishers killed mid-batch)",
             run_nr_sync_campaign as fn(u64, u32) -> SyncSurvivalReport,
         ),
     ] {

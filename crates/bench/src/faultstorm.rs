@@ -1204,19 +1204,24 @@ pub fn run_sync_campaign(seed: u64, steps: u32) -> SyncSurvivalReport {
 /// ([`flacdk::sync::SyncCell::nr_publish`] →
 /// [`flacdk::sync::SyncCell::nr_combine`] →
 /// [`flacdk::sync::SyncCell::nr_poll`]), and on a seeded schedule the
-/// campaign kills a combiner **mid-batch** — in both fatal windows:
+/// campaign kills a combiner **mid-batch** — in both fatal windows —
+/// or a publisher mid-publication:
 ///
 /// * *before the tail CAS* — the role is claimed and the slots are
 ///   drained, but nothing committed; re-election must commit every
 ///   stranded publication exactly once;
 /// * *after the append* — the batch is committed but no slot was
 ///   consumed and the role never released; re-election must dedup
-///   against the committed window and **not** double-apply.
+///   against the committed window and **not** double-apply;
+/// * *before the mask bit* — a publisher flushed its slot but died
+///   before raising its summary bit; recovery must commit that slot
+///   exactly once and leave the summary mask clear.
 ///
 /// After every recovery the stranded publishers' polls must return a
-/// log index (no published op lost), and the cell must hold exactly
-/// the model's ops (no double-apply). The storm's own node crashes and
-/// restarts run underneath throughout. Invariants 1–3 match
+/// log index (no published op lost), the cell must hold exactly the
+/// model's ops (no double-apply) and the summary mask must be clear.
+/// The storm's own node crashes and restarts run underneath
+/// throughout. Invariants 1–3 match
 /// [`run_sync_campaign`]; `reelections` counts combiner re-elections.
 ///
 /// # Panics
@@ -1264,10 +1269,13 @@ pub fn run_nr_sync_campaign(seed: u64, steps: u32) -> SyncSurvivalReport {
         StormOp::Workload => {
             let live_nodes: Vec<usize> = (0..n).filter(|&k| live[k]).collect();
             // Every third workload step with enough live actors stages a
-            // mid-batch combiner crash instead of a clean round.
+            // mid-batch combiner or mid-publication publisher crash
+            // instead of a clean round.
             if step % 3 == 2 && live_nodes.len() >= 4 {
                 // Two publishers strand ops, a victim claims the role
-                // and dies in one of the two fatal windows.
+                // and dies in one of the two fatal windows, or publishes
+                // and dies before raising its summary bit.
+                let window = (step / 3) % 3;
                 let publishers = [live_nodes[0], live_nodes[1]];
                 let victim = *live_nodes.last().expect("nonempty");
                 for &p in &publishers {
@@ -1279,15 +1287,15 @@ pub fn run_nr_sync_campaign(seed: u64, steps: u32) -> SyncSurvivalReport {
                         }
                     }
                 }
-                let before_cas = step % 2 == 0;
-                let armed = if before_cas {
-                    cell.nr_combine_crash_before_append(&rack.node(victim))
-                } else {
-                    cell.nr_combine_crash_after_append(&rack.node(victim))
+                let victim_ctx = rack.node(victim);
+                let armed = match window {
+                    0 => cell.nr_combine_crash_before_append(&victim_ctx),
+                    1 => cell.nr_combine_crash_after_append(&victim_ctx),
+                    _ => cell.nr_publish_crash_before_mask(&victim_ctx, &sync_op(victim, step)),
                 };
                 if let Err(e) = armed {
-                    violations.push(format!("step {step}: combiner claim failed: {e}"));
-                    return format!("mid-batch stage failed: claim on n{victim}: {e}");
+                    violations.push(format!("step {step}: crash stage failed on n{victim}: {e}"));
+                    return format!("mid-batch stage failed on n{victim}: {e}");
                 }
                 rack.faults().crash_node(NodeId(victim), u64::from(step));
                 live[victim] = false;
@@ -1296,10 +1304,23 @@ pub fn run_nr_sync_campaign(seed: u64, steps: u32) -> SyncSurvivalReport {
                     violations.push(format!("step {step}: mid-batch recovery failed: {e}"));
                     return format!("mid-batch recovery FAILED: {e}");
                 }
-                reelections += 1;
+                let mut stranded = publishers.to_vec();
+                if window < 2 {
+                    reelections += 1;
+                } else {
+                    stranded.push(victim);
+                }
+                match cell.summary_mask().load(&rack.node(rescuer)) {
+                    Ok(0) => {}
+                    mask => violations.push(format!(
+                        "step {step}: summary mask {mask:?} after recovery, expected 0"
+                    )),
+                }
+                rack.faults().restart_node(NodeId(victim), u64::from(step));
+                live[victim] = true;
                 // Every stranded publication must have landed exactly
                 // once; the poll hands back its committed index.
-                for &p in &publishers {
+                for &p in &stranded {
                     match cell.nr_poll(&rack.node(p)) {
                         Ok(Some(idx)) => {
                             model.push((idx, (p as u32, step)));
@@ -1319,17 +1340,15 @@ pub fn run_nr_sync_campaign(seed: u64, steps: u32) -> SyncSurvivalReport {
                         model.len()
                     ));
                 }
-                rack.faults().restart_node(NodeId(victim), u64::from(step));
-                live[victim] = true;
+                let (who, when) = match window {
+                    0 => ("combiner", "mid-batch (before tail CAS)"),
+                    1 => ("combiner", "mid-batch (after append)"),
+                    _ => ("publisher", "mid-publication (before mask bit)"),
+                };
                 format!(
-                    "combiner n{victim} died mid-batch ({}); n{rescuer} re-elected, \
-                     {} stranded ops recovered, {seen} total",
-                    if before_cas {
-                        "before tail CAS"
-                    } else {
-                        "after append"
-                    },
-                    publishers.len()
+                    "{who} n{victim} died {when}; n{rescuer} recovered {} stranded ops, \
+                     {seen} total",
+                    stranded.len()
                 )
             } else {
                 // Clean round: round-robin publisher, a different live
@@ -1909,15 +1928,18 @@ mod tests {
     #[test]
     fn nr_seed_sweep_kills_combiners_in_both_windows() {
         // Both fatal windows — before the tail CAS and after the append
-        // — must fire across a small seed sweep, and no published op
-        // may be lost or double-applied in either.
-        let mut mid_batch = 0u64;
+        // — must fire across a small seed sweep, and so must a publisher
+        // dying before its mask bit; no published op may be lost or
+        // double-applied in any of them.
+        let (mut mid_batch, mut unflagged) = (0u64, 0usize);
         for seed in 1..=6 {
             let r = run_nr_sync_campaign(seed, 60);
             assert!(r.survived(), "seed {seed} violations: {:?}", r.violations);
             mid_batch += r.reelections;
+            unflagged += r.log_text.matches("(before mask bit)").count();
         }
         assert!(mid_batch >= 2, "mid-batch combiner deaths barely fired");
+        assert!(unflagged >= 1, "no publisher died before its mask bit");
     }
 
     #[test]

@@ -121,8 +121,7 @@ impl CheckpointManager {
         base: Option<&Checkpoint>,
         objects: &[(u64, GAddr, usize)],
     ) -> Result<Checkpoint, SimError> {
-        let pin = self.epochs.pin(ctx)?;
-        let epoch = self.epochs.current(ctx)?;
+        let (pin, epoch) = self.epochs.pin(ctx)?;
         let mut ckpt = Checkpoint {
             entries: BTreeMap::new(),
             epoch,

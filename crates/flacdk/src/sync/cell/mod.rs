@@ -435,6 +435,12 @@ impl<T: SyncState> SyncCell<T> {
         self.log
     }
 
+    /// The node-replicated summary mask (bit n = node n has a pending
+    /// publication), for diagnostics and tests that check it settles.
+    pub fn summary_mask(&self) -> GlobalCell {
+        self.pending_mask
+    }
+
     fn me(&self, ctx: &NodeCtx) -> usize {
         let id = ctx.id().0;
         assert!(

@@ -29,11 +29,11 @@
 //! `PENDING` slot — one invalidate and one burst read over the span from
 //! the first to the last flagged slot, not a round trip per slot — and
 //! appends the whole batch with **one** fabric CAS on the log tail
-//! ([`SharedOpLog::append_batch`]), then folds the batch into the
-//! authoritative state and marks each drained slot
+//! ([`SharedOpLog::append_batch`]), then marks each drained slot
 //! `CONSUMED | first idx << 8` so its publisher learns where its ops
-//! landed (a slot's ops occupy consecutive log indices); one flush over
-//! the slot span makes all the marks visible.
+//! landed (a slot's ops occupy consecutive log indices) — one flush over
+//! the slot span makes all the marks visible — and only then folds the
+//! batch into the authoritative state.
 //! An updating node tries the claim *first*: the winner's own op rides
 //! the batch straight from memory and is never published at all. Losers
 //! publish, then alternate between polling their slot and re-trying the
@@ -56,14 +56,18 @@
 //! A combiner can die in the window between draining slots and the tail
 //! CAS (nothing committed — slots still `PENDING`) or after the batch
 //! landed but before consuming the slots (committed — re-appending
-//! would double-apply). [`SyncCell::on_node_crash`] therefore re-elects
-//! a combiner with a CAS on the claim word and drains every `PENDING`
-//! slot **with dedup**: one range pass over the committed window looks
-//! up the `[node][seq]` frame of every publication's first op, and only
-//! unseen ops are re-appended. Recovery runs under the host mutex every
-//! append runs under, so that window holds no in-flight slot. The
-//! `nr_combine_crash_*` hooks expose exactly those two windows to
-//! `flac-faultstorm`.
+//! would double-apply). A publisher can die between its slot flush and
+//! its mask bit (a `PENDING` slot no mask scan flags).
+//! [`SyncCell::on_node_crash`] claims the combiner word — from free, or
+//! from the dead holder — and drains the flagged slots plus the dead
+//! node's own slot. Only a takeover can find a committed publication
+//! still `PENDING` (a combine marks its slots right after its append),
+//! so only a takeover searches the committed window: one range pass
+//! looks up the `[node][seq]` frame of every publication's first op,
+//! and only unseen ops are re-appended. Recovery runs under the host
+//! mutex every append runs under, so that window holds no in-flight
+//! slot. The `nr_combine_crash_*` and `nr_publish_crash_before_mask`
+//! hooks expose exactly those three windows to `flac-faultstorm`.
 //!
 //! [`SharedOpLog::append_batch`]: crate::sync::oplog::SharedOpLog::append_batch
 //! [`SharedOpLog::read_range`]: crate::sync::oplog::SharedOpLog::read_range
@@ -162,16 +166,24 @@ impl<T: SyncState> SyncCell<T> {
     /// the summary mask. A combiner that sees the bit sees the flushed
     /// slot.
     fn publish_slot(&self, ctx: &NodeCtx, node: usize, packed: &[u8]) -> Result<(), SimError> {
+        self.write_slot(ctx, node, packed)?;
+        self.pending_mask.fetch_add(ctx, 1 << node)?;
+        Ok(())
+    }
+
+    /// The first half of a publication: `PENDING`, length and payload
+    /// through the cache, then one flush.
+    fn write_slot(&self, ctx: &NodeCtx, node: usize, packed: &[u8]) -> Result<(), SimError> {
         let slot = self.slot_addr(node);
         ctx.write_u64(slot, SLOT_PENDING)?;
         ctx.write_u64(slot.offset(8), packed.len() as u64)?;
         ctx.write(slot.offset(16), packed)?;
         ctx.flush(slot, 16 + packed.len());
-        self.pending_mask.fetch_add(ctx, 1 << node)?;
         Ok(())
     }
 
-    /// Read one slot if it is `PENDING` (invalidate + cached reads).
+    /// Read one slot if it is `PENDING` (invalidate + cached reads): the
+    /// dead node's slot when no mask bit flags it.
     fn read_slot(&self, ctx: &NodeCtx, node: usize) -> Result<Option<Pending>, SimError> {
         let slot = self.slot_addr(node);
         ctx.invalidate(slot, self.slot_stride);
@@ -247,22 +259,6 @@ impl<T: SyncState> SyncCell<T> {
         Ok((out, bits))
     }
 
-    /// The recovery-path scan: every slot, mask ignored — a dead
-    /// combiner or publisher may have left the summary out of step with
-    /// the slots, so recovery trusts only the slots themselves.
-    fn scan_pending(&self, ctx: &NodeCtx, skip: Option<usize>) -> Result<Vec<Pending>, SimError> {
-        let mut out = Vec::new();
-        for node in 0..self.slot_locks.len() {
-            if Some(node) == skip {
-                continue;
-            }
-            if let Some(p) = self.read_slot(ctx, node)? {
-                out.push(p);
-            }
-        }
-        Ok(out)
-    }
-
     /// Clear resolved publication bits from the summary mask (wrapping
     /// subtract keeps concurrently-raised bits intact).
     fn clear_mask_bits(&self, ctx: &NodeCtx, bits: u64) -> Result<(), SimError> {
@@ -293,9 +289,9 @@ impl<T: SyncState> SyncCell<T> {
     }
 
     /// The combine: drain pending slots (plus the combiner's own unpub-
-    /// lished op), append the batch with one tail CAS, fold it into the
-    /// authoritative state, and mark the drained slots consumed. `f`
-    /// runs on the state right after the combiner's own op applies.
+    /// lished op), append the batch with one tail CAS, mark the drained
+    /// slots consumed, and fold the batch into the authoritative state.
+    /// `f` runs on the state right after the combiner's own op applies.
     /// Returns `(own op's index, f's output, ops combined)`.
     fn combine_locked<R>(
         &self,
@@ -320,6 +316,27 @@ impl<T: SyncState> SyncCell<T> {
                 return Err(e);
             }
         };
+        // Mark the slots before folding: once the batch is committed, no
+        // error on the fold may leave a committed publication `PENDING`
+        // (recovery searches the log for those only on a takeover). A
+        // publication's ops land consecutively; the consumed word carries
+        // the first index. The slot lines are resident from the scan, so
+        // these are cached writes.
+        let mut idx = first + u64::from(own.is_some());
+        for p in &pend {
+            ctx.write_u64(self.slot_addr(p.node), consumed_word(idx))?;
+            idx += p.ops.len() as u64;
+        }
+        // One flush makes every mark visible (`pend` is in node order).
+        // It also covers the unflagged slots in between: those were never
+        // written here, so they are clean and the flush only drops them.
+        if let (Some(lo), Some(hi)) = (pend.first(), pend.last()) {
+            ctx.flush(
+                self.slot_addr(lo.node),
+                (hi.node - lo.node) * self.slot_stride + 8,
+            );
+        }
+        self.clear_mask_bits(ctx, bits)?;
         // Fold committed entries older than the batch before the batch
         // itself, so log order and apply order agree.
         self.drain_to(ctx, &mut inner, first)?;
@@ -336,30 +353,14 @@ impl<T: SyncState> SyncCell<T> {
             out = Some(f(&inner.state));
             idx += 1;
         }
-        for p in &pend {
-            // A publication's ops land consecutively; the consumed word
-            // carries the first index. The slot line is resident from
-            // the scan, so this is a cached write.
-            ctx.write_u64(self.slot_addr(p.node), consumed_word(idx))?;
-            for framed in &p.ops {
-                if let Some((_, op)) = unframe(framed) {
-                    inner.state.apply(op);
-                    ctx.charge(ctx.latency().local_write_ns);
-                }
-                inner.applied = idx + 1;
-                idx += 1;
+        for framed in pend.iter().flat_map(|p| &p.ops) {
+            if let Some((_, op)) = unframe(framed) {
+                inner.state.apply(op);
+                ctx.charge(ctx.latency().local_write_ns);
             }
+            inner.applied = idx + 1;
+            idx += 1;
         }
-        // One flush makes every mark visible (`pend` is in node order).
-        // It also covers the unflagged slots in between: those were never
-        // written here, so they are clean and the flush only drops them.
-        if let (Some(lo), Some(hi)) = (pend.first(), pend.last()) {
-            ctx.flush(
-                self.slot_addr(lo.node),
-                (hi.node - lo.node) * self.slot_stride + 8,
-            );
-        }
-        self.clear_mask_bits(ctx, bits)?;
         Ok((own_idx, out, combined))
     }
 
@@ -592,57 +593,71 @@ impl<T: SyncState> SyncCell<T> {
         Ok(rep.applied)
     }
 
-    /// Combiner takeover after `crashed` died: claim the combiner word
-    /// (from the dead holder or from free), then drain every pending
-    /// publication with dedup against the committed window — a dead
-    /// combiner may have appended the batch before dying, and a blind
-    /// re-append would double-apply. Caller holds the host mutex and has
-    /// drained the committed tail. Returns whether a dead combiner was
-    /// actually replaced.
+    /// Recovery after `crashed` died: claim the combiner word, resolve
+    /// the pending publications, release, fold the new tail. Caller holds
+    /// the host mutex and has drained the committed tail. Returns whether
+    /// a dead combiner was actually replaced.
+    ///
+    /// The claim is `CAS(0 → me)` first; its return value names the
+    /// holder, so only a dead holder costs a second `CAS(dead → me)`. A
+    /// live holder elsewhere owns the slots and recovery leaves them.
     pub(super) fn nr_recover(
         &self,
         ctx: &NodeCtx,
         inner: &mut CellInner<T>,
         crashed: NodeId,
     ) -> Result<bool, SimError> {
-        let me = self.me(ctx);
+        let mine = self.me(ctx) as u64 + 1;
         let dead = crashed.0 as u64 + 1;
-        let holder = self.combiner.load(ctx)?;
-        let (claimed, reelected) = if holder == dead {
-            let won = self.combiner.compare_exchange(ctx, dead, me as u64 + 1)? == dead;
-            (won, won)
-        } else if holder == 0 {
-            (
-                self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? == 0,
-                false,
-            )
-        } else {
-            (false, false) // a live combiner elsewhere owns the slots
-        };
-        if reelected {
+        let holder = self.combiner.compare_exchange(ctx, 0, mine)?;
+        let takeover = holder == dead && self.combiner.compare_exchange(ctx, dead, mine)? == dead;
+        if takeover {
             // cold-path: re-election only fires after a combiner crash.
             ctx.stats().registry().add("sync", "reelections", 1);
-        }
-        if !claimed {
-            return Ok(reelected);
+        } else if holder != 0 {
+            return Ok(false);
         }
         self.note_combiner_claim(ctx);
-        let res = self.nr_recover_drain(ctx, inner);
+        let res = self.nr_recover_drain(ctx, crashed.0, takeover);
         let released = self.combiner.store(ctx, 0);
-        res?;
+        let tail = res?;
         released?;
-        Ok(reelected)
+        if let Some(tail) = tail {
+            self.drain_to(ctx, inner, tail)?;
+        }
+        Ok(takeover)
     }
 
-    /// The dedup drain: one range pass over the committed window finds
-    /// every pending publication that already landed, the unseen ones are
-    /// re-appended, then the state folds to the new tail.
-    fn nr_recover_drain(&self, ctx: &NodeCtx, inner: &mut CellInner<T>) -> Result<(), SimError> {
-        let pend = self.scan_pending(ctx, None)?;
-        if pend.is_empty() {
-            return Ok(());
+    /// Resolve the pending publications: the slots the summary mask
+    /// flags, plus the dead node's own slot when the mask scan did not
+    /// resolve it (a publisher that died between its flush and its mask
+    /// `fetch_add` never raises its bit; a live one still will, and a
+    /// later combine takes its slot). Only the bits the mask scan
+    /// resolved are cleared.
+    ///
+    /// On a `takeover` the dead combiner may have appended its batch
+    /// before dying, so one range pass over the committed window finds
+    /// the publications that already landed; only the unseen ones are
+    /// re-appended. From a free role nothing pending can be committed:
+    /// a combine marks its slots before anything after its append can
+    /// fail, so the search is skipped. Returns the new tail when
+    /// something was appended.
+    fn nr_recover_drain(
+        &self,
+        ctx: &NodeCtx,
+        dead: usize,
+        takeover: bool,
+    ) -> Result<Option<u64>, SimError> {
+        let (mut pend, bits) = self.scan_pending_masked(ctx, None)?;
+        if bits & (1 << dead) == 0 {
+            if let Some(p) = self.read_slot(ctx, dead)? {
+                let at = pend.partition_point(|q| q.node < dead);
+                pend.insert(at, p);
+            }
         }
-        let bits = pend.iter().fold(0u64, |b, p| b | 1 << p.node);
+        if pend.is_empty() {
+            return Ok(None);
+        }
         // Dedup on each publication's *first* op: a slot's ops were
         // appended together (the batch append is all-or-nothing and keeps
         // them adjacent), so either every op committed or none did.
@@ -659,7 +674,7 @@ impl<T: SyncState> SyncCell<T> {
         // key and stops once every key is found. The window is settled:
         // the caller holds the host mutex every append runs under.
         let mut unseen = keyed.len();
-        if unseen > 0 {
+        if takeover && unseen > 0 {
             let head = self.log.head(ctx)?;
             let tail = self.log.tail(ctx)?;
             self.log.read_range(ctx, head, tail, |idx, entry| {
@@ -685,8 +700,12 @@ impl<T: SyncState> SyncCell<T> {
                 None => fresh.push(p),
             }
         }
+        let mut tail = None;
         if !fresh.is_empty() {
-            let payloads: Vec<Vec<u8>> = fresh.iter().flat_map(|p| p.ops.iter().cloned()).collect();
+            let payloads: Vec<&[u8]> = fresh
+                .iter()
+                .flat_map(|p| p.ops.iter().map(Vec::as_slice))
+                .collect();
             match self.log.append_batch(ctx, &payloads) {
                 Ok(first) => {
                     let mut idx = first;
@@ -694,6 +713,7 @@ impl<T: SyncState> SyncCell<T> {
                         self.mark_consumed(ctx, p.node, idx)?;
                         idx += p.ops.len() as u64;
                     }
+                    tail = Some(idx);
                 }
                 Err(e) => {
                     self.abort_slots(ctx, &fresh)?;
@@ -703,8 +723,7 @@ impl<T: SyncState> SyncCell<T> {
             }
         }
         self.clear_mask_bits(ctx, bits)?;
-        let tail = self.log.tail(ctx)?;
-        self.drain_to(ctx, inner, tail)
+        Ok(tail)
     }
 
     // ----- split-protocol hooks (flac-faultstorm / flac-sync-scale) -----
@@ -733,11 +752,19 @@ impl<T: SyncState> SyncCell<T> {
     /// Protocol errors for an empty batch, an oversize op, or a batch
     /// exceeding the slot; memory errors are propagated.
     pub fn nr_publish_batch(&self, ctx: &NodeCtx, ops: &[&[u8]]) -> Result<Vec<u64>, SimError> {
+        let me = self.me(ctx);
+        let _publisher = self.slot_locks[me].lock();
+        let (keys, packed) = self.pack_publication(me, ops)?;
+        self.publish_slot(ctx, me, &packed)?;
+        Ok(keys)
+    }
+
+    /// Frame `ops` as `me`'s next publication: the per-op dedup keys and
+    /// the packed slot payload.
+    fn pack_publication(&self, me: usize, ops: &[&[u8]]) -> Result<(Vec<u64>, Vec<u8>), SimError> {
         if ops.is_empty() {
             return Err(SimError::Protocol("empty publication batch".into()));
         }
-        let me = self.me(ctx);
-        let _publisher = self.slot_locks[me].lock();
         let mut framed = Vec::with_capacity(ops.len());
         let mut keys = Vec::with_capacity(ops.len());
         for op in ops {
@@ -760,8 +787,7 @@ impl<T: SyncState> SyncCell<T> {
                 self.slot_stride - 16
             )));
         }
-        self.publish_slot(ctx, me, &packed)?;
-        Ok(keys)
+        Ok((keys, packed))
     }
 
     /// Claim the combiner role, run one full combine over the published
@@ -812,6 +838,23 @@ impl<T: SyncState> SyncCell<T> {
         Ok(None)
     }
 
+    /// Crash hook: the publisher writes and flushes `op` into its slot,
+    /// then dies **before raising its summary-mask bit**. The slot is
+    /// `PENDING` but no mask scan will ever flag it; only recovery for
+    /// this node reads it. Returns the publication's dedup key.
+    ///
+    /// # Errors
+    ///
+    /// As [`SyncCell::nr_publish`].
+    pub fn nr_publish_crash_before_mask(&self, ctx: &NodeCtx, op: &[u8]) -> Result<u64, SimError> {
+        let me = self.me(ctx);
+        let _publisher = self.slot_locks[me].lock();
+        let (keys, packed) = self.pack_publication(me, &[op])?;
+        self.write_slot(ctx, me, &packed)?;
+        // Crash: the mask `fetch_add` never runs.
+        Ok(keys[0])
+    }
+
     /// Crash hook: the combiner claims the role and scans the slots,
     /// then dies **before the tail CAS**. Nothing is committed; every
     /// publication stays `PENDING` and the combiner word stays claimed
@@ -825,7 +868,7 @@ impl<T: SyncState> SyncCell<T> {
         if self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? != 0 {
             return Err(SimError::Protocol("combiner role already claimed".into()));
         }
-        let pend = self.scan_pending(ctx, None)?;
+        let (pend, _) = self.scan_pending_masked(ctx, None)?;
         Ok(pend.iter().map(|p| p.ops.len() as u64).sum())
     }
 
@@ -844,11 +887,14 @@ impl<T: SyncState> SyncCell<T> {
         if self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? != 0 {
             return Err(SimError::Protocol("combiner role already claimed".into()));
         }
-        let pend = self.scan_pending(ctx, None)?;
+        let (pend, _) = self.scan_pending_masked(ctx, None)?;
         if pend.is_empty() {
             return Ok(0);
         }
-        let payloads: Vec<Vec<u8>> = pend.iter().flat_map(|p| p.ops.iter().cloned()).collect();
+        let payloads: Vec<&[u8]> = pend
+            .iter()
+            .flat_map(|p| p.ops.iter().map(Vec::as_slice))
+            .collect();
         self.log.append_batch(ctx, &payloads)?;
         // Crash: no slot consumed, no authoritative fold, role not
         // released.
@@ -1049,6 +1095,76 @@ mod tests {
         c.on_node_crash(&rack.node(0), rack_sim::NodeId(2)).unwrap();
         assert_eq!(c.committed(&rack.node(0)).unwrap(), 1);
         assert_eq!(c.peek(|t| t.per_node.clone()), vec![(2, 7)]);
+    }
+
+    #[test]
+    fn publisher_dead_before_its_mask_bit_drains_once_and_clears_the_mask() {
+        let rack = Rack::new(RackConfig::n_node(4));
+        let c = nr_cell(&rack);
+        let n0 = rack.node(0);
+        c.nr_publish(&rack.node(1), &op(1, 1)).unwrap();
+        // Node 2's slot is PENDING, but its summary bit never rises.
+        c.nr_publish_crash_before_mask(&rack.node(2), &op(2, 2))
+            .unwrap();
+        rack.faults().crash_node(rack_sim::NodeId(2), 0);
+        assert_eq!(c.summary_mask().load(&n0).unwrap(), 0b010);
+        assert!(!c.on_node_crash(&n0, rack_sim::NodeId(2)).unwrap());
+        assert_eq!(
+            c.summary_mask().load(&n0).unwrap(),
+            0,
+            "recovery clears only the bits it resolved"
+        );
+        assert_eq!(c.nr_poll(&rack.node(1)).unwrap(), Some(0));
+        assert_eq!(c.peek(|t| t.per_node.clone()), vec![(1, 1), (2, 2)]);
+        // Nothing is left for a later combine to apply a second time.
+        assert_eq!(c.nr_combine(&rack.node(3)).unwrap(), 0);
+        assert_eq!(c.committed(&n0).unwrap(), 2);
+        let (rebuilt, replayed) = c.replay(&n0, Tally::default()).unwrap();
+        assert_eq!(replayed, 2);
+        assert_eq!(c.peek(|t| t.clone()), rebuilt);
+    }
+
+    #[test]
+    fn a_fold_that_fails_after_the_append_leaves_no_publication_pending() {
+        let rack = Rack::new(RackConfig::n_node(4));
+        let c = nr_cell(&rack);
+        let (n0, n3) = (rack.node(0), rack.node(3));
+        // Four committed entries no fold has applied yet, filling log
+        // lines 0..3 exactly, so the batch below starts on a line of its
+        // own.
+        let early: Vec<Vec<u8>> = (0..4)
+            .map(|i| super::super::frame_op(3, 1000 + i, &op(3, 1000 + i)))
+            .collect();
+        c.op_log().append_batch(&n0, &early).unwrap();
+        c.nr_publish(&rack.node(1), &op(1, 1)).unwrap();
+        c.nr_publish(&rack.node(2), &op(2, 2)).unwrap();
+        // Poison entry 0's commit flag: the combine's append lands, then
+        // its fold of the older entries fails.
+        let flag = c.op_log().base();
+        let word = rack.global().load_u64(flag).unwrap();
+        rack.global().poison(flag, 8);
+        assert!(c.nr_combine(&n3).is_err(), "the fold hits the poison");
+        assert_eq!(c.committed(&n0).unwrap(), 6, "the batch landed");
+        assert_eq!(c.fold_position(), (0, 0), "nothing folded");
+        // The marks went out before the fold: nothing is left PENDING.
+        assert_eq!(c.nr_poll(&rack.node(1)).unwrap(), Some(4));
+        assert_eq!(c.nr_poll(&rack.node(2)).unwrap(), Some(5));
+        assert_eq!(c.summary_mask().load(&n0).unwrap(), 0);
+        rack.global().scrub(flag, 8);
+        rack.global().store_u64(flag, word).unwrap();
+        // Recovery from a free role skips the log search; it must not
+        // re-append the committed publications.
+        rack.faults().crash_node(rack_sim::NodeId(3), 0);
+        assert!(!c.on_node_crash(&n0, rack_sim::NodeId(3)).unwrap());
+        assert_eq!(c.committed(&n0).unwrap(), 6, "no duplicate entries");
+        c.nr_publish(&rack.node(1), &op(1, 3)).unwrap();
+        assert_eq!(c.nr_combine(&n0).unwrap(), 1);
+        let mut expected: Vec<(u32, u32)> = (1000..1004).map(|s| (3, s)).collect();
+        expected.extend([(1, 1), (2, 2), (1, 3)]);
+        assert_eq!(c.peek(|t| t.per_node.clone()), expected);
+        let (rebuilt, replayed) = c.replay(&n0, Tally::default()).unwrap();
+        assert_eq!(replayed, 7);
+        assert_eq!(c.peek(|t| t.clone()), rebuilt);
     }
 
     /// Total `sync/nr_combiner_remote_claims` recorded on `node`.

@@ -31,6 +31,14 @@
 //!   which share no mutex with their appenders and re-check the window
 //!   on every entry, and for the `Replicated` cell backend's per-node
 //!   catch-up pricing.
+//!
+//! ## Writers
+//!
+//! Both readers leave the lines they read resident. An appender drops
+//! the lines of the slots it is about to write before writing them: a
+//! line read on an earlier lap holds the neighbouring slot's old bytes,
+//! and its write-back would clobber the entry another node appended
+//! there since.
 
 use crate::hw::GlobalCell;
 use rack_sim::{GAddr, GlobalMemory, NodeCtx, SimError, LINE_SIZE};
@@ -152,12 +160,17 @@ impl SharedOpLog {
             }
         };
         let slot = self.slot_addr(idx);
+        // Slots share cache lines, and a line this node read earlier may
+        // be resident with a neighbouring slot's old bytes; writing into
+        // it would write those back over the neighbour. Drop the lines
+        // first, so the write fills them fresh.
+        ctx.invalidate(slot, 16 + payload.len());
         // Publish payload then length, flush, then commit flag last. The
-        // flush must *invalidate*, not just write back: slots share cache
-        // lines, and the uncached flag store below never updates our own
-        // cached copy — a stale line left resident here would be
-        // re-dirtied by a later append to the neighboring slot and its
-        // write-back would clobber this entry's commit flag.
+        // flush must *invalidate*, not just write back: the uncached flag
+        // store below never updates our own cached copy — a stale line
+        // left resident here would be re-dirtied by a later append to the
+        // neighboring slot and its write-back would clobber this entry's
+        // commit flag.
         ctx.write_u64(slot.offset(8), payload.len() as u64)?;
         ctx.write(slot.offset(16), payload)?;
         ctx.flush(slot, 16 + payload.len());
@@ -217,8 +230,9 @@ impl SharedOpLog {
         };
         // The commit flags ride the same flush as the payloads: until the
         // flush lands, readers that invalidate-and-read see the old
-        // (EMPTY) flags and treat the slots as uncommitted. The flush
-        // must invalidate for the same reason as in `append`. Entries are
+        // (EMPTY) flags and treat the slots as uncommitted. The run's
+        // lines are dropped before the writes and the flush invalidates,
+        // both for the same reasons as in `append`. Entries are
         // contiguous except across the ring wrap, so whole runs flush at
         // once.
         let mut done = 0u64;
@@ -226,6 +240,7 @@ impl SharedOpLog {
             let start = first + done;
             let run = (self.capacity - (start % self.capacity)).min(k - done);
             let base = self.slot_addr(start);
+            ctx.invalidate(base, (run * self.entry_size) as usize);
             for j in 0..run {
                 let payload = payloads[(done + j) as usize].as_ref();
                 let slot = base.offset(j * self.entry_size);
@@ -524,6 +539,40 @@ mod tests {
         assert_eq!(first(&l), None, "never claimed");
         l.append(&n0, b"a").unwrap();
         assert_eq!(first(&l).unwrap(), b"a");
+    }
+
+    /// A line read on an earlier lap holds the neighbouring slot's old
+    /// bytes; an append into that line must not write them back over
+    /// the neighbour another node appended since.
+    #[test]
+    fn append_into_a_line_read_on_an_earlier_lap_keeps_the_neighbour() {
+        let rack = Rack::new(RackConfig::small_test());
+        let (n0, n1) = (rack.node(0), rack.node(1));
+        // 48-byte slots: slots 0 and 1 share the ring's first line.
+        let l = SharedOpLog::alloc(rack.global(), 4, 48).unwrap();
+        for batch in [false, true] {
+            let base = l.tail(&n0).unwrap();
+            for i in 0..4 {
+                l.append(&n0, &[i]).unwrap();
+            }
+            l.read_range(&n1, base, base + 4, |_, _| ControlFlow::Continue(()))
+                .unwrap();
+            l.advance_head(&n0, base + 4).unwrap();
+            let mine = l.append(&n0, b"n0 lap").unwrap();
+            if batch {
+                l.append_batch(&n1, &[b"n1 lap"]).unwrap();
+            } else {
+                l.append(&n1, b"n1 lap").unwrap();
+            }
+            assert_eq!(l.read(&n0, mine).unwrap().unwrap(), b"n0 lap");
+            assert_eq!(l.read(&n0, mine + 1).unwrap().unwrap(), b"n1 lap");
+            l.advance_head(&n0, mine + 2).unwrap();
+            // Park the tail back on a lap boundary.
+            for _ in 0..2 {
+                l.append(&n0, b"pad").unwrap();
+            }
+            l.advance_head(&n0, mine + 4).unwrap();
+        }
     }
 
     #[test]

@@ -80,18 +80,19 @@ impl EpochManager {
 
     /// Pin the current epoch (checkpoint integration, paper §3.2
     /// "Reliability"): versions retired at or after the pinned epoch are
-    /// protected from reclamation until [`EpochManager::unpin`].
+    /// protected from reclamation until [`EpochManager::unpin`]. Returns
+    /// `(pin id, pinned epoch)`.
     ///
     /// # Errors
     ///
     /// Propagates memory errors.
-    pub fn pin(&self, ctx: &NodeCtx) -> Result<u64, SimError> {
+    pub fn pin(&self, ctx: &NodeCtx) -> Result<(u64, u64), SimError> {
         let epoch = self.current(ctx)?;
         let mut next = self.next_pin.lock();
         let id = *next;
         *next += 1;
         self.pins.lock().insert(id, epoch);
-        Ok(id)
+        Ok((id, epoch))
     }
 
     /// Release a checkpoint pin.
@@ -353,7 +354,7 @@ mod tests {
         let cell = VersionedCell::alloc(rack.global()).unwrap();
         cell.write(&n0, &alloc, &mgr, &retired, b"a").unwrap();
 
-        let pin = mgr.pin(&n0).unwrap();
+        let (pin, _) = mgr.pin(&n0).unwrap();
         cell.write(&n0, &alloc, &mgr, &retired, b"b").unwrap();
         assert_eq!(
             retired.reclaim(&n0, &mgr, &alloc).unwrap(),

@@ -633,9 +633,9 @@ mod tests {
         };
         orch.refresh(&n0, 0).unwrap();
         let s = n0.stats().snapshot();
-        // Two epoch-word loads (the capture's pin), then each of the
+        // One epoch-word load (the capture's pin), then each of the
         // three objects once.
-        assert_eq!(s.global_reads - reads, 2 + 3, "each object read once");
+        assert_eq!(s.global_reads - reads, 1 + 3, "each object read once");
         assert_eq!(s.global_writes - writes, 1, "only the changed page copied");
         assert_eq!(orch.sweep(&n0).unwrap().faults_detected, 0);
     }

@@ -23,6 +23,9 @@ cargo test -q --offline --workspace
 echo "== bench targets compile (offline, feature-gated) =="
 cargo build --offline -p bench --benches --features criterion
 
+echo "== repo benchmark package unit tests (offline, release) =="
+(cd benchmark && cargo test --offline --release -q)
+
 echo "== cache-scale smoke (~1 s wall-clock gate, JSON shape + cost parity) =="
 cargo run --release --offline -p bench --bin cache-scale -- \
     --quick --out target/BENCH_cache.quick.json --gate
@@ -46,7 +49,7 @@ cargo run --release --offline -p bench --bin figures -- tiering
 echo "== tiering fault-storm campaign (fixed seeds, replay-verified) =="
 cargo run --release --offline -p bench --bin flac-faultstorm -- --tiering --seeds 2 --steps 60 --verify
 
-echo "== sync-cell fault-storm campaigns (owner + combiner crashes, replay-verified) =="
+echo "== sync-cell fault-storm campaigns (owner, combiner and publisher crashes, replay-verified) =="
 cargo run --release --offline -p bench --bin flac-faultstorm -- --sync --seeds 2 --steps 60 --verify
 
 echo "== sync-scale smoke (flat-combining gate, JSON shape + invariants) =="

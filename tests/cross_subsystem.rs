@@ -32,7 +32,7 @@ fn checkpoint_pins_protect_rcu_versions_under_churn() {
     let cell = VersionedCell::alloc(rack.sim().global()).unwrap();
     cell.write(&n0, &alloc, &epochs, &retired, b"v0").unwrap();
 
-    let pin = epochs.pin(&n0).unwrap();
+    let (pin, _) = epochs.pin(&n0).unwrap();
     for i in 1..10u8 {
         cell.write(&n0, &alloc, &epochs, &retired, &[i; 2]).unwrap();
     }

@@ -520,8 +520,8 @@ fn combine_scans_and_marks_the_publication_slots_in_one_span_each() {
     );
     assert_eq!(
         count(OpKind::Invalidate, AddrClass::Global),
-        1,
-        "one invalidate ahead of the span read"
+        2,
+        "one invalidate ahead of the span read, one ahead of the batch's entry writes"
     );
     assert_eq!(
         count(OpKind::Flush, AddrClass::Global),
@@ -591,4 +591,98 @@ fn ipc_channel_publishes_message_counters() {
     let merged = rack.metrics_report().merged;
     assert_eq!(get(&merged, "msgs_sent"), 2);
     assert_eq!(get(&merged, "msgs_recv"), 2);
+}
+
+/// `(simulated ns, global reads, global atomics, global-memory span
+/// reads)` `survivor`'s recovery after node 3's crash costs.
+fn nr_recovery_cost(cell: &SyncCell<OpCount>, rack: &Rack, takeover: bool) -> [u64; 4] {
+    let survivor = rack.node(1);
+    let (t, before) = (survivor.clock().now(), survivor.stats().snapshot());
+    rack.enable_tracing();
+    assert_eq!(
+        cell.on_node_crash(&survivor, rack_sim::NodeId(3)).unwrap(),
+        takeover
+    );
+    rack.disable_tracing();
+    let after = survivor.stats().snapshot();
+    let spans = survivor
+        .stats()
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| e.kind == OpKind::Read && e.addr_class == AddrClass::Global)
+        .count() as u64;
+    assert_eq!(after.total_charged_ns(), survivor.clock().now());
+    [
+        survivor.clock().now() - t,
+        after.global_reads - before.global_reads,
+        after.global_atomics - before.global_atomics,
+        spans,
+    ]
+}
+
+#[test]
+fn recovering_a_stranded_publication_from_a_free_role_reads_no_log_window() {
+    let rack = Rack::new(RackConfig::n_node(4).with_global_mem(1 << 20));
+    let cell = nr_ring_cell(&rack);
+    let lat = rack.node(1).latency().clone();
+    let flush = lat.writeback_line_ns + lat.invalidate_line_ns;
+    // Node 3 publishes, then dies with the combiner role free. Nothing is
+    // resident in the survivor's cache, so no invalidate costs anything.
+    cell.nr_publish(&rack.node(3), &[3]).unwrap();
+    rack.faults().crash_node(rack_sim::NodeId(3), 0);
+    let [ns, reads, atomics, spans] = nr_recovery_cost(&cell, &rack, false);
+    let expected = lat.global_read_ns // the committed-tail probe
+        + lat.global_atomic_ns // the claim CAS
+        + lat.global_read_ns // the mask load
+        + lat.global_read_ns // one burst over the flagged slot span
+        // The append: tail and head loads, the tail CAS, the entry's
+        // three cached writes (the first fills its line), one flush.
+        + 2 * lat.global_read_ns
+        + lat.global_atomic_ns
+        + lat.global_read_ns
+        + 2 * lat.cache_hit_ns
+        + flush
+        + lat.cache_hit_ns // the mark, a hit on the scanned slot line
+        + flush // and its flush
+        + lat.global_atomic_ns // the mask clear
+        + lat.global_write_ns // the release
+        + lat.global_read_ns // the fold: one burst to the appended tail
+        + lat.local_write_ns; // and one apply
+    assert_eq!(ns, expected);
+    assert_eq!(ns, 6_559, "HCCS figure");
+    // Probe, mask, slot span, append's tail and head, fold.
+    assert_eq!(reads, 6);
+    assert_eq!(atomics, 3, "claim, tail CAS, mask clear");
+    assert_eq!(spans, 2, "slot span and fold: no log-window read");
+    rack.faults().restart_node(rack_sim::NodeId(3), 0);
+    assert_eq!(cell.nr_poll(&rack.node(3)).unwrap(), Some(0));
+    assert_eq!(cell.peek(|c| c.0), 1);
+    assert_eq!(cell.summary_mask().load(&rack.node(0)).unwrap(), 0);
+}
+
+#[test]
+fn recovering_after_a_combiner_died_past_its_append_reads_the_log_window_once() {
+    let rack = Rack::new(RackConfig::n_node(4).with_global_mem(1 << 20));
+    let cell = nr_ring_cell(&rack);
+    cell.nr_publish(&rack.node(2), &[2]).unwrap();
+    assert_eq!(
+        cell.nr_combine_crash_after_append(&rack.node(3)).unwrap(),
+        1
+    );
+    rack.faults().crash_node(rack_sim::NodeId(3), 0);
+    let [_, _, atomics, spans] = nr_recovery_cost(&cell, &rack, true);
+    assert_eq!(
+        atomics, 3,
+        "the failed CAS from free, the takeover CAS, mask clear"
+    );
+    // The dead combiner never published, so its unflagged slot costs a
+    // read of its own.
+    assert_eq!(
+        spans, 4,
+        "the committed-tail fold, the slot span, the dead node's slot and one window pass"
+    );
+    assert_eq!(cell.nr_poll(&rack.node(2)).unwrap(), Some(0));
+    assert_eq!(cell.committed(&rack.node(0)).unwrap(), 1, "no re-append");
+    assert_eq!(cell.peek(|c| c.0), 1);
 }

@@ -442,12 +442,13 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
 
     // Property: after any crash window — a combiner dead after its batch
     // append (publications committed but still pending), a combiner dead
-    // before it (nothing committed), or a dead publisher — with holes
+    // before it (nothing committed), a dead publisher, or a publisher dead
+    // between its slot flush and its summary bit — with holes
     // left by crashed appenders, malformed entries, a wrapped ring and a
     // collected head, `on_node_crash` (one range pass per walk) leaves
     // exactly the state, fold position, hole count, slot marks and log
     // tail that the per-entry algorithm computes with the bounds-checked
-    // `SharedOpLog::read`, one entry at a time.
+    // `SharedOpLog::read`, one entry at a time, and a clear summary mask.
     check(
         "node_replicated_recovery_drain_matches_a_per_entry_reference",
         |rng| {
@@ -513,12 +514,13 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
                 let keys = cell.nr_publish_batch(&rack.node(node), &refs).unwrap();
                 pending.push((node, keys, ops));
             };
+            let window_kind = rng.gen_index(4);
             for node in 0..NODES {
-                if rng.gen_ratio(0.5) {
+                // Window 3's dead publisher publishes through the hook.
+                if (node != dead || window_kind != 3) && rng.gen_ratio(0.5) {
                     publish(rng, node, &mut pending);
                 }
             }
-            let window_kind = rng.gen_index(3);
             match window_kind {
                 0 => {
                     cell.nr_combine_crash_after_append(&rack.node(dead))
@@ -528,7 +530,18 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
                     cell.nr_combine_crash_before_append(&rack.node(dead))
                         .unwrap();
                 }
-                _ => {}
+                2 => {}
+                _ => {
+                    // One op, flushed into the dead node's slot; its
+                    // summary bit never rises.
+                    let mut e = Encoder::new();
+                    e.put_u32(dead as u32).put_u32(u32::MAX);
+                    let op = e.into_vec();
+                    let key = cell
+                        .nr_publish_crash_before_mask(&rack.node(dead), &op)
+                        .unwrap();
+                    pending.push((dead, vec![key], vec![op]));
+                }
             }
             // Survivors without a pending publication publish again; the
             // dead combiner never saw these.
@@ -596,6 +609,7 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
             assert_eq!(cell.committed(&obs).unwrap(), fresh_at, "tail: {ctx}");
             let marks_after: Vec<_> = (0..NODES).map(|n| poll(&cell, &rack.node(n))).collect();
             assert_eq!(marks_after, marks, "slot marks: {ctx}");
+            assert_eq!(cell.summary_mask().load(&obs).unwrap(), 0, "mask: {ctx}");
         },
     );
 }
