@@ -25,11 +25,22 @@ const MEASURED_OPS: usize = 1600;
 pub const READ_PCTS: [u32; 7] = [0, 10, 25, 50, 75, 90, 100];
 
 /// The shared state under test: per-node op tallies (16-byte footprint
-/// per node, applied from 12-byte committed ops).
+/// per node, applied from 12-byte committed ops). Ablation A1 measures
+/// the same state.
 #[derive(Debug, Default, Clone)]
-struct Tally {
+pub(crate) struct Tally {
     counts: Vec<u64>,
-    total: u64,
+    pub(crate) total: u64,
+}
+
+impl Tally {
+    /// Zeroed tallies for `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        Tally {
+            counts: vec![0; nodes],
+            total: 0,
+        }
+    }
 }
 
 impl SyncState for Tally {
@@ -45,7 +56,8 @@ impl SyncState for Tally {
     }
 }
 
-fn tally_op(node: usize, amount: u64) -> Vec<u8> {
+/// The op adding `amount` to `node`'s tally.
+pub(crate) fn tally_op(node: usize, amount: u64) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_u32(node as u32).put_u64(amount);
     e.into_vec()
@@ -128,16 +140,7 @@ fn run_arm(
     if policy.is_none() {
         cfg = cfg.with_adaptive(AdaptiveConfig::default());
     }
-    let cell = SyncCell::alloc(
-        rack.global(),
-        "adaptive_ab",
-        cfg,
-        Tally {
-            counts: vec![0; NODES],
-            total: 0,
-        },
-    )
-    .expect("cell");
+    let cell = SyncCell::alloc(rack.global(), "adaptive_ab", cfg, Tally::new(NODES)).expect("cell");
 
     let mut rng = SplitMix64::new(SEED ^ read_pct as u64);
     let mut latencies = Vec::with_capacity(MEASURED_OPS);

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Measurement model: a warm-up phase estimates the per-iteration cost,
-//! iterations are batched so each sample lasts ~[`TARGET_SAMPLE`], and
+//! iterations are batched so each sample lasts ~`TARGET_SAMPLE`, and
 //! the median over samples is the headline number (robust to scheduler
 //! noise, unlike the mean).
 

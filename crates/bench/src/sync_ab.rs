@@ -2,19 +2,17 @@
 //!
 //! Compares the baseline global spinlock (with the mandatory
 //! flush/invalidate discipline) against the paper's three lock-free
-//! families on a shared counter object, across read ratios and node
-//! counts. The expected shape: locking pays fabric atomics *plus* cache
-//! maintenance on every operation; replication makes reads local;
-//! delegation makes the owner's operations local; RCU makes reads
-//! wait-free at publish-cost writes.
+//! families across read ratios and node counts. Every method is one
+//! [`SyncCell`] policy over the same per-node tally state, so the table
+//! measures the policies the kernel paths run. The expected shape:
+//! locking pays fabric atomics *plus* cache maintenance on every
+//! operation; replication makes reads local; delegation makes the
+//! owner's operations local but queues every node behind the owner; RCU
+//! makes reads wait-free at publish-cost writes.
 
-use flacdk::alloc::GlobalAllocator;
-use flacdk::sync::delegation::{call_stepped, DelegationClient, DelegationServer};
-use flacdk::sync::rcu::{EpochManager, VersionedCell};
-use flacdk::sync::reclaim::RetireList;
-use flacdk::sync::replicated::{Replica, ReplicatedHandle, ReplicatedLog};
-use flacdk::sync::spinlock::GlobalSpinLock;
-use rack_sim::{NodeId, Rack, RackConfig};
+use crate::adaptive_ab::{tally_op, Tally};
+use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy};
+use rack_sim::{Rack, RackConfig};
 
 /// Methods under comparison.
 pub const METHODS: [&str; 4] = ["spinlock", "replication", "delegation", "rcu"];
@@ -32,14 +30,13 @@ pub struct SyncRow {
     pub mean_op_ns: u64,
 }
 
-#[derive(Debug, Default)]
-struct CounterReplica {
-    value: u64,
-}
-
-impl Replica for CounterReplica {
-    fn apply(&mut self, op: &[u8]) {
-        self.value += u64::from_le_bytes(op.try_into().unwrap_or([0; 8]));
+fn policy_of(method: &str) -> SyncPolicy {
+    match method {
+        "spinlock" => SyncPolicy::Lock,
+        "replication" => SyncPolicy::Replicated,
+        "delegation" => SyncPolicy::Delegated,
+        "rcu" => SyncPolicy::Rcu,
+        other => panic!("unknown method {other}"),
     }
 }
 
@@ -53,11 +50,12 @@ fn is_read(i: usize, read_pct: u32) -> bool {
 /// Contention model: nodes issue operations in closed-loop rounds. Each
 /// method's *serial section* is tracked in virtual time — an operation
 /// cannot enter it before the previous one left. For the lock that is
-/// the whole critical section; for the lock-free methods it is a single
-/// fabric atomic (log-tail claim / pointer CAS); delegation serializes
-/// naturally at the owner. This is what makes the paper's point
-/// measurable: locks serialize *work*, the lock-free families serialize
-/// only one atomic.
+/// the whole critical section, and for delegation the whole operation
+/// too, because the owner runs one at a time. For replication and RCU it
+/// is a single fabric atomic per write (log-tail claim / version bump),
+/// and reads do not serialize at all. This is what makes the paper's
+/// point measurable: the lock and the delegation owner serialize *work*,
+/// replication and RCU serialize only one atomic.
 pub fn run_cell(method: &'static str, nodes: usize, read_pct: u32, ops: usize) -> SyncRow {
     run_cell_on(
         &Rack::new(RackConfig::n_node(nodes)),
@@ -75,133 +73,38 @@ fn run_cell_on(
     read_pct: u32,
     ops: usize,
 ) -> SyncRow {
+    let policy = policy_of(method);
+    let cfg = SyncCellConfig::new(nodes, policy);
+    let cell = SyncCell::alloc(rack.global(), "sync_ab", cfg, Tally::new(nodes)).expect("cell");
+    let whole_op_serial = matches!(policy, SyncPolicy::Lock | SyncPolicy::Delegated);
     let mut total_ns = 0u64;
     // Virtual-time point at which the method's serial section frees up.
     let mut serial_free_at = 0u64;
-
-    match method {
-        "spinlock" => {
-            let lock = GlobalSpinLock::alloc(rack.global()).expect("lock");
-            let data = rack.global().alloc(8, 8).expect("data");
-            for i in 0..ops {
-                let node = rack.node(i % nodes);
-                let t0 = node.clock().now();
-                // Queue behind the previous holder.
-                node.clock().advance_to(serial_free_at);
-                let guard = lock.lock(&node).expect("lock");
-                if is_read(i, read_pct) {
-                    let mut buf = [0u8; 8];
-                    guard.read_sync(data, &mut buf).expect("read");
-                } else {
-                    let mut buf = [0u8; 8];
-                    guard.read_sync(data, &mut buf).expect("read");
-                    let v = u64::from_le_bytes(buf) + 1;
-                    guard.write_sync(data, &v.to_le_bytes()).expect("write");
-                }
-                drop(guard);
-                // The WHOLE critical section was serial.
-                serial_free_at = node.clock().now();
-                total_ns += node.clock().now() - t0;
-            }
+    for i in 0..ops {
+        let node = rack.node(i % nodes);
+        let read = is_read(i, read_pct);
+        let serial = whole_op_serial || !read;
+        let t0 = node.clock().now();
+        if serial {
+            // Queue behind the previous holder.
+            node.clock().advance_to(serial_free_at);
         }
-        "replication" => {
-            let shared = ReplicatedLog::alloc(rack.global(), nodes, 4096, 64).expect("log");
-            let mut handles: Vec<ReplicatedHandle<CounterReplica>> = (0..nodes)
-                .map(|i| {
-                    ReplicatedHandle::new(shared.clone(), rack.node(i), CounterReplica::default())
-                })
-                .collect();
-            for i in 0..ops {
-                let h = &mut handles[i % nodes];
-                let node = h.node().clone();
-                let t0 = node.clock().now();
-                if is_read(i, read_pct) {
-                    h.read(|c| c.value).expect("read");
-                } else {
-                    // Only the log-tail claim (one fabric atomic) is serial.
-                    node.clock().advance_to(serial_free_at);
-                    let claim_start = node.clock().now();
-                    h.execute(&1u64.to_le_bytes()).expect("execute");
-                    serial_free_at = claim_start + node.latency().global_atomic_ns;
-                }
-                total_ns += node.clock().now() - t0;
-                // Keep the bounded log drained, as a deployment would.
-                if i % 512 == 511 {
-                    for h in handles.iter_mut() {
-                        h.sync().expect("sync");
-                    }
-                    shared.gc(&rack.node(0)).expect("gc");
-                }
-            }
+        let start = node.clock().now();
+        if read {
+            cell.read(&node, |t| t.total).expect("read");
+        } else {
+            cell.update(&node, &tally_op(i % nodes, 1)).expect("update");
         }
-        "delegation" => {
-            let mut server = DelegationServer::new(rack.node(0), 500, {
-                let mut value = 0u64;
-                move |req: &[u8]| {
-                    if req == b"r" {
-                        value.to_le_bytes().to_vec()
-                    } else {
-                        value += 1;
-                        vec![1]
-                    }
-                }
-            });
-            let clients: Vec<DelegationClient> = (1..nodes)
-                .map(|i| DelegationClient::new(rack.node(i), NodeId(0), 500, 600 + i as u16))
-                .collect();
-            for i in 0..ops {
-                let from = i % nodes;
-                let req: &[u8] = if is_read(i, read_pct) { b"r" } else { b"w" };
-                if from == 0 {
-                    let node = rack.node(0);
-                    let t0 = node.clock().now();
-                    server.execute_local(req);
-                    total_ns += node.clock().now() - t0;
-                } else {
-                    let client = &clients[from - 1];
-                    let node = client.node().clone();
-                    let t0 = node.clock().now();
-                    call_stepped(client, &mut server, req).expect("call");
-                    // Response causality: the reply arrives no earlier
-                    // than the server finished.
-                    node.clock().advance_to(server.node().clock().now());
-                    total_ns += node.clock().now() - t0;
-                }
-            }
+        if whole_op_serial {
+            serial_free_at = node.clock().now();
+        } else if serial {
+            serial_free_at = start + node.latency().global_atomic_ns;
         }
-        "rcu" => {
-            let alloc = GlobalAllocator::new(rack.global().clone());
-            let mgr = EpochManager::alloc(rack.global(), nodes).expect("epochs");
-            let retired = RetireList::new();
-            let cell = VersionedCell::alloc(rack.global()).expect("cell");
-            cell.write(&rack.node(0), &alloc, &mgr, &retired, &0u64.to_le_bytes())
-                .expect("init");
-            for i in 0..ops {
-                let node = rack.node(i % nodes);
-                let t0 = node.clock().now();
-                if is_read(i, read_pct) {
-                    let guard = mgr.handle(node.clone()).read_lock().expect("lock");
-                    cell.read(&node, &guard).expect("read");
-                } else {
-                    let guard = mgr.handle(node.clone()).read_lock().expect("lock");
-                    let cur = cell
-                        .read(&node, &guard)
-                        .expect("read")
-                        .map(|b| u64::from_le_bytes(b.try_into().unwrap_or([0; 8])))
-                        .unwrap_or(0);
-                    drop(guard);
-                    // Only the publish CAS is serial.
-                    node.clock().advance_to(serial_free_at);
-                    let cas_start = node.clock().now();
-                    cell.write(&node, &alloc, &mgr, &retired, &(cur + 1).to_le_bytes())
-                        .expect("write");
-                    serial_free_at = cas_start + node.latency().global_atomic_ns;
-                    retired.reclaim(&node, &mgr, &alloc).expect("reclaim");
-                }
-                total_ns += node.clock().now() - t0;
-            }
+        total_ns += node.clock().now() - t0;
+        // Keep the bounded log drained, as a deployment would.
+        if i % 512 == 511 {
+            cell.gc(&rack.node(0)).expect("gc");
         }
-        other => panic!("unknown method {other}"),
     }
 
     SyncRow {

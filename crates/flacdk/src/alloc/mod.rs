@@ -1,6 +1,6 @@
 //! FlacDK memory management (paper §3.2 "Memory management").
 //!
-//! Three pieces, mirroring the paper's list:
+//! Two pieces:
 //!
 //! 1. [`object::GlobalAllocator`] — an object-granularity allocator over
 //!    the global pool with size-class free lists, designed to be fed by
@@ -8,14 +8,12 @@
 //!    immediate frees.
 //! 2. [`hotness::HotnessTracker`] — per-object access-frequency tracking
 //!    with exponential decay, driving layout packing decisions.
-//! 3. [`relocate::Relocator`] — runtime object movement between global
-//!    and local tiers with a forwarding table, used for defragmentation,
-//!    locality, and memory tiering.
+//!
+//! The paper's third piece, runtime relocation between global and local
+//! tiers, is page migration in `flacos-tier`, not an object table here.
 
 pub mod hotness;
 pub mod object;
-pub mod relocate;
 
 pub use hotness::HotnessTracker;
 pub use object::GlobalAllocator;
-pub use relocate::{Relocator, Tier};

@@ -1,34 +1,19 @@
-//! Shared hash tables: replication-based and delegation-based.
+//! Replication-based shared hash table.
 //!
-//! Two implementations with the same logical semantics (a `u64 -> bytes`
-//! map) and very different fabric behaviour:
-//!
-//! * [`ReplicatedKv`] replays a shared op log into per-node `HashMap`
-//!   replicas — reads are local, writes cost a log append, and total
-//!   memory is `nodes ×` the map size.
-//! * [`DelegatedKvSim`] partitions the key space across owner nodes —
-//!   memory is stored once, reads/writes from non-owners cost a request
-//!   round-trip, owner accesses are local. This is the shape used for
-//!   write-heavy or capacity-bound tables.
-//!
-//! The sync ablation (`figures -- sync`) compares both against the
-//! spinlock baseline.
+//! [`ReplicatedKv`] is a `u64 -> bytes` map that replays a shared op log
+//! into per-node `HashMap` replicas: reads are local, writes cost a log
+//! append, and total memory is `nodes ×` the map size. A write-heavy or
+//! capacity-bound table wants delegation instead, which is a
+//! [`crate::sync::SyncCell`] under [`crate::sync::SyncPolicy::Delegated`].
 
-use crate::sync::delegation::{DelegationClient, DelegationServer, Service};
 use crate::sync::replicated::{Replica, ReplicatedHandle, ReplicatedLog};
 use crate::wire::{Decoder, Encoder};
-use rack_sim::{GlobalMemory, NodeCtx, NodeId, Rack, SimError};
+use rack_sim::{GlobalMemory, NodeCtx, SimError};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 const OP_PUT: u8 = 0;
 const OP_DEL: u8 = 1;
-const OP_GET: u8 = 2;
-const OP_LEN: u8 = 3;
-
-// ---------------------------------------------------------------------------
-// Replication-based map
-// ---------------------------------------------------------------------------
 
 /// Per-node replica state of a [`ReplicatedKv`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -139,203 +124,10 @@ impl ReplicatedKv {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Delegation-based map
-// ---------------------------------------------------------------------------
-
-/// The owner-side service of one map partition.
-#[derive(Debug, Default)]
-pub struct KvService {
-    map: HashMap<u64, Vec<u8>>,
-}
-
-impl KvService {
-    /// Entries owned by this partition.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether this partition is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Direct state access (checkpointing / recovery).
-    pub fn entries(&self) -> &HashMap<u64, Vec<u8>> {
-        &self.map
-    }
-}
-
-impl Service for KvService {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        let mut d = Decoder::new(request);
-        let mut resp = Encoder::new();
-        match d.u8() {
-            Ok(OP_PUT) => {
-                if let (Ok(k), Ok(v)) = (d.u64(), d.bytes()) {
-                    self.map.insert(k, v.to_vec());
-                    resp.put_u8(1);
-                } else {
-                    resp.put_u8(0);
-                }
-            }
-            Ok(OP_DEL) => {
-                if let Ok(k) = d.u64() {
-                    resp.put_u8(u8::from(self.map.remove(&k).is_some()));
-                } else {
-                    resp.put_u8(0);
-                }
-            }
-            Ok(OP_GET) => match d.u64().ok().and_then(|k| self.map.get(&k)) {
-                Some(v) => {
-                    resp.put_u8(1).put_bytes(v);
-                }
-                None => {
-                    resp.put_u8(0);
-                }
-            },
-            Ok(OP_LEN) => {
-                resp.put_u8(1).put_u64(self.map.len() as u64);
-            }
-            _ => {
-                resp.put_u8(0);
-            }
-        }
-        resp.into_vec()
-    }
-}
-
-/// A cooperative (single-threaded-simulation) deployment of a delegated
-/// map: one partition owner per node, plus per-node clients for every
-/// remote partition. Requests from an owner to its own partition take the
-/// local fast path; remote requests ship over the fabric and the target
-/// server is stepped inline.
-#[derive(Debug)]
-pub struct DelegatedKvSim {
-    servers: Vec<DelegationServer<KvService>>,
-    /// `clients[from][partition]` — `None` on the diagonal (local path).
-    clients: Vec<Vec<Option<DelegationClient>>>,
-}
-
-impl DelegatedKvSim {
-    /// Base port used for partition request queues.
-    pub const BASE_PORT: u16 = 4000;
-
-    /// Deploy one partition per rack node.
-    pub fn deploy(rack: &Rack) -> Self {
-        let n = rack.node_count();
-        let servers = (0..n)
-            .map(|i| {
-                DelegationServer::new(
-                    rack.node(i),
-                    Self::BASE_PORT + i as u16,
-                    KvService::default(),
-                )
-            })
-            .collect();
-        let clients = (0..n)
-            .map(|from| {
-                (0..n)
-                    .map(|part| {
-                        if from == part {
-                            None
-                        } else {
-                            Some(DelegationClient::new(
-                                rack.node(from),
-                                NodeId(part),
-                                Self::BASE_PORT + part as u16,
-                                // Distinct reply port per (from, partition) pair.
-                                Self::BASE_PORT + 100 + (from * n + part) as u16,
-                            ))
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        DelegatedKvSim { servers, clients }
-    }
-
-    /// Which partition owns `key`.
-    pub fn partition_of(&self, key: u64) -> usize {
-        (key % self.servers.len() as u64) as usize
-    }
-
-    fn request(&mut self, from: usize, key: u64, req: Vec<u8>) -> Result<Vec<u8>, SimError> {
-        let part = self.partition_of(key);
-        if from == part {
-            return Ok(self.servers[part].execute_local(&req));
-        }
-        let client = self.clients[from][part]
-            .as_ref()
-            .expect("off-diagonal client");
-        client.send(&req)?;
-        self.servers[part].poll()?;
-        client.try_recv()
-    }
-
-    /// Insert from node `from`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fabric errors (e.g. owner down).
-    pub fn put(&mut self, from: usize, key: u64, value: &[u8]) -> Result<(), SimError> {
-        let mut e = Encoder::new();
-        e.put_u8(OP_PUT).put_u64(key).put_bytes(value);
-        let resp = self.request(from, key, e.into_vec())?;
-        if resp.first() == Some(&1) {
-            Ok(())
-        } else {
-            Err(SimError::Protocol("delegated put rejected".into()))
-        }
-    }
-
-    /// Look up from node `from`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fabric errors.
-    pub fn get(&mut self, from: usize, key: u64) -> Result<Option<Vec<u8>>, SimError> {
-        let mut e = Encoder::new();
-        e.put_u8(OP_GET).put_u64(key);
-        let resp = self.request(from, key, e.into_vec())?;
-        let mut d = Decoder::new(&resp);
-        match d.u8() {
-            Ok(1) => Ok(Some(
-                d.bytes()
-                    .map_err(|e| SimError::Protocol(e.to_string()))?
-                    .to_vec(),
-            )),
-            _ => Ok(None),
-        }
-    }
-
-    /// Delete from node `from`; returns whether the key existed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fabric errors.
-    pub fn del(&mut self, from: usize, key: u64) -> Result<bool, SimError> {
-        let mut e = Encoder::new();
-        e.put_u8(OP_DEL).put_u64(key);
-        let resp = self.request(from, key, e.into_vec())?;
-        Ok(resp.first() == Some(&1))
-    }
-
-    /// Total entries across all partitions (direct state inspection).
-    pub fn total_len(&self) -> usize {
-        self.servers.iter().map(|s| s.service().len()).sum()
-    }
-
-    /// The partition servers (for checkpoint/recovery integration).
-    pub fn servers_mut(&mut self) -> &mut [DelegationServer<KvService>] {
-        &mut self.servers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rack_sim::RackConfig;
+    use rack_sim::{Rack, RackConfig};
 
     #[test]
     fn replicated_map_basic_ops_converge() {
@@ -362,42 +154,5 @@ mod tests {
         m.put(9, b"b").unwrap();
         assert_eq!(m.get(9).unwrap(), Some(b"b".to_vec()));
         assert_eq!(m.len().unwrap(), 1);
-    }
-
-    #[test]
-    fn delegated_map_local_and_remote_paths() {
-        let rack = Rack::new(RackConfig::small_test());
-        let mut kv = DelegatedKvSim::deploy(&rack);
-        // key 0 owned by node 0; key 1 owned by node 1.
-        kv.put(0, 0, b"local").unwrap(); // owner fast path
-        kv.put(0, 1, b"remote").unwrap(); // delegated
-        assert_eq!(kv.get(1, 0).unwrap(), Some(b"local".to_vec()));
-        assert_eq!(kv.get(1, 1).unwrap(), Some(b"remote".to_vec()));
-        assert_eq!(kv.total_len(), 2);
-        assert!(kv.del(0, 1).unwrap());
-        assert!(!kv.del(0, 1).unwrap());
-        assert_eq!(kv.get(0, 1).unwrap(), None);
-    }
-
-    #[test]
-    fn delegated_partitioning_spreads_keys() {
-        let rack = Rack::new(RackConfig::n_node(4));
-        let mut kv = DelegatedKvSim::deploy(&rack);
-        for k in 0..32 {
-            kv.put(0, k, &[k as u8]).unwrap();
-        }
-        assert_eq!(kv.total_len(), 32);
-        let per_part: Vec<usize> = kv.servers.iter().map(|s| s.service().len()).collect();
-        assert_eq!(per_part, vec![8, 8, 8, 8]);
-    }
-
-    #[test]
-    fn delegated_local_path_sends_no_messages() {
-        let rack = Rack::new(RackConfig::small_test());
-        let mut kv = DelegatedKvSim::deploy(&rack);
-        let before = rack.node(0).stats().snapshot().messages_sent;
-        kv.put(0, 0, b"x").unwrap();
-        kv.get(0, 0).unwrap();
-        assert_eq!(rack.node(0).stats().snapshot().messages_sent, before);
     }
 }

@@ -10,29 +10,28 @@
 //!
 //! 1. **Hardware operations** ([`hw`]) — typed wrappers over fabric
 //!    atomics, memory barriers, and cache flush/invalidate/write-back.
-//! 2. **Synchronization interfaces** ([`sync`]) — a baseline global
-//!    spinlock plus the three lock-free families the paper identifies:
-//!    *replication* ([`sync::replicated`], NR-style operation-log
-//!    replicas), *delegation* ([`sync::delegation`], ffwd-style request
-//!    shipping to a partition owner), and *quiescence*
-//!    ([`sync::rcu`], epoch-based multi-version RCU with interval
-//!    reclamation).
-//! 3. **Concurrent data structures** ([`ds`]) — vector, hash tables,
-//!    ring buffer, and radix tree built from the primitives above.
+//! 2. **Synchronization interfaces** ([`sync`]) — one policy-driven
+//!    facade, [`sync::SyncCell`], over a baseline global spinlock and the
+//!    three lock-free families the paper identifies: *replication*
+//!    (NR-style operation-log replicas, per node or flat-combined),
+//!    *delegation* (ffwd-style request shipping to an owner node), and
+//!    *quiescence* (epoch-based multi-version RCU with interval
+//!    reclamation, [`sync::rcu`]).
+//! 3. **Concurrent data structures** ([`ds`]) — hash table, ring buffer,
+//!    and radix tree built from the primitives above.
 //!
 //! ## Memory management (paper §3.2 "Memory management")
 //!
 //! [`alloc`] provides the object-granularity global allocator (hooked
-//! into epoch reclamation), hotness-driven layout packing, and object
-//! relocation/tiering.
+//! into epoch reclamation) and hotness-driven layout packing; tiering
+//! itself is page migration in `flacos-tier`.
 //!
 //! ## Reliability (paper §3.2 "Reliability")
 //!
-//! [`reliability`] covers the whole fault-handling pipeline — monitoring,
-//! failure prediction, fault detection, checkpointing, and log-replay
-//! recovery — *co-designed* with the synchronization layer: checkpoints
-//! pin RCU epochs so multi-version objects double as snapshots, and the
-//! shared operation log doubles as a redo log.
+//! [`reliability`] covers monitoring, fault detection and checkpointing,
+//! *co-designed* with the synchronization layer: checkpoints pin RCU
+//! epochs so multi-version objects double as snapshots, and the shared
+//! operation log doubles as the redo log that recovery replays.
 
 pub mod alloc;
 pub mod ds;

@@ -21,8 +21,8 @@
 //!   ([`SyncCell::on_node_crash`], [`SyncCell::replay`]) re-elects the
 //!   delegation owner or flat-combining combiner and replays the tail.
 //! * Per-policy behavior differs in which fabric operations wrap the
-//!   commit, and lives in one module per backend: [`lock`],
-//!   [`replicated`], [`delegated`], [`rcu`], and [`node_replicated`]
+//!   commit, and lives in one module per backend: `lock`,
+//!   `replicated`, `delegated`, `rcu`, and `node_replicated`
 //!   (flat-combined batched appends + per-node lazy replicas).
 //!
 //! Observability rides the PR-1 metrics layer: per-policy op counts,
@@ -697,11 +697,11 @@ impl<T: SyncState> SyncCell<T> {
 
     /// Rebuild a state from scratch by replaying every committed log
     /// entry (the recovery/verification path), one burst read per
-    /// contiguous run of at most [`REPLAY_BURST`] entries. Returns the
+    /// contiguous run of at most `REPLAY_BURST` entries. Returns the
     /// rebuilt state and the number of entries replayed (holes skipped).
     /// Only complete while the log has not been garbage collected.
     ///
-    /// Holds the host mutex, as [`SyncCell::drain_to`] does: no append
+    /// Holds the host mutex, as `SyncCell::drain_to` does: no append
     /// or GC runs meanwhile, so `[head, tail)` is settled.
     ///
     /// # Errors
@@ -1096,5 +1096,24 @@ mod tests {
         c.gc(&n0).unwrap();
         c.update(&n0, &ins(9, 9)).unwrap();
         assert_eq!(c.peek(|kv| kv.map.len()), 5);
+    }
+
+    #[test]
+    fn unframe_rejects_every_strict_prefix_of_the_frame() {
+        let framed = frame_op(3, 9, b"op-bytes");
+        let key = (3u64 << 32) | 9;
+        assert_eq!(unframe(&framed), Some((key, &b"op-bytes"[..])));
+        for cut in 0..framed.len() {
+            match unframe(&framed[..cut]) {
+                None => assert!(cut < FRAME_BYTES, "cut {cut}: whole header rejected"),
+                // The log entry's length, not the frame, delimits the op
+                // body: past the header the key is intact and the op is
+                // exactly the bytes before the cut.
+                Some((k, op)) => {
+                    assert!(cut >= FRAME_BYTES, "cut {cut}: partial header accepted");
+                    assert_eq!((k, op), (key, &framed[FRAME_BYTES..cut]));
+                }
+            }
+        }
     }
 }

@@ -1264,4 +1264,38 @@ mod tests {
         );
         assert_eq!(c.peek(|t| t.per_node.len()), 2, "state untouched");
     }
+
+    #[test]
+    fn unpack_ops_returns_only_whole_ops_for_every_prefix() {
+        use super::super::frame_op;
+        use super::{pack_ops, unpack_ops, PACK_BYTES};
+        let ops = vec![
+            frame_op(0, 0, b"a"),
+            frame_op(1, 1, b"bcdef"),
+            frame_op(2, 2, b""),
+        ];
+        let packed = pack_ops(&ops);
+        assert_eq!(unpack_ops(&packed), Some(ops.clone()));
+        // Offsets where one packed op ends and the next begins.
+        let ends: Vec<usize> = ops
+            .iter()
+            .scan(0, |at, op| {
+                *at += PACK_BYTES + op.len();
+                Some(*at)
+            })
+            .collect();
+        for cut in 0..packed.len() {
+            match unpack_ops(&packed[..cut]) {
+                None => assert!(!ends.contains(&cut), "cut {cut}: whole ops dropped"),
+                Some(got) => {
+                    assert!(ends.contains(&cut), "cut {cut}: partial op returned");
+                    assert_eq!(got[..], ops[..got.len()], "cut {cut}");
+                }
+            }
+        }
+        // A hostile length prefix claims more bytes than the slot holds.
+        let mut hostile = u32::MAX.to_le_bytes().to_vec();
+        hostile.extend_from_slice(b"short");
+        assert_eq!(unpack_ops(&hostile), None);
+    }
 }

@@ -3,25 +3,32 @@
 //! Paper §3.2: lock-based synchronization over rack-scale shared memory is
 //! ineffective — locks hammer a few contended lines whose coherence must
 //! then be maintained in software, on top of high fabric latency. FlacDK
-//! therefore provides, besides a baseline [`spinlock::GlobalSpinLock`]
-//! (kept for comparison and for rarely-contended slow paths), the three
-//! lock-free families the paper identifies:
+//! implements the three lock-free families the paper identifies once,
+//! as the policies of one facade, [`cell::SyncCell`]:
 //!
-//! * **Replication** ([`replicated`]) — every node holds a local replica;
+//! * **Replication** ([`SyncPolicy::Replicated`] and
+//!   [`SyncPolicy::NodeReplicated`]) — every node holds a local replica;
 //!   a shared [`oplog::SharedOpLog`] carries mutations, replayed on each
 //!   node. Reads are node-local; only writes touch the fabric.
-//! * **Delegation** ([`delegation`]) — state is partitioned; each
-//!   partition has one owner node that executes all operations on it,
-//!   with other nodes shipping requests over the interconnect.
-//! * **Quiescence** ([`rcu`]) — RCU-style multi-version updates: writers
-//!   publish fresh copies and retire old ones; [`reclaim`] frees retired
-//!   versions once no reader *and no checkpoint* can still reference
-//!   them. Because readers always consume freshly-published blocks, the
-//!   stale-cache-line problem turns into plain RCU version tracking
-//!   (the "bounded incoherence" idea the paper cites).
+//! * **Delegation** ([`SyncPolicy::Delegated`]) — one owner node executes
+//!   every operation, with other nodes shipping requests over the
+//!   interconnect.
+//! * **Quiescence** ([`SyncPolicy::Rcu`]) — RCU-style multi-version
+//!   updates. The epoch machinery in [`rcu`] and the retire list in
+//!   [`reclaim`] free retired versions once no reader *and no checkpoint*
+//!   can still reference them; [`crate::ds::radix::RadixTree`] is the
+//!   multi-version structure built on them. Because readers always consume
+//!   freshly-published blocks, the stale-cache-line problem turns into
+//!   plain RCU version tracking (the "bounded incoherence" idea the paper
+//!   cites).
+//!
+//! [`SyncPolicy::Lock`] — the baseline [`spinlock::GlobalSpinLock`] plus
+//! the flush discipline — is kept for comparison and for rarely-contended
+//! slow paths. [`replicated`] is the standalone operation-log replica that
+//! `ReplicatedKv`, the file-system metadata and journal, socket metadata
+//! and rack boot still build on.
 
 pub mod cell;
-pub mod delegation;
 pub mod oplog;
 pub mod rcu;
 pub mod reclaim;
@@ -31,9 +38,8 @@ pub mod spinlock;
 pub use cell::{
     AdaptiveConfig, SyncCell, SyncCellConfig, SyncPolicy, SyncRecover, SyncState, FRAME_BYTES,
 };
-pub use delegation::{DelegationClient, DelegationServer, Service};
 pub use oplog::SharedOpLog;
-pub use rcu::{EpochManager, RcuHandle, VersionedCell};
+pub use rcu::{EpochManager, RcuHandle};
 pub use reclaim::RetireList;
 pub use replicated::{Replica, ReplicatedHandle, ReplicatedLog};
 pub use spinlock::GlobalSpinLock;

@@ -1,4 +1,4 @@
-//! Quiescence-based synchronization: epoch RCU with multi-version cells.
+//! Quiescence-based synchronization: epoch RCU.
 //!
 //! Paper §3.2: *"This approach employs read-copy-update (RCU) style
 //! synchronization to avoid in-place modification. Particularly, this
@@ -13,10 +13,12 @@
 //! reading is guaranteed fresh data — stale cache lines can only belong
 //! to *old versions*, which stay intact until reclamation proves no
 //! reader or checkpoint can still hold them.
+//!
+//! [`crate::ds::radix::RadixTree`] publishes versions this way; this
+//! module supplies the epochs that say when [`crate::sync::reclaim`] may
+//! free an old one.
 
-use crate::alloc::object::GlobalAllocator;
 use crate::hw::GlobalCell;
-use crate::sync::reclaim::RetireList;
 use rack_sim::sync::Mutex;
 use rack_sim::{GlobalMemory, NodeCtx, SimError};
 use std::collections::HashMap;
@@ -194,151 +196,42 @@ impl Drop for RcuReadGuard {
     }
 }
 
-/// A multi-version value in global memory updated RCU-style.
-///
-/// Block layout: `[len: u64][payload...]`, allocated from the
-/// [`GlobalAllocator`]. The cell itself is one atomic pointer word.
-#[derive(Debug, Clone, Copy)]
-pub struct VersionedCell {
-    ptr: GlobalCell,
-}
-
-impl VersionedCell {
-    /// Allocate an empty cell.
-    ///
-    /// # Errors
-    ///
-    /// Fails when global memory is exhausted.
-    pub fn alloc(global: &GlobalMemory) -> Result<Self, SimError> {
-        Ok(VersionedCell {
-            ptr: GlobalCell::alloc(global, 0)?,
-        })
-    }
-
-    /// Publish a new version containing `bytes`; the previous version is
-    /// retired into `retired` at the current epoch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation and memory errors.
-    pub fn write(
-        &self,
-        ctx: &NodeCtx,
-        alloc: &GlobalAllocator,
-        mgr: &EpochManager,
-        retired: &RetireList,
-        bytes: &[u8],
-    ) -> Result<(), SimError> {
-        let total = 8 + bytes.len();
-        let block = alloc.alloc(ctx, total)?;
-        ctx.write_u64(block, bytes.len() as u64)?;
-        ctx.write(block.offset(8), bytes)?;
-        ctx.writeback(block, total);
-        // Swing the pointer; loop for concurrent writers.
-        loop {
-            let old = self.ptr.load(ctx)?;
-            if self.ptr.compare_exchange(ctx, old, block.0)? == old {
-                if old != 0 {
-                    let old_addr = rack_sim::GAddr(old);
-                    // Read the old header to learn its size for freeing.
-                    ctx.invalidate(old_addr, 8);
-                    let old_len = ctx.read_u64(old_addr)? as usize;
-                    // Retire at the *pre-advance* epoch: readers that
-                    // entered at it may still hold the old pointer, and
-                    // the advance makes the retire epoch strictly older
-                    // than any future quiescent state.
-                    let epoch = mgr.current(ctx)?;
-                    mgr.advance(ctx)?;
-                    retired.retire(old_addr, 8 + old_len, epoch);
-                }
-                return Ok(());
-            }
-        }
-    }
-
-    /// Read the current version while holding an RCU read guard.
-    ///
-    /// Returns `None` if the cell has never been written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory errors.
-    pub fn read(&self, ctx: &NodeCtx, _guard: &RcuReadGuard) -> Result<Option<Vec<u8>>, SimError> {
-        let p = self.ptr.load(ctx)?;
-        if p == 0 {
-            return Ok(None);
-        }
-        let block = rack_sim::GAddr(p);
-        // Invalidate before reading: the block address is fresh, but this
-        // node may have cached these lines from a previous version that
-        // was reclaimed and reused.
-        ctx.invalidate(block, 8);
-        let len = ctx.read_u64(block)? as usize;
-        ctx.invalidate(block.offset(8), len);
-        let mut buf = vec![0u8; len];
-        ctx.read(block.offset(8), &mut buf)?;
-        Ok(Some(buf))
-    }
-
-    /// Whether a version has ever been published.
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory errors.
-    pub fn is_empty(&self, ctx: &NodeCtx) -> Result<bool, SimError> {
-        Ok(self.ptr.load(ctx)? == 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rack_sim::{Rack, RackConfig};
 
-    fn setup() -> (Rack, GlobalAllocator, Arc<EpochManager>, RetireList) {
+    use crate::alloc::object::GlobalAllocator;
+    use crate::ds::radix::{RadixTree, FANOUT};
+    use crate::sync::reclaim::RetireList;
+
+    /// Bytes of one radix node: the block each update displaces.
+    const NODE_BYTES: usize = FANOUT * 8;
+
+    /// A one-level radix tree, so every update publishes one fresh node
+    /// and retires exactly one old one.
+    fn setup() -> (
+        Rack,
+        GlobalAllocator,
+        Arc<EpochManager>,
+        RetireList,
+        RadixTree,
+    ) {
         let rack = Rack::new(RackConfig::small_test());
         let alloc = GlobalAllocator::new(rack.global().clone());
         let mgr = EpochManager::alloc(rack.global(), rack.node_count()).unwrap();
-        (rack, alloc, mgr, RetireList::new())
-    }
-
-    #[test]
-    fn versions_visible_across_nodes_without_manual_flushing() {
-        let (rack, alloc, mgr, retired) = setup();
-        let (n0, n1) = (rack.node(0), rack.node(1));
-        let cell = VersionedCell::alloc(rack.global()).unwrap();
-        let h1 = mgr.handle(n1.clone());
-
-        cell.write(&n0, &alloc, &mgr, &retired, b"v1").unwrap();
-        let g = h1.read_lock().unwrap();
-        assert_eq!(cell.read(&n1, &g).unwrap().unwrap(), b"v1");
-        drop(g);
-
-        cell.write(&n0, &alloc, &mgr, &retired, b"version-two")
-            .unwrap();
-        let g = h1.read_lock().unwrap();
-        assert_eq!(cell.read(&n1, &g).unwrap().unwrap(), b"version-two");
-    }
-
-    #[test]
-    fn empty_cell_reads_none() {
-        let (rack, _, mgr, _) = setup();
-        let n0 = rack.node(0);
-        let cell = VersionedCell::alloc(rack.global()).unwrap();
-        let g = mgr.handle(n0.clone()).read_lock().unwrap();
-        assert!(cell.read(&n0, &g).unwrap().is_none());
-        assert!(cell.is_empty(&n0).unwrap());
+        let tree = RadixTree::alloc(rack.global(), 1).unwrap();
+        (rack, alloc, mgr, RetireList::new(), tree)
     }
 
     #[test]
     fn active_reader_blocks_reclamation() {
-        let (rack, alloc, mgr, retired) = setup();
+        let (rack, alloc, mgr, retired, tree) = setup();
         let (n0, n1) = (rack.node(0), rack.node(1));
-        let cell = VersionedCell::alloc(rack.global()).unwrap();
-        cell.write(&n0, &alloc, &mgr, &retired, b"old").unwrap();
+        tree.insert(&n0, &alloc, &mgr, &retired, 1, 10).unwrap();
 
         let guard = mgr.handle(n1.clone()).read_lock().unwrap();
-        cell.write(&n0, &alloc, &mgr, &retired, b"new").unwrap();
+        tree.insert(&n0, &alloc, &mgr, &retired, 1, 20).unwrap();
         assert_eq!(retired.pending(), 1);
         // Reader from before the retire epoch: nothing reclaimable.
         assert_eq!(retired.reclaim(&n0, &mgr, &alloc).unwrap(), 0);
@@ -349,13 +242,12 @@ mod tests {
 
     #[test]
     fn checkpoint_pin_blocks_reclamation() {
-        let (rack, alloc, mgr, retired) = setup();
+        let (rack, alloc, mgr, retired, tree) = setup();
         let n0 = rack.node(0);
-        let cell = VersionedCell::alloc(rack.global()).unwrap();
-        cell.write(&n0, &alloc, &mgr, &retired, b"a").unwrap();
+        tree.insert(&n0, &alloc, &mgr, &retired, 1, 10).unwrap();
 
         let (pin, _) = mgr.pin(&n0).unwrap();
-        cell.write(&n0, &alloc, &mgr, &retired, b"b").unwrap();
+        tree.insert(&n0, &alloc, &mgr, &retired, 1, 20).unwrap();
         assert_eq!(
             retired.reclaim(&n0, &mgr, &alloc).unwrap(),
             0,
@@ -367,40 +259,44 @@ mod tests {
 
     #[test]
     fn reclaimed_blocks_return_to_allocator() {
-        let (rack, alloc, mgr, retired) = setup();
+        let (rack, alloc, mgr, retired, tree) = setup();
         let n0 = rack.node(0);
-        let cell = VersionedCell::alloc(rack.global()).unwrap();
-        cell.write(&n0, &alloc, &mgr, &retired, &[1u8; 40]).unwrap();
-        cell.write(&n0, &alloc, &mgr, &retired, &[2u8; 40]).unwrap();
+        tree.insert(&n0, &alloc, &mgr, &retired, 1, 10).unwrap();
+        tree.insert(&n0, &alloc, &mgr, &retired, 1, 20).unwrap();
         retired.reclaim(&n0, &mgr, &alloc).unwrap();
-        assert_eq!(alloc.free_count(48), 1, "old 48-byte block is reusable");
+        assert_eq!(
+            alloc.free_count(NODE_BYTES),
+            1,
+            "old node block is reusable"
+        );
     }
 
     #[test]
     fn stale_cache_of_reused_block_is_defeated() {
-        // A node caches version blocks, the block is reclaimed and reused
+        // A node caches a version block, the block is reclaimed and reused
         // for a new version; invalidate-before-read must still win.
-        let (rack, alloc, mgr, retired) = setup();
+        let (rack, alloc, mgr, retired, tree) = setup();
         let (n0, n1) = (rack.node(0), rack.node(1));
-        let cell = VersionedCell::alloc(rack.global()).unwrap();
         let h1 = mgr.handle(n1.clone());
 
-        cell.write(&n0, &alloc, &mgr, &retired, b"AAAA").unwrap();
+        tree.insert(&n0, &alloc, &mgr, &retired, 1, 0xAAAA).unwrap();
         {
             let g = h1.read_lock().unwrap();
-            assert_eq!(cell.read(&n1, &g).unwrap().unwrap(), b"AAAA");
+            assert_eq!(tree.get(&n1, &g, 1).unwrap(), Some(0xAAAA));
         }
-        cell.write(&n0, &alloc, &mgr, &retired, b"BBBB").unwrap();
+        tree.insert(&n0, &alloc, &mgr, &retired, 1, 0xBBBB).unwrap();
         retired.reclaim(&n0, &mgr, &alloc).unwrap();
-        // Reuse the reclaimed block for the next version.
-        cell.write(&n0, &alloc, &mgr, &retired, b"CCCC").unwrap();
+        assert_eq!(alloc.free_count(NODE_BYTES), 1);
+        // The next version lands in the block node 1 still caches.
+        tree.insert(&n0, &alloc, &mgr, &retired, 1, 0xCCCC).unwrap();
+        assert_eq!(alloc.free_count(NODE_BYTES), 0, "reclaimed block reused");
         let g = h1.read_lock().unwrap();
-        assert_eq!(cell.read(&n1, &g).unwrap().unwrap(), b"CCCC");
+        assert_eq!(tree.get(&n1, &g, 1).unwrap(), Some(0xCCCC));
     }
 
     #[test]
     fn min_protected_tracks_oldest_reader() {
-        let (rack, _, mgr, _) = setup();
+        let (rack, _, mgr, _, _) = setup();
         let (n0, n1) = (rack.node(0), rack.node(1));
         let e0 = mgr.current(&n0).unwrap();
         let _g = mgr.handle(n1.clone()).read_lock().unwrap();

@@ -1,5 +1,5 @@
-//! Tiny binary encoding helpers shared by the operation log, delegation
-//! requests, RPC, and the redis-mini protocol glue.
+//! Tiny binary encoding helpers shared by the operation log, sync-cell
+//! ops, RPC, and the redis-mini protocol glue.
 //!
 //! The format is deliberately trivial: little-endian fixed-width integers
 //! and length-prefixed byte strings. It exists so that every layer that
@@ -99,7 +99,7 @@ impl<'a> Decoder<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(DecodeError {
                 at: self.pos,
                 needed: n,
@@ -210,6 +210,48 @@ mod tests {
         let err = d.bytes().unwrap_err();
         assert_eq!(err.at, 4);
         assert!(err.to_string().contains("truncated"));
+    }
+
+    /// Decode the record `[u8][u32][u64][bytes]` field by field.
+    fn decode_record(buf: &[u8]) -> Result<(u8, u32, u64, &[u8]), DecodeError> {
+        let mut d = Decoder::new(buf);
+        Ok((d.u8()?, d.u32()?, d.u64()?, d.bytes()?))
+    }
+
+    #[test]
+    fn every_strict_prefix_is_a_typed_error() {
+        let mut e = Encoder::new();
+        e.put_u8(7)
+            .put_u32(123)
+            .put_u64(u64::MAX)
+            .put_bytes(b"payload");
+        let v = e.into_vec();
+        assert_eq!(
+            decode_record(&v).unwrap(),
+            (7, 123, u64::MAX, &b"payload"[..])
+        );
+        // (offset, width) of each read: u8, u32, u64, length, body.
+        let reads = [(0, 1), (1, 4), (5, 8), (13, 4), (17, 7)];
+        for cut in 0..v.len() {
+            let err = decode_record(&v[..cut]).unwrap_err();
+            // The read the cut lands in is the one that fails.
+            let (at, needed) = *reads.iter().rfind(|(at, _)| *at <= cut).unwrap();
+            assert_eq!(err, DecodeError { at, needed }, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn hostile_length_prefix_is_a_typed_error() {
+        let mut v = u32::MAX.to_le_bytes().to_vec();
+        v.extend_from_slice(b"abc");
+        let err = Decoder::new(&v).bytes().unwrap_err();
+        assert_eq!(
+            err,
+            DecodeError {
+                at: 4,
+                needed: u32::MAX as usize
+            }
+        );
     }
 
     #[test]

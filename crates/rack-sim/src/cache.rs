@@ -24,7 +24,7 @@
 //! and writes included. The lock rule: it is taken with no other
 //! node-local lock held, and nothing under it calls out except
 //! [`GlobalMemory::read_bytes`]/[`GlobalMemory::write_bytes`] (in
-//! [`fabric_read`]/[`fabric_write`], the module's only fabric call
+//! `fabric_read`/`fabric_write`, the module's only fabric call
 //! sites). So it cannot deadlock, and every operation is atomic with
 //! respect to every other operation on the same node: no reader of this
 //! node can see a line between its flush's write and its drop, or
@@ -43,7 +43,7 @@
 //! [`CacheStats::coalesced_fills`] is always 0.
 //!
 //! Within a bank, a line is found through a **line directory**
-//! ([`LineDir`]) indexed by address, not by hash: the bank-local line
+//! (`LineDir`) indexed by address, not by hash: the bank-local line
 //! number `line_id >> log2(banks)` picks a `u32` entry of `dir` per 64
 //! lines, naming a leaf of 64 slot numbers. A lookup is two dependent
 //! array loads, and a 4 KiB span's lines fall in one leaf per bank, so a
@@ -71,7 +71,7 @@
 //! operation under one lock hold, not 64.
 //!
 //! * **Passes.** A span is cut, in address order, into passes of at most
-//!   [`PASS_LINES`] lines (one page), whose staging buffers live on the
+//!   `PASS_LINES` lines (one page), whose staging buffers live on the
 //!   stack, and each pass is walked in address order. Every bank
 //!   therefore sees its lines in ascending order — the hits, fills,
 //!   installs and evictions a line-at-a-time walk would show it.

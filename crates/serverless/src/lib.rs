@@ -3,7 +3,8 @@
 //! The paper motivates FlacOS with three serverless pain points: cold
 //! start latency, interference under density, and service-chain
 //! communication cost. This crate builds the §4.1 architecture on the
-//! FlacOS substrate:
+//! FlacOS substrate for the first two; the third is FlacOS IPC's cost
+//! against TCP, which `figures -- ipc` measures directly:
 //!
 //! * [`image`] / [`registry`] — synthetic layered container images
 //!   whose layers are chunk manifests (content-hash-addressed pages),
@@ -15,20 +16,16 @@
 //!   already resident in the rack-wide content-addressed store, placed
 //!   there by whichever node fetched it first), and **hot** (runtime
 //!   state already resident on this node).
-//! * [`chain`] — function chains whose hops run over FlacOS IPC instead
-//!   of the network.
 //! * [`scheduler`] — density-aware placement with an interference model.
 //!
 //! The container-startup experiment (`figures -- startup`) reproduces
 //! the paper's 21.067 s → 5.526 s → 3.02 s progression in shape.
 
-pub mod chain;
 pub mod image;
 pub mod registry;
 pub mod runtime;
 pub mod scheduler;
 
-pub use chain::FunctionChain;
 pub use image::ContainerImage;
 pub use registry::ImageRegistry;
 pub use runtime::{ContainerRuntime, StartupPath, StartupReport};

@@ -1,6 +1,5 @@
 //! The rack-level serverless architecture of §4: container startup over
-//! the shared page cache, function chains over FlacOS IPC, and
-//! density-aware placement.
+//! the shared page cache and density-aware placement.
 //!
 //! ```text
 //! cargo run -p flacos --example serverless_rack
@@ -15,7 +14,6 @@ use flacos_fs::memfs::{FsShared, MemFs};
 use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
 use rack_sim::{Rack, RackConfig, SimError};
-use serverless::chain::{ChainTransport, FunctionChain};
 use serverless::image::ContainerImage;
 use serverless::registry::{ImageRegistry, RegistryConfig};
 use serverless::runtime::ContainerRuntime;
@@ -29,7 +27,7 @@ fn main() -> Result<(), SimError> {
     let fs = FsShared::alloc(
         rack.global(),
         rack.node_count(),
-        alloc.clone(),
+        alloc,
         epochs,
         RetireList::new(),
         Arc::new(BlockDevice::nvme(rack.global(), rack.node_count())?),
@@ -87,21 +85,6 @@ fn main() -> Result<(), SimError> {
         "  chunk store holds {} deduped frames once, for both nodes ({} chunks shipped)\n",
         dedup_stats.unique_frames,
         store.backends().total_stats().chunks_shipped,
-    );
-
-    // Function chain over shared memory vs the network.
-    let mut ipc_chain = FunctionChain::build(&rack, &alloc, 4, ChainTransport::FlacIpc)?;
-    let (_, ipc_ns) = ipc_chain.invoke(&vec![1u8; 1024])?;
-    let rack2 = Rack::new(RackConfig::two_node_hccs());
-    let alloc2 = GlobalAllocator::new(rack2.global().clone());
-    let mut tcp_chain = FunctionChain::build(&rack2, &alloc2, 4, ChainTransport::Tcp)?;
-    let (_, tcp_ns) = tcp_chain.invoke(&vec![1u8; 1024])?;
-    println!("4-stage function chain, 1 KiB payload:");
-    println!("  FlacOS IPC: {:.2} us end-to-end", ipc_ns as f64 / 1e3);
-    println!("  TCP/IP:     {:.2} us end-to-end", tcp_ns as f64 / 1e3);
-    println!(
-        "  chain communication reduction: {:.2}x\n",
-        tcp_ns as f64 / ipc_ns as f64
     );
 
     // Density placement.

@@ -14,6 +14,9 @@ cargo fmt --all -- --check
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --workspace --offline -- -D warnings
 
+echo "== rustdoc (offline, warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
@@ -45,6 +48,9 @@ cargo run --release --offline -p bench --bin flac-faultstorm -- --seeds 2 --step
 
 echo "== tiering smoke: A7 ablation =="
 cargo run --release --offline -p bench --bin figures -- tiering
+
+echo "== sync smoke: A1 ablation =="
+cargo run --release --offline -p bench --bin figures -- sync
 
 echo "== tiering fault-storm campaign (fixed seeds, replay-verified) =="
 cargo run --release --offline -p bench --bin flac-faultstorm -- --tiering --seeds 2 --steps 60 --verify

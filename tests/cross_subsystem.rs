@@ -3,8 +3,9 @@
 //! boxes, applications over the full stack.
 
 use flacdk::alloc::GlobalAllocator;
+use flacdk::ds::radix::RadixTree;
 use flacdk::reliability::checkpoint::CheckpointManager;
-use flacdk::sync::rcu::{EpochManager, VersionedCell};
+use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
 use flacos::prelude::*;
 use flacos_fs::journal;
@@ -29,12 +30,13 @@ fn checkpoint_pins_protect_rcu_versions_under_churn() {
     let alloc = rack.alloc().clone();
     let epochs = rack.epochs().clone();
     let retired = RetireList::new();
-    let cell = VersionedCell::alloc(rack.sim().global()).unwrap();
-    cell.write(&n0, &alloc, &epochs, &retired, b"v0").unwrap();
+    // One level: every update displaces exactly one published node.
+    let tree = RadixTree::alloc(rack.sim().global(), 1).unwrap();
+    tree.insert(&n0, &alloc, &epochs, &retired, 0, 0).unwrap();
 
     let (pin, _) = epochs.pin(&n0).unwrap();
-    for i in 1..10u8 {
-        cell.write(&n0, &alloc, &epochs, &retired, &[i; 2]).unwrap();
+    for i in 1..10u64 {
+        tree.insert(&n0, &alloc, &epochs, &retired, 0, i).unwrap();
     }
     // All 9 displaced versions are protected by the pin.
     assert_eq!(retired.reclaim(&n0, &epochs, &alloc).unwrap(), 0);
@@ -182,124 +184,6 @@ fn tlb_shootdown_after_shared_mapping_change() {
     for t in tlbs.iter_mut() {
         assert_eq!(t.lookup(1, 7), None, "no stale translation survives");
     }
-}
-
-#[test]
-fn predicted_failure_triggers_preemptive_relocation() {
-    // §3.2 prediction feeding §3.2 relocation: a region racking up
-    // correctable errors is predicted to fail; its objects are moved to
-    // fresh memory *before* the uncorrectable fault lands.
-    use flacdk::alloc::relocate::{Placement, Relocator, Tier};
-    use flacdk::reliability::predict::FailurePredictor;
-
-    let rack = booted();
-    let n0 = rack.sim().node(0);
-    let alloc = rack.alloc().clone();
-    let relocator = Relocator::new();
-    let mut predictor = FailurePredictor::new(1_000_000_000, 5.0);
-
-    // Object 1 lives in a degrading region.
-    let old_addr = alloc.alloc(&n0, 64).unwrap();
-    n0.write(old_addr, &[0xAA; 64]).unwrap();
-    n0.writeback(old_addr, 64);
-    relocator.place(
-        1,
-        Placement {
-            tier: Tier::Global(old_addr),
-            len: 64,
-        },
-    );
-
-    // ECC reports a burst of correctable errors against that region.
-    for i in 0..10 {
-        predictor.record_correctable(1, i * 1_000_000);
-    }
-    assert!(predictor.predicts_failure(1, n0.clock().now().max(10_000_000)));
-
-    // Policy: evacuate everything in at-risk regions.
-    for _region in predictor.at_risk(10_000_000) {
-        let vacated = relocator.compact(&n0, &alloc, 1).unwrap();
-        assert_eq!(vacated, old_addr);
-    }
-
-    // Now the predicted uncorrectable fault actually lands — on memory
-    // nothing references anymore.
-    rack.sim()
-        .faults()
-        .poison_memory(rack.sim().global(), old_addr, 64, 0);
-    let Placement {
-        tier: Tier::Global(new_addr),
-        ..
-    } = relocator.resolve(1).unwrap()
-    else {
-        panic!("object stayed global")
-    };
-    assert_ne!(new_addr, old_addr);
-    let mut buf = [0u8; 64];
-    n0.invalidate(new_addr, 64);
-    n0.read(new_addr, &mut buf).unwrap();
-    assert_eq!(buf, [0xAA; 64], "data survived, zero recovery needed");
-}
-
-#[test]
-fn hotness_driven_tiering_promotes_the_working_set() {
-    // §3.2 memory management: hotness tracking decides what lives in
-    // fast local memory; the relocator executes the decision.
-    use flacdk::alloc::hotness::HotnessTracker;
-    use flacdk::alloc::relocate::{Placement, Relocator, Tier};
-
-    let rack = booted();
-    let n0 = rack.sim().node(0);
-    let alloc = rack.alloc().clone();
-    let relocator = Relocator::new();
-    let mut tracker = HotnessTracker::new(1000);
-
-    for id in 0..4u64 {
-        let addr = alloc.alloc(&n0, 128).unwrap();
-        n0.write(addr, &[id as u8; 128]).unwrap();
-        n0.writeback(addr, 128);
-        relocator.place(
-            id,
-            Placement {
-                tier: Tier::Global(addr),
-                len: 128,
-            },
-        );
-        tracker.register(id, 128);
-    }
-    // Objects 0 and 1 are hot.
-    for _ in 0..20 {
-        tracker.touch(0);
-        tracker.touch(1);
-    }
-    tracker.touch(2);
-
-    let (hot, cold) = tracker.tier_split(256);
-    assert_eq!(hot.len(), 2);
-    for id in &hot {
-        relocator.promote_to_local(&n0, *id).unwrap();
-        assert!(matches!(
-            relocator.resolve(*id).unwrap().tier,
-            Tier::Local(_)
-        ));
-    }
-    for id in &cold {
-        assert!(matches!(
-            relocator.resolve(*id).unwrap().tier,
-            Tier::Global(_)
-        ));
-    }
-    // Promoted data is intact and now reads at local speed.
-    let Placement {
-        tier: Tier::Local(laddr),
-        ..
-    } = relocator.resolve(0).unwrap()
-    else {
-        panic!("promoted")
-    };
-    let mut buf = [0u8; 128];
-    n0.local_read(laddr, &mut buf).unwrap();
-    assert_eq!(buf, [0u8; 128]);
 }
 
 #[test]

@@ -720,26 +720,29 @@ fn dedup_refcounts_match_a_reference_model() {
 }
 
 #[test]
-fn versioned_cell_reads_see_complete_versions() {
-    check("versioned_cell_reads_see_complete_versions", |rng| {
-        use flacdk::sync::rcu::VersionedCell;
+fn radix_reads_see_complete_versions() {
+    check("radix_reads_see_complete_versions", |rng| {
         let rack = small_rack();
         let alloc = GlobalAllocator::new(rack.global().clone());
         let epochs = EpochManager::alloc(rack.global(), 2).unwrap();
         let retired = RetireList::new();
-        let cell = VersionedCell::alloc(rack.global()).unwrap();
+        let tree = RadixTree::alloc(rack.global(), 2).unwrap();
         let (writer, reader) = (rack.node(0), rack.node(1));
+        let mut model: HashMap<u64, u64> = HashMap::new();
 
         let writes = 1 + rng.gen_index(11);
         for _ in 0..writes {
-            let len = 1 + rng.gen_index(49);
-            let content = rng.gen_bytes(len);
-            cell.write(&writer, &alloc, &epochs, &retired, &content)
+            let key = rng.gen_range(0..tree.key_capacity());
+            let value = rng.next_u64() >> 1;
+            tree.insert(&writer, &alloc, &epochs, &retired, key, value)
                 .unwrap();
-            // Reader on the other node always sees the exact latest bytes.
+            model.insert(key, value);
+            // Reader on the other node always sees the whole latest
+            // version: every key, none stale.
             let guard = epochs.handle(reader.clone()).read_lock().unwrap();
-            let observed = cell.read(&reader, &guard).unwrap();
-            assert_eq!(observed.as_deref(), Some(&content[..]));
+            for (&k, &v) in &model {
+                assert_eq!(tree.get(&reader, &guard, k).unwrap(), Some(v));
+            }
             drop(guard);
             retired.reclaim(&writer, &epochs, &alloc).unwrap();
         }
