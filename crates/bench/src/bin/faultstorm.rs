@@ -1,279 +1,147 @@
-//! `flac-faultstorm` — run seeded rack-wide fault-storm campaigns and
-//! check cross-subsystem invariants.
+//! `flac-faultstorm` — run every seeded rack-wide fault-storm campaign
+//! and check cross-subsystem invariants.
 //!
 //! ```text
-//! flac-faultstorm [--seeds N] [--steps M] [--seed X] [--verify] [--tiering|--sync|--store]
+//! flac-faultstorm [--seeds N] [--steps M] [--seed X] [--verify]
 //! ```
 //!
-//! * `--seeds N`  — campaigns to run, seeds `X, X+1, …, X+N-1` (default 8)
+//! * `--seeds N`  — seeds per campaign, `X, X+1, …, X+N-1` (default 8)
 //! * `--steps M`  — scheduled storm steps per campaign (default 120)
 //! * `--seed X`   — base seed (default 0xF1AC_5708)
 //! * `--verify`   — re-run every campaign and assert its event log is
 //!   byte-identical (the determinism guarantee)
-//! * `--tiering`  — run the page-tiering campaign instead (staged
-//!   migrations under crashes; old copy stays authoritative)
-//! * `--sync`     — run the sync-cell campaigns instead: the delegated
-//!   cell under owner crashes, then the node-replicated cell with
-//!   combiners killed mid-batch (both fatal windows) and publishers
-//!   killed before their summary bit; no committed or published update
-//!   lost or double-applied, log replay exact
-//! * `--store`    — run the chunk-store campaign instead (cold starts
-//!   under fetcher crashes; no chunk ever downloaded twice, index
-//!   consistent and replay-exact after the heal)
 //!
-//! Exits nonzero if any invariant is violated or a replay diverges. To
-//! reproduce a failing campaign, re-run with `--seeds 1 --seed <seed>`
-//! using the seed printed in its survival row.
+//! Every seed runs all five campaigns of [`Campaign::ALL`]: the booted
+//! rack (file system, RPC, fault boxes, dirty lines), page tiering,
+//! the delegated and node-replicated sync cells, and the chunk store.
+//!
+//! Exits nonzero if any invariant is violated or a replay diverges, and
+//! writes the failing campaign's event log (or the first line where
+//! the replay diverged) to stderr. To reproduce a failing campaign,
+//! re-run with `--seeds 1 --seed <seed>` using the seed printed in its
+//! survival row.
 
-use bench::faultstorm::{
-    run_campaign, run_nr_sync_campaign, run_store_campaign, run_sync_campaign,
-    run_tiering_campaign, StoreSurvivalReport, SurvivalReport, SyncSurvivalReport,
-    TieringSurvivalReport,
-};
+use bench::faultstorm::{Campaign, CampaignReport};
 
-#[allow(clippy::type_complexity)]
-fn parse_args() -> Result<(u64, u64, u32, bool, bool, bool, bool), String> {
-    let mut seeds = 8u64;
-    let mut steps = 120u32;
-    let mut base_seed = 0xF1AC_5708u64;
-    let mut verify = false;
-    let mut tiering = false;
-    let mut sync = false;
-    let mut store = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need_value = |i: usize| {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--seeds" => {
-                seeds = need_value(i)?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?;
-                i += 2;
-            }
-            "--steps" => {
-                steps = need_value(i)?
-                    .parse()
-                    .map_err(|e| format!("--steps: {e}"))?;
-                i += 2;
-            }
-            "--seed" => {
-                let v = need_value(i)?;
-                base_seed = if let Some(hex) = v.strip_prefix("0x") {
-                    u64::from_str_radix(&hex.replace('_', ""), 16)
-                        .map_err(|e| format!("--seed: {e}"))?
-                } else {
-                    v.parse().map_err(|e| format!("--seed: {e}"))?
-                };
-                i += 2;
-            }
-            "--verify" => {
-                verify = true;
-                i += 1;
-            }
-            "--tiering" => {
-                tiering = true;
-                i += 1;
-            }
-            "--sync" => {
-                sync = true;
-                i += 1;
-            }
-            "--store" => {
-                store = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    if [tiering, sync, store].iter().filter(|&&m| m).count() > 1 {
-        return Err("--tiering, --sync and --store are mutually exclusive".into());
-    }
-    Ok((seeds, base_seed, steps, verify, tiering, sync, store))
+/// The settings one invocation runs with.
+#[derive(Debug)]
+struct Options {
+    seeds: u64,
+    steps: u32,
+    base_seed: u64,
+    verify: bool,
 }
 
-fn run_tiering(seeds: u64, base_seed: u64, steps: u32, verify: bool) -> u64 {
-    println!("{}", TieringSurvivalReport::header());
-    let mut failures = 0u64;
-    let mut last: Option<TieringSurvivalReport> = None;
-    for k in 0..seeds {
-        let seed = base_seed + k;
-        let report = run_tiering_campaign(seed, steps);
-        println!("{}", report.row());
-        for v in &report.violations {
-            println!("    violation: {v}");
-            failures += 1;
+/// Parse the arguments after the program name.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut opts = Options {
+        seeds: 8,
+        steps: 120,
+        base_seed: 0xF1AC_5708,
+        verify: false,
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        if flag == "--verify" {
+            opts.verify = true;
+            continue;
         }
-        if verify {
-            let replay = run_tiering_campaign(seed, steps);
-            if replay.log_text != report.log_text {
-                println!("    violation: replay of seed {seed:#x} DIVERGED");
-                failures += 1;
-            }
+        if !["--seeds", "--steps", "--seed"].contains(&flag.as_str()) {
+            return Err(format!("unknown argument {flag:?}"));
         }
-        last = Some(report);
+        let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        let value = match v.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(&hex.replace('_', ""), 16),
+            None => v.parse(),
+        }
+        .map_err(|e| format!("{flag}: {e}"))?;
+        match flag.as_str() {
+            "--seeds" => opts.seeds = value,
+            "--steps" => opts.steps = u32::try_from(value).map_err(|e| format!("{flag}: {e}"))?,
+            _ => opts.base_seed = value,
+        }
     }
-    if let Some(report) = last {
-        println!(
-            "\nrack metrics of the last campaign (seed {:#018x}):",
-            report.seed
-        );
-        println!("{}", report.metrics);
+    if opts.seeds == 0 {
+        return Err("--seeds must be at least 1".into());
     }
-    failures
+    if opts.base_seed.checked_add(opts.seeds - 1).is_none() {
+        return Err(format!(
+            "--seed {:#x} --seeds {} runs past the last 64-bit seed",
+            opts.base_seed, opts.seeds
+        ));
+    }
+    Ok(opts)
 }
 
-fn run_sync(seeds: u64, base_seed: u64, steps: u32, verify: bool) -> u64 {
-    let mut failures = 0u64;
-    let mut last: Option<SyncSurvivalReport> = None;
-    for (name, campaign) in [
-        (
-            "delegated cell (owner crashes)",
-            run_sync_campaign as fn(u64, u32) -> SyncSurvivalReport,
-        ),
-        (
-            "node-replicated cell (combiners and publishers killed mid-batch)",
-            run_nr_sync_campaign as fn(u64, u32) -> SyncSurvivalReport,
-        ),
-    ] {
-        println!("{name}:");
-        println!("{}", SyncSurvivalReport::header());
-        for k in 0..seeds {
-            let seed = base_seed + k;
-            let report = campaign(seed, steps);
-            println!("{}", report.row());
-            for v in &report.violations {
-                println!("    violation: {v}");
-                failures += 1;
-            }
-            if verify {
-                let replay = campaign(seed, steps);
-                if replay.log_text != report.log_text {
-                    println!("    violation: replay of seed {seed:#x} DIVERGED");
-                    failures += 1;
-                }
-            }
-            last = Some(report);
+/// The first line where two event logs differ: (line number, line of
+/// `a`, line of `b`), with an empty string past the end of a log.
+fn first_divergence<'a>(a: &'a str, b: &'a str) -> Option<(usize, &'a str, &'a str)> {
+    let (mut la, mut lb) = (a.lines(), b.lines());
+    let mut line = 1;
+    loop {
+        match (la.next(), lb.next()) {
+            (None, None) => return None,
+            (x, y) if x != y => return Some((line, x.unwrap_or(""), y.unwrap_or(""))),
+            _ => line += 1,
         }
-        println!();
     }
-    if let Some(report) = last {
-        println!(
-            "rack metrics of the last campaign (seed {:#018x}):",
-            report.seed
-        );
-        println!("{}", report.metrics);
-    }
-    failures
-}
-
-fn run_store(seeds: u64, base_seed: u64, steps: u32, verify: bool) -> u64 {
-    println!("{}", StoreSurvivalReport::header());
-    let mut failures = 0u64;
-    let mut last: Option<StoreSurvivalReport> = None;
-    for k in 0..seeds {
-        let seed = base_seed + k;
-        let report = run_store_campaign(seed, steps);
-        println!("{}", report.row());
-        for v in &report.violations {
-            println!("    violation: {v}");
-            failures += 1;
-        }
-        if verify {
-            let replay = run_store_campaign(seed, steps);
-            if replay.log_text != report.log_text {
-                println!("    violation: replay of seed {seed:#x} DIVERGED");
-                failures += 1;
-            }
-        }
-        last = Some(report);
-    }
-    if let Some(report) = last {
-        println!(
-            "\nrack metrics of the last campaign (seed {:#018x}):",
-            report.seed
-        );
-        println!("{}", report.metrics);
-    }
-    failures
 }
 
 fn main() {
-    let (seeds, base_seed, steps, verify, tiering, sync, store) = match parse_args() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("flac-faultstorm: {e}");
-            eprintln!(
-                "usage: flac-faultstorm [--seeds N] [--steps M] [--seed X] [--verify] \
-                 [--tiering|--sync|--store]"
-            );
-            std::process::exit(2);
-        }
-    };
-
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("flac-faultstorm: {e}");
+        eprintln!("usage: flac-faultstorm [--seeds N] [--steps M] [--seed X] [--verify]");
+        std::process::exit(2);
+    });
+    let last_seed = opts.base_seed + (opts.seeds - 1);
     println!(
-        "flac-faultstorm: {seeds} {}campaign(s) x {steps} steps, seeds {base_seed:#x}..{:#x}{}",
-        if tiering {
-            "tiering "
-        } else if sync {
-            "sync "
-        } else if store {
-            "store "
-        } else {
-            ""
-        },
-        base_seed + seeds,
-        if verify {
+        "flac-faultstorm: {} campaigns x {} seeds x {} steps, seeds {:#x}..={last_seed:#x}{}",
+        Campaign::ALL.len(),
+        opts.seeds,
+        opts.steps,
+        opts.base_seed,
+        if opts.verify {
             " (+replay verification)"
         } else {
             ""
         }
     );
-
-    if tiering || sync || store {
-        let failures = if tiering {
-            run_tiering(seeds, base_seed, steps, verify)
-        } else if sync {
-            run_sync(seeds, base_seed, steps, verify)
-        } else {
-            run_store(seeds, base_seed, steps, verify)
-        };
-        if failures > 0 {
-            eprintln!("\nflac-faultstorm: {failures} invariant violation(s)");
-            std::process::exit(1);
-        }
-        println!("\nflac-faultstorm: all campaigns survived, all invariants held");
-        return;
-    }
-
-    println!("{}", SurvivalReport::header());
+    println!("{}", CampaignReport::header());
 
     let mut failures = 0u64;
-    let mut last: Option<SurvivalReport> = None;
-    for k in 0..seeds {
-        let seed = base_seed + k;
-        let report = run_campaign(seed, steps);
-        println!("{}", report.row());
-        for v in &report.violations {
-            println!("    violation: {v}");
-            failures += 1;
-        }
-        if verify {
-            let replay = run_campaign(seed, steps);
-            if replay.log_text != report.log_text {
-                println!("    violation: replay of seed {seed:#x} DIVERGED");
+    let mut last = None;
+    for campaign in Campaign::ALL {
+        let name = campaign.name();
+        for seed in opts.base_seed..=last_seed {
+            let report = campaign.run(seed, opts.steps);
+            println!("{}", report.row());
+            for v in &report.violations {
+                println!("    violation: {v}");
                 failures += 1;
             }
+            if !report.survived() {
+                eprintln!("--- {name} seed {seed:#x} event log ---");
+                eprint!("{}", report.log_text);
+            }
+            if opts.verify {
+                let replay = campaign.run(seed, opts.steps);
+                if let Some((line, want, got)) =
+                    first_divergence(&report.log_text, &replay.log_text)
+                {
+                    println!("    violation: replay of seed {seed:#x} DIVERGED");
+                    eprintln!("--- {name} seed {seed:#x} replay diverged at line {line} ---");
+                    eprintln!("run:    {want}\nreplay: {got}");
+                    failures += 1;
+                }
+            }
+            last = Some(report);
         }
-        last = Some(report);
     }
-
     if let Some(report) = last {
         println!(
-            "\nrack metrics of the last campaign (seed {:#018x}):",
+            "\nrack metrics of the last campaign ({} seed {:#018x}):",
+            report.campaign.name(),
             report.seed
         );
         println!("{}", report.metrics);
@@ -284,4 +152,45 @@ fn main() {
         std::process::exit(1);
     }
     println!("\nflac-faultstorm: all campaigns survived, all invariants held");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<Options, String> {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn options_parse() {
+        let o = parse("--seeds 2 --steps 60 --seed 0xF1AC_0001 --verify").unwrap();
+        assert_eq!(
+            (o.seeds, o.steps, o.base_seed, o.verify),
+            (2, 60, 0xF1AC_0001, true)
+        );
+        assert_eq!(parse("").unwrap().seeds, 8);
+        assert!(parse("--seed 0xffffffffffffffff --seeds 1").is_ok());
+        assert!(parse("--tiering").is_err(), "campaign selection is gone");
+    }
+
+    #[test]
+    fn zero_seeds_is_a_usage_error() {
+        let err = parse("--seeds 0").unwrap_err();
+        assert!(err.contains("--seeds"), "{err}");
+    }
+
+    #[test]
+    fn a_seed_range_past_u64_max_is_a_usage_error() {
+        let err = parse("--seed 0xffffffffffffffff --seeds 2").unwrap_err();
+        assert!(err.contains("last 64-bit seed"), "{err}");
+    }
+
+    #[test]
+    fn first_divergence_names_the_line() {
+        assert_eq!(first_divergence("a\nb\n", "a\nb\n"), None);
+        assert_eq!(first_divergence("a\nb\n", "a\nc\n"), Some((2, "b", "c")));
+        assert_eq!(first_divergence("a\n", "a\nb\n"), Some((2, "", "b")));
+    }
 }

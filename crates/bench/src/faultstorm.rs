@@ -1,34 +1,21 @@
-//! The `flac-faultstorm` campaign harness: seeded rack-wide fault
-//! storms driven against a fully booted FlacOS stack, with
-//! cross-subsystem invariant checking.
+//! The `flac-faultstorm` campaign engine: seeded rack-wide fault storms
+//! driven against the FlacOS stack, with cross-subsystem invariant
+//! checking.
 //!
-//! Each campaign boots a 4-node [`FlacRack`], spreads real work across
-//! the subsystems (journaled file writes, message-fabric RPCs with
-//! retry, fault-boxed applications, dirty cache lines awaiting
-//! writeback), and lets a [`StormCampaign`] crash nodes, sever links,
-//! and poison memory underneath it. The reaction layer exercises the
-//! recovery paths this PR hardens — RPC retry-with-backoff, fault-box
-//! re-election, journal replay on restart — and after the storm heals,
-//! [`run_campaign`] checks the invariants the paper's reliability story
-//! rests on:
+//! One driver runs all five [`Campaign`]s. It builds the 4-node rack
+//! from the seed, lets a [`StormCampaign`] crash and restart nodes
+//! underneath the workload, keeps the rack-wide `live` view, checks
+//! that every node is back up after the heal, and assembles one
+//! [`CampaignReport`]. Each campaign supplies only its reactions to the
+//! storm's steps and its post-heal invariants (see the variants).
 //!
-//! 1. **No lost committed writes** — every file write acknowledged to
-//!    the workload is readable with its exact content, and every dirty
-//!    scratch line that was explicitly written back survives in global
-//!    memory.
-//! 2. **No double-delivery** — the RPC server executed every
-//!    acknowledged call exactly once (duplicate suppression absorbs
-//!    retries; executions never exceed issued call ids).
-//! 3. **Liveness after recovery** — once healed, every node can write
-//!    and read the shared file system, the RPC path answers, and every
-//!    fault-boxed application's state is intact on its (possibly
-//!    re-elected) home.
-//!
-//! Everything derives from the campaign seed, so the storm's event log
-//! is byte-identical across runs — the replay property asserted in this
+//! Everything derives from the campaign seed, so the event log is
+//! byte-identical across runs — the replay property pinned by this
 //! module's tests and checked by `flac-faultstorm --verify`.
 
+use flac_store::{BackendConfig, ChunkStore, ShardedBackends, StoreConfig};
 use flacdk::reliability::checkpoint::CheckpointManager;
+use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy};
 use flacos::FlacRack;
 use flacos_fault::fault_box::FaultBoxBuilder;
 use flacos_fault::recovery::RecoveryOrchestrator;
@@ -36,66 +23,146 @@ use flacos_fault::redundancy::{Protection, RedundancyPolicy};
 use flacos_fs::memfs::MemFs;
 use flacos_ipc::{MsgRpcClient, MsgRpcServer, RetryPolicy};
 use flacos_mem::addr::VirtAddr;
+use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
 use flacos_mem::tlb::Tlb;
 use flacos_mem::{AddressSpace, PhysFrame, Pte};
 use flacos_tier::{LocalFramePool, Migration};
 use rack_sim::storm::{StormCampaign, StormConfig, StormCounts, StormOp};
-use rack_sim::{GAddr, NodeId, RackConfig, SimError};
+use rack_sim::{GAddr, LAddr, NodeCtx, NodeId, Rack, RackConfig, SimError};
+use serverless::image::ContainerImage;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Nodes in every campaign rack.
 const NODES: usize = 4;
-/// The node hosting the message-fabric RPC server.
+/// Rack campaign: the RPC server's node, its request port and the
+/// first reply port.
 const SERVER_NODE: usize = 1;
-/// RPC request port / base reply port.
 const RPC_PORT: u16 = 40;
 const REPLY_PORT_BASE: u16 = 50;
-/// Scrub-region geometry (the storm's poison target).
+/// Rack campaign: the poison target's size in words, and the
+/// known-good pattern word `i` of it holds (`SCRUB_PATTERN ^ i`).
 const SCRUB_WORDS: usize = 64;
-/// Known-good pattern word `i` of the scrub region holds.
 const SCRUB_PATTERN: u64 = 0xC0DE_F1AC_0000_0000;
-/// Fault-boxed applications and their initial homes.
+/// Rack campaign: the fault-boxed applications' initial homes.
 const APP_HOMES: [usize; 2] = [2, 3];
+/// Tiering campaign: pages in the address space (id `TIER_ASID`), the
+/// migrating node and its local-DRAM budget in pages.
+const TIER_PAGES: u64 = 48;
+const TIER_ASID: u64 = 1;
+const TIER_NODE: usize = 0;
+const TIER_BUDGET_PAGES: usize = 8;
+/// Store campaign: images in the catalogue, pages and layers per image
+/// (adjacent images share half their layers by content), and the most
+/// hashes one claim step grabs.
+const STORE_IMAGES: usize = 3;
+const STORE_IMAGE_PAGES: u64 = 64;
+const STORE_IMAGE_LAYERS: usize = 4;
+const STORE_CLAIM_LIMIT: usize = 24;
 
-/// Outcome of one campaign: per-subsystem survival counters, the
+/// One of the five seeded fault-storm campaigns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Campaign {
+    /// Journaled file writes, RPCs with retry, fault-boxed applications
+    /// and dirty cache lines on a booted [`FlacRack`], under crashes,
+    /// link failures and memory poison. After the heal no acknowledged
+    /// write is lost, no acknowledged RPC executed twice, every node can
+    /// use the file system, and every application's state is intact on
+    /// its (possibly re-elected) home.
+    Rack,
+    /// Node 0 promotes and demotes pages, one migration stage per
+    /// workload step, and crashes mid-flight. No acknowledged page write
+    /// is lost, no PTE keeps the `Migrating` guard, and the local tier
+    /// stays within its budget.
+    Tiering,
+    /// Live nodes commit to a delegated [`SyncCell`] ledger while its
+    /// owner dies. The cell ends equal to the acknowledged ops in log
+    /// order, a from-scratch log replay reproduces it, and a post-heal
+    /// update is visible.
+    Delegated,
+    /// The same ledger, node-replicated, with combiners killed mid-batch
+    /// and publishers before their summary bit; the same invariants.
+    NodeReplicated,
+    /// Cold starts of overlapping images through the chunk store's
+    /// two-phase claim/complete protocol while fetchers die between the
+    /// phases. No chunk is shipped twice, the index is consistent, and
+    /// its log replays to the live index.
+    Store,
+}
+
+impl Campaign {
+    /// Every campaign, in the order `flac-faultstorm` runs them.
+    pub const ALL: [Campaign; 5] = [
+        Campaign::Rack,
+        Campaign::Tiering,
+        Campaign::Delegated,
+        Campaign::NodeReplicated,
+        Campaign::Store,
+    ];
+
+    /// The campaign's name in the survival table.
+    pub fn name(self) -> &'static str {
+        match self {
+            Campaign::Rack => "rack",
+            Campaign::Tiering => "tiering",
+            Campaign::Delegated => "delegated",
+            Campaign::NodeReplicated => "node-replicated",
+            Campaign::Store => "store",
+        }
+    }
+
+    /// Run one seeded campaign end to end and check every invariant.
+    ///
+    /// Fully deterministic: the same `(seed, steps)` produces a
+    /// byte-identical [`CampaignReport::log_text`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rack cannot be built (global memory exhausted) — a
+    /// harness bug, not a campaign outcome.
+    pub fn run(self, seed: u64, steps: u32) -> CampaignReport {
+        match self {
+            Campaign::Rack => {
+                let flac = boot(seed);
+                drive(self, seed, steps, flac.sim(), RackStorm::new(&flac, steps))
+            }
+            Campaign::Tiering => {
+                let flac = boot(seed);
+                drive(self, seed, steps, flac.sim(), TieringStorm::new(&flac))
+            }
+            Campaign::Delegated => {
+                let rack = bare_rack(seed);
+                let ledger = Ledger::new(&rack, "storm_ledger", SyncPolicy::Delegated);
+                drive(self, seed, steps, &rack, Delegated(ledger))
+            }
+            Campaign::NodeReplicated => {
+                let rack = bare_rack(seed);
+                let ledger = Ledger::new(&rack, "storm_nr_ledger", SyncPolicy::NodeReplicated);
+                drive(self, seed, steps, &rack, NodeReplicated(ledger))
+            }
+            Campaign::Store => {
+                let rack = bare_rack(seed);
+                drive(self, seed, steps, &rack, StoreStorm::new(&rack))
+            }
+        }
+    }
+}
+
+/// Outcome of one campaign: storm counts, per-campaign tallies, the
 /// deterministic event log, and any invariant violations.
 #[derive(Debug, Clone)]
-pub struct SurvivalReport {
+pub struct CampaignReport {
+    /// Which campaign ran.
+    pub campaign: Campaign,
     /// The seed the campaign ran from.
     pub seed: u64,
     /// Per-class storm operation counts.
     pub counts: StormCounts,
     /// Total executed steps (heal steps included).
     pub events: usize,
-    /// File writes acknowledged (journaled + page cache) / attempts that
-    /// degraded gracefully.
-    pub fs_commits: u64,
-    /// File-system operations that failed under faults (not violations:
-    /// they were never acknowledged).
-    pub fs_degraded: u64,
-    /// Journal replays performed on node restart.
-    pub fs_replays: u64,
-    /// Journal entries replayed across all restarts.
-    pub fs_entries_replayed: u64,
-    /// RPC calls acknowledged to the client.
-    pub rpc_acked: u64,
-    /// RPC calls abandoned after retry exhaustion or a down server.
-    pub rpc_degraded: u64,
-    /// Distinct calls the server handler actually executed.
-    pub rpc_executed: u64,
-    /// Retried requests answered from the server's reply cache.
-    pub rpc_dup_suppressed: u64,
-    /// Call ids issued by clients.
-    pub rpc_issued: u64,
-    /// Dirty scratch lines explicitly written back (committed).
-    pub scratch_flushed: u64,
-    /// Dirty scratch lines lost to a crash before writeback (expected
-    /// crash semantics, not violations).
-    pub scratch_lost: u64,
-    /// Poisoned words scrubbed and repaired.
-    pub scrubs: u64,
-    /// Fault boxes re-elected onto a surviving node.
-    pub reelections: u64,
+    /// The campaign's named counters, in row order.
+    pub tallies: Vec<(&'static str, u64)>,
     /// Invariant violations (empty on a surviving campaign).
     pub violations: Vec<String>,
     /// The byte-identical replay artifact.
@@ -104,828 +171,783 @@ pub struct SurvivalReport {
     pub metrics: rack_sim::RackReport,
 }
 
-impl SurvivalReport {
+impl CampaignReport {
     /// Whether every invariant held.
     pub fn survived(&self) -> bool {
         self.violations.is_empty()
     }
 
+    /// The value of the tally `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the campaign keeps no tally of that name.
+    pub fn tally(&self, name: &str) -> u64 {
+        self.tallies
+            .iter()
+            .find(|(k, _)| *k == name)
+            .unwrap_or_else(|| panic!("{} keeps no tally {name:?}", self.campaign.name()))
+            .1
+    }
+
     /// One summary row for the survival table.
     pub fn row(&self) -> String {
+        let tallies: Vec<String> = self
+            .tallies
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
         format!(
-            "{:#018x} | {:>5} | {:>2}/{:<2} | {:>4}/{:<4} | {:>4}/{:<4} | {:>3} | {:>3} | {:>3} | {}",
+            "{:<15} | {:#018x} | {:>5} | {:>2}/{:<2} | {:<13} | {}",
+            self.campaign.name(),
             self.seed,
             self.events,
             self.counts.crashes,
             self.counts.restarts,
-            self.fs_commits,
-            self.fs_degraded,
-            self.rpc_acked,
-            self.rpc_degraded,
-            self.fs_replays,
-            self.reelections,
-            self.scrubs,
             if self.survived() {
                 "ok".to_string()
             } else {
                 format!("{} VIOLATIONS", self.violations.len())
-            }
+            },
+            tallies.join(" ")
         )
     }
 
-    /// Header matching [`SurvivalReport::row`].
+    /// Header matching [`CampaignReport::row`].
     pub fn header() -> &'static str {
-        "seed               | steps | cr/rs | fs ok/deg | rpc ok/deg | rpl | re# | scr | verdict"
+        "campaign        | seed               | steps | cr/rs | verdict       | tallies"
     }
 }
 
-/// The storm shape used by every campaign (poison region filled in per
-/// rack at run time).
-fn storm_config(steps: u32, poison_region: (GAddr, usize)) -> StormConfig {
-    StormConfig {
+/// The booted 4-node FlacOS rack of the rack and tiering campaigns.
+fn boot(seed: u64) -> FlacRack {
+    FlacRack::boot(RackConfig::n_node(NODES).with_seed(seed ^ 0xF1AC)).expect("boot")
+}
+
+/// The bare 4-node, 64 MiB rack of the sync-cell and store campaigns.
+fn bare_rack(seed: u64) -> Rack {
+    Rack::new(
+        RackConfig::n_node(NODES)
+            .with_global_mem(64 << 20)
+            .with_seed(seed ^ 0xF1AC),
+    )
+}
+
+/// What the driver keeps for every campaign: which nodes are up, the
+/// violations found so far and the campaign's named tallies.
+struct Storm {
+    seed: u64,
+    steps: u32,
+    live: Vec<bool>,
+    violations: Vec<String>,
+    tallies: Vec<(&'static str, u64)>,
+}
+
+impl Storm {
+    fn fail(&mut self, violation: String) {
+        self.violations.push(violation);
+    }
+
+    /// The tally `name`, which [`Hooks::TALLIES`] must declare.
+    fn tally(&mut self, name: &str) -> &mut u64 {
+        let tally = self.tallies.iter_mut().find(|(k, _)| *k == name);
+        &mut tally
+            .unwrap_or_else(|| panic!("undeclared tally {name:?}"))
+            .1
+    }
+
+    fn add(&mut self, name: &str, by: u64) {
+        *self.tally(name) += by;
+    }
+
+    fn lowest_live(&self) -> usize {
+        self.live
+            .iter()
+            .position(|&a| a)
+            .expect("min_live_nodes >= 2")
+    }
+
+    /// The first live node at or after `step`, round-robin.
+    fn round_robin(&self, step: u32) -> Option<usize> {
+        let n = self.live.len();
+        (step as usize..step as usize + n)
+            .map(|k| k % n)
+            .find(|&k| self.live[k])
+    }
+}
+
+/// One campaign's part: reactions to the storm's steps and the
+/// post-heal invariants. The driver marks a node down or up in
+/// [`Storm::live`] before calling [`Hooks::crash`] or [`Hooks::restart`].
+trait Hooks {
+    /// The campaign's tally names, space-separated, in row order.
+    const TALLIES: &'static str;
+
+    /// The storm shape: crashes and restarts only, never below two live
+    /// nodes.
+    fn config(&self, steps: u32) -> StormConfig {
+        StormConfig {
+            steps,
+            min_live_nodes: 2,
+            link_fail_weight: 0,
+            link_restore_weight: 0,
+            poison_weight: 0,
+            delayed_writeback_weight: 0,
+            poison_region: None,
+            ..StormConfig::default()
+        }
+    }
+
+    fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String;
+
+    fn crash(&mut self, s: &mut Storm, step: u32, node: NodeId, rack: &Rack) -> String;
+
+    fn restart(&mut self, s: &mut Storm, step: u32, node: usize) -> String;
+
+    /// Link, poison and delayed-writeback steps, which only a campaign
+    /// overriding [`Hooks::config`] schedules.
+    fn other(&mut self, _s: &mut Storm, _step: u32, _op: StormOp, _rack: &Rack) -> String {
+        "unused op class (weight 0)".to_string()
+    }
+
+    /// Check the campaign's invariants once every node is back up.
+    fn heal(&mut self, s: &mut Storm, rack: &Rack);
+}
+
+/// Run `hooks` under a seeded storm on `rack` and assemble its report.
+fn drive<H: Hooks>(
+    campaign: Campaign,
+    seed: u64,
+    steps: u32,
+    rack: &Rack,
+    mut hooks: H,
+) -> CampaignReport {
+    let mut s = Storm {
+        seed,
         steps,
-        min_live_nodes: 2,
-        poison_region: Some(poison_region),
-        ..StormConfig::default()
+        live: vec![true; rack.node_count()],
+        violations: Vec::new(),
+        tallies: H::TALLIES.split_whitespace().map(|k| (k, 0)).collect(),
+    };
+    let storm = StormCampaign::new(seed, hooks.config(steps));
+    let report = storm.run(rack, |step, op, rack| match *op {
+        StormOp::Workload => hooks.workload(&mut s, step, rack),
+        StormOp::CrashNode { node } => {
+            s.live[node.0] = false;
+            hooks.crash(&mut s, step, node, rack)
+        }
+        StormOp::RestartNode { node } => {
+            s.live[node.0] = true;
+            hooks.restart(&mut s, step, node.0)
+        }
+        other => hooks.other(&mut s, step, other, rack),
+    });
+    for i in 0..rack.node_count() {
+        if !rack.is_alive(NodeId(i)) {
+            s.fail(format!("node {i} still down after heal"));
+        }
+    }
+    hooks.heal(&mut s, rack);
+    CampaignReport {
+        campaign,
+        seed,
+        counts: report.counts,
+        events: report.events.len(),
+        tallies: s.tallies,
+        violations: s.violations,
+        log_text: report.log_text(),
+        metrics: rack.metrics_report(),
     }
 }
 
-/// Run one seeded campaign end to end and check every invariant.
-///
-/// Fully deterministic: the same `(seed, steps)` produces a
-/// byte-identical [`SurvivalReport::log_text`].
-///
-/// # Panics
-///
-/// Panics if the rack cannot boot (global memory exhausted) — a harness
-/// bug, not a campaign outcome.
-#[allow(clippy::too_many_lines)]
-pub fn run_campaign(seed: u64, steps: u32) -> SurvivalReport {
-    let flac = FlacRack::boot(RackConfig::n_node(NODES).with_seed(seed ^ 0xF1AC)).expect("boot");
-    let rack = flac.sim().clone();
-    let n = rack.node_count();
+/// The rack campaign's workload state.
+struct RackStorm {
+    /// One mount per node over a shared campaign directory.
+    fs: Vec<MemFs>,
+    server: MsgRpcServer,
+    /// One persistent client per node, so call ids never repeat.
+    clients: Vec<MsgRpcClient>,
+    orch: RecoveryOrchestrator,
+    /// The storm's poison target, filled with a known pattern.
+    scrub_base: GAddr,
+    /// One fresh cache line per dirty write, so a lost (crashed-away)
+    /// line can never alias a committed one.
+    scratch_base: GAddr,
+    next_slot: u64,
+    /// Acknowledged file writes: (path, content).
+    committed: Vec<(String, String)>,
+    /// Dirty, unflushed lines: (node, addr, value).
+    pending: Vec<(usize, GAddr, u64)>,
+    /// Written-back lines, which must survive.
+    flushed: Vec<(GAddr, u64)>,
+}
 
-    // --- File system: one mount per node, a shared campaign directory.
-    let mut fs: Vec<MemFs> = (0..n)
-        .map(|i| MemFs::mount(flac.fs_shared().clone(), rack.node(i)))
-        .collect();
-    fs[0].mkdir("/storm").expect("mkdir /storm");
+impl RackStorm {
+    fn new(flac: &FlacRack, steps: u32) -> Self {
+        let rack = flac.sim();
+        let mut fs: Vec<MemFs> = (0..NODES)
+            .map(|i| MemFs::mount(flac.fs_shared().clone(), rack.node(i)))
+            .collect();
+        fs[0].mkdir("/storm").expect("mkdir /storm");
+        let server = MsgRpcServer::new(rack.node(SERVER_NODE), RPC_PORT);
+        let clients = (0..NODES)
+            .map(|i| {
+                MsgRpcClient::new(
+                    rack.node(i),
+                    NodeId(SERVER_NODE),
+                    RPC_PORT,
+                    REPLY_PORT_BASE + i as u16,
+                )
+            })
+            .collect();
 
-    // --- RPC: a server on SERVER_NODE, one persistent client per node
-    // (persistent so call ids never repeat within a campaign).
-    let mut server = MsgRpcServer::new(rack.node(SERVER_NODE), RPC_PORT);
-    let mut clients: Vec<MsgRpcClient> = (0..n)
-        .map(|i| {
-            MsgRpcClient::new(
-                rack.node(i),
-                NodeId(SERVER_NODE),
-                RPC_PORT,
-                REPLY_PORT_BASE + i as u16,
-            )
+        // Fault-boxed applications with checkpoint protection.
+        let mut orch = RecoveryOrchestrator::new();
+        for (app_id, &home) in APP_HOMES.iter().enumerate() {
+            let home_ctx = rack.node(home);
+            let fbox = FaultBoxBuilder::new(app_id as u64)
+                .stack_pages(1)
+                .heap_pages(2)
+                .build(
+                    &home_ctx,
+                    rack.global(),
+                    flac.alloc().clone(),
+                    flac.frames(),
+                    flac.epochs().clone(),
+                )
+                .expect("fault box");
+            let state = format!("app-{app_id}");
+            fbox.space()
+                .write(&home_ctx, fbox.heap_va(0), state.as_bytes())
+                .expect("seed app state");
+            let protection = Protection::new(
+                RedundancyPolicy::PeriodicCheckpoint { period_ns: 1 },
+                CheckpointManager::new(flac.alloc().clone(), flac.epochs().clone()),
+            );
+            orch.register(&home_ctx, fbox, protection)
+                .expect("register");
+        }
+
+        let scrub_base = rack
+            .global()
+            .alloc(SCRUB_WORDS * 8, 64)
+            .expect("scrub region");
+        for w in 0..SCRUB_WORDS as u64 {
+            let addr = GAddr(scrub_base.0 + w * 8);
+            rack.node(0)
+                .store_uncached_u64(addr, SCRUB_PATTERN ^ w)
+                .expect("fill scrub region");
+        }
+        let scratch_base = rack
+            .global()
+            .alloc(64 * steps as usize + 64, 64)
+            .expect("scratch region");
+        RackStorm {
+            fs,
+            server,
+            clients,
+            orch,
+            scrub_base,
+            scratch_base,
+            next_slot: 0,
+            committed: Vec::new(),
+            pending: Vec::new(),
+            flushed: Vec::new(),
+        }
+    }
+
+    /// The known-good word at `addr` of the scrub region.
+    fn scrub_word(&self, addr: GAddr) -> u64 {
+        SCRUB_PATTERN ^ ((addr.0 - self.scrub_base.0) / 8)
+    }
+
+    /// One echo RPC from `caller`, draining the server on every retry.
+    fn echo(&mut self, caller: usize, args: &[u8]) -> Result<Vec<u8>, SimError> {
+        let server = &mut self.server;
+        self.clients[caller].call_with_retry(args, &RetryPolicy::default(), &mut |_| {
+            server
+                .drain(&mut |req: &[u8]| [b"ack:".as_slice(), req].concat())
+                .map(|_| ())
         })
-        .collect();
-    let policy = RetryPolicy::default();
+    }
+}
 
-    // --- Fault-boxed applications with checkpoint protection.
-    let mut orch = RecoveryOrchestrator::new();
-    for (app_id, &home) in APP_HOMES.iter().enumerate() {
-        let home_ctx = rack.node(home);
-        let fbox = FaultBoxBuilder::new(app_id as u64)
-            .stack_pages(1)
-            .heap_pages(2)
-            .build(
-                &home_ctx,
-                rack.global(),
-                flac.alloc().clone(),
-                flac.frames(),
-                flac.epochs().clone(),
-            )
-            .expect("fault box");
-        fbox.space()
-            .write(
-                &home_ctx,
-                fbox.heap_va(0),
-                format!("app-{app_id}").as_bytes(),
-            )
-            .expect("seed app state");
-        let protection = Protection::new(
-            RedundancyPolicy::PeriodicCheckpoint { period_ns: 1 },
-            CheckpointManager::new(flac.alloc().clone(), flac.epochs().clone()),
-        );
-        orch.register(&home_ctx, fbox, protection)
-            .expect("register");
+impl Hooks for RackStorm {
+    const TALLIES: &'static str = "fs_commits fs_degraded fs_replays rpc_issued rpc_acked \
+        rpc_degraded rpc_executed rpc_dup_suppressed scrubs scratch_lost reelections";
+
+    /// Every op class, with the scrub region as the poison target.
+    fn config(&self, steps: u32) -> StormConfig {
+        StormConfig {
+            steps,
+            min_live_nodes: 2,
+            poison_region: Some((self.scrub_base, SCRUB_WORDS * 8)),
+            ..StormConfig::default()
+        }
     }
 
-    // --- Scrub region: the storm's poison target, filled with a known
-    // pattern the reaction layer repairs word by word.
-    let scrub_base = rack
-        .global()
-        .alloc(SCRUB_WORDS * 8, 64)
-        .expect("scrub region");
-    let expected_word = |addr: GAddr| SCRUB_PATTERN ^ ((addr.0 - scrub_base.0) / 8);
-    for w in 0..SCRUB_WORDS as u64 {
-        let addr = GAddr(scrub_base.0 + w * 8);
-        rack.node(0)
-            .store_uncached_u64(addr, expected_word(addr))
-            .expect("fill scrub region");
-    }
-
-    // --- Scratch slots for delayed writebacks: one fresh cache line per
-    // dirty write, so a lost (crashed-away) line can never alias a
-    // committed one.
-    let scratch_base = rack
-        .global()
-        .alloc(64 * steps as usize + 64, 64)
-        .expect("scratch region");
-    let mut next_slot = 0u64;
-
-    // --- Campaign state threaded through the reaction closure.
-    let mut live = vec![true; n];
-    let mut committed: Vec<(String, String)> = Vec::new();
-    let mut next_file = 0u64;
-    let mut pending: Vec<(usize, GAddr, u64)> = Vec::new(); // dirty, unflushed
-    let mut flushed: Vec<(GAddr, u64)> = Vec::new(); // written back: must survive
-    let mut fs_commits = 0u64;
-    let mut fs_degraded = 0u64;
-    let mut fs_replays = 0u64;
-    let mut fs_entries_replayed = 0u64;
-    let mut rpc_acked = 0u64;
-    let mut rpc_degraded = 0u64;
-    let mut rpc_issued = 0u64;
-    let mut scratch_lost = 0u64;
-    let mut scrubs = 0u64;
-    let mut reelections = 0u64;
-    let mut violations: Vec<String> = Vec::new();
-
-    let campaign = StormCampaign::new(seed, storm_config(steps, (scrub_base, SCRUB_WORDS * 8)));
-    let report = campaign.run(&rack, |step, op, rack| {
-        let lowest_live =
-            |live: &[bool]| live.iter().position(|&a| a).expect("min_live_nodes >= 2");
-        match *op {
-            StormOp::Workload => {
-                // Flush the oldest pending dirty line whose node is live.
-                let mut note = String::new();
-                if let Some(i) = pending.iter().position(|&(node, _, _)| live[node]) {
-                    let (node, addr, value) = pending.remove(i);
-                    rack.node(node).writeback(addr, 8);
-                    flushed.push((addr, value));
-                    note = format!(", flushed {addr}");
-                }
-                // A committed file write from the round-robin writer.
-                let writer = (step as usize..step as usize + n)
-                    .map(|k| k % n)
-                    .find(|&k| live[k])
-                    .expect("min_live_nodes >= 2");
-                let path = format!("/storm/f{next_file:04}");
-                let content = format!("s{seed:016x}-{step:04}");
-                match fs[writer].write_file(&path, content.as_bytes()) {
-                    Ok(_) => {
-                        committed.push((path.clone(), content));
-                        next_file += 1;
-                        fs_commits += 1;
-                    }
-                    Err(e) => {
-                        fs_degraded += 1;
-                        return format!("fs write degraded on n{writer}: {e}{note}");
-                    }
-                }
-                // An RPC from the first live non-server node.
-                let caller = (0..n).find(|&k| live[k] && k != SERVER_NODE);
-                if !live[SERVER_NODE] {
-                    rpc_degraded += 1;
-                    return format!("wrote {path} on n{writer}; rpc skipped (server down){note}");
-                }
-                let Some(caller) = caller else {
-                    rpc_degraded += 1;
-                    return format!("wrote {path} on n{writer}; rpc skipped (no caller){note}");
-                };
-                rpc_issued += 1;
-                let args = format!("step-{step:04}");
-                let server = &mut server;
-                let out = clients[caller].call_with_retry(args.as_bytes(), &policy, &mut |_| {
-                    let mut handler = |req: &[u8]| {
-                        let mut r = b"ack:".to_vec();
-                        r.extend_from_slice(req);
-                        r
-                    };
-                    server.drain(&mut handler).map(|_| ())
-                });
-                match out {
-                    Ok(reply) => {
-                        if reply == format!("ack:{args}").into_bytes() {
-                            rpc_acked += 1;
-                            format!("wrote {path} on n{writer}; rpc acked from n{caller}{note}")
-                        } else {
-                            violations.push(format!(
-                                "step {step}: rpc reply mismatch for {args}"
-                            ));
-                            format!("rpc reply MISMATCH on step {step}")
-                        }
-                    }
-                    Err(e) => {
-                        rpc_degraded += 1;
-                        format!("wrote {path} on n{writer}; rpc degraded from n{caller}: {e}{note}")
-                    }
-                }
+    fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String {
+        // Flush the oldest pending dirty line whose node is live.
+        let mut note = String::new();
+        if let Some(i) = self.pending.iter().position(|&(node, _, _)| s.live[node]) {
+            let (node, addr, value) = self.pending.remove(i);
+            rack.node(node).writeback(addr, 8);
+            self.flushed.push((addr, value));
+            note = format!(", flushed {addr}");
+        }
+        // A committed file write from the round-robin writer.
+        let writer = s.round_robin(step).expect("min_live_nodes >= 2");
+        let path = format!("/storm/f{:04}", self.committed.len());
+        let content = format!("s{:016x}-{step:04}", s.seed);
+        if let Err(e) = self.fs[writer].write_file(&path, content.as_bytes()) {
+            s.add("fs_degraded", 1);
+            return format!("fs write degraded on n{writer}: {e}{note}");
+        }
+        self.committed.push((path.clone(), content));
+        s.add("fs_commits", 1);
+        // An RPC from the first live non-server node.
+        let caller = (0..NODES).find(|&k| s.live[k] && k != SERVER_NODE);
+        if !s.live[SERVER_NODE] {
+            s.add("rpc_degraded", 1);
+            return format!("wrote {path} on n{writer}; rpc skipped (server down){note}");
+        }
+        let Some(caller) = caller else {
+            s.add("rpc_degraded", 1);
+            return format!("wrote {path} on n{writer}; rpc skipped (no caller){note}");
+        };
+        s.add("rpc_issued", 1);
+        let args = format!("step-{step:04}");
+        match self.echo(caller, args.as_bytes()) {
+            Ok(reply) if reply == format!("ack:{args}").into_bytes() => {
+                s.add("rpc_acked", 1);
+                format!("wrote {path} on n{writer}; rpc acked from n{caller}{note}")
             }
+            Ok(_) => {
+                s.fail(format!("step {step}: rpc reply mismatch for {args}"));
+                format!("rpc reply MISMATCH on step {step}")
+            }
+            Err(e) => {
+                s.add("rpc_degraded", 1);
+                format!("wrote {path} on n{writer}; rpc degraded from n{caller}: {e}{note}")
+            }
+        }
+    }
+
+    fn crash(&mut self, s: &mut Storm, step: u32, node: NodeId, rack: &Rack) -> String {
+        let node_idx = node.0;
+        // Dirty, un-written-back lines on the victim die with it.
+        let before = self.pending.len();
+        self.pending.retain(|&(owner, _, _)| owner != node_idx);
+        let lost = (before - self.pending.len()) as u64;
+        s.add("scratch_lost", lost);
+        // Re-elect every fault box homed there onto a survivor.
+        let rescuer = s.lowest_live();
+        match self.orch.handle_node_crash(&rack.node(rescuer), node) {
+            Ok(rehomed) => {
+                s.add("reelections", rehomed.len() as u64);
+                format!(
+                    "crash n{node_idx}: {lost} dirty lines lost, re-homed {rehomed:?} onto n{rescuer}"
+                )
+            }
+            Err(e) => {
+                s.fail(format!("step {step}: re-election failed: {e}"));
+                format!("crash n{node_idx}: re-election FAILED: {e}")
+            }
+        }
+    }
+
+    fn restart(&mut self, s: &mut Storm, step: u32, node: usize) -> String {
+        // The restarted node's local replica is gone: rebuild the mount
+        // purely from the journal.
+        match self.fs[node].recover() {
+            Ok(replayed) => {
+                s.add("fs_replays", 1);
+                format!("restart n{node}: journal replayed {replayed} entries")
+            }
+            Err(e) => {
+                s.fail(format!("step {step}: journal replay failed: {e}"));
+                format!("restart n{node}: journal replay FAILED: {e}")
+            }
+        }
+    }
+
+    fn other(&mut self, s: &mut Storm, step: u32, op: StormOp, rack: &Rack) -> String {
+        match op {
             StormOp::DelayedWriteback { node } => {
                 let node_idx = node.0;
-                if !live[node_idx] {
+                if !s.live[node_idx] {
                     return format!("dirty write skipped: n{node_idx} down");
                 }
-                let addr = GAddr(scratch_base.0 + next_slot * 64);
-                next_slot += 1;
-                let value = seed ^ (u64::from(step) << 32) ^ addr.0;
+                let addr = GAddr(self.scratch_base.0 + self.next_slot * 64);
+                self.next_slot += 1;
+                let value = s.seed ^ (u64::from(step) << 32) ^ addr.0;
                 match rack.node(node_idx).write_u64(addr, value) {
                     Ok(()) => {
-                        pending.push((node_idx, addr, value));
+                        self.pending.push((node_idx, addr, value));
                         format!("dirty write on n{node_idx} @ {addr} (unflushed)")
                     }
                     Err(e) => format!("dirty write failed on n{node_idx}: {e}"),
                 }
             }
-            StormOp::CrashNode { node } => {
-                let node_idx = node.0;
-                live[node_idx] = false;
-                // Dirty, un-written-back lines on the victim die with it.
-                let before = pending.len();
-                pending.retain(|&(owner, _, _)| owner != node_idx);
-                scratch_lost += (before - pending.len()) as u64;
-                // Re-elect every fault box homed there onto a survivor.
-                let rescuer = lowest_live(&live);
-                match orch.handle_node_crash(&rack.node(rescuer), node) {
-                    Ok(rehomed) => {
-                        reelections += rehomed.len() as u64;
-                        format!(
-                            "crash n{node_idx}: {} dirty lines lost, re-homed {rehomed:?} onto n{rescuer}",
-                            before - pending.len()
-                        )
-                    }
-                    Err(e) => {
-                        violations.push(format!("step {step}: re-election failed: {e}"));
-                        format!("crash n{node_idx}: re-election FAILED: {e}")
-                    }
-                }
-            }
-            StormOp::RestartNode { node } => {
-                let node_idx = node.0;
-                live[node_idx] = true;
-                // The restarted node's local replica is gone: rebuild the
-                // mount purely from the journal.
-                match fs[node_idx].recover() {
-                    Ok(replayed) => {
-                        fs_replays += 1;
-                        fs_entries_replayed += replayed;
-                        format!("restart n{node_idx}: journal replayed {replayed} entries")
-                    }
-                    Err(e) => {
-                        violations.push(format!("step {step}: journal replay failed: {e}"));
-                        format!("restart n{node_idx}: journal replay FAILED: {e}")
-                    }
-                }
-            }
             StormOp::FailLink { from, to } => {
                 format!("link n{}->n{} severed; workload continues", from.0, to.0)
             }
-            StormOp::RestoreLink { from, to } => {
-                format!("link n{}->n{} restored", from.0, to.0)
-            }
+            StormOp::RestoreLink { from, to } => format!("link n{}->n{} restored", from.0, to.0),
             StormOp::PoisonWord { addr } => {
                 // Scrub and repair from the known-good pattern.
-                let fixer = lowest_live(&live);
+                let fixer = s.lowest_live();
                 let ctx = rack.node(fixer);
                 ctx.global().scrub(addr, 8);
-                match ctx.store_uncached_u64(addr, expected_word(addr)) {
+                match ctx.store_uncached_u64(addr, self.scrub_word(addr)) {
                     Ok(()) => {
-                        scrubs += 1;
+                        s.add("scrubs", 1);
                         format!("poison @ {addr}: scrubbed and repaired by n{fixer}")
                     }
                     Err(e) => {
-                        violations.push(format!("step {step}: scrub failed at {addr}: {e}"));
+                        s.fail(format!("step {step}: scrub failed at {addr}: {e}"));
                         format!("poison @ {addr}: repair FAILED: {e}")
                     }
                 }
             }
-        }
-    });
-
-    // --- Post-heal: flush every remaining dirty line (all nodes live).
-    while let Some((node, addr, value)) = pending.pop() {
-        rack.node(node).writeback(addr, 8);
-        flushed.push((addr, value));
-    }
-
-    // --- Invariant 1: no lost committed writes.
-    for (path, content) in &committed {
-        match fs[0].read_file(path) {
-            Ok(data) if data == content.as_bytes() => {}
-            Ok(data) => violations.push(format!(
-                "committed {path} corrupted: want {:?}, got {:?}",
-                content,
-                String::from_utf8_lossy(&data)
-            )),
-            Err(e) => violations.push(format!("committed {path} unreadable: {e}")),
-        }
-    }
-    for &(addr, value) in &flushed {
-        match rack.node(0).load_uncached_u64(addr) {
-            Ok(got) if got == value => {}
-            Ok(got) => violations.push(format!(
-                "flushed scratch {addr} lost: want {value:#x}, got {got:#x}"
-            )),
-            Err(e) => violations.push(format!("flushed scratch {addr} unreadable: {e}")),
-        }
-    }
-    for w in 0..SCRUB_WORDS as u64 {
-        let addr = GAddr(scrub_base.0 + w * 8);
-        match rack.node(0).load_uncached_u64(addr) {
-            Ok(got) if got == expected_word(addr) => {}
-            Ok(got) => violations.push(format!(
-                "scrub word {addr} wrong: want {:#x}, got {got:#x}",
-                expected_word(addr)
-            )),
-            Err(e) => violations.push(format!("scrub word {addr} unreadable: {e}")),
+            _ => unreachable!("the driver dispatches {op}"),
         }
     }
 
-    // --- Invariant 2: no double-delivery.
-    if server.executed() < rpc_acked {
-        violations.push(format!(
-            "rpc executed {} < acked {} — an acked call was never executed",
-            server.executed(),
-            rpc_acked
-        ));
-    }
-    if server.executed() > rpc_issued {
-        violations.push(format!(
-            "rpc executed {} > issued {} — some call id executed twice",
-            server.executed(),
-            rpc_issued
-        ));
-    }
-
-    // --- Invariant 3: liveness after recovery.
-    for (i, mount) in fs.iter_mut().enumerate() {
-        if !rack.is_alive(NodeId(i)) {
-            violations.push(format!("node {i} still down after heal"));
-            continue;
+    fn heal(&mut self, s: &mut Storm, rack: &Rack) {
+        // Flush every remaining dirty line (all nodes live).
+        while let Some((node, addr, value)) = self.pending.pop() {
+            rack.node(node).writeback(addr, 8);
+            self.flushed.push((addr, value));
         }
-        let path = format!("/storm/liveness-n{i}");
-        match mount.write_file(&path, b"alive") {
-            Ok(_) => match mount.read_file(&path) {
-                Ok(data) if data == b"alive" => {}
-                _ => violations.push(format!("post-heal read failed on node {i}")),
-            },
-            Err(e) => violations.push(format!("post-heal write failed on node {i}: {e}")),
-        }
-    }
-    {
-        let caller = if SERVER_NODE == 0 { 1 } else { 0 };
-        let server = &mut server;
-        let out = clients[caller].call_with_retry(b"post-heal", &policy, &mut |_| {
-            let mut handler = |req: &[u8]| {
-                let mut r = b"ack:".to_vec();
-                r.extend_from_slice(req);
-                r
-            };
-            server.drain(&mut handler).map(|_| ())
-        });
-        match out {
-            Ok(reply) if reply == b"ack:post-heal" => rpc_issued += 1,
-            other => violations.push(format!("post-heal rpc failed: {other:?}")),
-        }
-    }
-    for (app_id, _) in APP_HOMES.iter().enumerate() {
-        let fbox = orch.fault_box(app_id as u64).expect("registered");
-        let home = rack.node(fbox.home().0);
-        let want = format!("app-{app_id}");
-        let mut buf = vec![0u8; want.len()];
-        match fbox.space().read(&home, fbox.heap_va(0), &mut buf) {
-            Ok(()) if buf == want.as_bytes() => {}
-            other => violations.push(format!(
-                "app {app_id} state lost on n{} after storm: {other:?}",
-                fbox.home().0
-            )),
-        }
-    }
 
-    SurvivalReport {
-        seed,
-        counts: report.counts,
-        events: report.events.len(),
-        fs_commits,
-        fs_degraded,
-        fs_replays,
-        fs_entries_replayed,
-        rpc_acked,
-        rpc_degraded,
-        rpc_executed: server.executed(),
-        rpc_dup_suppressed: server.dup_suppressed(),
-        rpc_issued,
-        scratch_flushed: flushed.len() as u64,
-        scratch_lost,
-        scrubs,
-        reelections,
-        violations,
-        log_text: report.log_text(),
-        metrics: rack.metrics_report(),
-    }
-}
-
-/// Pages in the tiering campaign's shared address space.
-const TIER_PAGES: u64 = 48;
-/// Local-DRAM budget of the campaign's migrating node, in pages.
-const TIER_BUDGET_PAGES: usize = 8;
-/// The node running promotions/demotions (and crashing mid-flight).
-const TIER_NODE: usize = 0;
-/// Address-space id of the campaign workload.
-const TIER_ASID: u64 = 1;
-
-/// Outcome of one tiering storm campaign.
-#[derive(Debug, Clone)]
-pub struct TieringSurvivalReport {
-    /// The seed the campaign ran from.
-    pub seed: u64,
-    /// Per-class storm operation counts.
-    pub counts: StormCounts,
-    /// Total executed steps (heal steps included).
-    pub events: usize,
-    /// Page writes acknowledged to the workload.
-    pub writes_committed: u64,
-    /// Page writes skipped (page migrating or its home node down).
-    pub writes_skipped: u64,
-    /// Migrations committed global → local.
-    pub promotions: u64,
-    /// Migrations committed local → global.
-    pub demotions: u64,
-    /// Mid-flight migrations rolled back (survivor abort after a crash,
-    /// plus the end-of-campaign cleanup abort if one was in flight).
-    pub aborts: u64,
-    /// Invariant violations (empty on a surviving campaign).
-    pub violations: Vec<String>,
-    /// The byte-identical replay artifact.
-    pub log_text: String,
-    /// The merged rack metrics after the campaign.
-    pub metrics: rack_sim::RackReport,
-}
-
-impl TieringSurvivalReport {
-    /// Whether every invariant held.
-    pub fn survived(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// One summary row for the survival table.
-    pub fn row(&self) -> String {
-        format!(
-            "{:#018x} | {:>5} | {:>2}/{:<2} | {:>4}/{:<4} | {:>4} | {:>4} | {:>3} | {}",
-            self.seed,
-            self.events,
-            self.counts.crashes,
-            self.counts.restarts,
-            self.writes_committed,
-            self.writes_skipped,
-            self.promotions,
-            self.demotions,
-            self.aborts,
-            if self.survived() {
-                "ok".to_string()
-            } else {
-                format!("{} VIOLATIONS", self.violations.len())
+        // Invariant 1: no lost committed writes.
+        let n0 = rack.node(0);
+        for (path, content) in &self.committed {
+            match self.fs[0].read_file(path) {
+                Ok(data) if data == content.as_bytes() => {}
+                Ok(data) => s.fail(format!(
+                    "committed {path} corrupted: want {content:?}, got {:?}",
+                    String::from_utf8_lossy(&data)
+                )),
+                Err(e) => s.fail(format!("committed {path} unreadable: {e}")),
             }
-        )
-    }
+        }
+        let scrub = (0..SCRUB_WORDS as u64).map(|w| {
+            let addr = GAddr(self.scrub_base.0 + w * 8);
+            (addr, self.scrub_word(addr))
+        });
+        for (addr, want) in self.flushed.iter().copied().chain(scrub) {
+            match n0.load_uncached_u64(addr) {
+                Ok(got) if got == want => {}
+                Ok(got) => s.fail(format!("word {addr} lost: want {want:#x}, got {got:#x}")),
+                Err(e) => s.fail(format!("word {addr} unreadable: {e}")),
+            }
+        }
 
-    /// Header matching [`TieringSurvivalReport::row`].
-    pub fn header() -> &'static str {
-        "seed               | steps | cr/rs | wr ok/skip | prom | demo | abt | verdict"
+        // Invariant 2: no double-delivery.
+        let executed = self.server.executed();
+        let (acked, issued) = (*s.tally("rpc_acked"), *s.tally("rpc_issued"));
+        if !(acked..=issued).contains(&executed) {
+            s.fail(format!(
+                "rpc executed {executed}, outside acked {acked} ..= issued {issued}"
+            ));
+        }
+        s.add("rpc_executed", executed);
+        s.add("rpc_dup_suppressed", self.server.dup_suppressed());
+
+        // Invariant 3: liveness after recovery.
+        for (i, mount) in self.fs.iter_mut().enumerate() {
+            let path = format!("/storm/liveness-n{i}");
+            match mount.write_file(&path, b"alive") {
+                Ok(_) => match mount.read_file(&path) {
+                    Ok(data) if data == b"alive" => {}
+                    _ => s.fail(format!("post-heal read failed on node {i}")),
+                },
+                Err(e) => s.fail(format!("post-heal write failed on node {i}: {e}")),
+            }
+        }
+        match self.echo(0, b"post-heal") {
+            Ok(reply) if reply == b"ack:post-heal" => s.add("rpc_issued", 1),
+            other => s.fail(format!("post-heal rpc failed: {other:?}")),
+        }
+        for app_id in 0..APP_HOMES.len() as u64 {
+            let fbox = self.orch.fault_box(app_id).expect("registered");
+            let (want, home) = (format!("app-{app_id}"), fbox.home().0);
+            let mut buf = vec![0u8; want.len()];
+            match fbox
+                .space()
+                .read(&rack.node(home), fbox.heap_va(0), &mut buf)
+            {
+                Ok(()) if buf == want.as_bytes() => {}
+                other => s.fail(format!("app {app_id} state lost on n{home}: {other:?}")),
+            }
+        }
     }
 }
 
-/// Rack-wide shootdown that only expects the live nodes to participate
-/// (dead peers have no stale TLB; acks from stragglers are not awaited).
-fn shootdown_live(
-    tlbs: &mut [Tlb],
-    live: &[bool],
-    initiator: usize,
-    asid: u64,
-    vpn: u64,
-) -> Result<(), SimError> {
+/// Rack-wide shootdown from the tiering node that only expects the live
+/// nodes to participate (dead peers have no stale TLB; acks from
+/// stragglers are not awaited).
+fn shootdown_live(tlbs: &mut [Tlb], live: &[bool], asid: u64, vpn: u64) -> Result<(), SimError> {
     let peers: Vec<NodeId> = tlbs.iter().map(Tlb::node_id).collect();
-    let expected = tlbs[initiator].begin_shootdown(&peers, asid, vpn)?;
+    let expected = tlbs[TIER_NODE].begin_shootdown(&peers, asid, vpn)?;
     for (i, tlb) in tlbs.iter_mut().enumerate() {
-        if i != initiator && live[i] {
+        if i != TIER_NODE && live[i] {
             tlb.service_shootdowns()?;
         }
     }
-    let _ = tlbs[initiator].collect_acks(expected);
+    let _ = tlbs[TIER_NODE].collect_acks(expected);
     Ok(())
 }
 
-/// Run one seeded tiering storm campaign: node 0 continuously promotes
-/// and demotes pages of a shared address space (one migration stage per
-/// workload step) while the storm crashes and restarts nodes underneath
-/// it, and every node keeps writing to non-migrating pages.
-///
-/// Invariants checked after the heal:
-///
-/// 1. **No lost committed writes** — every page holds exactly the last
-///    content a write acknowledged, whether the page was promoted,
-///    demoted, or caught mid-migration by a crash (the old copy stays
-///    authoritative until commit, so a survivor's abort loses nothing).
-/// 2. **No torn mappings** — no PTE is left with the `Migrating` guard.
-/// 3. **Budget accounting** — the migrating node never holds more local
-///    pages than its budget.
-///
-/// Fully deterministic: the same `(seed, steps)` produces a
-/// byte-identical [`TieringSurvivalReport::log_text`].
-///
-/// # Panics
-///
-/// Panics if the rack cannot boot — a harness bug, not an outcome.
-#[allow(clippy::too_many_lines)]
-pub fn run_tiering_campaign(seed: u64, steps: u32) -> TieringSurvivalReport {
-    let flac = FlacRack::boot(RackConfig::n_node(NODES).with_seed(seed ^ 0xF1AC)).expect("boot");
-    let rack = flac.sim().clone();
-    let n = rack.node_count();
-    let n0 = rack.node(TIER_NODE);
+/// The tiering campaign's workload state. The old copy of a page stays
+/// authoritative until its migration commits, so a survivor's abort of
+/// a crashed node's migration loses nothing.
+struct TieringStorm {
+    n0: Arc<NodeCtx>,
+    space: AddressSpace,
+    frames: FrameAllocator,
+    pool: LocalFramePool,
+    tlbs: Vec<Tlb>,
+    /// The last acknowledged content of every page.
+    model: Vec<Vec<u8>>,
+    /// vpn → local frame of pages promoted onto [`TIER_NODE`] (ordered,
+    /// so the demotion victim — the smallest vpn — is deterministic).
+    promoted: BTreeMap<u64, LAddr>,
+    /// One in-flight staged migration: (migration, promote?).
+    in_flight: Option<(Migration, bool)>,
+    mig_cursor: u64,
+}
 
-    let space = AddressSpace::alloc(
-        TIER_ASID,
-        rack.global(),
-        flac.alloc().clone(),
-        flac.epochs().clone(),
-        flac.retired().clone(),
-    )
-    .expect("address space");
-    let frames = FrameAllocator::new(rack.global().clone());
-    let mut model: Vec<Vec<u8>> = Vec::new();
-    for vpn in 0..TIER_PAGES {
-        let f = frames.alloc(&n0).expect("frame");
-        space
-            .map(&n0, vpn, Pte::new(PhysFrame::Global(f), true))
-            .expect("map");
-        let content = format!("init-{vpn:04}").into_bytes();
-        space
-            .write(&n0, VirtAddr::from_vpn(vpn), &content)
-            .expect("seed page");
-        model.push(content);
-    }
-    let mut tlbs: Vec<Tlb> = (0..n).map(|i| Tlb::new(rack.node(i), 64)).collect();
-    let mut pool = LocalFramePool::new();
-
-    // --- Campaign state threaded through the reaction closure.
-    let mut live = vec![true; n];
-    // vpn → local frame of pages promoted onto TIER_NODE (BTreeMap so the
-    // demotion victim — the smallest vpn — is deterministic).
-    let mut promoted: std::collections::BTreeMap<u64, rack_sim::LAddr> =
-        std::collections::BTreeMap::new();
-    // One in-flight staged migration: (migration, promote?).
-    let mut in_flight: Option<(Migration, bool)> = None;
-    let mut mig_cursor = 0u64;
-    let mut writes_committed = 0u64;
-    let mut writes_skipped = 0u64;
-    let mut promotions = 0u64;
-    let mut demotions = 0u64;
-    let mut aborts = 0u64;
-    let mut violations: Vec<String> = Vec::new();
-
-    let config = StormConfig {
-        steps,
-        min_live_nodes: 2,
-        link_fail_weight: 0,
-        link_restore_weight: 0,
-        poison_weight: 0,
-        delayed_writeback_weight: 0,
-        poison_region: None,
-        ..StormConfig::default()
-    };
-    let campaign = StormCampaign::new(seed, config);
-    let report = campaign.run(&rack, |step, op, rack| {
-        match *op {
-            StormOp::Workload => {
-                // --- One migration micro-step on the tiering node.
-                let note;
-                if live[TIER_NODE] {
-                    match in_flight.take() {
-                        None => {
-                            // Choose the next migration: demote the
-                            // smallest promoted vpn when at budget, else
-                            // promote the cursor's next global page.
-                            if promoted.len() >= TIER_BUDGET_PAGES {
-                                let vpn = *promoted.keys().next().expect("non-empty");
-                                let dst = PhysFrame::Global(frames.alloc(&n0).expect("frame"));
-                                match Migration::begin(&n0, &space, vpn, dst) {
-                                    Ok(m) => {
-                                        in_flight = Some((m, false));
-                                        note = format!(", demote of vpn {vpn} began");
-                                    }
-                                    Err(e) => note = format!(", demote begin failed: {e}"),
-                                }
-                            } else {
-                                let vpn = mig_cursor % TIER_PAGES;
-                                mig_cursor += 1;
-                                if promoted.contains_key(&vpn) {
-                                    note = format!(", vpn {vpn} already local");
-                                } else {
-                                    let dst = PhysFrame::Local(
-                                        n0.id(),
-                                        pool.alloc(&n0).expect("local frame"),
-                                    );
-                                    match Migration::begin(&n0, &space, vpn, dst) {
-                                        Ok(m) => {
-                                            in_flight = Some((m, true));
-                                            note = format!(", promote of vpn {vpn} began");
-                                        }
-                                        Err(e) => note = format!(", promote begin failed: {e}"),
-                                    }
-                                }
-                            }
-                        }
-                        Some((mut m, promote)) => {
-                            let vpn = m.vpn();
-                            if m.copy(&n0, &space).is_err() {
-                                m.abort(&n0, &space).expect("abort");
-                                match m.new_frame() {
-                                    PhysFrame::Global(g) => frames.free(&n0, g),
-                                    PhysFrame::Local(_, l) => pool.free(l),
-                                }
-                                aborts += 1;
-                                note = format!(", copy of vpn {vpn} failed; aborted");
-                            } else {
-                                let dst = m.new_frame();
-                                let old = m
-                                    .commit(&n0, &space, &mut |asid, vpn| {
-                                        shootdown_live(&mut tlbs, &live, TIER_NODE, asid, vpn)
-                                    })
-                                    .expect("commit");
-                                match old.frame {
-                                    PhysFrame::Global(g) => frames.free(&n0, g),
-                                    PhysFrame::Local(_, l) => pool.free(l),
-                                }
-                                if promote {
-                                    let PhysFrame::Local(_, l) = dst else {
-                                        unreachable!("promotion targets a local frame")
-                                    };
-                                    promoted.insert(vpn, l);
-                                    promotions += 1;
-                                    note = format!(", promoted vpn {vpn}");
-                                } else {
-                                    promoted.remove(&vpn);
-                                    demotions += 1;
-                                    note = format!(", demoted vpn {vpn}");
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    note = format!(", tier idle (n{TIER_NODE} down)");
-                }
-
-                // --- A committed write to a round-robin page from the
-                // node that can reach its frame.
-                let vpn = u64::from(step) % TIER_PAGES;
-                let lowest_live = live.iter().position(|&a| a).expect("live");
-                let pte = space
-                    .translate(&rack.node(lowest_live), VirtAddr::from_vpn(vpn))
-                    .expect("walk")
-                    .expect("mapped");
-                if pte.migrating {
-                    writes_skipped += 1;
-                    return format!("write vpn {vpn} skipped: migrating{note}");
-                }
-                let writer = match pte.frame {
-                    PhysFrame::Local(home, _) => {
-                        if !live[home.0] {
-                            writes_skipped += 1;
-                            return format!(
-                                "write vpn {vpn} skipped: local home n{} down{note}",
-                                home.0
-                            );
-                        }
-                        home.0
-                    }
-                    PhysFrame::Global(_) => lowest_live,
-                };
-                let content = format!("s{seed:016x}-{step:04}").into_bytes();
-                match space.write(&rack.node(writer), VirtAddr::from_vpn(vpn), &content) {
-                    Ok(()) => {
-                        model[vpn as usize] = content;
-                        writes_committed += 1;
-                        format!("wrote vpn {vpn} from n{writer}{note}")
-                    }
-                    Err(e) => {
-                        writes_skipped += 1;
-                        format!("write vpn {vpn} degraded on n{writer}: {e}{note}")
-                    }
-                }
-            }
-            StormOp::CrashNode { node } => {
-                let node_idx = node.0;
-                live[node_idx] = false;
-                // The crash-consistency story: a survivor rolls back any
-                // migration the dead node left mid-flight — the old copy
-                // is still authoritative, so nothing is lost.
-                if node_idx == TIER_NODE {
-                    if let Some((m, _)) = in_flight.take() {
-                        let rescuer = live.iter().position(|&a| a).expect("min_live_nodes >= 2");
-                        m.abort(&rack.node(rescuer), &space)
-                            .expect("survivor abort");
-                        match m.new_frame() {
-                            PhysFrame::Global(g) => frames.free(&rack.node(rescuer), g),
-                            PhysFrame::Local(_, l) => pool.free(l),
-                        }
-                        aborts += 1;
-                        return format!(
-                            "crash n{node_idx}: survivor n{rescuer} aborted mid-flight \
-                             migration of vpn {} (old copy authoritative)",
-                            m.vpn()
-                        );
-                    }
-                    return format!("crash n{node_idx}: tiering paused, no migration in flight");
-                }
-                format!("crash n{node_idx}: workload continues")
-            }
-            StormOp::RestartNode { node } => {
-                let node_idx = node.0;
-                live[node_idx] = true;
-                // A restarted node boots with a cold TLB.
-                tlbs[node_idx].flush_asid(TIER_ASID);
-                format!("restart n{node_idx}: TLB cold, tiering resumes")
-            }
-            StormOp::DelayedWriteback { .. }
-            | StormOp::FailLink { .. }
-            | StormOp::RestoreLink { .. }
-            | StormOp::PoisonWord { .. } => "unused op class (weight 0)".to_string(),
+impl TieringStorm {
+    fn new(flac: &FlacRack) -> Self {
+        let rack = flac.sim();
+        let n0 = rack.node(TIER_NODE);
+        let space = AddressSpace::alloc(
+            TIER_ASID,
+            rack.global(),
+            flac.alloc().clone(),
+            flac.epochs().clone(),
+            flac.retired().clone(),
+        )
+        .expect("address space");
+        let frames = FrameAllocator::new(rack.global().clone());
+        let mut model = Vec::new();
+        for vpn in 0..TIER_PAGES {
+            let f = frames.alloc(&n0).expect("frame");
+            space
+                .map(&n0, vpn, Pte::new(PhysFrame::Global(f), true))
+                .expect("map");
+            let content = format!("init-{vpn:04}").into_bytes();
+            space
+                .write(&n0, VirtAddr::from_vpn(vpn), &content)
+                .expect("seed page");
+            model.push(content);
         }
-    });
-
-    // --- Post-heal: roll back any still-open migration window.
-    if let Some((m, _)) = in_flight.take() {
-        m.abort(&n0, &space).expect("cleanup abort");
-        match m.new_frame() {
-            PhysFrame::Global(g) => frames.free(&n0, g),
-            PhysFrame::Local(_, l) => pool.free(l),
+        TieringStorm {
+            tlbs: (0..NODES).map(|i| Tlb::new(rack.node(i), 64)).collect(),
+            n0,
+            space,
+            frames,
+            pool: LocalFramePool::new(),
+            model,
+            promoted: BTreeMap::new(),
+            in_flight: None,
+            mig_cursor: 0,
         }
-        aborts += 1;
     }
 
-    // --- Invariant 1: no lost committed writes, readable from any node.
-    for vpn in 0..TIER_PAGES {
-        let want = &model[vpn as usize];
-        let pte = match space.translate(&n0, VirtAddr::from_vpn(vpn)) {
-            Ok(Some(pte)) => pte,
-            other => {
-                violations.push(format!("vpn {vpn} unmapped after storm: {other:?}"));
-                continue;
-            }
+    fn release(&mut self, ctx: &NodeCtx, frame: PhysFrame) {
+        match frame {
+            PhysFrame::Global(g) => self.frames.free(ctx, g),
+            PhysFrame::Local(_, l) => self.pool.free(l),
+        }
+    }
+
+    /// Roll `m` back from `ctx` and free its destination frame.
+    fn abort(&mut self, s: &mut Storm, ctx: &Arc<NodeCtx>, m: &Migration) {
+        m.abort(ctx, &self.space).expect("abort");
+        self.release(ctx, m.new_frame());
+        s.add("aborts", 1);
+    }
+
+    /// One migration micro-step on the tiering node; returns the log
+    /// note.
+    fn migrate(&mut self, s: &mut Storm) -> String {
+        let n0 = self.n0.clone();
+        let Some((mut m, promote)) = self.in_flight.take() else {
+            // Choose the next migration: demote the smallest promoted vpn
+            // when at budget, else promote the cursor's next global page.
+            let (vpn, dst, promote) = if self.promoted.len() >= TIER_BUDGET_PAGES {
+                let vpn = *self.promoted.keys().next().expect("non-empty");
+                let global = self.frames.alloc(&n0).expect("frame");
+                (vpn, PhysFrame::Global(global), false)
+            } else {
+                let vpn = self.mig_cursor % TIER_PAGES;
+                self.mig_cursor += 1;
+                if self.promoted.contains_key(&vpn) {
+                    return format!(", vpn {vpn} already local");
+                }
+                let local = self.pool.alloc(&n0).expect("local frame");
+                (vpn, PhysFrame::Local(n0.id(), local), true)
+            };
+            let what = if promote { "promote" } else { "demote" };
+            return match Migration::begin(&n0, &self.space, vpn, dst) {
+                Ok(m) => {
+                    self.in_flight = Some((m, promote));
+                    format!(", {what} of vpn {vpn} began")
+                }
+                Err(e) => format!(", {what} begin failed: {e}"),
+            };
         };
-        // Invariant 2: no torn mappings.
-        if pte.migrating {
-            violations.push(format!("vpn {vpn} left with the Migrating guard set"));
-            continue;
+        let vpn = m.vpn();
+        if m.copy(&n0, &self.space).is_err() {
+            self.abort(s, &n0, &m);
+            return format!(", copy of vpn {vpn} failed; aborted");
         }
-        // Read through the frame's home so local pages are reachable.
-        let reader = match pte.frame {
-            PhysFrame::Local(home, _) => rack.node(home.0),
-            PhysFrame::Global(_) => n0.clone(),
-        };
-        let mut buf = vec![0u8; want.len()];
-        match space.read(&reader, VirtAddr::from_vpn(vpn), &mut buf) {
-            Ok(()) if &buf == want => {}
-            Ok(()) => violations.push(format!(
-                "vpn {vpn} corrupted: want {:?}, got {:?}",
-                String::from_utf8_lossy(want),
-                String::from_utf8_lossy(&buf)
-            )),
-            Err(e) => violations.push(format!("vpn {vpn} unreadable: {e}")),
+        let dst = m.new_frame();
+        let (tlbs, live) = (&mut self.tlbs, &s.live);
+        let old = m
+            .commit(&n0, &self.space, &mut |asid, vpn| {
+                shootdown_live(tlbs, live, asid, vpn)
+            })
+            .expect("commit");
+        self.release(&n0, old.frame);
+        if promote {
+            let PhysFrame::Local(_, l) = dst else {
+                unreachable!("promotion targets a local frame")
+            };
+            self.promoted.insert(vpn, l);
+            s.add("promotions", 1);
+            format!(", promoted vpn {vpn}")
+        } else {
+            self.promoted.remove(&vpn);
+            s.add("demotions", 1);
+            format!(", demoted vpn {vpn}")
         }
-    }
-
-    // --- Invariant 3: budget accounting.
-    if promoted.len() > TIER_BUDGET_PAGES {
-        violations.push(format!(
-            "local tier over budget: {} > {TIER_BUDGET_PAGES} pages",
-            promoted.len()
-        ));
-    }
-
-    TieringSurvivalReport {
-        seed,
-        counts: report.counts,
-        events: report.events.len(),
-        writes_committed,
-        writes_skipped,
-        promotions,
-        demotions,
-        aborts,
-        violations,
-        log_text: report.log_text(),
-        metrics: rack.metrics_report(),
     }
 }
 
-/// The shared ledger under the sync campaign's cell: committed entries
+impl Hooks for TieringStorm {
+    const TALLIES: &'static str = "writes_committed writes_skipped promotions demotions aborts";
+
+    fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String {
+        let note = if s.live[TIER_NODE] {
+            self.migrate(s)
+        } else {
+            format!(", tier idle (n{TIER_NODE} down)")
+        };
+        // A committed write to a round-robin page from the node that can
+        // reach its frame.
+        let vpn = u64::from(step) % TIER_PAGES;
+        let lowest_live = s.lowest_live();
+        let pte = self
+            .space
+            .translate(&rack.node(lowest_live), VirtAddr::from_vpn(vpn))
+            .expect("walk")
+            .expect("mapped");
+        if pte.migrating {
+            s.add("writes_skipped", 1);
+            return format!("write vpn {vpn} skipped: migrating{note}");
+        }
+        let writer = match pte.frame {
+            PhysFrame::Local(home, _) if !s.live[home.0] => {
+                s.add("writes_skipped", 1);
+                return format!("write vpn {vpn} skipped: local home n{} down{note}", home.0);
+            }
+            PhysFrame::Local(home, _) => home.0,
+            PhysFrame::Global(_) => lowest_live,
+        };
+        let content = format!("s{:016x}-{step:04}", s.seed).into_bytes();
+        match self
+            .space
+            .write(&rack.node(writer), VirtAddr::from_vpn(vpn), &content)
+        {
+            Ok(()) => {
+                self.model[vpn as usize] = content;
+                s.add("writes_committed", 1);
+                format!("wrote vpn {vpn} from n{writer}{note}")
+            }
+            Err(e) => {
+                s.add("writes_skipped", 1);
+                format!("write vpn {vpn} degraded on n{writer}: {e}{note}")
+            }
+        }
+    }
+
+    fn crash(&mut self, s: &mut Storm, _step: u32, node: NodeId, rack: &Rack) -> String {
+        let node_idx = node.0;
+        if node_idx != TIER_NODE {
+            return format!("crash n{node_idx}: workload continues");
+        }
+        // The crash-consistency story: a survivor rolls back any
+        // migration the dead node left mid-flight.
+        let Some((m, _)) = self.in_flight.take() else {
+            return format!("crash n{node_idx}: tiering paused, no migration in flight");
+        };
+        let rescuer = s.lowest_live();
+        self.abort(s, &rack.node(rescuer), &m);
+        format!(
+            "crash n{node_idx}: survivor n{rescuer} aborted mid-flight \
+             migration of vpn {} (old copy authoritative)",
+            m.vpn()
+        )
+    }
+
+    fn restart(&mut self, _s: &mut Storm, _step: u32, node: usize) -> String {
+        // A restarted node boots with a cold TLB.
+        self.tlbs[node].flush_asid(TIER_ASID);
+        format!("restart n{node}: TLB cold, tiering resumes")
+    }
+
+    fn heal(&mut self, s: &mut Storm, rack: &Rack) {
+        // Roll back any still-open migration window.
+        if let Some((m, _)) = self.in_flight.take() {
+            let n0 = self.n0.clone();
+            self.abort(s, &n0, &m);
+        }
+        for vpn in 0..TIER_PAGES {
+            let want = &self.model[vpn as usize];
+            let pte = match self.space.translate(&self.n0, VirtAddr::from_vpn(vpn)) {
+                Ok(Some(pte)) => pte,
+                other => {
+                    s.fail(format!("vpn {vpn} unmapped after storm: {other:?}"));
+                    continue;
+                }
+            };
+            // Invariant 2: no torn mappings.
+            if pte.migrating {
+                s.fail(format!("vpn {vpn} left with the Migrating guard set"));
+                continue;
+            }
+            // Invariant 1: no lost committed writes, read through the
+            // frame's home so local pages are reachable.
+            let reader = match pte.frame {
+                PhysFrame::Local(home, _) => rack.node(home.0),
+                PhysFrame::Global(_) => self.n0.clone(),
+            };
+            let mut buf = vec![0u8; want.len()];
+            match self.space.read(&reader, VirtAddr::from_vpn(vpn), &mut buf) {
+                Ok(()) if &buf == want => {}
+                Ok(()) => s.fail(format!(
+                    "vpn {vpn} corrupted: want {:?}, got {:?}",
+                    String::from_utf8_lossy(want),
+                    String::from_utf8_lossy(&buf)
+                )),
+                Err(e) => s.fail(format!("vpn {vpn} unreadable: {e}")),
+            }
+        }
+        // Invariant 3: budget accounting.
+        if self.promoted.len() > TIER_BUDGET_PAGES {
+            s.fail(format!(
+                "local tier over budget: {} > {TIER_BUDGET_PAGES} pages",
+                self.promoted.len()
+            ));
+        }
+    }
+}
+
+/// The shared ledger under the sync-cell campaigns: committed entries
 /// in commit order (so divergence is directly visible).
 #[derive(Debug, Default, Clone)]
 struct SyncLedger {
@@ -947,1046 +969,686 @@ fn sync_op(node: usize, step: u32) -> Vec<u8> {
     e.into_vec()
 }
 
-/// Outcome of one sync-cell storm campaign.
-#[derive(Debug, Clone)]
-pub struct SyncSurvivalReport {
-    /// The seed the campaign ran from.
-    pub seed: u64,
-    /// Per-class storm operation counts.
-    pub counts: StormCounts,
-    /// Total executed steps (heal steps included).
-    pub events: usize,
-    /// Updates acknowledged (committed to the cell's op log).
-    pub ops_committed: u64,
-    /// Updates skipped because no live node could issue them.
-    pub ops_skipped: u64,
-    /// Delegation owners re-elected after a crash.
-    pub reelections: u64,
-    /// Entries the post-heal log replay reconstructed.
-    pub replayed: u64,
-    /// Invariant violations (empty on a surviving campaign).
-    pub violations: Vec<String>,
-    /// The byte-identical replay artifact.
-    pub log_text: String,
-    /// The merged rack metrics after the campaign.
-    pub metrics: rack_sim::RackReport,
+/// The state both sync-cell campaigns share: the cell, attached to the
+/// recovery orchestrator the way `FlacRack` wires it, and the model of
+/// acknowledged ops.
+struct Ledger {
+    cell: Arc<SyncCell<SyncLedger>>,
+    orch: RecoveryOrchestrator,
+    /// Acknowledged ops keyed by commit index.
+    model: Vec<(u64, (u32, u32))>,
 }
 
-impl SyncSurvivalReport {
-    /// Whether every invariant held.
-    pub fn survived(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// One summary row for the survival table.
-    pub fn row(&self) -> String {
-        format!(
-            "{:#018x} | {:>5} | {:>2}/{:<2} | {:>4}/{:<4} | {:>3} | {:>5} | {}",
-            self.seed,
-            self.events,
-            self.counts.crashes,
-            self.counts.restarts,
-            self.ops_committed,
-            self.ops_skipped,
-            self.reelections,
-            self.replayed,
-            if self.survived() {
-                "ok".to_string()
-            } else {
-                format!("{} VIOLATIONS", self.violations.len())
-            }
+impl Ledger {
+    fn new(rack: &Rack, name: &'static str, policy: SyncPolicy) -> Self {
+        // A generously sized log and no gc() calls: the whole campaign
+        // must stay replayable.
+        let cell = SyncCell::alloc(
+            rack.global(),
+            name,
+            SyncCellConfig::new(NODES, policy).with_log(4096, 48),
+            SyncLedger::default(),
         )
-    }
-
-    /// Header matching [`SyncSurvivalReport::row`].
-    pub fn header() -> &'static str {
-        "seed               | steps | cr/rs | op ok/skip | re# | rplay | verdict"
-    }
-}
-
-/// Run one seeded sync-cell storm campaign: every live node commits
-/// updates into one **delegated** [`flacdk::sync::SyncCell`] while the
-/// storm crashes and restarts nodes underneath it — including the
-/// delegation owner mid-stream. Crashes route through
-/// [`RecoveryOrchestrator::handle_node_crash`] with the cell attached
-/// ([`RecoveryOrchestrator::attach_sync`]), the same path `FlacRack`
-/// wires up, so a dead owner is re-elected and the committed op log
-/// drained by a survivor.
-///
-/// Invariants checked after the heal:
-///
-/// 1. **No committed update lost** — the cell's final state holds
-///    exactly the acknowledged ops, in commit (log) order, across every
-///    re-election.
-/// 2. **Replay-verified** — replaying the cell's op log from scratch
-///    ([`flacdk::sync::SyncCell::replay`]) reconstructs the identical
-///    state (the campaign never garbage-collects the log, precisely so
-///    this check can cover its whole history).
-/// 3. **Liveness** — after the heal every node can read the cell and
-///    commit one more update through the re-elected owner.
-///
-/// Fully deterministic: the same `(seed, steps)` produces a
-/// byte-identical [`SyncSurvivalReport::log_text`].
-///
-/// # Panics
-///
-/// Panics if the rack cannot boot — a harness bug, not an outcome.
-#[allow(clippy::too_many_lines)]
-pub fn run_sync_campaign(seed: u64, steps: u32) -> SyncSurvivalReport {
-    use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy};
-
-    let rack = rack_sim::Rack::new(
-        RackConfig::n_node(NODES)
-            .with_global_mem(64 << 20)
-            .with_seed(seed ^ 0xF1AC),
-    );
-    let n = rack.node_count();
-    // A generously sized log and no gc() calls: the whole campaign must
-    // stay replayable for invariant 2.
-    let cell = SyncCell::alloc(
-        rack.global(),
-        "storm_ledger",
-        SyncCellConfig::new(n, SyncPolicy::Delegated).with_log(4096, 48),
-        SyncLedger::default(),
-    )
-    .expect("cell");
-    let mut orch = RecoveryOrchestrator::new();
-    orch.attach_sync(cell.clone());
-
-    let mut live = vec![true; n];
-    // Acknowledged ops keyed by commit index: the model the final state
-    // must match exactly.
-    let mut model: Vec<(u64, (u32, u32))> = Vec::new();
-    let mut ops_committed = 0u64;
-    let mut ops_skipped = 0u64;
-    let mut reelections = 0u64;
-    let mut violations: Vec<String> = Vec::new();
-
-    let config = StormConfig {
-        steps,
-        min_live_nodes: 2,
-        link_fail_weight: 0,
-        link_restore_weight: 0,
-        poison_weight: 0,
-        delayed_writeback_weight: 0,
-        poison_region: None,
-        ..StormConfig::default()
-    };
-    let campaign = StormCampaign::new(seed, config);
-    let report = campaign.run(&rack, |step, op, rack| match *op {
-        StormOp::Workload => {
-            // A round-robin live node commits one update; a second live
-            // node reads and must see every previously committed op.
-            let Some(writer) = (step as usize..step as usize + n)
-                .map(|k| k % n)
-                .find(|&k| live[k])
-            else {
-                ops_skipped += 1;
-                return "update skipped: no live writer".to_string();
-            };
-            let ctx = rack.node(writer);
-            match cell.update(&ctx, &sync_op(writer, step)) {
-                Ok(idx) => {
-                    model.push((idx, (writer as u32, step)));
-                    ops_committed += 1;
-                    let reader = (0..n).rev().find(|&k| live[k]).expect("live reader");
-                    let seen = cell
-                        .read(&rack.node(reader), |l| l.entries.len())
-                        .expect("read");
-                    if (seen as u64) < ops_committed {
-                        violations.push(format!(
-                            "step {step}: n{reader} sees {seen} < {ops_committed} committed"
-                        ));
-                    }
-                    format!("op {idx} committed from n{writer}, n{reader} sees {seen}")
-                }
-                Err(e) => {
-                    ops_skipped += 1;
-                    format!("update degraded on n{writer}: {e}")
-                }
-            }
-        }
-        StormOp::CrashNode { node } => {
-            let node_idx = node.0;
-            live[node_idx] = false;
-            let rescuer = live.iter().position(|&a| a).expect("min_live_nodes >= 2");
-            let ctx = rack.node(rescuer);
-            let owner_before = cell.owner_node(&ctx).expect("owner");
-            match orch.handle_node_crash(&ctx, node) {
-                Ok(_) => {
-                    let owner_after = cell.owner_node(&ctx).expect("owner");
-                    if owner_before == Some(node) {
-                        reelections += 1;
-                        format!(
-                            "crash n{node_idx}: delegation owner died; n{rescuer} re-elected \
-                             (owner now {owner_after:?})"
-                        )
-                    } else {
-                        format!("crash n{node_idx}: owner {owner_before:?} unaffected")
-                    }
-                }
-                Err(e) => {
-                    violations.push(format!("step {step}: sync recovery failed: {e}"));
-                    format!("crash n{node_idx}: sync recovery FAILED: {e}")
-                }
-            }
-        }
-        StormOp::RestartNode { node } => {
-            live[node.0] = true;
-            format!("restart n{}: rejoins as a plain client", node.0)
-        }
-        StormOp::DelayedWriteback { .. }
-        | StormOp::FailLink { .. }
-        | StormOp::RestoreLink { .. }
-        | StormOp::PoisonWord { .. } => "unused op class (weight 0)".to_string(),
-    });
-
-    // --- Invariant 1: no committed update lost, in commit order.
-    model.sort_unstable_by_key(|&(idx, _)| idx);
-    let expected: Vec<(u32, u32)> = model.iter().map(|&(_, op)| op).collect();
-    let n0 = rack.node(0);
-    let final_entries = cell.read(&n0, |l| l.entries.clone()).expect("final read");
-    if final_entries != expected {
-        violations.push(format!(
-            "committed ops lost or reordered: cell has {} entries, model {}",
-            final_entries.len(),
-            expected.len()
-        ));
-    }
-
-    // --- Invariant 2: replaying the log from scratch reconstructs the
-    // identical state.
-    let (replayed_state, replayed) = cell.replay(&n0, SyncLedger::default()).expect("log replay");
-    if replayed_state.entries != expected {
-        violations.push(format!(
-            "log replay diverged: {} replayed entries vs {} committed",
-            replayed_state.entries.len(),
-            expected.len()
-        ));
-    }
-
-    // --- Invariant 3: liveness through the re-elected owner.
-    for i in 0..n {
-        if !rack.is_alive(NodeId(i)) {
-            violations.push(format!("node {i} still down after heal"));
-        }
-    }
-    match cell.update(&n0, &sync_op(0, steps)) {
-        Ok(_) => {
-            let len = cell.read(&n0, |l| l.entries.len()).expect("post-heal read");
-            if len as u64 != ops_committed + 1 {
-                violations.push(format!(
-                    "post-heal update invisible: {len} entries vs {} expected",
-                    ops_committed + 1
-                ));
-            }
-        }
-        Err(e) => violations.push(format!("post-heal update failed: {e}")),
-    }
-
-    SyncSurvivalReport {
-        seed,
-        counts: report.counts,
-        events: report.events.len(),
-        ops_committed,
-        ops_skipped,
-        reelections,
-        replayed,
-        violations,
-        log_text: report.log_text(),
-        metrics: rack.metrics_report(),
-    }
-}
-
-/// Run one seeded **node-replicated** sync-cell storm campaign: the
-/// flat-combining counterpart of [`run_sync_campaign`]. Live nodes
-/// drive the split publication protocol
-/// ([`flacdk::sync::SyncCell::nr_publish`] →
-/// [`flacdk::sync::SyncCell::nr_combine`] →
-/// [`flacdk::sync::SyncCell::nr_poll`]), and on a seeded schedule the
-/// campaign kills a combiner **mid-batch** — in both fatal windows —
-/// or a publisher mid-publication:
-///
-/// * *before the tail CAS* — the role is claimed and the slots are
-///   drained, but nothing committed; re-election must commit every
-///   stranded publication exactly once;
-/// * *after the append* — the batch is committed but no slot was
-///   consumed and the role never released; re-election must dedup
-///   against the committed window and **not** double-apply;
-/// * *before the mask bit* — a publisher flushed its slot but died
-///   before raising its summary bit; recovery must commit that slot
-///   exactly once and leave the summary mask clear.
-///
-/// After every recovery the stranded publishers' polls must return a
-/// log index (no published op lost), the cell must hold exactly the
-/// model's ops (no double-apply) and the summary mask must be clear.
-/// The storm's own node crashes and restarts run underneath
-/// throughout. Invariants 1–3 match
-/// [`run_sync_campaign`]; `reelections` counts combiner re-elections.
-///
-/// # Panics
-///
-/// Panics if the rack cannot boot — a harness bug, not an outcome.
-#[allow(clippy::too_many_lines)]
-pub fn run_nr_sync_campaign(seed: u64, steps: u32) -> SyncSurvivalReport {
-    use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy};
-
-    let rack = rack_sim::Rack::new(
-        RackConfig::n_node(NODES)
-            .with_global_mem(64 << 20)
-            .with_seed(seed ^ 0xF1AC),
-    );
-    let n = rack.node_count();
-    let cell = SyncCell::alloc(
-        rack.global(),
-        "storm_nr_ledger",
-        SyncCellConfig::new(n, SyncPolicy::NodeReplicated).with_log(4096, 48),
-        SyncLedger::default(),
-    )
-    .expect("cell");
-    let mut orch = RecoveryOrchestrator::new();
-    orch.attach_sync(cell.clone());
-
-    let mut live = vec![true; n];
-    let mut model: Vec<(u64, (u32, u32))> = Vec::new();
-    let mut ops_committed = 0u64;
-    let mut ops_skipped = 0u64;
-    let mut reelections = 0u64;
-    let mut violations: Vec<String> = Vec::new();
-
-    let config = StormConfig {
-        steps,
-        min_live_nodes: 2,
-        link_fail_weight: 0,
-        link_restore_weight: 0,
-        poison_weight: 0,
-        delayed_writeback_weight: 0,
-        poison_region: None,
-        ..StormConfig::default()
-    };
-    let campaign = StormCampaign::new(seed, config);
-    let report = campaign.run(&rack, |step, op, rack| match *op {
-        StormOp::Workload => {
-            let live_nodes: Vec<usize> = (0..n).filter(|&k| live[k]).collect();
-            // Every third workload step with enough live actors stages a
-            // mid-batch combiner or mid-publication publisher crash
-            // instead of a clean round.
-            if step % 3 == 2 && live_nodes.len() >= 4 {
-                // Two publishers strand ops, a victim claims the role
-                // and dies in one of the two fatal windows, or publishes
-                // and dies before raising its summary bit.
-                let window = (step / 3) % 3;
-                let publishers = [live_nodes[0], live_nodes[1]];
-                let victim = *live_nodes.last().expect("nonempty");
-                for &p in &publishers {
-                    match cell.nr_publish(&rack.node(p), &sync_op(p, step)) {
-                        Ok(_) => {}
-                        Err(e) => {
-                            violations.push(format!("step {step}: publish failed on n{p}: {e}"));
-                            return format!("mid-batch stage failed: publish on n{p}: {e}");
-                        }
-                    }
-                }
-                let victim_ctx = rack.node(victim);
-                let armed = match window {
-                    0 => cell.nr_combine_crash_before_append(&victim_ctx),
-                    1 => cell.nr_combine_crash_after_append(&victim_ctx),
-                    _ => cell.nr_publish_crash_before_mask(&victim_ctx, &sync_op(victim, step)),
-                };
-                if let Err(e) = armed {
-                    violations.push(format!("step {step}: crash stage failed on n{victim}: {e}"));
-                    return format!("mid-batch stage failed on n{victim}: {e}");
-                }
-                rack.faults().crash_node(NodeId(victim), u64::from(step));
-                live[victim] = false;
-                let rescuer = live.iter().position(|&a| a).expect("min_live_nodes >= 2");
-                if let Err(e) = orch.handle_node_crash(&rack.node(rescuer), NodeId(victim)) {
-                    violations.push(format!("step {step}: mid-batch recovery failed: {e}"));
-                    return format!("mid-batch recovery FAILED: {e}");
-                }
-                let mut stranded = publishers.to_vec();
-                if window < 2 {
-                    reelections += 1;
-                } else {
-                    stranded.push(victim);
-                }
-                match cell.summary_mask().load(&rack.node(rescuer)) {
-                    Ok(0) => {}
-                    mask => violations.push(format!(
-                        "step {step}: summary mask {mask:?} after recovery, expected 0"
-                    )),
-                }
-                rack.faults().restart_node(NodeId(victim), u64::from(step));
-                live[victim] = true;
-                // Every stranded publication must have landed exactly
-                // once; the poll hands back its committed index.
-                for &p in &stranded {
-                    match cell.nr_poll(&rack.node(p)) {
-                        Ok(Some(idx)) => {
-                            model.push((idx, (p as u32, step)));
-                            ops_committed += 1;
-                        }
-                        other => violations.push(format!(
-                            "step {step}: op from n{p} lost across combiner crash: {other:?}"
-                        )),
-                    }
-                }
-                let seen = cell
-                    .read(&rack.node(rescuer), |l| l.entries.len())
-                    .expect("read");
-                if seen != model.len() {
-                    violations.push(format!(
-                        "step {step}: {seen} entries vs {} committed (lost or double-applied)",
-                        model.len()
-                    ));
-                }
-                let (who, when) = match window {
-                    0 => ("combiner", "mid-batch (before tail CAS)"),
-                    1 => ("combiner", "mid-batch (after append)"),
-                    _ => ("publisher", "mid-publication (before mask bit)"),
-                };
-                format!(
-                    "{who} n{victim} died {when}; n{rescuer} recovered {} stranded ops, \
-                     {seen} total",
-                    stranded.len()
-                )
-            } else {
-                // Clean round: round-robin publisher, a different live
-                // combiner drains, the publisher polls its index.
-                let Some(writer) = (step as usize..step as usize + n)
-                    .map(|k| k % n)
-                    .find(|&k| live[k])
-                else {
-                    ops_skipped += 1;
-                    return "publish skipped: no live writer".to_string();
-                };
-                if let Err(e) = cell.nr_publish(&rack.node(writer), &sync_op(writer, step)) {
-                    ops_skipped += 1;
-                    return format!("publish degraded on n{writer}: {e}");
-                }
-                let combiner = (0..n)
-                    .rev()
-                    .find(|&k| live[k] && k != writer)
-                    .unwrap_or(writer);
-                match cell.nr_combine(&rack.node(combiner)) {
-                    Ok(combined) => match cell.nr_poll(&rack.node(writer)) {
-                        Ok(Some(idx)) => {
-                            model.push((idx, (writer as u32, step)));
-                            ops_committed += 1;
-                            format!(
-                                "op {idx} published from n{writer}, combined ({combined}) by \
-                                 n{combiner}"
-                            )
-                        }
-                        other => {
-                            violations.push(format!(
-                                "step {step}: publication from n{writer} unacknowledged: {other:?}"
-                            ));
-                            format!("publication from n{writer} UNACKNOWLEDGED")
-                        }
-                    },
-                    Err(e) => {
-                        violations.push(format!("step {step}: combine failed on n{combiner}: {e}"));
-                        format!("combine FAILED on n{combiner}: {e}")
-                    }
-                }
-            }
-        }
-        StormOp::CrashNode { node } => {
-            let node_idx = node.0;
-            live[node_idx] = false;
-            let rescuer = live.iter().position(|&a| a).expect("min_live_nodes >= 2");
-            match orch.handle_node_crash(&rack.node(rescuer), node) {
-                Ok(_) => format!("crash n{node_idx}: slots drained by n{rescuer}"),
-                Err(e) => {
-                    violations.push(format!("step {step}: sync recovery failed: {e}"));
-                    format!("crash n{node_idx}: sync recovery FAILED: {e}")
-                }
-            }
-        }
-        StormOp::RestartNode { node } => {
-            live[node.0] = true;
-            format!("restart n{}: rejoins with a cold replica", node.0)
-        }
-        StormOp::DelayedWriteback { .. }
-        | StormOp::FailLink { .. }
-        | StormOp::RestoreLink { .. }
-        | StormOp::PoisonWord { .. } => "unused op class (weight 0)".to_string(),
-    });
-
-    // --- Invariant 1: no committed update lost or double-applied, in
-    // commit order.
-    model.sort_unstable_by_key(|&(idx, _)| idx);
-    let expected: Vec<(u32, u32)> = model.iter().map(|&(_, op)| op).collect();
-    let n0 = rack.node(0);
-    let final_entries = cell.read(&n0, |l| l.entries.clone()).expect("final read");
-    if final_entries != expected {
-        violations.push(format!(
-            "committed ops lost, duplicated, or reordered: cell has {} entries, model {}",
-            final_entries.len(),
-            expected.len()
-        ));
-    }
-
-    // --- Invariant 2: replaying the log from scratch reconstructs the
-    // identical state.
-    let (replayed_state, replayed) = cell.replay(&n0, SyncLedger::default()).expect("log replay");
-    if replayed_state.entries != expected {
-        violations.push(format!(
-            "log replay diverged: {} replayed entries vs {} committed",
-            replayed_state.entries.len(),
-            expected.len()
-        ));
-    }
-
-    // --- Invariant 3: liveness through the healed combiner path.
-    for i in 0..n {
-        if !rack.is_alive(NodeId(i)) {
-            violations.push(format!("node {i} still down after heal"));
-        }
-    }
-    match cell.update(&n0, &sync_op(0, steps)) {
-        Ok(_) => {
-            let len = cell.read(&n0, |l| l.entries.len()).expect("post-heal read");
-            if len as u64 != ops_committed + 1 {
-                violations.push(format!(
-                    "post-heal update invisible: {len} entries vs {} expected",
-                    ops_committed + 1
-                ));
-            }
-        }
-        Err(e) => violations.push(format!("post-heal update failed: {e}")),
-    }
-
-    SyncSurvivalReport {
-        seed,
-        counts: report.counts,
-        events: report.events.len(),
-        ops_committed,
-        ops_skipped,
-        reelections,
-        replayed,
-        violations,
-        log_text: report.log_text(),
-        metrics: rack.metrics_report(),
-    }
-}
-
-/// Images in the chunk-store campaign's catalogue.
-const STORE_IMAGES: usize = 3;
-/// Pages per campaign image.
-const STORE_IMAGE_PAGES: u64 = 64;
-/// Layers per campaign image (adjacent images share half by content).
-const STORE_IMAGE_LAYERS: usize = 4;
-/// Max missing hashes one claim step grabs.
-const STORE_CLAIM_LIMIT: usize = 24;
-
-/// Outcome of one chunk-store storm campaign.
-#[derive(Debug, Clone)]
-pub struct StoreSurvivalReport {
-    /// The seed the campaign ran from.
-    pub seed: u64,
-    /// Per-class storm operation counts.
-    pub counts: StormCounts,
-    /// Total executed steps (heal steps included).
-    pub events: usize,
-    /// Fetch claims won across the campaign.
-    pub claims_won: u64,
-    /// Chunks downloaded and committed present.
-    pub committed: u64,
-    /// In-flight claims aborted by crash recovery.
-    pub aborted: u64,
-    /// Chunks found already resident by claim steps.
-    pub rack_hits: u64,
-    /// Workload steps skipped (writer down, nothing to do).
-    pub skipped: u64,
-    /// Invariant violations (empty on a surviving campaign).
-    pub violations: Vec<String>,
-    /// The byte-identical replay artifact.
-    pub log_text: String,
-    /// The merged rack metrics after the campaign.
-    pub metrics: rack_sim::RackReport,
-}
-
-impl StoreSurvivalReport {
-    /// Whether every invariant held.
-    pub fn survived(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// One summary row for the survival table.
-    pub fn row(&self) -> String {
-        format!(
-            "{:#018x} | {:>5} | {:>2}/{:<2} | {:>4}/{:<4} | {:>3} | {:>4} | {:>4} | {}",
-            self.seed,
-            self.events,
-            self.counts.crashes,
-            self.counts.restarts,
-            self.claims_won,
-            self.committed,
-            self.aborted,
-            self.rack_hits,
-            self.skipped,
-            if self.survived() {
-                "ok".to_string()
-            } else {
-                format!("{} VIOLATIONS", self.violations.len())
-            }
-        )
-    }
-
-    /// Header matching [`StoreSurvivalReport::row`].
-    pub fn header() -> &'static str {
-        "seed               | steps | cr/rs | clm/cmt | abt | hits | skip | verdict"
-    }
-}
-
-/// Run one seeded chunk-store storm campaign: live nodes cold-start
-/// overlapping container images through the content-addressed store's
-/// two-phase `claim`/`complete` protocol while the storm crashes and
-/// restarts nodes underneath them — including fetchers *between* claim
-/// and commit, the mid-fetch window. Crashes route through
-/// [`RecoveryOrchestrator::handle_node_crash`] with the store attached
-/// as a [`flacdk::sync::SyncRecover`], so a dead fetcher's in-flight
-/// claims are aborted by an `ABORT` op in the shared log and survivors
-/// re-claim the work.
-///
-/// Invariants checked after the heal:
-///
-/// 1. **No duplicate downloads** — every chunk that ended up resident
-///    was shipped by its backend shard exactly once, rack-wide, no
-///    matter how many claims were aborted and re-taken.
-/// 2. **Index consistent** — no `Fetching` entry survives the heal,
-///    every catalogue chunk is present, and the deduper holds exactly
-///    one frame per unique chunk.
-/// 3. **Replay-verified** — replaying the index's committed op log from
-///    scratch reproduces the identical present map (the campaign never
-///    calls `gc()` so the whole history stays replayable).
-///
-/// Fully deterministic: the same `(seed, steps)` produces a
-/// byte-identical [`StoreSurvivalReport::log_text`].
-///
-/// # Panics
-///
-/// Panics if the rack cannot boot — a harness bug, not an outcome.
-#[allow(clippy::too_many_lines)]
-pub fn run_store_campaign(seed: u64, steps: u32) -> StoreSurvivalReport {
-    use flac_store::{BackendConfig, ChunkStore, ShardedBackends, StoreConfig};
-    use flacos_mem::dedup::PageDeduper;
-    use serverless::image::ContainerImage;
-    use std::collections::HashSet;
-    use std::sync::Arc;
-
-    let rack = rack_sim::Rack::new(
-        RackConfig::n_node(NODES)
-            .with_global_mem(64 << 20)
-            .with_seed(seed ^ 0xF1AC),
-    );
-    let n = rack.node_count();
-
-    // Overlapping catalogue: image k's layer seeds are 100+2k .. 100+2k+4,
-    // so adjacent images share two of four layers by content.
-    let images: Vec<ContainerImage> = (0..STORE_IMAGES)
-        .map(|k| {
-            ContainerImage::synthetic(
-                &format!("img-{k}"),
-                STORE_IMAGE_PAGES,
-                STORE_IMAGE_LAYERS,
-                100 + 2 * k as u64,
-            )
-        })
-        .collect();
-    let backends = Arc::new(ShardedBackends::uniform(
-        4,
-        BackendConfig {
-            bandwidth_bytes_per_sec: 500_000_000,
-            per_request_ns: 100_000,
-            per_chunk_ns: 100,
-        },
-    ));
-    let mut catalogue: HashSet<u64> = HashSet::new();
-    for img in &images {
-        img.publish(&backends);
-        catalogue.extend(img.chunk_hashes());
-    }
-    let dedup = Arc::new(PageDeduper::new(FrameAllocator::new(rack.global().clone())));
-    // A generously sized log and no gc() calls: the whole campaign must
-    // stay replayable for invariant 3.
-    let store = ChunkStore::alloc(
-        rack.global(),
-        backends,
-        dedup,
-        StoreConfig::new(n)
-            .with_log(2048, 1024)
-            .with_claim_batch(STORE_CLAIM_LIMIT),
-    )
-    .expect("store");
-    let mut orch = RecoveryOrchestrator::new();
-    orch.attach_sync(store.clone());
-
-    let mut live = vec![true; n];
-    // Claims won but not yet completed: (node, won hashes). The window
-    // between the two phases is exactly where a crash hurts.
-    let mut pending: Vec<(usize, Vec<u64>)> = Vec::new();
-    let mut claims_won = 0u64;
-    let mut committed = 0u64;
-    let mut rack_hits = 0u64;
-    let mut skipped = 0u64;
-    let mut violations: Vec<String> = Vec::new();
-
-    let config = StormConfig {
-        steps,
-        min_live_nodes: 2,
-        link_fail_weight: 0,
-        link_restore_weight: 0,
-        poison_weight: 0,
-        delayed_writeback_weight: 0,
-        poison_region: None,
-        ..StormConfig::default()
-    };
-    let campaign = StormCampaign::new(seed, config);
-    let report = campaign.run(&rack, |step, op, rack| match *op {
-        StormOp::Workload => {
-            let Some(worker) = (step as usize..step as usize + n)
-                .map(|k| k % n)
-                .find(|&k| live[k])
-            else {
-                skipped += 1;
-                return "store step skipped: no live worker".to_string();
-            };
-            let ctx = rack.node(worker);
-            // Finish this node's oldest pending fetch first (the
-            // single-flight discipline: one node never claims more
-            // while sitting on won-but-unfetched work).
-            if let Some(i) = pending.iter().position(|&(node, _)| node == worker) {
-                let (_, won) = pending.remove(i);
-                return match store.complete(&ctx, &won) {
-                    Ok(done) => {
-                        committed += done.committed;
-                        if done.lost.is_empty() {
-                            format!("n{worker} completed {} chunk(s)", done.committed)
-                        } else {
-                            format!(
-                                "n{worker} completed {} chunk(s), lost {} to recovery",
-                                done.committed,
-                                done.lost.len()
-                            )
-                        }
-                    }
-                    Err(e) => {
-                        violations.push(format!("step {step}: complete failed on n{worker}: {e}"));
-                        format!("n{worker} complete FAILED: {e}")
-                    }
-                };
-            }
-            // Otherwise claim a slice of the step's image. Hashes other
-            // nodes hold in `Fetching` stay theirs (single-flight);
-            // this node only takes what is absent.
-            let img = &images[step as usize % STORE_IMAGES];
-            let all = img.chunk_hashes();
-            let off = (step as usize * STORE_CLAIM_LIMIT) % all.len().max(1);
-            let hashes: Vec<u64> = all
-                .iter()
-                .cycle()
-                .skip(off)
-                .take(STORE_CLAIM_LIMIT)
-                .copied()
-                .collect();
-            match store.claim(&ctx, &hashes) {
-                Ok(outcome) => {
-                    claims_won += outcome.won.len() as u64;
-                    rack_hits += outcome.present.len() as u64;
-                    let msg = format!(
-                        "n{worker} claim on img-{}: won {}, present {}, in-flight {}",
-                        step as usize % STORE_IMAGES,
-                        outcome.won.len(),
-                        outcome.present.len(),
-                        outcome.in_flight.len()
-                    );
-                    if !outcome.won.is_empty() {
-                        pending.push((worker, outcome.won));
-                    }
-                    msg
-                }
-                Err(e) => {
-                    violations.push(format!("step {step}: claim failed on n{worker}: {e}"));
-                    format!("n{worker} claim FAILED: {e}")
-                }
-            }
-        }
-        StormOp::CrashNode { node } => {
-            let node_idx = node.0;
-            live[node_idx] = false;
-            // The dead fetcher's won-but-unfetched work dies with it;
-            // recovery aborts its index claims so survivors re-claim.
-            let before = pending.len();
-            pending.retain(|&(owner, _)| owner != node_idx);
-            let dropped = before - pending.len();
-            let rescuer = live.iter().position(|&a| a).expect("min_live_nodes >= 2");
-            match orch.handle_node_crash(&rack.node(rescuer), node) {
-                Ok(_) => format!(
-                    "crash n{node_idx} mid-fetch: {dropped} pending batch(es) dropped, \
-                     claims aborted by n{rescuer}"
-                ),
-                Err(e) => {
-                    violations.push(format!("step {step}: store recovery failed: {e}"));
-                    format!("crash n{node_idx}: store recovery FAILED: {e}")
-                }
-            }
-        }
-        StormOp::RestartNode { node } => {
-            live[node.0] = true;
-            format!("restart n{}: rejoins with no claims", node.0)
-        }
-        StormOp::DelayedWriteback { .. }
-        | StormOp::FailLink { .. }
-        | StormOp::RestoreLink { .. }
-        | StormOp::PoisonWord { .. } => "unused op class (weight 0)".to_string(),
-    });
-
-    // --- Post-heal: resolve every still-pending claim, then a survivor
-    // finishes all the starts (every claim is now either completed or
-    // owned by a live node that just completed it, so ensure cannot
-    // block on a dead fetcher).
-    let n0 = rack.node(0);
-    while let Some((node, won)) = pending.pop() {
-        match store.complete(&rack.node(node), &won) {
-            Ok(done) => committed += done.committed,
-            Err(e) => violations.push(format!("post-heal complete on n{node} failed: {e}")),
-        }
-    }
-    for img in &images {
-        match store.ensure(&n0, &img.chunk_hashes()) {
-            Ok(rep) => committed += rep.fetched,
-            Err(e) => violations.push(format!("post-heal ensure failed: {e}")),
+        .expect("cell");
+        let mut orch = RecoveryOrchestrator::new();
+        orch.attach_sync(cell.clone());
+        Ledger {
+            cell,
+            orch,
+            model: Vec::new(),
         }
     }
 
-    // --- Invariant 1: no duplicate downloads, rack-wide.
-    for &h in &catalogue {
-        let fetches = store.backends().fetch_count(h);
-        if fetches != 1 {
-            violations.push(format!(
-                "chunk {h:#018x} shipped {fetches} times — single-flight broken"
+    fn commit(&mut self, s: &mut Storm, idx: u64, node: usize, step: u32) {
+        self.model.push((idx, (node as u32, step)));
+        s.add("ops_committed", 1);
+    }
+
+    /// The invariants of both sync-cell campaigns: the cell holds
+    /// exactly the acknowledged ops in commit order (none lost or
+    /// double-applied), a from-scratch log replay reproduces them, and
+    /// a post-heal update is visible.
+    fn heal(&mut self, s: &mut Storm, rack: &Rack) {
+        self.model.sort_unstable_by_key(|&(idx, _)| idx);
+        let expected: Vec<(u32, u32)> = self.model.iter().map(|&(_, op)| op).collect();
+        let (cell, n0) = (&self.cell, rack.node(0));
+        let entries = cell.read(&n0, |l| l.entries.clone()).expect("final read");
+        if entries != expected {
+            s.fail(format!(
+                "committed ops lost, duplicated, or reordered: cell has {} entries, model {}",
+                entries.len(),
+                expected.len()
             ));
         }
+        let (replayed_state, replayed) = cell.replay(&n0, SyncLedger::default()).expect("replay");
+        s.add("replayed", replayed);
+        if replayed_state.entries != expected {
+            s.fail(format!(
+                "log replay diverged: {} replayed entries vs {} committed",
+                replayed_state.entries.len(),
+                expected.len()
+            ));
+        }
+        let want = expected.len() + 1;
+        match cell.update(&n0, &sync_op(0, s.steps)) {
+            Ok(_) => {
+                let len = cell.read(&n0, |l| l.entries.len()).expect("post-heal read");
+                if len != want {
+                    s.fail(format!(
+                        "post-heal update invisible: {len} entries vs {want} expected"
+                    ));
+                }
+            }
+            Err(e) => s.fail(format!("post-heal update failed: {e}")),
+        }
+    }
+}
+
+/// Every live node commits into one delegated cell while the storm
+/// crashes the delegation owner; a survivor re-elects it and drains the
+/// committed op log.
+struct Delegated(Ledger);
+
+impl Hooks for Delegated {
+    const TALLIES: &'static str = "ops_committed ops_skipped reelections replayed";
+
+    fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String {
+        // A round-robin live node commits one update; a second live node
+        // reads and must see every previously committed op.
+        let Some(writer) = s.round_robin(step) else {
+            s.add("ops_skipped", 1);
+            return "update skipped: no live writer".to_string();
+        };
+        let cell = self.0.cell.clone();
+        match cell.update(&rack.node(writer), &sync_op(writer, step)) {
+            Ok(idx) => {
+                self.0.commit(s, idx, writer, step);
+                let reader = (0..NODES).rev().find(|&k| s.live[k]).expect("live reader");
+                let seen = cell
+                    .read(&rack.node(reader), |l| l.entries.len())
+                    .expect("read");
+                if seen < self.0.model.len() {
+                    s.fail(format!(
+                        "step {step}: n{reader} sees {seen} < {} committed",
+                        self.0.model.len()
+                    ));
+                }
+                format!("op {idx} committed from n{writer}, n{reader} sees {seen}")
+            }
+            Err(e) => {
+                s.add("ops_skipped", 1);
+                format!("update degraded on n{writer}: {e}")
+            }
+        }
     }
 
-    // --- Invariant 2: index consistent after the heal.
-    let (fetching, present) = store.peek_index(|s| (s.fetching_count(), s.present_count()));
-    if fetching != 0 {
-        violations.push(format!("{fetching} Fetching entries survived the heal"));
+    fn crash(&mut self, s: &mut Storm, step: u32, node: NodeId, rack: &Rack) -> String {
+        let node_idx = node.0;
+        let rescuer = s.lowest_live();
+        let ctx = rack.node(rescuer);
+        let owner_before = self.0.cell.owner_node(&ctx).expect("owner");
+        if let Err(e) = self.0.orch.handle_node_crash(&ctx, node) {
+            s.fail(format!("step {step}: sync recovery failed: {e}"));
+            return format!("crash n{node_idx}: sync recovery FAILED: {e}");
+        }
+        let owner_after = self.0.cell.owner_node(&ctx).expect("owner");
+        if owner_before != Some(node) {
+            return format!("crash n{node_idx}: owner {owner_before:?} unaffected");
+        }
+        s.add("reelections", 1);
+        format!(
+            "crash n{node_idx}: delegation owner died; n{rescuer} re-elected \
+             (owner now {owner_after:?})"
+        )
     }
-    if present != catalogue.len() {
-        violations.push(format!(
-            "index holds {present} present chunks, catalogue has {}",
-            catalogue.len()
+
+    fn restart(&mut self, _s: &mut Storm, _step: u32, node: usize) -> String {
+        format!("restart n{node}: rejoins as a plain client")
+    }
+
+    fn heal(&mut self, s: &mut Storm, rack: &Rack) {
+        self.0.heal(s, rack);
+    }
+}
+
+/// Live nodes drive the node-replicated cell's split publication
+/// protocol (publish → combine → poll), and every third workload step
+/// with four live nodes kills one mid-protocol: a combiner before the
+/// tail CAS (re-election must commit every stranded publication once),
+/// a combiner after the append (re-election must not apply the batch
+/// twice), or a publisher before its mask bit (recovery must commit its
+/// slot once and leave the summary mask clear).
+struct NodeReplicated(Ledger);
+
+impl NodeReplicated {
+    /// Strand two publications, arm a crash window on the last live
+    /// node, kill it, recover, restart it and check that every stranded
+    /// op landed exactly once.
+    fn mid_batch(&mut self, s: &mut Storm, step: u32, live: &[usize], rack: &Rack) -> String {
+        let cell = self.0.cell.clone();
+        let window = (step / 3) % 3;
+        let publishers = [live[0], live[1]];
+        let victim = *live.last().expect("nonempty");
+        for &p in &publishers {
+            if let Err(e) = cell.nr_publish(&rack.node(p), &sync_op(p, step)) {
+                s.fail(format!("step {step}: publish failed on n{p}: {e}"));
+                return format!("mid-batch stage failed: publish on n{p}: {e}");
+            }
+        }
+        let victim_ctx = rack.node(victim);
+        let armed = match window {
+            0 => cell.nr_combine_crash_before_append(&victim_ctx),
+            1 => cell.nr_combine_crash_after_append(&victim_ctx),
+            _ => cell.nr_publish_crash_before_mask(&victim_ctx, &sync_op(victim, step)),
+        };
+        if let Err(e) = armed {
+            s.fail(format!("step {step}: crash stage failed on n{victim}: {e}"));
+            return format!("mid-batch stage failed on n{victim}: {e}");
+        }
+        rack.faults().crash_node(NodeId(victim), u64::from(step));
+        s.live[victim] = false;
+        let rescuer = s.lowest_live();
+        if let Err(e) = self
+            .0
+            .orch
+            .handle_node_crash(&rack.node(rescuer), NodeId(victim))
+        {
+            s.fail(format!("step {step}: mid-batch recovery failed: {e}"));
+            return format!("mid-batch recovery FAILED: {e}");
+        }
+        let mut stranded = publishers.to_vec();
+        if window < 2 {
+            s.add("reelections", 1);
+        } else {
+            s.add("publisher_deaths", 1);
+            stranded.push(victim);
+        }
+        match cell.summary_mask().load(&rack.node(rescuer)) {
+            Ok(0) => {}
+            mask => s.fail(format!(
+                "step {step}: summary mask {mask:?} after recovery, expected 0"
+            )),
+        }
+        rack.faults().restart_node(NodeId(victim), u64::from(step));
+        s.live[victim] = true;
+        for &p in &stranded {
+            match cell.nr_poll(&rack.node(p)) {
+                Ok(Some(idx)) => self.0.commit(s, idx, p, step),
+                other => s.fail(format!(
+                    "step {step}: op from n{p} lost across combiner crash: {other:?}"
+                )),
+            }
+        }
+        let seen = cell
+            .read(&rack.node(rescuer), |l| l.entries.len())
+            .expect("read");
+        if seen != self.0.model.len() {
+            s.fail(format!(
+                "step {step}: {seen} entries vs {} committed (lost or double-applied)",
+                self.0.model.len()
+            ));
+        }
+        let (who, when) = match window {
+            0 => ("combiner", "mid-batch (before tail CAS)"),
+            1 => ("combiner", "mid-batch (after append)"),
+            _ => ("publisher", "mid-publication (before mask bit)"),
+        };
+        format!(
+            "{who} n{victim} died {when}; n{rescuer} recovered {} stranded ops, \
+             {seen} total",
+            stranded.len()
+        )
+    }
+}
+
+impl Hooks for NodeReplicated {
+    const TALLIES: &'static str = "ops_committed ops_skipped reelections publisher_deaths replayed";
+
+    fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String {
+        let live: Vec<usize> = (0..NODES).filter(|&k| s.live[k]).collect();
+        if step % 3 == 2 && live.len() >= 4 {
+            return self.mid_batch(s, step, &live, rack);
+        }
+        // Clean round: round-robin publisher, a different live combiner
+        // drains, the publisher polls its index.
+        let Some(writer) = s.round_robin(step) else {
+            s.add("ops_skipped", 1);
+            return "publish skipped: no live writer".to_string();
+        };
+        let cell = self.0.cell.clone();
+        if let Err(e) = cell.nr_publish(&rack.node(writer), &sync_op(writer, step)) {
+            s.add("ops_skipped", 1);
+            return format!("publish degraded on n{writer}: {e}");
+        }
+        let combiner = live
+            .iter()
+            .rev()
+            .copied()
+            .find(|&k| k != writer)
+            .unwrap_or(writer);
+        match cell.nr_combine(&rack.node(combiner)) {
+            Ok(combined) => match cell.nr_poll(&rack.node(writer)) {
+                Ok(Some(idx)) => {
+                    self.0.commit(s, idx, writer, step);
+                    format!(
+                        "op {idx} published from n{writer}, combined ({combined}) by \
+                             n{combiner}"
+                    )
+                }
+                other => {
+                    s.fail(format!(
+                        "step {step}: publication from n{writer} unacknowledged: {other:?}"
+                    ));
+                    format!("publication from n{writer} UNACKNOWLEDGED")
+                }
+            },
+            Err(e) => {
+                s.fail(format!("step {step}: combine failed on n{combiner}: {e}"));
+                format!("combine FAILED on n{combiner}: {e}")
+            }
+        }
+    }
+
+    fn crash(&mut self, s: &mut Storm, step: u32, node: NodeId, rack: &Rack) -> String {
+        let rescuer = s.lowest_live();
+        match self.0.orch.handle_node_crash(&rack.node(rescuer), node) {
+            Ok(_) => format!("crash n{}: slots drained by n{rescuer}", node.0),
+            Err(e) => {
+                s.fail(format!("step {step}: sync recovery failed: {e}"));
+                format!("crash n{}: sync recovery FAILED: {e}", node.0)
+            }
+        }
+    }
+
+    fn restart(&mut self, _s: &mut Storm, _step: u32, node: usize) -> String {
+        format!("restart n{node}: rejoins with a cold replica")
+    }
+
+    fn heal(&mut self, s: &mut Storm, rack: &Rack) {
+        self.0.heal(s, rack);
+    }
+}
+
+/// The store campaign's workload state. Crashes route through the
+/// recovery orchestrator with the store attached, so a dead fetcher's
+/// in-flight claims are aborted by an `ABORT` op in the shared log and
+/// survivors re-claim the work.
+struct StoreStorm {
+    /// Overlapping catalogue: image k's layer seeds are 100+2k ..
+    /// 100+2k+4, so adjacent images share two of four layers.
+    images: Vec<ContainerImage>,
+    catalogue: HashSet<u64>,
+    store: Arc<ChunkStore>,
+    orch: RecoveryOrchestrator,
+    /// Claims won but not yet completed: (node, won hashes). The window
+    /// between the two phases is exactly where a crash hurts.
+    pending: Vec<(usize, Vec<u64>)>,
+}
+
+impl StoreStorm {
+    fn new(rack: &Rack) -> Self {
+        let images: Vec<ContainerImage> = (0..STORE_IMAGES)
+            .map(|k| {
+                ContainerImage::synthetic(
+                    &format!("img-{k}"),
+                    STORE_IMAGE_PAGES,
+                    STORE_IMAGE_LAYERS,
+                    100 + 2 * k as u64,
+                )
+            })
+            .collect();
+        let backends = Arc::new(ShardedBackends::uniform(
+            4,
+            BackendConfig {
+                bandwidth_bytes_per_sec: 500_000_000,
+                per_request_ns: 100_000,
+                per_chunk_ns: 100,
+            },
         ));
+        let mut catalogue = HashSet::new();
+        for img in &images {
+            img.publish(&backends);
+            catalogue.extend(img.chunk_hashes());
+        }
+        let dedup = Arc::new(PageDeduper::new(FrameAllocator::new(rack.global().clone())));
+        // A generously sized log and no gc() calls: the whole campaign
+        // must stay replayable.
+        let store = ChunkStore::alloc(
+            rack.global(),
+            backends,
+            dedup,
+            StoreConfig::new(NODES)
+                .with_log(2048, 1024)
+                .with_claim_batch(STORE_CLAIM_LIMIT),
+        )
+        .expect("store");
+        let mut orch = RecoveryOrchestrator::new();
+        orch.attach_sync(store.clone());
+        StoreStorm {
+            images,
+            catalogue,
+            store,
+            orch,
+            pending: Vec::new(),
+        }
     }
-    let unique_frames = store.dedup().stats().unique_frames;
-    if unique_frames != catalogue.len() as u64 {
-        violations.push(format!(
-            "deduper holds {unique_frames} frames for {} unique chunks",
-            catalogue.len()
-        ));
+}
+
+impl Hooks for StoreStorm {
+    const TALLIES: &'static str = "claims_won committed aborted rack_hits skipped";
+
+    fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String {
+        let Some(worker) = s.round_robin(step) else {
+            s.add("skipped", 1);
+            return "store step skipped: no live worker".to_string();
+        };
+        let ctx = rack.node(worker);
+        // Finish this node's oldest pending fetch first (the single-flight
+        // discipline: one node never claims more while sitting on
+        // won-but-unfetched work).
+        if let Some(i) = self.pending.iter().position(|&(node, _)| node == worker) {
+            let (_, won) = self.pending.remove(i);
+            return match self.store.complete(&ctx, &won) {
+                Ok(done) => {
+                    s.add("committed", done.committed);
+                    if done.lost.is_empty() {
+                        format!("n{worker} completed {} chunk(s)", done.committed)
+                    } else {
+                        format!(
+                            "n{worker} completed {} chunk(s), lost {} to recovery",
+                            done.committed,
+                            done.lost.len()
+                        )
+                    }
+                }
+                Err(e) => {
+                    s.fail(format!("step {step}: complete failed on n{worker}: {e}"));
+                    format!("n{worker} complete FAILED: {e}")
+                }
+            };
+        }
+        // Otherwise claim a slice of the step's image. Hashes other nodes
+        // hold in `Fetching` stay theirs (single-flight); this node only
+        // takes what is absent.
+        let image = step as usize % STORE_IMAGES;
+        let all = self.images[image].chunk_hashes();
+        let off = (step as usize * STORE_CLAIM_LIMIT) % all.len().max(1);
+        let hashes: Vec<u64> = all
+            .iter()
+            .cycle()
+            .skip(off)
+            .take(STORE_CLAIM_LIMIT)
+            .copied()
+            .collect();
+        match self.store.claim(&ctx, &hashes) {
+            Ok(outcome) => {
+                s.add("claims_won", outcome.won.len() as u64);
+                s.add("rack_hits", outcome.present.len() as u64);
+                let msg = format!(
+                    "n{worker} claim on img-{image}: won {}, present {}, in-flight {}",
+                    outcome.won.len(),
+                    outcome.present.len(),
+                    outcome.in_flight.len()
+                );
+                if !outcome.won.is_empty() {
+                    self.pending.push((worker, outcome.won));
+                }
+                msg
+            }
+            Err(e) => {
+                s.fail(format!("step {step}: claim failed on n{worker}: {e}"));
+                format!("n{worker} claim FAILED: {e}")
+            }
+        }
     }
 
-    // --- Invariant 3: log replay reproduces the identical present map.
-    match store.replay_matches(&n0) {
-        Ok(true) => {}
-        Ok(false) => violations.push("log replay diverged from the live index".into()),
-        Err(e) => violations.push(format!("log replay failed: {e}")),
+    fn crash(&mut self, s: &mut Storm, step: u32, node: NodeId, rack: &Rack) -> String {
+        let node_idx = node.0;
+        // The dead fetcher's won-but-unfetched work dies with it;
+        // recovery aborts its index claims so survivors re-claim.
+        let before = self.pending.len();
+        self.pending.retain(|&(owner, _)| owner != node_idx);
+        let dropped = before - self.pending.len();
+        let rescuer = s.lowest_live();
+        match self.orch.handle_node_crash(&rack.node(rescuer), node) {
+            Ok(_) => format!(
+                "crash n{node_idx} mid-fetch: {dropped} pending batch(es) dropped, \
+                 claims aborted by n{rescuer}"
+            ),
+            Err(e) => {
+                s.fail(format!("step {step}: store recovery failed: {e}"));
+                format!("crash n{node_idx}: store recovery FAILED: {e}")
+            }
+        }
     }
 
-    let stats = store.stats();
-    StoreSurvivalReport {
-        seed,
-        counts: report.counts,
-        events: report.events.len(),
-        claims_won,
-        committed,
-        aborted: stats.claims_aborted,
-        rack_hits,
-        skipped,
-        violations,
-        log_text: report.log_text(),
-        metrics: rack.metrics_report(),
+    fn restart(&mut self, _s: &mut Storm, _step: u32, node: usize) -> String {
+        format!("restart n{node}: rejoins with no claims")
+    }
+
+    fn heal(&mut self, s: &mut Storm, rack: &Rack) {
+        // Resolve every still-pending claim, then a survivor finishes all
+        // the starts (every claim is now completed or owned by a live
+        // node that just completed it, so ensure cannot block on a dead
+        // fetcher).
+        let n0 = rack.node(0);
+        while let Some((node, won)) = self.pending.pop() {
+            match self.store.complete(&rack.node(node), &won) {
+                Ok(done) => s.add("committed", done.committed),
+                Err(e) => s.fail(format!("post-heal complete on n{node} failed: {e}")),
+            }
+        }
+        for img in &self.images {
+            match self.store.ensure(&n0, &img.chunk_hashes()) {
+                Ok(rep) => s.add("committed", rep.fetched),
+                Err(e) => s.fail(format!("post-heal ensure failed: {e}")),
+            }
+        }
+
+        // Invariant 1: no duplicate downloads, rack-wide.
+        for &h in &self.catalogue {
+            let fetches = self.store.backends().fetch_count(h);
+            if fetches != 1 {
+                s.fail(format!(
+                    "chunk {h:#018x} shipped {fetches} times — single-flight broken"
+                ));
+            }
+        }
+
+        // Invariant 2: index consistent after the heal.
+        let (fetching, present) = self
+            .store
+            .peek_index(|st| (st.fetching_count(), st.present_count()));
+        let frames = self.store.dedup().stats().unique_frames as usize;
+        let unique = self.catalogue.len();
+        if (fetching, present, frames) != (0, unique, unique) {
+            s.fail(format!(
+                "index has {fetching} fetching and {present} present chunks, deduper \
+                 {frames} frames, for {unique} unique chunks"
+            ));
+        }
+
+        // Invariant 3: log replay reproduces the identical present map.
+        match self.store.replay_matches(&n0) {
+            Ok(true) => {}
+            Ok(false) => s.fail("log replay diverged from the live index".into()),
+            Err(e) => s.fail(format!("log replay failed: {e}")),
+        }
+        s.add("aborted", self.store.stats().claims_aborted);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// FNV-1a 64 of every campaign's `log_text` for seeds 1..=6 at 60
+    /// steps, recorded when each campaign still had its own driver: one
+    /// line per campaign, name then the six digests.
+    const DIGESTS: &str = "\
+rack 3f40f4e490981a80 f5e9136b831a20d7 cca3d7d9ff4ab292 5db58ff851106757 551c6638af5d3ac1 f0c4fea95854ad7d
+tiering 68111fe21584cc15 7bcd77505bbdaf99 2e781849f3494367 282f7c66e3fedb1c a89a4676fa37e531 67edc768c286ebcc
+delegated 97a6f819d6c398b0 b3185d9c79193039 81b078cffee3a864 7958806a97c1e39e d89615a3fb8085b8 e79847c23a708cb1
+node-replicated 1751c3a5a2c0fdb9 66320785ac11f8d1 ab85e09f39aa3014 f8b5f8a25890b07d 8a6ff20280a9bdf8 226eadcf597dac02
+store b98449138fd08ba5 7aeccec802083355 f1c008c2d11d9112 432e913d6099d8bf 021aeeb8b292a4da cf68ae2139a0e7fb
+";
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Seeds 1..=6 of `campaign` at 60 steps, every one survived. Each
+    /// (campaign, seed) pair runs once per test process; every sweep
+    /// test below reads the same reports.
+    fn sweep(campaign: Campaign) -> &'static [CampaignReport] {
+        static SWEEPS: [OnceLock<Vec<CampaignReport>>; 5] = [const { OnceLock::new() }; 5];
+        SWEEPS[campaign as usize]
+            .get_or_init(|| (1..=6).map(|seed| survivor(campaign, seed, 60)).collect())
+    }
+
+    /// Run one campaign and assert that it survived a storm that crashed
+    /// nodes.
+    fn survivor(campaign: Campaign, seed: u64, steps: u32) -> CampaignReport {
+        let r = campaign.run(seed, steps);
+        let name = campaign.name();
+        assert!(r.survived(), "{name} seed {seed}: {:?}", r.violations);
+        assert!(r.counts.crashes > 0, "{name} seed {seed} crashed nothing");
+        r
+    }
+
+    /// Assert that tally `name`, summed over `runs`, reached `at_least`.
+    fn fired(runs: &[CampaignReport], name: &str, at_least: u64) {
+        let got: u64 = runs.iter().map(|r| r.tally(name)).sum();
+        let campaign = runs[0].campaign.name();
+        assert!(got >= at_least, "{campaign} {name} = {got} < {at_least}");
+    }
 
     #[test]
-    fn smoke_campaign_survives() {
-        let r = run_campaign(0xF1AC_5708, 60);
-        assert!(r.survived(), "violations: {:?}", r.violations);
-        assert!(r.fs_commits > 0, "workload actually committed writes");
-        assert!(r.counts.crashes > 0, "storm actually crashed nodes");
+    fn campaign_logs_match_recorded_digests() {
+        assert_eq!(DIGESTS.lines().count(), Campaign::ALL.len());
+        for (campaign, line) in Campaign::ALL.into_iter().zip(DIGESTS.lines()) {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(words.len(), 7, "{line}");
+            assert_eq!(words[0], campaign.name());
+            for (r, &want) in sweep(campaign).iter().zip(&words[1..]) {
+                let got = format!("{:016x}", fnv1a(&r.log_text));
+                assert_eq!(got, want, "{} seed {} log changed", campaign.name(), r.seed);
+            }
+        }
+    }
+
+    /// Re-runs the campaign's first sweep seed and compares its event log
+    /// byte for byte with the cached run; the second seed must diverge.
+    fn assert_replays(campaign: Campaign) {
+        let (a, b) = (&sweep(campaign)[0], &sweep(campaign)[1]);
+        let name = campaign.name();
+        let replay = campaign.run(a.seed, 60).log_text;
+        assert_eq!(replay, a.log_text, "{name}: same seed, same bytes");
+        assert_ne!(a.log_text, b.log_text, "{name}: different seeds diverge");
     }
 
     #[test]
     fn replay_is_byte_identical() {
-        let a = run_campaign(42, 60);
-        let b = run_campaign(42, 60);
-        assert_eq!(a.log_text, b.log_text, "same seed, same bytes");
-        assert_ne!(
-            a.log_text,
-            run_campaign(43, 60).log_text,
-            "different seeds diverge"
+        assert_replays(Campaign::Rack);
+    }
+
+    #[test]
+    fn tiering_replay_is_byte_identical() {
+        assert_replays(Campaign::Tiering);
+    }
+
+    #[test]
+    fn sync_replay_is_byte_identical() {
+        assert_replays(Campaign::Delegated);
+    }
+
+    #[test]
+    fn nr_sync_replay_is_byte_identical() {
+        assert_replays(Campaign::NodeReplicated);
+    }
+
+    #[test]
+    fn store_replay_is_byte_identical() {
+        assert_replays(Campaign::Store);
+    }
+
+    #[test]
+    fn smoke_campaign_survives() {
+        fired(
+            &[survivor(Campaign::Rack, 0xF1AC_5708, 60)],
+            "fs_commits",
+            1,
         );
     }
 
     #[test]
     fn acked_rpcs_execute_exactly_once() {
-        let r = run_campaign(0xD15EA5E, 80);
-        assert!(r.survived(), "violations: {:?}", r.violations);
-        assert!(r.rpc_executed >= r.rpc_acked);
-        assert!(r.rpc_executed <= r.rpc_issued);
+        let r = survivor(Campaign::Rack, 0xD15EA5E, 80);
+        assert!(r.tally("rpc_executed") >= r.tally("rpc_acked"));
+        assert!(r.tally("rpc_executed") <= r.tally("rpc_issued"));
     }
 
     #[test]
     fn tiering_campaign_survives_and_migrates() {
-        let r = run_tiering_campaign(0xF1AC_71E4, 60);
-        assert!(r.survived(), "violations: {:?}", r.violations);
-        assert!(r.promotions > 0, "migrations actually committed");
-        assert!(r.writes_committed > 0, "workload actually wrote pages");
-        assert!(r.counts.crashes > 0, "storm actually crashed nodes");
-    }
-
-    #[test]
-    fn tiering_replay_is_byte_identical() {
-        let a = run_tiering_campaign(7, 60);
-        let b = run_tiering_campaign(7, 60);
-        assert_eq!(a.log_text, b.log_text, "same seed, same bytes");
-        assert_ne!(
-            a.log_text,
-            run_tiering_campaign(8, 60).log_text,
-            "different seeds diverge"
-        );
-    }
-
-    #[test]
-    fn sync_campaign_survives_and_replays() {
-        let r = run_sync_campaign(0xF1AC_5C11, 60);
-        assert!(r.survived(), "violations: {:?}", r.violations);
-        assert!(r.ops_committed > 0, "workload actually committed updates");
-        assert_eq!(r.replayed, r.ops_committed, "log covers every commit");
-        assert!(r.counts.crashes > 0, "storm actually crashed nodes");
-    }
-
-    #[test]
-    fn sync_replay_is_byte_identical() {
-        let a = run_sync_campaign(11, 60);
-        let b = run_sync_campaign(11, 60);
-        assert_eq!(a.log_text, b.log_text, "same seed, same bytes");
-        assert_ne!(
-            a.log_text,
-            run_sync_campaign(12, 60).log_text,
-            "different seeds diverge"
-        );
-    }
-
-    #[test]
-    fn some_seed_kills_the_delegation_owner_mid_storm() {
-        // The headline invariant — owner crash mid-delegation loses no
-        // committed op — must actually fire across a small seed sweep.
-        let mut reelections = 0u64;
-        for seed in 1..=6 {
-            let r = run_sync_campaign(seed, 60);
-            assert!(r.survived(), "seed {seed} violations: {:?}", r.violations);
-            reelections += r.reelections;
-        }
-        assert!(reelections > 0, "no campaign crashed the delegation owner");
-    }
-
-    #[test]
-    fn nr_sync_campaign_survives_combiner_deaths_mid_batch() {
-        let r = run_nr_sync_campaign(0xF1AC_5C11, 60);
-        assert!(r.survived(), "violations: {:?}", r.violations);
-        assert!(r.ops_committed > 0, "workload actually committed updates");
-        assert_eq!(r.replayed, r.ops_committed, "log covers every commit");
-        assert!(
-            r.reelections > 0,
-            "no combiner was killed mid-batch; the campaign must exercise both fatal windows"
-        );
-    }
-
-    #[test]
-    fn nr_sync_replay_is_byte_identical() {
-        let a = run_nr_sync_campaign(31, 60);
-        let b = run_nr_sync_campaign(31, 60);
-        assert_eq!(a.log_text, b.log_text, "same seed, same bytes");
-        assert_ne!(
-            a.log_text,
-            run_nr_sync_campaign(32, 60).log_text,
-            "different seeds diverge"
-        );
-    }
-
-    #[test]
-    fn nr_seed_sweep_kills_combiners_in_both_windows() {
-        // Both fatal windows — before the tail CAS and after the append
-        // — must fire across a small seed sweep, and so must a publisher
-        // dying before its mask bit; no published op may be lost or
-        // double-applied in any of them.
-        let (mut mid_batch, mut unflagged) = (0u64, 0usize);
-        for seed in 1..=6 {
-            let r = run_nr_sync_campaign(seed, 60);
-            assert!(r.survived(), "seed {seed} violations: {:?}", r.violations);
-            mid_batch += r.reelections;
-            unflagged += r.log_text.matches("(before mask bit)").count();
-        }
-        assert!(mid_batch >= 2, "mid-batch combiner deaths barely fired");
-        assert!(unflagged >= 1, "no publisher died before its mask bit");
+        let r = [survivor(Campaign::Tiering, 0xF1AC_71E4, 60)];
+        fired(&r, "promotions", 1);
+        fired(&r, "writes_committed", 1);
     }
 
     #[test]
     fn some_seed_crashes_the_migrating_node_mid_flight() {
         // The crash-consistency path (survivor abort, old copy
-        // authoritative) must actually fire across a small seed sweep.
-        let mut aborts = 0u64;
-        for seed in 1..=6 {
-            let r = run_tiering_campaign(seed, 60);
-            assert!(r.survived(), "seed {seed} violations: {:?}", r.violations);
-            aborts += r.aborts;
-        }
-        assert!(aborts > 0, "no campaign crashed n0 mid-migration");
+        // authoritative) must actually fire across the sweep.
+        fired(sweep(Campaign::Tiering), "aborts", 1);
+    }
+
+    #[test]
+    fn sync_campaign_survives_and_replays() {
+        let r = [survivor(Campaign::Delegated, 0xF1AC_5C11, 60)];
+        fired(&r, "ops_committed", 1);
+        assert_eq!(r[0].tally("replayed"), r[0].tally("ops_committed"));
+    }
+
+    #[test]
+    fn some_seed_kills_the_delegation_owner_mid_storm() {
+        // The headline invariant — owner crash mid-delegation loses no
+        // committed op — must actually fire across the sweep.
+        fired(sweep(Campaign::Delegated), "reelections", 1);
+    }
+
+    #[test]
+    fn nr_sync_campaign_survives_combiner_deaths_mid_batch() {
+        let r = [survivor(Campaign::NodeReplicated, 0xF1AC_5C11, 60)];
+        fired(&r, "ops_committed", 1);
+        assert_eq!(r[0].tally("replayed"), r[0].tally("ops_committed"));
+        // Combiners die mid-batch, in either fatal window.
+        fired(&r, "reelections", 1);
+    }
+
+    #[test]
+    fn nr_seed_sweep_kills_combiners_in_both_windows() {
+        // Both fatal windows — before the tail CAS and after the append
+        // — must fire across the sweep, and so must a publisher dying
+        // before its mask bit.
+        fired(sweep(Campaign::NodeReplicated), "reelections", 2);
+        fired(sweep(Campaign::NodeReplicated), "publisher_deaths", 1);
     }
 
     #[test]
     fn store_campaign_survives_without_duplicate_downloads() {
-        let r = run_store_campaign(0xF1AC_5704, 60);
-        assert!(r.survived(), "violations: {:?}", r.violations);
-        assert!(r.claims_won > 0, "workload actually claimed chunks");
-        assert!(r.committed > 0, "workload actually committed chunks");
-        assert!(r.counts.crashes > 0, "storm actually crashed nodes");
-    }
-
-    #[test]
-    fn store_replay_is_byte_identical() {
-        let a = run_store_campaign(21, 60);
-        let b = run_store_campaign(21, 60);
-        assert_eq!(a.log_text, b.log_text, "same seed, same bytes");
-        assert_ne!(
-            a.log_text,
-            run_store_campaign(22, 60).log_text,
-            "different seeds diverge"
-        );
+        let r = [survivor(Campaign::Store, 0xF1AC_5704, 60)];
+        fired(&r, "claims_won", 1);
+        fired(&r, "committed", 1);
     }
 
     #[test]
     fn some_seed_crashes_a_claim_holder_mid_fetch() {
         // The headline invariant — a fetcher crash between claim and
         // commit triggers recovery aborts, yet no chunk is ever shipped
-        // twice — must actually fire across a small seed sweep.
-        let mut aborted = 0u64;
-        for seed in 1..=6 {
-            let r = run_store_campaign(seed, 60);
-            assert!(r.survived(), "seed {seed} violations: {:?}", r.violations);
-            aborted += r.aborted;
-        }
-        assert!(aborted > 0, "no campaign crashed a claim holder mid-fetch");
+        // twice — must actually fire across the sweep.
+        fired(sweep(Campaign::Store), "aborted", 1);
     }
 }

@@ -21,7 +21,10 @@
 //! | [`adaptive_ab`] | Ablation A8 — fixed sync policies vs adaptive driver |
 //! | [`cache_scale`] | §2 cache internals — sharded vs single-mutex, wall-clock |
 //! | [`serve_scale`] | §4 serving at scale — `flac-loadgen` open-loop sweep |
+//! | [`store_scale`] | §4.2 chunk store — shard sweep and overlap, `flac-store-scale` |
+//! | [`sync_scale`] | §3.2 node replication — flat-combining sweep, `flac-sync-scale` |
 //! | [`topo_scale`] | §2.1/§3.3 — topology depth × page size, 1 shootdown per 2 MiB |
+//! | [`faultstorm`] | §3.6 reliability — five seeded fault-storm campaigns, `flac-faultstorm` |
 
 pub mod adaptive_ab;
 pub mod cache_scale;

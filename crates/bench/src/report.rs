@@ -3,10 +3,13 @@
 //! Every bench writer in this crate emits the same hand-rolled JSON
 //! shape (hermetic workspace — no serde): human-readable framing with
 //! exactly one object per line inside the result arrays. That makes
-//! line-wise key extraction exact, and all three `--check` readers
-//! (`flac-cache-scale`, `flac-loadgen`, `flac-store-scale`,
-//! `flac-sync-scale`) share this module instead of each carrying its
-//! own copy of the same string surgery.
+//! line-wise key extraction exact, and all five `--check` readers
+//! (`cache-scale`, `flac-loadgen`, `flac-store-scale`, `flac-sync-scale`,
+//! `flac-topo-scale`) share this module instead of each carrying its own
+//! copy of the same string surgery. Line-wise extraction cannot see a
+//! report cut short, so [`parse_quick`], which every reader calls
+//! first, also rejects a document that does not end where its
+//! top-level object closes.
 
 /// Extract the raw value token of `"key": value` from a one-line JSON
 /// object fragment (quotes stripped, `,`/`}` terminated).
@@ -18,13 +21,60 @@ pub fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim().trim_matches('"'))
 }
 
+/// Check that `json` is one whole document: a top-level object whose
+/// brackets all close, followed by exactly the final newline every
+/// writer emits. A document cut anywhere, even just before its last
+/// `]`, `}` or newline, fails.
+///
+/// # Errors
+///
+/// Describes how the document is malformed or cut short.
+fn check_complete(json: &str) -> Result<(), String> {
+    let mut open: Vec<u8> = Vec::new();
+    let (mut in_string, mut escaped) = (false, false);
+    for (i, b) in json.bytes().enumerate() {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'{' => open.push(b'}'),
+            b'[' => open.push(b']'),
+            b'}' | b']' => {
+                if open.pop() != Some(b) {
+                    return Err(format!("unbalanced {:?} at byte {i}", b as char));
+                }
+                if open.is_empty() {
+                    return match &json[i + 1..] {
+                        "\n" => Ok(()),
+                        rest => Err(format!(
+                            "{rest:?} after the closing brace, want one newline"
+                        )),
+                    };
+                }
+            }
+            _ => {}
+        }
+    }
+    let open = open.len();
+    Err(format!("report cut short with {open} bracket(s) open"))
+}
+
 /// Read the report-level `"quick"` flag (every report carries one on
 /// its own line).
 ///
 /// # Errors
 ///
-/// Returns a description when the field is absent.
+/// Returns a description when the document is cut short or malformed
+/// (see `check_complete`) or the field is absent.
 pub fn parse_quick(json: &str) -> Result<bool, String> {
+    check_complete(json)?;
     json.lines()
         .find_map(|l| field(l, "quick").filter(|_| l.trim_start().starts_with("\"quick\"")))
         .map(|v| v == "true")
@@ -130,7 +180,8 @@ mod tests {
     {"impl": "a", "threads": 4, "ratio": 1.25, "ok": true},
     {"impl": "b", "threads": 8, "ratio": 0.5, "ok": false}
   ]
-}"#;
+}
+"#;
 
     #[test]
     fn field_extracts_quoted_and_bare_tokens() {
@@ -162,8 +213,61 @@ mod tests {
         assert!(err.contains("missing \"missing\""), "{err}");
         let err = obj.u64_field("impl").unwrap_err();
         assert!(err.starts_with("impl:"), "{err}");
-        assert!(parse_quick("{}").is_err());
+        assert!(parse_quick("{}\n").is_err());
         assert!(object_with(SAMPLE, "nope").is_err());
         assert!(object_with(SAMPLE, "bench").is_ok());
+    }
+
+    #[test]
+    fn check_complete_wants_one_closed_object_and_a_newline() {
+        assert!(check_complete("{\"a\": [\"}]\\\"\"]}\n").is_ok());
+        for bad in ["{}", "{}\n\n", "{]\n", "{\"a\": [1]\n", "{\"a\": \"}\n"] {
+            assert!(check_complete(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// `--check`'s verdict on `json` for each committed report.
+    fn passes(file: &str, json: &str) -> bool {
+        macro_rules! check {
+            ($module:ident) => {
+                crate::$module::parse_report(json)
+                    .is_ok_and(|r| crate::$module::check_report(&r).is_empty())
+            };
+        }
+        match file {
+            "BENCH_cache.json" => check!(cache_scale),
+            "BENCH_serve.json" => check!(serve_scale),
+            "BENCH_store.json" => check!(store_scale),
+            "BENCH_sync.json" => check!(sync_scale),
+            "BENCH_topo.json" => check!(topo_scale),
+            _ => unreachable!("{file}"),
+        }
+    }
+
+    #[test]
+    fn only_the_whole_committed_report_passes_its_check() {
+        let files = [
+            (
+                "BENCH_cache.json",
+                include_str!("../../../BENCH_cache.json"),
+            ),
+            (
+                "BENCH_serve.json",
+                include_str!("../../../BENCH_serve.json"),
+            ),
+            (
+                "BENCH_store.json",
+                include_str!("../../../BENCH_store.json"),
+            ),
+            ("BENCH_sync.json", include_str!("../../../BENCH_sync.json")),
+            ("BENCH_topo.json", include_str!("../../../BENCH_topo.json")),
+        ];
+        for (file, json) in files {
+            assert!(passes(file, json), "{file} fails its own check");
+            let cut: Vec<usize> = (0..json.len())
+                .filter(|&k| json.is_char_boundary(k) && passes(file, &json[..k]))
+                .collect();
+            assert!(cut.is_empty(), "{file} cut to {cut:?} bytes still passes");
+        }
     }
 }

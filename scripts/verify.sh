@@ -43,7 +43,7 @@ cargo run --release --offline -p bench --bin flac-loadgen -- \
 echo "== committed BENCH_serve.json honors the serving acceptance targets =="
 cargo run --release --offline -p bench --bin flac-loadgen -- --check BENCH_serve.json
 
-echo "== fault-storm smoke campaign (fixed seeds, replay-verified) =="
+echo "== fault-storm smoke: all five campaigns (rack, tiering, delegated, node-replicated, store; fixed seeds, replay-verified) =="
 cargo run --release --offline -p bench --bin flac-faultstorm -- --seeds 2 --steps 60 --verify
 
 echo "== tiering smoke: A7 ablation =="
@@ -51,12 +51,6 @@ cargo run --release --offline -p bench --bin figures -- tiering
 
 echo "== sync smoke: A1 ablation =="
 cargo run --release --offline -p bench --bin figures -- sync
-
-echo "== tiering fault-storm campaign (fixed seeds, replay-verified) =="
-cargo run --release --offline -p bench --bin flac-faultstorm -- --tiering --seeds 2 --steps 60 --verify
-
-echo "== sync-cell fault-storm campaigns (owner, combiner and publisher crashes, replay-verified) =="
-cargo run --release --offline -p bench --bin flac-faultstorm -- --sync --seeds 2 --steps 60 --verify
 
 echo "== sync-scale smoke (flat-combining gate, JSON shape + invariants) =="
 cargo run --release --offline -p bench --bin flac-sync-scale -- \
@@ -78,8 +72,5 @@ cargo run --release --offline -p bench --bin flac-store-scale -- \
 
 echo "== committed BENCH_store.json honors the shard-scaling acceptance targets =="
 cargo run --release --offline -p bench --bin flac-store-scale -- --check BENCH_store.json
-
-echo "== chunk-store fault-storm campaign (fetcher crashes mid-fetch, replay-verified) =="
-cargo run --release --offline -p bench --bin flac-faultstorm -- --store --seeds 2 --steps 60 --verify
 
 echo "verify: OK"
