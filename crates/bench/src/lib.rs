@@ -19,11 +19,12 @@
 //! | [`fabric_ab`] | Ablation A6 — sensitivity to the interconnect generation |
 //! | [`tiering_ab`] | Ablation A7 — page tiering daemon off vs on |
 //! | [`adaptive_ab`] | Ablation A8 — fixed sync policies vs adaptive driver |
-//! | [`cache_scale`] | §2 cache internals — sharded vs single-mutex, wall-clock |
-//! | [`serve_scale`] | §4 serving at scale — `flac-loadgen` open-loop sweep |
-//! | [`store_scale`] | §4.2 chunk store — shard sweep and overlap, `flac-store-scale` |
-//! | [`sync_scale`] | §3.2 node replication — flat-combining sweep, `flac-sync-scale` |
-//! | [`topo_scale`] | §2.1/§3.3 — topology depth × page size, 1 shootdown per 2 MiB |
+//! | [`cache_scale`] | §2 cache internals — node cache vs single-mutex, wall-clock, `flac-bench cache` |
+//! | [`serve_scale`] | §4 serving at scale — open-loop sweep, `flac-bench serve` |
+//! | [`store_scale`] | §4.2 chunk store — shard sweep and overlap, `flac-bench store` |
+//! | [`sync_scale`] | §3.2 node replication — flat-combining sweep, `flac-bench sync` |
+//! | [`topo_scale`] | §2.1/§3.3 — topology depth × page size, 1 shootdown per 2 MiB, `flac-bench topo` |
+//! | [`suite`] | the `flac-bench` runner: one write/gate/check pipeline over the five suites above |
 //! | [`faultstorm`] | §3.6 reliability — five seeded fault-storm campaigns, `flac-faultstorm` |
 
 pub mod adaptive_ab;
@@ -40,6 +41,7 @@ pub mod report;
 pub mod serve_scale;
 pub mod startup;
 pub mod store_scale;
+pub mod suite;
 pub mod sync_ab;
 pub mod sync_scale;
 pub mod table;

@@ -3,13 +3,12 @@
 //! Every bench writer in this crate emits the same hand-rolled JSON
 //! shape (hermetic workspace — no serde): human-readable framing with
 //! exactly one object per line inside the result arrays. That makes
-//! line-wise key extraction exact, and all five `--check` readers
-//! (`cache-scale`, `flac-loadgen`, `flac-store-scale`, `flac-sync-scale`,
-//! `flac-topo-scale`) share this module instead of each carrying its own
-//! copy of the same string surgery. Line-wise extraction cannot see a
-//! report cut short, so [`parse_quick`], which every reader calls
-//! first, also rejects a document that does not end where its
-//! top-level object closes.
+//! line-wise key extraction exact, and the readers of all five suites
+//! `flac-bench` gates ([`crate::suite::Suite`]) share this module
+//! instead of each carrying its own copy of the same string surgery.
+//! Line-wise extraction cannot see a report cut short, so
+//! [`parse_quick`], which every reader calls first, also rejects a
+//! document that does not end where its top-level object closes.
 
 /// Extract the raw value token of `"key": value` from a one-line JSON
 /// object fragment (quotes stripped, `,`/`}` terminated).
@@ -228,20 +227,11 @@ mod tests {
 
     /// `--check`'s verdict on `json` for each committed report.
     fn passes(file: &str, json: &str) -> bool {
-        macro_rules! check {
-            ($module:ident) => {
-                crate::$module::parse_report(json)
-                    .is_ok_and(|r| crate::$module::check_report(&r).is_empty())
-            };
-        }
-        match file {
-            "BENCH_cache.json" => check!(cache_scale),
-            "BENCH_serve.json" => check!(serve_scale),
-            "BENCH_store.json" => check!(store_scale),
-            "BENCH_sync.json" => check!(sync_scale),
-            "BENCH_topo.json" => check!(topo_scale),
-            _ => unreachable!("{file}"),
-        }
+        let suite = crate::suite::Suite::ALL
+            .into_iter()
+            .find(|s| s.default_path() == file)
+            .expect(file);
+        suite.check(json).is_empty()
     }
 
     #[test]

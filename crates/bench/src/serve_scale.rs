@@ -1,4 +1,4 @@
-//! `bench::serve_scale` — the `flac-loadgen` heavy-traffic serving
+//! `bench::serve_scale` — the `flac-bench serve` heavy-traffic serving
 //! benchmark (ROADMAP item 1).
 //!
 //! An **open-loop**, multi-node load generator: it simulates `clients`
@@ -21,7 +21,7 @@
 //! the run is only `parity = true` if both runs produce bit-identical
 //! latency streams — the simulated-time determinism gate.
 //!
-//! The `flac-loadgen` binary writes `BENCH_serve.json`;
+//! `flac-bench serve` writes `BENCH_serve.json`;
 //! `scripts/verify.sh` runs `--quick --gate` as a smoke test and
 //! `--check BENCH_serve.json` against the committed report.
 
@@ -131,7 +131,7 @@ impl ServeConfig {
     }
 
     /// Client scales swept by a run. The committed report must carry at
-    /// least three scales (enforced by [`check_report`]).
+    /// least three scales (enforced by [`target_failures`]).
     pub fn scales(quick: bool) -> &'static [u64] {
         if quick {
             &[2_000, 10_000, 50_000]
@@ -673,8 +673,6 @@ pub struct ParsedServePoint {
 /// A `BENCH_serve.json` report re-read from disk.
 #[derive(Debug, Clone)]
 pub struct ParsedServeReport {
-    /// Whether the report came from a `--quick` smoke run.
-    pub quick: bool,
     /// Every measurement point, in report order.
     pub points: Vec<ParsedServePoint>,
 }
@@ -686,7 +684,7 @@ pub struct ParsedServeReport {
 ///
 /// Returns a description of the first malformed line or missing field.
 pub fn parse_report(json: &str) -> Result<ParsedServeReport, String> {
-    let quick = crate::report::parse_quick(json)?;
+    crate::report::parse_quick(json)?;
     let mut points = Vec::new();
     for obj in crate::report::objects_with(json, "transport") {
         points.push(ParsedServePoint {
@@ -705,34 +703,29 @@ pub fn parse_report(json: &str) -> Result<ParsedServeReport, String> {
     if points.is_empty() {
         return Err("no results[] entries found".into());
     }
-    Ok(ParsedServeReport { quick, points })
+    Ok(ParsedServeReport { points })
 }
 
-/// The strict acceptance check applied to the committed
-/// `BENCH_serve.json` (the `--check` mode of `flac-loadgen`).
-/// Everything here is simulated-time-derived and therefore exactly
-/// reproducible, so the gates are strict:
-///
-/// * full (non-quick) run, both transports at ≥ 3 client scales;
-/// * zero RESP errors, `parity = true` at every point;
-/// * percentiles ordered (`p50 ≤ p99 ≤ p999 ≤ max`), all nonzero;
-/// * FlacOS IPC p50 strictly beats TCP/IP at every scale;
-/// * FlacOS saturation throughput ≥ TCP/IP saturation throughput.
-///
-/// Returns the list of failures (empty = pass).
-pub fn check_report(report: &ParsedServeReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    if report.quick {
-        failures.push("committed report must come from a full run, not --quick".into());
-    }
+/// The client scales a report covers, ascending.
+fn scales(report: &ParsedServeReport) -> Vec<u64> {
     let mut scales: Vec<u64> = report.points.iter().map(|p| p.clients).collect();
     scales.sort_unstable();
     scales.dedup();
-    if scales.len() < 3 {
-        failures.push(format!(
-            "report must cover >= 3 client scales, found {scales:?}"
-        ));
-    }
+    scales
+}
+
+/// The invariants every report must hold (the `--gate`). Everything
+/// here is simulated-time-derived and therefore exactly reproducible,
+/// so the gate is strict:
+///
+/// * zero RESP errors, `parity = true` at every point;
+/// * percentiles ordered (`p50 ≤ p99 ≤ p999 ≤ max`), all nonzero;
+/// * both transports at every scale, FlacOS IPC p50 strictly beating
+///   TCP/IP and its saturation throughput at least TCP/IP's.
+///
+/// Returns the list of failures (empty = pass).
+pub fn gate_failures(report: &ParsedServeReport) -> Vec<String> {
+    let mut failures = Vec::new();
     for p in &report.points {
         if p.errors != 0 {
             failures.push(format!(
@@ -759,7 +752,7 @@ pub fn check_report(report: &ParsedServeReport) -> Vec<String> {
             ));
         }
     }
-    for &scale in &scales {
+    for scale in scales(report) {
         let find = |t: &str| {
             report
                 .points
@@ -786,6 +779,59 @@ pub fn check_report(report: &ParsedServeReport) -> Vec<String> {
         }
     }
     failures
+}
+
+/// The committed report's own target: both transports at >= 3 client
+/// scales.
+pub fn target_failures(report: &ParsedServeReport) -> Vec<String> {
+    let scales = scales(report);
+    if scales.len() < 3 {
+        return vec![format!(
+            "report must cover >= 3 client scales, found {scales:?}"
+        )];
+    }
+    Vec::new()
+}
+
+/// Run every client scale over both transports, printing each point,
+/// and render the report.
+///
+/// # Errors
+///
+/// Names the scale whose simulation failed.
+pub fn run(quick: bool) -> Result<String, String> {
+    let scales = ServeConfig::scales(quick);
+    println!(
+        "serve: {} mode, client scales {scales:?}, both transports, open loop + saturation",
+        if quick { "quick" } else { "full" }
+    );
+    let mut points = Vec::new();
+    for &clients in scales {
+        let cfg = if quick {
+            ServeConfig::quick(clients)
+        } else {
+            ServeConfig::full(clients)
+        };
+        let scale_points =
+            run_scale(&cfg).map_err(|e| format!("{clients} clients: simulation failed: {e}"))?;
+        for p in &scale_points {
+            println!(
+                "  {:>10} clients={:>7} offered={:>9.0} rps achieved={:>9.0} rps \
+                 p50={:>7} p99={:>8} p999={:>8} ns sat={:>10.0} rps parity={}",
+                p.transport,
+                p.clients,
+                p.offered_rps,
+                p.achieved_rps,
+                p.p50_ns,
+                p.p99_ns,
+                p.p999_ns,
+                p.saturation_rps,
+                p.parity
+            );
+        }
+        points.extend(scale_points);
+    }
+    Ok(to_json(&points, quick))
 }
 
 #[cfg(test)]
@@ -844,9 +890,11 @@ mod tests {
         }
         let json = to_json(&points, false);
         let parsed = parse_report(&json).expect("writer output parses");
-        assert!(!parsed.quick);
         assert_eq!(parsed.points.len(), 6);
-        assert_eq!(check_report(&parsed), Vec::<String>::new());
+        assert_eq!(
+            crate::suite::Suite::Serve.check(&json),
+            Vec::<String>::new()
+        );
     }
 
     #[test]
@@ -884,8 +932,7 @@ mod tests {
             mk("flacos-ipc", 300, 0, true, 60),
             mk("tcp/ip", 300, 0, true, 50),
         ];
-        let parsed = parse_report(&to_json(&points, true)).unwrap();
-        let failures = check_report(&parsed);
+        let failures = crate::suite::Suite::Serve.check(&to_json(&points, true));
         assert!(failures.iter().any(|f| f.contains("--quick")));
         assert!(failures.iter().any(|f| f.contains("RESP error")));
         assert!(failures.iter().any(|f| f.contains("did not reproduce")));

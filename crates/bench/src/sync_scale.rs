@@ -1,4 +1,4 @@
-//! `flac-sync-scale` — writer-scaling gate for the node-replicated
+//! `flac-bench sync` — writer-scaling gate for the node-replicated
 //! `SyncCell` tier (ablation A10).
 //!
 //! §3.2's coordination story ends with a write-side question: once
@@ -363,8 +363,7 @@ pub fn run_numa_probe(rounds: usize) -> (u64, u64) {
     (out[0], out[1])
 }
 
-/// Deterministic invariants enforced by `--gate` and re-enforced by
-/// `--check` on the committed report:
+/// The invariants every report must hold (the `--gate`):
 ///
 /// * rerun parity at every point;
 /// * node-replicated ≤ delegated ns/op at **every** multi-writer point
@@ -374,7 +373,8 @@ pub fn run_numa_probe(rounds: usize) -> (u64, u64) {
 /// * the replica-hit read path performed exactly 0 fabric operations;
 /// * a replica catch-up and a combine each read the fabric once per
 ///   span, not once per entry or slot.
-pub fn gate_failures(points: &[SyncPoint], probes: Probes) -> Vec<String> {
+pub fn gate_failures(report: &ParsedSyncReport) -> Vec<String> {
+    let (points, probes) = (&report.points, report.probes);
     let mut failures = Vec::new();
     for p in points {
         if !p.parity() {
@@ -515,8 +515,6 @@ pub fn to_json(
 /// A `BENCH_sync.json` report re-read from disk.
 #[derive(Debug, Clone)]
 pub struct ParsedSyncReport {
-    /// Whether the report came from a `--quick` smoke run.
-    pub quick: bool,
     /// The committed read-side probe counts.
     pub probes: Probes,
     /// Every measurement point, in report order.
@@ -556,7 +554,7 @@ pub fn parse_points(json: &str) -> Result<Vec<SyncPoint>, String> {
 ///
 /// Returns a description of the first malformed line or missing field.
 pub fn parse_report(json: &str) -> Result<ParsedSyncReport, String> {
-    let quick = crate::report::parse_quick(json)?;
+    crate::report::parse_quick(json)?;
     let top = |key: &str| crate::report::object_with(json, key)?.u64_field(key);
     let probes = Probes {
         replica_hit_fabric_ops: top("replica_hit_fabric_ops")?,
@@ -564,21 +562,13 @@ pub fn parse_report(json: &str) -> Result<ParsedSyncReport, String> {
         combine_global_reads: top("combine_global_reads")?,
     };
     let points = parse_points(json)?;
-    Ok(ParsedSyncReport {
-        quick,
-        probes,
-        points,
-    })
+    Ok(ParsedSyncReport { probes, points })
 }
 
-/// The strict acceptance check applied to the committed
-/// `BENCH_sync.json` (the `--check` mode of `flac-sync-scale`):
-/// full run, full sweep coverage, and every gate invariant.
-pub fn check_report(report: &ParsedSyncReport) -> Vec<String> {
+/// The committed report's own target: every (policy, writers, reads)
+/// point of the sweep present.
+pub fn target_failures(report: &ParsedSyncReport) -> Vec<String> {
     let mut failures = Vec::new();
-    if report.quick {
-        failures.push("committed report must come from a full run, not --quick".into());
-    }
     for &writers in &WRITER_COUNTS {
         for &read_pct in &READ_PCTS {
             for policy in ["delegated", "node_replicated"] {
@@ -594,8 +584,55 @@ pub fn check_report(report: &ParsedSyncReport) -> Vec<String> {
             }
         }
     }
-    failures.extend(gate_failures(&report.points, report.probes));
     failures
+}
+
+/// Run the sweep and the probes, printing each row, and render the
+/// report. `previous` is the report this run replaces, if any: rows that
+/// moved since that recording keep their old figure alongside.
+pub fn run(quick: bool, previous: Option<&str>) -> String {
+    let cfg = if quick {
+        SyncScaleConfig::quick()
+    } else {
+        SyncScaleConfig::full()
+    };
+    println!(
+        "sync: {} mode, {} write rounds per point",
+        if quick { "quick" } else { "full" },
+        cfg.rounds
+    );
+    let points = run_sweep(cfg);
+    for p in &points {
+        println!(
+            "  {:>16} writers={} reads={:>2}% ops={:>6} avg={:>6} ns/op parity={}",
+            p.policy,
+            p.writers,
+            p.read_pct,
+            p.ops,
+            p.avg_ns_per_op,
+            p.parity()
+        );
+    }
+    let probes = run_probes();
+    println!(
+        "  replica-hit read path: {} fabric ops across 64 reads",
+        probes.replica_hit_fabric_ops
+    );
+    println!(
+        "  span-granular read side: {} global reads per 16-entry catch-up, \
+         {} per 8-slot combine",
+        probes.catch_up_global_reads, probes.combine_global_reads
+    );
+    let (flat_claims, pod_claims) = run_numa_probe(if quick { 8 } else { 64 });
+    println!(
+        "  NUMA combiner placement: remote combiner claims flat={flat_claims} \
+         pod={pod_claims} (delta {})",
+        pod_claims - flat_claims
+    );
+    let previous = previous
+        .and_then(|text| parse_points(text).ok())
+        .unwrap_or_default();
+    to_json(cfg, &points, probes, &previous)
 }
 
 #[cfg(test)]
@@ -604,9 +641,10 @@ mod tests {
 
     #[test]
     fn quick_sweep_passes_its_own_gate() {
-        let cfg = SyncScaleConfig::quick();
-        let points = run_sweep(cfg);
-        let failures = gate_failures(&points, run_probes());
+        let failures = gate_failures(&ParsedSyncReport {
+            probes: run_probes(),
+            points: run_sweep(SyncScaleConfig::quick()),
+        });
         assert!(failures.is_empty(), "{failures:?}");
     }
 
@@ -630,7 +668,7 @@ mod tests {
         }
         // A quick report fails the committed-report check on exactly
         // the quick flag.
-        let failures = check_report(&parsed);
+        let failures = crate::suite::Suite::Sync.check(&json);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("--quick"));
     }
@@ -655,7 +693,10 @@ mod tests {
             combine_global_reads: 3 + 3 * NODES as u64,
         };
         // No sweep needed: only the probe failures are counted.
-        let failures = gate_failures(&[], per_entry);
+        let failures = gate_failures(&ParsedSyncReport {
+            probes: per_entry,
+            points: Vec::new(),
+        });
         let about_reads = failures.iter().filter(|f| f.contains("global reads"));
         assert_eq!(about_reads.count(), 2, "{failures:?}");
     }

@@ -1,4 +1,4 @@
-//! `flac-topo-scale` — topology depth × page size on the zipf tiering
+//! `flac-bench topo` — topology depth × page size on the zipf tiering
 //! workload.
 //!
 //! The tentpole claim (paper §2.1/§3.3, hierarchical memory
@@ -361,8 +361,13 @@ pub fn region_probe() -> (u64, u64) {
     (rounds[0], rounds[1])
 }
 
-/// Deterministic acceptance gate over one sweep.
-pub fn gate_failures(rows: &[TopoRow], probe: (u64, u64)) -> Vec<String> {
+/// The invariants every report must hold (the `--gate`): the region
+/// probe pins exactly 512 page-wise vs 1 region-wise shootdown rounds,
+/// the huge arm beats the base arm's p50 and round count at the same
+/// local-DRAM budget on every topology, and every fixed-seed rerun
+/// reproduces byte-identically.
+pub fn gate_failures(report: &TopoReport) -> Vec<String> {
+    let (rows, probe) = (&report.rows, report.probe);
     let mut failures = Vec::new();
     if probe != (PAGES_PER_HUGE, 1) {
         failures.push(format!(
@@ -448,8 +453,6 @@ pub fn to_json(cfg: TopoScaleConfig, rows: &[TopoRow], probe: (u64, u64)) -> Str
 /// A parsed committed report.
 #[derive(Debug)]
 pub struct TopoReport {
-    /// Whether the report came from a `--quick` run.
-    pub quick: bool,
     /// The sweep rows.
     pub rows: Vec<TopoRow>,
     /// `(base_rounds, huge_rounds)` from the region probe.
@@ -462,7 +465,7 @@ pub struct TopoReport {
 ///
 /// Names the missing or malformed field.
 pub fn parse_report(json: &str) -> Result<TopoReport, String> {
-    let quick = parse_quick(json)?;
+    parse_quick(json)?;
     let probe_obj = object_with(json, "base_rounds")?;
     let probe = (
         probe_obj.u64_field("base_rounds")?,
@@ -486,16 +489,13 @@ pub fn parse_report(json: &str) -> Result<TopoReport, String> {
     if rows.is_empty() {
         return Err("no result rows".into());
     }
-    Ok(TopoReport { quick, rows, probe })
+    Ok(TopoReport { rows, probe })
 }
 
-/// Strict `--check` validation of a committed report: full run, full
-/// sweep coverage, every gate invariant.
-pub fn check_report(report: &TopoReport) -> Vec<String> {
+/// The committed report's own target: every (topology, mode) cell of
+/// the sweep present.
+pub fn target_failures(report: &TopoReport) -> Vec<String> {
     let mut failures = Vec::new();
-    if report.quick {
-        failures.push("committed report must come from a full run, not --quick".into());
-    }
     for (topo, mode) in [
         ("flat", "base"),
         ("flat", "huge"),
@@ -506,8 +506,43 @@ pub fn check_report(report: &TopoReport) -> Vec<String> {
             failures.push(format!("missing sweep cell {topo}/{mode}"));
         }
     }
-    failures.extend(gate_failures(&report.rows, report.probe));
     failures
+}
+
+/// Run the region probe and the sweep, printing each row, and render
+/// the report.
+pub fn run(quick: bool) -> String {
+    let cfg = if quick {
+        TopoScaleConfig::quick()
+    } else {
+        TopoScaleConfig::full()
+    };
+    println!(
+        "topo: {} mode, {} measured accesses per arm",
+        if quick { "quick" } else { "full" },
+        cfg.measured
+    );
+    let probe = region_probe();
+    println!(
+        "  region promotion: {} page-wise shootdown rounds vs {} ranged round",
+        probe.0, probe.1
+    );
+    let rows = run_sweep(cfg);
+    for r in &rows {
+        println!(
+            "  {:>4}/{:<4} p50={:>6} ns p99={:>6} ns promoted={:>4} regions={} \
+             rounds={:>4} parity={}",
+            r.topo,
+            r.mode,
+            r.p50_ns,
+            r.p99_ns,
+            r.promoted,
+            r.region_promotions,
+            r.shootdown_rounds,
+            r.parity()
+        );
+    }
+    to_json(cfg, &rows, probe)
 }
 
 #[cfg(test)]
@@ -524,23 +559,14 @@ mod tests {
         let cfg = TopoScaleConfig::quick();
         let rows = run_sweep(cfg);
         let probe = region_probe();
-        let failures = gate_failures(&rows, probe);
-        assert!(failures.is_empty(), "{failures:?}");
-
         let json = to_json(cfg, &rows, probe);
         let report = parse_report(&json).expect("parse");
-        assert!(report.quick);
         assert_eq!(report.rows, rows);
         assert_eq!(report.probe, probe);
-        // A quick report must be rejected as a committed artifact...
-        assert!(check_report(&report).iter().any(|f| f.contains("--quick")));
-        // ...while the same rows from a full run pass.
-        let full = TopoReport {
-            quick: false,
-            rows,
-            probe,
-        };
-        assert!(check_report(&full).is_empty());
+        // The same rows from a full run pass the committed-report check.
+        let full = json.replace("\"quick\": true", "\"quick\": false");
+        let failures = crate::suite::Suite::Topo.check(&full);
+        assert!(failures.is_empty(), "{failures:?}");
     }
 
     #[test]
@@ -558,12 +584,14 @@ mod tests {
             total_ns_rerun: 1,
         };
         let report = TopoReport {
-            quick: false,
             rows: vec![row],
             probe: (512, 2),
         };
-        let failures = check_report(&report);
-        assert!(failures.iter().any(|f| f.contains("missing sweep cell")));
-        assert!(failures.iter().any(|f| f.contains("region probe")));
+        assert!(target_failures(&report)
+            .iter()
+            .any(|f| f.contains("missing sweep cell")));
+        assert!(gate_failures(&report)
+            .iter()
+            .any(|f| f.contains("region probe")));
     }
 }

@@ -726,7 +726,7 @@ impl<T: SyncState> SyncCell<T> {
         Ok(tail)
     }
 
-    // ----- split-protocol hooks (flac-faultstorm / flac-sync-scale) -----
+    // ----- split-protocol hooks (flac-faultstorm / flac-bench sync) -----
 
     /// Publish `op` into this node's slot and return, without waiting
     /// for a combiner. Drives the protocol one step at a time from the

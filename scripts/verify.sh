@@ -29,20 +29,6 @@ cargo build --offline -p bench --benches --features criterion
 echo "== repo benchmark package unit tests (offline, release) =="
 (cd benchmark && cargo test --offline --release -q)
 
-echo "== cache-scale smoke (~1 s wall-clock gate, JSON shape + cost parity) =="
-cargo run --release --offline -p bench --bin cache-scale -- \
-    --quick --out target/BENCH_cache.quick.json --gate
-
-echo "== committed BENCH_cache.json honors the single-thread acceptance target =="
-cargo run --release --offline -p bench --bin cache-scale -- --check BENCH_cache.json
-
-echo "== serve-scale smoke (open-loop loadgen gate, JSON shape + invariants) =="
-cargo run --release --offline -p bench --bin flac-loadgen -- \
-    --quick --out target/BENCH_serve.quick.json --gate
-
-echo "== committed BENCH_serve.json honors the serving acceptance targets =="
-cargo run --release --offline -p bench --bin flac-loadgen -- --check BENCH_serve.json
-
 echo "== fault-storm smoke: all five campaigns (rack, tiering, delegated, node-replicated, store; fixed seeds, replay-verified) =="
 cargo run --release --offline -p bench --bin flac-faultstorm -- --seeds 2 --steps 60 --verify
 
@@ -52,25 +38,12 @@ cargo run --release --offline -p bench --bin figures -- tiering
 echo "== sync smoke: A1 ablation =="
 cargo run --release --offline -p bench --bin figures -- sync
 
-echo "== sync-scale smoke (flat-combining gate, JSON shape + invariants) =="
-cargo run --release --offline -p bench --bin flac-sync-scale -- \
-    --quick --out target/BENCH_sync.quick.json --gate
-
-echo "== committed BENCH_sync.json honors the node-replication acceptance targets =="
-cargo run --release --offline -p bench --bin flac-sync-scale -- --check BENCH_sync.json
-
-echo "== topo-scale smoke (region probe + huge-page tiering gate, JSON shape + invariants) =="
-cargo run --release --offline -p bench --bin flac-topo-scale -- \
-    --quick --out target/BENCH_topo.quick.json --gate
-
-echo "== committed BENCH_topo.json honors the ranged-shootdown acceptance targets =="
-cargo run --release --offline -p bench --bin flac-topo-scale -- --check BENCH_topo.json
-
-echo "== store-scale smoke (~1 s shard sweep + overlap gate, JSON shape + invariants) =="
-cargo run --release --offline -p bench --bin flac-store-scale -- \
-    --quick --out target/BENCH_store.quick.json --gate
-
-echo "== committed BENCH_store.json honors the shard-scaling acceptance targets =="
-cargo run --release --offline -p bench --bin flac-store-scale -- --check BENCH_store.json
+echo "== benchmark suites: --quick smoke gated on the written file, then the committed report's --check =="
+for s in cache serve sync topo store; do
+    echo "-- flac-bench $s --"
+    cargo run --release --offline -q -p bench --bin flac-bench -- \
+        "$s" --quick --out "target/BENCH_$s.quick.json" --gate
+    cargo run --release --offline -q -p bench --bin flac-bench -- "$s" --check "BENCH_$s.json"
+done
 
 echo "verify: OK"
