@@ -557,8 +557,8 @@ impl Hooks for RackStorm {
     }
 
     fn restart(&mut self, s: &mut Storm, step: u32, node: usize) -> String {
-        // The restarted node's local replica is gone: rebuild the mount
-        // purely from the journal.
+        // The restarted node trusts nothing it held: replay the journal
+        // and check it against the live metadata.
         match self.fs[node].recover() {
             Ok(replayed) => {
                 s.add("fs_replays", 1);
@@ -1487,7 +1487,7 @@ mod tests {
     /// steps, recorded when each campaign still had its own driver: one
     /// line per campaign, name then the six digests.
     const DIGESTS: &str = "\
-rack 3f40f4e490981a80 f5e9136b831a20d7 cca3d7d9ff4ab292 5db58ff851106757 551c6638af5d3ac1 f0c4fea95854ad7d
+rack 58cbd1aae3e3903a 2fc2f8cc37c66671 ec3e2a183ce447da 119a9d2a760c611d a9a6e798f1d72306 e9ff36350a6c91af
 tiering 68111fe21584cc15 7bcd77505bbdaf99 2e781849f3494367 282f7c66e3fedb1c a89a4676fa37e531 67edc768c286ebcc
 delegated 97a6f819d6c398b0 b3185d9c79193039 81b078cffee3a864 7958806a97c1e39e d89615a3fb8085b8 e79847c23a708cb1
 node-replicated 1751c3a5a2c0fdb9 66320785ac11f8d1 ab85e09f39aa3014 f8b5f8a25890b07d 8a6ff20280a9bdf8 226eadcf597dac02

@@ -17,8 +17,9 @@
 //!    *delegation* (ffwd-style request shipping to an owner node), and
 //!    *quiescence* (epoch-based multi-version RCU with interval
 //!    reclamation, [`sync::rcu`]).
-//! 3. **Concurrent data structures** ([`ds`]) — hash table, ring buffer,
-//!    and radix tree built from the primitives above.
+//! 3. **Concurrent data structures** ([`ds`]) — ring buffer and radix
+//!    tree built from the primitives above; a shared table is a
+//!    [`sync::SyncCell`] over a map state.
 //!
 //! ## Memory management (paper §3.2 "Memory management")
 //!

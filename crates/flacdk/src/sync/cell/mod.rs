@@ -1099,6 +1099,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sized for")]
+    fn op_from_unknown_node_panics() {
+        let rack = Rack::new(RackConfig::n_node(3));
+        let c: Arc<SyncCell<Kv>> = SyncCell::alloc(
+            rack.global(),
+            "test_sized",
+            SyncCellConfig::new(2, SyncPolicy::Replicated).with_log(16, 64),
+            Kv::default(),
+        )
+        .unwrap();
+        let _ = c.read(&rack.node(2), |_| ());
+    }
+
+    #[test]
     fn unframe_rejects_every_strict_prefix_of_the_frame() {
         let framed = frame_op(3, 9, b"op-bytes");
         let key = (3u64 << 32) | 9;

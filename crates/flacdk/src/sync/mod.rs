@@ -24,15 +24,14 @@
 //!
 //! [`SyncPolicy::Lock`] — the baseline [`spinlock::GlobalSpinLock`] plus
 //! the flush discipline — is kept for comparison and for rarely-contended
-//! slow paths. [`replicated`] is the standalone operation-log replica that
-//! `ReplicatedKv`, the file-system metadata and journal, socket metadata
-//! and rack boot still build on.
+//! slow paths. [`SyncCell`] is the only synchronization implementation:
+//! the file-system metadata journal and the socket name table are
+//! `SyncPolicy::Replicated` cells like any other shared structure.
 
 pub mod cell;
 pub mod oplog;
 pub mod rcu;
 pub mod reclaim;
-pub mod replicated;
 pub mod spinlock;
 
 pub use cell::{
@@ -41,5 +40,4 @@ pub use cell::{
 pub use oplog::SharedOpLog;
 pub use rcu::{EpochManager, RcuHandle};
 pub use reclaim::RetireList;
-pub use replicated::{Replica, ReplicatedHandle, ReplicatedLog};
 pub use spinlock::GlobalSpinLock;

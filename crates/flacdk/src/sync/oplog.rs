@@ -26,11 +26,9 @@
 //!   loaded tail is settled (replica catch-up, which does not hold it,
 //!   bounds itself by the authoritative watermark instead).
 //! * [`SharedOpLog::read`] — per entry, bounds-checked against head and
-//!   tail, flag probed uncached. Kept for the first-generation readers
-//!   (`ReplicatedHandle::catch_up_to`, the journal, log-replay recovery),
-//!   which share no mutex with their appenders and re-check the window
-//!   on every entry, and for the `Replicated` cell backend's per-node
-//!   catch-up pricing.
+//!   tail, flag probed uncached. It prices the `Replicated` cell
+//!   backend's per-node catch-up, and serves tests that check one
+//!   entry against the range reader.
 //!
 //! ## Writers
 //!

@@ -3,15 +3,14 @@
 //! Paper §3.4: *"we expect to enhance journaling in FlacOS to
 //! simultaneously improve reliability and scalability by integrating it
 //! with synchronization mechanism."* In this implementation the
-//! integration is total: the metadata **operation log** used by
-//! replication-based synchronization *is* the write-ahead journal.
-//! Every metadata mutation is durable in global memory (committed log
-//! slot) before any replica applies it, so recovering a node — or
-//! mounting a fresh one — is simply replaying the log.
+//! integration is total: the committed-op **log** of the metadata
+//! [`flacdk::sync::SyncCell`] *is* the write-ahead journal. Every
+//! metadata mutation is durable in global memory (committed log slot)
+//! before it is folded into the metadata, so recovering a node — or
+//! checking a fresh one — is simply replaying the log.
 
 use crate::memfs::FsShared;
 use crate::meta::MetaReplica;
-use flacdk::sync::replicated::Replica;
 use rack_sim::{NodeCtx, SimError};
 
 /// Journal state summary.
@@ -31,7 +30,7 @@ pub struct JournalInfo {
 ///
 /// Propagates memory errors.
 pub fn journal_info(ctx: &NodeCtx, shared: &FsShared) -> Result<JournalInfo, SimError> {
-    let log = shared.meta_log().log();
+    let log = shared.meta().op_log();
     let head = log.head(ctx)?;
     let tail = log.tail(ctx)?;
     Ok(JournalInfo {
@@ -41,12 +40,14 @@ pub fn journal_info(ctx: &NodeCtx, shared: &FsShared) -> Result<JournalInfo, Sim
     })
 }
 
-/// Rebuild file-system metadata by replaying the journal from its head.
+/// Rebuild file-system metadata by replaying the journal from its head
+/// ([`flacdk::sync::SyncCell::replay`]).
 ///
-/// Replay stops cleanly at the first uncommitted slot (a node that
-/// crashed mid-append leaves a hole; everything before it is a
-/// consistent prefix). Returns the recovered replica and the number of
-/// entries replayed.
+/// A slot claimed by a node that crashed before committing it is a hole:
+/// its op was never acknowledged to anyone, so replay skips it and goes
+/// on with the committed entries after it, exactly as the live metadata
+/// did. Returns the recovered metadata and the number of committed
+/// entries replayed (holes not counted).
 ///
 /// The caller must ensure the journal has not been truncated past state
 /// it needs (FlacOS only advances the journal head after a metadata
@@ -57,21 +58,7 @@ pub fn journal_info(ctx: &NodeCtx, shared: &FsShared) -> Result<JournalInfo, Sim
 ///
 /// Propagates memory errors.
 pub fn recover_meta(ctx: &NodeCtx, shared: &FsShared) -> Result<(MetaReplica, u64), SimError> {
-    let log = shared.meta_log().log();
-    let head = log.head(ctx)?;
-    let tail = log.tail(ctx)?;
-    let mut replica = MetaReplica::default();
-    let mut replayed = 0;
-    for idx in head..tail {
-        match log.read(ctx, idx)? {
-            Some(op) => {
-                replica.apply(&op);
-                replayed += 1;
-            }
-            None => break,
-        }
-    }
-    Ok((replica, replayed))
+    shared.meta().replay(ctx, MetaReplica::default())
 }
 
 #[cfg(test)]
@@ -140,6 +127,30 @@ mod tests {
             ),
             live
         );
+    }
+
+    #[test]
+    fn a_crashed_appenders_hole_wedges_no_mount_and_replay_skips_it() {
+        let (rack, shared) = setup();
+        let mut fs0 = MemFs::mount(shared.clone(), rack.node(0));
+        let mut fs1 = MemFs::mount(shared.clone(), rack.node(1));
+        fs0.mkdir("/a").unwrap();
+        // Node 1 claims the next journal slot and dies before committing
+        // it: the slot's flag word (first word of a 256-byte slot) stays
+        // clear.
+        let log = shared.meta().op_log();
+        let idx = log.append(&rack.node(1), b"never-committed").unwrap();
+        let slot = log.base().offset(idx % log.capacity() * 256);
+        rack.global().store_u64(slot, 0).unwrap();
+
+        fs0.write_file("/a/x", b"x").unwrap();
+        fs0.write_file("/a/y", b"y").unwrap();
+        let (recovered, replayed) = recover_meta(&rack.node(1), &shared).unwrap();
+        assert_eq!(replayed, 5, "mkdir + 2×(create+set_size); the hole skipped");
+        assert!(recovered.resolve("/a/y").is_some());
+        assert_eq!(fs1.stat("/a/y").unwrap().map(|a| a.size), Some(1));
+        fs1.mkdir("/b").unwrap();
+        assert!(fs0.resolve("/b").unwrap().is_some());
     }
 
     #[test]

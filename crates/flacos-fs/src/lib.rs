@@ -12,12 +12,13 @@
 //!   snapshot — the "asynchronous handling and multi-version updates"
 //!   mechanism the paper adopts.
 //! * **Local metadata** ([`meta`]) — inodes and directories are complex
-//!   pointer-heavy structures with small random accesses, so each node
-//!   keeps a *local replica*, kept consistent through the shared
-//!   operation log in bulk (replication-based sync doubles as the bulk
-//!   metadata synchronization the paper describes, and the log doubles
-//!   as the write-ahead journal, §3.4's "integrating journaling with the
-//!   synchronization mechanism" — see [`journal`]).
+//!   pointer-heavy structures with small random accesses, so they live
+//!   in local memory as the state of one `SyncPolicy::Replicated`
+//!   [`flacdk::sync::SyncCell`]: reads are node-local, and each node
+//!   pays in bulk for replaying the log entries it missed (the bulk
+//!   metadata synchronization the paper describes). The cell's log
+//!   doubles as the write-ahead journal, §3.4's "integrating journaling
+//!   with the synchronization mechanism" — see [`journal`].
 //! * **Local block layer** ([`block`]) — a conventional storage device
 //!   stays node-local for compatibility; the async [`writeback`] daemon
 //!   flushes dirty shared pages to it.

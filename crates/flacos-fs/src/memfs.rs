@@ -1,10 +1,11 @@
 //! The per-node file-system facade.
 //!
-//! [`FsShared`] is the rack-shared half (metadata op log, shared page
-//! cache, backing device); [`MemFs`] is one node's mount: a local
-//! metadata replica plus handles onto the shared structures. All nodes
-//! mounting the same [`FsShared`] see one file system with one page
-//! cache copy.
+//! [`FsShared`] is the rack-shared half (metadata sync cell, whose log
+//! is the journal; shared page cache; backing device); [`MemFs`] is one
+//! node's mount: handles onto the shared structures, through which every
+//! metadata access is one `read` or `update_map` on the metadata cell.
+//! All nodes mounting the same [`FsShared`] see one file system with one
+//! page cache copy.
 
 use crate::block::BlockDevice;
 use crate::meta::{op_create, op_rename, op_set_size, op_unlink, FileKind, InodeAttr, MetaReplica};
@@ -12,7 +13,7 @@ use crate::page_cache::SharedPageCache;
 use flacdk::alloc::GlobalAllocator;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
-use flacdk::sync::replicated::{ReplicatedHandle, ReplicatedLog};
+use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy};
 use flacos_mem::PAGE_SIZE;
 use rack_sim::{GlobalMemory, NodeCtx, SimError};
 use std::sync::Arc;
@@ -20,7 +21,7 @@ use std::sync::Arc;
 /// The rack-shared parts of one file system instance.
 #[derive(Debug)]
 pub struct FsShared {
-    meta_log: Arc<ReplicatedLog>,
+    meta: Arc<SyncCell<MetaReplica>>,
     cache: Arc<SharedPageCache>,
     device: Arc<BlockDevice>,
 }
@@ -41,18 +42,23 @@ impl FsShared {
     ) -> Result<Arc<Self>, SimError> {
         // Metadata ops are small; 4096 entries × 256 B covers busy tests
         // and experiments between journal truncations.
-        let meta_log = ReplicatedLog::alloc(global, nodes, 4096, 256)?;
+        let meta = SyncCell::alloc(
+            global,
+            "fs_meta",
+            SyncCellConfig::new(nodes, SyncPolicy::Replicated).with_log(4096, 256),
+            MetaReplica::default(),
+        )?;
         let cache = SharedPageCache::alloc(global, alloc, epochs, retired)?;
         Ok(Arc::new(FsShared {
-            meta_log,
+            meta,
             cache,
             device,
         }))
     }
 
-    /// The metadata operation log (also the journal).
-    pub fn meta_log(&self) -> &Arc<ReplicatedLog> {
-        &self.meta_log
+    /// The metadata cell; its committed-op log is the journal.
+    pub fn meta(&self) -> &Arc<SyncCell<MetaReplica>> {
+        &self.meta
     }
 
     /// The shared page cache.
@@ -70,19 +76,13 @@ impl FsShared {
 #[derive(Debug)]
 pub struct MemFs {
     shared: Arc<FsShared>,
-    meta: ReplicatedHandle<MetaReplica>,
     node: Arc<NodeCtx>,
 }
 
 impl MemFs {
     /// Mount `shared` on `node`.
     pub fn mount(shared: Arc<FsShared>, node: Arc<NodeCtx>) -> Self {
-        let meta = ReplicatedHandle::new(
-            shared.meta_log.clone(),
-            node.clone(),
-            MetaReplica::default(),
-        );
-        MemFs { shared, meta, node }
+        MemFs { shared, node }
     }
 
     /// The node this mount runs on.
@@ -90,34 +90,28 @@ impl MemFs {
         &self.node
     }
 
-    /// Rebuild this mount's metadata replica by replaying the journal
-    /// (crash recovery after the node restarts, or adoption of a mount
-    /// whose local replica is untrusted). Returns the number of journal
-    /// entries replayed.
-    ///
-    /// The recovered replica resumes at the replayed watermark, so
-    /// later [`ReplicatedHandle::sync`]s apply only genuinely new
-    /// entries — no double-apply.
+    /// Check a restarted node's view of the metadata: replay the journal
+    /// from scratch and compare the result with the live metadata.
+    /// Returns the number of journal entries replayed.
     ///
     /// # Errors
     ///
-    /// Propagates memory errors from journal replay.
+    /// [`SimError::Protocol`] if the replayed metadata differs from the
+    /// live metadata; memory errors from journal replay are propagated.
     pub fn recover(&mut self) -> Result<u64, SimError> {
-        let (replica, replayed) = crate::journal::recover_meta(&self.node, &self.shared)?;
-        let head = self.shared.meta_log.log().head(&self.node)?;
-        self.meta = ReplicatedHandle::resume(
-            self.shared.meta_log.clone(),
-            self.node.clone(),
-            replica,
-            head + replayed,
-        )?;
+        let (replayed, entries) = crate::journal::recover_meta(&self.node, &self.shared)?;
+        if !self.shared.meta.peek(|live| *live == replayed) {
+            return Err(SimError::Protocol(format!(
+                "journal replay of {entries} entries differs from the live metadata"
+            )));
+        }
         // cold-path: journal replay runs once per crash/restart, not per-op.
         self.node.stats().registry().add("fs", "journal_replays", 1);
         self.node
             .stats()
             .registry()
-            .add("fs", "journal_entries_replayed", replayed);
-        Ok(replayed)
+            .add("fs", "journal_entries_replayed", entries);
+        Ok(entries)
     }
 
     /// The shared half of this file system.
@@ -125,6 +119,17 @@ impl MemFs {
         &self.shared
     }
 
+    /// Run `f` on the metadata through the cell's replicated read path.
+    fn read_meta<T>(&self, f: impl FnOnce(&MetaReplica) -> T) -> Result<T, SimError> {
+        self.shared.meta.read(&self.node, f)
+    }
+
+    /// Commit one metadata op to the journal and fold it in.
+    fn update_meta(&self, op: &[u8]) -> Result<(), SimError> {
+        self.shared.meta.update(&self.node, op).map(drop)
+    }
+
+    /// Split `path` into its parent directory path and final component.
     fn split_parent(path: &str) -> Result<(&str, &str), SimError> {
         let path = path.trim_end_matches('/');
         let idx = path
@@ -139,23 +144,25 @@ impl MemFs {
         Ok((&path[..idx], name))
     }
 
-    fn create_kind(&mut self, path: &str, kind: FileKind) -> Result<u64, SimError> {
+    /// Resolve the parent directory of `path`, returning its inode and
+    /// the final component.
+    fn parent_of<'p>(&self, path: &'p str) -> Result<(u64, &'p str), SimError> {
         let (parent_path, name) = Self::split_parent(path)?;
-        self.meta.sync()?;
         let parent = self
-            .meta
-            .read_dirty(|m| {
-                m.resolve(if parent_path.is_empty() {
-                    "/"
-                } else {
-                    parent_path
-                })
-            })
+            .read_meta(|m| m.resolve(parent_path))?
             .ok_or_else(|| SimError::Protocol(format!("parent of {path:?} not found")))?;
-        self.meta.execute(&op_create(parent, name, kind))?;
-        self.meta
-            .read_dirty(|m| m.lookup(parent, name))
-            .ok_or_else(|| SimError::Protocol(format!("create of {path:?} did not take effect")))
+        Ok((parent, name))
+    }
+
+    fn create_kind(&mut self, path: &str, kind: FileKind) -> Result<u64, SimError> {
+        let (parent, name) = self.parent_of(path)?;
+        let (_, ino) =
+            self.shared
+                .meta
+                .update_map(&self.node, &op_create(parent, name, kind), |m| {
+                    m.lookup(parent, name)
+                })?;
+        ino.ok_or_else(|| SimError::Protocol(format!("create of {path:?} did not take effect")))
     }
 
     /// Create a regular file, returning its inode number. Idempotent.
@@ -182,19 +189,8 @@ impl MemFs {
     ///
     /// Fails on malformed paths or missing parents.
     pub fn unlink(&mut self, path: &str) -> Result<(), SimError> {
-        let (parent_path, name) = Self::split_parent(path)?;
-        self.meta.sync()?;
-        let parent = self
-            .meta
-            .read_dirty(|m| {
-                m.resolve(if parent_path.is_empty() {
-                    "/"
-                } else {
-                    parent_path
-                })
-            })
-            .ok_or_else(|| SimError::Protocol(format!("parent of {path:?} not found")))?;
-        self.meta.execute(&op_unlink(parent, name))
+        let (parent, name) = self.parent_of(path)?;
+        self.update_meta(&op_unlink(parent, name))
     }
 
     /// Rename/move `src` to `dst` (replacing an existing destination,
@@ -206,47 +202,37 @@ impl MemFs {
     pub fn rename(&mut self, src: &str, dst: &str) -> Result<(), SimError> {
         let (src_parent_path, src_name) = Self::split_parent(src)?;
         let (dst_parent_path, dst_name) = Self::split_parent(dst)?;
-        self.meta.sync()?;
-        let resolve = |m: &MetaReplica, p: &str| m.resolve(if p.is_empty() { "/" } else { p });
-        let src_parent = self
-            .meta
-            .read_dirty(|m| resolve(m, src_parent_path))
-            .ok_or_else(|| SimError::Protocol(format!("parent of {src:?} not found")))?;
-        let dst_parent = self
-            .meta
-            .read_dirty(|m| resolve(m, dst_parent_path))
-            .ok_or_else(|| SimError::Protocol(format!("parent of {dst:?} not found")))?;
-        if self
-            .meta
-            .read_dirty(|m| m.lookup(src_parent, src_name))
-            .is_none()
-        {
-            return Err(SimError::Protocol(format!("rename of missing {src:?}")));
-        }
-        self.meta
-            .execute(&op_rename(src_parent, src_name, dst_parent, dst_name))
+        let (src_parent, dst_parent) = self.read_meta(|m| {
+            let src_parent = m
+                .resolve(src_parent_path)
+                .ok_or_else(|| SimError::Protocol(format!("parent of {src:?} not found")))?;
+            let dst_parent = m
+                .resolve(dst_parent_path)
+                .ok_or_else(|| SimError::Protocol(format!("parent of {dst:?} not found")))?;
+            match m.lookup(src_parent, src_name) {
+                Some(_) => Ok((src_parent, dst_parent)),
+                None => Err(SimError::Protocol(format!("rename of missing {src:?}"))),
+            }
+        })??;
+        self.update_meta(&op_rename(src_parent, src_name, dst_parent, dst_name))
     }
 
     /// Resolve `path` to an inode number.
     ///
     /// # Errors
     ///
-    /// Propagates sync errors.
+    /// Propagates memory errors.
     pub fn resolve(&mut self, path: &str) -> Result<Option<u64>, SimError> {
-        self.meta.sync()?;
-        Ok(self.meta.read_dirty(|m| m.resolve(path)))
+        self.read_meta(|m| m.resolve(path))
     }
 
     /// Attributes of the object at `path`.
     ///
     /// # Errors
     ///
-    /// Propagates sync errors.
+    /// Propagates memory errors.
     pub fn stat(&mut self, path: &str) -> Result<Option<InodeAttr>, SimError> {
-        self.meta.sync()?;
-        Ok(self
-            .meta
-            .read_dirty(|m| m.resolve(path).and_then(|ino| m.attr(ino))))
+        self.read_meta(|m| m.resolve(path).and_then(|ino| m.attr(ino)))
     }
 
     /// Sorted directory listing at `path`.
@@ -255,12 +241,14 @@ impl MemFs {
     ///
     /// [`SimError::Protocol`] if `path` does not resolve.
     pub fn readdir(&mut self, path: &str) -> Result<Vec<String>, SimError> {
-        self.meta.sync()?;
-        let ino = self
-            .meta
-            .read_dirty(|m| m.resolve(path))
-            .ok_or_else(|| SimError::Protocol(format!("readdir of missing {path:?}")))?;
-        Ok(self.meta.read_dirty(|m| m.readdir(ino)))
+        self.read_meta(|m| m.resolve(path).map(|ino| m.readdir(ino)))?
+            .ok_or_else(|| SimError::Protocol(format!("readdir of missing {path:?}")))
+    }
+
+    /// Size of file `ino`.
+    fn size_of(&self, ino: u64, what: &str) -> Result<u64, SimError> {
+        self.read_meta(|m| m.attr(ino).map(|a| a.size))?
+            .ok_or_else(|| SimError::Protocol(format!("{what} unknown inode {ino}")))
     }
 
     /// Write `data` at byte `offset` of file `ino`, growing it as needed.
@@ -285,14 +273,10 @@ impl MemFs {
         // memory.
         cache.reclaim(&self.node)?;
         // Grow the file size if we extended it.
-        self.meta.sync()?;
-        let cur = self
-            .meta
-            .read_dirty(|m| m.attr(ino).map(|a| a.size))
-            .ok_or_else(|| SimError::Protocol(format!("write to unknown inode {ino}")))?;
+        let cur = self.size_of(ino, "write to")?;
         let end = offset + data.len() as u64;
         if end > cur {
-            self.meta.execute(&op_set_size(ino, end))?;
+            self.update_meta(&op_set_size(ino, end))?;
         }
         Ok(())
     }
@@ -305,11 +289,7 @@ impl MemFs {
     ///
     /// Propagates page-cache errors.
     pub fn read_at(&mut self, ino: u64, offset: u64, buf: &mut [u8]) -> Result<usize, SimError> {
-        self.meta.sync()?;
-        let size = self
-            .meta
-            .read_dirty(|m| m.attr(ino).map(|a| a.size))
-            .ok_or_else(|| SimError::Protocol(format!("read of unknown inode {ino}")))?;
+        let size = self.size_of(ino, "read of")?;
         if offset >= size {
             return Ok(0);
         }
@@ -363,10 +343,14 @@ impl MemFs {
         Ok(ino)
     }
 
-    /// Direct access to the local metadata replica (diagnostics).
+    /// Run `f` on the metadata through the replicated read path
+    /// (diagnostics and helpers such as [`crate::FileHandle::append`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates memory errors.
     pub fn with_meta<T>(&mut self, f: impl FnOnce(&MetaReplica) -> T) -> Result<T, SimError> {
-        self.meta.sync()?;
-        Ok(self.meta.read_dirty(f))
+        self.read_meta(f)
     }
 
     /// Map the file at `path` **read-only** into `space` starting at
@@ -657,8 +641,8 @@ mod tests {
         fs0.write_file("/srv/ledger", b"balance=42").unwrap();
         fs0.write_file("/srv/log", b"boot ok").unwrap();
 
-        // Node 0 crashes with its local replica, then restarts. The
-        // fresh mount recovers metadata purely from the journal.
+        // Node 0 crashes, then restarts. The fresh mount replays the
+        // journal and finds it equal to the live metadata.
         rack.faults().crash_node(rack.node(0).id(), 1_000);
         rack.faults().restart_node(rack.node(0).id(), 2_000);
         let mut fs0b = MemFs::mount(shared.clone(), rack.node(0));
@@ -675,6 +659,35 @@ mod tests {
         let mut fs1 = MemFs::mount(shared, rack.node(1));
         assert_eq!(fs1.read_file("/srv/after").unwrap(), b"post-restart");
         assert_eq!(fs1.readdir("/srv").unwrap(), vec!["after", "ledger", "log"]);
+    }
+
+    #[test]
+    fn recover_rejects_a_journal_that_disagrees_with_the_live_metadata() {
+        let (rack, shared) = setup();
+        let mut fs = MemFs::mount(shared.clone(), rack.node(0));
+        fs.mkdir("/srv").unwrap();
+        // An entry committed behind the cell's back (zeroed frame, then
+        // the op) is in the journal but not yet in the live metadata.
+        let mut entry = vec![0u8; flacdk::sync::FRAME_BYTES];
+        entry.extend(op_create(crate::meta::ROOT_INO, "ghost", FileKind::File));
+        let log = shared.meta().op_log();
+        log.append(&rack.node(1), &entry).unwrap();
+        assert!(matches!(fs.recover(), Err(SimError::Protocol(_))));
+    }
+
+    #[test]
+    fn longest_name_fits_one_journal_slot() {
+        let (rack, shared) = setup();
+        let mut fs = MemFs::mount(shared.clone(), rack.node(0));
+        // A 256-byte slot holds 240 payload bytes: the cell's 8-byte
+        // frame plus a create op of 14 bytes and the name.
+        let longest = format!("/{}", "n".repeat(218));
+        let ino = fs.create(&longest).unwrap();
+        assert_eq!(fs.resolve(&longest).unwrap(), Some(ino));
+        let before = shared.meta().peek(MetaReplica::clone);
+        let too_long = format!("/{}", "m".repeat(219));
+        assert!(matches!(fs.create(&too_long), Err(SimError::Protocol(_))));
+        assert_eq!(shared.meta().peek(MetaReplica::clone), before);
     }
 
     #[test]

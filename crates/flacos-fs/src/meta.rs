@@ -1,4 +1,4 @@
-//! Local file-system metadata, bulk-synchronized across nodes.
+//! File-system metadata, bulk-synchronized across nodes.
 //!
 //! Paper §3.4: *"metadata contains a large number of complex data
 //! structures (e.g., tree), while access patterns contain a large number
@@ -6,13 +6,14 @@
 //! access efficiency, and uses bulk synchronization to reduce the
 //! overhead of cache consistency assurance."*
 //!
-//! Concretely: every node holds a [`MetaReplica`] (inode table +
-//! directory tree) in ordinary local memory; mutations are appended to
-//! the shared operation log and replayed by every node in bulk at its
-//! next sync point. The same log is the write-ahead journal
-//! ([`crate::journal`]).
+//! Concretely: [`MetaReplica`] (inode table + directory tree) is the
+//! state of one `SyncPolicy::Replicated` [`flacdk::sync::SyncCell`] held
+//! in ordinary local memory; mutations are appended to the cell's shared
+//! operation log, and the replicated policy charges each node the replay
+//! of the entries it has not yet caught up with at its next access. The
+//! same log is the write-ahead journal ([`crate::journal`]).
 
-use flacdk::sync::replicated::Replica;
+use flacdk::sync::SyncState;
 use flacdk::wire::{Decoder, Encoder};
 use std::collections::HashMap;
 
@@ -90,11 +91,12 @@ pub(crate) fn op_rename(
     e.into_vec()
 }
 
-/// A node-local metadata replica: inode table + directory entries.
+/// The metadata state machine: inode table + directory entries.
 ///
 /// Deterministic by construction: inode numbers are assigned from a
-/// counter driven purely by the op sequence, so every replica converges.
-#[derive(Debug, Clone)]
+/// counter driven purely by the op sequence, so replaying the journal
+/// reproduces the live state exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetaReplica {
     inodes: HashMap<u64, InodeAttr>,
     // (parent ino, name) -> child ino
@@ -230,7 +232,7 @@ impl MetaReplica {
     }
 }
 
-impl Replica for MetaReplica {
+impl SyncState for MetaReplica {
     fn apply(&mut self, op: &[u8]) {
         let mut d = Decoder::new(op);
         match d.u8() {

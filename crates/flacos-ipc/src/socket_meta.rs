@@ -6,17 +6,21 @@
 //! achieve fast and reliable connection establishment and destination
 //! addressing."*
 //!
-//! Each node holds a local replica of the name → endpoint table; binds
-//! and unbinds go through the shared op log. Lookups are node-local
-//! after a sync — connection establishment never round-trips a directory
-//! server, and the table survives any single node's failure (every node
-//! has a full replica plus the log is in global memory).
+//! The name → endpoint table is the state of one
+//! `SyncPolicy::Replicated` [`SyncCell`]: binds and unbinds are appended
+//! to its shared op log, and a lookup is a node-local read once the
+//! node has caught up with the log tail — connection establishment never
+//! round-trips a directory server, and the table survives any single
+//! node's failure (the log is in global memory).
 
-use flacdk::ds::hashmap::ReplicatedKv;
-use flacdk::sync::replicated::ReplicatedLog;
+use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacdk::wire::{fnv1a, Decoder, Encoder};
 use rack_sim::{GlobalMemory, NodeCtx, NodeId, SimError};
+use std::collections::HashMap;
 use std::sync::Arc;
+
+const OP_BIND: u8 = 0;
+const OP_UNBIND: u8 = 1;
 
 /// Where a named service is reachable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,32 +31,40 @@ pub struct SocketAddr {
     pub channel: u64,
 }
 
-impl SocketAddr {
-    fn encode(self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_u64(self.node.0 as u64).put_u64(self.channel);
-        e.into_vec()
-    }
+/// The rack-wide name table: name hash → address, folded from bind and
+/// unbind ops.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct SocketTable {
+    map: HashMap<u64, SocketAddr>,
+}
 
-    fn decode(bytes: &[u8]) -> Result<Self, SimError> {
-        let mut d = Decoder::new(bytes);
-        let node = d.u64().map_err(|e| SimError::Protocol(e.to_string()))?;
-        let channel = d.u64().map_err(|e| SimError::Protocol(e.to_string()))?;
-        Ok(SocketAddr {
-            node: NodeId(node as usize),
-            channel,
-        })
+impl SyncState for SocketTable {
+    fn apply(&mut self, op: &[u8]) {
+        let mut d = Decoder::new(op);
+        match (d.u8(), d.u64()) {
+            (Ok(OP_BIND), Ok(key)) => {
+                if let (Ok(node), Ok(channel)) = (d.u64(), d.u64()) {
+                    let node = NodeId(node as usize);
+                    self.map.insert(key, SocketAddr { node, channel });
+                }
+            }
+            (Ok(OP_UNBIND), Ok(key)) => {
+                self.map.remove(&key);
+            }
+            _ => {}
+        }
     }
 }
 
 /// A node's view of the rack-wide socket name table.
 #[derive(Debug)]
 pub struct SocketRegistry {
-    kv: ReplicatedKv,
+    table: Arc<SyncCell<SocketTable>>,
+    node: Arc<NodeCtx>,
 }
 
 impl SocketRegistry {
-    /// Allocate the shared log backing the registry.
+    /// Allocate the shared table every node's registry views.
     ///
     /// # Errors
     ///
@@ -60,15 +72,18 @@ impl SocketRegistry {
     pub fn alloc_shared(
         global: &GlobalMemory,
         nodes: usize,
-    ) -> Result<Arc<ReplicatedLog>, SimError> {
-        ReplicatedKv::alloc_shared(global, nodes, 1024, 128)
+    ) -> Result<Arc<SyncCell<SocketTable>>, SimError> {
+        SyncCell::alloc(
+            global,
+            "socket_table",
+            SyncCellConfig::new(nodes, SyncPolicy::Replicated).with_log(1024, 128),
+            SocketTable::default(),
+        )
     }
 
     /// This node's registry view.
-    pub fn new(shared: Arc<ReplicatedLog>, node: Arc<NodeCtx>) -> Self {
-        SocketRegistry {
-            kv: ReplicatedKv::new(shared, node),
-        }
+    pub fn new(table: Arc<SyncCell<SocketTable>>, node: Arc<NodeCtx>) -> Self {
+        SocketRegistry { table, node }
     }
 
     /// Bind `name` to `addr` rack-wide.
@@ -77,7 +92,12 @@ impl SocketRegistry {
     ///
     /// Propagates log errors.
     pub fn bind(&mut self, name: &str, addr: SocketAddr) -> Result<(), SimError> {
-        self.kv.put(fnv1a(name.as_bytes()), &addr.encode())
+        let mut e = Encoder::new();
+        e.put_u8(OP_BIND)
+            .put_u64(fnv1a(name.as_bytes()))
+            .put_u64(addr.node.0 as u64)
+            .put_u64(addr.channel);
+        self.table.update(&self.node, &e.into_vec()).map(drop)
     }
 
     /// Remove the binding for `name`.
@@ -86,7 +106,9 @@ impl SocketRegistry {
     ///
     /// Propagates log errors.
     pub fn unbind(&mut self, name: &str) -> Result<(), SimError> {
-        self.kv.del(fnv1a(name.as_bytes()))
+        let mut e = Encoder::new();
+        e.put_u8(OP_UNBIND).put_u64(fnv1a(name.as_bytes()));
+        self.table.update(&self.node, &e.into_vec()).map(drop)
     }
 
     /// Resolve `name` to its current address (node-local after sync).
@@ -95,10 +117,8 @@ impl SocketRegistry {
     ///
     /// Propagates log errors.
     pub fn lookup(&mut self, name: &str) -> Result<Option<SocketAddr>, SimError> {
-        match self.kv.get(fnv1a(name.as_bytes()))? {
-            Some(bytes) => Ok(Some(SocketAddr::decode(&bytes)?)),
-            None => Ok(None),
-        }
+        let key = fnv1a(name.as_bytes());
+        self.table.read(&self.node, |t| t.map.get(&key).copied())
     }
 
     /// Number of live bindings.
@@ -107,7 +127,7 @@ impl SocketRegistry {
     ///
     /// Propagates log errors.
     pub fn len(&mut self) -> Result<usize, SimError> {
-        self.kv.len()
+        self.table.read(&self.node, |t| t.map.len())
     }
 
     /// Whether no names are bound.
@@ -116,7 +136,7 @@ impl SocketRegistry {
     ///
     /// Propagates log errors.
     pub fn is_empty(&mut self) -> Result<bool, SimError> {
-        self.kv.is_empty()
+        Ok(self.len()? == 0)
     }
 }
 
@@ -193,7 +213,7 @@ mod tests {
 
     #[test]
     fn lookups_after_sync_are_local() {
-        let (_rack, mut r0, mut r1) = setup();
+        let (rack, mut r0, mut r1) = setup();
         r0.bind(
             "a",
             SocketAddr {
@@ -202,11 +222,41 @@ mod tests {
             },
         )
         .unwrap();
-        r1.lookup("a").unwrap(); // syncs
-        let before = r1.kv.shared().log().tail(&_rack.node(1)).unwrap();
-        // Further lookups only check the tail (no entry reads).
+        r1.lookup("a").unwrap(); // catches up with the bind
+        let n1 = rack.node(1);
+        let before = n1.stats().snapshot();
+        // Further lookups only probe the tail: no entry reads, no writes.
         r1.lookup("a").unwrap();
-        let after = r1.kv.shared().log().tail(&_rack.node(1)).unwrap();
-        assert_eq!(before, after);
+        let after = n1.stats().snapshot();
+        assert_eq!(after.global_reads - before.global_reads, 1);
+        assert_eq!(after.global_writes, before.global_writes);
+    }
+
+    #[test]
+    fn bind_after_a_crashed_appenders_hole_resolves_on_the_other_node() {
+        let rack = Rack::new(RackConfig::small_test());
+        let table = SocketRegistry::alloc_shared(rack.global(), rack.node_count()).unwrap();
+        let mut r0 = SocketRegistry::new(table.clone(), rack.node(0));
+        let mut r1 = SocketRegistry::new(table.clone(), rack.node(1));
+        let before = SocketAddr {
+            node: NodeId(0),
+            channel: 1,
+        };
+        r0.bind("before", before).unwrap();
+        // Node 1 claims the next slot and dies before committing it: the
+        // entry's flag word stays clear.
+        let log = table.op_log();
+        let idx = log.append(&rack.node(1), b"never-committed").unwrap();
+        let slot = log.base().offset(idx % log.capacity() * 128);
+        rack.global().store_u64(slot, 0).unwrap();
+
+        let after = SocketAddr {
+            node: NodeId(0),
+            channel: 2,
+        };
+        r0.bind("after", after).unwrap();
+        assert_eq!(r1.lookup("after").unwrap(), Some(after));
+        assert_eq!(r1.lookup("before").unwrap(), Some(before));
+        assert_eq!(r1.len().unwrap(), 2);
     }
 }

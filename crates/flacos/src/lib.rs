@@ -4,8 +4,9 @@
 //! simulated memory-interconnected rack ([`rack_sim`]) and instantiates
 //! the FlacOS kernel on it — the strategically *shared* kernel state in
 //! global memory (page tables, page cache, IPC buffers, operation logs)
-//! coordinated with per-node *local* state (metadata replicas, VMAs,
-//! TLBs, socket tables), so the whole rack operates as one machine.
+//! coordinated with per-node *local* state (VMAs, TLBs, node-local reads
+//! of the replicated file-system metadata and socket tables), so the
+//! whole rack operates as one machine.
 //!
 //! ```
 //! use flacos::prelude::*;

@@ -4,8 +4,9 @@
 //! executes an independent OS instance), but the instances *coordinate
 //! through shared kernel state*: one file system, one scheduler, one
 //! RPC context table, one health record — all in global memory. What
-//! stays node-local is exactly what the paper prescribes: the metadata
-//! replica inside the mount, the TLB, and the socket-table replica.
+//! stays node-local is what the paper prescribes: the TLB, and reads of
+//! the replicated file-system metadata and socket table, which each node
+//! serves locally once it has replayed the log entries it missed.
 
 use crate::process::Process;
 use crate::rack::FlacRack;
@@ -42,7 +43,7 @@ pub struct NodeOs {
 impl NodeOs {
     pub(crate) fn start(rack: FlacRack, node: Arc<NodeCtx>) -> Self {
         let fs = MemFs::mount(rack.fs_shared().clone(), node.clone());
-        let sockets = SocketRegistry::new(rack.socket_log().clone(), node.clone());
+        let sockets = SocketRegistry::new(rack.socket_table().clone(), node.clone());
         let tlb = Tlb::new(node.clone(), TLB_ENTRIES);
         let fault_handler = PageFaultHandler::new(rack.frames().clone(), PagePlacement::Global);
         let tier_config = TierConfig {

@@ -3,7 +3,7 @@
 //! [`FlacRack::boot`] assembles the whole system: the hardware
 //! ([`rack_sim::Rack`]), the shared kernel structures (allocator, epoch
 //! manager, shared file system, RPC context table, rack scheduler,
-//! health monitor, socket name log), and the boot table advertising the
+//! health monitor, socket name table), and the boot table advertising the
 //! hardware in global memory. [`FlacRack::node_os`] then instantiates a
 //! per-node OS view — the "coordinated" half of coordinated OS sharing.
 
@@ -14,12 +14,12 @@ use flacdk::alloc::GlobalAllocator;
 use flacdk::reliability::monitor::HealthMonitor;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
-use flacdk::sync::replicated::ReplicatedLog;
+use flacdk::sync::SyncCell;
 use flacos_fs::block::BlockDevice;
 use flacos_fs::memfs::FsShared;
 use flacos_ipc::channel::{FlacChannel, FlacEndpoint};
 use flacos_ipc::rpc::RpcRegistry;
-use flacos_ipc::socket_meta::SocketRegistry;
+use flacos_ipc::socket_meta::{SocketRegistry, SocketTable};
 use flacos_mem::fault::FrameAllocator;
 use flacos_tier::TierBudget;
 use rack_sim::{GAddr, Rack, RackConfig, SimError};
@@ -40,7 +40,7 @@ pub struct FlacRack {
     rpc: Arc<RpcRegistry>,
     scheduler: Arc<RackScheduler>,
     monitor: Arc<HealthMonitor>,
-    socket_log: Arc<ReplicatedLog>,
+    socket_table: Arc<SyncCell<SocketTable>>,
     tier_budget: Arc<TierBudget>,
     boot_addr: GAddr,
 }
@@ -75,7 +75,7 @@ impl FlacRack {
         let rpc = RpcRegistry::alloc(sim.global(), nodes)?;
         let scheduler = RackScheduler::alloc(sim.global(), nodes)?;
         let monitor = HealthMonitor::alloc(sim.global(), nodes, HEARTBEAT_TIMEOUT_NS)?;
-        let socket_log = SocketRegistry::alloc_shared(sim.global(), nodes)?;
+        let socket_table = SocketRegistry::alloc_shared(sim.global(), nodes)?;
         // A quarter of each node's local memory is promotion budget; the
         // rest stays with the bump allocator for kernel structures.
         let tier_budget =
@@ -91,7 +91,7 @@ impl FlacRack {
             rpc,
             scheduler,
             monitor,
-            socket_log,
+            socket_table,
             tier_budget,
             boot_addr,
         })
@@ -151,9 +151,9 @@ impl FlacRack {
         &self.monitor
     }
 
-    /// The shared log backing socket registries.
-    pub fn socket_log(&self) -> &Arc<ReplicatedLog> {
-        &self.socket_log
+    /// The shared socket name table every node's registry views.
+    pub fn socket_table(&self) -> &Arc<SyncCell<SocketTable>> {
+        &self.socket_table
     }
 
     /// The rack-shared per-node local-DRAM tier budget ledger.

@@ -8,13 +8,13 @@
 //! and print the `(seed, case)` pair that triggered them.
 
 use flacdk::alloc::GlobalAllocator;
-use flacdk::ds::hashmap::ReplicatedKv;
 use flacdk::ds::radix::RadixTree;
 use flacdk::ds::ringbuf::SpscRing;
 use flacdk::sync::oplog::SharedOpLog;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
 use flacdk::wire::{Decoder, Encoder};
+use flacos_ipc::socket_meta::{SocketAddr, SocketRegistry};
 use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
 use flacos_mem::tlb::{shootdown_stepped, shootdown_stepped_range, Tlb};
@@ -26,7 +26,7 @@ use flacos_tier::migrate::{split_region, RegionMigration};
 use flacos_tier::Migration;
 use rack_sim::cache::{CacheConfig, CacheStats, NodeCache};
 use rack_sim::{
-    GAddr, GlobalMemory, LatencyModel, Rack, RackConfig, SimError, SplitMix64, LINE_SIZE,
+    GAddr, GlobalMemory, LatencyModel, NodeId, Rack, RackConfig, SimError, SplitMix64, LINE_SIZE,
 };
 use redis_mini::resp::{Command, Reply};
 use std::collections::{HashMap, VecDeque};
@@ -102,34 +102,38 @@ fn ring_matches_fifo_model() {
 }
 
 #[test]
-fn replicated_kv_converges_and_matches_model() {
-    check("replicated_kv_converges_and_matches_model", |rng| {
+fn socket_registry_converges_and_matches_model() {
+    check("socket_registry_converges_and_matches_model", |rng| {
         let rack = small_rack();
-        let shared = ReplicatedKv::alloc_shared(rack.global(), 2, 4096, 128).unwrap();
-        let mut kv0 = ReplicatedKv::new(shared.clone(), rack.node(0));
-        let mut kv1 = ReplicatedKv::new(shared, rack.node(1));
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let table = SocketRegistry::alloc_shared(rack.global(), 2).unwrap();
+        let mut reg0 = SocketRegistry::new(table.clone(), rack.node(0));
+        let mut reg1 = SocketRegistry::new(table, rack.node(1));
+        let mut model: HashMap<String, SocketAddr> = HashMap::new();
 
         let ops = 1 + rng.gen_index(49);
         for i in 0..ops {
-            let is_put = rng.gen_bool();
-            let key = rng.gen_range(0..16);
-            let vlen = rng.gen_index(24);
-            let value = rng.gen_bytes(vlen);
-            let kv = if i % 2 == 0 { &mut kv0 } else { &mut kv1 };
-            if is_put {
-                kv.put(key, &value).unwrap();
-                model.insert(key, value);
+            let is_bind = rng.gen_bool();
+            let name = format!("svc-{}", rng.gen_range(0..16));
+            let addr = SocketAddr {
+                node: NodeId(rng.gen_index(2)),
+                channel: rng.next_u64(),
+            };
+            let reg = if i % 2 == 0 { &mut reg0 } else { &mut reg1 };
+            if is_bind {
+                reg.bind(&name, addr).unwrap();
+                model.insert(name, addr);
             } else {
-                kv.del(key).unwrap();
-                model.remove(&key);
+                reg.unbind(&name).unwrap();
+                model.remove(&name);
             }
         }
         for key in 0..16u64 {
-            assert_eq!(kv0.get(key).unwrap(), model.get(&key).cloned());
-            assert_eq!(kv1.get(key).unwrap(), model.get(&key).cloned());
+            let name = format!("svc-{key}");
+            assert_eq!(reg0.lookup(&name).unwrap(), model.get(&name).copied());
+            assert_eq!(reg1.lookup(&name).unwrap(), model.get(&name).copied());
         }
-        assert_eq!(kv0.len().unwrap(), model.len());
+        assert_eq!(reg0.len().unwrap(), model.len());
+        assert_eq!(reg1.len().unwrap(), model.len());
     });
 }
 
