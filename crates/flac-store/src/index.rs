@@ -18,6 +18,11 @@
 //!   this is what crash recovery appends when `node` dies mid-fetch, so
 //!   survivors can re-claim and finish the download.
 //!
+//! Each node's in-flight claims are also kept as a set beside the map,
+//! maintained by the same three ops, so `ABORT` and the fetching counts
+//! cost the claims they touch rather than a scan of every chunk the
+//! rack has ever indexed.
+//!
 //! `apply` is a pure function of `(state, op)` and ignores malformed
 //! ops, so replaying the committed log from an empty index on any node
 //! reproduces the same map — the recovery/replay property every
@@ -29,7 +34,8 @@
 use flacdk::sync::SyncState;
 use flacdk::wire::{Decoder, Encoder};
 use rack_sim::GAddr;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Op tag: claim hashes for one fetcher.
 pub const OP_CLAIM: u8 = 1;
@@ -63,6 +69,8 @@ pub enum ChunkState {
 #[derive(Debug, Default, Clone)]
 pub struct ChunkIndexState {
     chunks: HashMap<u64, ChunkState>,
+    /// Per node, the hashes `chunks` holds as `Fetching { node }`.
+    claims: HashMap<u32, HashSet<u64>>,
     /// Chunks ever committed present.
     pub committed_chunks: u64,
     /// Bytes ever committed present.
@@ -89,18 +97,12 @@ impl ChunkIndexState {
 
     /// Number of in-flight claims (rack-wide).
     pub fn fetching_count(&self) -> usize {
-        self.chunks
-            .values()
-            .filter(|s| matches!(s, ChunkState::Fetching { .. }))
-            .count()
+        self.claims.values().map(HashSet::len).sum()
     }
 
     /// Number of in-flight claims held by `node`.
     pub fn fetching_of(&self, node: u32) -> usize {
-        self.chunks
-            .values()
-            .filter(|s| matches!(s, ChunkState::Fetching { node: n } if *n == node))
-            .count()
+        self.claims.get(&node).map_or(0, HashSet::len)
     }
 
     /// Deterministically ordered snapshot of the present chunks
@@ -124,9 +126,10 @@ impl ChunkIndexState {
                 let count = d.u32().ok()?;
                 for _ in 0..count {
                     let hash = d.u64().ok()?;
-                    self.chunks
-                        .entry(hash)
-                        .or_insert(ChunkState::Fetching { node });
+                    if let Entry::Vacant(slot) = self.chunks.entry(hash) {
+                        slot.insert(ChunkState::Fetching { node });
+                        self.claims.entry(node).or_default().insert(hash);
+                    }
                 }
             }
             OP_COMMIT => {
@@ -142,6 +145,9 @@ impl ChunkIndexState {
                         Some(ChunkState::Present { .. }) => false,
                     };
                     if lands {
+                        if let Some(claims) = self.claims.get_mut(&node) {
+                            claims.remove(&hash);
+                        }
                         self.chunks.insert(
                             hash,
                             ChunkState::Present {
@@ -159,10 +165,11 @@ impl ChunkIndexState {
             }
             OP_ABORT => {
                 let node = d.u32().ok()?;
-                let before = self.chunks.len();
-                self.chunks
-                    .retain(|_, s| !matches!(s, ChunkState::Fetching { node: n } if *n == node));
-                self.aborted_claims += (before - self.chunks.len()) as u64;
+                let claims = self.claims.remove(&node).unwrap_or_default();
+                for hash in &claims {
+                    self.chunks.remove(hash);
+                }
+                self.aborted_claims += claims.len() as u64;
             }
             _ => self.ignored_ops += 1,
         }

@@ -13,7 +13,7 @@ use crate::addr::{huge_base, PageSize, PhysFrame, VirtAddr, PAGE_SIZE};
 use crate::page_table::{PageTable, Pte};
 use crate::telemetry::AccessRing;
 use flacdk::alloc::GlobalAllocator;
-use flacdk::sync::rcu::EpochManager;
+use flacdk::sync::rcu::{EpochManager, RcuReadGuard};
 use flacdk::sync::reclaim::RetireList;
 use rack_sim::sync::Mutex;
 use rack_sim::{GlobalMemory, NodeCtx, SimError};
@@ -131,12 +131,22 @@ impl AddressSpace {
     /// Propagates memory errors.
     pub fn translate(&self, ctx: &Arc<NodeCtx>, va: VirtAddr) -> Result<Option<Pte>, SimError> {
         let guard = self.table.epochs().handle(ctx.clone()).read_lock()?;
-        let vpn = va.vpn();
-        let mut pte = self.table.walk(ctx, &guard, vpn)?;
+        self.translate_in(ctx, &guard, va.vpn())
+    }
+
+    /// [`Self::translate`] for `vpn` under a read guard the caller holds,
+    /// so one guard can cover every page of an access.
+    fn translate_in(
+        &self,
+        ctx: &NodeCtx,
+        guard: &RcuReadGuard,
+        vpn: u64,
+    ) -> Result<Option<Pte>, SimError> {
+        let mut pte = self.table.walk(ctx, guard, vpn)?;
         if pte.is_none() && huge_base(vpn) != vpn {
             pte = self
                 .table
-                .walk(ctx, &guard, huge_base(vpn))?
+                .walk(ctx, guard, huge_base(vpn))?
                 .filter(|head| head.page_size == PageSize::Huge)
                 .map(|head| Self::huge_view(head, vpn - huge_base(vpn)));
         }
@@ -213,83 +223,94 @@ impl AddressSpace {
         }
     }
 
-    fn for_each_page(
+    /// Resolve every page of `[va, va + len)` for one access: each page
+    /// is walked once, all under one RCU read guard, and the whole access
+    /// is rejected before any frame I/O if any page is unmapped, read-only
+    /// (for a `write`), migrating or another node's local frame. Returns
+    /// each page's frame advanced to the access's first byte in it, with
+    /// the number of bytes the access takes from that page.
+    fn resolve(
         &self,
         ctx: &Arc<NodeCtx>,
         va: VirtAddr,
         len: usize,
-        mut f: impl FnMut(&NodeCtx, PhysFrame, usize, usize, usize) -> Result<(), SimError>,
-    ) -> Result<(), SimError> {
+        write: bool,
+    ) -> Result<Vec<(PhysFrame, usize)>, SimError> {
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        let guard = self.table.epochs().handle(ctx.clone()).read_lock()?;
+        let mut pages = Vec::with_capacity((va.page_offset() + len).div_ceil(PAGE_SIZE));
         let mut done = 0usize;
         while done < len {
             let cur = va.offset(done as u64);
             let in_page = cur.page_offset();
             let take = (PAGE_SIZE - in_page).min(len - done);
-            let pte = self.translate(ctx, cur)?.ok_or_else(|| {
+            let pte = self.translate_in(ctx, &guard, cur.vpn())?.ok_or_else(|| {
                 SimError::Protocol(format!("unmapped address {cur} in asid {}", self.asid))
             })?;
+            if write && !pte.writable {
+                return Err(SimError::Protocol(format!(
+                    "write to read-only page at {cur}"
+                )));
+            }
             if pte.migrating {
                 // Mid-migration: the in-flight copy may be torn under the
                 // incoherent-cache model, so never touch either frame —
                 // the caller retries once the daemon commits or aborts.
                 return Err(SimError::WouldBlock);
             }
-            f(ctx, pte.frame, in_page, done, take)?;
+            let frame = match pte.frame {
+                PhysFrame::Global(a) => PhysFrame::Global(a.offset(in_page as u64)),
+                PhysFrame::Local(n, a) if n == ctx.id() => {
+                    PhysFrame::Local(n, rack_sim::LAddr(a.0 + in_page))
+                }
+                PhysFrame::Local(n, _) => {
+                    return Err(SimError::Protocol(format!(
+                        "node {} cannot directly {} {n}'s local frame",
+                        ctx.id(),
+                        if write { "write" } else { "read" }
+                    )))
+                }
+            };
+            pages.push((frame, take));
+            done += take;
+        }
+        Ok(pages)
+    }
+
+    /// Read `buf.len()` bytes starting at virtual address `va`.
+    ///
+    /// Every page is translated once before any byte moves; see
+    /// [`Self::write`] for the rejection rules.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] on unmapped pages or foreign local frames,
+    /// [`SimError::WouldBlock`] on a migrating page.
+    pub fn read(&self, ctx: &Arc<NodeCtx>, va: VirtAddr, buf: &mut [u8]) -> Result<(), SimError> {
+        let mut done = 0usize;
+        for (frame, take) in self.resolve(ctx, va, buf.len(), false)? {
+            self.read_frame(ctx, frame, &mut buf[done..done + take])?;
             done += take;
         }
         Ok(())
     }
 
-    /// Read `buf.len()` bytes starting at virtual address `va`.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] on unmapped pages or foreign local frames.
-    pub fn read(&self, ctx: &Arc<NodeCtx>, va: VirtAddr, buf: &mut [u8]) -> Result<(), SimError> {
-        let mut out = vec![0u8; buf.len()];
-        self.for_each_page(ctx, va, buf.len(), |ctx, frame, in_page, done, take| {
-            let mut chunk = vec![0u8; take];
-            let frame_at = match frame {
-                PhysFrame::Global(a) => PhysFrame::Global(a.offset(in_page as u64)),
-                PhysFrame::Local(n, a) => PhysFrame::Local(n, rack_sim::LAddr(a.0 + in_page)),
-            };
-            self.read_frame(ctx, frame_at, &mut chunk)?;
-            out[done..done + take].copy_from_slice(&chunk);
-            Ok(())
-        })?;
-        buf.copy_from_slice(&out);
-        Ok(())
-    }
-
-    /// Write `buf` starting at virtual address `va`.
+    /// Write `buf` starting at virtual address `va`, all or nothing: every
+    /// page is translated once, and if any page is unmapped, read-only,
+    /// migrating or another node's local frame, the write fails before
+    /// any byte moves, so no other node ever sees part of a failed write.
+    /// (A memory error during the copy itself can still stop it midway.)
     ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] on unmapped or read-only pages, or foreign
-    /// local frames.
+    /// local frames; [`SimError::WouldBlock`] on a migrating page.
     pub fn write(&self, ctx: &Arc<NodeCtx>, va: VirtAddr, buf: &[u8]) -> Result<(), SimError> {
-        self.check_writable(ctx, va, buf.len())?;
-        self.for_each_page(ctx, va, buf.len(), |ctx, frame, in_page, done, take| {
-            let frame_at = match frame {
-                PhysFrame::Global(a) => PhysFrame::Global(a.offset(in_page as u64)),
-                PhysFrame::Local(n, a) => PhysFrame::Local(n, rack_sim::LAddr(a.0 + in_page)),
-            };
-            self.write_frame(ctx, frame_at, &buf[done..done + take])
-        })
-    }
-
-    fn check_writable(&self, ctx: &Arc<NodeCtx>, va: VirtAddr, len: usize) -> Result<(), SimError> {
         let mut done = 0usize;
-        while done < len {
-            let cur = va.offset(done as u64);
-            let take = (PAGE_SIZE - cur.page_offset()).min(len - done);
-            if let Some(pte) = self.translate(ctx, cur)? {
-                if !pte.writable {
-                    return Err(SimError::Protocol(format!(
-                        "write to read-only page at {cur}"
-                    )));
-                }
-            }
+        for (frame, take) in self.resolve(ctx, va, buf.len(), true)? {
+            self.write_frame(ctx, frame, &buf[done..done + take])?;
             done += take;
         }
         Ok(())
@@ -416,6 +437,45 @@ mod tests {
         space.map(&n0, 6, pte.end_migration()).unwrap();
         assert!(space.read(&n0, VirtAddr::from_vpn(6), &mut buf).is_ok());
         assert!(space.write(&n0, VirtAddr::from_vpn(6), &buf).is_ok());
+    }
+
+    #[test]
+    fn failed_straddling_write_leaves_memory_untouched() {
+        // A 16-byte write over mapped page 0 and a page 1 that is (a)
+        // unmapped or (b) migrating must fail without writing page 0's
+        // tail, so no other node ever sees part of a failed write.
+        let (rack, space) = setup();
+        let (n0, n1) = (rack.node(0), rack.node(1));
+        map_global_page(&rack, &space, 0, true);
+        let va = VirtAddr(PAGE_SIZE as u64 - 8);
+        let tail = |space: &AddressSpace| {
+            let mut out = [0xffu8; 8];
+            space.read(&n1, va, &mut out).unwrap();
+            out
+        };
+
+        let unmapped = space.write(&n0, va, &[7u8; 16]);
+        assert!(
+            matches!(unmapped, Err(SimError::Protocol(_))),
+            "{unmapped:?}"
+        );
+        assert_eq!(tail(&space), [0; 8], "unmapped page 1: page 0 untouched");
+
+        map_global_page(&rack, &space, 1, true);
+        let pte = space
+            .translate(&n0, VirtAddr::from_vpn(1))
+            .unwrap()
+            .unwrap();
+        space.map(&n0, 1, pte.begin_migration()).unwrap();
+        assert!(matches!(
+            space.write(&n0, va, &[9u8; 16]),
+            Err(SimError::WouldBlock)
+        ));
+        assert_eq!(tail(&space), [0; 8], "migrating page 1: page 0 untouched");
+
+        space.map(&n0, 1, pte).unwrap();
+        space.write(&n0, va, &[5u8; 16]).unwrap();
+        assert_eq!(tail(&space), [5; 8]);
     }
 
     #[test]

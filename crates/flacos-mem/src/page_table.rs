@@ -30,6 +30,9 @@ pub struct Pte {
     /// Set while the tiering daemon copies this page between tiers. The
     /// old frame stays authoritative; accessors must retry (never read
     /// the in-flight copy, which may be torn under incoherent caches).
+    /// An access touching a migrating page is rejected all or nothing:
+    /// [`crate::AddressSpace::read`] and [`crate::AddressSpace::write`]
+    /// move no byte of any of its pages.
     pub migrating: bool,
     /// Translation granularity. A [`PageSize::Huge`] entry lives at a
     /// 512-aligned region-head vpn and maps the whole 2 MiB region with

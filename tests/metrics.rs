@@ -9,8 +9,9 @@ use flacdk::sync::reclaim::RetireList;
 use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacos_fs::page_cache::SharedPageCache;
 use flacos_ipc::channel::FlacChannel;
+use flacos_mem::{AccessRing, AddressSpace, PhysFrame, Pte, VirtAddr, PAGE_SIZE};
 use rack_sim::metrics::bucket_index;
-use rack_sim::{AddrClass, CostClass, NodeCtx, OpKind, Rack, RackConfig, LINE_SIZE};
+use rack_sim::{AddrClass, CostClass, NodeCtx, OpKind, Rack, RackConfig, SimError, LINE_SIZE};
 
 fn small_rack() -> Rack {
     Rack::new(RackConfig::small_test().with_global_mem(32 << 20))
@@ -685,4 +686,76 @@ fn recovering_after_a_combiner_died_past_its_append_reads_the_log_window_once() 
     assert_eq!(cell.nr_poll(&rack.node(2)).unwrap(), Some(0));
     assert_eq!(cell.committed(&rack.node(0)).unwrap(), 1, "no re-append");
     assert_eq!(cell.peek(|c| c.0), 1);
+}
+
+/// `[global reads, global writes, simulated ns]` `node` spends in `f`.
+fn global_cost(node: &NodeCtx, f: impl FnOnce() -> Result<(), SimError>) -> [u64; 3] {
+    let (t, before) = (node.clock().now(), node.stats().snapshot());
+    f().unwrap();
+    let after = node.stats().snapshot();
+    [
+        after.global_reads - before.global_reads,
+        after.global_writes - before.global_writes,
+        node.clock().now() - t,
+    ]
+}
+
+#[test]
+fn address_space_access_walks_each_page_once() {
+    let rack = small_rack();
+    let space = AddressSpace::alloc(
+        7,
+        rack.global(),
+        GlobalAllocator::new(rack.global().clone()),
+        EpochManager::alloc(rack.global(), rack.node_count()).unwrap(),
+        RetireList::new(),
+    )
+    .unwrap();
+    for vpn in 0..2 {
+        let frame = rack.global().alloc(PAGE_SIZE, PAGE_SIZE).unwrap();
+        space
+            .map(&rack.node(0), vpn, Pte::new(PhysFrame::Global(frame), true))
+            .unwrap();
+    }
+    let n1 = rack.node(1);
+    let lat = n1.latency().clone();
+    let ring = AccessRing::new(16, 1);
+    space.attach_sampler(Some(ring.clone()));
+    let vpns = || ring.drain().iter().map(|a| a.vpn).collect::<Vec<_>>();
+    // One RCU read guard per access (epoch load, slot announce, slot
+    // clear) and one walk per page (root load and four level reads).
+    let guard = lat.global_read_ns + 2 * lat.global_write_ns;
+    let walk = 5 * lat.global_read_ns;
+
+    // One full line at the top of page 0: a write-allocate hit and its
+    // writeback. Walking each page twice (a permission pass, then the
+    // copy) would cost 12 reads, 5 writes and 7 818 ns here.
+    let one_page_write = global_cost(&n1, || space.write(&n1, VirtAddr(0), &[1; 64]));
+    assert_eq!(
+        one_page_write[2],
+        guard + walk + lat.cache_hit_ns + lat.writeback_line_ns
+    );
+    assert_eq!(one_page_write, [6, 3, 3_978]);
+    assert_eq!(vpns(), [0], "each page offered to the sampler once");
+
+    // Page 0's last line and 32 bytes of page 1 (walking twice: 24 / 10 /
+    // 16 338).
+    let straddle = VirtAddr(PAGE_SIZE as u64 - 64);
+    let two_page_write = global_cost(&n1, || space.write(&n1, straddle, &[2; 96]));
+    assert_eq!(two_page_write, [11, 4, 7_338]);
+    assert_eq!(vpns(), [0, 1]);
+
+    // One guard for both pages (a guard per page: 14 / 4 / 8 700).
+    let mut buf = [0u8; 96];
+    let two_page_read = global_cost(&n1, || space.read(&n1, straddle, &mut buf));
+    assert_eq!(buf, [2; 96]);
+    assert_eq!(two_page_read, [13, 2, 7_380]);
+    assert_eq!(vpns(), [0, 1]);
+
+    // A one-page read always walked once.
+    let mut buf = [0u8; 64];
+    let one_page_read = global_cost(&n1, || space.read(&n1, VirtAddr(0), &mut buf));
+    assert_eq!(buf, [1; 64]);
+    assert_eq!(one_page_read, [7, 2, 4_350]);
+    assert_eq!(vpns(), [0]);
 }

@@ -724,6 +724,86 @@ fn dedup_refcounts_match_a_reference_model() {
 }
 
 #[test]
+fn chunk_index_claim_sets_match_a_full_map_scan() {
+    use flac_store::index::{abort_op, claim_op, commit_op};
+    use flac_store::{ChunkIndexState, ChunkState};
+    use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
+
+    const NODES: u32 = 4;
+    const HASHES: u64 = 32;
+
+    /// The test-only oracle: `node`'s in-flight claims counted by a scan
+    /// of every hash, the definition the per-node claim sets must match.
+    fn scan(s: &ChunkIndexState, node: u32) -> usize {
+        (0..HASHES)
+            .filter(|&h| s.get(h) == Some(ChunkState::Fetching { node }))
+            .count()
+    }
+    fn agrees(s: &ChunkIndexState) {
+        for n in 0..NODES {
+            assert_eq!(s.fetching_of(n), scan(s, n), "node {n}");
+        }
+        let total: usize = (0..NODES).map(|n| scan(s, n)).sum();
+        assert_eq!(s.fetching_count(), total);
+    }
+
+    check("chunk_index_claim_sets_match_a_full_map_scan", |rng| {
+        let rack = Rack::new(RackConfig::n_node(NODES as usize).with_global_mem(4 << 20));
+        let cell = SyncCell::alloc(
+            rack.global(),
+            "chunk_index_prop",
+            SyncCellConfig::new(NODES as usize, SyncPolicy::NodeReplicated).with_log(128, 192),
+            ChunkIndexState::default(),
+        )
+        .unwrap();
+        let mut state = ChunkIndexState::default();
+        let ops = 1 + rng.gen_index(100);
+        for _ in 0..ops {
+            let node = rng.gen_index(NODES as usize) as u32;
+            let hashes: Vec<u64> = (0..1 + rng.gen_index(4))
+                .map(|_| rng.gen_range(0..HASHES))
+                .collect();
+            let op = match rng.gen_index(5) {
+                0 | 1 => claim_op(node, &hashes),
+                // Commits name any hash, so late and stale commits
+                // (against absent, foreign or present entries) happen.
+                2 | 3 => {
+                    let entries: Vec<_> = hashes
+                        .iter()
+                        .map(|&h| (h, GAddr(h * PAGE_SIZE as u64), PAGE_SIZE as u32))
+                        .collect();
+                    commit_op(node, &entries)
+                }
+                _ => abort_op(node),
+            };
+            let (aborted, claimed) = (state.aborted_claims, scan(&state, node));
+            state.apply(&op);
+            if op == abort_op(node) {
+                assert_eq!(state.aborted_claims - aborted, claimed as u64);
+                assert_eq!(state.fetching_of(node), 0);
+            }
+            agrees(&state);
+            cell.update(&rack.node(node as usize), &op).unwrap();
+            cell.peek(|c| {
+                for n in 0..NODES {
+                    assert_eq!(c.fetching_of(n), state.fetching_of(n));
+                }
+            });
+        }
+        let (replayed, _) = cell
+            .replay(&rack.node(0), ChunkIndexState::default())
+            .unwrap();
+        agrees(&replayed);
+        for n in 0..NODES {
+            assert_eq!(replayed.fetching_of(n), state.fetching_of(n), "node {n}");
+        }
+        assert_eq!(replayed.fetching_count(), state.fetching_count());
+        assert_eq!(replayed.present_snapshot(), state.present_snapshot());
+        assert_eq!(replayed.aborted_claims, state.aborted_claims);
+    });
+}
+
+#[test]
 fn radix_reads_see_complete_versions() {
     check("radix_reads_see_complete_versions", |rng| {
         let rack = small_rack();
