@@ -1116,8 +1116,8 @@ impl Hooks for Delegated {
 /// with four live nodes kills one mid-protocol: a combiner before the
 /// tail CAS (re-election must commit every stranded publication once),
 /// a combiner after the append (re-election must not apply the batch
-/// twice), or a publisher before its mask bit (recovery must commit its
-/// slot once and leave the summary mask clear).
+/// twice), or a publisher holding a flushed publication (recovery must
+/// commit it once and leave no header pending).
 struct NodeReplicated(Ledger);
 
 impl NodeReplicated {
@@ -1139,7 +1139,7 @@ impl NodeReplicated {
         let armed = match window {
             0 => cell.nr_combine_crash_before_append(&victim_ctx),
             1 => cell.nr_combine_crash_after_append(&victim_ctx),
-            _ => cell.nr_publish_crash_before_mask(&victim_ctx, &sync_op(victim, step)),
+            _ => cell.nr_publish(&victim_ctx, &sync_op(victim, step)),
         };
         if let Err(e) = armed {
             s.fail(format!("step {step}: crash stage failed on n{victim}: {e}"));
@@ -1163,10 +1163,10 @@ impl NodeReplicated {
             s.add("publisher_deaths", 1);
             stranded.push(victim);
         }
-        match cell.summary_mask().load(&rack.node(rescuer)) {
-            Ok(0) => {}
-            mask => s.fail(format!(
-                "step {step}: summary mask {mask:?} after recovery, expected 0"
+        match cell.pending_publishers(&rack.node(rescuer)) {
+            Ok(pending) if pending.is_empty() => {}
+            pending => s.fail(format!(
+                "step {step}: publications {pending:?} still pending after recovery"
             )),
         }
         rack.faults().restart_node(NodeId(victim), u64::from(step));
@@ -1191,7 +1191,7 @@ impl NodeReplicated {
         let (who, when) = match window {
             0 => ("combiner", "mid-batch (before tail CAS)"),
             1 => ("combiner", "mid-batch (after append)"),
-            _ => ("publisher", "mid-publication (before mask bit)"),
+            _ => ("publisher", "holding a flushed publication"),
         };
         format!(
             "{who} n{victim} died {when}; n{rescuer} recovered {} stranded ops, \
@@ -1484,13 +1484,15 @@ mod tests {
     use std::sync::OnceLock;
 
     /// FNV-1a 64 of every campaign's `log_text` for seeds 1..=6 at 60
-    /// steps, recorded when each campaign still had its own driver: one
-    /// line per campaign, name then the six digests.
+    /// steps, recorded when each campaign still had its own driver (the
+    /// node-replicated line since re-recorded for the rewording of its
+    /// publisher-death line, nothing else moved): one line per campaign,
+    /// name then the six digests.
     const DIGESTS: &str = "\
 rack 58cbd1aae3e3903a 2fc2f8cc37c66671 ec3e2a183ce447da 119a9d2a760c611d a9a6e798f1d72306 e9ff36350a6c91af
 tiering 68111fe21584cc15 7bcd77505bbdaf99 2e781849f3494367 282f7c66e3fedb1c a89a4676fa37e531 67edc768c286ebcc
 delegated 97a6f819d6c398b0 b3185d9c79193039 81b078cffee3a864 7958806a97c1e39e d89615a3fb8085b8 e79847c23a708cb1
-node-replicated 1751c3a5a2c0fdb9 66320785ac11f8d1 ab85e09f39aa3014 f8b5f8a25890b07d 8a6ff20280a9bdf8 226eadcf597dac02
+node-replicated 0b5e28cea56330a7 d3e018de96ea1c71 4b86c487df2b28e7 df90ceb9b382b374 9c82373e7b1cfa9f 1723ac28728a4d23
 store b98449138fd08ba5 7aeccec802083355 f1c008c2d11d9112 432e913d6099d8bf 021aeeb8b292a4da cf68ae2139a0e7fb
 ";
 
@@ -1632,7 +1634,7 @@ store b98449138fd08ba5 7aeccec802083355 f1c008c2d11d9112 432e913d6099d8bf 021aee
     fn nr_seed_sweep_kills_combiners_in_both_windows() {
         // Both fatal windows — before the tail CAS and after the append
         // — must fire across the sweep, and so must a publisher dying
-        // before its mask bit.
+        // holding a flushed publication.
         fired(sweep(Campaign::NodeReplicated), "reelections", 2);
         fired(sweep(Campaign::NodeReplicated), "publisher_deaths", 1);
     }

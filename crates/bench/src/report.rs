@@ -225,6 +225,24 @@ mod tests {
         }
     }
 
+    /// The five committed reports, by file name.
+    const COMMITTED: [(&str, &str); 5] = [
+        (
+            "BENCH_cache.json",
+            include_str!("../../../BENCH_cache.json"),
+        ),
+        (
+            "BENCH_serve.json",
+            include_str!("../../../BENCH_serve.json"),
+        ),
+        (
+            "BENCH_store.json",
+            include_str!("../../../BENCH_store.json"),
+        ),
+        ("BENCH_sync.json", include_str!("../../../BENCH_sync.json")),
+        ("BENCH_topo.json", include_str!("../../../BENCH_topo.json")),
+    ];
+
     /// `--check`'s verdict on `json` for each committed report.
     fn passes(file: &str, json: &str) -> bool {
         let suite = crate::suite::Suite::ALL
@@ -236,28 +254,38 @@ mod tests {
 
     #[test]
     fn only_the_whole_committed_report_passes_its_check() {
-        let files = [
-            (
-                "BENCH_cache.json",
-                include_str!("../../../BENCH_cache.json"),
-            ),
-            (
-                "BENCH_serve.json",
-                include_str!("../../../BENCH_serve.json"),
-            ),
-            (
-                "BENCH_store.json",
-                include_str!("../../../BENCH_store.json"),
-            ),
-            ("BENCH_sync.json", include_str!("../../../BENCH_sync.json")),
-            ("BENCH_topo.json", include_str!("../../../BENCH_topo.json")),
-        ];
-        for (file, json) in files {
+        for (file, json) in COMMITTED {
             assert!(passes(file, json), "{file} fails its own check");
             let cut: Vec<usize> = (0..json.len())
                 .filter(|&k| json.is_char_boundary(k) && passes(file, &json[..k]))
                 .collect();
             assert!(cut.is_empty(), "{file} cut to {cut:?} bytes still passes");
+        }
+    }
+
+    /// Whether the suite parser for `file` accepts `json`.
+    fn parses(file: &str, json: &str) -> bool {
+        use crate::{cache_scale, serve_scale, store_scale, sync_scale, topo_scale};
+        match file {
+            "BENCH_cache.json" => cache_scale::parse_report(json).is_ok(),
+            "BENCH_serve.json" => serve_scale::parse_report(json).is_ok(),
+            "BENCH_store.json" => store_scale::parse_report(json).is_ok(),
+            "BENCH_sync.json" => sync_scale::parse_report(json).is_ok(),
+            "BENCH_topo.json" => topo_scale::parse_report(json).is_ok(),
+            _ => unreachable!("{file}"),
+        }
+    }
+
+    /// The parsers themselves, not only the verdict: every strict prefix
+    /// of each committed report is an `Err` (a panic fails the test too).
+    #[test]
+    fn every_strict_prefix_of_a_committed_report_fails_to_parse() {
+        for (file, json) in COMMITTED {
+            assert!(parses(file, json), "{file} does not parse");
+            let cut: Vec<usize> = (0..json.len())
+                .filter(|&k| json.is_char_boundary(k) && parses(file, &json[..k]))
+                .collect();
+            assert!(cut.is_empty(), "{file} cut to {cut:?} bytes still parses");
         }
     }
 }

@@ -272,7 +272,7 @@ pub struct Probes {
     /// round ([`NODES`] × [`OPS_PER_PUB`] contiguous entries) behind.
     pub catch_up_global_reads: u64,
     /// Global reads of one [`SyncCell::nr_combine`] over [`NODES`]
-    /// flagged publication slots.
+    /// pending publications.
     pub combine_global_reads: u64,
 }
 
@@ -280,10 +280,10 @@ impl Probes {
     /// A catch-up's reads: the tail and head probes plus **one** burst
     /// over the contiguous log run — not three reads per entry.
     pub const CATCH_UP_GLOBAL_READS: u64 = 3;
-    /// A combine's reads: the summary-mask probe, **one** burst over the
-    /// flagged slot span, and the append's tail and head probes — not
-    /// three reads per slot.
-    pub const COMBINE_GLOBAL_READS: u64 = 4;
+    /// A combine's reads: **one** burst over every publication header
+    /// line, and the append's tail and head probes — not three reads per
+    /// publication.
+    pub const COMBINE_GLOBAL_READS: u64 = 3;
 }
 
 /// Run the read-side probes: drive one full publish/combine round and a
@@ -435,8 +435,8 @@ pub fn gate_failures(report: &ParsedSyncReport) -> Vec<String> {
     }
     if probes.combine_global_reads != Probes::COMBINE_GLOBAL_READS {
         failures.push(format!(
-            "a combine over {NODES} flagged slots performed {} global reads; \
-             must be {} (three probes + one slot-span burst)",
+            "a combine over {NODES} pending publications performed {} global reads; \
+             must be {} (two probes + one header burst)",
             probes.combine_global_reads,
             Probes::COMBINE_GLOBAL_READS
         ));
@@ -620,7 +620,7 @@ pub fn run(quick: bool, previous: Option<&str>) -> String {
     );
     println!(
         "  span-granular read side: {} global reads per 16-entry catch-up, \
-         {} per 8-slot combine",
+         {} per 8-publication combine",
         probes.catch_up_global_reads, probes.combine_global_reads
     );
     let (flat_claims, pod_claims) = run_numa_probe(if quick { 8 } else { 64 });
@@ -687,10 +687,11 @@ mod tests {
 
     #[test]
     fn gate_rejects_a_per_entry_walk() {
+        // Three reads per log entry, and three per publication header.
         let per_entry = Probes {
             replica_hit_fabric_ops: 0,
             catch_up_global_reads: 2 + 3 * (NODES * OPS_PER_PUB) as u64,
-            combine_global_reads: 3 + 3 * NODES as u64,
+            combine_global_reads: 2 + 3 * NODES as u64,
         };
         // No sweep needed: only the probe failures are counted.
         let failures = gate_failures(&ParsedSyncReport {

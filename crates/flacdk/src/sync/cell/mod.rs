@@ -256,16 +256,15 @@ pub struct SyncCell<T: SyncState> {
     version: GlobalCell,
     /// Serializes policy switches and the Lock backend.
     lock: GlobalSpinLock,
-    /// Per-node publication slots in global memory (flat combining).
+    /// Publication headers in global memory (flat combining): one line
+    /// per node, back to back, then each node's overflow area.
     slots: GAddr,
-    slot_stride: usize,
+    /// Bytes of one node's overflow area (packed bytes past the header's).
+    spill_stride: usize,
     /// Largest framed payload a publication slot (and log entry) holds.
     slot_payload_cap: usize,
     /// Flat-combining claim word: node id + 1, 0 = free.
     combiner: GlobalCell,
-    /// Summary bitmask of nodes with a pending publication: one fabric
-    /// read tells the combiner which slots to scan (bit n = node n).
-    pending_mask: GlobalCell,
     /// Serializes same-node publishers (one in-flight publication per
     /// node's slot).
     slot_locks: Vec<rack_sim::sync::Mutex<()>>,
@@ -305,10 +304,6 @@ impl<T: SyncState> SyncCell<T> {
         init: T,
     ) -> Result<Arc<Self>, SimError> {
         assert!(cfg.nodes > 0, "a sync cell needs at least one node");
-        assert!(
-            cfg.nodes <= 64,
-            "the publication summary mask addresses at most 64 nodes"
-        );
         let log = SharedOpLog::alloc(global, cfg.log_capacity, cfg.entry_size)?;
         let applied_cells = (0..cfg.nodes)
             .map(|_| GlobalCell::alloc(global, 0))
@@ -320,16 +315,17 @@ impl<T: SyncState> SyncCell<T> {
         let version = GlobalCell::alloc(global, 0)?;
         let lock = GlobalSpinLock::alloc(global)?;
         let slot_payload_cap = SharedOpLog::payload_capacity(cfg.entry_size);
-        // Slot layout: [state u64][len u64][packed framed ops]; one slot
-        // per node, line-aligned so combiner flushes never alias. Sized
-        // so at least one maximum-size framed op plus its pack header
-        // fits; the slack lets publishers batch several smaller ops into
-        // one publication.
+        // A publication is [state u64][len u64][packed framed ops]: its
+        // header line holds the words and the first packed bytes, the
+        // rest spills into the node's overflow area. The `nodes` header
+        // lines sit back to back so one burst reads them all; one line per
+        // node, so combiner flushes never alias. Sized so at least one
+        // maximum-size framed op plus its pack header fits; the slack lets
+        // publishers batch several smaller ops into one publication.
         let slot_stride =
             (16 + node_replicated::PACK_BYTES + slot_payload_cap).div_ceil(LINE_SIZE) * LINE_SIZE;
         let slots = global.alloc(cfg.nodes * slot_stride, LINE_SIZE)?;
         let combiner = GlobalCell::alloc(global, 0)?;
-        let pending_mask = GlobalCell::alloc(global, 0)?;
         Ok(Arc::new(SyncCell {
             name,
             log,
@@ -340,10 +336,9 @@ impl<T: SyncState> SyncCell<T> {
             version,
             lock,
             slots,
-            slot_stride,
+            spill_stride: slot_stride - LINE_SIZE,
             slot_payload_cap,
             combiner,
-            pending_mask,
             slot_locks: (0..cfg.nodes)
                 .map(|_| rack_sim::sync::Mutex::new(()))
                 .collect(),
@@ -433,12 +428,6 @@ impl<T: SyncState> SyncCell<T> {
     /// [`SyncCell::update`]; an append made here bypasses the cell.
     pub fn op_log(&self) -> SharedOpLog {
         self.log
-    }
-
-    /// The node-replicated summary mask (bit n = node n has a pending
-    /// publication), for diagnostics and tests that check it settles.
-    pub fn summary_mask(&self) -> GlobalCell {
-        self.pending_mask
     }
 
     fn me(&self, ctx: &NodeCtx) -> usize {
@@ -673,7 +662,7 @@ impl<T: SyncState> SyncCell<T> {
 
     /// Crash recovery: drain the committed tail, re-elect the delegation
     /// owner if `crashed` held it, and — on the node-replicated backend —
-    /// take over a dead combiner: its publication slots are drained with
+    /// take over a dead combiner: the pending publications are drained with
     /// dedup against the committed log so no published op is lost or
     /// applied twice. Safe (and cheap) to call for any policy. Returns
     /// whether a re-election happened.

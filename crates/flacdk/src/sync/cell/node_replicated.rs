@@ -1,43 +1,46 @@
 //! The `NodeReplicated` backend: flat-combined batched log appends plus
 //! per-node lazy replicas (NR/OpLog-style, §3.2 + ROADMAP item 2).
 //!
-//! ## Publication slots
+//! ## Publication headers
 //!
-//! Every node owns one line-aligned slot in global memory holding its
-//! *list* of pending ops — flat combining publishes operation lists,
-//! not single ops, so one publication (one flush + one fabric atomic)
-//! and one consume can carry a node's whole pending batch:
+//! Every node owns one publication holding its *list* of pending ops —
+//! flat combining publishes operation lists, not single ops, so one
+//! publication and one consume can carry a node's whole pending batch.
+//! Its header is one line; the `nodes` header lines sit back to back in
+//! global memory, and packed bytes past the header's 48 spill into the
+//! node's overflow area:
 //!
 //! ```text
 //! +0  state   u64   FREE = 0 | PENDING = 1 | CONSUMED = 2 | first idx << 8
 //! +8  len     u64   packed bytes
-//! +16 packed        [op len u32][framed op ([node][seq][op])] ...
+//! +16 packed        [op len u32][framed op ([node][seq][op])] ... (48 B,
+//!                   then the node's overflow area)
 //! ```
 //!
-//! A publisher writes `PENDING`+`len`+packed ops through the cache,
-//! makes them visible with one flush, and then raises its bit in a
-//! shared summary mask with a single fabric atomic. The mask is what
-//! keeps an *empty* combine cheap: one fabric read answers "anything
-//! pending?" instead of a sweep over every node's slot, so the
-//! self-combine fast path (one writer at a time) stays competitive with
-//! delegation. A publisher crash mid-publish leaves a non-`PENDING`
-//! slot (the flush is all-or-nothing) that every combiner ignores.
+//! A publisher writes and flushes its overflow first and its header
+//! last, through the cache: `PENDING` in the flushed header is the
+//! commit point, and publishing costs no fabric atomic. A publisher
+//! crash before the header flush leaves a non-`PENDING` header (the
+//! flush is all-or-nothing) that every combiner ignores.
 //!
 //! ## The combiner
 //!
 //! Whoever CASes the combiner cell from 0 to `node+1` drains every
-//! `PENDING` slot — one invalidate and one burst read over the span from
-//! the first to the last flagged slot, not a round trip per slot — and
+//! `PENDING` publication — one invalidate and one burst read over all
+//! the header lines, then one more over the overflow span of the
+//! pending headers that spilled, not a round trip per node — and
 //! appends the whole batch with **one** fabric CAS on the log tail
-//! ([`SharedOpLog::append_batch`]), then marks each drained slot
+//! ([`SharedOpLog::append_batch`]), then marks each drained header
 //! `CONSUMED | first idx << 8` so its publisher learns where its ops
-//! landed (a slot's ops occupy consecutive log indices) — one flush over
-//! the slot span makes all the marks visible — and only then folds the
-//! batch into the authoritative state.
+//! landed (a publication's ops occupy consecutive log indices) — one
+//! flush over the marked span makes all the marks visible — and only
+//! then folds the batch into the authoritative state. Nothing is
+//! cleared afterwards.
 //! An updating node tries the claim *first*: the winner's own op rides
 //! the batch straight from memory and is never published at all. Losers
-//! publish, then alternate between polling their slot and re-trying the
-//! claim (the previous combiner may have released before seeing them).
+//! publish, then alternate between polling their header and re-trying
+//! the claim (the previous combiner may have released before seeing
+//! them).
 //!
 //! ## Replicas and reads
 //!
@@ -53,27 +56,28 @@
 //!
 //! ## Crash recovery
 //!
-//! A combiner can die in the window between draining slots and the tail
-//! CAS (nothing committed — slots still `PENDING`) or after the batch
-//! landed but before consuming the slots (committed — re-appending
-//! would double-apply). A publisher can die between its slot flush and
-//! its mask bit (a `PENDING` slot no mask scan flags).
-//! [`SyncCell::on_node_crash`] claims the combiner word — from free, or
-//! from the dead holder — and drains the flagged slots plus the dead
-//! node's own slot. Only a takeover can find a committed publication
-//! still `PENDING` (a combine marks its slots right after its append),
-//! so only a takeover searches the committed window: one range pass
-//! looks up the `[node][seq]` frame of every publication's first op,
-//! and only unseen ops are re-appended. Recovery runs under the host
-//! mutex every append runs under, so that window holds no in-flight
-//! slot. The `nr_combine_crash_*` and `nr_publish_crash_before_mask`
-//! hooks expose exactly those three windows to `flac-faultstorm`.
+//! A combiner can die in the window between its scan and the tail CAS
+//! (nothing committed — headers still `PENDING`), after the batch
+//! landed but before marking the headers (committed — re-appending
+//! would double-apply), or after its marks' flush (nothing pending; the
+//! role stays claimed). A publisher can die holding a flushed
+//! publication, or after its overflow flush and before its header
+//! (nothing published). [`SyncCell::on_node_crash`] claims the combiner
+//! word — from free, or from the dead holder — and drains every
+//! `PENDING` header, the dead node's among them. Only a takeover can
+//! find a committed publication still `PENDING` (a combine marks its
+//! headers right after its append), so only a takeover searches the
+//! committed window: one range pass looks up the `[node][seq]` frame of
+//! every publication's first op, and only unseen ops are re-appended.
+//! Recovery runs under the host mutex every append runs under, so that
+//! window holds no in-flight publication. The `nr_combine_crash_*`
+//! hooks expose the first two windows to `flac-faultstorm`.
 //!
 //! [`SharedOpLog::append_batch`]: crate::sync::oplog::SharedOpLog::append_batch
 //! [`SharedOpLog::read_range`]: crate::sync::oplog::SharedOpLog::read_range
 
 use super::{frame_op, lines, unframe, CellInner, SyncCell, SyncState};
-use rack_sim::{GAddr, NodeCtx, NodeId, SimError};
+use rack_sim::{GAddr, NodeCtx, NodeId, SimError, LINE_SIZE};
 use std::ops::ControlFlow;
 
 /// Publication-slot states (low byte; consumed carries `first idx << 8`).
@@ -89,6 +93,9 @@ fn consumed_word(idx: u64) -> u64 {
 /// before each framed op. Slot sizing accounts for one header so a
 /// maximum-size op always fits a publication.
 pub(super) const PACK_BYTES: usize = 4;
+
+/// Packed bytes a header line carries after its state and length words.
+const INLINE: usize = LINE_SIZE - 16;
 
 /// Pack framed ops into a slot payload: `[len u32][framed]` per op.
 fn pack_ops(framed: &[Vec<u8>]) -> Vec<u8> {
@@ -134,7 +141,14 @@ struct Pending {
 
 impl<T: SyncState> SyncCell<T> {
     fn slot_addr(&self, node: usize) -> GAddr {
-        self.slots.offset((node * self.slot_stride) as u64)
+        self.slots.offset((node * LINE_SIZE) as u64)
+    }
+
+    /// `node`'s overflow area, past every node's header line.
+    fn spill_addr(&self, node: usize) -> GAddr {
+        let headers = self.slot_locks.len() * LINE_SIZE;
+        self.slots
+            .offset((headers + node * self.spill_stride) as u64)
     }
 
     /// Distance class (LCA level) from this node to the op log's home
@@ -160,118 +174,75 @@ impl<T: SyncState> SyncCell<T> {
         }
     }
 
-    /// Publish packed framed ops into `node`'s slot: state + length +
-    /// payload go through the cache and one flush makes them visible
-    /// together, then a single fabric atomic raises the node's bit in
-    /// the summary mask. A combiner that sees the bit sees the flushed
-    /// slot.
+    /// Publish packed framed ops from `node`: the bytes past the
+    /// header's go to the overflow area and are flushed first, then
+    /// `PENDING`, length and the first bytes go through the cache into
+    /// the header line and one flush makes them visible together. A
+    /// combiner that reads the header `PENDING` sees the overflow too.
     fn publish_slot(&self, ctx: &NodeCtx, node: usize, packed: &[u8]) -> Result<(), SimError> {
-        self.write_slot(ctx, node, packed)?;
-        self.pending_mask.fetch_add(ctx, 1 << node)?;
-        Ok(())
-    }
-
-    /// The first half of a publication: `PENDING`, length and payload
-    /// through the cache, then one flush.
-    fn write_slot(&self, ctx: &NodeCtx, node: usize, packed: &[u8]) -> Result<(), SimError> {
+        let (head, spill) = packed.split_at(packed.len().min(INLINE));
+        if !spill.is_empty() {
+            let at = self.spill_addr(node);
+            ctx.write(at, spill)?;
+            ctx.flush(at, spill.len());
+        }
         let slot = self.slot_addr(node);
         ctx.write_u64(slot, SLOT_PENDING)?;
         ctx.write_u64(slot.offset(8), packed.len() as u64)?;
-        ctx.write(slot.offset(16), packed)?;
-        ctx.flush(slot, 16 + packed.len());
+        ctx.write(slot.offset(16), head)?;
+        ctx.flush(slot, 16 + head.len());
         Ok(())
     }
 
-    /// Read one slot if it is `PENDING` (invalidate + cached reads): the
-    /// dead node's slot when no mask bit flags it.
-    fn read_slot(&self, ctx: &NodeCtx, node: usize) -> Result<Option<Pending>, SimError> {
-        let slot = self.slot_addr(node);
-        ctx.invalidate(slot, self.slot_stride);
-        if ctx.read_u64(slot)? != SLOT_PENDING {
-            return Ok(None);
-        }
-        let len = ctx.read_u64(slot.offset(8))? as usize;
-        if len > self.slot_stride - 16 {
-            return Ok(None); // corrupt publication; never acknowledged
-        }
-        let mut packed = vec![0u8; len];
-        ctx.read(slot.offset(16), &mut packed)?;
-        Ok(unpack_ops(&packed).map(|ops| Pending { node, ops }))
-    }
-
-    /// Decode one slot image (`slot_stride` bytes, as read from the
-    /// fabric) if it is `PENDING`. A corrupt length or framing reads as
-    /// not pending: the publication is never acknowledged.
-    fn decode_slot(&self, node: usize, image: &[u8]) -> Option<Pending> {
-        let word =
-            |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().expect("8-byte slot word"));
-        if word(0) != SLOT_PENDING {
-            return None;
-        }
-        let packed = image.get(16..)?.get(..usize::try_from(word(8)).ok()?)?;
-        unpack_ops(packed).map(|ops| Pending { node, ops })
-    }
-
-    /// The combine-path scan: one fabric read of the summary mask, then
-    /// **one** invalidate and **one** burst read over the span from the
-    /// first to the last flagged slot (slots are contiguous at
-    /// `slot_stride`), decoded in node order (deterministic batch
-    /// order). Returns the publications plus the mask bits they cover
-    /// (the caller clears those bits once the slots are resolved). An
-    /// empty combine costs one fabric read, not a slot sweep.
+    /// The scan, for a combine and for recovery: **one** invalidate and
+    /// **one** burst read over every header line, then one more over the
+    /// overflow span of the pending headers that spilled; publications
+    /// decode in node order (deterministic batch order). `skip` is a
+    /// combiner whose own op rides the batch unpublished. A corrupt
+    /// length or framing reads as not pending: the publication is never
+    /// acknowledged.
     ///
-    /// Unflagged slots that lie inside the span ride along; that is safe
-    /// because the combiner's cache never holds them dirty (its own
-    /// publications and earlier consumed marks were flushed, and the
-    /// combiner holds its node's publisher lock), so the invalidate
-    /// discards nothing.
-    fn scan_pending_masked(
-        &self,
-        ctx: &NodeCtx,
-        skip: Option<usize>,
-    ) -> Result<(Vec<Pending>, u64), SimError> {
-        let mut mask = self.pending_mask.load(ctx)?;
-        if let Some(me) = skip {
-            mask &= !(1 << me);
+    /// The invalidates discard nothing: the scanner's cache never holds
+    /// a header or overflow line dirty (publications and marks are
+    /// flushed as they are written, and a combiner holds its node's
+    /// publisher lock).
+    fn scan_pending(&self, ctx: &NodeCtx, skip: Option<usize>) -> Result<Vec<Pending>, SimError> {
+        let mut image = vec![0u8; self.slot_locks.len() * LINE_SIZE];
+        ctx.invalidate(self.slots, image.len());
+        ctx.read(self.slots, &mut image)?;
+        let word = |h: &[u8], at: usize| u64::from_le_bytes(h[at..at + 8].try_into().expect("8 B"));
+        let cap = (INLINE + self.spill_stride) as u64;
+        // `(node, header line, packed length)` of each pending header.
+        let headers: Vec<(usize, &[u8], usize)> = (image.chunks(LINE_SIZE).enumerate())
+            .filter(|&(node, h)| Some(node) != skip && word(h, 0) == SLOT_PENDING)
+            .filter(|&(_, h)| word(h, 8) <= cap)
+            .map(|(node, h)| (node, h, word(h, 8) as usize))
+            .collect();
+        let spilled: Vec<usize> = (headers.iter().filter(|h| h.2 > INLINE).map(|h| h.0)).collect();
+        let lo = spilled.first().copied().unwrap_or(0);
+        let mut spill = Vec::new();
+        if let Some(&hi) = spilled.last() {
+            spill.resize((hi - lo + 1) * self.spill_stride, 0);
+            ctx.invalidate(self.spill_addr(lo), spill.len());
+            ctx.read(self.spill_addr(lo), &mut spill)?;
         }
-        if mask == 0 {
-            return Ok((Vec::new(), 0));
-        }
-        let first = mask.trailing_zeros() as usize;
-        let last = 63 - mask.leading_zeros() as usize;
-        let mut image = vec![0u8; (last - first + 1) * self.slot_stride];
-        ctx.invalidate(self.slot_addr(first), image.len());
-        ctx.read(self.slot_addr(first), &mut image)?;
         let mut out = Vec::new();
-        let mut bits = 0u64;
-        for node in first..=last {
-            if mask & (1 << node) == 0 {
-                continue;
+        for (node, h, len) in headers {
+            let mut packed = h[16..16 + len.min(INLINE)].to_vec();
+            if len > INLINE {
+                let at = (node - lo) * self.spill_stride;
+                packed.extend_from_slice(&spill[at..at + len - INLINE]);
             }
-            // A flagged slot that is not (yet) PENDING keeps its bit: a
-            // later combine picks it up once the publish lands.
-            let at = (node - first) * self.slot_stride;
-            if let Some(p) = self.decode_slot(node, &image[at..at + self.slot_stride]) {
-                bits |= 1 << node;
-                out.push(p);
-            }
+            out.extend(unpack_ops(&packed).map(|ops| Pending { node, ops }));
         }
-        Ok((out, bits))
+        Ok(out)
     }
 
-    /// Clear resolved publication bits from the summary mask (wrapping
-    /// subtract keeps concurrently-raised bits intact).
-    fn clear_mask_bits(&self, ctx: &NodeCtx, bits: u64) -> Result<(), SimError> {
-        if bits != 0 {
-            self.pending_mask.fetch_add(ctx, bits.wrapping_neg())?;
-        }
-        Ok(())
-    }
-
-    /// Tell `node`'s publisher its op landed at `idx`, one slot at a
+    /// Tell `node`'s publisher its op landed at `idx`, one header at a
     /// time (the recovery drain; a live combine marks its whole batch
-    /// with one flush). The slot line is resident from the scan, so this
-    /// is a cached write plus a line write-back, not an uncached store.
+    /// with one flush). The header line is resident from the scan, so
+    /// this is a cached write plus a line write-back, not an uncached
+    /// store.
     fn mark_consumed(&self, ctx: &NodeCtx, node: usize, idx: u64) -> Result<(), SimError> {
         let slot = self.slot_addr(node);
         ctx.write_u64(slot, consumed_word(idx))?;
@@ -280,7 +251,7 @@ impl<T: SyncState> SyncCell<T> {
     }
 
     /// Abort pending publications (log full): publishers polling their
-    /// slot see `FREE` and surface the error; nothing was acknowledged.
+    /// header see `FREE` and surface the error; nothing was acknowledged.
     fn abort_slots(&self, ctx: &NodeCtx, pend: &[Pending]) -> Result<(), SimError> {
         for p in pend {
             ctx.store_uncached_u64(self.slot_addr(p.node), SLOT_FREE)?;
@@ -288,9 +259,9 @@ impl<T: SyncState> SyncCell<T> {
         Ok(())
     }
 
-    /// The combine: drain pending slots (plus the combiner's own unpub-
-    /// lished op), append the batch with one tail CAS, mark the drained
-    /// slots consumed, and fold the batch into the authoritative state.
+    /// The combine: drain pending publications (plus the combiner's own
+    /// unpublished op), append the batch with one tail CAS, mark the
+    /// drained headers consumed, and fold the batch into the authoritative state.
     /// `f` runs on the state right after the combiner's own op applies.
     /// Returns `(own op's index, f's output, ops combined)`.
     fn combine_locked<R>(
@@ -299,7 +270,7 @@ impl<T: SyncState> SyncCell<T> {
         own: Option<(usize, &[u8])>,
         f: impl FnOnce(&T) -> R,
     ) -> Result<(Option<u64>, Option<R>, u64), SimError> {
-        let (pend, bits) = self.scan_pending_masked(ctx, own.map(|(me, _)| me))?;
+        let pend = self.scan_pending(ctx, own.map(|(me, _)| me))?;
         let mut payloads: Vec<&[u8]> = Vec::with_capacity(pend.len() + 1);
         payloads.extend(own.map(|(_, framed)| framed));
         payloads.extend(pend.iter().flat_map(|p| p.ops.iter().map(Vec::as_slice)));
@@ -312,15 +283,14 @@ impl<T: SyncState> SyncCell<T> {
             Ok(first) => first,
             Err(e) => {
                 self.abort_slots(ctx, &pend)?;
-                self.clear_mask_bits(ctx, bits)?;
                 return Err(e);
             }
         };
-        // Mark the slots before folding: once the batch is committed, no
+        // Mark the headers before folding: once the batch is committed, no
         // error on the fold may leave a committed publication `PENDING`
         // (recovery searches the log for those only on a takeover). A
         // publication's ops land consecutively; the consumed word carries
-        // the first index. The slot lines are resident from the scan, so
+        // the first index. The header lines are resident from the scan, so
         // these are cached writes.
         let mut idx = first + u64::from(own.is_some());
         for p in &pend {
@@ -328,15 +298,11 @@ impl<T: SyncState> SyncCell<T> {
             idx += p.ops.len() as u64;
         }
         // One flush makes every mark visible (`pend` is in node order).
-        // It also covers the unflagged slots in between: those were never
+        // It also covers the unmarked headers in between: those were never
         // written here, so they are clean and the flush only drops them.
         if let (Some(lo), Some(hi)) = (pend.first(), pend.last()) {
-            ctx.flush(
-                self.slot_addr(lo.node),
-                (hi.node - lo.node) * self.slot_stride + 8,
-            );
+            ctx.flush(self.slot_addr(lo.node), (hi.node - lo.node) * LINE_SIZE + 8);
         }
-        self.clear_mask_bits(ctx, bits)?;
         // Fold committed entries older than the batch before the batch
         // itself, so log order and apply order agree.
         self.drain_to(ctx, &mut inner, first)?;
@@ -395,7 +361,7 @@ impl<T: SyncState> SyncCell<T> {
             self.post_op(ctx, &mut inner, me, false, false)?;
             return Ok((idx, out));
         }
-        // Waiter: publish, then alternate between polling the slot and
+        // Waiter: publish, then alternate between polling the header and
         // re-trying the claim (the active combiner may miss us).
         self.publish_slot(ctx, me, &pack_ops(std::slice::from_ref(&framed)))?;
         // NUMA tie-break: a waiter defers its first `distance` re-claims,
@@ -600,7 +566,8 @@ impl<T: SyncState> SyncCell<T> {
     ///
     /// The claim is `CAS(0 → me)` first; its return value names the
     /// holder, so only a dead holder costs a second `CAS(dead → me)`. A
-    /// live holder elsewhere owns the slots and recovery leaves them.
+    /// live holder elsewhere owns the publications and recovery leaves
+    /// them.
     pub(super) fn nr_recover(
         &self,
         ctx: &NodeCtx,
@@ -618,7 +585,7 @@ impl<T: SyncState> SyncCell<T> {
             return Ok(false);
         }
         self.note_combiner_claim(ctx);
-        let res = self.nr_recover_drain(ctx, crashed.0, takeover);
+        let res = self.nr_recover_drain(ctx, takeover);
         let released = self.combiner.store(ctx, 0);
         let tail = res?;
         released?;
@@ -628,12 +595,8 @@ impl<T: SyncState> SyncCell<T> {
         Ok(takeover)
     }
 
-    /// Resolve the pending publications: the slots the summary mask
-    /// flags, plus the dead node's own slot when the mask scan did not
-    /// resolve it (a publisher that died between its flush and its mask
-    /// `fetch_add` never raises its bit; a live one still will, and a
-    /// later combine takes its slot). Only the bits the mask scan
-    /// resolved are cleared.
+    /// Resolve the pending publications: every `PENDING` header, the
+    /// dead node's among them, through the combine's scan.
     ///
     /// On a `takeover` the dead combiner may have appended its batch
     /// before dying, so one range pass over the committed window finds
@@ -642,23 +605,12 @@ impl<T: SyncState> SyncCell<T> {
     /// a combine marks its slots before anything after its append can
     /// fail, so the search is skipped. Returns the new tail when
     /// something was appended.
-    fn nr_recover_drain(
-        &self,
-        ctx: &NodeCtx,
-        dead: usize,
-        takeover: bool,
-    ) -> Result<Option<u64>, SimError> {
-        let (mut pend, bits) = self.scan_pending_masked(ctx, None)?;
-        if bits & (1 << dead) == 0 {
-            if let Some(p) = self.read_slot(ctx, dead)? {
-                let at = pend.partition_point(|q| q.node < dead);
-                pend.insert(at, p);
-            }
-        }
+    fn nr_recover_drain(&self, ctx: &NodeCtx, takeover: bool) -> Result<Option<u64>, SimError> {
+        let pend = self.scan_pending(ctx, None)?;
         if pend.is_empty() {
             return Ok(None);
         }
-        // Dedup on each publication's *first* op: a slot's ops were
+        // Dedup on each publication's *first* op: its ops were
         // appended together (the batch append is all-or-nothing and keeps
         // them adjacent), so either every op committed or none did.
         // `(key, committed at, publication)`.
@@ -717,18 +669,16 @@ impl<T: SyncState> SyncCell<T> {
                 }
                 Err(e) => {
                     self.abort_slots(ctx, &fresh)?;
-                    self.clear_mask_bits(ctx, bits)?;
                     return Err(e);
                 }
             }
         }
-        self.clear_mask_bits(ctx, bits)?;
         Ok(tail)
     }
 
     // ----- split-protocol hooks (flac-faultstorm / flac-bench sync) -----
 
-    /// Publish `op` into this node's slot and return, without waiting
+    /// Publish `op` from this node and return, without waiting
     /// for a combiner. Drives the protocol one step at a time from the
     /// fault-storm campaigns and the scaling bench. Returns the
     /// publication's dedup key.
@@ -740,9 +690,9 @@ impl<T: SyncState> SyncCell<T> {
         Ok(self.nr_publish_batch(ctx, &[op])?[0])
     }
 
-    /// Publish a *batch* of ops as one publication: one flush and one
-    /// fabric atomic carry the whole list, and the combiner consumes it
-    /// with one slot write — the publication-side half of flat
+    /// Publish a *batch* of ops as one publication: one header flush (and
+    /// one overflow flush when it spills) carries the whole list, and the
+    /// combiner consumes it with one header write — the publication-side half of flat
     /// combining's amortization. The ops land at consecutive log
     /// indices starting at the index [`SyncCell::nr_poll`] reports.
     /// Returns the per-op dedup keys.
@@ -780,18 +730,18 @@ impl<T: SyncState> SyncCell<T> {
             framed.push(f);
         }
         let packed = pack_ops(&framed);
-        if packed.len() > self.slot_stride - 16 {
+        if packed.len() > INLINE + self.spill_stride {
             return Err(SimError::Protocol(format!(
                 "publication batch of {} bytes exceeds slot capacity {}",
                 packed.len(),
-                self.slot_stride - 16
+                INLINE + self.spill_stride
             )));
         }
         Ok((keys, packed))
     }
 
     /// Claim the combiner role, run one full combine over the published
-    /// slots, release. Returns the number of ops combined.
+    /// headers, release. Returns the number of ops combined.
     ///
     /// # Errors
     ///
@@ -801,7 +751,7 @@ impl<T: SyncState> SyncCell<T> {
         let me = self.me(ctx);
         // As on the update path, the combiner holds its node's publisher
         // lock: no same-node publication can sit dirty in the cache the
-        // slot-span invalidate and flush sweep.
+        // header-span invalidate and flush sweep.
         let _publisher = self.slot_locks[me].lock();
         if self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? != 0 {
             return Err(SimError::Protocol("combiner role already claimed".into()));
@@ -819,7 +769,7 @@ impl<T: SyncState> SyncCell<T> {
         Ok(combined)
     }
 
-    /// Poll this node's publication slot: `Some(first log index)` once
+    /// Poll this node's publication header: `Some(first log index)` once
     /// a combiner consumed it (a batch publication's ops occupy
     /// consecutive indices from there), `None` while still pending.
     ///
@@ -838,24 +788,24 @@ impl<T: SyncState> SyncCell<T> {
         Ok(None)
     }
 
-    /// Crash hook: the publisher writes and flushes `op` into its slot,
-    /// then dies **before raising its summary-mask bit**. The slot is
-    /// `PENDING` but no mask scan will ever flag it; only recovery for
-    /// this node reads it. Returns the publication's dedup key.
+    /// The nodes whose publication header reads `PENDING` (one uncached
+    /// load per header), for diagnostics and tests that check every
+    /// publication settles.
     ///
     /// # Errors
     ///
-    /// As [`SyncCell::nr_publish`].
-    pub fn nr_publish_crash_before_mask(&self, ctx: &NodeCtx, op: &[u8]) -> Result<u64, SimError> {
-        let me = self.me(ctx);
-        let _publisher = self.slot_locks[me].lock();
-        let (keys, packed) = self.pack_publication(me, &[op])?;
-        self.write_slot(ctx, me, &packed)?;
-        // Crash: the mask `fetch_add` never runs.
-        Ok(keys[0])
+    /// Propagates memory errors.
+    pub fn pending_publishers(&self, ctx: &NodeCtx) -> Result<Vec<NodeId>, SimError> {
+        let mut out = Vec::new();
+        for node in 0..self.slot_locks.len() {
+            if ctx.load_uncached_u64(self.slot_addr(node))? == SLOT_PENDING {
+                out.push(NodeId(node));
+            }
+        }
+        Ok(out)
     }
 
-    /// Crash hook: the combiner claims the role and scans the slots,
+    /// Crash hook: the combiner claims the role and scans the headers,
     /// then dies **before the tail CAS**. Nothing is committed; every
     /// publication stays `PENDING` and the combiner word stays claimed
     /// by this node. Returns the number of publications stranded.
@@ -868,12 +818,12 @@ impl<T: SyncState> SyncCell<T> {
         if self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? != 0 {
             return Err(SimError::Protocol("combiner role already claimed".into()));
         }
-        let (pend, _) = self.scan_pending_masked(ctx, None)?;
+        let pend = self.scan_pending(ctx, None)?;
         Ok(pend.iter().map(|p| p.ops.len() as u64).sum())
     }
 
     /// Crash hook: the combiner appends the batch (tail CAS + committed
-    /// entries), then dies **before consuming any slot or releasing the
+    /// entries), then dies **before marking any header or releasing the
     /// role**. Publications stay `PENDING` while their ops are already
     /// committed — the double-apply trap recovery's dedup must defuse.
     /// Returns the number of ops committed.
@@ -887,7 +837,7 @@ impl<T: SyncState> SyncCell<T> {
         if self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? != 0 {
             return Err(SimError::Protocol("combiner role already claimed".into()));
         }
-        let (pend, _) = self.scan_pending_masked(ctx, None)?;
+        let pend = self.scan_pending(ctx, None)?;
         if pend.is_empty() {
             return Ok(0);
         }
@@ -896,7 +846,7 @@ impl<T: SyncState> SyncCell<T> {
             .flat_map(|p| p.ops.iter().map(Vec::as_slice))
             .collect();
         self.log.append_batch(ctx, &payloads)?;
-        // Crash: no slot consumed, no authoritative fold, role not
+        // Crash: no header marked, no authoritative fold, role not
         // released.
         Ok(payloads.len() as u64)
     }
@@ -951,9 +901,9 @@ mod tests {
         }
         let atomics_before = rack.node(0).stats().snapshot().global_atomics;
         assert_eq!(c.nr_combine(&rack.node(0)).unwrap(), 3);
-        // Claim CAS + one tail CAS for the whole batch + mask clear.
+        // Claim CAS + one tail CAS for the whole batch.
         let atomics = rack.node(0).stats().snapshot().global_atomics - atomics_before;
-        assert_eq!(atomics, 3, "claim + tail CAS + mask clear, nothing per-op");
+        assert_eq!(atomics, 2, "claim + tail CAS, nothing per-op");
         for n in 1..4u64 {
             assert_eq!(c.nr_poll(&rack.node(n as usize)).unwrap(), Some(n - 1));
         }
@@ -973,8 +923,8 @@ mod tests {
         c.nr_publish_batch(&n1, &[&op(1, 10), &op(1, 11)]).unwrap();
         assert_eq!(
             n1.stats().snapshot().global_atomics - before,
-            1,
-            "one fabric atomic publishes the whole batch"
+            0,
+            "publishing the whole batch takes no fabric atomic"
         );
         c.nr_publish(&rack.node(2), &op(2, 20)).unwrap();
         assert_eq!(c.nr_combine(&rack.node(0)).unwrap(), 3);
@@ -1089,38 +1039,150 @@ mod tests {
     fn dead_publisher_slot_drains_on_recovery() {
         let rack = Rack::new(RackConfig::n_node(4));
         let c = nr_cell(&rack);
-        c.nr_publish(&rack.node(2), &op(2, 7)).unwrap();
-        rack.faults().crash_node(rack_sim::NodeId(2), 0);
-        // No combiner was involved; recovery still commits the orphan.
-        c.on_node_crash(&rack.node(0), rack_sim::NodeId(2)).unwrap();
-        assert_eq!(c.committed(&rack.node(0)).unwrap(), 1);
-        assert_eq!(c.peek(|t| t.per_node.clone()), vec![(2, 7)]);
-    }
-
-    #[test]
-    fn publisher_dead_before_its_mask_bit_drains_once_and_clears_the_mask() {
-        let rack = Rack::new(RackConfig::n_node(4));
-        let c = nr_cell(&rack);
         let n0 = rack.node(0);
         c.nr_publish(&rack.node(1), &op(1, 1)).unwrap();
-        // Node 2's slot is PENDING, but its summary bit never rises.
-        c.nr_publish_crash_before_mask(&rack.node(2), &op(2, 2))
-            .unwrap();
+        c.nr_publish(&rack.node(2), &op(2, 7)).unwrap();
         rack.faults().crash_node(rack_sim::NodeId(2), 0);
-        assert_eq!(c.summary_mask().load(&n0).unwrap(), 0b010);
+        let pending = c.pending_publishers(&n0).unwrap();
+        assert_eq!(pending, [rack_sim::NodeId(1), rack_sim::NodeId(2)]);
+        // No combiner was involved; recovery still commits the orphan,
+        // and the live publication beside it.
         assert!(!c.on_node_crash(&n0, rack_sim::NodeId(2)).unwrap());
-        assert_eq!(
-            c.summary_mask().load(&n0).unwrap(),
-            0,
-            "recovery clears only the bits it resolved"
-        );
+        assert_eq!(c.pending_publishers(&n0).unwrap(), []);
         assert_eq!(c.nr_poll(&rack.node(1)).unwrap(), Some(0));
-        assert_eq!(c.peek(|t| t.per_node.clone()), vec![(1, 1), (2, 2)]);
+        assert_eq!(c.peek(|t| t.per_node.clone()), vec![(1, 1), (2, 7)]);
         // Nothing is left for a later combine to apply a second time.
         assert_eq!(c.nr_combine(&rack.node(3)).unwrap(), 0);
         assert_eq!(c.committed(&n0).unwrap(), 2);
         let (rebuilt, replayed) = c.replay(&n0, Tally::default()).unwrap();
         assert_eq!(replayed, 2);
+        assert_eq!(c.peek(|t| t.clone()), rebuilt);
+    }
+
+    /// `node`'s op `step`, padded to `len` bytes.
+    fn long_op(node: u32, step: u32, len: usize) -> Vec<u8> {
+        let mut v = op(node, step);
+        v.resize(len, 0xA5);
+        v
+    }
+
+    /// 128-byte log entries: a publication carries up to 176 packed
+    /// bytes, 48 in its header line and 128 in its overflow area.
+    fn spill_cell(rack: &Rack) -> Arc<SyncCell<Tally>> {
+        SyncCell::alloc(
+            rack.global(),
+            "test_nr_spill",
+            SyncCellConfig::new(rack.node_count(), SyncPolicy::NodeReplicated).with_log(64, 128),
+            Tally::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn spilled_publications_drain_through_one_overflow_burst() {
+        use rack_sim::{AddrClass, OpKind};
+        let rack = Rack::new(RackConfig::n_node(4));
+        let c = spill_cell(&rack);
+        // Nodes 0 and 3 spill (a 100-byte op; a pair of 40-byte ops), node
+        // 2 fits its header, node 1 publishes nothing.
+        c.nr_publish(&rack.node(0), &long_op(0, 1, 100)).unwrap();
+        c.nr_publish(&rack.node(2), &op(2, 2)).unwrap();
+        c.nr_publish_batch(&rack.node(3), &[&long_op(3, 3, 40), &long_op(3, 4, 40)])
+            .unwrap();
+        let combiner = rack.node(1);
+        rack.enable_tracing();
+        assert_eq!(c.nr_combine(&combiner).unwrap(), 4);
+        rack.disable_tracing();
+        let bursts = (combiner.stats().trace().events().iter())
+            .filter(|e| e.kind == OpKind::Read && e.addr_class == AddrClass::Global)
+            .count();
+        assert_eq!(
+            bursts, 2,
+            "one burst over the headers, one over the overflow span"
+        );
+        assert_eq!(c.nr_poll(&rack.node(0)).unwrap(), Some(0));
+        assert_eq!(c.nr_poll(&rack.node(2)).unwrap(), Some(1));
+        assert_eq!(c.nr_poll(&rack.node(3)).unwrap(), Some(2));
+        assert_eq!(
+            c.peek(|t| t.per_node.clone()),
+            vec![(0, 1), (2, 2), (3, 3), (3, 4)]
+        );
+        // A batch past the header plus the overflow area is refused.
+        let err = c.nr_publish_batch(&rack.node(1), &[&long_op(1, 5, 100), &long_op(1, 6, 100)]);
+        assert!(matches!(err, Err(rack_sim::SimError::Protocol(_))));
+    }
+
+    #[test]
+    fn a_publisher_dead_between_its_overflow_and_its_header_publishes_nothing() {
+        use super::INLINE;
+        let rack = Rack::new(RackConfig::n_node(4));
+        let c = spill_cell(&rack);
+        let (n0, n2) = (rack.node(0), rack.node(2));
+        let big = long_op(2, 7, 100);
+        let (_, packed) = c.pack_publication(2, &[&big]).unwrap();
+        assert!(packed.len() > INLINE, "the publication spills");
+        // The overflow half of a publication, flushed; then the crash,
+        // before the header is written.
+        let spill = &packed[INLINE..];
+        n2.write(c.spill_addr(2), spill).unwrap();
+        n2.flush(c.spill_addr(2), spill.len());
+        rack.faults().crash_node(rack_sim::NodeId(2), 0);
+        assert!(!c.on_node_crash(&n0, rack_sim::NodeId(2)).unwrap());
+        assert_eq!(c.committed(&n0).unwrap(), 0, "never applied");
+        assert_eq!(c.pending_publishers(&n0).unwrap(), []);
+        assert_eq!(c.nr_combine(&rack.node(1)).unwrap(), 0);
+        // The restarted publisher's next publication lands once.
+        rack.faults().restart_node(rack_sim::NodeId(2), 0);
+        c.nr_publish(&n2, &long_op(2, 8, 100)).unwrap();
+        assert_eq!(c.nr_combine(&rack.node(1)).unwrap(), 1);
+        assert_eq!(c.nr_poll(&n2).unwrap(), Some(0));
+        assert_eq!(c.peek(|t| t.per_node.clone()), vec![(2, 8)]);
+    }
+
+    #[test]
+    fn combiner_dead_after_its_marks_leaves_every_later_op_landing_once() {
+        let rack = Rack::new(RackConfig::n_node(4));
+        let c = nr_cell(&rack);
+        let (n0, n3) = (rack.node(0), rack.node(3));
+        // Four committed entries no fold has applied yet (log lines 0..3
+        // exactly), so the combine below has an older fold to die in.
+        let early: Vec<Vec<u8>> = (0..4)
+            .map(|i| super::super::frame_op(3, 1000 + i, &op(3, 1000 + i)))
+            .collect();
+        c.op_log().append_batch(&n0, &early).unwrap();
+        c.nr_publish(&rack.node(1), &op(1, 1)).unwrap();
+        c.nr_publish(&rack.node(2), &op(2, 2)).unwrap();
+        // Node 3 claims the role, appends, marks and flushes the marks,
+        // then dies before it folds or releases: the poisoned entry stops
+        // its fold right after the marks.
+        let flag = c.op_log().base();
+        let word = rack.global().load_u64(flag).unwrap();
+        rack.global().poison(flag, 8);
+        assert_eq!(c.combiner.compare_exchange(&n3, 0, 4).unwrap(), 0);
+        assert!(c.combine_locked(&n3, None, |_| ()).is_err());
+        rack.faults().crash_node(rack_sim::NodeId(3), 0);
+        rack.global().scrub(flag, 8);
+        rack.global().store_u64(flag, word).unwrap();
+        assert_eq!(c.pending_publishers(&n0).unwrap(), []);
+        // Recovery takes the role over and has nothing to re-append.
+        assert!(c.on_node_crash(&n0, rack_sim::NodeId(3)).unwrap());
+        assert_eq!(c.committed(&n0).unwrap(), 6);
+        rack.faults().restart_node(rack_sim::NodeId(3), 0);
+        // A full round: every node publishes, one node combines.
+        for n in 0..4u32 {
+            c.nr_publish(&rack.node(n as usize), &op(n, 10 + n))
+                .unwrap();
+        }
+        assert_eq!(c.nr_combine(&rack.node(1)).unwrap(), 4);
+        for n in 0..4u64 {
+            assert_eq!(c.nr_poll(&rack.node(n as usize)).unwrap(), Some(6 + n));
+        }
+        assert_eq!(c.pending_publishers(&n0).unwrap(), []);
+        let mut expected: Vec<(u32, u32)> = (1000..1004).map(|s| (3, s)).collect();
+        expected.extend([(1, 1), (2, 2), (0, 10), (1, 11), (2, 12), (3, 13)]);
+        assert_eq!(c.peek(|t| t.per_node.clone()), expected);
+        let (rebuilt, replayed) = c.replay(&n0, Tally::default()).unwrap();
+        assert_eq!(replayed, 10);
         assert_eq!(c.peek(|t| t.clone()), rebuilt);
     }
 
@@ -1149,7 +1211,7 @@ mod tests {
         // The marks went out before the fold: nothing is left PENDING.
         assert_eq!(c.nr_poll(&rack.node(1)).unwrap(), Some(4));
         assert_eq!(c.nr_poll(&rack.node(2)).unwrap(), Some(5));
-        assert_eq!(c.summary_mask().load(&n0).unwrap(), 0);
+        assert_eq!(c.pending_publishers(&n0).unwrap(), []);
         rack.global().scrub(flag, 8);
         rack.global().store_u64(flag, word).unwrap();
         // Recovery from a free role skips the log search; it must not

@@ -517,12 +517,12 @@ fn combine_scans_and_marks_the_publication_slots_in_one_span_each() {
     assert_eq!(
         count(OpKind::Read, AddrClass::Global),
         1,
-        "one span read covers all three flagged slots"
+        "one burst reads every header line"
     );
     assert_eq!(
         count(OpKind::Invalidate, AddrClass::Global),
         2,
-        "one invalidate ahead of the span read, one ahead of the batch's entry writes"
+        "one invalidate ahead of the header read, one ahead of the batch's entry writes"
     );
     assert_eq!(
         count(OpKind::Flush, AddrClass::Global),
@@ -635,8 +635,9 @@ fn recovering_a_stranded_publication_from_a_free_role_reads_no_log_window() {
     let [ns, reads, atomics, spans] = nr_recovery_cost(&cell, &rack, false);
     let expected = lat.global_read_ns // the committed-tail probe
         + lat.global_atomic_ns // the claim CAS
-        + lat.global_read_ns // the mask load
-        + lat.global_read_ns // one burst over the flagged slot span
+        // One burst over the four header lines.
+        + lat.global_read_ns
+        + 3 * lat.transfer_ns(LINE_SIZE)
         // The append: tail and head loads, the tail CAS, the entry's
         // three cached writes (the first fills its line), one flush.
         + 2 * lat.global_read_ns
@@ -644,22 +645,21 @@ fn recovering_a_stranded_publication_from_a_free_role_reads_no_log_window() {
         + lat.global_read_ns
         + 2 * lat.cache_hit_ns
         + flush
-        + lat.cache_hit_ns // the mark, a hit on the scanned slot line
+        + lat.cache_hit_ns // the mark, a hit on the scanned header line
         + flush // and its flush
-        + lat.global_atomic_ns // the mask clear
         + lat.global_write_ns // the release
         + lat.global_read_ns // the fold: one burst to the appended tail
         + lat.local_write_ns; // and one apply
     assert_eq!(ns, expected);
-    assert_eq!(ns, 6_559, "HCCS figure");
-    // Probe, mask, slot span, append's tail and head, fold.
-    assert_eq!(reads, 6);
-    assert_eq!(atomics, 3, "claim, tail CAS, mask clear");
-    assert_eq!(spans, 2, "slot span and fold: no log-window read");
+    assert_eq!(ns, 5_388, "HCCS figure");
+    // Probe, header burst, append's tail and head, fold.
+    assert_eq!(reads, 5);
+    assert_eq!(atomics, 2, "claim, tail CAS");
+    assert_eq!(spans, 2, "header burst and fold: no log-window read");
     rack.faults().restart_node(rack_sim::NodeId(3), 0);
     assert_eq!(cell.nr_poll(&rack.node(3)).unwrap(), Some(0));
     assert_eq!(cell.peek(|c| c.0), 1);
-    assert_eq!(cell.summary_mask().load(&rack.node(0)).unwrap(), 0);
+    assert_eq!(cell.pending_publishers(&rack.node(0)).unwrap(), []);
 }
 
 #[test]
@@ -673,19 +673,50 @@ fn recovering_after_a_combiner_died_past_its_append_reads_the_log_window_once() 
     );
     rack.faults().crash_node(rack_sim::NodeId(3), 0);
     let [_, _, atomics, spans] = nr_recovery_cost(&cell, &rack, true);
+    assert_eq!(atomics, 2, "the failed CAS from free, the takeover CAS");
+    // The dead combiner's own header rides the header burst.
     assert_eq!(
-        atomics, 3,
-        "the failed CAS from free, the takeover CAS, mask clear"
-    );
-    // The dead combiner never published, so its unflagged slot costs a
-    // read of its own.
-    assert_eq!(
-        spans, 4,
-        "the committed-tail fold, the slot span, the dead node's slot and one window pass"
+        spans, 3,
+        "the committed-tail fold, the header burst and one window pass"
     );
     assert_eq!(cell.nr_poll(&rack.node(2)).unwrap(), Some(0));
     assert_eq!(cell.committed(&rack.node(0)).unwrap(), 1, "no re-append");
     assert_eq!(cell.peek(|c| c.0), 1);
+}
+
+#[test]
+fn an_idle_self_combine_reads_every_header_line_in_one_burst() {
+    let rack = Rack::new(RackConfig::n_node(8).with_global_mem(1 << 20));
+    let cell = SyncCell::alloc(
+        rack.global(),
+        "nr_idle",
+        SyncCellConfig::new(8, SyncPolicy::NodeReplicated).with_log(16, 48),
+        OpCount::default(),
+    )
+    .unwrap();
+    let node = rack.node(0);
+    let lat = node.latency().clone();
+    // `(simulated ns, global reads, global bytes)` of one idle combine.
+    let idle = || {
+        let (t, before) = (node.clock().now(), node.stats().snapshot());
+        assert_eq!(cell.nr_combine(&node).unwrap(), 0);
+        let after = node.stats().snapshot();
+        [
+            node.clock().now() - t,
+            after.global_reads - before.global_reads,
+            after.global_bytes - before.global_bytes,
+        ]
+    };
+    // The claim CAS, one burst over the eight header lines, the release.
+    let burst = lat.global_read_ns + 7 * lat.transfer_ns(LINE_SIZE);
+    let bare = lat.global_atomic_ns + burst + lat.global_write_ns;
+    let bytes = (8 * LINE_SIZE + 8) as u64; // the header lines, the release word
+    assert_eq!(idle(), [bare, 1, bytes]);
+    // The scan left the header lines resident: the next one invalidates
+    // all eight first.
+    let warm = lat.invalidate_line_ns + 7 * lat.invalidate_extra_line_ns;
+    assert_eq!(idle(), [bare + warm, 1, bytes]);
+    assert_eq!([bare, bare + warm], [1_621, 1_665], "HCCS figures");
 }
 
 /// `[global reads, global writes, simulated ns]` `node` spends in `f`.

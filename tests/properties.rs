@@ -415,6 +415,7 @@ fn oplog_range_reader_matches_per_entry_reads() {
 fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
     use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState, FRAME_BYTES};
     use rack_sim::NodeId;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Records every applied op, so loss, duplication and reordering all
     /// show.
@@ -440,28 +441,34 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
     }
 
     const NODES: usize = 5;
-    const ENTRY: usize = 48;
     /// A pending publication: publishing node, dedup keys, raw ops.
     type Publication = (usize, Vec<u64>, Vec<Vec<u8>>);
+    // Cases per crash window whose pending publications spilled past
+    // their 48-byte header.
+    let spilled: [AtomicUsize; 4] = Default::default();
 
     // Property: after any crash window — a combiner dead after its batch
     // append (publications committed but still pending), a combiner dead
-    // before it (nothing committed), a dead publisher, or a publisher dead
-    // between its slot flush and its summary bit — with holes
-    // left by crashed appenders, malformed entries, a wrapped ring and a
-    // collected head, `on_node_crash` (one range pass per walk) leaves
-    // exactly the state, fold position, hole count, slot marks and log
-    // tail that the per-entry algorithm computes with the bounds-checked
-    // `SharedOpLog::read`, one entry at a time, and a clear summary mask.
+    // before it (nothing committed), a dead publisher that may hold a
+    // flushed publication, or one that surely does — with holes left by
+    // crashed appenders, malformed entries, a wrapped ring and a
+    // collected head, and with 48-byte entries (publications fit their
+    // header line) or 128-byte entries and long ops (publications spill
+    // into the overflow area), `on_node_crash` (one range pass per walk)
+    // leaves exactly the state, fold position, hole count, publication
+    // marks and log tail that the per-entry algorithm computes with the
+    // bounds-checked `SharedOpLog::read`, one entry at a time, and no
+    // header `PENDING`.
     check(
         "node_replicated_recovery_drain_matches_a_per_entry_reference",
         |rng| {
             let rack = Rack::new(RackConfig::n_node(NODES).with_global_mem(1 << 20));
             let capacity = 24 + rng.gen_index(9); // 24..=32
+            let entry = [48, 128][rng.gen_index(2)];
             let cell = SyncCell::alloc(
                 rack.global(),
                 "prop_recover",
-                SyncCellConfig::new(NODES, SyncPolicy::NodeReplicated).with_log(capacity, ENTRY),
+                SyncCellConfig::new(NODES, SyncPolicy::NodeReplicated).with_log(capacity, entry),
                 Ledger::default(),
             )
             .unwrap();
@@ -470,12 +477,17 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
             let recoverer = (dead + 1 + rng.gen_index(NODES - 1)) % NODES;
             let observer = (0..NODES).find(|&n| n != dead && n != recoverer).unwrap();
             let obs = rack.node(observer);
+            // Up to 48 bytes of padding with 128-byte entries: two framed
+            // ops of a publication then reach 120 of its 176 packed bytes.
+            let pad = |rng: &mut SplitMix64| if entry > 48 { rng.gen_index(41) } else { 0 };
             let mut seq = 0u32;
-            let mut next_op = |node: usize| {
+            let mut next_op = |node: usize, pad: usize| {
                 seq += 1;
                 let mut e = Encoder::new();
                 e.put_u32(node as u32).put_u32(seq);
-                e.into_vec()
+                let mut op = e.into_vec();
+                op.resize(8 + pad, 0x5A);
+                op
             };
             let window = |obs: &rack_sim::NodeCtx| (log.head(obs).unwrap(), log.tail(obs).unwrap());
 
@@ -487,7 +499,8 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
                     continue;
                 }
                 let node = rng.gen_index(NODES);
-                cell.update(&rack.node(node), &next_op(node)).unwrap();
+                let op = next_op(node, pad(rng));
+                cell.update(&rack.node(node), &op).unwrap();
             }
             // Room for the crash window: two malformed entries, a dead
             // combiner's batch (at most two ops per node) and a re-append
@@ -510,17 +523,18 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
 
             // Publications, then the crash window.
             let mut pending: Vec<Publication> = Vec::new();
-            let mut publish = |rng: &mut SplitMix64,
-                               node: usize,
-                               pending: &mut Vec<Publication>| {
-                let ops: Vec<Vec<u8>> = (0..1 + rng.gen_index(2)).map(|_| next_op(node)).collect();
-                let refs: Vec<&[u8]> = ops.iter().map(Vec::as_slice).collect();
-                let keys = cell.nr_publish_batch(&rack.node(node), &refs).unwrap();
-                pending.push((node, keys, ops));
-            };
+            let mut publish =
+                |rng: &mut SplitMix64, node: usize, pending: &mut Vec<Publication>| {
+                    let ops: Vec<Vec<u8>> = (0..1 + rng.gen_index(2))
+                        .map(|_| next_op(node, pad(rng)))
+                        .collect();
+                    let refs: Vec<&[u8]> = ops.iter().map(Vec::as_slice).collect();
+                    let keys = cell.nr_publish_batch(&rack.node(node), &refs).unwrap();
+                    pending.push((node, keys, ops));
+                };
             let window_kind = rng.gen_index(4);
             for node in 0..NODES {
-                // Window 3's dead publisher publishes through the hook.
+                // Window 3's dead publisher publishes below.
                 if (node != dead || window_kind != 3) && rng.gen_ratio(0.5) {
                     publish(rng, node, &mut pending);
                 }
@@ -536,14 +550,12 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
                 }
                 2 => {}
                 _ => {
-                    // One op, flushed into the dead node's slot; its
-                    // summary bit never rises.
+                    // The dead node dies holding one flushed publication.
                     let mut e = Encoder::new();
                     e.put_u32(dead as u32).put_u32(u32::MAX);
-                    let op = e.into_vec();
-                    let key = cell
-                        .nr_publish_crash_before_mask(&rack.node(dead), &op)
-                        .unwrap();
+                    let mut op = e.into_vec();
+                    op.resize(8 + pad(rng), 0x5A);
+                    let key = cell.nr_publish(&rack.node(dead), &op).unwrap();
                     pending.push((dead, vec![key], vec![op]));
                 }
             }
@@ -555,13 +567,21 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
                 }
             }
             pending.sort_by_key(|p| p.0);
+            let packed = |ops: &[Vec<u8>]| {
+                ops.iter()
+                    .map(|op| 4 + FRAME_BYTES + op.len())
+                    .sum::<usize>()
+            };
+            if pending.iter().any(|p| packed(&p.2) > 48) {
+                spilled[window_kind].fetch_add(1, Ordering::Relaxed);
+            }
             malformed(rng);
             // Crashed appenders: claimed slots whose commit flag never
             // landed.
             let (head, tail) = window(&obs);
             for idx in head..tail {
                 if rng.gen_ratio(0.15) {
-                    let slot = (idx % capacity as u64) * ENTRY as u64;
+                    let slot = (idx % capacity as u64) * entry as u64;
                     rack.global().store_u64(log.base().offset(slot), 0).unwrap();
                 }
             }
@@ -605,17 +625,24 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
                 .unwrap();
             rack.faults().restart_node(NodeId(dead), 0);
             let ctx = format!(
-                "window {window_kind}, dead {dead}, capacity {capacity}, log [{head}, {tail})"
+                "window {window_kind}, dead {dead}, entry {entry}, capacity {capacity}, \
+                 log [{head}, {tail})"
             );
             assert_eq!(reelected, window_kind < 2, "{ctx}");
             assert_eq!(cell.peek(Ledger::clone), state, "state: {ctx}");
             assert_eq!(cell.fold_position(), (applied, holes), "fold: {ctx}");
             assert_eq!(cell.committed(&obs).unwrap(), fresh_at, "tail: {ctx}");
             let marks_after: Vec<_> = (0..NODES).map(|n| poll(&cell, &rack.node(n))).collect();
-            assert_eq!(marks_after, marks, "slot marks: {ctx}");
-            assert_eq!(cell.summary_mask().load(&obs).unwrap(), 0, "mask: {ctx}");
+            assert_eq!(marks_after, marks, "publication marks: {ctx}");
+            assert_eq!(cell.pending_publishers(&obs).unwrap(), [], "pending: {ctx}");
         },
     );
+    for (window, cases) in spilled.iter().enumerate() {
+        assert!(
+            cases.load(Ordering::Relaxed) > 0,
+            "window {window} never spilled"
+        );
+    }
 }
 
 /// 48-byte entries share cache lines, so a replica that stopped at a
