@@ -690,7 +690,7 @@ impl Hooks for RackStorm {
 /// stragglers are not awaited).
 fn shootdown_live(tlbs: &mut [Tlb], live: &[bool], asid: u64, vpn: u64) -> Result<(), SimError> {
     let peers: Vec<NodeId> = tlbs.iter().map(Tlb::node_id).collect();
-    let expected = tlbs[TIER_NODE].begin_shootdown(&peers, asid, vpn)?;
+    let expected = tlbs[TIER_NODE].begin_shootdown_range(&peers, asid, vpn, 1)?;
     for (i, tlb) in tlbs.iter_mut().enumerate() {
         if i != TIER_NODE && live[i] {
             tlb.service_shootdowns()?;

@@ -2,10 +2,8 @@
 //! plus the ablations DESIGN.md commits to.
 //!
 //! Each experiment module returns structured rows; the `figures` binary
-//! prints them as the paper-style tables, and the bench targets in
-//! `benches/` (built with `--features criterion`, running on the vendored
-//! [`harness`] module) wrap the same entry points so `cargo bench`
-//! exercises the identical code paths.
+//! prints them as the paper-style tables. Wall-clock speed is measured
+//! by the repo benchmark's `host_*` metrics (`benchmark/`), not here.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -34,7 +32,6 @@ pub mod fabric_ab;
 pub mod faultbox_ab;
 pub mod faultstorm;
 pub mod fig4;
-pub mod harness;
 pub mod ipc_ab;
 pub mod pagecache_ab;
 pub mod report;

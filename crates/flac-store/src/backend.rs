@@ -14,7 +14,6 @@
 //! count traffic.
 
 use crate::{chunk_hash, CHUNK_SIZE};
-use rack_sim::sync::Mutex;
 use rack_sim::{NodeCtx, SimError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,9 +76,12 @@ struct Blob {
 #[derive(Debug)]
 struct Shard {
     config: BackendConfig,
-    // coherent-local: host-side model of a *remote* backend's blob map —
-    // not rack state; all rack-visible cost is charged via `ctx`.
-    blobs: Mutex<HashMap<u64, Blob>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host-side model of a remote backend's blob map, not rack state; all \
+                  rack-visible cost is charged via `ctx`"
+    )]
+    blobs: rack_sim::sync::Mutex<HashMap<u64, Blob>>,
     requests: AtomicU64,
     chunks_shipped: AtomicU64,
     bytes_shipped: AtomicU64,
@@ -104,7 +106,7 @@ impl ShardedBackends {
                 .into_iter()
                 .map(|config| Shard {
                     config,
-                    blobs: Mutex::new(HashMap::new()),
+                    blobs: Default::default(),
                     requests: AtomicU64::new(0),
                     chunks_shipped: AtomicU64::new(0),
                     bytes_shipped: AtomicU64::new(0),

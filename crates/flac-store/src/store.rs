@@ -27,7 +27,7 @@ use crate::chunk_hash;
 use crate::index::{abort_op, claim_op, commit_op, ChunkIndexState, ChunkState};
 use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncRecover};
 use flacos_mem::dedup::PageDeduper;
-use rack_sim::sync::{Condvar, Mutex};
+use rack_sim::sync::Condvar;
 use rack_sim::{GAddr, GlobalMemory, NodeCtx, NodeId, SimError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -156,10 +156,13 @@ pub struct ChunkStore {
     backends: Arc<ShardedBackends>,
     dedup: Arc<PageDeduper>,
     claim_batch: usize,
-    // coherent-local: host-side wakeup channel for rack-wide fill
-    // waiting; the rack-visible protocol state is the SyncCell index,
-    // and waiters re-validate against it (charged) before returning.
-    fill_epoch: Mutex<u64>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host-side wakeup channel for rack-wide fill waiting; the rack-visible \
+                  protocol state is the SyncCell index, and waiters re-validate against \
+                  it (charged) before returning"
+    )]
+    fill_epoch: rack_sim::sync::Mutex<u64>,
     fetch_cv: Condvar,
     stats: StatCells,
 }
@@ -200,7 +203,7 @@ impl ChunkStore {
             backends,
             dedup,
             claim_batch: cfg.claim_batch,
-            fill_epoch: Mutex::new(0),
+            fill_epoch: Default::default(),
             fetch_cv: Condvar::new(),
             stats: StatCells::default(),
         }))

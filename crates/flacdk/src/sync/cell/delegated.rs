@@ -1,7 +1,7 @@
 //! The `Delegated` backend: one owner node executes every operation;
 //! remote nodes ship requests over the message fabric (ffwd-style).
 
-use super::{CellInner, SyncCell, SyncState};
+use super::{CellInner, SyncCell, SyncCounter, SyncState};
 use rack_sim::{NodeCtx, NodeId, SimError};
 
 impl<T: SyncState> SyncCell<T> {
@@ -26,9 +26,8 @@ impl<T: SyncState> SyncCell<T> {
         ctx.charge(lat.local_read_ns + lat.local_write_ns);
         inner.queue_depth += 1;
         inner.queue_peak = inner.queue_peak.max(inner.queue_depth);
-        let reg = ctx.stats().registry();
-        reg.add("sync", "delegation_queued", 1);
-        reg.add("sync", "delegation_queue_depth", inner.queue_depth);
+        self.count(ctx, SyncCounter::DelegationQueued, 1);
+        self.count(ctx, SyncCounter::DelegationQueueDepth, inner.queue_depth);
         Ok(true)
     }
 
@@ -49,7 +48,10 @@ impl<T: SyncState> SyncCell<T> {
             (prev - 1) as usize
         };
         inner.queue_depth = 0;
-        // cold-path: re-election only fires after an owner crash.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "cold path: re-election only fires after an owner crash"
+        )]
         ctx.stats().registry().add("sync", "reelections", 1);
         Ok(true)
     }

@@ -42,10 +42,11 @@ use crate::hw::GlobalCell;
 use crate::sync::oplog::SharedOpLog;
 use crate::sync::spinlock::GlobalSpinLock;
 use node_replicated::Replica;
+use rack_sim::metrics::Counter;
 use rack_sim::{GAddr, GlobalMemory, NodeCtx, NodeId, SimError, LINE_SIZE};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A deterministic state machine managed by a [`SyncCell`].
 ///
@@ -237,6 +238,40 @@ struct CellInner<T: SyncState> {
     queue_peak: u64,
 }
 
+/// A `sync/*` counter the op paths bump.
+#[derive(Debug, Clone, Copy)]
+enum SyncCounter {
+    /// `ops_<policy>`.
+    Ops(SyncPolicy),
+    DelegationQueued,
+    DelegationQueueDepth,
+    NrCombinerRemoteClaims,
+}
+
+impl SyncCounter {
+    /// Counters per node in [`SyncCell`]'s handle table.
+    const PER_NODE: usize = 8;
+
+    /// Slot within a node's run of the handle table.
+    fn index(self) -> usize {
+        match self {
+            SyncCounter::Ops(policy) => policy.encode() as usize,
+            SyncCounter::DelegationQueued => 5,
+            SyncCounter::DelegationQueueDepth => 6,
+            SyncCounter::NrCombinerRemoteClaims => 7,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            SyncCounter::Ops(policy) => policy.ops_counter(),
+            SyncCounter::DelegationQueued => "delegation_queued",
+            SyncCounter::DelegationQueueDepth => "delegation_queue_depth",
+            SyncCounter::NrCombinerRemoteClaims => "nr_combiner_remote_claims",
+        }
+    }
+}
+
 /// A rack-shared structure behind one policy-driven synchronization
 /// facade. Cheap to share: wrap in `Arc` and hand to every node.
 #[derive(Debug)]
@@ -272,6 +307,11 @@ pub struct SyncCell<T: SyncState> {
     replicas: Vec<rack_sim::sync::Mutex<Option<Replica<T>>>>,
     /// Per-node publication sequence numbers (entry framing).
     seqs: Vec<AtomicU64>,
+    /// Held `sync/*` counter handles, [`SyncCounter::PER_NODE`] per node
+    /// (node-major), each registered in its node's registry on first
+    /// use: a node's snapshot lists only the counters it bumped, and a
+    /// bump is one relaxed atomic, not a registry lookup.
+    counters: Box<[OnceLock<Counter>]>,
     footprint_bytes: usize,
     inner: rack_sim::sync::Mutex<CellInner<T>>,
 }
@@ -346,6 +386,9 @@ impl<T: SyncState> SyncCell<T> {
                 .map(|_| rack_sim::sync::Mutex::new(None))
                 .collect(),
             seqs: (0..cfg.nodes).map(|_| AtomicU64::new(0)).collect(),
+            counters: (0..cfg.nodes * SyncCounter::PER_NODE)
+                .map(|_| OnceLock::new())
+                .collect(),
             footprint_bytes: cfg.footprint_bytes,
             inner: rack_sim::sync::Mutex::new(CellInner {
                 state: init,
@@ -447,6 +490,14 @@ impl<T: SyncState> SyncCell<T> {
         self.seqs[node].fetch_add(1, Ordering::Relaxed) as u32
     }
 
+    /// Add `delta` to `ctx`'s `sync/*` counter `which` (`ctx` already
+    /// passed [`SyncCell::me`]'s range check).
+    fn count(&self, ctx: &NodeCtx, which: SyncCounter, delta: u64) {
+        self.counters[ctx.id().0 * SyncCounter::PER_NODE + which.index()]
+            .get_or_init(|| ctx.stats().counter("sync", which.name()))
+            .add(delta);
+    }
+
     /// Fold committed entries `[inner.applied, target)` into the state,
     /// one invalidate and one burst read per contiguous log run.
     /// Claimed-but-uncommitted holes (appender crashed mid-publish) and
@@ -523,9 +574,7 @@ impl<T: SyncState> SyncCell<T> {
         is_read: bool,
         remote: bool,
     ) -> Result<(), SimError> {
-        ctx.stats()
-            .registry()
-            .add("sync", inner.policy.ops_counter(), 1);
+        self.count(ctx, SyncCounter::Ops(inner.policy), 1);
         let current = inner.policy;
         let writer = if is_read { None } else { Some(me) };
         let target = match inner.adaptive.as_mut() {
@@ -644,7 +693,10 @@ impl<T: SyncState> SyncCell<T> {
         self.switch_epoch.fetch_add(ctx, 1)?;
         inner.policy = target;
         guard.unlock()?;
-        // cold-path: policy switches are rare control-plane events.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "cold path: policy switches are rare control-plane events"
+        )]
         ctx.stats().registry().add("sync", "policy_switch", 1);
         Ok(true)
     }

@@ -76,7 +76,7 @@
 //! [`SharedOpLog::append_batch`]: crate::sync::oplog::SharedOpLog::append_batch
 //! [`SharedOpLog::read_range`]: crate::sync::oplog::SharedOpLog::read_range
 
-use super::{frame_op, lines, unframe, CellInner, SyncCell, SyncState};
+use super::{frame_op, lines, unframe, CellInner, SyncCell, SyncCounter, SyncPolicy, SyncState};
 use rack_sim::{GAddr, NodeCtx, NodeId, SimError, LINE_SIZE};
 use std::ops::ControlFlow;
 
@@ -167,10 +167,7 @@ impl<T: SyncState> SyncCell<T> {
     /// exists to minimize.
     fn note_combiner_claim(&self, ctx: &NodeCtx) {
         if self.log_home_distance(ctx) > 0 {
-            // cold-path: one bump per won combiner claim, not per op.
-            ctx.stats()
-                .registry()
-                .add("sync", "nr_combiner_remote_claims", 1);
+            self.count(ctx, SyncCounter::NrCombinerRemoteClaims, 1);
         }
     }
 
@@ -579,7 +576,10 @@ impl<T: SyncState> SyncCell<T> {
         let holder = self.combiner.compare_exchange(ctx, 0, mine)?;
         let takeover = holder == dead && self.combiner.compare_exchange(ctx, dead, mine)? == dead;
         if takeover {
-            // cold-path: re-election only fires after a combiner crash.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "cold path: re-election only fires after a combiner crash"
+            )]
             ctx.stats().registry().add("sync", "reelections", 1);
         } else if holder != 0 {
             return Ok(false);
@@ -761,11 +761,7 @@ impl<T: SyncState> SyncCell<T> {
         let released = self.combiner.store(ctx, 0);
         let (_, _, combined) = res?;
         released?;
-        let mut inner = self.inner.lock();
-        ctx.stats()
-            .registry()
-            .add("sync", inner.policy.ops_counter(), combined);
-        let _ = &mut inner;
+        self.count(ctx, SyncCounter::Ops(SyncPolicy::NodeReplicated), combined);
         Ok(combined)
     }
 

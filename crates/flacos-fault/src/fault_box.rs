@@ -109,13 +109,16 @@ impl FaultBoxBuilder {
             heap_frames.push(f);
         }
         let context = global.alloc(CONTEXT_BYTES, 64)?;
-        // cold-path: box construction happens once per workload, not per-op.
-        home.stats().registry().add("fault_box", "built", 1);
-        home.stats().registry().add(
-            "fault_box",
-            "pages_mapped",
-            (self.stack_pages + self.heap_pages) as u64,
-        );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "cold path: box construction happens once per workload, not per op"
+        )]
+        {
+            let reg = home.stats().registry();
+            reg.add("fault_box", "built", 1);
+            let pages = (self.stack_pages + self.heap_pages) as u64;
+            reg.add("fault_box", "pages_mapped", pages);
+        }
         Ok(FaultBox {
             app_id: self.app_id,
             home: home.id(),
@@ -238,7 +241,10 @@ impl FaultBox {
         from.writeback(self.context, CONTEXT_BYTES);
         from.charge(from.latency().global_atomic_ns);
         to.charge(to.latency().global_read_ns);
-        // cold-path: migration is a rare orchestration event, not per-op.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "cold path: migration is a rare orchestration event, not per op"
+        )]
         to.stats().registry().add("fault_box", "migrations", 1);
         self.home = to.id();
         Ok(())
@@ -262,7 +268,10 @@ impl FaultBox {
             to.invalidate(addr, len);
         }
         to.charge(to.latency().global_read_ns);
-        // cold-path: adoption runs once per crash recovery, not per-op.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "cold path: adoption runs once per crash recovery, not per op"
+        )]
         to.stats().registry().add("fault_box", "adoptions", 1);
         self.home = to.id();
         Ok(())

@@ -18,7 +18,6 @@
 use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacdk::wire::{Decoder, Encoder};
 use flacos_mem::PAGE_SIZE;
-use rack_sim::sync::Mutex;
 use rack_sim::{GlobalMemory, NodeCtx, SimError};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,9 +52,12 @@ impl SyncState for BlockMap {
 /// A page-granular simulated storage device.
 #[derive(Debug)]
 pub struct BlockDevice {
-    // coherent-local: device media — only reachable through this
-    // device's latency-charging request path, never via load/store.
-    pages: Mutex<HashMap<u64, Vec<u8>>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "device media: only reachable through this device's latency-charging \
+                  request path, never via load/store"
+    )]
+    pages: rack_sim::sync::Mutex<HashMap<u64, Vec<u8>>>,
     map: Arc<SyncCell<BlockMap>>,
     read_ns: u64,
     write_ns: u64,
@@ -84,7 +86,7 @@ impl BlockDevice {
         write_ns: u64,
     ) -> Result<Self, SimError> {
         Ok(BlockDevice {
-            pages: Mutex::new(HashMap::new()),
+            pages: Default::default(),
             map: SyncCell::alloc(
                 global,
                 "block_map",

@@ -139,7 +139,9 @@ mod tests {
         // it: the slot's flag word (first word of a 256-byte slot) stays
         // clear.
         let log = shared.meta().op_log();
-        let idx = log.append(&rack.node(1), b"never-committed").unwrap();
+        let idx = log
+            .append_batch(&rack.node(1), &[b"never-committed"])
+            .unwrap();
         let slot = log.base().offset(idx % log.capacity() * 256);
         rack.global().store_u64(slot, 0).unwrap();
 

@@ -105,12 +105,15 @@ impl MemFs {
                 "journal replay of {entries} entries differs from the live metadata"
             )));
         }
-        // cold-path: journal replay runs once per crash/restart, not per-op.
-        self.node.stats().registry().add("fs", "journal_replays", 1);
-        self.node
-            .stats()
-            .registry()
-            .add("fs", "journal_entries_replayed", entries);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "cold path: journal replay runs once per crash/restart, not per op"
+        )]
+        {
+            let reg = self.node.stats().registry();
+            reg.add("fs", "journal_replays", 1);
+            reg.add("fs", "journal_entries_replayed", entries);
+        }
         Ok(entries)
     }
 
@@ -671,7 +674,7 @@ mod tests {
         let mut entry = vec![0u8; flacdk::sync::FRAME_BYTES];
         entry.extend(op_create(crate::meta::ROOT_INO, "ghost", FileKind::File));
         let log = shared.meta().op_log();
-        log.append(&rack.node(1), &entry).unwrap();
+        log.append_batch(&rack.node(1), &[entry]).unwrap();
         assert!(matches!(fs.recover(), Err(SimError::Protocol(_))));
     }
 

@@ -16,7 +16,6 @@
 
 use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacdk::wire::{Decoder, Encoder};
-use rack_sim::sync::Mutex;
 use rack_sim::{GlobalMemory, NodeCtx, SimError};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,9 +82,12 @@ pub struct RpcRegistry {
     /// Authoritative membership, resolved through the sync cell so a
     /// registration on one node is visible from every other.
     table: Arc<SyncCell<RpcTable>>,
-    // coherent-local: host-side trait objects for the shared code
-    // contexts; membership (the shared state) lives in `table` above.
-    services: Mutex<HashMap<u64, Arc<dyn RpcService>>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host-side trait objects for the shared code contexts; membership \
+                  (the shared state) lives in `table` above"
+    )]
+    services: rack_sim::sync::Mutex<HashMap<u64, Arc<dyn RpcService>>>,
     calls: AtomicU64,
 }
 
@@ -109,7 +111,7 @@ impl RpcRegistry {
                 SyncCellConfig::new(nodes, SyncPolicy::Replicated),
                 RpcTable::default(),
             )?,
-            services: Mutex::new(HashMap::new()),
+            services: Default::default(),
             calls: AtomicU64::new(0),
         }))
     }

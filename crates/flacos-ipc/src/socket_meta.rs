@@ -246,7 +246,9 @@ mod tests {
         // Node 1 claims the next slot and dies before committing it: the
         // entry's flag word stays clear.
         let log = table.op_log();
-        let idx = log.append(&rack.node(1), b"never-committed").unwrap();
+        let idx = log
+            .append_batch(&rack.node(1), &[b"never-committed"])
+            .unwrap();
         let slot = log.base().offset(idx % log.capacity() * 128);
         rack.global().store_u64(slot, 0).unwrap();
 

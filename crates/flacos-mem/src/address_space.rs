@@ -15,7 +15,6 @@ use crate::telemetry::AccessRing;
 use flacdk::alloc::GlobalAllocator;
 use flacdk::sync::rcu::{EpochManager, RcuReadGuard};
 use flacdk::sync::reclaim::RetireList;
-use rack_sim::sync::Mutex;
 use rack_sim::{GlobalMemory, NodeCtx, SimError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,9 +25,12 @@ pub struct AddressSpace {
     asid: u64,
     table: PageTable,
     mapped_pages: Arc<AtomicU64>,
-    // coherent-local: registration slot for the local telemetry ring;
-    // the shared state (the page table) is global-memory resident.
-    sampler: Arc<Mutex<Option<Arc<AccessRing>>>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "registration slot for the local telemetry ring; the shared state \
+                  (the page table) is global-memory resident"
+    )]
+    sampler: Arc<rack_sim::sync::Mutex<Option<Arc<AccessRing>>>>,
 }
 
 impl AddressSpace {
@@ -48,7 +50,7 @@ impl AddressSpace {
             asid,
             table: PageTable::alloc(global, alloc, epochs, retired)?,
             mapped_pages: Arc::new(AtomicU64::new(0)),
-            sampler: Arc::new(Mutex::new(None)),
+            sampler: Arc::default(),
         })
     }
 

@@ -9,7 +9,6 @@
 use crate::addr::PAGE_SIZE;
 use crate::fault::FrameAllocator;
 use flacdk::wire::fnv1a;
-use rack_sim::sync::Mutex;
 use rack_sim::{GAddr, NodeCtx, SimError};
 use std::collections::HashMap;
 
@@ -38,10 +37,13 @@ struct Inner {
 #[derive(Debug)]
 pub struct PageDeduper {
     frames: FrameAllocator,
-    // coherent-local: content-hash index over frames that themselves
-    // live in global memory; every intern/release charges the fabric
-    // for the frame bytes, and the index is rebuildable from them.
-    inner: Mutex<Inner>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "content-hash index over frames in global memory; every intern/release \
+                  charges the fabric for the frame bytes, and the index is rebuildable \
+                  from them"
+    )]
+    inner: rack_sim::sync::Mutex<Inner>,
 }
 
 impl PageDeduper {
@@ -49,7 +51,7 @@ impl PageDeduper {
     pub fn new(frames: FrameAllocator) -> Self {
         PageDeduper {
             frames,
-            inner: Mutex::new(Inner::default()),
+            inner: Default::default(),
         }
     }
 

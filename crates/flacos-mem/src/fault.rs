@@ -10,7 +10,6 @@
 use crate::addr::{PhysFrame, PAGE_SIZE};
 use crate::address_space::AddressSpace;
 use crate::page_table::Pte;
-use rack_sim::sync::Mutex;
 use rack_sim::{GAddr, GlobalMemory, LAddr, NodeCtx, SimError};
 use std::sync::Arc;
 
@@ -19,10 +18,12 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
     global: Arc<GlobalMemory>,
-    // coherent-local: recycle list of frame *addresses*; the frames are
-    // global but alloc/free charge the fabric for them, and losing the
-    // list only leaks frames — it cannot corrupt shared state.
-    free: Arc<Mutex<Vec<GAddr>>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "recycle list of frame addresses; the frames are global but alloc/free \
+                  charge the fabric for them, and losing the list only leaks frames"
+    )]
+    free: Arc<rack_sim::sync::Mutex<Vec<GAddr>>>,
 }
 
 impl FrameAllocator {
@@ -30,7 +31,7 @@ impl FrameAllocator {
     pub fn new(global: Arc<GlobalMemory>) -> Self {
         FrameAllocator {
             global,
-            free: Arc::new(Mutex::new(Vec::new())),
+            free: Arc::default(),
         }
     }
 
@@ -102,9 +103,12 @@ pub struct FaultStats {
 pub struct PageFaultHandler {
     frames: FrameAllocator,
     placement: PagePlacement,
-    // coherent-local: per-node handler counters (the handler is a
-    // node-local object; the page table it faults into is shared).
-    stats: Mutex<FaultStats>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-node handler counters: the handler is a node-local object; \
+                  the page table it faults into is shared"
+    )]
+    stats: rack_sim::sync::Mutex<FaultStats>,
 }
 
 impl PageFaultHandler {
@@ -114,7 +118,7 @@ impl PageFaultHandler {
         PageFaultHandler {
             frames,
             placement,
-            stats: Mutex::new(FaultStats::default()),
+            stats: Default::default(),
         }
     }
 

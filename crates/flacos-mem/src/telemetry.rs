@@ -11,7 +11,6 @@
 //! so the same access sequence always yields the same sample stream —
 //! required for byte-identical storm replay.
 
-use rack_sim::sync::Mutex;
 use rack_sim::NodeId;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -42,9 +41,12 @@ pub struct RingStats {
 /// translation path (producer) and the tiering daemon (consumer).
 #[derive(Debug)]
 pub struct AccessRing {
-    // coherent-local: bounded, loss-tolerant sample buffer drained by
-    // the node's own tiering daemon; never consulted cross-node.
-    inner: Mutex<Inner>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "bounded, loss-tolerant sample buffer drained by the node's own \
+                  tiering daemon; never consulted cross-node"
+    )]
+    inner: rack_sim::sync::Mutex<Inner>,
 }
 
 #[derive(Debug)]
@@ -66,7 +68,8 @@ impl AccessRing {
         assert!(capacity > 0, "ring capacity must be positive");
         assert!(sample_period > 0, "sample period must be positive");
         Arc::new(AccessRing {
-            inner: Mutex::new(Inner {
+            #[expect(clippy::disallowed_types, reason = "constructs `AccessRing::inner`")]
+            inner: rack_sim::sync::Mutex::new(Inner {
                 buf: VecDeque::with_capacity(capacity),
                 capacity,
                 sample_period,

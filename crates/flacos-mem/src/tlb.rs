@@ -133,26 +133,12 @@ impl Tlb {
         self.stats
     }
 
-    /// Broadcast a shootdown of `(asid, vpn)` to `peers`, invalidating
-    /// locally first. Peers must then call [`Tlb::service_shootdowns`];
-    /// the initiator completes with [`Tlb::collect_acks`].
-    ///
-    /// # Errors
-    ///
-    /// Fabric errors to *live* peers are propagated; dead peers are
-    /// skipped (they have no stale TLB to shoot down).
-    pub fn begin_shootdown(
-        &mut self,
-        peers: &[NodeId],
-        asid: u64,
-        vpn: u64,
-    ) -> Result<usize, SimError> {
-        self.begin_shootdown_range(peers, asid, vpn, 1)
-    }
-
-    /// Ranged variant of [`Tlb::begin_shootdown`]: one request per peer
-    /// (and later one ack) covers every vpn in `[vpn, vpn + span)`. A
-    /// 2 MiB region costs the same number of fabric rounds as one page.
+    /// Broadcast a shootdown of `(asid, [vpn, vpn + span))` to `peers`,
+    /// invalidating locally first: one request per peer (and later one
+    /// ack) covers the whole span, so a 2 MiB region costs the same
+    /// number of fabric rounds as one page. Peers must then call
+    /// [`Tlb::service_shootdowns`]; the initiator completes with
+    /// [`Tlb::collect_acks`].
     ///
     /// # Errors
     ///
@@ -236,25 +222,8 @@ impl Tlb {
 
 /// Cooperative full-rack shootdown for single-threaded simulations:
 /// initiator broadcasts, every other TLB services, initiator collects.
-///
-/// # Errors
-///
-/// Propagates fabric errors.
-///
-/// # Panics
-///
-/// Panics if `initiator` is out of range.
-pub fn shootdown_stepped(
-    tlbs: &mut [Tlb],
-    initiator: usize,
-    asid: u64,
-    vpn: u64,
-) -> Result<(), SimError> {
-    shootdown_stepped_range(tlbs, initiator, asid, vpn, 1)
-}
-
-/// Ranged [`shootdown_stepped`]: one broadcast/service/ack cycle covers
-/// `[vpn, vpn + span)` on every node.
+/// One broadcast/service/ack cycle covers `[vpn, vpn + span)` on every
+/// node.
 ///
 /// # Errors
 ///
@@ -339,7 +308,7 @@ mod tests {
         for t in &mut tlbs {
             t.fill(1, 7, pte(0x7000));
         }
-        shootdown_stepped(&mut tlbs, 0, 1, 7).unwrap();
+        shootdown_stepped_range(&mut tlbs, 0, 1, 7, 1).unwrap();
         for t in &mut tlbs {
             assert_eq!(t.lookup(1, 7), None);
         }
@@ -404,7 +373,7 @@ mod tests {
         let mut tlbs: Vec<Tlb> = (0..3).map(|i| Tlb::new(rack.node(i), 8)).collect();
         rack.faults().crash_node(NodeId(2), 0);
         let peers: Vec<NodeId> = tlbs.iter().map(|t| t.node_id()).collect();
-        let expected = tlbs[0].begin_shootdown(&peers, 1, 3).unwrap();
+        let expected = tlbs[0].begin_shootdown_range(&peers, 1, 3, 1).unwrap();
         assert_eq!(expected, 1, "only the live peer is counted");
         tlbs[1].service_shootdowns().unwrap();
         assert_eq!(tlbs[0].collect_acks(expected), 1);

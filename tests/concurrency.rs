@@ -11,12 +11,10 @@ use flacdk::alloc::GlobalAllocator;
 use flacdk::ds::radix::RadixTree;
 use flacdk::ds::ringbuf::SpscRing;
 use flacdk::hw::GlobalCell;
-use flacdk::sync::oplog::SharedOpLog;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
 use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use rack_sim::{GAddr, Rack, RackConfig, SimError};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
@@ -81,39 +79,6 @@ fn spsc_ring_is_fifo_under_real_threads() {
             }
         });
     });
-}
-
-#[test]
-fn oplog_appends_from_threads_claim_distinct_committed_slots() {
-    let rack = rack();
-    let log = SharedOpLog::alloc(rack.global(), 4096, 64).unwrap();
-    const THREADS: usize = 4;
-    const PER_THREAD: usize = 500;
-
-    thread::scope(|s| {
-        for t in 0..THREADS {
-            let node = rack.node(t % rack.node_count());
-            s.spawn(move || {
-                for i in 0..PER_THREAD {
-                    let payload = ((t * PER_THREAD + i) as u64).to_le_bytes();
-                    // single-op: stress races the bare CAS path on purpose.
-                    log.append(&node, &payload).unwrap();
-                }
-            });
-        }
-    });
-
-    // Every entry committed, all payloads present exactly once.
-    let reader = rack.node(0);
-    let tail = log.tail(&reader).unwrap();
-    assert_eq!(tail, (THREADS * PER_THREAD) as u64);
-    let mut seen = HashSet::new();
-    for idx in 0..tail {
-        let entry = log.read(&reader, idx).unwrap().expect("committed");
-        let v = u64::from_le_bytes(entry.try_into().unwrap());
-        assert!(seen.insert(v), "duplicate payload {v}");
-    }
-    assert_eq!(seen.len(), THREADS * PER_THREAD);
 }
 
 #[test]

@@ -147,7 +147,7 @@ fn fault_box_covers_an_ipc_buffer() {
 fn tlb_shootdown_after_shared_mapping_change() {
     // flacos-mem TLBs + page table + rack messaging working together.
     use flacos_mem::page_table::Pte;
-    use flacos_mem::tlb::{shootdown_stepped, Tlb};
+    use flacos_mem::tlb::{shootdown_stepped_range, Tlb};
     use flacos_mem::PhysFrame;
 
     let rack = booted();
@@ -180,7 +180,7 @@ fn tlb_shootdown_after_shared_mapping_change() {
     space
         .map(&n0, 7, Pte::new(PhysFrame::Global(f2), true))
         .unwrap();
-    shootdown_stepped(&mut tlbs, 0, 1, 7).unwrap();
+    shootdown_stepped_range(&mut tlbs, 0, 1, 7, 1).unwrap();
     for t in tlbs.iter_mut() {
         assert_eq!(t.lookup(1, 7), None, "no stale translation survives");
     }

@@ -719,6 +719,95 @@ fn an_idle_self_combine_reads_every_header_line_in_one_burst() {
     assert_eq!([bare, bare + warm], [1_621, 1_665], "HCCS figures");
 }
 
+/// `(name, value)` of every `sync/*` counter registered on `node`, in
+/// snapshot (name) order.
+fn sync_counters(node: &NodeCtx) -> Vec<(String, u64)> {
+    node.stats()
+        .snapshot()
+        .subsystems
+        .into_iter()
+        .filter(|c| c.subsystem == "sync")
+        .map(|c| (c.name, c.value))
+        .collect()
+}
+
+#[test]
+fn sync_counters_count_each_op_once_on_the_issuing_node() {
+    let rack = Rack::new(RackConfig::n_node(4).with_global_mem(4 << 20));
+    let cell = |policy| {
+        SyncCell::alloc(
+            rack.global(),
+            "ctr",
+            SyncCellConfig::new(4, policy).with_log(64, 48),
+            OpCount::default(),
+        )
+        .unwrap()
+    };
+    // Node 1: three updates and two reads on each of three backends.
+    for policy in [SyncPolicy::Lock, SyncPolicy::Replicated, SyncPolicy::Rcu] {
+        let c = cell(policy);
+        for i in 0..3u8 {
+            c.update(&rack.node(1), &[i]).unwrap();
+        }
+        for _ in 0..2 {
+            c.read(&rack.node(1), |s| s.0).unwrap();
+        }
+    }
+    // Delegated, owned by node 0: node 2's ops ship to the owner and
+    // queue (depth 1, 2, 3) until the owner runs one, which drains the
+    // queue; node 2's next op finds depth 1.
+    let d = cell(SyncPolicy::Delegated);
+    d.update(&rack.node(2), &[0]).unwrap();
+    d.read(&rack.node(2), |s| s.0).unwrap();
+    d.update(&rack.node(2), &[1]).unwrap();
+    d.update(&rack.node(0), &[2]).unwrap();
+    d.update(&rack.node(2), &[3]).unwrap();
+    // Node replication: node 0 combines three publications in one batch
+    // and then runs an idle combine; node 3 self-combines one update and
+    // reads its replica; node 1's idle combine registers its counter at 0.
+    let nr = cell(SyncPolicy::NodeReplicated);
+    for n in 1..4 {
+        nr.nr_publish(&rack.node(n), &[n as u8]).unwrap();
+    }
+    assert_eq!(nr.nr_combine(&rack.node(0)).unwrap(), 3);
+    assert_eq!(nr.nr_combine(&rack.node(0)).unwrap(), 0);
+    nr.update(&rack.node(3), &[9]).unwrap();
+    assert_eq!(nr.read_local(&rack.node(3), |s| s.0).unwrap(), 4);
+    assert_eq!(nr.nr_combine(&rack.node(1)).unwrap(), 0);
+
+    let want = |pairs: &[(&str, u64)]| {
+        pairs
+            .iter()
+            .map(|&(n, v)| (n.to_string(), v))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        sync_counters(&rack.node(0)),
+        want(&[("ops_delegated", 1), ("ops_node_replicated", 3)])
+    );
+    assert_eq!(
+        sync_counters(&rack.node(1)),
+        want(&[
+            ("ops_lock", 5),
+            ("ops_node_replicated", 0),
+            ("ops_rcu", 5),
+            ("ops_replicated", 5),
+        ])
+    );
+    assert_eq!(
+        sync_counters(&rack.node(2)),
+        want(&[
+            ("delegation_queue_depth", 1 + 2 + 3 + 1),
+            ("delegation_queued", 4),
+            ("ops_delegated", 4),
+        ])
+    );
+    assert_eq!(
+        sync_counters(&rack.node(3)),
+        want(&[("ops_node_replicated", 2)])
+    );
+}
+
 /// `[global reads, global writes, simulated ns]` `node` spends in `f`.
 fn global_cost(node: &NodeCtx, f: impl FnOnce() -> Result<(), SimError>) -> [u64; 3] {
     let (t, before) = (node.clock().now(), node.stats().snapshot());

@@ -10,14 +10,13 @@
 use flacdk::alloc::GlobalAllocator;
 use flacdk::ds::radix::RadixTree;
 use flacdk::ds::ringbuf::SpscRing;
-use flacdk::sync::oplog::SharedOpLog;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
 use flacdk::wire::{Decoder, Encoder};
 use flacos_ipc::socket_meta::{SocketAddr, SocketRegistry};
 use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
-use flacos_mem::tlb::{shootdown_stepped, shootdown_stepped_range, Tlb};
+use flacos_mem::tlb::{shootdown_stepped_range, Tlb};
 use flacos_mem::vma::{Vma, VmaSet};
 use flacos_mem::VirtAddr;
 use flacos_mem::PAGE_SIZE;
@@ -30,7 +29,6 @@ use rack_sim::{
 };
 use redis_mini::resp::{Command, Reply};
 use std::collections::{HashMap, VecDeque};
-use std::ops::ControlFlow;
 
 /// Base seed for every generator in this file. Bump to explore a fresh
 /// schedule; keep fixed for run-to-run reproducibility.
@@ -275,143 +273,6 @@ fn vma_set_never_holds_overlaps() {
 }
 
 #[test]
-fn oplog_preserves_append_order_and_content() {
-    check("oplog_preserves_append_order_and_content", |rng| {
-        let rack = small_rack();
-        let log = SharedOpLog::alloc(rack.global(), 64, 64).unwrap();
-        let (a, b) = (rack.node(0), rack.node(1));
-        let count = 1 + rng.gen_index(39);
-        let payloads: Vec<Vec<u8>> = (0..count)
-            .map(|_| {
-                let len = rng.gen_index(40);
-                rng.gen_bytes(len)
-            })
-            .collect();
-        for (i, payload) in payloads.iter().enumerate() {
-            // Alternate appenders across nodes.
-            let node = if i % 2 == 0 { &a } else { &b };
-            // single-op: property targets the raw per-op append primitive.
-            let idx = log.append(node, payload).unwrap();
-            assert_eq!(idx, i as u64, "indices are dense and ordered");
-        }
-        for (i, payload) in payloads.iter().enumerate() {
-            let got = log.read(&b, i as u64).unwrap().expect("committed");
-            assert_eq!(&got, payload);
-        }
-        assert_eq!(log.tail(&a).unwrap(), payloads.len() as u64);
-    });
-}
-
-/// Collect `[from, to)` through the range reader.
-fn range_entries(
-    log: &SharedOpLog,
-    node: &rack_sim::NodeCtx,
-    from: u64,
-    to: u64,
-) -> Vec<(u64, Option<Vec<u8>>)> {
-    let mut out = Vec::new();
-    log.read_range(node, from, to, |idx, entry| {
-        out.push((idx, entry.map(<[u8]>::to_vec)));
-        ControlFlow::Continue(())
-    })
-    .unwrap();
-    out
-}
-
-#[test]
-fn oplog_range_reader_matches_per_entry_reads() {
-    // Property: over any log built from single and batched appends —
-    // entry sizes that do and do not divide a cache line, rings small
-    // enough to wrap, claimed-but-uncommitted holes — `read_range`
-    // yields exactly the per-index sequence the bounds-checked per-entry
-    // `read` yields, for any sub-range of the live window including the
-    // empty one.
-    check("oplog_range_reader_matches_per_entry_reads", |rng| {
-        let rack = Rack::new(RackConfig::n_node(4).with_global_mem(1 << 20));
-        let entry_size = 24 + 8 * rng.gen_index(14); // 24..=128
-        let capacity = 3 + rng.gen_index(10); // 3..=12
-        let log = SharedOpLog::alloc(rack.global(), capacity, entry_size).unwrap();
-        let max_payload = SharedOpLog::payload_capacity(entry_size);
-        let (ranged, single) = (rack.node(2), rack.node(3));
-        let gc = rack.node(0);
-
-        let (mut head, mut tail) = (0u64, 0u64);
-        while tail < 3 * capacity as u64 {
-            let room = capacity as u64 - (tail - head);
-            if room == 0 || (tail > head && rng.gen_ratio(0.2)) {
-                head += 1 + rng.next_below(tail - head);
-                log.advance_head(&gc, head).unwrap();
-                continue;
-            }
-            let k = 1 + rng.next_below(room.min(4));
-            let payloads: Vec<Vec<u8>> = (0..k)
-                .map(|_| {
-                    let len = rng.gen_index(max_payload + 1);
-                    rng.gen_bytes(len)
-                })
-                .collect();
-            let node = rack.node(rng.gen_index(2));
-            if k == 1 && rng.gen_bool() {
-                // single-op: the property mixes both append primitives.
-                log.append(&node, &payloads[0]).unwrap();
-            } else {
-                log.append_batch(&node, &payloads).unwrap();
-            }
-            tail += k;
-            // The range reader walks the window as it grows, so later
-            // passes start from a cache holding earlier ring laps.
-            if rng.gen_ratio(0.3) {
-                range_entries(&log, &ranged, head, tail);
-            }
-        }
-        // Holes: an appender that claimed a slot and died before the
-        // commit leaves the flag word clear.
-        for idx in head..tail {
-            if rng.gen_ratio(0.2) {
-                let slot = (idx % capacity as u64) * entry_size as u64;
-                rack.global().store_u64(log.base().offset(slot), 0).unwrap();
-            }
-        }
-
-        for _ in 0..8 {
-            let from = head + rng.next_below(tail - head + 1);
-            let to = from + rng.next_below(tail - from + 1);
-            let want: Vec<_> = (from..to)
-                .map(|idx| (idx, log.read(&single, idx).unwrap()))
-                .collect();
-            assert_eq!(
-                range_entries(&log, &ranged, from, to),
-                want,
-                "entry_size {entry_size} capacity {capacity} window [{head}, {tail}) range [{from}, {to})"
-            );
-        }
-        let before = ranged.stats().snapshot();
-        assert_eq!(range_entries(&log, &ranged, tail, tail), vec![]);
-        let after = ranged.stats().snapshot();
-        assert_eq!(
-            after.global_reads, before.global_reads,
-            "empty range reads nothing"
-        );
-
-        // An early break stops the visit right there.
-        if tail > head {
-            let stop = head + rng.next_below(tail - head);
-            let mut visited = Vec::new();
-            log.read_range(&ranged, head, tail, |idx, _| {
-                visited.push(idx);
-                if idx == stop {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            })
-            .unwrap();
-            assert_eq!(visited, (head..=stop).collect::<Vec<_>>());
-        }
-    });
-}
-
-#[test]
 fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
     use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState, FRAME_BYTES};
     use rack_sim::NodeId;
@@ -514,8 +375,7 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
             let malformed = |rng: &mut SplitMix64| {
                 if rng.gen_ratio(0.3) {
                     let len = rng.gen_index(FRAME_BYTES);
-                    // single-op: models a corrupt appender, not the cell.
-                    log.append(&rack.node(observer), &rng.gen_bytes(len))
+                    log.append_batch(&rack.node(observer), &[rng.gen_bytes(len)])
                         .unwrap();
                 }
             };
@@ -951,7 +811,7 @@ fn mid_migration_readers_see_old_or_new_never_torn() {
             // Commit: the mapping flips atomically to the complete copy
             // and the peer's stale translation is shot down.
             m.commit(&n0, &space, &mut |asid, v| {
-                shootdown_stepped(&mut tlbs, 0, asid, v)
+                shootdown_stepped_range(&mut tlbs, 0, asid, v, 1)
             })
             .unwrap();
             assert_eq!(tlbs[1].lookup(3, vpn), None, "stale translation survives");
