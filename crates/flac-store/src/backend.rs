@@ -13,7 +13,7 @@
 //! Stats are relaxed atomics — the fetch path never takes a lock to
 //! count traffic.
 
-use crate::{chunk_hash, CHUNK_SIZE};
+use crate::{chunk_hash_each, CHUNK_SIZE};
 use rack_sim::{NodeCtx, SimError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,21 +147,46 @@ impl ShardedBackends {
     ///
     /// Panics if `data` is not exactly one chunk.
     pub fn publish(&self, data: Vec<u8>) -> bool {
-        assert_eq!(data.len(), CHUNK_SIZE, "chunks are page-sized");
-        let hash = chunk_hash(&data);
-        let shard = &self.shards[self.shard_of(hash)];
-        let mut blobs = shard.blobs.lock();
-        if blobs.contains_key(&hash) {
-            return false;
-        }
-        blobs.insert(
-            hash,
-            Blob {
-                data: Arc::new(data),
-                fetches: 0,
-            },
+        self.publish_many(vec![data]) == 1
+    }
+
+    /// Publish a batch of chunks, each to its shard, as
+    /// [`ShardedBackends::publish`] does one: every chunk is named by
+    /// the hash of its bytes, computed here four lanes at a time
+    /// ([`chunk_hash_each`]). Returns how many chunks were new.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any chunk is not exactly one chunk long.
+    pub fn publish_many(&self, chunks: Vec<Vec<u8>>) -> u64 {
+        assert!(
+            chunks.iter().all(|c| c.len() == CHUNK_SIZE),
+            "chunks are page-sized"
         );
-        true
+        let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+        let hashes = chunk_hash_each(&refs);
+        let mut published = 0;
+        for (hash, data) in hashes.into_iter().zip(chunks) {
+            let shard = &self.shards[self.shard_of(hash)];
+            let mut blobs = shard.blobs.lock();
+            if let std::collections::hash_map::Entry::Vacant(slot) = blobs.entry(hash) {
+                slot.insert(Blob {
+                    data: Arc::new(data),
+                    fetches: 0,
+                });
+                published += 1;
+            }
+        }
+        published
+    }
+
+    /// Flip one bit of byte `at` of the stored blob `hash`, so that the
+    /// next fetch ships bytes that no longer match their name.
+    #[cfg(test)]
+    pub(crate) fn corrupt(&self, hash: u64, at: usize) {
+        let mut blobs = self.shards[self.shard_of(hash)].blobs.lock();
+        let blob = blobs.get_mut(&hash).expect("corrupting a published chunk");
+        Arc::make_mut(&mut blob.data)[at] ^= 1;
     }
 
     /// Whether some shard holds `hash`.
@@ -262,6 +287,7 @@ impl ShardedBackends {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk_hash;
     use rack_sim::{Rack, RackConfig};
 
     fn chunk(fill: u8) -> Vec<u8> {

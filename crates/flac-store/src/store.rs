@@ -23,8 +23,8 @@
 //! [`SyncCell`]: flacdk::sync::SyncCell
 
 use crate::backend::ShardedBackends;
-use crate::chunk_hash;
 use crate::index::{abort_op, claim_op, commit_op, ChunkIndexState, ChunkState};
+use crate::{chunk_hash, chunk_hash_each};
 use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncRecover};
 use flacos_mem::dedup::PageDeduper;
 use rack_sim::sync::Condvar;
@@ -324,13 +324,15 @@ impl ChunkStore {
             .chunks(self.claim_batch)
             .zip(blobs.chunks(self.claim_batch))
         {
+            let bytes: Vec<&[u8]> = blob_batch.iter().map(|b| b.as_slice()).collect();
+            let shipped = chunk_hash_each(&bytes);
+            if let Some((&h, _)) = hash_batch.iter().zip(&shipped).find(|(h, s)| h != s) {
+                return Err(SimError::Protocol(format!(
+                    "backend shipped corrupt bytes for chunk {h:#018x}"
+                )));
+            }
             let mut entries = Vec::with_capacity(hash_batch.len());
-            for (&h, blob) in hash_batch.iter().zip(blob_batch) {
-                if chunk_hash(blob) != h {
-                    return Err(SimError::Protocol(format!(
-                        "backend shipped corrupt bytes for chunk {h:#018x}"
-                    )));
-                }
+            for (&h, blob) in hash_batch.iter().zip(bytes) {
                 let frame = self.dedup.intern_with_hash(ctx, h, blob)?;
                 entries.push((h, frame, blob.len() as u32));
             }
@@ -675,6 +677,35 @@ mod tests {
         assert_eq!(store.dedup().stats().unique_frames, 15);
         assert_eq!(store.backends().total_stats().chunks_shipped, 15);
         assert_eq!(b[..5], a[5..], "overlapping seeds share hashes");
+    }
+
+    #[test]
+    fn a_corrupt_blob_in_any_lane_fails_its_whole_batch() {
+        // Nine chunks in one claim batch: two four-lane groups and a
+        // remainder of one. A corrupt blob at any of the nine positions
+        // must fail `complete` before anything of the batch is interned
+        // or committed.
+        for bad in 0..9 {
+            let (rack, store) = setup(2);
+            let hashes = publish(&store, 0..9);
+            store.backends().corrupt(hashes[bad], 17 + bad);
+            let n0 = rack.node(0);
+            let claim = store.claim(&n0, &hashes).unwrap();
+            assert_eq!(claim.won, hashes);
+            let err = store.complete(&n0, &claim.won).unwrap_err();
+            let want = format!(
+                "backend shipped corrupt bytes for chunk {:#018x}",
+                hashes[bad]
+            );
+            assert!(
+                matches!(&err, SimError::Protocol(m) if *m == want),
+                "position {bad}: {err:?}"
+            );
+            assert_eq!(store.peek_index(|s| s.present_count()), 0, "position {bad}");
+            assert_eq!(store.peek_index(|s| s.fetching_of(0)), 9, "position {bad}");
+            assert_eq!(store.dedup().stats().unique_frames, 0, "position {bad}");
+            assert_eq!(store.stats().chunks_fetched, 0, "position {bad}");
+        }
     }
 
     #[test]

@@ -60,9 +60,15 @@
 //! **intrusive doubly-linked LRU
 //! list** by slab index: a hit is one directory lookup plus four pointer
 //! swaps, and the eviction victim is always the list tail — exact LRU in
-//! O(1). Behaviour counters are relaxed atomics shared with
+//! O(1).
+//!
+//! Each operation also records itself, under the same lock hold, in the
+//! cache's ledger: its behaviour counters, its latency-class histogram
+//! and its read or write count and bytes. Every writer of those cells
+//! holds the lock, so they are written with plain loads and stores, not
+//! read-modify-writes; they stay relaxed atomics shared with
 //! [`crate::NodeStats`] through an [`Arc`], so readers snapshot them
-//! without the lock; an operation adds to them once, when it is done.
+//! without the lock.
 //!
 //! # The span path
 //!
@@ -111,6 +117,7 @@
 use crate::error::SimError;
 use crate::latency::LatencyModel;
 use crate::memory::{GAddr, GlobalMemory};
+use crate::metrics::{bump, CostClass, LatencyHistogram};
 use crate::sync::Mutex;
 use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -203,7 +210,7 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// The counters [`CacheStatsCells`] holds, in its order.
+    /// The counters [`CacheLedger`] holds, in its order.
     fn counted(&self) -> [u64; 6] {
         [
             self.hits,
@@ -216,27 +223,69 @@ impl CacheStats {
     }
 }
 
-/// A cache's behaviour counters as relaxed atomics. The owning
-/// [`crate::NodeCtx`] hands a clone of the [`Arc`] to its
-/// [`crate::NodeStats`] so snapshots read cache behaviour directly,
-/// with no publish/copy step on the access path.
-#[derive(Debug, Default)]
-pub(crate) struct CacheStatsCells([AtomicU64; 6]);
+/// Which ledger row an operation of the cache completes in: its cost
+/// class's histogram and, for reads and writes, the access counters.
+#[derive(Debug, Clone, Copy)]
+enum OpClass {
+    Read,
+    Write,
+    Maint,
+}
 
-impl CacheStatsCells {
-    /// Add one operation's counter increments.
-    fn add(&self, delta: &CacheStats) {
-        for (cell, n) in self.0.iter().zip(delta.counted()) {
+/// Everything the node cache's operations record: the behaviour
+/// counters, the `GlobalRead`, `GlobalWrite` and `CacheMaint` latency
+/// histograms, and the cached reads and writes with their bytes. Only
+/// cache operations record these classes, and every one of them holds
+/// the cache lock while it does, so each cell has one writer at a time
+/// and is written with a plain load and store ([`bump`]), not a locked
+/// read-modify-write. The cells stay atomics so that
+/// [`crate::NodeStats`] snapshots read them without the lock, through a
+/// clone of the [`Arc`] the owning [`crate::NodeCtx`] attaches.
+#[derive(Debug, Default)]
+pub(crate) struct CacheLedger {
+    /// The [`CacheStats`] counters, in [`CacheStats::counted`] order.
+    stats: [AtomicU64; 6],
+    /// Indexed by [`OpClass`].
+    histograms: [LatencyHistogram; 3],
+    reads: AtomicU64,
+    writes: AtomicU64,
+    /// Payload bytes of the reads and writes.
+    bytes: AtomicU64,
+}
+
+impl CacheLedger {
+    /// Record one operation: the counter increments of the lines that
+    /// took effect and, if it completed (`done` holds its cost and
+    /// payload bytes), its histogram sample and access count. Borrowing
+    /// the locked banks proves the cache lock is held.
+    #[inline]
+    fn record(
+        &self,
+        _held: &mut [Bank],
+        delta: &CacheStats,
+        op: OpClass,
+        done: Option<(u64, usize)>,
+    ) {
+        for (cell, n) in self.stats.iter().zip(delta.counted()) {
             if n != 0 {
-                cell.fetch_add(n, Ordering::Relaxed);
+                bump(cell, n);
             }
         }
+        let Some((cost, bytes)) = done else { return };
+        self.histograms[op as usize].record_exclusive(cost);
+        let count = match op {
+            OpClass::Read => &self.reads,
+            OpClass::Write => &self.writes,
+            OpClass::Maint => return,
+        };
+        bump(count, 1);
+        bump(&self.bytes, bytes as u64);
     }
 
     /// The counters as one [`CacheStats`].
     pub(crate) fn total(&self) -> CacheStats {
         let [hits, misses, allocs, writebacks, invalidations, evictions] =
-            self.0.each_ref().map(|c| c.load(Ordering::Relaxed));
+            self.stats.each_ref().map(|c| c.load(Ordering::Relaxed));
         CacheStats {
             hits,
             misses,
@@ -245,6 +294,29 @@ impl CacheStatsCells {
             invalidations,
             evictions,
             coalesced_fills: 0,
+        }
+    }
+
+    /// Completed cached reads, cached writes, and their payload bytes.
+    pub(crate) fn accesses(&self) -> [u64; 3] {
+        [&self.reads, &self.writes, &self.bytes].map(|c| c.load(Ordering::Relaxed))
+    }
+
+    /// The histogram of `class`, if the cache records that class.
+    pub(crate) fn histogram(&self, class: CostClass) -> Option<&LatencyHistogram> {
+        let op = match class {
+            CostClass::GlobalRead => OpClass::Read,
+            CostClass::GlobalWrite => OpClass::Write,
+            CostClass::CacheMaint => OpClass::Maint,
+            _ => return None,
+        };
+        Some(&self.histograms[op as usize])
+    }
+
+    /// Zero the histograms (see [`crate::NodeStats::reset_histograms`]).
+    pub(crate) fn reset_histograms(&self) {
+        for h in &self.histograms {
+            h.reset();
         }
     }
 }
@@ -856,7 +928,7 @@ fn write_runs(global: &GlobalMemory, pass_first: u64, stage: &[u8], mask: u64) -
 #[derive(Debug)]
 pub struct NodeCache {
     banks: Mutex<Box<[Bank]>>,
-    stats: Arc<CacheStatsCells>,
+    ledger: Arc<CacheLedger>,
     bank_mask: u64,
 }
 
@@ -880,19 +952,19 @@ impl NodeCache {
                     .map(|_| Bank::new(per_bank, shift))
                     .collect(),
             ),
-            stats: Arc::default(),
+            ledger: Arc::default(),
             bank_mask: config.banks as u64 - 1,
         }
     }
 
-    /// The shared counter cells (for [`crate::NodeStats`]).
-    pub(crate) fn stats_cells(&self) -> Arc<CacheStatsCells> {
-        self.stats.clone()
+    /// The shared ledger (for [`crate::NodeStats`]).
+    pub(crate) fn ledger(&self) -> Arc<CacheLedger> {
+        self.ledger.clone()
     }
 
     /// Snapshot of the cache's behaviour counters.
     pub fn stats(&self) -> CacheStats {
-        self.stats.total()
+        self.ledger.total()
     }
 
     /// Number of banks the cache's capacity is partitioned into.
@@ -936,12 +1008,29 @@ impl NodeCache {
         start + len as u64 <= global.capacity() as u64 && !global.is_poisoned(GAddr(start), len)
     }
 
-    /// Run a cached read or write under the cache lock, then add its
-    /// counters — those of the lines that took effect, on error too.
+    /// Run a cached read or write under the cache lock and record it
+    /// there: the counters of the lines that took effect, on error too,
+    /// and the op itself only if it completed.
     fn access(&self, mut acc: SpanAccess<'_>, pass_lines: usize) -> Result<u64, SimError> {
-        let cost = acc.run(&mut self.banks.lock(), pass_lines);
-        self.stats.add(&acc.delta);
+        let op = match acc.io {
+            SpanIo::Read { .. } => OpClass::Read,
+            SpanIo::Write { .. } => OpClass::Write,
+        };
+        let mut banks = self.banks.lock();
+        let cost = acc.run(&mut banks, pass_lines);
+        let done = cost.as_ref().ok().map(|&ns| (ns, acc.span.len));
+        self.ledger.record(&mut banks, &acc.delta, op, done);
         cost
+    }
+
+    /// Record a zero-length span: an op that touches no line and costs
+    /// nothing, but counts all the same.
+    #[cold]
+    fn record_empty(&self, op: OpClass) -> u64 {
+        let none = CacheStats::default();
+        self.ledger
+            .record(&mut self.banks.lock(), &none, op, Some((0, 0)));
+        0
     }
 
     /// Read `buf.len()` bytes at `addr` through the cache.
@@ -963,7 +1052,7 @@ impl NodeCache {
         buf: &mut [u8],
     ) -> Result<u64, SimError> {
         if buf.is_empty() {
-            return Ok(0);
+            return Ok(self.record_empty(OpClass::Read));
         }
         Self::check_span(global, addr, buf.len())?;
         let span = Span::new(addr, buf.len());
@@ -1018,7 +1107,7 @@ impl NodeCache {
         buf: &[u8],
     ) -> Result<u64, SimError> {
         if buf.is_empty() {
-            return Ok(0);
+            return Ok(self.record_empty(OpClass::Write));
         }
         Self::check_span(global, addr, buf.len())?;
         let span = Span::new(addr, buf.len());
@@ -1082,7 +1171,7 @@ impl NodeCache {
         drop_lines: bool,
     ) -> u64 {
         if len == 0 {
-            return 0;
+            return self.record_empty(OpClass::Maint);
         }
         let span = Span::new(addr, len);
         match writeback_to {
@@ -1160,8 +1249,8 @@ impl NodeCache {
             }
             pass = span.pass_from(pass.1 + 1, pass_lines);
         }
-        drop(banks);
-        self.stats.add(&delta);
+        self.ledger
+            .record(&mut banks, &delta, OpClass::Maint, Some((cost.ns, 0)));
         cost.ns
     }
 
@@ -1183,8 +1272,8 @@ impl NodeCache {
                 cost += lat.invalidate_line_ns;
             }
         }
-        drop(banks);
-        self.stats.add(&delta);
+        self.ledger
+            .record(&mut banks, &delta, OpClass::Maint, Some((cost, 0)));
         cost
     }
 }

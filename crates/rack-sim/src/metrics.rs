@@ -165,12 +165,14 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
 
 /// A fixed-size power-of-two latency histogram over simulated nanoseconds.
 ///
-/// Thread-safe and lock-free; recording is one relaxed `fetch_add` per
-/// counter touched.
+/// Thread-safe and lock-free. [`LatencyHistogram::record`] costs two
+/// relaxed `fetch_add`s (the bucket and the total) and a load of
+/// `max_ns`, which it writes only when the new cost exceeds it. The
+/// operation count is not stored: it is the sum of the buckets, which
+/// [`LatencyHistogram::snapshot`] computes.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
     total_ns: AtomicU64,
     max_ns: AtomicU64,
 }
@@ -179,11 +181,22 @@ impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
         }
     }
+}
+
+/// Add `n` to a cell that only one thread at a time writes (its writers
+/// all hold one lock): a plain load and store, no read-modify-write.
+/// Lock-free readers still see a whole value. A writer that does not
+/// hold the lock would lose updates, never corrupt memory.
+#[inline]
+pub(crate) fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
 }
 
 impl LatencyHistogram {
@@ -195,9 +208,22 @@ impl LatencyHistogram {
     /// Record one operation costing `cost_ns` simulated nanoseconds.
     pub fn record(&self, cost_ns: u64) {
         self.buckets[bucket_index(cost_ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(cost_ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(cost_ns, Ordering::Relaxed);
+        if cost_ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.fetch_max(cost_ns, Ordering::Relaxed);
+        }
+    }
+
+    /// [`LatencyHistogram::record`] for a histogram whose every writer
+    /// holds one lock (the node cache's): plain loads and stores, see
+    /// [`bump`].
+    #[inline]
+    pub(crate) fn record_exclusive(&self, cost_ns: u64) {
+        bump(&self.buckets[bucket_index(cost_ns)], 1);
+        bump(&self.total_ns, cost_ns);
+        if cost_ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.store(cost_ns, Ordering::Relaxed);
+        }
     }
 
     /// A point-in-time copy of the histogram.
@@ -208,7 +234,7 @@ impl LatencyHistogram {
         }
         HistogramSnapshot {
             buckets,
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
             total_ns: self.total_ns.load(Ordering::Relaxed),
             max_ns: self.max_ns.load(Ordering::Relaxed),
         }
@@ -219,7 +245,6 @@ impl LatencyHistogram {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.total_ns.store(0, Ordering::Relaxed);
         self.max_ns.store(0, Ordering::Relaxed);
     }

@@ -50,9 +50,9 @@ impl NodeCtx {
     ) -> Self {
         let cache = NodeCache::new(cache_config);
         let stats = NodeStats::new();
-        // The stats handle reads the cache's counters directly;
-        // no publish/copy step runs on the access path.
-        stats.attach_cache(cache.stats_cells());
+        // The cache records its own ops in its ledger, under its lock;
+        // the stats handle reads the ledger directly.
+        stats.attach_cache(cache.ledger());
         NodeCtx {
             id,
             global,
@@ -118,6 +118,14 @@ impl NodeCtx {
         self.stats.record_op(class, kind, addr_class, at, cost);
     }
 
+    /// Advance the clock by the `cost` of a cache op and trace it. The
+    /// cache has already recorded the op (histogram, counts, bytes)
+    /// under its lock.
+    fn charge_cached(&self, kind: OpKind, cost: u64) {
+        let at = self.clock.advance(cost);
+        self.stats.trace_op(kind, AddrClass::Global, at, cost);
+    }
+
     /// The latency model to charge for an access to global address
     /// `addr`: under the default uniform home policy this is the node's
     /// flat model, borrowed (zero overhead, byte-identical); under an
@@ -149,8 +157,7 @@ impl NodeCtx {
         let cost = self
             .cache
             .read(&self.global, &self.lat_for(addr), addr, buf)?;
-        self.charge_op(CostClass::GlobalRead, OpKind::Read, AddrClass::Global, cost);
-        self.stats.count_global_read(buf.len());
+        self.charge_cached(OpKind::Read, cost);
         Ok(())
     }
 
@@ -167,13 +174,7 @@ impl NodeCtx {
         let cost = self
             .cache
             .write(&self.global, &self.lat_for(addr), addr, buf)?;
-        self.charge_op(
-            CostClass::GlobalWrite,
-            OpKind::Write,
-            AddrClass::Global,
-            cost,
-        );
-        self.stats.count_global_write(buf.len());
+        self.charge_cached(OpKind::Write, cost);
         Ok(())
     }
 
@@ -205,24 +206,14 @@ impl NodeCtx {
         let cost = self
             .cache
             .writeback(&self.global, &self.lat_for(addr), addr, len);
-        self.charge_op(
-            CostClass::CacheMaint,
-            OpKind::Writeback,
-            AddrClass::Global,
-            cost,
-        );
+        self.charge_cached(OpKind::Writeback, cost);
     }
 
     /// Drop cached lines covering `[addr, addr+len)` (un-written dirty data
     /// is discarded, as on hardware).
     pub fn invalidate(&self, addr: GAddr, len: usize) {
         let cost = self.cache.invalidate(&self.latency, addr, len);
-        self.charge_op(
-            CostClass::CacheMaint,
-            OpKind::Invalidate,
-            AddrClass::Global,
-            cost,
-        );
+        self.charge_cached(OpKind::Invalidate, cost);
     }
 
     /// Write back then invalidate `[addr, addr+len)`.
@@ -230,23 +221,13 @@ impl NodeCtx {
         let cost = self
             .cache
             .flush(&self.global, &self.lat_for(addr), addr, len);
-        self.charge_op(
-            CostClass::CacheMaint,
-            OpKind::Flush,
-            AddrClass::Global,
-            cost,
-        );
+        self.charge_cached(OpKind::Flush, cost);
     }
 
     /// Flush this node's entire cache.
     pub fn flush_all(&self) {
         let cost = self.cache.flush_all(&self.global, &self.latency);
-        self.charge_op(
-            CostClass::CacheMaint,
-            OpKind::Flush,
-            AddrClass::Global,
-            cost,
-        );
+        self.charge_cached(OpKind::Flush, cost);
     }
 
     /// Cache behaviour counters for this node (lock-free snapshot of the

@@ -26,15 +26,20 @@ pub struct NodeStats {
 #[derive(Debug, Default)]
 struct Inner {
     counters: Counters,
-    /// Shared handle to the node cache's atomic counters,
-    /// attached once by the owning `NodeCtx`. Snapshots read the cache's
-    /// own cells; nothing is copied or published on the access path.
-    cache: OnceLock<Arc<crate::cache::CacheStatsCells>>,
+    /// Shared handle to the node cache's ledger, attached once by the
+    /// owning `NodeCtx`: the cache records its behaviour counters, its
+    /// reads and writes and their histograms there, under its own lock.
+    /// Snapshots add the ledger to these cells; nothing is copied or
+    /// published on the access path.
+    cache: OnceLock<Arc<crate::cache::CacheLedger>>,
     histograms: [LatencyHistogram; CostClass::ALL.len()],
     trace: TraceRing,
     registry: CounterRegistry,
 }
 
+/// The counters of the operations the node cache does not record
+/// (uncached, atomic, local and message accesses): one relaxed
+/// `fetch_add` each.
 #[derive(Debug, Default)]
 struct Counters {
     global_reads: AtomicU64,
@@ -43,7 +48,6 @@ struct Counters {
     local_accesses: AtomicU64,
     local_bytes: AtomicU64,
     global_bytes: AtomicU64,
-    bytes_copied: AtomicU64,
     messages_sent: AtomicU64,
     message_bytes: AtomicU64,
 }
@@ -64,7 +68,8 @@ pub struct StatsSnapshot {
     pub local_bytes: u64,
     /// Payload bytes served by the global pool tier (reads + writes).
     pub global_bytes: u64,
-    /// Payload bytes memcpy'd by simulator operations.
+    /// Payload bytes memcpy'd by simulator operations: always
+    /// `global_bytes + local_bytes`.
     pub bytes_copied: u64,
     /// Interconnect messages sent.
     pub messages_sent: u64,
@@ -172,10 +177,6 @@ impl NodeStats {
             .counters
             .global_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.inner
-            .counters
-            .bytes_copied
-            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn count_global_write(&self, bytes: usize) {
@@ -186,10 +187,6 @@ impl NodeStats {
         self.inner
             .counters
             .global_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.inner
-            .counters
-            .bytes_copied
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
@@ -208,10 +205,6 @@ impl NodeStats {
         self.inner
             .counters
             .local_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.inner
-            .counters
-            .bytes_copied
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
@@ -237,6 +230,13 @@ impl NodeStats {
         cost_ns: u64,
     ) {
         self.inner.histograms[class.index()].record(cost_ns);
+        self.trace_op(kind, addr_class, at_ns, cost_ns);
+    }
+
+    /// Trace one charged operation, if tracing is enabled. The node
+    /// cache has already recorded its own operations' histograms.
+    #[inline]
+    pub(crate) fn trace_op(&self, kind: OpKind, addr_class: AddrClass, at_ns: u64, cost_ns: u64) {
         self.inner.trace.record(TraceEvent {
             kind,
             addr_class,
@@ -245,10 +245,10 @@ impl NodeStats {
         });
     }
 
-    /// Attach the node cache's shared counter cells (called once by the
-    /// owning `NodeCtx` at construction). Later calls are ignored.
-    pub(crate) fn attach_cache(&self, cells: Arc<crate::cache::CacheStatsCells>) {
-        let _ = self.inner.cache.set(cells);
+    /// Attach the node cache's ledger (called once by the owning
+    /// `NodeCtx` at construction). Later calls are ignored.
+    pub(crate) fn attach_cache(&self, ledger: Arc<crate::cache::CacheLedger>) {
+        let _ = self.inner.cache.set(ledger);
     }
 
     /// This node's event-trace ring (disabled by default).
@@ -266,16 +266,25 @@ impl NodeStats {
         self.inner.registry.counter(subsystem, name)
     }
 
-    /// A live histogram snapshot for one cost class.
+    /// A live histogram snapshot for one cost class: this node's own
+    /// cell plus, for the classes the cache records, the cache's.
     pub fn histogram(&self, class: CostClass) -> HistogramSnapshot {
-        self.inner.histograms[class.index()].snapshot()
+        let mut h = self.inner.histograms[class.index()].snapshot();
+        if let Some(cached) = self.inner.cache.get().and_then(|l| l.histogram(class)) {
+            h.merge(&cached.snapshot());
+        }
+        h
     }
 
     /// Zero every histogram (counters and traces are left untouched).
-    /// Intended for experiment harnesses between repetitions.
+    /// Intended for experiment harnesses between repetitions, with no
+    /// operation running on the node.
     pub fn reset_histograms(&self) {
         for h in &self.inner.histograms {
             h.reset();
+        }
+        if let Some(ledger) = self.inner.cache.get() {
+            ledger.reset_histograms();
         }
     }
 
@@ -283,24 +292,21 @@ impl NodeStats {
     /// histograms, and subsystem counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         let c = &self.inner.counters;
-        let k = self
-            .inner
-            .cache
-            .get()
-            .map(|cells| cells.total())
-            .unwrap_or_default();
-        let mut histograms = [HistogramSnapshot::default(); CostClass::ALL.len()];
-        for (out, h) in histograms.iter_mut().zip(&self.inner.histograms) {
-            *out = h.snapshot();
-        }
+        let ledger = self.inner.cache.get();
+        let k = ledger.map(|l| l.total()).unwrap_or_default();
+        let [cached_reads, cached_writes, cached_bytes] =
+            ledger.map(|l| l.accesses()).unwrap_or_default();
+        let histograms = CostClass::ALL.map(|class| self.histogram(class));
+        let global_bytes = c.global_bytes.load(Ordering::Relaxed) + cached_bytes;
+        let local_bytes = c.local_bytes.load(Ordering::Relaxed);
         StatsSnapshot {
-            global_reads: c.global_reads.load(Ordering::Relaxed),
-            global_writes: c.global_writes.load(Ordering::Relaxed),
+            global_reads: c.global_reads.load(Ordering::Relaxed) + cached_reads,
+            global_writes: c.global_writes.load(Ordering::Relaxed) + cached_writes,
             global_atomics: c.global_atomics.load(Ordering::Relaxed),
             local_accesses: c.local_accesses.load(Ordering::Relaxed),
-            local_bytes: c.local_bytes.load(Ordering::Relaxed),
-            global_bytes: c.global_bytes.load(Ordering::Relaxed),
-            bytes_copied: c.bytes_copied.load(Ordering::Relaxed),
+            local_bytes,
+            global_bytes,
+            bytes_copied: global_bytes + local_bytes,
             messages_sent: c.messages_sent.load(Ordering::Relaxed),
             message_bytes: c.message_bytes.load(Ordering::Relaxed),
             cache_hits: k.hits,

@@ -9,7 +9,7 @@
 //! bytes get the same id, which is what lets unrelated images dedup
 //! chunk-by-chunk in the rack-wide store.
 
-use flac_store::{chunk_hash, ShardedBackends};
+use flac_store::{chunk_hash_each, ShardedBackends};
 use flacdk::wire::fnv1a;
 use flacos_mem::PAGE_SIZE;
 
@@ -40,9 +40,11 @@ impl Layer {
     /// Panics if `pages` is zero.
     pub fn generate(seed: u64, pages: u64) -> Self {
         assert!(pages > 0, "a layer holds at least one page");
-        let chunk_hashes: Vec<u64> = (0..pages)
-            .map(|idx| chunk_hash(&generate_page(seed, idx)))
-            .collect();
+        let mut chunk_hashes = Vec::with_capacity(pages as usize);
+        for group in page_groups(seed, pages) {
+            let refs: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
+            chunk_hashes.extend(chunk_hash_each(&refs));
+        }
         let mut manifest_bytes = Vec::with_capacity(chunk_hashes.len() * 8);
         for h in &chunk_hashes {
             manifest_bytes.extend_from_slice(&h.to_le_bytes());
@@ -78,10 +80,24 @@ impl Layer {
     /// "registry upload"). Idempotent: already-published chunks are
     /// skipped. Returns the number of chunks newly published.
     pub fn publish(&self, backends: &ShardedBackends) -> u64 {
-        (0..self.pages)
-            .filter(|&idx| backends.publish(self.page_content(idx)))
-            .count() as u64
+        page_groups(self.seed, self.pages)
+            .map(|group| backends.publish_many(group))
+            .sum()
     }
+}
+
+/// Pages generated and hashed together, bounding a layer's transient
+/// page copies to one group.
+const PAGE_GROUP: u64 = 64;
+
+/// The pages of layer (`seed`, `pages`), in order, in groups of
+/// [`PAGE_GROUP`].
+fn page_groups(seed: u64, pages: u64) -> impl Iterator<Item = Vec<Vec<u8>>> {
+    (0..pages).step_by(PAGE_GROUP as usize).map(move |lo| {
+        (lo..(lo + PAGE_GROUP).min(pages))
+            .map(|idx| generate_page(seed, idx))
+            .collect()
+    })
 }
 
 /// Deterministic page bytes for (`seed`, `idx`) — xorshift64* filler.
@@ -168,6 +184,7 @@ impl ContainerImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flac_store::chunk_hash;
 
     #[test]
     fn synthetic_image_partitions_pages() {

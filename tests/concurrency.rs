@@ -576,3 +576,79 @@ fn replica_never_skips_a_live_combiners_in_flight_batch() {
         );
     }
 }
+
+#[test]
+fn one_node_many_threads_snapshot_equals_a_serial_run() {
+    // Threads sharing ONE node record into the same counters and
+    // histograms. Each thread owns its lines, its fabric words and its
+    // local buffer, and the cache never fills, so every op's simulated
+    // cost depends only on its own thread's program order: the final
+    // snapshot must match the serial run's in every field, whatever the
+    // interleaving. A lost update to any counter shows as a mismatch.
+    const THREADS: u64 = 3;
+    const LINES_PER_THREAD: u64 = 32;
+    const ROUNDS: u64 = 40;
+
+    fn thread_program(node: &rack_sim::NodeCtx, base: GAddr, local: rack_sim::LAddr, t: u64) {
+        let line = |i: u64| base.offset((t * LINES_PER_THREAD + i) * rack_sim::LINE_SIZE as u64);
+        let word = base.offset((THREADS * LINES_PER_THREAD + t) * rack_sim::LINE_SIZE as u64);
+        let mut page = [0u8; 4 * rack_sim::LINE_SIZE];
+        for round in 0..ROUNDS {
+            for i in 0..LINES_PER_THREAD {
+                let addr = line(i);
+                node.write_u64(addr, i ^ round).unwrap();
+                assert_eq!(node.read_u64(addr).unwrap(), i ^ round);
+                match (i + round) % 4 {
+                    0 => node.writeback(addr, 8),
+                    1 => node.invalidate(addr, 8),
+                    2 => node.flush(addr, 8),
+                    _ => node.charge(i * 7),
+                }
+            }
+            node.read(line(round % (LINES_PER_THREAD - 4)), &mut page)
+                .unwrap();
+            node.load_uncached_u64(word).unwrap();
+            node.store_uncached_u64(word, round).unwrap();
+            node.fetch_add_u64(word, 1).unwrap();
+            node.compare_exchange_u64(word, round + 1, round).unwrap();
+            node.local_write(local, &round.to_le_bytes()).unwrap();
+            node.local_read(local, &mut [0u8; 8]).unwrap();
+            node.charge(round);
+        }
+    }
+
+    let run = |parallel: bool| {
+        let rack = rack();
+        let n0 = rack.node(0);
+        let lines = (THREADS * LINES_PER_THREAD + THREADS) as usize;
+        let base = rack
+            .global()
+            .alloc(lines * rack_sim::LINE_SIZE, rack_sim::LINE_SIZE)
+            .unwrap();
+        let locals: Vec<_> = (0..THREADS).map(|_| n0.local_alloc(8).unwrap()).collect();
+        if parallel {
+            thread::scope(|s| {
+                for (t, &local) in locals.iter().enumerate() {
+                    let n0 = n0.clone();
+                    s.spawn(move || thread_program(&n0, base, local, t as u64));
+                }
+            });
+        } else {
+            for (t, &local) in locals.iter().enumerate() {
+                thread_program(&n0, base, local, t as u64);
+            }
+        }
+        (n0.stats().snapshot(), n0.clock().now())
+    };
+
+    let (serial, serial_clock) = run(false);
+    assert_eq!(serial.total_charged_ns(), serial_clock);
+    for attempt in 0..3 {
+        let (snap, clock) = run(true);
+        assert_eq!(clock, serial_clock, "parallel run {attempt}: clock");
+        assert_eq!(
+            snap, serial,
+            "parallel run {attempt} diverged from the serial run"
+        );
+    }
+}

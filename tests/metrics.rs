@@ -10,8 +10,10 @@ use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacos_fs::page_cache::SharedPageCache;
 use flacos_ipc::channel::FlacChannel;
 use flacos_mem::{AccessRing, AddressSpace, PhysFrame, Pte, VirtAddr, PAGE_SIZE};
-use rack_sim::metrics::bucket_index;
-use rack_sim::{AddrClass, CostClass, NodeCtx, OpKind, Rack, RackConfig, SimError, LINE_SIZE};
+use rack_sim::metrics::{bucket_index, HistogramSnapshot};
+use rack_sim::{
+    AddrClass, CostClass, GAddr, NodeCtx, OpKind, Rack, RackConfig, SimError, LINE_SIZE,
+};
 
 fn small_rack() -> Rack {
     Rack::new(RackConfig::small_test().with_global_mem(32 << 20))
@@ -878,4 +880,136 @@ fn address_space_access_walks_each_page_once() {
     assert_eq!(buf, [1; 64]);
     assert_eq!(one_page_read, [7, 2, 4_350]);
     assert_eq!(vpns(), [0]);
+}
+
+/// One node driven through every kind of access the snapshot accounts
+/// for: cached reads and writes (hits, misses, allocations, a burst),
+/// writebacks, invalidates, flushes, capacity evictions of dirty lines,
+/// a `flush_all`, uncached loads and stores, fabric atomics, local
+/// accesses, compute charges, a message each way, zero-length spans and
+/// failed ops. A four-line-per-bank cache makes the evictions happen.
+fn scripted_node_snapshot() -> (rack_sim::StatsSnapshot, u64) {
+    let mut config = RackConfig::small_test();
+    config.cache = rack_sim::CacheConfig {
+        max_lines: 16,
+        banks: 4,
+    };
+    let rack = Rack::new(config);
+    let (n0, n1) = (rack.node(0), rack.node(1));
+    let base = rack.global().alloc(64 * LINE_SIZE, LINE_SIZE).unwrap();
+    let at = |line: u64| base.offset(line * LINE_SIZE as u64);
+
+    // Cached reads: a miss, a hit, a four-line burst of misses.
+    n0.read_u64(at(0)).unwrap();
+    n0.read_u64(at(0)).unwrap();
+    n0.read(at(4), &mut [0u8; 4 * LINE_SIZE]).unwrap();
+    // Cached writes: a hit, a full-line allocation, a partial-line miss.
+    n0.write_u64(at(0), 1).unwrap();
+    n0.write(at(8), &[7; LINE_SIZE]).unwrap();
+    n0.write(at(9).offset(8), &[3; 16]).unwrap();
+    // Maintenance: a writeback over the dirty lines, an invalidate that
+    // discards a dirty line, a flush of one dirty line.
+    n0.writeback(at(0), 16 * LINE_SIZE);
+    n0.write_u64(at(0), 2).unwrap();
+    n0.invalidate(at(0), LINE_SIZE);
+    n0.write_u64(at(1), 5).unwrap();
+    n0.flush(at(1), LINE_SIZE);
+    // Capacity: dirty eight lines, then read 32 more through the same
+    // banks, evicting (and writing back) the dirty ones.
+    for line in 16..24 {
+        n0.write_u64(at(line), line).unwrap();
+    }
+    n0.read(at(32), &mut [0u8; 32 * LINE_SIZE]).unwrap();
+    n0.write_u64(at(40), 4).unwrap();
+    n0.flush_all();
+    // Uncached and atomic fabric accesses.
+    n0.load_uncached_u64(at(50)).unwrap();
+    n0.store_uncached_u64(at(50), 9).unwrap();
+    n0.compare_exchange_u64(at(51), 0, 1).unwrap();
+    n0.fetch_add_u64(at(51), 2).unwrap();
+    // Local memory, compute, one message each way.
+    let local = n0.local_alloc(LINE_SIZE).unwrap();
+    n0.local_write(local, &[1; 16]).unwrap();
+    n0.local_read(local, &mut [0u8; 8]).unwrap();
+    n0.charge(123);
+    n0.charge(0);
+    n0.send(n1.id(), 9, vec![0; 40]).unwrap();
+    n1.send(n0.id(), 9, vec![1; 10]).unwrap();
+    n0.try_recv(9).unwrap();
+    // Zero-length spans are ops that cost nothing.
+    n0.read(at(0), &mut []).unwrap();
+    n0.write(at(0), &[]).unwrap();
+    n0.writeback(at(0), 0);
+    n0.invalidate(at(0), 0);
+    n0.flush(at(0), 0);
+    // Failed ops record nothing of their own: an out-of-bounds read,
+    // write and uncached load, and a read that fails on a poisoned line
+    // after its first line hit (that hit is still counted).
+    let past = GAddr(rack.global().capacity() as u64);
+    assert!(n0.read_u64(past).is_err());
+    assert!(n0.write_u64(past, 1).is_err());
+    assert!(n0.load_uncached_u64(past).is_err());
+    n0.read_u64(at(60)).unwrap();
+    rack.global().poison(at(61), 8);
+    assert!(n0.read(at(60), &mut [0u8; 2 * LINE_SIZE]).is_err());
+    (n0.stats().snapshot(), n0.clock().now())
+}
+
+/// A histogram snapshot from its non-empty buckets and summary.
+fn hist(buckets: &[(usize, u64)], count: u64, total_ns: u64, max_ns: u64) -> HistogramSnapshot {
+    let mut h = HistogramSnapshot {
+        count,
+        total_ns,
+        max_ns,
+        ..HistogramSnapshot::default()
+    };
+    for &(i, n) in buckets {
+        h.buckets[i] = n;
+    }
+    h
+}
+
+#[test]
+fn scripted_node_snapshot_pins_every_field() {
+    let (snap, clock) = scripted_node_snapshot();
+    let expected = rack_sim::StatsSnapshot {
+        global_reads: 7,
+        global_writes: 16,
+        global_atomics: 2,
+        local_accesses: 2,
+        local_bytes: 24,
+        global_bytes: 2520,
+        bytes_copied: 2544,
+        messages_sent: 1,
+        message_bytes: 40,
+        cache_hits: 4,
+        cache_misses: 49,
+        cache_allocs: 1,
+        cache_writebacks: 13,
+        cache_invalidations: 18,
+        cache_evictions: 31,
+        cache_coalesced_fills: 0,
+        // In `CostClass::ALL` order.
+        histograms: [
+            hist(&[(7, 2)], 2, 175, 90),
+            hist(&[(0, 1), (5, 1), (9, 3), (12, 1)], 6, 3960, 2493),
+            hist(&[(0, 1), (5, 3), (9, 11)], 15, 5334, 480),
+            hist(&[(9, 2)], 2, 900, 480),
+            hist(&[(10, 2)], 2, 1400, 700),
+            hist(&[(0, 3), (5, 1), (8, 1), (9, 1), (10, 1)], 7, 1266, 720),
+            hist(&[(0, 1), (10, 1)], 2, 702, 702),
+            hist(&[(0, 1), (7, 1)], 2, 123, 123),
+        ],
+        subsystems: Vec::new(),
+    };
+    for (class, (got, want)) in CostClass::ALL
+        .iter()
+        .zip(snap.histograms.iter().zip(&expected.histograms))
+    {
+        assert_eq!(got, want, "{class:?} histogram");
+    }
+    assert_eq!(snap, expected);
+    // The clock carries every charge but the send's flight time.
+    assert_eq!(clock, 13_158);
+    assert_eq!(clock, snap.total_charged_ns() - 702);
 }
