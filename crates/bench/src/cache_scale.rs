@@ -18,6 +18,7 @@
 //! `flac-bench cache` writes the results as `BENCH_cache.json`;
 //! `scripts/verify.sh` runs it in `--quick --gate` mode as a smoke test.
 
+use crate::report::{tenths, Point, Report};
 use rack_sim::cache::{CacheConfig, CacheStats, NodeCache};
 use rack_sim::sync::Mutex;
 use rack_sim::{GAddr, GlobalMemory, LatencyModel, SimError, SplitMix64, LINE_SIZE};
@@ -447,6 +448,22 @@ pub struct ScalePoint {
     pub sim_ns: u64,
 }
 
+impl ScalePoint {
+    /// The report point, keyed `impl=<name> hit_permille=<h>`: `sim_ns`,
+    /// then `wall_ns` and `ops` of the timed region.
+    pub fn point(&self) -> Point {
+        Point::new(pair_key(self.cache_impl, self.hit_permille))
+            .with("sim_ns", self.sim_ns)
+            .with("wall_ns", self.elapsed_ns)
+            .with("ops", self.total_ops)
+    }
+}
+
+/// The key of one implementation's point at one hit ratio.
+fn pair_key(cache_impl: &str, hit_permille: u64) -> String {
+    format!("impl={cache_impl} hit_permille={hit_permille}")
+}
+
 /// The deterministic op stream against `cache`.
 ///
 /// Returns (ops performed, simulated ns charged). The mix is ~1/8 writes;
@@ -538,12 +555,12 @@ pub const SPAN_PAGES: u64 = 256;
 
 /// The span point's phases, in measurement order: a cold page read
 /// (every line misses), a full-page write followed by a writeback of the
-/// page, and the invalidation of a resident page. Report fields are
+/// page, and the invalidation of a resident page. Report columns are
 /// `<phase>_ns_per_line`.
 pub const SPAN_PHASES: [&str; 3] = ["cold_read", "write_writeback", "invalidate"];
 
 /// One implementation's result at the fixed 4 KiB-span point, on a
-/// single thread (also the shape it is re-read from a report in).
+/// single thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanPoint {
     /// Implementation name (`"node_cache"` / `"baseline"`).
@@ -553,6 +570,22 @@ pub struct SpanPoint {
     /// Total *simulated* nanoseconds over all phases — must match between
     /// the two implementations.
     pub sim_ns: u64,
+}
+
+impl SpanPoint {
+    /// The report point, keyed `impl=<name> span_bytes=4096`: `sim_ns`,
+    /// then each phase's wall-clock `<phase>_ns_per_line`.
+    pub fn point(&self) -> Point {
+        SPAN_PHASES.iter().zip(self.ns_per_line).fold(
+            Point::new(span_key(&self.cache_impl)).with("sim_ns", self.sim_ns),
+            |p, (phase, ns)| p.with(&format!("{phase}_ns_per_line"), tenths(ns)),
+        )
+    }
+}
+
+/// The key of one implementation's span point.
+fn span_key(cache_impl: &str) -> String {
+    format!("impl={cache_impl} span_bytes={SPAN_BYTES}")
 }
 
 /// Measure the span point: `rounds` sweeps over the working set, each a
@@ -608,225 +641,82 @@ pub fn run_span_points(quick: bool) -> Vec<SpanPoint> {
     ]
 }
 
-/// Derived gate metrics for one hit ratio.
-#[derive(Debug, Clone, Copy)]
-pub struct ScaleSummary {
-    /// Hit-ratio target in permille.
-    pub hit_permille: u64,
-    /// node-cache / baseline throughput on one thread (target: ≥
-    /// [`SINGLE_THREAD_RATIO_MIN`]).
-    pub single_thread_ratio: f64,
-    /// Whether both impls charged identical simulated ns.
-    pub sim_ns_parity: bool,
+/// The report of a run: the sweep's points, then the span points.
+fn report(quick: bool, sweep: &[ScalePoint], spans: &[SpanPoint]) -> Report {
+    let mut report = Report::new("cache", quick)
+        .fact("line_size", LINE_SIZE)
+        .fact("span_pages", SPAN_PAGES)
+        .fact("smoke_ratio_min", SMOKE_RATIO_MIN)
+        .fact("single_thread_ratio_min", SINGLE_THREAD_RATIO_MIN);
+    report.points = sweep
+        .iter()
+        .map(ScalePoint::point)
+        .chain(spans.iter().map(SpanPoint::point))
+        .collect();
+    report
 }
 
-/// Compute the gate metrics from one [`run_pair`].
-///
-/// # Panics
-///
-/// Panics if `points` lacks either implementation.
-pub fn summarize(points: &[ScalePoint]) -> ScaleSummary {
-    let get = |name: &str| {
-        points
-            .iter()
-            .find(|p| p.cache_impl == name)
-            .expect("both implementations measured")
-    };
-    let (node, base) = (get("node_cache"), get("baseline"));
-    ScaleSummary {
-        hit_permille: node.hit_permille,
-        single_thread_ratio: node.ops_per_sec / base.ops_per_sec,
-        sim_ns_parity: node.sim_ns == base.sim_ns,
-    }
-}
-
-/// Render the full report (all points + summaries) as a JSON document.
-/// Hand-rolled: the workspace is hermetic, so no serde.
-pub fn to_json(
-    sweeps: &[(Vec<ScalePoint>, ScaleSummary)],
-    spans: &[SpanPoint],
-    quick: bool,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"cache_scale\",\n");
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"line_size\": {LINE_SIZE},\n"));
-    out.push_str(&format!(
-        "  \"targets\": {{ \"single_thread_ratio_min\": {SINGLE_THREAD_RATIO_MIN} }},\n"
-    ));
-    out.push_str("  \"results\": [\n");
-    let mut first = true;
-    for (points, _) in sweeps {
-        for p in points {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    {{ \"impl\": \"{}\", \"hit_permille\": {}, \"total_ops\": {}, \
-                 \"elapsed_ns\": {}, \"ops_per_sec\": {:.1}, \"sim_ns\": {} }}",
-                p.cache_impl, p.hit_permille, p.total_ops, p.elapsed_ns, p.ops_per_sec, p.sim_ns
-            ));
-        }
-    }
-    out.push_str("\n  ],\n  \"summaries\": [\n");
-    for (i, (_, s)) in sweeps.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{ \"hit_permille\": {}, \"single_thread_ratio\": {:.3}, \"sim_ns_parity\": {} }}",
-            s.hit_permille, s.single_thread_ratio, s.sim_ns_parity
-        ));
-    }
-    out.push_str("\n  ],\n  \"span_results\": [\n");
-    for (i, p) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{ \"span_impl\": \"{}\", \"span_bytes\": {SPAN_BYTES}, \"pages\": {SPAN_PAGES}, ",
-            p.cache_impl
-        ));
-        for (phase, ns) in SPAN_PHASES.iter().zip(p.ns_per_line) {
-            out.push_str(&format!("\"{phase}_ns_per_line\": {ns:.1}, "));
-        }
-        out.push_str(&format!("\"sim_ns\": {} }}", p.sim_ns));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// One `results[]` entry re-read from a report on disk.
-#[derive(Debug, Clone)]
-pub struct ParsedPoint {
-    /// Implementation name (`"node_cache"` / `"baseline"`).
-    pub cache_impl: String,
-    /// Hit-ratio target in permille.
-    pub hit_permille: u64,
-    /// Throughput, operations per wall-clock second.
-    pub ops_per_sec: f64,
-    /// Total simulated nanoseconds charged.
-    pub sim_ns: u64,
-}
-
-/// A `BENCH_cache.json` report re-read from disk (see [`parse_report`]).
-#[derive(Debug, Clone)]
-pub struct ParsedReport {
-    /// Every measurement point, in report order.
-    pub points: Vec<ParsedPoint>,
-    /// The fixed 4 KiB-span point, one entry per implementation.
-    pub spans: Vec<SpanPoint>,
-}
-
-impl ParsedReport {
-    /// The (node cache, baseline) points at `hit_permille`, if the
-    /// report has both.
-    fn pair(&self, hit_permille: u64) -> Option<(&ParsedPoint, &ParsedPoint)> {
-        let find = |name: &str| {
-            self.points
-                .iter()
-                .find(|p| p.cache_impl == name && p.hit_permille == hit_permille)
-        };
-        Some((find("node_cache")?, find("baseline")?))
-    }
-}
-
-/// Re-read a report produced by [`to_json`]. Hand-rolled like the writer
-/// (hermetic workspace, no serde): each `results[]` object occupies one
-/// line, so the shared [`crate::report`] line-wise extraction is exact.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed line or missing field.
-pub fn parse_report(json: &str) -> Result<ParsedReport, String> {
-    crate::report::parse_quick(json)?;
-    let mut points = Vec::new();
-    for obj in crate::report::objects_with(json, "impl") {
-        points.push(ParsedPoint {
-            cache_impl: obj.str_field("impl")?,
-            hit_permille: obj.u64_field("hit_permille")?,
-            ops_per_sec: obj.f64_field("ops_per_sec")?,
-            sim_ns: obj.u64_field("sim_ns")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("no results[] entries found".into());
-    }
-    let spans = parse_span_points(json)?;
-    Ok(ParsedReport { points, spans })
-}
-
-/// Re-read the `span_results[]` entries of a report produced by
-/// [`to_json`].
-///
-/// # Errors
-///
-/// Returns a description of the first missing or malformed field.
-pub fn parse_span_points(json: &str) -> Result<Vec<SpanPoint>, String> {
-    crate::report::objects_with(json, "span_impl")
-        .map(|obj| {
-            let mut ns_per_line = [0.0; 3];
-            for (ns, phase) in ns_per_line.iter_mut().zip(SPAN_PHASES) {
-                *ns = obj.f64_field(&format!("{phase}_ns_per_line"))?;
-            }
-            Ok(SpanPoint {
-                cache_impl: obj.str_field("span_impl")?,
-                ns_per_line,
-                sim_ns: obj.u64_field("sim_ns")?,
-            })
-        })
-        .collect()
+/// Operations per wall-clock second of a sweep point.
+fn ops_per_sec(p: &Point) -> Result<f64, String> {
+    Ok(p.f64("ops")? / (p.u64("wall_ns")?.max(1) as f64 / 1e9))
 }
 
 /// Failures of the span point shared by the smoke gate and `--check`:
 /// both implementations measured, every phase timed, and identical
 /// simulated cost for the identical page sweep.
-pub fn span_failures(spans: &[SpanPoint]) -> Vec<String> {
-    let mut failures = Vec::new();
-    let find = |name: &str| spans.iter().find(|p| p.cache_impl == name);
+///
+/// # Errors
+///
+/// Names a column a span point lacks.
+pub fn span_failures(report: &Report) -> Result<Vec<String>, String> {
+    let find = |name| report.point(&span_key(name));
     let (Some(node), Some(baseline)) = (find("node_cache"), find("baseline")) else {
-        failures.push("report lacks the 4 KiB span point for both implementations".into());
-        return failures;
+        return Ok(vec![
+            "report lacks the 4 KiB span point for both implementations".into(),
+        ]);
     };
-    if node.sim_ns != baseline.sim_ns || node.sim_ns == 0 {
+    let mut failures = Vec::new();
+    let (node_ns, baseline_ns) = (node.u64("sim_ns")?, baseline.u64("sim_ns")?);
+    if node_ns != baseline_ns || node_ns == 0 {
         failures.push(format!(
-            "span point: sim_ns parity broken: {} vs {}",
-            node.sim_ns, baseline.sim_ns
+            "span point: sim_ns parity broken: {node_ns} vs {baseline_ns}"
         ));
     }
     for p in [node, baseline] {
-        if p.ns_per_line
-            .iter()
-            .any(|&ns| !(ns > 0.0 && ns.is_finite()))
-        {
-            failures.push(format!(
-                "span point: {} has an untimed phase: {:?}",
-                p.cache_impl, p.ns_per_line
-            ));
+        for phase in SPAN_PHASES {
+            let ns = p.f64(&format!("{phase}_ns_per_line"))?;
+            if !(ns > 0.0 && ns.is_finite()) {
+                failures.push(format!(
+                    "span point: {} has an untimed phase: {phase} = {ns}",
+                    p.key
+                ));
+            }
         }
     }
-    failures
+    Ok(failures)
 }
 
 /// Pairs at a hit ratio whose node-cache / baseline throughput ratio,
 /// recomputed from the raw points, falls below `floor`.
-fn ratio_failures(report: &ParsedReport, floor: f64) -> Vec<String> {
+fn ratio_failures(report: &Report, floor: f64) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
     for hit_permille in HIT_RATIOS {
-        let Some((node, base)) = report.pair(hit_permille) else {
+        let (Some(node), Some(base)) = (
+            report.point(&pair_key("node_cache", hit_permille)),
+            report.point(&pair_key("baseline", hit_permille)),
+        ) else {
             continue;
         };
-        let ratio = node.ops_per_sec / base.ops_per_sec;
+        let (node, base) = (ops_per_sec(node)?, ops_per_sec(base)?);
+        let ratio = node / base;
         if ratio < floor {
             failures.push(format!(
                 "hit_permille={hit_permille}: node cache loses to baseline \
-                 ({:.0} vs {:.0} ops/s, ratio {ratio:.3} < {floor})",
-                node.ops_per_sec, base.ops_per_sec
+                 ({node:.0} vs {base:.0} ops/s, ratio {ratio:.3} < {floor})"
             ));
         }
     }
-    failures
+    Ok(failures)
 }
 
 /// The invariants every report must hold (the `--gate`):
@@ -836,75 +726,68 @@ fn ratio_failures(report: &ParsedReport, floor: f64) -> Vec<String> {
 /// * node-cache / baseline throughput at least [`SMOKE_RATIO_MIN`];
 /// * the fixed 4 KiB-span point present for both implementations, with
 ///   `sim_ns` parity (see [`span_failures`]).
-pub fn gate_failures(report: &ParsedReport) -> Vec<String> {
+///
+/// # Errors
+///
+/// Names a column a point lacks.
+pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
     for hit_permille in HIT_RATIOS {
-        let Some((node, base)) = report.pair(hit_permille) else {
+        let (Some(node), Some(base)) = (
+            report.point(&pair_key("node_cache", hit_permille)),
+            report.point(&pair_key("baseline", hit_permille)),
+        ) else {
             failures.push(format!(
                 "report lacks a (node_cache, baseline) pair at hit_permille={hit_permille}"
             ));
             continue;
         };
-        if node.sim_ns != base.sim_ns {
+        let (node, base) = (node.u64("sim_ns")?, base.u64("sim_ns")?);
+        if node != base {
             failures.push(format!(
-                "sim_ns parity broken at hit_permille={hit_permille}: {} vs {}",
-                node.sim_ns, base.sim_ns
+                "sim_ns parity broken at hit_permille={hit_permille}: {node} vs {base}"
             ));
         }
     }
-    failures.extend(ratio_failures(report, SMOKE_RATIO_MIN));
-    failures.extend(span_failures(&report.spans));
-    failures
+    failures.extend(ratio_failures(report, SMOKE_RATIO_MIN)?);
+    failures.extend(span_failures(report)?);
+    Ok(failures)
 }
 
 /// The committed report's own target: node-cache / baseline throughput
 /// at least [`SINGLE_THREAD_RATIO_MIN`] at every hit ratio (the
 /// committed artifact is best-of-reps).
-pub fn target_failures(report: &ParsedReport) -> Vec<String> {
+///
+/// # Errors
+///
+/// Names a column a point lacks.
+pub fn target_failures(report: &Report) -> Result<Vec<String>, String> {
     ratio_failures(report, SINGLE_THREAD_RATIO_MIN)
 }
 
-/// Run both hit ratios and the span point, printing each row, and
-/// render the report.
-pub fn run(quick: bool) -> String {
+/// Run both hit ratios and the span point, printing each ratio, and
+/// build the report.
+pub fn run(quick: bool) -> Report {
     println!(
         "cache: {} mode, one thread, hit ratios (permille) {HIT_RATIOS:?}",
         if quick { "quick" } else { "full" }
     );
-    let mut sweeps = Vec::new();
+    let mut sweep = Vec::new();
     for hit_permille in HIT_RATIOS {
         let cfg = if quick {
             ScaleConfig::quick(hit_permille)
         } else {
             ScaleConfig::full(hit_permille)
         };
-        let points = run_pair(cfg);
-        for p in &points {
-            println!(
-                "  {:>10} hit={:.1}% {:>12.0} ops/s (sim {} ns)",
-                p.cache_impl,
-                p.hit_permille as f64 / 10.0,
-                p.ops_per_sec,
-                p.sim_ns
-            );
-        }
-        let s = summarize(&points);
+        let pair = run_pair(cfg);
         println!(
-            "  summary hit={:.1}%: single_thread_ratio={:.3} parity={}",
-            s.hit_permille as f64 / 10.0,
-            s.single_thread_ratio,
-            s.sim_ns_parity
+            "  hit={:.1}%: node cache / baseline = {:.3}",
+            hit_permille as f64 / 10.0,
+            pair[0].ops_per_sec / pair[1].ops_per_sec
         );
-        sweeps.push((points, s));
+        sweep.extend(pair);
     }
-    let spans = run_span_points(quick);
-    for p in &spans {
-        println!(
-            "  {:>10} 4 KiB spans: {SPAN_PHASES:?} = {:.1?} ns/line (sim {} ns)",
-            p.cache_impl, p.ns_per_line, p.sim_ns
-        );
-    }
-    to_json(&sweeps, &spans, quick)
+    report(quick, &sweep, &run_span_points(quick))
 }
 
 #[cfg(test)]
@@ -938,11 +821,16 @@ mod tests {
             seed: 7,
             reps: 1,
         };
-        let points = run_pair(cfg);
-        let s = summarize(&points);
-        assert!(s.sim_ns_parity, "identical workloads must charge equally");
-        assert_eq!(s.hit_permille, 950);
-        assert!(s.single_thread_ratio > 0.0);
+        let pair = run_pair(cfg);
+        let report = report(false, &pair, &[]);
+        let [node, base] =
+            ["node_cache", "baseline"].map(|name| report.point(&pair_key(name, 950)).expect(name));
+        assert_eq!(
+            node.u64("sim_ns"),
+            base.u64("sim_ns"),
+            "identical workloads must charge equally"
+        );
+        assert!(ops_per_sec(node).unwrap() / ops_per_sec(base).unwrap() > 0.0);
     }
 
     #[test]
@@ -953,53 +841,53 @@ mod tests {
         assert_eq!(spans[0].cache_impl, "node_cache");
         assert_eq!(spans[1].cache_impl, "baseline");
         assert_eq!(spans[0].sim_ns, spans[1].sim_ns);
-        let parsed = parse_span_points(&to_json(&[], &spans, true)).unwrap();
-        assert_eq!(parsed[0].sim_ns, spans[0].sim_ns, "report roundtrip");
-        assert_eq!(span_failures(&parsed), Vec::<String>::new());
-        assert!(!span_failures(&parsed[..1]).is_empty(), "one impl missing");
+        let parsed = Report::parse(&report(true, &[], &spans).to_json()).unwrap();
+        assert_eq!(
+            parsed.point(&span_key("node_cache")).unwrap().u64("sim_ns"),
+            Ok(spans[0].sim_ns),
+            "report roundtrip"
+        );
+        assert_eq!(span_failures(&parsed), Ok(Vec::new()));
+        let one = report(true, &[], &spans[..1]);
+        assert!(!span_failures(&one).unwrap().is_empty(), "one impl missing");
     }
 
     /// Build a minimal synthetic report through the real writer so the
-    /// parser/checker tests cover the actual on-disk shape.
+    /// parser/checker tests cover the actual on-disk shape. Every point
+    /// takes one wall-clock second, so its ops are its ops per second.
     fn synthetic_report(quick: bool, miss_heavy_node_ops: f64) -> String {
-        let mk = |cache_impl: &'static str, hit_permille, ops| ScalePoint {
+        let mk = |cache_impl: &'static str, hit_permille, ops: f64| ScalePoint {
             cache_impl,
             hit_permille,
-            total_ops: 1000,
-            elapsed_ns: 1_000_000,
+            total_ops: ops as u64,
+            elapsed_ns: 1_000_000_000,
             ops_per_sec: ops,
             sim_ns: 5_000,
         };
-        let sweeps = [
-            vec![mk("node_cache", 950, 2_000.0), mk("baseline", 950, 1_500.0)],
-            vec![
-                mk("node_cache", 500, miss_heavy_node_ops),
-                mk("baseline", 500, 1_000.0),
-            ],
-        ]
-        .map(|points| {
-            let s = summarize(&points);
-            (points, s)
-        });
+        let sweep = [
+            mk("node_cache", 950, 2_000.0),
+            mk("baseline", 950, 1_500.0),
+            mk("node_cache", 500, miss_heavy_node_ops),
+            mk("baseline", 500, 1_000.0),
+        ];
         let span = |cache_impl: &str| SpanPoint {
             cache_impl: cache_impl.into(),
             ns_per_line: [50.0, 90.0, 30.0],
             sim_ns: 7_000,
         };
-        let spans = [span("node_cache"), span("baseline")];
-        to_json(&sweeps, &spans, quick)
+        report(quick, &sweep, &[span("node_cache"), span("baseline")]).to_json()
     }
 
     #[test]
     fn parse_report_roundtrips_the_writer() {
         let json = synthetic_report(false, 1_100.0);
-        let parsed = parse_report(&json).expect("writer output parses");
-        assert_eq!(parsed.points.len(), 4);
+        let parsed = Report::parse(&json).expect("writer output parses");
+        assert_eq!(parsed.to_json(), json);
+        assert_eq!(parsed.points.len(), 6);
         let p = &parsed.points[2];
-        assert_eq!(p.cache_impl, "node_cache");
-        assert_eq!(p.hit_permille, 500);
-        assert_eq!(p.sim_ns, 5_000);
-        assert!((p.ops_per_sec - 1_100.0).abs() < 0.5);
+        assert_eq!(p.key, "impl=node_cache hit_permille=500");
+        assert_eq!(p.u64("sim_ns"), Ok(5_000));
+        assert!((ops_per_sec(p).unwrap() - 1_100.0).abs() < 0.5);
     }
 
     #[test]
@@ -1027,21 +915,27 @@ mod tests {
         let quick = check(&synthetic_report(true, 1_100.0));
         assert!(quick.iter().any(|f| f.contains("full run")));
 
-        let mut no_miss_heavy = parse_report(&synthetic_report(false, 1_100.0)).unwrap();
-        no_miss_heavy.points.retain(|p| p.hit_permille != 500);
+        let parsed = || Report::parse(&synthetic_report(false, 1_100.0)).unwrap();
+        let mut no_miss_heavy = parsed();
+        no_miss_heavy
+            .points
+            .retain(|p| !p.key.contains("hit_permille=500"));
         assert!(gate_failures(&no_miss_heavy)
+            .unwrap()
             .iter()
             .any(|f| f.contains("pair at hit_permille=500")));
 
-        let mut sim_mismatch = parse_report(&synthetic_report(false, 1_100.0)).unwrap();
-        sim_mismatch.points[0].sim_ns += 1;
+        let mut sim_mismatch = parsed();
+        sim_mismatch.points[0] = sim_mismatch.points[0].clone().with("sim_ns", 5_001u64);
         assert!(gate_failures(&sim_mismatch)
+            .unwrap()
             .iter()
             .any(|f| f.contains("parity broken at hit_permille=950")));
 
-        let mut span_mismatch = parse_report(&synthetic_report(false, 1_100.0)).unwrap();
-        span_mismatch.spans[0].sim_ns += 1;
+        let mut span_mismatch = parsed();
+        span_mismatch.points[4] = span_mismatch.points[4].clone().with("sim_ns", 7_001u64);
         assert!(gate_failures(&span_mismatch)
+            .unwrap()
             .iter()
             .any(|f| f.contains("span point")));
     }

@@ -23,6 +23,7 @@
 //! | [`sync_scale`] | §3.2 node replication — flat-combining sweep, `flac-bench sync` |
 //! | [`topo_scale`] | §2.1/§3.3 — topology depth × page size, 1 shootdown per 2 MiB, `flac-bench topo` |
 //! | [`suite`] | the `flac-bench` runner: one write/gate/check pipeline over the five suites above |
+//! | [`report`] | the one report schema of those suites: writer, parser, rerun parity, `before[]` rows |
 //! | [`faultstorm`] | §3.6 reliability — five seeded fault-storm campaigns, `flac-faultstorm` |
 
 pub mod adaptive_ab;

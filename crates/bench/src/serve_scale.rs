@@ -17,14 +17,17 @@
 //! p50/p99/p999/max latency in simulated nanoseconds, achieved
 //! throughput, and a separately measured **saturation throughput** (a
 //! closed firehose of deeply pipelined batches, completed requests per
-//! simulated second). Every point is measured twice from the same seed;
-//! the run is only `parity = true` if both runs produce bit-identical
-//! latency streams — the simulated-time determinism gate.
+//! simulated second). Every point is measured twice from the same seed:
+//! `fingerprint` is an order-sensitive checksum over the first run's
+//! latency stream and rates, `fingerprint_rerun` the same over the
+//! second, and the two must agree bit for bit — the simulated-time
+//! determinism gate.
 //!
 //! `flac-bench serve` writes `BENCH_serve.json`;
 //! `scripts/verify.sh` runs `--quick --gate` as a smoke test and
 //! `--check BENCH_serve.json` against the committed report.
 
+use crate::report::{tenths, Point, Report};
 use flacdk::alloc::GlobalAllocator;
 use flacos_ipc::channel::FlacChannel;
 use flacos_ipc::netstack::{NetConfig, NetPair};
@@ -37,6 +40,9 @@ use std::collections::VecDeque;
 
 /// Commands per pipelined message in the saturation firehose.
 const SATURATION_BATCH: usize = 64;
+
+/// Client scales the committed report must cover.
+pub const MIN_SCALES: usize = 3;
 
 /// Safety valve: abort a run whose event loop stops making progress
 /// (e.g. a reply stream wedged by a bug) after this many idle ticks.
@@ -131,7 +137,7 @@ impl ServeConfig {
     }
 
     /// Client scales swept by a run. The committed report must carry at
-    /// least three scales (enforced by [`target_failures`]).
+    /// least [`MIN_SCALES`] scales (enforced by [`target_failures`]).
     pub fn scales(quick: bool) -> &'static [u64] {
         if quick {
             &[2_000, 10_000, 50_000]
@@ -144,43 +150,6 @@ impl ServeConfig {
     pub fn offered_rps(&self) -> f64 {
         self.clients as f64 * self.per_client_rps
     }
-}
-
-/// One measured (transport, scale) point.
-#[derive(Debug, Clone)]
-pub struct ServePoint {
-    /// Transport label (`"flacos-ipc"` / `"tcp/ip"`).
-    pub transport: &'static str,
-    /// Simulated clients.
-    pub clients: u64,
-    /// Transport connections used.
-    pub connections: usize,
-    /// Open-loop requests completed.
-    pub requests: u64,
-    /// Replies that were RESP errors (must be 0).
-    pub errors: u64,
-    /// Offered open-loop rate (requests per simulated second).
-    pub offered_rps: f64,
-    /// Completed / elapsed simulated time in the open-loop window.
-    pub achieved_rps: f64,
-    /// Client-observed latency percentiles, simulated ns.
-    pub p50_ns: u64,
-    /// 99th percentile latency.
-    pub p99_ns: u64,
-    /// 99.9th percentile latency.
-    pub p999_ns: u64,
-    /// Maximum observed latency.
-    pub max_ns: u64,
-    /// Closed-firehose saturation throughput (requests per sim second).
-    pub saturation_rps: f64,
-    /// Transport-backpressure events observed (send `WouldBlock`).
-    pub backpressure: u64,
-    /// Order-sensitive checksum over the latency stream; two runs from
-    /// the same seed must agree bit-for-bit.
-    pub fingerprint: u64,
-    /// Whether the duplicate seeded run reproduced `fingerprint`,
-    /// the percentiles, and the saturation throughput exactly.
-    pub parity: bool,
 }
 
 /// A freshly built measurement rack: the server, its load-generator
@@ -557,38 +526,37 @@ fn measure_once<T: Transport>(
     })
 }
 
-/// Measure one (transport, scale) point: two identical seeded runs, the
-/// second one only to prove simulated-time parity.
+/// Measure one (transport, scale) point, keyed `transport=<t>
+/// clients=<n>`: two identical seeded runs, the second one only for its
+/// `fingerprint_rerun`. `ops` counts the open-loop requests completed,
+/// `errors` the RESP error replies, `backpressure` the transport's send
+/// `WouldBlock`s; rates are per simulated second and latencies
+/// simulated ns.
 fn run_transport_point<T: Transport>(
     label: &'static str,
     builds: &dyn Fn() -> Result<BuiltRack<T>, SimError>,
     cfg: &ServeConfig,
-) -> Result<ServePoint, SimError> {
+) -> Result<Point, SimError> {
     let first = measure_once(builds, cfg)?;
     let second = measure_once(builds, cfg)?;
-    let parity = fingerprint(&first) == fingerprint(&second)
-        && first.latencies == second.latencies
-        && first.saturation_rps == second.saturation_rps;
-
     let mut sorted = first.latencies.clone();
     sorted.sort_unstable();
-    Ok(ServePoint {
-        transport: label,
-        clients: cfg.clients,
-        connections: cfg.connections,
-        requests: first.latencies.len() as u64,
-        errors: first.errors,
-        offered_rps: cfg.offered_rps(),
-        achieved_rps: first.achieved_rps,
-        p50_ns: percentile_ns(&sorted, 50.0),
-        p99_ns: percentile_ns(&sorted, 99.0),
-        p999_ns: percentile_ns(&sorted, 99.9),
-        max_ns: sorted.last().copied().unwrap_or(0),
-        saturation_rps: first.saturation_rps,
-        backpressure: first.backpressure,
-        fingerprint: fingerprint(&first),
-        parity,
-    })
+    Ok(
+        Point::new(format!("transport={label} clients={}", cfg.clients))
+            .with("ops", first.latencies.len())
+            .with("connections", cfg.connections)
+            .with("errors", first.errors)
+            .with("offered_rps", tenths(cfg.offered_rps()))
+            .with("achieved_rps", tenths(first.achieved_rps))
+            .with("p50_ns", percentile_ns(&sorted, 50.0))
+            .with("p99_ns", percentile_ns(&sorted, 99.0))
+            .with("p999_ns", percentile_ns(&sorted, 99.9))
+            .with("max_ns", sorted.last().copied().unwrap_or(0))
+            .with("saturation_rps", tenths(first.saturation_rps))
+            .with("backpressure", first.backpressure)
+            .with("fingerprint", fingerprint(&first))
+            .with("fingerprint_rerun", fingerprint(&second)),
+    )
 }
 
 /// Measure both transports at one scale.
@@ -596,210 +564,114 @@ fn run_transport_point<T: Transport>(
 /// # Errors
 ///
 /// Propagates simulator failures (a wedged reply stream is a `Timeout`).
-pub fn run_scale(cfg: &ServeConfig) -> Result<Vec<ServePoint>, SimError> {
+pub fn run_scale(cfg: &ServeConfig) -> Result<Vec<Point>, SimError> {
     let flac = run_transport_point("flacos-ipc", &|| build_flac(cfg), cfg)?;
     let net = run_transport_point("tcp/ip", &|| Ok(build_net(cfg)), cfg)?;
     Ok(vec![flac, net])
 }
 
-/// Render the full report as a JSON document (hand-rolled: the
-/// workspace is hermetic, so no serde; one `results[]` object per line,
-/// the shape [`parse_report`] re-reads).
-pub fn to_json(points: &[ServePoint], quick: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"serve_scale\",\n");
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(
-        "  \"targets\": { \"errors_max\": 0, \"min_scales\": 3, \"parity\": true, \
-         \"flac_p50_beats_net\": true, \"flac_saturation_min_ratio\": 1.0 },\n",
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{ \"transport\": \"{}\", \"clients\": {}, \"connections\": {}, \
-             \"requests\": {}, \"errors\": {}, \"offered_rps\": {:.1}, \
-             \"achieved_rps\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-             \"max_ns\": {}, \"saturation_rps\": {:.1}, \"backpressure\": {}, \
-             \"fingerprint\": {}, \"parity\": {} }}",
-            p.transport,
-            p.clients,
-            p.connections,
-            p.requests,
-            p.errors,
-            p.offered_rps,
-            p.achieved_rps,
-            p.p50_ns,
-            p.p99_ns,
-            p.p999_ns,
-            p.max_ns,
-            p.saturation_rps,
-            p.backpressure,
-            p.fingerprint,
-            p.parity
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// One `results[]` entry re-read from a report on disk.
-#[derive(Debug, Clone)]
-pub struct ParsedServePoint {
-    /// Transport label.
-    pub transport: String,
-    /// Simulated clients.
-    pub clients: u64,
-    /// Open-loop requests completed.
-    pub requests: u64,
-    /// RESP-error replies.
-    pub errors: u64,
-    /// Latency percentiles (sim ns).
-    pub p50_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// 99.9th percentile.
-    pub p999_ns: u64,
-    /// Maximum latency.
-    pub max_ns: u64,
-    /// Saturation throughput (requests per sim second).
-    pub saturation_rps: f64,
-    /// Seeded-rerun parity.
-    pub parity: bool,
-}
-
-/// A `BENCH_serve.json` report re-read from disk.
-#[derive(Debug, Clone)]
-pub struct ParsedServeReport {
-    /// Every measurement point, in report order.
-    pub points: Vec<ParsedServePoint>,
-}
-
-/// Re-read a report produced by [`to_json`], via the shared
-/// [`crate::report`] one-object-per-line extraction.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed line or missing field.
-pub fn parse_report(json: &str) -> Result<ParsedServeReport, String> {
-    crate::report::parse_quick(json)?;
-    let mut points = Vec::new();
-    for obj in crate::report::objects_with(json, "transport") {
-        points.push(ParsedServePoint {
-            transport: obj.str_field("transport")?,
-            clients: obj.u64_field("clients")?,
-            requests: obj.u64_field("requests")?,
-            errors: obj.u64_field("errors")?,
-            p50_ns: obj.u64_field("p50_ns")?,
-            p99_ns: obj.u64_field("p99_ns")?,
-            p999_ns: obj.u64_field("p999_ns")?,
-            max_ns: obj.u64_field("max_ns")?,
-            saturation_rps: obj.f64_field("saturation_rps")?,
-            parity: obj.bool_field("parity")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("no results[] entries found".into());
-    }
-    Ok(ParsedServeReport { points })
-}
-
 /// The client scales a report covers, ascending.
-fn scales(report: &ParsedServeReport) -> Vec<u64> {
-    let mut scales: Vec<u64> = report.points.iter().map(|p| p.clients).collect();
+fn scales(report: &Report) -> Result<Vec<u64>, String> {
+    let mut scales = report
+        .points
+        .iter()
+        .map(|p| p.key_u64("clients"))
+        .collect::<Result<Vec<u64>, String>>()?;
     scales.sort_unstable();
     scales.dedup();
-    scales
+    Ok(scales)
 }
 
 /// The invariants every report must hold (the `--gate`). Everything
 /// here is simulated-time-derived and therefore exactly reproducible,
 /// so the gate is strict:
 ///
-/// * zero RESP errors, `parity = true` at every point;
+/// * zero RESP errors at every point (rerun parity is the schema's own
+///   check);
 /// * percentiles ordered (`p50 ≤ p99 ≤ p999 ≤ max`), all nonzero;
 /// * both transports at every scale, FlacOS IPC p50 strictly beating
 ///   TCP/IP and its saturation throughput at least TCP/IP's.
 ///
-/// Returns the list of failures (empty = pass).
-pub fn gate_failures(report: &ParsedServeReport) -> Vec<String> {
+/// # Errors
+///
+/// Names a column the report lacks.
+pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
     for p in &report.points {
-        if p.errors != 0 {
-            failures.push(format!(
-                "{} @{} clients: {} RESP error replies (must be 0)",
-                p.transport, p.clients, p.errors
-            ));
+        let at = p.key.replacen("transport=", "", 1);
+        let errors = p.u64("errors")?;
+        if errors != 0 {
+            failures.push(format!("{at}: {errors} RESP error replies (must be 0)"));
         }
-        if !p.parity {
-            failures.push(format!(
-                "{} @{} clients: seeded rerun did not reproduce the latency stream",
-                p.transport, p.clients
-            ));
+        let [p50, p99, p999, max] =
+            ["p50_ns", "p99_ns", "p999_ns", "max_ns"].map(|name| p.u64(name));
+        let (p50, p99, p999, max) = (p50?, p99?, p999?, max?);
+        if p.u64("ops")? == 0 || p50 == 0 || p.f64("saturation_rps")? <= 0.0 {
+            failures.push(format!("{at}: empty or degenerate measurement"));
         }
-        if p.requests == 0 || p.p50_ns == 0 || p.saturation_rps <= 0.0 {
+        if !(p50 <= p99 && p99 <= p999 && p999 <= max) {
             failures.push(format!(
-                "{} @{} clients: empty or degenerate measurement",
-                p.transport, p.clients
-            ));
-        }
-        if !(p.p50_ns <= p.p99_ns && p.p99_ns <= p.p999_ns && p.p999_ns <= p.max_ns) {
-            failures.push(format!(
-                "{} @{} clients: percentiles out of order ({} / {} / {} / {})",
-                p.transport, p.clients, p.p50_ns, p.p99_ns, p.p999_ns, p.max_ns
+                "{at}: percentiles out of order ({p50} / {p99} / {p999} / {max})"
             ));
         }
     }
-    for scale in scales(report) {
-        let find = |t: &str| {
-            report
-                .points
-                .iter()
-                .find(|p| p.transport == t && p.clients == scale)
-        };
-        let (Some(flac), Some(net)) = (find("flacos-ipc"), find("tcp/ip")) else {
+    for scale in scales(report)? {
+        let (Some(flac), Some(net)) = (
+            report.point(&format!("transport=flacos-ipc clients={scale}")),
+            report.point(&format!("transport=tcp/ip clients={scale}")),
+        ) else {
             failures.push(format!(
                 "scale {scale}: missing a (flacos-ipc, tcp/ip) transport pair"
             ));
             continue;
         };
-        if flac.p50_ns >= net.p50_ns {
+        let (flac_p50, net_p50) = (flac.u64("p50_ns")?, net.u64("p50_ns")?);
+        if flac_p50 >= net_p50 {
             failures.push(format!(
-                "scale {scale}: FlacOS IPC p50 ({} ns) must beat TCP/IP ({} ns)",
-                flac.p50_ns, net.p50_ns
+                "scale {scale}: FlacOS IPC p50 ({flac_p50} ns) must beat TCP/IP ({net_p50} ns)"
             ));
         }
-        if flac.saturation_rps < net.saturation_rps {
+        let (flac_sat, net_sat) = (flac.f64("saturation_rps")?, net.f64("saturation_rps")?);
+        if flac_sat < net_sat {
             failures.push(format!(
-                "scale {scale}: FlacOS saturation ({:.0} rps) below TCP/IP ({:.0} rps)",
-                flac.saturation_rps, net.saturation_rps
+                "scale {scale}: FlacOS saturation ({flac_sat:.0} rps) below TCP/IP \
+                 ({net_sat:.0} rps)"
             ));
         }
     }
-    failures
+    Ok(failures)
 }
 
-/// The committed report's own target: both transports at >= 3 client
-/// scales.
-pub fn target_failures(report: &ParsedServeReport) -> Vec<String> {
-    let scales = scales(report);
-    if scales.len() < 3 {
-        return vec![format!(
-            "report must cover >= 3 client scales, found {scales:?}"
-        )];
-    }
-    Vec::new()
+/// The committed report's own target: both transports at
+/// [`MIN_SCALES`] or more client scales.
+///
+/// # Errors
+///
+/// Names a point whose key lacks its client count.
+pub fn target_failures(report: &Report) -> Result<Vec<String>, String> {
+    let scales = scales(report)?;
+    Ok(if scales.len() < MIN_SCALES {
+        vec![format!(
+            "report must cover >= {MIN_SCALES} client scales, found {scales:?}"
+        )]
+    } else {
+        Vec::new()
+    })
 }
 
-/// Run every client scale over both transports, printing each point,
-/// and render the report.
+/// The report of a run over `points`.
+fn report(quick: bool, points: Vec<Point>) -> Report {
+    let mut report = Report::new("serve", quick).fact("min_scales", MIN_SCALES);
+    report.points = points;
+    report
+}
+
+/// Run every client scale over both transports and build the report.
 ///
 /// # Errors
 ///
 /// Names the scale whose simulation failed.
-pub fn run(quick: bool) -> Result<String, String> {
+pub fn run(quick: bool) -> Result<Report, String> {
     let scales = ServeConfig::scales(quick);
     println!(
         "serve: {} mode, client scales {scales:?}, both transports, open loop + saturation",
@@ -812,26 +684,11 @@ pub fn run(quick: bool) -> Result<String, String> {
         } else {
             ServeConfig::full(clients)
         };
-        let scale_points =
-            run_scale(&cfg).map_err(|e| format!("{clients} clients: simulation failed: {e}"))?;
-        for p in &scale_points {
-            println!(
-                "  {:>10} clients={:>7} offered={:>9.0} rps achieved={:>9.0} rps \
-                 p50={:>7} p99={:>8} p999={:>8} ns sat={:>10.0} rps parity={}",
-                p.transport,
-                p.clients,
-                p.offered_rps,
-                p.achieved_rps,
-                p.p50_ns,
-                p.p99_ns,
-                p.p999_ns,
-                p.saturation_rps,
-                p.parity
-            );
-        }
-        points.extend(scale_points);
+        points.extend(
+            run_scale(&cfg).map_err(|e| format!("{clients} clients: simulation failed: {e}"))?,
+        );
     }
-    Ok(to_json(&points, quick))
+    Ok(report(quick, points))
 }
 
 #[cfg(test)]
@@ -856,27 +713,24 @@ mod tests {
         let points = run_scale(&cfg).expect("run");
         assert_eq!(points.len(), 2);
         for p in &points {
+            let u = |name| p.u64(name).unwrap();
+            assert_eq!(u("ops"), cfg.requests, "{}: all requests answered", p.key);
+            assert_eq!(u("errors"), 0, "{}: no RESP errors", p.key);
             assert_eq!(
-                p.requests, cfg.requests,
-                "{}: all requests answered",
-                p.transport
-            );
-            assert_eq!(p.errors, 0, "{}: no RESP errors", p.transport);
-            assert!(
-                p.parity,
+                u("fingerprint"),
+                u("fingerprint_rerun"),
                 "{}: seeded rerun must reproduce exactly",
-                p.transport
+                p.key
             );
-            assert!(p.p50_ns > 0 && p.p50_ns <= p.p99_ns && p.p999_ns <= p.max_ns);
-            assert!(p.saturation_rps > 0.0);
+            assert!(u("p50_ns") > 0 && u("p50_ns") <= u("p99_ns") && u("p999_ns") <= u("max_ns"));
+            assert!(p.f64("saturation_rps").unwrap() > 0.0);
         }
         let (flac, net) = (&points[0], &points[1]);
-        assert_eq!(flac.transport, "flacos-ipc");
+        assert_eq!(flac.key_part("transport"), Ok("flacos-ipc"));
+        let (flac_p50, net_p50) = (flac.u64("p50_ns").unwrap(), net.u64("p50_ns").unwrap());
         assert!(
-            flac.p50_ns < net.p50_ns,
-            "IPC p50 {} must beat TCP p50 {}",
-            flac.p50_ns,
-            net.p50_ns
+            flac_p50 < net_p50,
+            "IPC p50 {flac_p50} must beat TCP p50 {net_p50}"
         );
     }
 
@@ -888,9 +742,11 @@ mod tests {
             let c = ServeConfig { clients, ..cfg };
             points.extend(run_scale(&c).expect("run"));
         }
-        let json = to_json(&points, false);
-        let parsed = parse_report(&json).expect("writer output parses");
+        let report = report(false, points);
+        let json = report.to_json();
+        let parsed = Report::parse(&json).expect("writer output parses");
         assert_eq!(parsed.points.len(), 6);
+        assert_eq!(parsed, report);
         assert_eq!(
             crate::suite::Suite::Serve.check(&json),
             Vec::<String>::new()
@@ -899,30 +755,21 @@ mod tests {
 
     #[test]
     fn checker_rejects_quick_errors_and_parity_violations() {
-        let p = ServePoint {
-            transport: "flacos-ipc",
-            clients: 100,
-            connections: 2,
-            requests: 10,
-            errors: 0,
-            offered_rps: 1.0,
-            achieved_rps: 1.0,
-            p50_ns: 10,
-            p99_ns: 20,
-            p999_ns: 30,
-            max_ns: 40,
-            saturation_rps: 100.0,
-            backpressure: 0,
-            fingerprint: 1,
-            parity: true,
-        };
-        let mk = |transport, clients, errors, parity, p50| ServePoint {
-            transport,
-            clients,
-            errors,
-            parity,
-            p50_ns: p50,
-            ..p.clone()
+        let mk = |transport: &str, clients: u64, errors: u64, parity: bool, p50: u64| {
+            Point::new(format!("transport={transport} clients={clients}"))
+                .with("ops", 10u64)
+                .with("connections", 2u64)
+                .with("errors", errors)
+                .with("offered_rps", 1.0)
+                .with("achieved_rps", 1.0)
+                .with("p50_ns", p50)
+                .with("p99_ns", 20u64)
+                .with("p999_ns", 30u64)
+                .with("max_ns", 40u64)
+                .with("saturation_rps", 100.0)
+                .with("backpressure", 0u64)
+                .with("fingerprint", 1u64)
+                .with("fingerprint_rerun", if parity { 1u64 } else { 2 })
         };
         let points = vec![
             mk("flacos-ipc", 100, 0, true, 10),
@@ -932,7 +779,7 @@ mod tests {
             mk("flacos-ipc", 300, 0, true, 60),
             mk("tcp/ip", 300, 0, true, 50),
         ];
-        let failures = crate::suite::Suite::Serve.check(&to_json(&points, true));
+        let failures = crate::suite::Suite::Serve.check(&report(true, points).to_json());
         assert!(failures.iter().any(|f| f.contains("--quick")));
         assert!(failures.iter().any(|f| f.contains("RESP error")));
         assert!(failures.iter().any(|f| f.contains("did not reproduce")));

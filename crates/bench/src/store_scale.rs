@@ -21,6 +21,7 @@
 //! and enforces the invariants of [`gate_failures`] plus the speedup
 //! floor of [`target_failures`].
 
+use crate::report::{Point, Report};
 use flac_store::{BackendConfig, ChunkStore, ShardedBackends, StoreConfig, CHUNK_SIZE};
 use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
@@ -72,34 +73,6 @@ impl StoreScaleConfig {
     }
 }
 
-/// One shard-sweep measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardPoint {
-    /// Backend shard count.
-    pub shards: usize,
-    /// Unique chunks in the image.
-    pub chunks: u64,
-    /// Bytes those chunks occupy.
-    pub bytes: u64,
-    /// Simulated ns node 0 spent cold-fetching every chunk.
-    pub cold_fetch_ns: u64,
-    /// The same measurement re-run on a fresh rack (determinism parity).
-    pub cold_fetch_ns_rerun: u64,
-    /// Simulated ns node 1 spent warm-starting from the rack index.
-    pub warm_fetch_ns: u64,
-    /// Chunks the cold start downloaded from the backends.
-    pub fetched: u64,
-    /// Chunks the warm start served from the rack without downloading.
-    pub warm_rack_hits: u64,
-}
-
-impl ShardPoint {
-    /// Did both runs charge identical simulated time?
-    pub fn parity(&self) -> bool {
-        self.cold_fetch_ns == self.cold_fetch_ns_rerun
-    }
-}
-
 /// Overlap-phase measurement (acceptance criterion (b)).
 #[derive(Debug, Clone, Copy)]
 pub struct OverlapPoint {
@@ -111,13 +84,6 @@ pub struct OverlapPoint {
     pub unique_missing_bytes: u64,
     /// Chunks B shares with A by content.
     pub shared_chunks: u64,
-}
-
-impl OverlapPoint {
-    /// The no-duplicate-download invariant.
-    pub fn exact(&self) -> bool {
-        self.second_bytes_fetched == self.unique_missing_bytes
-    }
 }
 
 fn fixed_backend() -> BackendConfig {
@@ -158,8 +124,13 @@ fn run_once(shards: usize, image: &ContainerImage) -> (u64, u64, u64, u64) {
     (cold_ns, warm_ns, cold.fetched, warm.rack_hits)
 }
 
-/// Run the shard sweep (each point twice, on fresh racks).
-pub fn run_shard_sweep(cfg: StoreScaleConfig) -> Vec<ShardPoint> {
+/// Run the shard sweep: one point per shard count, keyed `shards=<n>`,
+/// each run twice on fresh racks. `sim_ns` is node 0's cold fetch of
+/// every chunk and `sim_ns_rerun` the same on the second rack;
+/// `warm_fetch_ns` is node 1's warm start from the rack index, `fetched`
+/// the chunks the cold start downloaded and `warm_rack_hits` the chunks
+/// the warm start found in the index.
+pub fn run_shard_sweep(cfg: StoreScaleConfig) -> Vec<Point> {
     let image = ContainerImage::synthetic("pytorch", cfg.pages, cfg.layers, cfg.seed);
     let unique: HashSet<u64> = image.chunk_hashes().into_iter().collect();
     let chunks = unique.len() as u64;
@@ -168,16 +139,14 @@ pub fn run_shard_sweep(cfg: StoreScaleConfig) -> Vec<ShardPoint> {
         .map(|&shards| {
             let (cold_fetch_ns, warm_fetch_ns, fetched, warm_rack_hits) = run_once(shards, &image);
             let (cold_fetch_ns_rerun, _, _, _) = run_once(shards, &image);
-            ShardPoint {
-                shards,
-                chunks,
-                bytes: chunks * CHUNK_SIZE as u64,
-                cold_fetch_ns,
-                cold_fetch_ns_rerun,
-                warm_fetch_ns,
-                fetched,
-                warm_rack_hits,
-            }
+            Point::new(format!("shards={shards}"))
+                .with("sim_ns", cold_fetch_ns)
+                .with("sim_ns_rerun", cold_fetch_ns_rerun)
+                .with("chunks", chunks)
+                .with("bytes", chunks * CHUNK_SIZE as u64)
+                .with("warm_fetch_ns", warm_fetch_ns)
+                .with("fetched", fetched)
+                .with("warm_rack_hits", warm_rack_hits)
         })
         .collect()
 }
@@ -218,189 +187,117 @@ pub fn run_overlap(cfg: StoreScaleConfig) -> OverlapPoint {
     }
 }
 
-/// Render both phases as a JSON document. Hand-rolled: the workspace is
-/// hermetic, so no serde.
-pub fn to_json(points: &[ShardPoint], overlap: &OverlapPoint, quick: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"store_scale\",\n");
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"chunk_size\": {CHUNK_SIZE},\n"));
-    out.push_str(&format!("  \"per_shard_bw\": {PER_SHARD_BW},\n"));
-    out.push_str(&format!(
-        "  \"targets\": {{ \"monotonic_shards\": true, \"speedup_top_min\": {SPEEDUP_TARGET:.1}, \
-         \"parity\": true, \"overlap_exact\": true }},\n"
-    ));
-    out.push_str("  \"shard_sweep\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{ \"shards\": {}, \"chunks\": {}, \"bytes\": {}, \"cold_fetch_ns\": {}, \
-             \"cold_fetch_ns_rerun\": {}, \"warm_fetch_ns\": {}, \"fetched\": {}, \
-             \"warm_rack_hits\": {} }}",
-            p.shards,
-            p.chunks,
-            p.bytes,
-            p.cold_fetch_ns,
-            p.cold_fetch_ns_rerun,
-            p.warm_fetch_ns,
-            p.fetched,
-            p.warm_rack_hits
-        ));
-    }
-    out.push_str("\n  ],\n");
-    out.push_str(&format!(
-        "  \"overlap\": {{ \"first_bytes_fetched\": {}, \"second_bytes_fetched\": {}, \
-         \"unique_missing_bytes\": {}, \"shared_chunks\": {} }}\n",
-        overlap.first_bytes_fetched,
-        overlap.second_bytes_fetched,
-        overlap.unique_missing_bytes,
-        overlap.shared_chunks
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// A `BENCH_store.json` re-read from disk (see [`parse_report`]).
-#[derive(Debug, Clone)]
-pub struct ParsedStoreReport {
-    /// Shard-sweep points, in report order.
-    pub points: Vec<ShardPoint>,
-    /// The overlap phase.
-    pub overlap: OverlapPoint,
-}
-
-/// Re-read a report produced by [`to_json`]. Hand-rolled like the
-/// writer: each array/object entry occupies one line, so the shared
-/// [`crate::report`] line-wise extraction is exact.
+/// The invariants every report must hold (the `--gate`): the 1/4/8
+/// shard sweep with cold fetch time strictly improving, warm starts
+/// beating cold, and the overlap phase downloading exactly the
+/// rack-absent bytes (rerun parity is the schema's own check). Every
+/// quantity is simulated time or exact chunk accounting, so there is no
+/// noise tolerance anywhere. Quick runs pass; the speedup floor lives
+/// in [`target_failures`].
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line or missing field.
-pub fn parse_report(json: &str) -> Result<ParsedStoreReport, String> {
-    crate::report::parse_quick(json)?;
-    let mut points = Vec::new();
-    for obj in crate::report::objects_with(json, "shards") {
-        points.push(ShardPoint {
-            shards: obj.usize_field("shards")?,
-            chunks: obj.u64_field("chunks")?,
-            bytes: obj.u64_field("bytes")?,
-            cold_fetch_ns: obj.u64_field("cold_fetch_ns")?,
-            cold_fetch_ns_rerun: obj.u64_field("cold_fetch_ns_rerun")?,
-            warm_fetch_ns: obj.u64_field("warm_fetch_ns")?,
-            fetched: obj.u64_field("fetched")?,
-            warm_rack_hits: obj.u64_field("warm_rack_hits")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("no shard_sweep[] entries found".into());
-    }
-    let obj = crate::report::object_with(json, "first_bytes_fetched")
-        .map_err(|_| "missing \"overlap\" object".to_string())?;
-    let overlap = OverlapPoint {
-        first_bytes_fetched: obj.u64_field("first_bytes_fetched")?,
-        second_bytes_fetched: obj.u64_field("second_bytes_fetched")?,
-        unique_missing_bytes: obj.u64_field("unique_missing_bytes")?,
-        shared_chunks: obj.u64_field("shared_chunks")?,
-    };
-    Ok(ParsedStoreReport { points, overlap })
-}
-
-/// The invariants every report must hold (the `--gate`): the 1/4/8
-/// shard sweep with cold fetch time strictly improving, rerun parity,
-/// warm starts beating cold, and the overlap phase downloading exactly
-/// the rack-absent bytes. Every quantity is simulated time or exact
-/// chunk accounting, so there is no noise tolerance anywhere. Quick runs
-/// pass; the speedup floor lives in [`target_failures`].
-pub fn gate_failures(report: &ParsedStoreReport) -> Vec<String> {
-    let (points, overlap) = (&report.points, &report.overlap);
+/// Names a column or fact the report lacks.
+pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
     for need in SHARD_SWEEP {
-        if !points.iter().any(|p| p.shards == need) {
+        if report.point(&format!("shards={need}")).is_none() {
             failures.push(format!("shard sweep lacks the {need}-shard point"));
         }
     }
-    for pair in points.windows(2) {
-        if pair[1].shards > pair[0].shards && pair[1].cold_fetch_ns >= pair[0].cold_fetch_ns {
+    for pair in report.points.windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
+        if b.key_u64("shards")? > a.key_u64("shards")? && b.u64("sim_ns")? >= a.u64("sim_ns")? {
             failures.push(format!(
                 "cold fetch not monotonic: {} shards took {} ns, {} shards took {} ns",
-                pair[0].shards, pair[0].cold_fetch_ns, pair[1].shards, pair[1].cold_fetch_ns
+                a.key_u64("shards")?,
+                a.u64("sim_ns")?,
+                b.key_u64("shards")?,
+                b.u64("sim_ns")?
             ));
         }
     }
-    for p in points {
-        if !p.parity() {
+    for p in &report.points {
+        let (shards, chunks) = (p.key_u64("shards")?, p.u64("chunks")?);
+        if p.u64("fetched")? != chunks {
             failures.push(format!(
-                "{} shards: reruns disagree ({} vs {} ns) — the store is nondeterministic",
-                p.shards, p.cold_fetch_ns, p.cold_fetch_ns_rerun
+                "{shards} shards: cold start fetched {} of {chunks} chunks",
+                p.u64("fetched")?
             ));
         }
-        if p.fetched != p.chunks {
+        if p.u64("warm_rack_hits")? != chunks {
             failures.push(format!(
-                "{} shards: cold start fetched {} of {} chunks",
-                p.shards, p.fetched, p.chunks
+                "{shards} shards: warm start hit {} of {chunks} chunks in the rack index",
+                p.u64("warm_rack_hits")?
             ));
         }
-        if p.warm_rack_hits != p.chunks {
+        let (warm, cold) = (p.u64("warm_fetch_ns")?, p.u64("sim_ns")?);
+        if warm >= cold {
             failures.push(format!(
-                "{} shards: warm start hit {} of {} chunks in the rack index",
-                p.shards, p.warm_rack_hits, p.chunks
-            ));
-        }
-        if p.warm_fetch_ns >= p.cold_fetch_ns {
-            failures.push(format!(
-                "{} shards: warm start ({} ns) not faster than cold ({} ns)",
-                p.shards, p.warm_fetch_ns, p.cold_fetch_ns
+                "{shards} shards: warm start ({warm} ns) not faster than cold ({cold} ns)"
             ));
         }
     }
-    if !overlap.exact() {
+    let fact = |name| report.facts.u64(name);
+    let (first, second) = (fact("first_bytes_fetched")?, fact("second_bytes_fetched")?);
+    let missing = fact("unique_missing_bytes")?;
+    if second != missing {
         failures.push(format!(
-            "overlap: second node fetched {} bytes but only {} bytes were rack-absent \
-             — duplicate chunks were re-downloaded",
-            overlap.second_bytes_fetched, overlap.unique_missing_bytes
+            "overlap: second node fetched {second} bytes but only {missing} bytes were \
+             rack-absent — duplicate chunks were re-downloaded"
         ));
     }
-    if overlap.shared_chunks == 0 {
+    if fact("shared_chunks")? == 0 {
         failures.push("overlap: images share no chunks — the phase tests nothing".into());
     }
-    if overlap.second_bytes_fetched == 0
-        || overlap.second_bytes_fetched >= overlap.first_bytes_fetched
-    {
+    if second == 0 || second >= first {
         failures.push(format!(
-            "overlap: second fetch ({} bytes) should be a nonzero strict subset of the \
-             first ({} bytes)",
-            overlap.second_bytes_fetched, overlap.first_bytes_fetched
+            "overlap: second fetch ({second} bytes) should be a nonzero strict subset of the \
+             first ({first} bytes)"
         ));
     }
-    failures
+    Ok(failures)
 }
 
 /// The committed report's own target: top-shard cold-fetch speedup over
 /// 1-shard serial at least [`SPEEDUP_TARGET`]. Only a full run's larger
 /// image amortizes the per-request latency enough to reach it.
-pub fn target_failures(report: &ParsedStoreReport) -> Vec<String> {
-    match speedup(&report.points) {
+///
+/// # Errors
+///
+/// Names a column the report lacks.
+pub fn target_failures(report: &Report) -> Result<Vec<String>, String> {
+    Ok(match speedup(report)? {
         Some((shards, speedup)) if speedup < SPEEDUP_TARGET => vec![format!(
             "parallel fetch speedup {speedup:.2} at {shards} shards < {SPEEDUP_TARGET:.1} \
              over 1-shard serial"
         )],
         _ => Vec::new(),
-    }
+    })
 }
 
 /// The top shard count and its cold-fetch speedup over 1-shard serial.
-fn speedup(points: &[ShardPoint]) -> Option<(usize, f64)> {
-    let serial = points.iter().find(|p| p.shards == 1)?;
-    let top = points.iter().max_by_key(|p| p.shards)?;
-    let speedup = serial.cold_fetch_ns as f64 / top.cold_fetch_ns.max(1) as f64;
-    Some((top.shards, speedup))
+fn speedup(report: &Report) -> Result<Option<(u64, f64)>, String> {
+    let Some(serial) = report.point("shards=1") else {
+        return Ok(None);
+    };
+    let mut top: Option<(u64, &Point)> = None;
+    for p in &report.points {
+        let shards = p.key_u64("shards")?;
+        if top.is_none_or(|(t, _)| shards >= t) {
+            top = Some((shards, p));
+        }
+    }
+    let Some((shards, top)) = top else {
+        return Ok(None);
+    };
+    let speedup = serial.u64("sim_ns")? as f64 / top.u64("sim_ns")?.max(1) as f64;
+    Ok(Some((shards, speedup)))
 }
 
-/// Run the shard sweep and the overlap phase, printing each row, and
-/// render the report.
-pub fn run(quick: bool) -> String {
+/// Run the shard sweep and the overlap phase, printing the summary
+/// lines, and build the report.
+pub fn run(quick: bool) -> Report {
     let cfg = if quick {
         StoreScaleConfig::quick()
     } else {
@@ -412,19 +309,12 @@ pub fn run(quick: bool) -> String {
         cfg.pages,
         cfg.layers
     );
-    let points = run_shard_sweep(cfg);
-    for p in &points {
-        println!(
-            "  shards={} cold={:>12} ns (rerun {:>12} ns) warm={:>9} ns fetched={} rack_hits={}",
-            p.shards,
-            p.cold_fetch_ns,
-            p.cold_fetch_ns_rerun,
-            p.warm_fetch_ns,
-            p.fetched,
-            p.warm_rack_hits
-        );
-    }
-    if let Some((shards, speedup)) = speedup(&points) {
+    let mut report = Report::new("store", quick)
+        .fact("chunk_size", CHUNK_SIZE)
+        .fact("per_shard_bw", PER_SHARD_BW)
+        .fact("speedup_top_min", SPEEDUP_TARGET);
+    report.points = run_shard_sweep(cfg);
+    if let Ok(Some((shards, speedup))) = speedup(&report) {
         println!("  parallel fetch speedup at {shards} shards: {speedup:.2}x over 1-shard serial");
     }
     let overlap = run_overlap(cfg);
@@ -432,7 +322,11 @@ pub fn run(quick: bool) -> String {
         "  overlap: second node fetched {} bytes, rack-absent {} bytes, shared {} chunks",
         overlap.second_bytes_fetched, overlap.unique_missing_bytes, overlap.shared_chunks
     );
-    to_json(&points, &overlap, quick)
+    report
+        .fact("first_bytes_fetched", overlap.first_bytes_fetched)
+        .fact("second_bytes_fetched", overlap.second_bytes_fetched)
+        .fact("unique_missing_bytes", overlap.unique_missing_bytes)
+        .fact("shared_chunks", overlap.shared_chunks)
 }
 
 #[cfg(test)]
@@ -441,11 +335,9 @@ mod tests {
 
     #[test]
     fn quick_sweep_is_monotonic_deterministic_and_warm_wins() {
-        let failures = gate_failures(&ParsedStoreReport {
-            points: run_shard_sweep(StoreScaleConfig::quick()),
-            overlap: run_overlap(StoreScaleConfig::quick()),
-        });
-        assert!(failures.is_empty(), "gate failures: {failures:?}");
+        let report = run(true);
+        assert_eq!(report.rerun_failures(), Vec::<String>::new());
+        assert_eq!(gate_failures(&report), Ok(Vec::new()));
     }
 
     #[test]
@@ -454,39 +346,34 @@ mod tests {
         // 4 layers of 16 pages; B shares A's last two layers.
         assert_eq!(o.shared_chunks, 32);
         assert_eq!(o.unique_missing_bytes, 32 * CHUNK_SIZE as u64);
-        assert!(o.exact(), "{o:?}");
+        assert_eq!(o.second_bytes_fetched, o.unique_missing_bytes, "{o:?}");
     }
 
     #[test]
     fn parse_report_roundtrips_the_writer() {
-        let points = run_shard_sweep(StoreScaleConfig::quick());
-        let overlap = run_overlap(StoreScaleConfig::quick());
-        let json = to_json(&points, &overlap, true);
-        let parsed = parse_report(&json).expect("parse");
-        assert_eq!(parsed.points.len(), points.len());
-        for (a, b) in parsed.points.iter().zip(&points) {
-            assert_eq!(a.shards, b.shards);
-            assert_eq!(a.cold_fetch_ns, b.cold_fetch_ns);
-            assert_eq!(a.warm_rack_hits, b.warm_rack_hits);
-        }
+        let report = run(true);
+        let parsed = Report::parse(&report.to_json()).expect("parse");
+        assert_eq!(parsed, report);
+        assert_eq!(parsed.points.len(), SHARD_SWEEP.len());
         assert_eq!(
-            parsed.overlap.second_bytes_fetched,
-            overlap.second_bytes_fetched
+            parsed.facts.u64("second_bytes_fetched"),
+            Ok(run_overlap(StoreScaleConfig::quick()).second_bytes_fetched)
         );
     }
 
     #[test]
     fn check_report_rejects_quick_runs_and_broken_monotonicity() {
-        let points = run_shard_sweep(StoreScaleConfig::quick());
-        let overlap = run_overlap(StoreScaleConfig::quick());
-        let quick_json = to_json(&points, &overlap, true);
-        let failures = crate::suite::Suite::Store.check(&quick_json);
+        let mut report = run(true);
+        let failures = crate::suite::Suite::Store.check(&report.to_json());
         assert!(failures.iter().any(|f| f.contains("--quick")));
 
-        let mut broken = parse_report(&quick_json).expect("parse");
-        broken.points[2].cold_fetch_ns = broken.points[0].cold_fetch_ns + 1;
-        broken.points[2].cold_fetch_ns_rerun = broken.points[2].cold_fetch_ns;
-        assert!(gate_failures(&broken)
+        let slower = report.points[0].u64("sim_ns").unwrap() + 1;
+        report.points[2] = report.points[2]
+            .clone()
+            .with("sim_ns", slower)
+            .with("sim_ns_rerun", slower);
+        assert!(gate_failures(&report)
+            .unwrap()
             .iter()
             .any(|f| f.contains("monotonic")));
     }

@@ -14,12 +14,16 @@
 //! * `--check PATH` — run no benchmark; judge a *committed* report: a full
 //!   run, the suite's invariants, then its committed-only targets
 //!
-//! Each suite module keeps its own writer and reader, so the committed
-//! files keep their shapes; this module owns every step they share.
-//! Exits 0 on success, 1 on a gate or check failure, 2 on a usage or
-//! I/O error.
+//! Every suite builds one [`Report`] in the one schema of
+//! [`crate::report`], which writes, re-reads and judges rerun parity for
+//! all five. Each suite module supplies only its run and its two
+//! judgements of a parsed report: the gate's invariants and the
+//! committed-only targets. This module owns every step they share,
+//! including the `before[]` rows of a re-recording. Exits 0 on success,
+//! 1 on a gate or check failure, 2 on a usage or I/O error.
 
-use crate::{cache_scale, report, serve_scale, store_scale, sync_scale, topo_scale};
+use crate::report::Report;
+use crate::{cache_scale, serve_scale, store_scale, sync_scale, topo_scale};
 
 /// The check every committed report must pass before any other.
 const QUICK_RULE: &str = "committed report must come from a full run, not --quick";
@@ -68,108 +72,74 @@ impl Suite {
         format!("BENCH_{}.json", self.name())
     }
 
-    /// Keys every report of the suite carries, space-separated.
-    fn required_keys(self) -> &'static str {
-        match self {
-            Suite::Cache => {
-                "bench targets results summaries ops_per_sec sim_ns single_thread_ratio \
-                 sim_ns_parity span_results"
-            }
-            Suite::Serve => "bench targets results",
-            Suite::Store => {
-                "bench targets shard_sweep cold_fetch_ns cold_fetch_ns_rerun overlap \
-                 unique_missing_bytes"
-            }
-            Suite::Sync => {
-                "bench nodes rounds replica_hit_fabric_ops catch_up_global_reads \
-                 combine_global_reads results"
-            }
-            Suite::Topo => "bench pages zipf_skew budget_bytes probe results",
-        }
-    }
-
-    /// Run the suite, printing its rows, and return the report.
-    /// `previous` is the report the new one replaces, if any (`sync`
-    /// carries its moved rows forward).
+    /// Run the suite and return its report, printing each point.
     ///
     /// # Errors
     ///
     /// Describes a simulation that failed.
-    pub fn run(self, quick: bool, previous: Option<&str>) -> Result<String, String> {
-        Ok(match self {
+    pub fn run(self, quick: bool) -> Result<Report, String> {
+        let report = match self {
             Suite::Cache => cache_scale::run(quick),
             Suite::Serve => serve_scale::run(quick)?,
             Suite::Store => store_scale::run(quick),
-            Suite::Sync => sync_scale::run(quick, previous),
+            Suite::Sync => sync_scale::run(quick),
             Suite::Topo => topo_scale::run(quick),
-        })
+        };
+        for p in &report.points {
+            println!("  {p}");
+        }
+        Ok(report)
     }
 
-    /// The `--gate` failures of a report: a missing key, a report that
-    /// does not parse, or a broken invariant. Empty means it passes.
+    /// The `--gate` failures of a report: a report that does not parse
+    /// or lacks a column, a broken rerun parity, or a broken invariant.
+    /// Empty means it passes.
     pub fn gate(self, json: &str) -> Vec<String> {
         self.judge(json, false)
     }
 
     /// The `--check` failures of a committed report: the quick rule (a
-    /// committed report must come from a full run), then the gate, then the suite's committed-only targets. A quick
-    /// run is sized for the gate, not the targets, so those are judged
-    /// only on a full run. Empty means it passes.
+    /// committed report must come from a full run), then the gate, then
+    /// the suite's committed-only targets. A quick run is sized for the
+    /// gate, not the targets, so those are judged only on a full run.
+    /// Empty means it passes.
     pub fn check(self, json: &str) -> Vec<String> {
-        let quick = match report::parse_quick(json) {
-            Ok(quick) => quick,
-            Err(e) => return vec![e],
-        };
-        let mut failures = Vec::new();
-        if quick {
-            failures.push(QUICK_RULE.to_string());
-        }
-        failures.extend(self.judge(json, !quick));
-        failures
+        self.judge(json, true)
     }
 
-    /// The gate's failures, plus the committed-only targets when
-    /// `targets` is set.
-    fn judge(self, json: &str, targets: bool) -> Vec<String> {
-        fn judged<R>(
-            parsed: Result<R, String>,
-            gate: fn(&R) -> Vec<String>,
-            committed: fn(&R) -> Vec<String>,
-            targets: bool,
-        ) -> Vec<String> {
-            let report = match parsed {
-                Ok(report) => report,
-                Err(e) => return vec![format!("report does not parse: {e}")],
-            };
-            let mut failures = gate(&report);
-            if targets {
-                failures.extend(committed(&report));
+    /// The gate's failures, plus the quick rule and the committed-only
+    /// targets when `check` is set.
+    fn judge(self, json: &str, check: bool) -> Vec<String> {
+        type Judge = fn(&Report) -> Result<Vec<String>, String>;
+        let report = match Report::parse(json) {
+            Ok(report) => report,
+            Err(e) => return vec![format!("report does not parse: {e}")],
+        };
+        if report.suite != self.name() {
+            return vec![format!("report is of suite {:?}", report.suite)];
+        }
+        let mut failures = Vec::new();
+        if check && report.quick {
+            failures.push(QUICK_RULE.to_string());
+        }
+        failures.extend(report.rerun_failures());
+        let (gate, targets): (Judge, Judge) = match self {
+            Suite::Cache => (cache_scale::gate_failures, cache_scale::target_failures),
+            Suite::Serve => (serve_scale::gate_failures, serve_scale::target_failures),
+            Suite::Store => (store_scale::gate_failures, store_scale::target_failures),
+            Suite::Sync => (sync_scale::gate_failures, sync_scale::target_failures),
+            Suite::Topo => (topo_scale::gate_failures, topo_scale::target_failures),
+        };
+        let verdict = gate(&report).and_then(|mut found| {
+            if check && !report.quick {
+                found.extend(targets(&report)?);
             }
-            failures
-        }
-        macro_rules! judge {
-            ($suite:ident) => {
-                judged(
-                    $suite::parse_report(json),
-                    $suite::gate_failures,
-                    $suite::target_failures,
-                    targets,
-                )
-            };
-        }
-        let mut failures: Vec<String> = self
-            .required_keys()
-            .split_whitespace()
-            .filter(|key| !json.contains(&format!("\"{key}\"")))
-            .map(|key| format!("report is missing the \"{key}\" field"))
-            .collect();
-        failures.extend(match self {
-            Suite::Cache => judge!(cache_scale),
-            Suite::Serve => judge!(serve_scale),
-            Suite::Store => judge!(store_scale),
-            Suite::Sync => judge!(sync_scale),
-            Suite::Topo => judge!(topo_scale),
+            Ok(found)
         });
+        match verdict {
+            Ok(found) => failures.extend(found),
+            Err(e) => failures.push(format!("report does not parse: {e}")),
+        }
         failures
     }
 }
@@ -255,14 +225,23 @@ pub fn main(args: &[String]) -> i32 {
             }
         },
         Mode::Run { quick, out, gate } => {
-            let previous = std::fs::read_to_string(&out).ok();
-            let json = match suite.run(quick, previous.as_deref()) {
-                Ok(json) => json,
+            // The report this run replaces, if it is of the same suite
+            // and mode: its moved points become the new `before[]`.
+            let previous = std::fs::read_to_string(&out)
+                .ok()
+                .and_then(|json| Report::parse(&json).ok())
+                .filter(|p| p.suite == suite.name() && p.quick == quick);
+            let mut report = match suite.run(quick) {
+                Ok(report) => report,
                 Err(e) => {
                     eprintln!("{prefix}: {e}");
                     return 1;
                 }
             };
+            if let Some(previous) = previous {
+                report.before = report.moved_since(&previous);
+            }
+            let json = report.to_json();
             if let Err(e) = std::fs::write(&out, json) {
                 eprintln!("{prefix}: writing {out}: {e}");
                 return 2;
@@ -372,13 +351,14 @@ mod tests {
     #[test]
     fn every_suite_gates_its_quick_run_and_checks_only_the_quick_flag() {
         for suite in Suite::ALL {
-            // An invariant field whose mutation must fail the gate.
-            let (key, value) = match suite {
-                Suite::Cache => ("sim_ns", "1"),
-                Suite::Serve => ("errors", "1"),
-                Suite::Store => ("cold_fetch_ns_rerun", "1"),
-                Suite::Sync => ("replica_hit_fabric_ops", "1"),
-                Suite::Topo => ("huge_rounds", "2"),
+            // An invariant field whose mutation must fail the gate, and
+            // the rerun column the schema's one parity check compares.
+            let ((key, value), rerun) = match suite {
+                Suite::Cache => (("sim_ns", "1"), None),
+                Suite::Serve => (("errors", "1"), Some("fingerprint_rerun")),
+                Suite::Store => (("sim_ns_rerun", "1"), Some("sim_ns_rerun")),
+                Suite::Sync => (("replica_hit_fabric_ops", "1"), Some("sim_ns_rerun")),
+                Suite::Topo => (("huge_rounds", "2"), Some("sim_ns_rerun")),
             };
             let name = suite.name();
             let out =
@@ -396,6 +376,39 @@ mod tests {
                 !suite.gate(&mutated).is_empty(),
                 "{name}: {key} = {value} must fail the gate"
             );
+            if let Some(rerun) = rerun {
+                let failures = suite.gate(&with_field(&json, rerun, "1"));
+                assert!(
+                    failures.iter().any(|f| f.contains("did not reproduce")),
+                    "{name}: {rerun} = 1 must break rerun parity: {failures:?}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn a_rerun_records_the_moved_points_of_the_report_it_replaces() {
+        let name = Suite::Topo.name();
+        let out =
+            std::env::temp_dir().join(format!("flac-bench-before-{}.json", std::process::id()));
+        let out = out.to_str().expect("utf-8 temp path").to_string();
+        let run = || main(&[name, "--quick", "--out", &out].map(String::from));
+        assert_eq!(run(), 0);
+        let first = Report::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        assert!(first.before.is_empty(), "nothing to replace");
+        // Replace a recording in which one point was slower.
+        let key = first.points[1].key.clone();
+        let was = first.points[1].u64("sim_ns").unwrap();
+        let mut slower = first.clone();
+        slower.points[1] = slower.points[1].clone().with("sim_ns", was + 7);
+        std::fs::write(&out, slower.to_json()).unwrap();
+        assert_eq!(run(), 0);
+        let second = Report::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        std::fs::remove_file(&out).expect("remove temp report");
+        assert_eq!(second.points, first.points, "the run is deterministic");
+        assert_eq!(second.before.len(), 1, "{:?}", second.before);
+        assert_eq!(second.before[0].key, key);
+        assert_eq!(second.before[0].u64("sim_ns_before"), Ok(was + 7));
+        assert_eq!(second.before[0].u64("sim_ns_after"), Ok(was));
     }
 }

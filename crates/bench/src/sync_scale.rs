@@ -34,8 +34,9 @@
 //! verified against the rack's hardware counters, not the cost model.
 //!
 //! Everything is simulated time on a seedless deterministic driver, so
-//! every point is re-run and must reproduce exactly (`parity`).
+//! every point is re-run and must reproduce exactly (`sim_ns_rerun`).
 
+use crate::report::{Point, Report};
 use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacdk::wire::{Decoder, Encoder};
 use rack_sim::{Rack, RackConfig};
@@ -59,25 +60,17 @@ pub struct SyncScaleConfig {
     /// Write rounds per point (each round = one [`OPS_PER_PUB`]-op
     /// publication per writer, plus the ratio's reads).
     pub rounds: usize,
-    /// Marks the report as a smoke run.
-    pub quick: bool,
 }
 
 impl SyncScaleConfig {
     /// CI smoke: enough rounds to exercise every path, ~seconds.
     pub fn quick() -> Self {
-        SyncScaleConfig {
-            rounds: 40,
-            quick: true,
-        }
+        SyncScaleConfig { rounds: 40 }
     }
 
     /// The committed-report configuration.
     pub fn full() -> Self {
-        SyncScaleConfig {
-            rounds: 400,
-            quick: false,
-        }
+        SyncScaleConfig { rounds: 400 }
     }
 }
 
@@ -105,32 +98,6 @@ fn tally_op(node: usize, amount: u64) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_u32(node as u32).put_u64(amount);
     e.into_vec()
-}
-
-/// One measured cell of the sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SyncPoint {
-    /// `"delegated"` or `"node_replicated"`.
-    pub policy: String,
-    /// Concurrent writers this point models.
-    pub writers: usize,
-    /// Percentage of operations that are reads.
-    pub read_pct: u32,
-    /// Total operations measured (writes + reads).
-    pub ops: u64,
-    /// Simulated nanoseconds across all operations.
-    pub total_ns: u64,
-    /// The same workload re-run from scratch (must equal `total_ns`).
-    pub total_ns_rerun: u64,
-    /// `total_ns / ops`.
-    pub avg_ns_per_op: u64,
-}
-
-impl SyncPoint {
-    /// Seeded-rerun reproducibility.
-    pub fn parity(&self) -> bool {
-        self.total_ns == self.total_ns_rerun
-    }
 }
 
 fn alloc_cell(rack: &Rack, policy: SyncPolicy) -> Arc<SyncCell<Tally>> {
@@ -236,8 +203,11 @@ fn run_point(policy: SyncPolicy, writers: usize, read_pct: u32, rounds: usize) -
     (ops, total_ns)
 }
 
-/// Run the full sweep; every point is driven twice for parity.
-pub fn run_sweep(cfg: SyncScaleConfig) -> Vec<SyncPoint> {
+/// Run the full sweep, one point per (policy, writers, read ratio),
+/// keyed `policy=<p> writers=<w> read_pct=<r>`: `sim_ns` is the
+/// simulated time of all `ops`, `sim_ns_rerun` the same workload re-run
+/// from scratch, and `avg_ns_per_op` is `sim_ns / ops`.
+pub fn run_sweep(cfg: SyncScaleConfig) -> Vec<Point> {
     let mut out = Vec::new();
     for &writers in &WRITER_COUNTS {
         for &read_pct in &READ_PCTS {
@@ -247,19 +217,22 @@ pub fn run_sweep(cfg: SyncScaleConfig) -> Vec<SyncPoint> {
             ] {
                 let (ops, total_ns) = run_point(policy, writers, read_pct, cfg.rounds);
                 let (_, total_ns_rerun) = run_point(policy, writers, read_pct, cfg.rounds);
-                out.push(SyncPoint {
-                    policy: label.to_string(),
-                    writers,
-                    read_pct,
-                    ops,
-                    total_ns,
-                    total_ns_rerun,
-                    avg_ns_per_op: total_ns / ops.max(1),
-                });
+                out.push(
+                    Point::new(key(label, writers, read_pct))
+                        .with("sim_ns", total_ns)
+                        .with("sim_ns_rerun", total_ns_rerun)
+                        .with("ops", ops)
+                        .with("avg_ns_per_op", total_ns / ops.max(1)),
+                );
             }
         }
     }
     out
+}
+
+/// The key of one sweep point.
+fn key(policy: &str, writers: usize, read_pct: u32) -> String {
+    format!("policy={policy} writers={writers} read_pct={read_pct}")
 }
 
 /// Hardware-counter probes of the node-replicated read side.
@@ -284,6 +257,14 @@ impl Probes {
     /// line, and the append's tail and head probes — not three reads per
     /// publication.
     pub const COMBINE_GLOBAL_READS: u64 = 3;
+
+    /// `report` with the three counts as facts.
+    fn record(self, report: Report) -> Report {
+        report
+            .fact("replica_hit_fabric_ops", self.replica_hit_fabric_ops)
+            .fact("catch_up_global_reads", self.catch_up_global_reads)
+            .fact("combine_global_reads", self.combine_global_reads)
+    }
 }
 
 /// Run the read-side probes: drive one full publish/combine round and a
@@ -365,7 +346,6 @@ pub fn run_numa_probe(rounds: usize) -> (u64, u64) {
 
 /// The invariants every report must hold (the `--gate`):
 ///
-/// * rerun parity at every point;
 /// * node-replicated ≤ delegated ns/op at **every** multi-writer point
 ///   (writers ≥ 2, all read ratios);
 /// * node-replicated strictly faster on the pure-write sweep at ≥ 2 of
@@ -373,42 +353,34 @@ pub fn run_numa_probe(rounds: usize) -> (u64, u64) {
 /// * the replica-hit read path performed exactly 0 fabric operations;
 /// * a replica catch-up and a combine each read the fabric once per
 ///   span, not once per entry or slot.
-pub fn gate_failures(report: &ParsedSyncReport) -> Vec<String> {
-    let (points, probes) = (&report.points, report.probes);
+///
+/// Rerun parity is the schema's own check.
+///
+/// # Errors
+///
+/// Names a column or fact the report lacks.
+pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
-    for p in points {
-        if !p.parity() {
-            failures.push(format!(
-                "rerun divergence at ({}, writers={}, reads={}%): {} vs {} ns",
-                p.policy, p.writers, p.read_pct, p.total_ns, p.total_ns_rerun
-            ));
-        }
-    }
-    let find = |policy: &str, writers: usize, read_pct: u32| {
-        points
-            .iter()
-            .find(|p| p.policy == policy && p.writers == writers && p.read_pct == read_pct)
-    };
     let mut strict_wins = 0;
     for &writers in &MULTI_WRITER {
         for &read_pct in &READ_PCTS {
             let (Some(nr), Some(del)) = (
-                find("node_replicated", writers, read_pct),
-                find("delegated", writers, read_pct),
+                report.point(&key("node_replicated", writers, read_pct)),
+                report.point(&key("delegated", writers, read_pct)),
             ) else {
                 failures.push(format!(
                     "missing (writers={writers}, reads={read_pct}%) pair"
                 ));
                 continue;
             };
-            if nr.avg_ns_per_op > del.avg_ns_per_op {
+            let (nr, del) = (nr.u64("avg_ns_per_op")?, del.u64("avg_ns_per_op")?);
+            if nr > del {
                 failures.push(format!(
                     "node_replicated loses at writers={writers}, reads={read_pct}%: \
-                     {} vs {} ns/op",
-                    nr.avg_ns_per_op, del.avg_ns_per_op
+                     {nr} vs {del} ns/op"
                 ));
             }
-            if read_pct == 0 && nr.avg_ns_per_op < del.avg_ns_per_op {
+            if read_pct == 0 && nr < del {
                 strict_wins += 1;
             }
         }
@@ -419,164 +391,43 @@ pub fn gate_failures(report: &ParsedSyncReport) -> Vec<String> {
              {{2,4,8}}-writer points; won {strict_wins}"
         ));
     }
-    if probes.replica_hit_fabric_ops != 0 {
+    let replica_hit_fabric_ops = report.facts.u64("replica_hit_fabric_ops")?;
+    if replica_hit_fabric_ops != 0 {
         failures.push(format!(
-            "replica-hit reads performed {} fabric ops; must be 0",
-            probes.replica_hit_fabric_ops
+            "replica-hit reads performed {replica_hit_fabric_ops} fabric ops; must be 0"
         ));
     }
-    if probes.catch_up_global_reads != Probes::CATCH_UP_GLOBAL_READS {
+    let catch_up_global_reads = report.facts.u64("catch_up_global_reads")?;
+    if catch_up_global_reads != Probes::CATCH_UP_GLOBAL_READS {
         failures.push(format!(
-            "a replica catch-up over one contiguous run performed {} global reads; \
-             must be {} (two probes + one burst)",
-            probes.catch_up_global_reads,
+            "a replica catch-up over one contiguous run performed {catch_up_global_reads} \
+             global reads; must be {} (two probes + one burst)",
             Probes::CATCH_UP_GLOBAL_READS
         ));
     }
-    if probes.combine_global_reads != Probes::COMBINE_GLOBAL_READS {
+    let combine_global_reads = report.facts.u64("combine_global_reads")?;
+    if combine_global_reads != Probes::COMBINE_GLOBAL_READS {
         failures.push(format!(
-            "a combine over {NODES} pending publications performed {} global reads; \
-             must be {} (two probes + one header burst)",
-            probes.combine_global_reads,
+            "a combine over {NODES} pending publications performed {combine_global_reads} \
+             global reads; must be {} (two probes + one header burst)",
             Probes::COMBINE_GLOBAL_READS
         ));
     }
-    failures
-}
-
-/// Render the committed JSON report (one `results[]` object per line —
-/// the shape [`crate::report`] re-reads exactly). `previous` is the
-/// report this one replaces, if any: every point whose cost moved keeps
-/// its old figure in a `before[]` row, so a re-recording carries its own
-/// before/after table.
-pub fn to_json(
-    cfg: SyncScaleConfig,
-    points: &[SyncPoint],
-    probes: Probes,
-    previous: &[SyncPoint],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"sync-scale\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    out.push_str(&format!("  \"nodes\": {NODES},\n"));
-    out.push_str(&format!("  \"rounds\": {},\n", cfg.rounds));
-    out.push_str(&format!(
-        "  \"replica_hit_fabric_ops\": {},\n",
-        probes.replica_hit_fabric_ops
-    ));
-    out.push_str(&format!(
-        "  \"catch_up_global_reads\": {},\n",
-        probes.catch_up_global_reads
-    ));
-    out.push_str(&format!(
-        "  \"combine_global_reads\": {},\n",
-        probes.combine_global_reads
-    ));
-    let moved: Vec<String> = previous
-        .iter()
-        .filter_map(|was| {
-            let now = points.iter().find(|p| {
-                (&p.policy, p.writers, p.read_pct) == (&was.policy, was.writers, was.read_pct)
-            })?;
-            (now.avg_ns_per_op != was.avg_ns_per_op).then(|| {
-                format!(
-                    "    {{\"was\": \"{}\", \"writers\": {}, \"read_pct\": {}, \
-                     \"avg_ns_per_op_before\": {}, \"avg_ns_per_op_after\": {}}}",
-                    was.policy, was.writers, was.read_pct, was.avg_ns_per_op, now.avg_ns_per_op
-                )
-            })
-        })
-        .collect();
-    if !moved.is_empty() {
-        out.push_str("  \"before\": [\n");
-        out.push_str(&moved.join(",\n"));
-        out.push_str("\n  ],\n");
-    }
-    out.push_str("  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"writers\": {}, \"read_pct\": {}, \"ops\": {}, \
-             \"total_ns\": {}, \"total_ns_rerun\": {}, \"avg_ns_per_op\": {}}}{}\n",
-            p.policy,
-            p.writers,
-            p.read_pct,
-            p.ops,
-            p.total_ns,
-            p.total_ns_rerun,
-            p.avg_ns_per_op,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// A `BENCH_sync.json` report re-read from disk.
-#[derive(Debug, Clone)]
-pub struct ParsedSyncReport {
-    /// The committed read-side probe counts.
-    pub probes: Probes,
-    /// Every measurement point, in report order.
-    pub points: Vec<SyncPoint>,
-}
-
-/// The `results[]` rows of a report, via the shared [`crate::report`]
-/// one-object-per-line extraction (also reads reports recorded before
-/// the probe fields existed).
-///
-/// # Errors
-///
-/// Returns a description of the first malformed line or missing field.
-pub fn parse_points(json: &str) -> Result<Vec<SyncPoint>, String> {
-    let mut points = Vec::new();
-    for obj in crate::report::objects_with(json, "policy") {
-        points.push(SyncPoint {
-            policy: obj.str_field("policy")?,
-            writers: obj.usize_field("writers")?,
-            read_pct: obj.u64_field("read_pct")? as u32,
-            ops: obj.u64_field("ops")?,
-            total_ns: obj.u64_field("total_ns")?,
-            total_ns_rerun: obj.u64_field("total_ns_rerun")?,
-            avg_ns_per_op: obj.u64_field("avg_ns_per_op")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("no results[] entries found".into());
-    }
-    Ok(points)
-}
-
-/// Re-read a report produced by [`to_json`], via the shared
-/// [`crate::report`] one-object-per-line extraction.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed line or missing field.
-pub fn parse_report(json: &str) -> Result<ParsedSyncReport, String> {
-    crate::report::parse_quick(json)?;
-    let top = |key: &str| crate::report::object_with(json, key)?.u64_field(key);
-    let probes = Probes {
-        replica_hit_fabric_ops: top("replica_hit_fabric_ops")?,
-        catch_up_global_reads: top("catch_up_global_reads")?,
-        combine_global_reads: top("combine_global_reads")?,
-    };
-    let points = parse_points(json)?;
-    Ok(ParsedSyncReport { probes, points })
+    Ok(failures)
 }
 
 /// The committed report's own target: every (policy, writers, reads)
 /// point of the sweep present.
-pub fn target_failures(report: &ParsedSyncReport) -> Vec<String> {
+///
+/// # Errors
+///
+/// Never: every check is on point keys.
+pub fn target_failures(report: &Report) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
     for &writers in &WRITER_COUNTS {
         for &read_pct in &READ_PCTS {
             for policy in ["delegated", "node_replicated"] {
-                if !report
-                    .points
-                    .iter()
-                    .any(|p| p.policy == policy && p.writers == writers && p.read_pct == read_pct)
-                {
+                if report.point(&key(policy, writers, read_pct)).is_none() {
                     failures.push(format!(
                         "missing point ({policy}, writers={writers}, reads={read_pct}%)"
                     ));
@@ -584,13 +435,12 @@ pub fn target_failures(report: &ParsedSyncReport) -> Vec<String> {
             }
         }
     }
-    failures
+    Ok(failures)
 }
 
-/// Run the sweep and the probes, printing each row, and render the
-/// report. `previous` is the report this run replaces, if any: rows that
-/// moved since that recording keep their old figure alongside.
-pub fn run(quick: bool, previous: Option<&str>) -> String {
+/// Run the sweep and the probes, printing the probe lines, and build
+/// the report.
+pub fn run(quick: bool) -> Report {
     let cfg = if quick {
         SyncScaleConfig::quick()
     } else {
@@ -602,17 +452,6 @@ pub fn run(quick: bool, previous: Option<&str>) -> String {
         cfg.rounds
     );
     let points = run_sweep(cfg);
-    for p in &points {
-        println!(
-            "  {:>16} writers={} reads={:>2}% ops={:>6} avg={:>6} ns/op parity={}",
-            p.policy,
-            p.writers,
-            p.read_pct,
-            p.ops,
-            p.avg_ns_per_op,
-            p.parity()
-        );
-    }
     let probes = run_probes();
     println!(
         "  replica-hit read path: {} fabric ops across 64 reads",
@@ -629,10 +468,13 @@ pub fn run(quick: bool, previous: Option<&str>) -> String {
          pod={pod_claims} (delta {})",
         pod_claims - flat_claims
     );
-    let previous = previous
-        .and_then(|text| parse_points(text).ok())
-        .unwrap_or_default();
-    to_json(cfg, &points, probes, &previous)
+    let mut report = probes.record(
+        Report::new("sync", quick)
+            .fact("nodes", NODES)
+            .fact("rounds", cfg.rounds),
+    );
+    report.points = points;
+    report
 }
 
 #[cfg(test)]
@@ -641,31 +483,22 @@ mod tests {
 
     #[test]
     fn quick_sweep_passes_its_own_gate() {
-        let failures = gate_failures(&ParsedSyncReport {
-            probes: run_probes(),
-            points: run_sweep(SyncScaleConfig::quick()),
-        });
-        assert!(failures.is_empty(), "{failures:?}");
+        let report = run(true);
+        assert_eq!(report.rerun_failures(), Vec::<String>::new());
+        assert_eq!(gate_failures(&report), Ok(Vec::new()));
     }
 
     #[test]
     fn report_roundtrips_and_checks() {
-        let cfg = SyncScaleConfig::quick();
-        let points = run_sweep(cfg);
-        let probes = run_probes();
-        // A previous recording in which one point was slower: that row,
-        // and only that row, is carried as a before/after pair that the
-        // re-read ignores.
-        let mut previous = points.clone();
-        previous[1].avg_ns_per_op += 7;
-        let json = to_json(cfg, &points, probes, &previous);
-        assert_eq!(json.matches("\"was\":").count(), 1);
-        let parsed = parse_report(&json).expect("parse");
-        assert_eq!(parsed.points.len(), points.len());
-        assert_eq!(parsed.probes, probes);
-        for (a, b) in parsed.points.iter().zip(points.iter()) {
-            assert_eq!(a, b);
-        }
+        let report = run(true);
+        let json = report.to_json();
+        let parsed = Report::parse(&json).expect("parse");
+        assert_eq!(parsed, report);
+        assert_eq!(
+            parsed.points.len(),
+            2 * WRITER_COUNTS.len() * READ_PCTS.len()
+        );
+        assert_eq!(parsed.facts.u64("rounds"), Ok(40));
         // A quick report fails the committed-report check on exactly
         // the quick flag.
         let failures = crate::suite::Suite::Sync.check(&json);
@@ -694,10 +527,7 @@ mod tests {
             combine_global_reads: 2 + 3 * NODES as u64,
         };
         // No sweep needed: only the probe failures are counted.
-        let failures = gate_failures(&ParsedSyncReport {
-            probes: per_entry,
-            points: Vec::new(),
-        });
+        let failures = gate_failures(&per_entry.record(Report::new("sync", true))).unwrap();
         let about_reads = failures.iter().filter(|f| f.contains("global reads"));
         assert_eq!(about_reads.count(), 2, "{failures:?}");
     }

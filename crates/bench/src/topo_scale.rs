@@ -32,7 +32,7 @@ use flacos_mem::{
 use flacos_tier::{TierBudget, TierConfig, TierDaemon};
 use rack_sim::{GAddr, LAddr, Rack, RackConfig, SplitMix64, Zipf};
 
-use crate::report::{object_with, objects_with, parse_quick};
+use crate::report::{Point, Report};
 
 /// Address-space id used by the workload.
 const ASID: u64 = 1;
@@ -56,8 +56,6 @@ const REGION_MIN_HOT: usize = 48;
 /// Sweep sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct TopoScaleConfig {
-    /// Quick (CI smoke) or full (committed report) mode.
-    pub quick: bool,
     /// Accesses before measurement starts (the daemon learns and
     /// migrates; the huge arm coalesces on its first tick).
     pub warmup: usize,
@@ -69,7 +67,6 @@ impl TopoScaleConfig {
     /// CI smoke sizing (~seconds).
     pub fn quick() -> Self {
         TopoScaleConfig {
-            quick: true,
             warmup: 1000,
             measured: 2000,
         }
@@ -78,44 +75,9 @@ impl TopoScaleConfig {
     /// Committed-report sizing.
     pub fn full() -> Self {
         TopoScaleConfig {
-            quick: false,
             warmup: 3000,
             measured: 5000,
         }
-    }
-}
-
-/// One (topology, page-size mode) cell, run twice for the parity
-/// fingerprint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopoRow {
-    /// `"flat"` (2-node switched) or `"pod"` (2 racks × 2 nodes).
-    pub topo: String,
-    /// `"base"` (4 KiB-only) or `"huge"` (region-granular).
-    pub mode: String,
-    /// Median access latency, ns.
-    pub p50_ns: u64,
-    /// Tail access latency, ns.
-    pub p99_ns: u64,
-    /// 4 KiB pages promoted into local DRAM.
-    pub promoted: u64,
-    /// 4 KiB pages demoted back to the global pool.
-    pub demoted: u64,
-    /// 2 MiB regions coalesced into huge local mappings.
-    pub region_promotions: u64,
-    /// TLB shootdown rounds the initiator issued (one per 4 KiB
-    /// migration; one per 2 MiB region regardless of its 512 pages).
-    pub shootdown_rounds: u64,
-    /// Sum of measured latencies — the deterministic run fingerprint.
-    pub total_ns: u64,
-    /// The same fingerprint from an independent same-seed rerun.
-    pub total_ns_rerun: u64,
-}
-
-impl TopoRow {
-    /// Whether the fixed-seed rerun reproduced the run byte-identically.
-    pub fn parity(&self) -> bool {
-        self.total_ns == self.total_ns_rerun
     }
 }
 
@@ -280,27 +242,29 @@ fn run_arm(cfg: TopoScaleConfig, topo: &str, huge: bool) -> ArmResult {
     }
 }
 
-/// One sweep cell: run the arm twice on fresh racks for the fixed-seed
-/// parity fingerprint.
-fn run_cell(cfg: TopoScaleConfig, topo: &str, huge: bool) -> TopoRow {
+/// One sweep cell, keyed `topo=<flat|pod> mode=<base|huge>`: the arm
+/// run twice on fresh racks. `sim_ns` is the sum of the measured access
+/// latencies and `sim_ns_rerun` the same from the second run; `promoted`
+/// and `demoted` count 4 KiB migrations, `region_promotions` 2 MiB
+/// coalesces, and `shootdown_rounds` the TLB shootdown rounds the
+/// initiator issued (one per 4 KiB migration, one per 2 MiB region).
+fn run_cell(cfg: TopoScaleConfig, topo: &str, huge: bool) -> Point {
     let a = run_arm(cfg, topo, huge);
     let b = run_arm(cfg, topo, huge);
-    TopoRow {
-        topo: topo.to_string(),
-        mode: if huge { "huge" } else { "base" }.to_string(),
-        p50_ns: a.p50_ns,
-        p99_ns: a.p99_ns,
-        promoted: a.promoted,
-        demoted: a.demoted,
-        region_promotions: a.region_promotions,
-        shootdown_rounds: a.shootdown_rounds,
-        total_ns: a.total_ns,
-        total_ns_rerun: b.total_ns,
-    }
+    let mode = if huge { "huge" } else { "base" };
+    Point::new(format!("topo={topo} mode={mode}"))
+        .with("sim_ns", a.total_ns)
+        .with("sim_ns_rerun", b.total_ns)
+        .with("p50_ns", a.p50_ns)
+        .with("p99_ns", a.p99_ns)
+        .with("promoted", a.promoted)
+        .with("demoted", a.demoted)
+        .with("region_promotions", a.region_promotions)
+        .with("shootdown_rounds", a.shootdown_rounds)
 }
 
 /// Run the topology × page-size sweep.
-pub fn run_sweep(cfg: TopoScaleConfig) -> Vec<TopoRow> {
+pub fn run_sweep(cfg: TopoScaleConfig) -> Vec<Point> {
     let mut rows = Vec::with_capacity(4);
     for topo in ["flat", "pod"] {
         for huge in [false, true] {
@@ -363,12 +327,19 @@ pub fn region_probe() -> (u64, u64) {
 
 /// The invariants every report must hold (the `--gate`): the region
 /// probe pins exactly 512 page-wise vs 1 region-wise shootdown rounds,
-/// the huge arm beats the base arm's p50 and round count at the same
-/// local-DRAM budget on every topology, and every fixed-seed rerun
-/// reproduces byte-identically.
-pub fn gate_failures(report: &TopoReport) -> Vec<String> {
-    let (rows, probe) = (&report.rows, report.probe);
+/// and the huge arm beats the base arm's p50 and round count at the
+/// same local-DRAM budget on every topology. Rerun parity is the
+/// schema's own check.
+///
+/// # Errors
+///
+/// Names a column or fact the report lacks.
+pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
+    let probe = (
+        report.facts.u64("base_rounds")?,
+        report.facts.u64("huge_rounds")?,
+    );
     if probe != (PAGES_PER_HUGE, 1) {
         failures.push(format!(
             "region probe: expected ({PAGES_PER_HUGE}, 1) shootdown rounds \
@@ -376,142 +347,60 @@ pub fn gate_failures(report: &TopoReport) -> Vec<String> {
             probe.0, probe.1
         ));
     }
-    for row in rows {
-        if !row.parity() {
-            failures.push(format!(
-                "{}/{}: fixed-seed rerun diverged ({} ns vs {} ns)",
-                row.topo, row.mode, row.total_ns, row.total_ns_rerun
-            ));
-        }
-    }
     for topo in ["flat", "pod"] {
-        let base = rows.iter().find(|r| r.topo == topo && r.mode == "base");
-        let huge = rows.iter().find(|r| r.topo == topo && r.mode == "huge");
-        let (Some(base), Some(huge)) = (base, huge) else {
+        let (Some(base), Some(huge)) = (
+            report.point(&format!("topo={topo} mode=base")),
+            report.point(&format!("topo={topo} mode=huge")),
+        ) else {
             failures.push(format!("{topo}: missing base/huge cell"));
             continue;
         };
-        if huge.region_promotions < 1 {
+        if huge.u64("region_promotions")? < 1 {
             failures.push(format!("{topo}: huge arm coalesced no region"));
         }
-        if base.region_promotions != 0 {
+        if base.u64("region_promotions")? != 0 {
             failures.push(format!("{topo}: base arm must not coalesce regions"));
         }
-        if huge.p50_ns >= base.p50_ns {
+        let (huge_p50, base_p50) = (huge.u64("p50_ns")?, base.u64("p50_ns")?);
+        if huge_p50 >= base_p50 {
             failures.push(format!(
-                "{topo}: huge p50 {} ns is not below base p50 {} ns at the same budget",
-                huge.p50_ns, base.p50_ns
+                "{topo}: huge p50 {huge_p50} ns is not below base p50 {base_p50} ns at the \
+                 same budget"
             ));
         }
-        if huge.shootdown_rounds >= base.shootdown_rounds {
+        let (huge_rounds, base_rounds) =
+            (huge.u64("shootdown_rounds")?, base.u64("shootdown_rounds")?);
+        if huge_rounds >= base_rounds {
             failures.push(format!(
-                "{topo}: huge arm issued {} shootdown rounds, base {} — \
-                 region coalescing must cut rounds",
-                huge.shootdown_rounds, base.shootdown_rounds
+                "{topo}: huge arm issued {huge_rounds} shootdown rounds, base {base_rounds} — \
+                 region coalescing must cut rounds"
             ));
         }
     }
-    failures
-}
-
-/// Render the committed JSON report (line-wise, no serde).
-pub fn to_json(cfg: TopoScaleConfig, rows: &[TopoRow], probe: (u64, u64)) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"topo-scale\",\n");
-    s.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    s.push_str(&format!("  \"pages\": {PAGES},\n"));
-    s.push_str(&format!("  \"zipf_skew\": {SKEW},\n"));
-    s.push_str(&format!("  \"budget_bytes\": {BUDGET_BYTES},\n"));
-    s.push_str(&format!(
-        "  \"probe\": {{\"base_rounds\": {}, \"huge_rounds\": {}}},\n",
-        probe.0, probe.1
-    ));
-    s.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"topo\": \"{}\", \"mode\": \"{}\", \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"promoted\": {}, \"demoted\": {}, \"region_promotions\": {}, \
-             \"shootdown_rounds\": {}, \"total_ns\": {}, \"total_ns_rerun\": {}}}{}\n",
-            r.topo,
-            r.mode,
-            r.p50_ns,
-            r.p99_ns,
-            r.promoted,
-            r.demoted,
-            r.region_promotions,
-            r.shootdown_rounds,
-            r.total_ns,
-            r.total_ns_rerun,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// A parsed committed report.
-#[derive(Debug)]
-pub struct TopoReport {
-    /// The sweep rows.
-    pub rows: Vec<TopoRow>,
-    /// `(base_rounds, huge_rounds)` from the region probe.
-    pub probe: (u64, u64),
-}
-
-/// Parse a report produced by [`to_json`].
-///
-/// # Errors
-///
-/// Names the missing or malformed field.
-pub fn parse_report(json: &str) -> Result<TopoReport, String> {
-    parse_quick(json)?;
-    let probe_obj = object_with(json, "base_rounds")?;
-    let probe = (
-        probe_obj.u64_field("base_rounds")?,
-        probe_obj.u64_field("huge_rounds")?,
-    );
-    let mut rows = Vec::new();
-    for obj in objects_with(json, "topo") {
-        rows.push(TopoRow {
-            topo: obj.str_field("topo")?,
-            mode: obj.str_field("mode")?,
-            p50_ns: obj.u64_field("p50_ns")?,
-            p99_ns: obj.u64_field("p99_ns")?,
-            promoted: obj.u64_field("promoted")?,
-            demoted: obj.u64_field("demoted")?,
-            region_promotions: obj.u64_field("region_promotions")?,
-            shootdown_rounds: obj.u64_field("shootdown_rounds")?,
-            total_ns: obj.u64_field("total_ns")?,
-            total_ns_rerun: obj.u64_field("total_ns_rerun")?,
-        });
-    }
-    if rows.is_empty() {
-        return Err("no result rows".into());
-    }
-    Ok(TopoReport { rows, probe })
+    Ok(failures)
 }
 
 /// The committed report's own target: every (topology, mode) cell of
 /// the sweep present.
-pub fn target_failures(report: &TopoReport) -> Vec<String> {
+///
+/// # Errors
+///
+/// Never: every check is on point keys.
+pub fn target_failures(report: &Report) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
-    for (topo, mode) in [
-        ("flat", "base"),
-        ("flat", "huge"),
-        ("pod", "base"),
-        ("pod", "huge"),
-    ] {
-        if !report.rows.iter().any(|r| r.topo == topo && r.mode == mode) {
-            failures.push(format!("missing sweep cell {topo}/{mode}"));
+    for topo in ["flat", "pod"] {
+        for mode in ["base", "huge"] {
+            if report.point(&format!("topo={topo} mode={mode}")).is_none() {
+                failures.push(format!("missing sweep cell {topo}/{mode}"));
+            }
         }
     }
-    failures
+    Ok(failures)
 }
 
-/// Run the region probe and the sweep, printing each row, and render
-/// the report.
-pub fn run(quick: bool) -> String {
+/// Run the region probe and the sweep, printing the probe line, and
+/// build the report.
+pub fn run(quick: bool) -> Report {
     let cfg = if quick {
         TopoScaleConfig::quick()
     } else {
@@ -522,27 +411,18 @@ pub fn run(quick: bool) -> String {
         if quick { "quick" } else { "full" },
         cfg.measured
     );
-    let probe = region_probe();
+    let (base_rounds, huge_rounds) = region_probe();
     println!(
-        "  region promotion: {} page-wise shootdown rounds vs {} ranged round",
-        probe.0, probe.1
+        "  region promotion: {base_rounds} page-wise shootdown rounds vs {huge_rounds} ranged round"
     );
-    let rows = run_sweep(cfg);
-    for r in &rows {
-        println!(
-            "  {:>4}/{:<4} p50={:>6} ns p99={:>6} ns promoted={:>4} regions={} \
-             rounds={:>4} parity={}",
-            r.topo,
-            r.mode,
-            r.p50_ns,
-            r.p99_ns,
-            r.promoted,
-            r.region_promotions,
-            r.shootdown_rounds,
-            r.parity()
-        );
-    }
-    to_json(cfg, &rows, probe)
+    let mut report = Report::new("topo", quick)
+        .fact("pages", PAGES)
+        .fact("zipf_skew", SKEW)
+        .fact("budget_bytes", BUDGET_BYTES)
+        .fact("base_rounds", base_rounds)
+        .fact("huge_rounds", huge_rounds);
+    report.points = run_sweep(cfg);
+    report
 }
 
 #[cfg(test)]
@@ -556,13 +436,9 @@ mod tests {
 
     #[test]
     fn quick_sweep_passes_the_gate_and_roundtrips() {
-        let cfg = TopoScaleConfig::quick();
-        let rows = run_sweep(cfg);
-        let probe = region_probe();
-        let json = to_json(cfg, &rows, probe);
-        let report = parse_report(&json).expect("parse");
-        assert_eq!(report.rows, rows);
-        assert_eq!(report.probe, probe);
+        let report = run(true);
+        let json = report.to_json();
+        assert_eq!(Report::parse(&json), Ok(report));
         // The same rows from a full run pass the committed-report check.
         let full = json.replace("\"quick\": true", "\"quick\": false");
         let failures = crate::suite::Suite::Topo.check(&full);
@@ -571,26 +447,25 @@ mod tests {
 
     #[test]
     fn check_rejects_missing_cells_and_bad_probe() {
-        let row = TopoRow {
-            topo: "flat".into(),
-            mode: "base".into(),
-            p50_ns: 500,
-            p99_ns: 900,
-            promoted: 10,
-            demoted: 2,
-            region_promotions: 0,
-            shootdown_rounds: 12,
-            total_ns: 1,
-            total_ns_rerun: 1,
-        };
-        let report = TopoReport {
-            rows: vec![row],
-            probe: (512, 2),
-        };
+        let row = Point::new("topo=flat mode=base")
+            .with("sim_ns", 1u64)
+            .with("sim_ns_rerun", 1u64)
+            .with("p50_ns", 500u64)
+            .with("p99_ns", 900u64)
+            .with("promoted", 10u64)
+            .with("demoted", 2u64)
+            .with("region_promotions", 0u64)
+            .with("shootdown_rounds", 12u64);
+        let mut report = Report::new("topo", false)
+            .fact("base_rounds", 512u64)
+            .fact("huge_rounds", 2u64);
+        report.points = vec![row];
         assert!(target_failures(&report)
+            .unwrap()
             .iter()
             .any(|f| f.contains("missing sweep cell")));
         assert!(gate_failures(&report)
+            .unwrap()
             .iter()
             .any(|f| f.contains("region probe")));
     }

@@ -306,6 +306,13 @@ impl ChunkStore {
     /// storm does exactly that); `won` must be hashes this node won via
     /// [`ChunkStore::claim`].
     ///
+    /// On an error (a failed download, corrupt bytes, a failed intern
+    /// or commit) the node gives up every claim it still holds with an
+    /// `ABORT` op of its own, best effort, and releases the frames the
+    /// failing batch interned but did not commit; so other nodes
+    /// re-claim those chunks instead of waiting for this node to be
+    /// declared crashed.
+    ///
     /// # Errors
     ///
     /// Propagates backend, dedup, and index errors.
@@ -318,6 +325,31 @@ impl ChunkStore {
         if won.is_empty() {
             return Ok(out);
         }
+        let mut interned = Vec::new();
+        let done = self.fetch_and_commit(ctx, won, &mut out, &mut interned);
+        self.stats
+            .chunks_fetched
+            .fetch_add(out.committed, Ordering::Relaxed);
+        self.stats
+            .bytes_fetched
+            .fetch_add(out.bytes, Ordering::Relaxed);
+        if done.is_err() {
+            self.give_up(ctx, &interned);
+        }
+        self.notify_fills();
+        done.map(|()| out)
+    }
+
+    /// The body of [`ChunkStore::complete`]: each claim batch is
+    /// verified, interned (its frames pushed to `interned` as they are
+    /// made, cleared once the batch's commit resolves) and committed.
+    fn fetch_and_commit(
+        &self,
+        ctx: &NodeCtx,
+        won: &[u64],
+        out: &mut CompleteOutcome,
+        interned: &mut Vec<(u64, GAddr)>,
+    ) -> Result<(), SimError> {
         let me = ctx.id().0 as u32;
         let blobs = self.backends.fetch_many(ctx, won)?;
         for (hash_batch, blob_batch) in won
@@ -334,24 +366,14 @@ impl ChunkStore {
             let mut entries = Vec::with_capacity(hash_batch.len());
             for (&h, blob) in hash_batch.iter().zip(bytes) {
                 let frame = self.dedup.intern_with_hash(ctx, h, blob)?;
+                interned.push((h, frame));
                 entries.push((h, frame, blob.len() as u32));
             }
             let op = commit_op(me, &entries);
             let (_, landed): (u64, Vec<bool>) = self.cell.update_map(ctx, &op, |s| {
-                entries
-                    .iter()
-                    .map(|&(h, frame, _)| {
-                        // Authorship, not frame equality: identical
-                        // content interns to the same frame rack-wide,
-                        // so only `by` distinguishes a landed commit
-                        // from one that lost to a recovery re-claim.
-                        matches!(
-                            s.get(h),
-                            Some(ChunkState::Present { frame: f, by, .. }) if f == frame && by == me
-                        )
-                    })
-                    .collect()
+                entries.iter().map(|&e| landed(s, me, e)).collect()
             })?;
+            interned.clear();
             for (&(h, frame, len), &ok) in entries.iter().zip(&landed) {
                 if ok {
                     out.committed += 1;
@@ -365,14 +387,31 @@ impl ChunkStore {
                 }
             }
         }
-        self.stats
-            .chunks_fetched
-            .fetch_add(out.committed, Ordering::Relaxed);
-        self.stats
-            .bytes_fetched
-            .fetch_add(out.bytes, Ordering::Relaxed);
-        self.notify_fills();
-        Ok(out)
+        Ok(())
+    }
+
+    /// Best-effort cleanup after a failed [`ChunkStore::complete`]:
+    /// abort this node's remaining claims, then release each frame of
+    /// the failing batch whose commit did not land (a commit that failed
+    /// after its append still owns its frames).
+    fn give_up(&self, ctx: &NodeCtx, interned: &[(u64, GAddr)]) {
+        let me = ctx.id().0 as u32;
+        if self.cell.update(ctx, &abort_op(me)).is_err() || interned.is_empty() {
+            return;
+        }
+        let Ok(kept) = self.cell.read(ctx, |s| {
+            interned
+                .iter()
+                .map(|&(h, frame)| landed(s, me, (h, frame, 0)))
+                .collect::<Vec<bool>>()
+        }) else {
+            return;
+        };
+        for (&(_, frame), kept) in interned.iter().zip(kept) {
+            if !kept {
+                let _ = self.dedup.release(ctx, frame);
+            }
+        }
     }
 
     /// Wait for other nodes' in-flight fetches of `hashes` to resolve.
@@ -575,6 +614,17 @@ impl SyncRecover for ChunkStore {
     }
 }
 
+/// Whether `me`'s commit of `(hash, frame, _)` landed in `s`.
+/// Authorship, not frame equality: identical content interns to the
+/// same frame rack-wide, so only `by` distinguishes a landed commit
+/// from one that lost to a recovery re-claim.
+fn landed(s: &ChunkIndexState, me: u32, (hash, frame, _): (u64, GAddr, u32)) -> bool {
+    matches!(
+        s.get(hash),
+        Some(ChunkState::Present { frame: f, by, .. }) if f == frame && by == me
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,6 +642,12 @@ mod tests {
     }
 
     fn setup(shards: usize) -> (Rack, Arc<ChunkStore>) {
+        let (rack, store, _) = setup_with_frames(shards);
+        (rack, store)
+    }
+
+    /// [`setup`], also handing back the deduper's frame allocator.
+    fn setup_with_frames(shards: usize) -> (Rack, Arc<ChunkStore>, FrameAllocator) {
         let rack = Rack::new(RackConfig::small_test().with_global_mem(64 << 20));
         let backends = Arc::new(ShardedBackends::uniform(
             shards,
@@ -601,7 +657,8 @@ mod tests {
                 per_chunk_ns: 100,
             },
         ));
-        let dedup = Arc::new(PageDeduper::new(FrameAllocator::new(rack.global().clone())));
+        let frames = FrameAllocator::new(rack.global().clone());
+        let dedup = Arc::new(PageDeduper::new(frames.clone()));
         let store = ChunkStore::alloc(
             rack.global(),
             backends,
@@ -611,7 +668,7 @@ mod tests {
                 .with_claim_batch(64),
         )
         .unwrap();
-        (rack, store)
+        (rack, store, frames)
     }
 
     fn publish(store: &ChunkStore, seeds: std::ops::Range<u64>) -> Vec<u64> {
@@ -702,16 +759,49 @@ mod tests {
                 "position {bad}: {err:?}"
             );
             assert_eq!(store.peek_index(|s| s.present_count()), 0, "position {bad}");
-            assert_eq!(store.peek_index(|s| s.fetching_of(0)), 9, "position {bad}");
+            assert_eq!(store.peek_index(|s| s.fetching_of(0)), 0, "position {bad}");
             assert_eq!(store.dedup().stats().unique_frames, 0, "position {bad}");
             assert_eq!(store.stats().chunks_fetched, 0, "position {bad}");
+            assert_claims_released(&rack, &store, &hashes);
         }
+    }
+
+    /// After node 0's failed `complete`, it holds no claim, and node 1
+    /// wins every one of `hashes` (none is left `in_flight` to wait on).
+    fn assert_claims_released(rack: &Rack, store: &ChunkStore, hashes: &[u64]) {
+        assert_eq!(store.peek_index(|s| s.fetching_of(0)), 0);
+        let retry = store.claim(&rack.node(1), hashes).unwrap();
+        assert_eq!(retry.won, hashes);
+        assert!(retry.in_flight.is_empty());
+    }
+
+    #[test]
+    fn a_failed_intern_releases_the_frames_its_batch_interned() {
+        // Five frames left in the pool: the nine-chunk batch interns
+        // five, fails on the sixth, and must hand the five back.
+        let (rack, store, frames) = setup_with_frames(2);
+        let hashes = publish(&store, 0..9);
+        let n0 = rack.node(0);
+        let claim = store.claim(&n0, &hashes).unwrap();
+        let mut held = Vec::new();
+        while let Ok(frame) = frames.alloc(&n0) {
+            held.push(frame);
+        }
+        for frame in held.drain(..5) {
+            frames.free(&n0, frame);
+        }
+        assert!(store.complete(&n0, &claim.won).is_err());
+        assert_eq!(store.dedup().stats().unique_frames, 0);
+        assert_eq!(frames.free_frames(), 5);
+        assert_eq!(store.peek_index(|s| s.present_count()), 0);
+        assert_claims_released(&rack, &store, &hashes);
     }
 
     #[test]
     fn unknown_chunk_propagates_a_protocol_error() {
         let (rack, store) = setup(2);
         assert!(store.ensure(&rack.node(0), &[0xdead_beef]).is_err());
+        assert_claims_released(&rack, &store, &[0xdead_beef]);
     }
 
     #[test]

@@ -23,21 +23,25 @@ cargo test -q --offline --workspace
 echo "== repo benchmark package unit tests (offline, release) =="
 (cd benchmark && cargo test --offline --release -q)
 
+# The three runners below come from the release build above; calling
+# them directly spares a cargo invocation (and its freshness check) per
+# step.
+bin="${CARGO_TARGET_DIR:-target}/release"
+
 echo "== fault-storm smoke: all five campaigns (rack, tiering, delegated, node-replicated, store; fixed seeds, replay-verified) =="
-cargo run --release --offline -p bench --bin flac-faultstorm -- --seeds 2 --steps 60 --verify
+"$bin/flac-faultstorm" --seeds 2 --steps 60 --verify
 
 echo "== tiering smoke: A7 ablation =="
-cargo run --release --offline -p bench --bin figures -- tiering
+"$bin/figures" tiering
 
 echo "== sync smoke: A1 ablation =="
-cargo run --release --offline -p bench --bin figures -- sync
+"$bin/figures" sync
 
 echo "== benchmark suites: --quick smoke gated on the written file, then the committed report's --check =="
 for s in cache serve sync topo store; do
     echo "-- flac-bench $s --"
-    cargo run --release --offline -q -p bench --bin flac-bench -- \
-        "$s" --quick --out "target/BENCH_$s.quick.json" --gate
-    cargo run --release --offline -q -p bench --bin flac-bench -- "$s" --check "BENCH_$s.json"
+    "$bin/flac-bench" "$s" --quick --out "target/BENCH_$s.quick.json" --gate
+    "$bin/flac-bench" "$s" --check "BENCH_$s.json"
 done
 
 echo "verify: OK"
