@@ -26,7 +26,7 @@ use flacos_mem::addr::VirtAddr;
 use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
 use flacos_mem::tlb::Tlb;
-use flacos_mem::{AddressSpace, PhysFrame, Pte};
+use flacos_mem::{AddressSpace, PageSize, PhysFrame, Pte};
 use flacos_tier::{LocalFramePool, Migration};
 use rack_sim::storm::{StormCampaign, StormConfig, StormCounts, StormOp};
 use rack_sim::{GAddr, LAddr, NodeCtx, NodeId, Rack, RackConfig, SimError};
@@ -688,9 +688,15 @@ impl Hooks for RackStorm {
 /// Rack-wide shootdown from the tiering node that only expects the live
 /// nodes to participate (dead peers have no stale TLB; acks from
 /// stragglers are not awaited).
-fn shootdown_live(tlbs: &mut [Tlb], live: &[bool], asid: u64, vpn: u64) -> Result<(), SimError> {
+fn shootdown_live(
+    tlbs: &mut [Tlb],
+    live: &[bool],
+    asid: u64,
+    vpn: u64,
+    span: u64,
+) -> Result<(), SimError> {
     let peers: Vec<NodeId> = tlbs.iter().map(Tlb::node_id).collect();
-    let expected = tlbs[TIER_NODE].begin_shootdown_range(&peers, asid, vpn, 1)?;
+    let expected = tlbs[TIER_NODE].begin_shootdown_range(&peers, asid, vpn, span)?;
     for (i, tlb) in tlbs.iter_mut().enumerate() {
         if i != TIER_NODE && live[i] {
             tlb.service_shootdowns()?;
@@ -760,7 +766,7 @@ impl TieringStorm {
     fn release(&mut self, ctx: &NodeCtx, frame: PhysFrame) {
         match frame {
             PhysFrame::Global(g) => self.frames.free(ctx, g),
-            PhysFrame::Local(_, l) => self.pool.free(l),
+            PhysFrame::Local(_, l) => self.pool.free(l, PageSize::Base),
         }
     }
 
@@ -788,11 +794,11 @@ impl TieringStorm {
                 if self.promoted.contains_key(&vpn) {
                     return format!(", vpn {vpn} already local");
                 }
-                let local = self.pool.alloc(&n0).expect("local frame");
+                let local = self.pool.alloc(&n0, PageSize::Base).expect("local frame");
                 (vpn, PhysFrame::Local(n0.id(), local), true)
             };
             let what = if promote { "promote" } else { "demote" };
-            return match Migration::begin(&n0, &self.space, vpn, dst) {
+            return match Migration::begin(&n0, &self.space, vpn, PageSize::Base, dst) {
                 Ok(m) => {
                     self.in_flight = Some((m, promote));
                     format!(", {what} of vpn {vpn} began")
@@ -808,11 +814,11 @@ impl TieringStorm {
         let dst = m.new_frame();
         let (tlbs, live) = (&mut self.tlbs, &s.live);
         let old = m
-            .commit(&n0, &self.space, &mut |asid, vpn| {
-                shootdown_live(tlbs, live, asid, vpn)
+            .commit(&n0, &self.space, &mut |asid, vpn, span| {
+                shootdown_live(tlbs, live, asid, vpn, span)
             })
             .expect("commit");
-        self.release(&n0, old.frame);
+        self.release(&n0, old[0].frame);
         if promote {
             let PhysFrame::Local(_, l) = dst else {
                 unreachable!("promotion targets a local frame")

@@ -17,7 +17,7 @@
 //! private and the shared frame's refcount drops by one.
 
 use crate::budget::TierBudget;
-use crate::migrate::{split_region, LocalFramePool, Migration, RegionMigration};
+use crate::migrate::{split_region, LocalFramePool, Migration};
 use flacdk::alloc::hotness::HotnessTracker;
 use flacos_mem::addr::VirtAddr;
 use flacos_mem::fault::FrameAllocator;
@@ -336,7 +336,7 @@ impl TierDaemon {
             {
                 continue;
             }
-            match self.promote_region(space, frames, head, shoot)? {
+            match self.promote(space, frames, head, PageSize::Huge, shoot)? {
                 PromoteOutcome::Promoted => {
                     migrations_left -= 1;
                     report.region_promotions += 1;
@@ -365,7 +365,7 @@ impl TierDaemon {
             if self.dominant_node(vpn) != Some(self.node.id()) {
                 continue;
             }
-            match self.promote(space, frames, vpn, shoot)? {
+            match self.promote(space, frames, vpn, PageSize::Base, shoot)? {
                 PromoteOutcome::Promoted => {
                     migrations_left -= 1;
                     report.promoted += 1;
@@ -387,90 +387,6 @@ impl TierDaemon {
             .add(report.region_promotions);
         self.counters.region_splits.add(report.region_splits);
         Ok(report)
-    }
-
-    /// Coalesce the 2 MiB region at `head` into one huge local mapping:
-    /// every base page must be global-framed, non-migrating, uniformly
-    /// writable and not individually promoted here already.
-    fn promote_region(
-        &mut self,
-        space: &AddressSpace,
-        frames: &FrameAllocator,
-        head: u64,
-        shoot: &mut dyn FnMut(u64, u64, u64) -> Result<(), SimError>,
-    ) -> Result<PromoteOutcome, SimError> {
-        let mut old_globals = Vec::with_capacity(PAGES_PER_HUGE as usize);
-        for vpn in head..head + PAGES_PER_HUGE {
-            if self.local_pages.contains_key(&vpn) {
-                // A page of this region already sits in our 4 KiB local
-                // tier; let it cool and demote before coalescing.
-                return Ok(PromoteOutcome::Skipped);
-            }
-            let Some(pte) = space.translate(&self.node, VirtAddr::from_vpn(vpn))? else {
-                return Ok(PromoteOutcome::Skipped);
-            };
-            if pte.migrating || pte.page_size != PageSize::Base {
-                return Ok(PromoteOutcome::Skipped);
-            }
-            let PhysFrame::Global(g) = pte.frame else {
-                return Ok(PromoteOutcome::Skipped);
-            };
-            // Dedup rule applies region-wide: one rack-shared
-            // multi-node-hot page keeps the whole region in the pool.
-            if let Some(dedup) = &self.dedup {
-                if dedup.refcount(g) >= 2
-                    && self.hot_node_count(vpn) >= self.config.dedup_hot_node_threshold
-                {
-                    return Ok(PromoteOutcome::Vetoed);
-                }
-            }
-            old_globals.push(g);
-        }
-        if let Some(budget) = &self.budget {
-            if !budget.charge(&self.node, self.node.id(), HUGE_PAGE_SIZE as u64)? {
-                return Ok(PromoteOutcome::Skipped);
-            }
-        }
-        let release_budget = |daemon: &TierDaemon| -> Result<(), SimError> {
-            if let Some(budget) = &daemon.budget {
-                budget.credit(&daemon.node, daemon.node.id(), HUGE_PAGE_SIZE as u64)?;
-            }
-            Ok(())
-        };
-
-        let base = match self.pool.alloc_region(&self.node) {
-            Ok(b) => b,
-            Err(_) => {
-                release_budget(self)?;
-                return Ok(PromoteOutcome::Skipped);
-            }
-        };
-        let dst = PhysFrame::Local(self.node.id(), base);
-        let mut m = match RegionMigration::begin(&self.node, space, head, dst) {
-            Ok(m) => m,
-            Err(SimError::Protocol(_)) => {
-                self.pool.free_region(base);
-                release_budget(self)?;
-                return Ok(PromoteOutcome::Skipped);
-            }
-            Err(e) => {
-                self.pool.free_region(base);
-                release_budget(self)?;
-                return Err(e);
-            }
-        };
-        if let Err(e) = m.copy(&self.node, space) {
-            m.abort(&self.node, space)?;
-            self.pool.free_region(base);
-            release_budget(self)?;
-            return Err(e);
-        }
-        m.commit(&self.node, space, shoot)?;
-        for g in old_globals {
-            self.dispose_global_frame(frames, g)?;
-        }
-        self.huge_regions.insert(head, base);
-        Ok(PromoteOutcome::Promoted)
     }
 
     /// Split the coalesced region at `head` back into 512 individually
@@ -498,75 +414,68 @@ impl TierDaemon {
         Ok(true)
     }
 
+    /// Promote the `size` run at `head` into this node's local tier: one
+    /// page, or a 2 MiB region coalesced into one huge local mapping.
+    /// Every base page must be global-framed, non-migrating, mapped as a
+    /// base page and not individually promoted here already.
     fn promote(
         &mut self,
         space: &AddressSpace,
         frames: &FrameAllocator,
-        vpn: u64,
+        head: u64,
+        size: PageSize,
         shoot: &mut dyn FnMut(u64, u64, u64) -> Result<(), SimError>,
     ) -> Result<PromoteOutcome, SimError> {
-        let Some(pte) = space.translate(&self.node, VirtAddr::from_vpn(vpn))? else {
-            return Ok(PromoteOutcome::Skipped);
-        };
-        if pte.migrating {
-            return Ok(PromoteOutcome::Skipped);
-        }
-        let PhysFrame::Global(old_global) = pte.frame else {
-            // Already in someone's local tier.
-            return Ok(PromoteOutcome::Skipped);
-        };
-        // Dedup rule: rack-shared pages hot on several nodes stay shared.
-        if let Some(dedup) = &self.dedup {
-            if dedup.refcount(old_global) >= 2
-                && self.hot_node_count(vpn) >= self.config.dedup_hot_node_threshold
-            {
-                return Ok(PromoteOutcome::Vetoed);
+        let mut old_globals = Vec::with_capacity(size.pages() as usize);
+        for vpn in head..head + size.pages() {
+            if self.local_pages.contains_key(&vpn) {
+                // A page of this region already sits in our 4 KiB local
+                // tier; let it cool and demote before coalescing.
+                return Ok(PromoteOutcome::Skipped);
             }
+            let Some(pte) = space.translate(&self.node, VirtAddr::from_vpn(vpn))? else {
+                return Ok(PromoteOutcome::Skipped);
+            };
+            if pte.migrating || pte.page_size != PageSize::Base {
+                return Ok(PromoteOutcome::Skipped);
+            }
+            let PhysFrame::Global(g) = pte.frame else {
+                // Already in someone's local tier.
+                return Ok(PromoteOutcome::Skipped);
+            };
+            // Dedup rule: rack-shared pages hot on several nodes stay
+            // shared, and one such page keeps its whole region in the pool.
+            if let Some(dedup) = &self.dedup {
+                if dedup.refcount(g) >= 2
+                    && self.hot_node_count(vpn) >= self.config.dedup_hot_node_threshold
+                {
+                    return Ok(PromoteOutcome::Vetoed);
+                }
+            }
+            old_globals.push(g);
         }
         // Reserve rack-visible budget before touching anything.
         if let Some(budget) = &self.budget {
-            if !budget.charge(&self.node, self.node.id(), PAGE_SIZE as u64)? {
+            if !budget.charge(&self.node, self.node.id(), size.bytes() as u64)? {
                 return Ok(PromoteOutcome::Skipped);
             }
         }
-        let release_budget = |daemon: &TierDaemon| -> Result<(), SimError> {
-            if let Some(budget) = &daemon.budget {
-                budget.credit(&daemon.node, daemon.node.id(), PAGE_SIZE as u64)?;
-            }
-            Ok(())
+        let Ok(base) = self.pool.alloc(&self.node, size) else {
+            // Local memory exhausted: not an error, just no headroom.
+            self.credit(size)?;
+            return Ok(PromoteOutcome::Skipped);
         };
-
-        let laddr = match self.pool.alloc(&self.node) {
-            Ok(l) => l,
-            Err(_) => {
-                // Local memory exhausted: not an error, just no headroom.
-                release_budget(self)?;
-                return Ok(PromoteOutcome::Skipped);
-            }
-        };
-        let dst = PhysFrame::Local(self.node.id(), laddr);
-        let mut m = match Migration::begin(&self.node, space, vpn, dst) {
-            Ok(m) => m,
-            Err(SimError::Protocol(_)) => {
-                self.pool.free(laddr);
-                release_budget(self)?;
-                return Ok(PromoteOutcome::Skipped);
-            }
-            Err(e) => {
-                self.pool.free(laddr);
-                release_budget(self)?;
-                return Err(e);
-            }
-        };
-        if let Err(e) = m.copy(&self.node, space) {
-            m.abort(&self.node, space)?;
-            self.pool.free(laddr);
-            release_budget(self)?;
-            return Err(e);
+        let dst = PhysFrame::Local(self.node.id(), base);
+        if !self.migrate(space, frames, head, size, dst, shoot)? {
+            return Ok(PromoteOutcome::Skipped);
         }
-        m.commit(&self.node, space, &mut |asid, vpn| shoot(asid, vpn, 1))?;
-        self.dispose_global_frame(frames, old_global)?;
-        self.local_pages.insert(vpn, laddr);
+        for g in old_globals {
+            self.dispose_global_frame(frames, g)?;
+        }
+        match size {
+            PageSize::Base => self.local_pages.insert(head, base),
+            PageSize::Huge => self.huge_regions.insert(head, base),
+        };
         Ok(PromoteOutcome::Promoted)
     }
 
@@ -580,43 +489,85 @@ impl TierDaemon {
         let Some(laddr) = self.local_pages.get(&vpn).copied() else {
             return Ok(false);
         };
+        let local = PhysFrame::Local(self.node.id(), laddr);
         let Some(pte) = space.translate(&self.node, VirtAddr::from_vpn(vpn))? else {
             // Unmapped since promotion: reclaim our bookkeeping.
             self.local_pages.remove(&vpn);
-            self.pool.free(laddr);
-            if let Some(budget) = &self.budget {
-                budget.credit(&self.node, self.node.id(), PAGE_SIZE as u64)?;
-            }
+            self.release(frames, local, PageSize::Base)?;
             return Ok(false);
         };
-        if pte.migrating || pte.frame != PhysFrame::Local(self.node.id(), laddr) {
+        if pte.migrating || pte.frame != local {
             return Ok(false);
         }
-        let dst_global = frames.alloc(&self.node)?;
-        let dst = PhysFrame::Global(dst_global);
-        let mut m = match Migration::begin(&self.node, space, vpn, dst) {
+        let dst = PhysFrame::Global(frames.alloc(&self.node)?);
+        if !self.migrate(space, frames, vpn, PageSize::Base, dst, shoot)? {
+            return Ok(false);
+        }
+        self.local_pages.remove(&vpn);
+        self.release(frames, local, PageSize::Base)?;
+        Ok(true)
+    }
+
+    /// The staged sequence shared by promotion and demotion: guard the
+    /// run at `head`, copy it into `dst`, then commit with one shootdown
+    /// — or abort when the copy fails. Returns `false` when the run
+    /// cannot migrate right now. `dst` is released on every path but a
+    /// commit.
+    fn migrate(
+        &mut self,
+        space: &AddressSpace,
+        frames: &FrameAllocator,
+        head: u64,
+        size: PageSize,
+        dst: PhysFrame,
+        shoot: &mut dyn FnMut(u64, u64, u64) -> Result<(), SimError>,
+    ) -> Result<bool, SimError> {
+        let mut m = match Migration::begin(&self.node, space, head, size, dst) {
             Ok(m) => m,
-            Err(SimError::Protocol(_)) => {
-                frames.free(&self.node, dst_global);
-                return Ok(false);
-            }
             Err(e) => {
-                frames.free(&self.node, dst_global);
-                return Err(e);
+                self.release(frames, dst, size)?;
+                return match e {
+                    SimError::Protocol(_) => Ok(false),
+                    e => Err(e),
+                };
             }
         };
         if let Err(e) = m.copy(&self.node, space) {
             m.abort(&self.node, space)?;
-            frames.free(&self.node, dst_global);
+            self.release(frames, dst, size)?;
             return Err(e);
         }
-        m.commit(&self.node, space, &mut |asid, vpn| shoot(asid, vpn, 1))?;
-        self.local_pages.remove(&vpn);
-        self.pool.free(laddr);
-        if let Some(budget) = &self.budget {
-            budget.credit(&self.node, self.node.id(), PAGE_SIZE as u64)?;
-        }
+        m.commit(&self.node, space, shoot)?;
         Ok(true)
+    }
+
+    /// Give back a frame this daemon holds: a local span returns to the
+    /// pool and its budget to the ledger; a global frame returns to the
+    /// allocator.
+    fn release(
+        &mut self,
+        frames: &FrameAllocator,
+        frame: PhysFrame,
+        size: PageSize,
+    ) -> Result<(), SimError> {
+        match frame {
+            PhysFrame::Local(_, l) => {
+                self.pool.free(l, size);
+                self.credit(size)
+            }
+            PhysFrame::Global(g) => {
+                frames.free(&self.node, g);
+                Ok(())
+            }
+        }
+    }
+
+    /// Return `size` bytes of local-tier room to the rack ledger.
+    fn credit(&self, size: PageSize) -> Result<(), SimError> {
+        match &self.budget {
+            Some(budget) => budget.credit(&self.node, self.node.id(), size.bytes() as u64),
+            None => Ok(()),
+        }
     }
 }
 
@@ -908,6 +859,32 @@ mod tests {
         assert_eq!(buf, [5u8; 64]);
         // The split pages now sit in the 4 KiB ledger, demotable later.
         assert!(daemon.local_page_count() >= PAGES_PER_HUGE as usize - 8);
+    }
+
+    #[test]
+    fn tick_skips_pages_inside_a_global_huge_mapping() {
+        let (rack, space, _) = setup_region();
+        let n0 = rack.node(0);
+        let frames = FrameAllocator::new(rack.global().clone());
+        let region = rack.global().alloc(HUGE_PAGE_SIZE, PAGE_SIZE).unwrap();
+        let huge = Pte::new(PhysFrame::Global(region), true).huge();
+        space.map(&n0, PAGES_PER_HUGE, huge).unwrap();
+        let mut daemon = TierDaemon::new(n0.clone(), TierConfig::default());
+        // The head and an interior page are both hot and node 0's alone.
+        for vpn in [PAGES_PER_HUGE, PAGES_PER_HUGE + 188] {
+            for _ in 0..10 {
+                daemon.note_access(n0.id(), 1, vpn);
+            }
+        }
+        let report = daemon.tick(&space, &frames, &mut |_, _, _| Ok(())).unwrap();
+        assert_eq!(report, TierTickReport::default(), "nothing moved");
+        assert_eq!(daemon.local_page_count(), 0);
+        assert_eq!(space.mapped_pages(), PAGES_PER_HUGE);
+        let head = space
+            .translate(&n0, VirtAddr::from_vpn(PAGES_PER_HUGE))
+            .unwrap()
+            .unwrap();
+        assert_eq!(head, huge, "the huge mapping is untouched");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //! * [`TierDaemon`] — the per-node daemon: drain ring → tier split →
 //!   demote/promote under the migration cap.
-//! * [`Migration`] — the staged begin/copy/commit/abort protocol.
+//! * [`Migration`] — the staged begin/copy/commit/abort protocol, for a
+//!   4 KiB page or a 2 MiB region alike (chosen by `PageSize`).
 //! * [`TierBudget`] — the rack-shared per-node free-local-DRAM ledger,
 //!   also consulted by the schedulers for tier-aware placement.
 

@@ -1,37 +1,50 @@
-//! The staged page-migration engine.
+//! The staged migration engine, for a 4 KiB page and a 2 MiB region
+//! alike.
 //!
-//! Migration under incoherent caches is a three-step protocol in which
-//! the **old frame stays authoritative until the final remap**:
+//! A [`Migration`] moves a run of base pages chosen by a [`PageSize`] —
+//! one page, or the [`PAGES_PER_HUGE`] pages of a 2 MiB region — in a
+//! three-step protocol in which the **old frames stay authoritative
+//! until the final remap**:
 //!
-//! 1. [`Migration::begin`] — publish the mapping with the `Migrating`
-//!    guard bit set. Concurrent accessors observe the bit and retry
-//!    ([`SimError::WouldBlock`] from `AddressSpace`,
+//! 1. [`Migration::begin`] — publish every page's mapping with the
+//!    `Migrating` guard bit set. Concurrent accessors observe the bit and
+//!    retry ([`SimError::WouldBlock`] from `AddressSpace`,
 //!    `FaultResolution::Retry` from the fault handler); nobody can read
 //!    the half-copied destination.
-//! 2. [`Migration::copy`] — copy the page bytes old → new (coherently:
+//! 2. [`Migration::copy`] — copy the bytes old → new (coherently:
 //!    invalidate-before-read, writeback-after-write).
-//! 3. [`Migration::commit`] — atomically remap to the new frame with the
-//!    guard cleared, then drive a rack-wide TLB shootdown via the
-//!    caller's closure so no stale translation survives.
+//! 3. [`Migration::commit`] — publish one PTE of the migration's size at
+//!    the head with the guard cleared, retire the interior base entries,
+//!    then drive **one** ranged rack-wide TLB shootdown via the caller's
+//!    closure so no stale translation survives.
 //!
-//! [`Migration::abort`] re-publishes the original mapping from *any*
+//! [`Migration::abort`] re-publishes the original mappings from *any*
 //! live node, which is exactly the crash-consistency story: if the
 //! migrating node dies between steps, the old copy is still authoritative
 //! and a survivor aborts the half-done migration without data loss.
+//!
+//! [`split_region`] is the one remap without a copy: it turns a huge
+//! mapping back into base pages over the same bytes.
 
 use flacos_mem::addr::VirtAddr;
-use flacos_mem::{
-    huge_base, AddressSpace, PageSize, PhysFrame, Pte, HUGE_PAGE_SIZE, PAGES_PER_HUGE, PAGE_SIZE,
-};
+use flacos_mem::{huge_base, AddressSpace, PageSize, PhysFrame, Pte, PAGES_PER_HUGE, PAGE_SIZE};
 use rack_sim::{LAddr, NodeCtx, SimError};
 use std::sync::Arc;
 
-/// A page-aligned allocator over one node's local (bump) memory with a
-/// free list, so demoted pages recycle their local frames.
+/// A page-aligned allocator over one node's local (bump) memory with one
+/// free list per page size, so demoted pages and split regions recycle
+/// their local frames.
 #[derive(Debug, Default)]
 pub struct LocalFramePool {
-    free: Vec<LAddr>,
-    region_free: Vec<LAddr>,
+    /// Recycled spans, indexed by `size_slot`.
+    free: [Vec<LAddr>; 2],
+}
+
+fn size_slot(size: PageSize) -> usize {
+    match size {
+        PageSize::Base => 0,
+        PageSize::Huge => 1,
+    }
 }
 
 impl LocalFramePool {
@@ -41,53 +54,30 @@ impl LocalFramePool {
         LocalFramePool::default()
     }
 
-    /// Allocate one page-aligned local frame on `ctx`'s node.
+    /// Allocate one contiguous, page-aligned local span of `size` bytes
+    /// on `ctx`'s node.
     ///
     /// # Errors
     ///
     /// [`SimError::OutOfMemory`] when local memory is exhausted.
-    pub fn alloc(&mut self, ctx: &NodeCtx) -> Result<LAddr, SimError> {
-        if let Some(f) = self.free.pop() {
+    pub fn alloc(&mut self, ctx: &NodeCtx, size: PageSize) -> Result<LAddr, SimError> {
+        if let Some(f) = self.free[size_slot(size)].pop() {
             return Ok(f);
         }
-        // The local bump allocator aligns to 8; over-allocate and round
-        // up to a page boundary.
-        let raw = ctx.local_alloc(PAGE_SIZE * 2)?;
+        // The local bump allocator aligns to 8; over-allocate by a page
+        // and round up to a page boundary.
+        let raw = ctx.local_alloc(size.bytes() + PAGE_SIZE)?;
         Ok(LAddr((raw.0 + PAGE_SIZE - 1) & !(PAGE_SIZE - 1)))
     }
 
-    /// Return a frame for reuse.
-    pub fn free(&mut self, frame: LAddr) {
-        self.free.push(frame);
+    /// Return a span of `size` bytes for reuse.
+    pub fn free(&mut self, frame: LAddr, size: PageSize) {
+        self.free[size_slot(size)].push(frame);
     }
 
-    /// Frames currently recycled and ready.
-    pub fn free_frames(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Allocate one contiguous, page-aligned 2 MiB local span — the
-    /// destination of a region promotion.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::OutOfMemory`] when local memory is exhausted.
-    pub fn alloc_region(&mut self, ctx: &NodeCtx) -> Result<LAddr, SimError> {
-        if let Some(f) = self.region_free.pop() {
-            return Ok(f);
-        }
-        let raw = ctx.local_alloc(HUGE_PAGE_SIZE + PAGE_SIZE)?;
-        Ok(LAddr((raw.0 + PAGE_SIZE - 1) & !(PAGE_SIZE - 1)))
-    }
-
-    /// Return a 2 MiB span for reuse as a region.
-    pub fn free_region(&mut self, frame: LAddr) {
-        self.region_free.push(frame);
-    }
-
-    /// Regions currently recycled and ready.
-    pub fn free_regions(&self) -> usize {
-        self.region_free.len()
+    /// Spans of `size` currently recycled and ready.
+    pub fn free_frames(&self, size: PageSize) -> usize {
+        self.free[size_slot(size)].len()
     }
 }
 
@@ -99,213 +89,100 @@ fn frame_at(frame: PhysFrame, bytes: u64) -> PhysFrame {
     }
 }
 
-/// One in-flight page migration (either direction between tiers).
+/// One in-flight migration of a page or a 2 MiB region (either
+/// direction between tiers): `size.pages()` base pages move into one
+/// contiguous destination span and commit as one PTE of `size` with one
+/// ranged TLB shootdown.
 #[derive(Debug, Clone)]
 pub struct Migration {
     asid: u64,
-    vpn: u64,
-    old: Pte,
+    head: u64,
+    size: PageSize,
+    /// Pre-migration PTEs, one per base page, in vpn order.
+    old: Vec<Pte>,
+    /// Base of the contiguous destination span.
     new_frame: PhysFrame,
     copied: bool,
 }
 
 impl Migration {
-    /// Stage 1: set the `Migrating` guard on `vpn`'s mapping. The old
-    /// frame remains authoritative.
+    /// Stage 1: guard the `size.pages()` base pages from `head` with the
+    /// `Migrating` bit, in vpn order. Requires every page mapped as a
+    /// base page, none already migrating, and uniform writability (the
+    /// committed PTE has one permission bit). The old frames remain
+    /// authoritative.
     ///
     /// # Errors
     ///
-    /// [`SimError::Protocol`] when the page is unmapped or already
-    /// migrating; fabric errors propagate.
-    pub fn begin(
-        ctx: &Arc<NodeCtx>,
-        space: &AddressSpace,
-        vpn: u64,
-        new_frame: PhysFrame,
-    ) -> Result<Self, SimError> {
-        let old = space
-            .translate(ctx, VirtAddr::from_vpn(vpn))?
-            .ok_or_else(|| SimError::Protocol(format!("cannot migrate unmapped vpn {vpn}")))?;
-        if old.migrating {
-            return Err(SimError::Protocol(format!(
-                "vpn {vpn} is already migrating"
-            )));
-        }
-        space.map(ctx, vpn, old.begin_migration())?;
-        Ok(Migration {
-            asid: space.asid(),
-            vpn,
-            old,
-            new_frame,
-            copied: false,
-        })
-    }
-
-    /// Stage 2: copy the page bytes from the old frame into the new one.
-    ///
-    /// # Errors
-    ///
-    /// Fabric/protocol errors propagate (e.g. a foreign local frame).
-    pub fn copy(&mut self, ctx: &NodeCtx, space: &AddressSpace) -> Result<(), SimError> {
-        let mut page = vec![0u8; PAGE_SIZE];
-        space.read_frame(ctx, self.old.frame, &mut page)?;
-        space.write_frame(ctx, self.new_frame, &page)?;
-        self.copied = true;
-        Ok(())
-    }
-
-    /// Stage 3: publish the new mapping (guard cleared) and drive the
-    /// rack-wide TLB shootdown through `shoot(asid, vpn)`. Returns the
-    /// displaced old PTE so the caller can free or release its frame.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] when called before [`Migration::copy`];
-    /// fabric errors propagate.
-    pub fn commit(
-        self,
-        ctx: &Arc<NodeCtx>,
-        space: &AddressSpace,
-        shoot: &mut dyn FnMut(u64, u64) -> Result<(), SimError>,
-    ) -> Result<Pte, SimError> {
-        if !self.copied {
-            return Err(SimError::Protocol(format!(
-                "commit of vpn {} before copy",
-                self.vpn
-            )));
-        }
-        space.map(ctx, self.vpn, Pte::new(self.new_frame, self.old.writable))?;
-        shoot(self.asid, self.vpn)?;
-        Ok(self.old)
-    }
-
-    /// Roll back: re-publish the original mapping with the guard
-    /// cleared. Callable from any live node — the crash-recovery path
-    /// when the migrating node died mid-flight.
-    ///
-    /// # Errors
-    ///
-    /// Fabric errors propagate.
-    pub fn abort(&self, ctx: &Arc<NodeCtx>, space: &AddressSpace) -> Result<(), SimError> {
-        space.map(ctx, self.vpn, self.old)?;
-        Ok(())
-    }
-
-    /// The page being migrated.
-    pub fn vpn(&self) -> u64 {
-        self.vpn
-    }
-
-    /// The authoritative pre-migration mapping.
-    pub fn old(&self) -> Pte {
-        self.old
-    }
-
-    /// The destination frame.
-    pub fn new_frame(&self) -> PhysFrame {
-        self.new_frame
-    }
-}
-
-/// One in-flight 2 MiB region migration: 512 contiguous base pages move
-/// into one contiguous destination span and commit as a single huge PTE
-/// with **one** ranged TLB shootdown — where the per-page protocol would
-/// pay [`PAGES_PER_HUGE`] request/ack rounds.
-///
-/// The same staged safety story as [`Migration`] applies region-wide:
-/// every base page is guarded with `Migrating` before any byte is
-/// copied, the old frames stay authoritative until the final remap, and
-/// [`RegionMigration::abort`] re-publishes all 512 original mappings
-/// from any live node.
-#[derive(Debug, Clone)]
-pub struct RegionMigration {
-    asid: u64,
-    head_vpn: u64,
-    /// Pre-migration PTEs, one per base page, in vpn order.
-    old: Vec<Pte>,
-    /// Base of the contiguous 2 MiB destination span.
-    new_frame: PhysFrame,
-    writable: bool,
-    copied: bool,
-}
-
-impl RegionMigration {
-    /// Stage 1: guard all 512 base pages of the region at `head_vpn`
-    /// with the `Migrating` bit. Requires every page mapped as a base
-    /// page, none already migrating, and uniform writability (the single
-    /// huge PTE has one permission bit for the whole region).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] when the region is not eligible (guards
-    /// set so far are rolled back); fabric errors propagate.
+    /// [`SimError::Protocol`] when a page is not eligible — including a
+    /// vpn inside a huge mapping — and then no page is guarded. A fabric
+    /// error while guarding rolls the guards set so far back and
+    /// propagates.
     ///
     /// # Panics
     ///
-    /// Panics when `head_vpn` is not 512-aligned.
+    /// Panics when `head` is not aligned to `size`.
     pub fn begin(
         ctx: &Arc<NodeCtx>,
         space: &AddressSpace,
-        head_vpn: u64,
+        head: u64,
+        size: PageSize,
         new_frame: PhysFrame,
     ) -> Result<Self, SimError> {
         assert_eq!(
-            head_vpn,
-            huge_base(head_vpn),
-            "region must start at a 2 MiB boundary"
+            head % size.pages(),
+            0,
+            "migration head must be {size:?}-aligned"
         );
-        let mut old = Vec::with_capacity(PAGES_PER_HUGE as usize);
-        for vpn in head_vpn..head_vpn + PAGES_PER_HUGE {
+        let mut old: Vec<Pte> = Vec::with_capacity(size.pages() as usize);
+        for vpn in head..head + size.pages() {
             let pte = space
                 .translate(ctx, VirtAddr::from_vpn(vpn))?
-                .ok_or_else(|| {
-                    SimError::Protocol(format!("region at {head_vpn}: vpn {vpn} unmapped"))
-                })?;
+                .ok_or_else(|| SimError::Protocol(format!("cannot migrate unmapped vpn {vpn}")))?;
             if pte.migrating {
                 return Err(SimError::Protocol(format!(
-                    "region at {head_vpn}: vpn {vpn} already migrating"
+                    "vpn {vpn} is already migrating"
                 )));
             }
             if pte.page_size != PageSize::Base {
                 return Err(SimError::Protocol(format!(
-                    "region at {head_vpn} is already huge-mapped"
+                    "vpn {vpn} lies in the huge mapping at {}",
+                    huge_base(vpn)
                 )));
             }
-            if pte.writable != old.first().map_or(pte.writable, |p: &Pte| p.writable) {
+            if old.first().is_some_and(|p| p.writable != pte.writable) {
                 return Err(SimError::Protocol(format!(
-                    "region at {head_vpn}: mixed page permissions"
+                    "mixed page permissions at vpn {vpn}"
                 )));
             }
             old.push(pte);
         }
-        let writable = old[0].writable;
         // All eligible: guard every page. A failure mid-way rolls the
         // already-guarded prefix back so no page is left stuck.
         for (i, pte) in old.iter().enumerate() {
-            let vpn = head_vpn + i as u64;
-            if let Err(e) = space.map(ctx, vpn, pte.begin_migration()) {
+            if let Err(e) = space.map(ctx, head + i as u64, pte.begin_migration()) {
                 for (j, prev) in old.iter().enumerate().take(i) {
-                    let _ = space.map(ctx, head_vpn + j as u64, *prev);
+                    let _ = space.map(ctx, head + j as u64, *prev);
                 }
                 return Err(e);
             }
         }
-        Ok(RegionMigration {
+        Ok(Migration {
             asid: space.asid(),
-            head_vpn,
+            head,
+            size,
             old,
             new_frame,
-            writable,
             copied: false,
         })
     }
 
-    /// Stage 2: copy all 2 MiB from the old (possibly scattered) frames
+    /// Stage 2: copy every page from its old (possibly scattered) frame
     /// into the contiguous destination span.
     ///
     /// # Errors
     ///
-    /// Fabric/protocol errors propagate.
+    /// Fabric/protocol errors propagate (e.g. a foreign local frame).
     pub fn copy(&mut self, ctx: &NodeCtx, space: &AddressSpace) -> Result<(), SimError> {
         let mut page = vec![0u8; PAGE_SIZE];
         for (i, pte) in self.old.iter().enumerate() {
@@ -316,60 +193,62 @@ impl RegionMigration {
         Ok(())
     }
 
-    /// Stage 3: publish one huge PTE at the region head, retire the 512
-    /// base mappings, and drive **one** ranged shootdown via
-    /// `shoot_range(asid, head_vpn, 512)`. Returns the displaced base
-    /// PTEs so the caller can free their frames.
+    /// Stage 3: publish one PTE of the migration's size at the head
+    /// (guard cleared), unmap the interior base entries, and drive
+    /// **one** shootdown through `shoot(asid, head, span)` with span
+    /// `size.pages()`. Returns the displaced PTEs so the caller can free
+    /// or release their frames.
     ///
-    /// The head is remapped to the huge entry *before* the interior base
-    /// entries are unmapped: an interior vpn either still resolves
-    /// through its guarded base entry (and retries) or falls back to the
-    /// committed huge mapping — there is no window where it is unmapped.
+    /// The head is remapped *before* the interior entries are unmapped:
+    /// an interior vpn either still resolves through its guarded base
+    /// entry (and retries) or falls back to the committed huge mapping —
+    /// there is no window where it is unmapped.
     ///
     /// # Errors
     ///
-    /// [`SimError::Protocol`] before [`RegionMigration::copy`]; fabric
-    /// errors propagate.
+    /// [`SimError::Protocol`] when called before [`Migration::copy`];
+    /// fabric errors propagate.
     pub fn commit(
         self,
         ctx: &Arc<NodeCtx>,
         space: &AddressSpace,
-        shoot_range: &mut dyn FnMut(u64, u64, u64) -> Result<(), SimError>,
+        shoot: &mut dyn FnMut(u64, u64, u64) -> Result<(), SimError>,
     ) -> Result<Vec<Pte>, SimError> {
         if !self.copied {
             return Err(SimError::Protocol(format!(
-                "commit of region {} before copy",
-                self.head_vpn
+                "commit of vpn {} before copy",
+                self.head
             )));
         }
-        space.map(
-            ctx,
-            self.head_vpn,
-            Pte::new(self.new_frame, self.writable).huge(),
-        )?;
-        for vpn in self.head_vpn + 1..self.head_vpn + PAGES_PER_HUGE {
+        let mut pte = Pte::new(self.new_frame, self.old[0].writable);
+        if self.size == PageSize::Huge {
+            pte = pte.huge();
+        }
+        space.map(ctx, self.head, pte)?;
+        for vpn in self.head + 1..self.head + self.size.pages() {
             space.unmap(ctx, vpn)?;
         }
-        shoot_range(self.asid, self.head_vpn, PAGES_PER_HUGE)?;
+        shoot(self.asid, self.head, self.size.pages())?;
         Ok(self.old)
     }
 
-    /// Roll back: re-publish all 512 original base mappings with their
-    /// guards cleared. Callable from any live node.
+    /// Roll back: re-publish every original mapping with its guard
+    /// cleared. Callable from any live node — the crash-recovery path
+    /// when the migrating node died mid-flight.
     ///
     /// # Errors
     ///
     /// Fabric errors propagate.
     pub fn abort(&self, ctx: &Arc<NodeCtx>, space: &AddressSpace) -> Result<(), SimError> {
         for (i, pte) in self.old.iter().enumerate() {
-            space.map(ctx, self.head_vpn + i as u64, *pte)?;
+            space.map(ctx, self.head + i as u64, *pte)?;
         }
         Ok(())
     }
 
-    /// The region-head vpn.
-    pub fn head_vpn(&self) -> u64 {
-        self.head_vpn
+    /// The head vpn: the page, or the region's first page.
+    pub fn vpn(&self) -> u64 {
+        self.head
     }
 
     /// The authoritative pre-migration mappings, in vpn order.
@@ -444,6 +323,7 @@ mod tests {
     use flacdk::sync::rcu::EpochManager;
     use flacdk::sync::reclaim::RetireList;
     use flacos_mem::fault::FrameAllocator;
+    use flacos_mem::HUGE_PAGE_SIZE;
     use rack_sim::{Rack, RackConfig};
 
     fn setup() -> (Rack, AddressSpace, FrameAllocator) {
@@ -469,8 +349,8 @@ mod tests {
             .unwrap();
 
         let mut pool = LocalFramePool::new();
-        let dst = PhysFrame::Local(n0.id(), pool.alloc(&n0).unwrap());
-        let mut m = Migration::begin(&n0, &space, 3, dst).unwrap();
+        let dst = PhysFrame::Local(n0.id(), pool.alloc(&n0, PageSize::Base).unwrap());
+        let mut m = Migration::begin(&n0, &space, 3, PageSize::Base, dst).unwrap();
         // Guarded window: accessors bounce.
         let mut buf = [0u8; 8];
         assert!(matches!(
@@ -478,8 +358,16 @@ mod tests {
             Err(SimError::WouldBlock)
         ));
         m.copy(&n0, &space).unwrap();
-        let displaced = m.commit(&n0, &space, &mut |_, _| Ok(())).unwrap();
-        assert_eq!(displaced.frame, PhysFrame::Global(old));
+        let mut shots = Vec::new();
+        let displaced = m
+            .commit(&n0, &space, &mut |asid, vpn, span| {
+                shots.push((asid, vpn, span));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(shots, vec![(1, 3, 1)], "a page is a span of 1");
+        assert_eq!(displaced.len(), 1);
+        assert_eq!(displaced[0].frame, PhysFrame::Global(old));
 
         let pte = space
             .translate(&n0, VirtAddr::from_vpn(3))
@@ -503,7 +391,7 @@ mod tests {
         space.write(&n0, VirtAddr::from_vpn(5), &[7u8; 32]).unwrap();
 
         let dst = PhysFrame::Global(frames.alloc(&n0).unwrap());
-        let m = Migration::begin(&n0, &space, 5, dst).unwrap();
+        let m = Migration::begin(&n0, &space, 5, PageSize::Base, dst).unwrap();
         // The migrating node "crashes"; a survivor aborts from node 1.
         m.abort(&n1, &space).unwrap();
         let pte = space
@@ -522,15 +410,15 @@ mod tests {
         let (rack, space, frames) = setup();
         let n0 = rack.node(0);
         let dst = PhysFrame::Global(frames.alloc(&n0).unwrap());
-        assert!(Migration::begin(&n0, &space, 9, dst).is_err());
+        assert!(Migration::begin(&n0, &space, 9, PageSize::Base, dst).is_err());
 
         let old = frames.alloc(&n0).unwrap();
         space
             .map(&n0, 9, Pte::new(PhysFrame::Global(old), false))
             .unwrap();
-        let _m = Migration::begin(&n0, &space, 9, dst).unwrap();
+        let _m = Migration::begin(&n0, &space, 9, PageSize::Base, dst).unwrap();
         assert!(
-            Migration::begin(&n0, &space, 9, dst).is_err(),
+            Migration::begin(&n0, &space, 9, PageSize::Base, dst).is_err(),
             "second begin bounces off the guard bit"
         );
     }
@@ -544,8 +432,8 @@ mod tests {
             .map(&n0, 2, Pte::new(PhysFrame::Global(old), true))
             .unwrap();
         let dst = PhysFrame::Global(frames.alloc(&n0).unwrap());
-        let m = Migration::begin(&n0, &space, 2, dst).unwrap();
-        assert!(m.commit(&n0, &space, &mut |_, _| Ok(())).is_err());
+        let m = Migration::begin(&n0, &space, 2, PageSize::Base, dst).unwrap();
+        assert!(m.commit(&n0, &space, &mut |_, _, _| Ok(())).is_err());
     }
 
     fn setup_region() -> (Rack, AddressSpace, FrameAllocator) {
@@ -588,10 +476,10 @@ mod tests {
         }
 
         let mut pool = LocalFramePool::new();
-        let base = pool.alloc_region(&n0).unwrap();
+        let base = pool.alloc(&n0, PageSize::Huge).unwrap();
         assert_eq!(base.0 % PAGE_SIZE, 0);
         let dst = PhysFrame::Local(n0.id(), base);
-        let mut m = RegionMigration::begin(&n0, &space, 512, dst).unwrap();
+        let mut m = Migration::begin(&n0, &space, 512, PageSize::Huge, dst).unwrap();
         // Guarded window covers the whole region.
         let mut buf = [0u8; 8];
         assert!(matches!(
@@ -615,7 +503,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(head.frame, dst);
-        assert_eq!(head.page_size, flacos_mem::PageSize::Huge);
+        assert_eq!(head.page_size, PageSize::Huge);
         for vpn in (512..1024).step_by(61) {
             let mut out = [0u8; 64];
             space.read(&n0, VirtAddr::from_vpn(vpn), &mut out).unwrap();
@@ -633,8 +521,8 @@ mod tests {
             .unwrap();
 
         let mut pool = LocalFramePool::new();
-        let dst = PhysFrame::Local(n0.id(), pool.alloc_region(&n0).unwrap());
-        let m = RegionMigration::begin(&n0, &space, 0, dst).unwrap();
+        let dst = PhysFrame::Local(n0.id(), pool.alloc(&n0, PageSize::Huge).unwrap());
+        let m = Migration::begin(&n0, &space, 0, PageSize::Huge, dst).unwrap();
         // The migrating node "crashes"; a survivor aborts from node 1.
         m.abort(&n1, &space).unwrap();
         for vpn in (0..512).step_by(101) {
@@ -643,7 +531,7 @@ mod tests {
                 .unwrap()
                 .unwrap();
             assert!(!pte.migrating);
-            assert_eq!(pte.page_size, flacos_mem::PageSize::Base);
+            assert_eq!(pte.page_size, PageSize::Base);
         }
         let mut out = [0u8; 32];
         space.read(&n1, VirtAddr::from_vpn(77), &mut out).unwrap();
@@ -656,17 +544,17 @@ mod tests {
         let n0 = rack.node(0);
         let dst = PhysFrame::Global(frames.alloc(&n0).unwrap());
         // Unmapped region.
-        assert!(RegionMigration::begin(&n0, &space, 0, dst).is_err());
+        assert!(Migration::begin(&n0, &space, 0, PageSize::Huge, dst).is_err());
         // Hole at vpn 100.
         map_region(&rack, &space, &frames, 0, true);
         space.unmap(&n0, 100).unwrap();
-        assert!(RegionMigration::begin(&n0, &space, 0, dst).is_err());
+        assert!(Migration::begin(&n0, &space, 0, PageSize::Huge, dst).is_err());
         // Mixed permissions.
         let f = frames.alloc(&n0).unwrap();
         space
             .map(&n0, 100, Pte::new(PhysFrame::Global(f), false))
             .unwrap();
-        assert!(RegionMigration::begin(&n0, &space, 0, dst).is_err());
+        assert!(Migration::begin(&n0, &space, 0, PageSize::Huge, dst).is_err());
         // The failed begins left no page guarded.
         for vpn in (0..512).step_by(37) {
             let pte = space
@@ -689,9 +577,9 @@ mod tests {
                 .unwrap();
         }
         let mut pool = LocalFramePool::new();
-        let base = pool.alloc_region(&n0).unwrap();
+        let base = pool.alloc(&n0, PageSize::Huge).unwrap();
         let dst = PhysFrame::Local(n0.id(), base);
-        let mut m = RegionMigration::begin(&n0, &space, 512, dst).unwrap();
+        let mut m = Migration::begin(&n0, &space, 512, PageSize::Huge, dst).unwrap();
         m.copy(&n0, &space).unwrap();
         m.commit(&n0, &space, &mut |_, _, _| Ok(())).unwrap();
 
@@ -709,7 +597,7 @@ mod tests {
                 .translate(&n0, VirtAddr::from_vpn(vpn))
                 .unwrap()
                 .unwrap();
-            assert_eq!(pte.page_size, flacos_mem::PageSize::Base);
+            assert_eq!(pte.page_size, PageSize::Base);
             assert!(pte.writable, "permission bit preserved");
             assert_eq!(
                 pte.frame,
@@ -725,13 +613,55 @@ mod tests {
 
     #[test]
     fn local_frame_pool_recycles_aligned_frames() {
-        let rack = Rack::new(RackConfig::small_test());
+        let (rack, _, _) = setup_region();
         let n0 = rack.node(0);
         let mut pool = LocalFramePool::new();
-        let f = pool.alloc(&n0).unwrap();
-        assert_eq!(f.0 % PAGE_SIZE, 0);
-        pool.free(f);
-        assert_eq!(pool.free_frames(), 1);
-        assert_eq!(pool.alloc(&n0).unwrap(), f);
+        for size in [PageSize::Base, PageSize::Huge] {
+            let f = pool.alloc(&n0, size).unwrap();
+            assert_eq!(f.0 % PAGE_SIZE, 0);
+            pool.free(f, size);
+            assert_eq!(pool.free_frames(size), 1);
+            assert_eq!(pool.alloc(&n0, size).unwrap(), f);
+            assert_eq!(pool.free_frames(size), 0);
+        }
+        // Each size recycles only its own spans.
+        let page = pool.alloc(&n0, PageSize::Base).unwrap();
+        pool.free(page, PageSize::Base);
+        assert_eq!(pool.free_frames(PageSize::Huge), 0);
+        assert_ne!(pool.alloc(&n0, PageSize::Huge).unwrap(), page);
+    }
+
+    #[test]
+    fn page_migration_rejects_a_vpn_inside_a_huge_mapping() {
+        let (rack, space, frames) = setup_region();
+        let n0 = rack.node(0);
+        let region = rack.global().alloc(HUGE_PAGE_SIZE, PAGE_SIZE).unwrap();
+        let huge = Pte::new(PhysFrame::Global(region), true).huge();
+        space.map(&n0, 512, huge).unwrap();
+        let dst = PhysFrame::Global(frames.alloc(&n0).unwrap());
+        for vpn in [512, 700] {
+            assert!(
+                matches!(
+                    Migration::begin(&n0, &space, vpn, PageSize::Base, dst),
+                    Err(SimError::Protocol(_))
+                ),
+                "vpn {vpn}"
+            );
+        }
+        // The huge mapping is untouched: one unguarded head entry that
+        // still covers the whole region.
+        assert_eq!(space.mapped_pages(), 512);
+        for vpn in [512, 700, 1023] {
+            let pte = space
+                .translate(&n0, VirtAddr::from_vpn(vpn))
+                .unwrap()
+                .unwrap();
+            assert_eq!(pte.page_size, PageSize::Huge);
+            assert!(!pte.migrating);
+            assert_eq!(
+                pte.frame,
+                frame_at(huge.frame, (vpn - 512) * PAGE_SIZE as u64)
+            );
+        }
     }
 }

@@ -31,11 +31,12 @@ bin="${CARGO_TARGET_DIR:-target}/release"
 echo "== fault-storm smoke: all five campaigns (rack, tiering, delegated, node-replicated, store; fixed seeds, replay-verified) =="
 "$bin/flac-faultstorm" --seeds 2 --steps 60 --verify
 
-echo "== tiering smoke: A7 ablation =="
-"$bin/figures" tiering
-
-echo "== sync smoke: A1 ablation =="
-"$bin/figures" sync
+echo "== figures: every table regenerated and diffed against the golden FIGURES.txt =="
+"$bin/figures" all > target/FIGURES.txt
+diff -u FIGURES.txt target/FIGURES.txt || {
+    echo "figures drifted from FIGURES.txt (a moved simulated number must be re-recorded: figures all > FIGURES.txt)" >&2
+    exit 1
+}
 
 echo "== benchmark suites: --quick smoke gated on the written file, then the committed report's --check =="
 for s in cache serve sync topo store; do

@@ -21,7 +21,7 @@ use flacos_mem::vma::{Vma, VmaSet};
 use flacos_mem::VirtAddr;
 use flacos_mem::PAGE_SIZE;
 use flacos_mem::{AddressSpace, PageSize, PhysFrame, Pte, HUGE_PAGE_SIZE, PAGES_PER_HUGE};
-use flacos_tier::migrate::{split_region, RegionMigration};
+use flacos_tier::migrate::split_region;
 use flacos_tier::Migration;
 use rack_sim::cache::{CacheConfig, CacheStats, NodeCache};
 use rack_sim::{
@@ -764,80 +764,106 @@ fn seeded_storm_campaigns_replay_byte_identically() {
     });
 }
 
+/// A staged migration of a 4 KiB page or a 2 MiB region: while it is
+/// guarded every accessor bounces, on commit ONE ranged round retires
+/// the stale translations and one PTE of `size` maps the complete copy,
+/// on abort a survivor re-publishes the still-authoritative base pages —
+/// and either way readers see whole pre-move bytes, never torn ones.
+fn migration_never_tears(rng: &mut SplitMix64, size: PageSize) {
+    let rack = small_rack();
+    let (n0, n1) = (rack.node(0), rack.node(1));
+    let alloc = GlobalAllocator::new(rack.global().clone());
+    let epochs = EpochManager::alloc(rack.global(), rack.node_count()).unwrap();
+    let space = AddressSpace::alloc(3, rack.global(), alloc, epochs, RetireList::new()).unwrap();
+    let frames = FrameAllocator::new(rack.global().clone());
+    let pages = size.pages();
+    // A page among 32, or a region among 2.
+    let slots = match size {
+        PageSize::Base => 32,
+        PageSize::Huge => 2,
+    };
+    let head = pages * rng.gen_index(slots) as u64;
+    let pattern = |vpn: u64| vec![(vpn - head) as u8 ^ 0xA5; PAGE_SIZE];
+    for vpn in head..head + pages {
+        let f = PhysFrame::Global(frames.alloc(&n0).unwrap());
+        space.map(&n0, vpn, Pte::new(f, true)).unwrap();
+        space.write_frame(&n0, f, &pattern(vpn)).unwrap();
+    }
+
+    // A peer caches a random page's translation before the move begins.
+    let mut tlbs: Vec<Tlb> = (0..2).map(|i| Tlb::new(rack.node(i), 8)).collect();
+    let probe = head + rng.gen_index(pages as usize) as u64;
+    let cached = space
+        .translate(&n1, VirtAddr::from_vpn(probe))
+        .unwrap()
+        .unwrap();
+    tlbs[1].fill(3, probe, cached);
+
+    let dst = PhysFrame::Global(rack.global().alloc(size.bytes(), PAGE_SIZE).unwrap());
+    let mut m = Migration::begin(&n0, &space, head, size, dst).unwrap();
+    let old_head = m.old()[0].frame;
+    // Guarded window: every page bounces; a torn read of the half-copied
+    // destination is impossible.
+    let mut buf = vec![0u8; PAGE_SIZE];
+    assert!(matches!(
+        space.read(&n1, VirtAddr::from_vpn(probe), &mut buf),
+        Err(SimError::WouldBlock)
+    ));
+    assert!(matches!(
+        space.write(&n0, VirtAddr::from_vpn(head), &[1u8; 8]),
+        Err(SimError::WouldBlock)
+    ));
+    m.copy(&n0, &space).unwrap();
+
+    let (expected_frame, expected_size) = if rng.gen_bool() {
+        // Commit: the head flips atomically to one PTE of `size` over the
+        // complete copy, and one ranged round shoots the peer's stale
+        // translation down.
+        m.commit(&n0, &space, &mut |asid, v, span| {
+            shootdown_stepped_range(&mut tlbs, 0, asid, v, span)
+        })
+        .unwrap();
+        assert_eq!(
+            tlbs[0].stats().shootdown_rounds,
+            1,
+            "one round per migration"
+        );
+        assert_eq!(tlbs[1].lookup(3, probe), None, "stale translation survives");
+        (dst, size)
+    } else {
+        // Abort (the migrating node died): a survivor re-publishes every
+        // still-authoritative base mapping.
+        m.abort(&n1, &space).unwrap();
+        (old_head, PageSize::Base)
+    };
+    let head_pte = space
+        .translate(&n1, VirtAddr::from_vpn(head))
+        .unwrap()
+        .unwrap();
+    assert_eq!(head_pte.frame, expected_frame);
+    assert_eq!(head_pte.page_size, expected_size);
+    assert!(!head_pte.migrating);
+    // Either outcome: whole pre-move patterns, never torn.
+    for _ in 0..4 {
+        let vpn = head + rng.gen_index(pages as usize) as u64;
+        space.read(&n1, VirtAddr::from_vpn(vpn), &mut buf).unwrap();
+        assert_eq!(buf, pattern(vpn), "whole old bytes on either outcome");
+    }
+    // The pages stay writable and coherent across nodes.
+    let pattern_b = vec![0xBB; PAGE_SIZE];
+    space
+        .write(&n1, VirtAddr::from_vpn(probe), &pattern_b)
+        .unwrap();
+    space
+        .read(&n0, VirtAddr::from_vpn(probe), &mut buf)
+        .unwrap();
+    assert_eq!(buf, pattern_b);
+}
+
 #[test]
 fn mid_migration_readers_see_old_or_new_never_torn() {
     check("mid_migration_readers_see_old_or_new_never_torn", |rng| {
-        let rack = small_rack();
-        let (n0, n1) = (rack.node(0), rack.node(1));
-        let alloc = GlobalAllocator::new(rack.global().clone());
-        let epochs = EpochManager::alloc(rack.global(), rack.node_count()).unwrap();
-        let space =
-            AddressSpace::alloc(3, rack.global(), alloc, epochs, RetireList::new()).unwrap();
-        let frames = FrameAllocator::new(rack.global().clone());
-        let vpn = rng.gen_index(32) as u64;
-        let old_frame = frames.alloc(&n0).unwrap();
-        space
-            .map(&n0, vpn, Pte::new(PhysFrame::Global(old_frame), true))
-            .unwrap();
-        let pattern_a = vec![0xAA; PAGE_SIZE];
-        space
-            .write(&n0, VirtAddr::from_vpn(vpn), &pattern_a)
-            .unwrap();
-
-        // A peer node caches the translation before the move begins.
-        let mut tlbs: Vec<Tlb> = (0..2).map(|i| Tlb::new(rack.node(i), 8)).collect();
-        let cached = space
-            .translate(&n1, VirtAddr::from_vpn(vpn))
-            .unwrap()
-            .unwrap();
-        tlbs[1].fill(3, vpn, cached);
-
-        let dst_frame = frames.alloc(&n0).unwrap();
-        let mut m = Migration::begin(&n0, &space, vpn, PhysFrame::Global(dst_frame)).unwrap();
-        // Guarded window: every accessor bounces; a torn read of the
-        // half-copied destination is impossible.
-        let mut buf = vec![0u8; PAGE_SIZE];
-        assert!(matches!(
-            space.read(&n1, VirtAddr::from_vpn(vpn), &mut buf),
-            Err(SimError::WouldBlock)
-        ));
-        assert!(matches!(
-            space.write(&n0, VirtAddr::from_vpn(vpn), &[1u8; 8]),
-            Err(SimError::WouldBlock)
-        ));
-        m.copy(&n0, &space).unwrap();
-
-        let expected_frame = if rng.gen_bool() {
-            // Commit: the mapping flips atomically to the complete copy
-            // and the peer's stale translation is shot down.
-            m.commit(&n0, &space, &mut |asid, v| {
-                shootdown_stepped_range(&mut tlbs, 0, asid, v, 1)
-            })
-            .unwrap();
-            assert_eq!(tlbs[1].lookup(3, vpn), None, "stale translation survives");
-            dst_frame
-        } else {
-            // Abort (the migrating node died): a survivor re-publishes
-            // the still-authoritative old copy.
-            m.abort(&n1, &space).unwrap();
-            old_frame
-        };
-        let pte = space
-            .translate(&n1, VirtAddr::from_vpn(vpn))
-            .unwrap()
-            .unwrap();
-        assert_eq!(pte.frame, PhysFrame::Global(expected_frame));
-        assert!(!pte.migrating);
-        space.read(&n1, VirtAddr::from_vpn(vpn), &mut buf).unwrap();
-        assert_eq!(buf, pattern_a, "whole pattern A on either outcome");
-
-        // The page stays writable and coherent after the protocol ends.
-        let pattern_b = vec![0xBB; PAGE_SIZE];
-        space
-            .write(&n1, VirtAddr::from_vpn(vpn), &pattern_b)
-            .unwrap();
-        space.read(&n0, VirtAddr::from_vpn(vpn), &mut buf).unwrap();
-        assert_eq!(buf, pattern_b);
+        migration_never_tears(rng, PageSize::Base)
     });
 }
 
@@ -845,90 +871,7 @@ fn mid_migration_readers_see_old_or_new_never_torn() {
 fn mid_region_migration_readers_see_old_or_new_never_torn() {
     check(
         "mid_region_migration_readers_see_old_or_new_never_torn",
-        |rng| {
-            let rack = small_rack();
-            let (n0, n1) = (rack.node(0), rack.node(1));
-            let alloc = GlobalAllocator::new(rack.global().clone());
-            let epochs = EpochManager::alloc(rack.global(), rack.node_count()).unwrap();
-            let space =
-                AddressSpace::alloc(3, rack.global(), alloc, epochs, RetireList::new()).unwrap();
-            let frames = FrameAllocator::new(rack.global().clone());
-            let head = PAGES_PER_HUGE * rng.gen_index(2) as u64;
-            let mut page = vec![0u8; PAGE_SIZE];
-            for i in 0..PAGES_PER_HUGE {
-                let f = frames.alloc(&n0).unwrap();
-                space
-                    .map(&n0, head + i, Pte::new(PhysFrame::Global(f), true))
-                    .unwrap();
-                page.fill(i as u8 ^ 0xA5);
-                space.write_frame(&n0, PhysFrame::Global(f), &page).unwrap();
-            }
-
-            // A peer caches a random interior translation pre-move.
-            let mut tlbs: Vec<Tlb> = (0..2).map(|i| Tlb::new(rack.node(i), 8)).collect();
-            let probe = head + rng.gen_index(PAGES_PER_HUGE as usize) as u64;
-            let cached = space
-                .translate(&n1, VirtAddr::from_vpn(probe))
-                .unwrap()
-                .unwrap();
-            tlbs[1].fill(3, probe, cached);
-
-            let dst = rack.global().alloc(HUGE_PAGE_SIZE, PAGE_SIZE).unwrap();
-            let mut m = RegionMigration::begin(&n0, &space, head, PhysFrame::Global(dst)).unwrap();
-            // Guarded window: every page of the region bounces; a torn
-            // read of the half-copied destination span is impossible.
-            let mut buf = vec![0u8; PAGE_SIZE];
-            assert!(matches!(
-                space.read(&n1, VirtAddr::from_vpn(probe), &mut buf),
-                Err(SimError::WouldBlock)
-            ));
-            assert!(matches!(
-                space.write(&n0, VirtAddr::from_vpn(head), &[1u8; 8]),
-                Err(SimError::WouldBlock)
-            ));
-            m.copy(&n0, &space).unwrap();
-
-            if rng.gen_bool() {
-                // Commit: the head flips atomically to one huge mapping
-                // over the complete copy, and ONE ranged round retires
-                // all 512 stale translations rack-wide.
-                m.commit(&n0, &space, &mut |asid, v, span| {
-                    shootdown_stepped_range(&mut tlbs, 0, asid, v, span)
-                })
-                .unwrap();
-                assert_eq!(tlbs[0].stats().shootdown_rounds, 1, "one round per region");
-                assert_eq!(tlbs[1].lookup(3, probe), None, "stale translation survives");
-                let head_pte = space
-                    .translate(&n1, VirtAddr::from_vpn(head))
-                    .unwrap()
-                    .unwrap();
-                assert_eq!(head_pte.page_size, PageSize::Huge);
-                assert_eq!(head_pte.frame, PhysFrame::Global(dst));
-            } else {
-                // Abort (the migrating node died): a survivor re-publishes
-                // all 512 still-authoritative base mappings.
-                m.abort(&n1, &space).unwrap();
-                let head_pte = space
-                    .translate(&n1, VirtAddr::from_vpn(head))
-                    .unwrap()
-                    .unwrap();
-                assert_eq!(head_pte.page_size, PageSize::Base);
-            }
-            // Either outcome: whole pre-move patterns, never torn.
-            for _ in 0..4 {
-                let vpn = head + rng.gen_index(PAGES_PER_HUGE as usize) as u64;
-                space.read(&n1, VirtAddr::from_vpn(vpn), &mut buf).unwrap();
-                assert_eq!(buf, vec![(vpn - head) as u8 ^ 0xA5; PAGE_SIZE]);
-            }
-            // The region stays writable and coherent across nodes.
-            space
-                .write(&n1, VirtAddr::from_vpn(probe), &[0xBB; 16])
-                .unwrap();
-            space
-                .read(&n0, VirtAddr::from_vpn(probe), &mut buf)
-                .unwrap();
-            assert_eq!(&buf[..16], &[0xBB; 16]);
-        },
+        |rng| migration_never_tears(rng, PageSize::Huge),
     );
 }
 
