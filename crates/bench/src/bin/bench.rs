@@ -1,5 +1,5 @@
-//! `flac-bench` — run one gated benchmark suite, or check its committed
-//! report. See [`bench::suite`] for the flags.
+//! `flac-bench` — re-record one benchmark suite's committed report, or
+//! check that the tree still produces it. See [`bench::suite`].
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -17,17 +17,15 @@
 //! | [`fabric_ab`] | Ablation A6 — sensitivity to the interconnect generation |
 //! | [`tiering_ab`] | Ablation A7 — page tiering daemon off vs on |
 //! | [`adaptive_ab`] | Ablation A8 — fixed sync policies vs adaptive driver |
-//! | [`cache_scale`] | §2 cache internals — node cache vs single-mutex, wall-clock, `flac-bench cache` |
 //! | [`serve_scale`] | §4 serving at scale — open-loop sweep, `flac-bench serve` |
 //! | [`store_scale`] | §4.2 chunk store — shard sweep and overlap, `flac-bench store` |
 //! | [`sync_scale`] | §3.2 node replication — flat-combining sweep, `flac-bench sync` |
 //! | [`topo_scale`] | §2.1/§3.3 — topology depth × page size, 1 shootdown per 2 MiB, `flac-bench topo` |
-//! | [`suite`] | the `flac-bench` runner: one write/gate/check pipeline over the five suites above |
-//! | [`report`] | the one report schema of those suites: writer, parser, rerun parity, `before[]` rows |
+//! | [`suite`] | the `flac-bench` runner: re-record a suite's report, or `--check` that the tree re-derives it |
+//! | [`report`] | the one report schema of those four suites: writer, parser, rerun parity, `before[]` rows, fresh-vs-committed comparison |
 //! | [`faultstorm`] | §3.6 reliability — five seeded fault-storm campaigns, `flac-faultstorm` |
 
 pub mod adaptive_ab;
-pub mod cache_scale;
 pub mod dedup_ab;
 pub mod fabric_ab;
 pub mod faultbox_ab;

@@ -1,8 +1,9 @@
-//! The one report schema of the five `flac-bench` suites
+//! The one report schema of the four `flac-bench` suites
 //! ([`crate::suite::Suite`]): one writer ([`Report::to_json`]), one
 //! parser ([`Report::parse`]), one rerun-parity check
-//! ([`Report::rerun_failures`]) and one `before[]` rule
-//! ([`Report::moved_since`]).
+//! ([`Report::rerun_failures`]), one `before[]` rule
+//! ([`Report::replacing`]) and one comparison of a fresh run with the
+//! committed file ([`Report::mismatches`]).
 //!
 //! A committed `BENCH_<suite>.json` is hand-rolled JSON (hermetic
 //! workspace, no serde) in one fixed layout:
@@ -10,44 +11,41 @@
 //! ```text
 //! {
 //!   "suite": "topo",
-//!   "quick": false,
-//!   "host_cpus": 2,
 //!   "facts": {"pages": 1024, "zipf_skew": 0.99, "base_rounds": 512, ...},
 //!   "points": [
 //!     {"point": "topo=flat mode=base", "sim_ns": 15818680, "sim_ns_rerun": 15818680, "p50_ns": 3932, ...},
 //!     ...
 //!   ],
 //!   "before": [
-//!     {"point": "topo=flat mode=base", "sim_ns_before": 15900000, "sim_ns_after": 15818680}
+//!     {"point": "topo=flat mode=base", "sim_ns": 15900000, "sim_ns_rerun": 15900000, "p50_ns": 3940, ...}
 //!   ]
 //! }
 //! ```
 //!
-//! * `suite` names the suite and `quick` marks a `--quick` run;
-//!   `host_cpus` is the host's [`std::thread::available_parallelism`].
+//! * `suite` names the suite.
 //! * `facts` are the run's named scalars: its probes (sync's read-side
 //!   counts, topo's `base_rounds`/`huge_rounds`, store's overlap bytes),
-//!   its configuration, and any bound the gate compares against, written
-//!   from the gate's own constant.
+//!   its configuration, and any bound the judgement compares against,
+//!   written from the suite's own constant.
 //! * `points` has one line per measured point: its key, a set of
-//!   space-separated `name=value` pairs (`impl=node_cache
-//!   hit_permille=950`, `transport=tcp/ip clients=100000`), then its
-//!   columns. The common columns come first where the suite measures
-//!   them: `sim_ns` (simulated nanoseconds), its seeded rerun
-//!   `sim_ns_rerun`, `wall_ns` (wall-clock nanoseconds) and `ops`; the
+//!   space-separated `name=value` pairs (`shards=4`, `transport=tcp/ip
+//!   clients=100000`), then its columns. Every column is simulated
+//!   output: `sim_ns` (simulated nanoseconds) and its seeded rerun
+//!   `sim_ns_rerun` come first where the suite measures them, and the
 //!   suite's own named columns follow.
 //! * A column `<name>_rerun` records a second run of the same seeded
 //!   point, and must equal `<name>` ([`Report::rerun_failures`], judged
 //!   once for every suite: `sim_ns_rerun` for store, sync and topo,
 //!   `fingerprint_rerun` for serve).
-//! * `before` rows are written by the runner, not by the suite: one per
-//!   point whose `sim_ns` differs from the report being replaced (same
-//!   suite, same `quick`), keyed by point key ([`Report::moved_since`]).
+//! * `before` rows are written by the runner, not by the suite: the
+//!   replaced report's own rows, verbatim, for every point the new run
+//!   changed in any column or no longer produces ([`Report::replacing`]).
+//!   They are history: nothing judges or compares them.
 //!
 //! Values are unsigned integers or decimals with a `.`. The parser
 //! accepts exactly this layout (whitespace aside): a document cut
 //! anywhere, even just before its final newline, is an error, and so is
-//! a duplicated name. A column a gate needs but a point lacks is an
+//! a duplicated name. A column a judgement needs but a point lacks is an
 //! error naming the point and the column.
 
 use std::fmt;
@@ -55,8 +53,7 @@ use std::fmt;
 /// The suffix of a column that records a seeded rerun of another.
 const RERUN: &str = "_rerun";
 
-/// `x` rounded to one decimal: the precision reports keep for rates and
-/// wall-clock figures.
+/// `x` rounded to one decimal: the precision reports keep for rates.
 pub fn tenths(x: f64) -> f64 {
     (x * 10.0).round() / 10.0
 }
@@ -66,7 +63,7 @@ pub fn tenths(x: f64) -> f64 {
 pub enum Value {
     /// An unsigned integer (counts, simulated ns, fingerprints).
     Int(u64),
-    /// A decimal (rates, ratios, wall-clock ns per line).
+    /// A decimal (rates and ratios).
     Float(f64),
 }
 
@@ -202,6 +199,28 @@ impl Point {
             .collect();
         cols.join(", ")
     }
+
+    /// Each column whose value here differs from `committed`'s, or that
+    /// only one of the two has, naming the row, the column and both
+    /// values.
+    fn mismatches(&self, committed: &Point) -> Vec<String> {
+        let show = |v: Option<Value>| v.map_or_else(|| "absent".to_string(), |v| v.to_string());
+        let only_committed = committed
+            .cols
+            .iter()
+            .filter(|(n, _)| self.value(n).is_err());
+        self.cols
+            .iter()
+            .chain(only_committed)
+            .filter_map(|(name, _)| {
+                let (fresh, was) = (self.value(name).ok(), committed.value(name).ok());
+                (fresh != was).then(|| {
+                    let (fresh, was) = (show(fresh), show(was));
+                    format!("\"{}\": {name} is {fresh} fresh, {was} committed", self.key)
+                })
+            })
+            .collect()
+    }
 }
 
 /// The one-line JSON object a point is written as.
@@ -220,25 +239,20 @@ impl fmt::Display for Point {
 pub struct Report {
     /// The suite's name on the command line.
     pub suite: String,
-    /// Whether this is a `--quick` run.
-    pub quick: bool,
-    /// The recording host's available parallelism.
-    pub host_cpus: u64,
     /// Named scalars: probes, configuration and written bounds.
     pub facts: Point,
     /// Every measured point, in run order.
     pub points: Vec<Point>,
-    /// Points whose `sim_ns` moved since the report this one replaced.
+    /// The replaced report's rows of the points this one changed or
+    /// dropped ([`Report::replacing`]).
     pub before: Vec<Point>,
 }
 
 impl Report {
-    /// An empty report of `suite`, recorded on this host.
-    pub fn new(suite: &str, quick: bool) -> Self {
+    /// An empty report of `suite`.
+    pub fn new(suite: &str) -> Self {
         Report {
             suite: suite.to_string(),
-            quick,
-            host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
             facts: Point::new("facts"),
             points: Vec::new(),
             before: Vec::new(),
@@ -268,10 +282,8 @@ impl Report {
             out.push_str(&format!("[\n{}\n  ]", lines.join(",\n")));
         }
         let mut out = format!(
-            "{{\n  \"suite\": \"{}\",\n  \"quick\": {},\n  \"host_cpus\": {},\n  \"facts\": {{{}}},\n  \"points\": ",
+            "{{\n  \"suite\": \"{}\",\n  \"facts\": {{{}}},\n  \"points\": ",
             self.suite,
-            self.quick,
-            self.host_cpus,
             self.facts.columns_json()
         );
         rows(&mut out, &self.points);
@@ -295,15 +307,6 @@ impl Report {
         p.name("suite")?;
         let suite = p.string()?;
         p.eat(",")?;
-        p.name("quick")?;
-        let quick = p.boolean()?;
-        p.eat(",")?;
-        p.name("host_cpus")?;
-        let host_cpus = match p.number()? {
-            Value::Int(v) => v,
-            Value::Float(_) => return Err(p.error("an integer host_cpus")),
-        };
-        p.eat(",")?;
         p.name("facts")?;
         p.eat("{")?;
         let mut facts = Point::new("facts");
@@ -318,8 +321,6 @@ impl Report {
         match &json[p.at..] {
             "\n" => Ok(Report {
                 suite,
-                quick,
-                host_cpus,
                 facts,
                 points,
                 before,
@@ -352,21 +353,54 @@ impl Report {
         failures
     }
 
-    /// The `before[]` rows for replacing `previous`: one per point, by
-    /// key, whose simulated `sim_ns` moved.
-    pub fn moved_since(&self, previous: &Report) -> Vec<Point> {
-        self.points
+    /// This report as the replacement of `previous`: its `before[]`
+    /// rows are `previous`'s own rows, verbatim, for every point this
+    /// report changed in any column or no longer has.
+    #[must_use]
+    pub fn replacing(mut self, previous: &Report) -> Self {
+        self.before = previous
+            .points
             .iter()
-            .filter_map(|now| {
-                let after = now.u64("sim_ns").ok()?;
-                let before = previous.point(&now.key)?.u64("sim_ns").ok()?;
-                (before != after).then(|| {
-                    Point::new(now.key.clone())
-                        .with("sim_ns_before", before)
-                        .with("sim_ns_after", after)
-                })
-            })
-            .collect()
+            .filter(|was| self.point(&was.key) != Some(was))
+            .cloned()
+            .collect();
+        self
+    }
+
+    /// Every way this fresh report's facts and points differ from
+    /// `committed`'s (`before[]` is history and is not compared): a
+    /// column whose values differ or that one side lacks, naming the
+    /// row, the column and both values; a point only one side has, with
+    /// its whole row; or, all else equal, rows in another order.
+    pub fn mismatches(&self, committed: &Report) -> Vec<String> {
+        if self.suite != committed.suite {
+            return vec![format!(
+                "the committed report is of suite {:?}",
+                committed.suite
+            )];
+        }
+        let mut found = self.facts.mismatches(&committed.facts);
+        for fresh in &self.points {
+            match committed.point(&fresh.key) {
+                Some(was) => found.extend(fresh.mismatches(was)),
+                None => found.push(format!(
+                    "\"{}\": produced fresh, absent from the committed report: {fresh}",
+                    fresh.key
+                )),
+            }
+        }
+        for was in &committed.points {
+            if self.point(&was.key).is_none() {
+                found.push(format!(
+                    "\"{}\": committed, not produced fresh: {was}",
+                    was.key
+                ));
+            }
+        }
+        if found.is_empty() && (self.facts != committed.facts || self.points != committed.points) {
+            found.push("the same facts and points, in another order".into());
+        }
+        found
     }
 }
 
@@ -426,16 +460,6 @@ impl Parser<'_> {
             return Err(self.error(&format!("\"{want}\"")));
         }
         self.eat(":")
-    }
-
-    fn boolean(&mut self) -> Result<bool, String> {
-        if self.try_eat("true") {
-            Ok(true)
-        } else if self.try_eat("false") {
-            Ok(false)
-        } else {
-            Err(self.error("true or false"))
-        }
     }
 
     /// Digits, optionally `.` and more digits.
@@ -511,7 +535,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Report {
-        let mut r = Report::new("sample", false).fact("nodes", 8u64);
+        let mut r = Report::new("sample").fact("nodes", 8u64);
         r.points = vec![
             Point::new("impl=a threads=4")
                 .with("sim_ns", 7u64)
@@ -549,7 +573,6 @@ mod tests {
         let got = Report::parse(&json).unwrap();
         assert_eq!(got, want);
         assert_eq!(got.to_json(), json);
-        assert!(!got.quick);
         assert_eq!(got.facts.u64("nodes"), Ok(8));
         assert_eq!(got.points[0].u64("sim_ns"), Ok(7));
         assert_eq!(got.points[0].f64("sim_ns"), Ok(7.0));
@@ -604,24 +627,20 @@ mod tests {
         r.points = vec![lone];
         assert_eq!(r.rerun_failures(), ["\"k\" has no \"fingerprint\""]);
 
-        let (old, mut new) = (sample(), sample());
-        assert!(new.moved_since(&old).is_empty());
-        new.points[0] = new.points[0].clone().with("sim_ns", 5u64);
-        let moved = new.moved_since(&old);
-        assert_eq!(
-            moved,
-            [Point::new("impl=a threads=4")
-                .with("sim_ns_before", 7u64)
-                .with("sim_ns_after", 5u64)]
-        );
+        // A rerun that changes one column replaces exactly that row,
+        // whatever the column; a point it drops is replaced too.
+        let old = sample();
+        assert!(sample().replacing(&old).before.is_empty());
+        let mut new = sample();
+        new.points[1] = new.points[1].clone().with("ratio", 0.75);
+        assert_eq!(new.replacing(&old).before, [old.points[1].clone()]);
+        let mut fewer = sample();
+        fewer.points.remove(0);
+        assert_eq!(fewer.replacing(&old).before, [old.points[0].clone()]);
     }
 
-    /// The five committed reports, by file name.
-    const COMMITTED: [(&str, &str); 5] = [
-        (
-            "BENCH_cache.json",
-            include_str!("../../../BENCH_cache.json"),
-        ),
+    /// The four committed reports, by file name.
+    const COMMITTED: [(&str, &str); 4] = [
         (
             "BENCH_serve.json",
             include_str!("../../../BENCH_serve.json"),
@@ -634,13 +653,14 @@ mod tests {
         ("BENCH_topo.json", include_str!("../../../BENCH_topo.json")),
     ];
 
-    /// `--check`'s verdict on `json` for each committed report.
+    /// Whether `json` parses and passes the judgement of the suite whose
+    /// committed report is `file`.
     fn passes(file: &str, json: &str) -> bool {
         let suite = crate::suite::Suite::ALL
             .into_iter()
-            .find(|s| s.default_path() == file)
+            .find(|s| s.path() == file)
             .expect(file);
-        suite.check(json).is_empty()
+        Report::parse(json).is_ok_and(|report| suite.failures(&report).is_empty())
     }
 
     #[test]

@@ -23,9 +23,8 @@
 //! second, and the two must agree bit for bit — the simulated-time
 //! determinism gate.
 //!
-//! `flac-bench serve` writes `BENCH_serve.json`;
-//! `scripts/verify.sh` runs `--quick --gate` as a smoke test and
-//! `--check BENCH_serve.json` against the committed report.
+//! `flac-bench serve` writes `BENCH_serve.json`; `flac-bench serve
+//! --check` (run by `scripts/verify.sh`) re-derives it from the tree.
 
 use crate::report::{tenths, Point, Report};
 use flacdk::alloc::GlobalAllocator;
@@ -126,25 +125,9 @@ impl ServeConfig {
         }
     }
 
-    /// Quick parameters for the ~1 s CI smoke run.
-    pub fn quick(clients: u64) -> Self {
-        ServeConfig {
-            connections: 4,
-            requests: 1_500,
-            saturation_requests: 1_500,
-            ..Self::full(clients)
-        }
-    }
-
-    /// Client scales swept by a run. The committed report must carry at
-    /// least [`MIN_SCALES`] scales (enforced by [`target_failures`]).
-    pub fn scales(quick: bool) -> &'static [u64] {
-        if quick {
-            &[2_000, 10_000, 50_000]
-        } else {
-            &[100_000, 300_000, 1_000_000]
-        }
-    }
+    /// Client scales swept by a run. A report must carry at least
+    /// [`MIN_SCALES`] scales (enforced by [`failures`]).
+    pub const SCALES: [u64; 3] = [100_000, 300_000, 1_000_000];
 
     /// Aggregate offered load, requests per simulated second.
     pub fn offered_rps(&self) -> f64 {
@@ -582,20 +565,20 @@ fn scales(report: &Report) -> Result<Vec<u64>, String> {
     Ok(scales)
 }
 
-/// The invariants every report must hold (the `--gate`). Everything
-/// here is simulated-time-derived and therefore exactly reproducible,
-/// so the gate is strict:
+/// The judgement of a report. Everything here is simulated-time-derived
+/// and therefore exactly reproducible, so it is strict:
 ///
 /// * zero RESP errors at every point (rerun parity is the schema's own
 ///   check);
 /// * percentiles ordered (`p50 ≤ p99 ≤ p999 ≤ max`), all nonzero;
 /// * both transports at every scale, FlacOS IPC p50 strictly beating
-///   TCP/IP and its saturation throughput at least TCP/IP's.
+///   TCP/IP and its saturation throughput at least TCP/IP's;
+/// * at least [`MIN_SCALES`] client scales.
 ///
 /// # Errors
 ///
 /// Names a column the report lacks.
-pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
+pub fn failures(report: &Report) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
     for p in &report.points {
         let at = p.key.replacen("transport=", "", 1);
@@ -615,7 +598,8 @@ pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
             ));
         }
     }
-    for scale in scales(report)? {
+    let scales = scales(report)?;
+    for &scale in &scales {
         let (Some(flac), Some(net)) = (
             report.point(&format!("transport=flacos-ipc clients={scale}")),
             report.point(&format!("transport=tcp/ip clients={scale}")),
@@ -639,56 +623,40 @@ pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
             ));
         }
     }
+    if scales.len() < MIN_SCALES {
+        failures.push(format!(
+            "report must cover >= {MIN_SCALES} client scales, found {scales:?}"
+        ));
+    }
     Ok(failures)
 }
 
-/// The committed report's own target: both transports at
-/// [`MIN_SCALES`] or more client scales.
-///
-/// # Errors
-///
-/// Names a point whose key lacks its client count.
-pub fn target_failures(report: &Report) -> Result<Vec<String>, String> {
-    let scales = scales(report)?;
-    Ok(if scales.len() < MIN_SCALES {
-        vec![format!(
-            "report must cover >= {MIN_SCALES} client scales, found {scales:?}"
-        )]
-    } else {
-        Vec::new()
-    })
-}
-
 /// The report of a run over `points`.
-fn report(quick: bool, points: Vec<Point>) -> Report {
-    let mut report = Report::new("serve", quick).fact("min_scales", MIN_SCALES);
+fn report(points: Vec<Point>) -> Report {
+    let mut report = Report::new("serve").fact("min_scales", MIN_SCALES);
     report.points = points;
     report
 }
 
-/// Run every client scale over both transports and build the report.
+/// Run every client scale of [`ServeConfig::SCALES`] over both
+/// transports and build the report.
 ///
 /// # Errors
 ///
 /// Names the scale whose simulation failed.
-pub fn run(quick: bool) -> Result<Report, String> {
-    let scales = ServeConfig::scales(quick);
+pub fn run() -> Result<Report, String> {
     println!(
-        "serve: {} mode, client scales {scales:?}, both transports, open loop + saturation",
-        if quick { "quick" } else { "full" }
+        "serve: client scales {:?}, both transports, open loop + saturation",
+        ServeConfig::SCALES
     );
     let mut points = Vec::new();
-    for &clients in scales {
-        let cfg = if quick {
-            ServeConfig::quick(clients)
-        } else {
-            ServeConfig::full(clients)
-        };
+    for clients in ServeConfig::SCALES {
+        let cfg = ServeConfig::full(clients);
         points.extend(
             run_scale(&cfg).map_err(|e| format!("{clients} clients: simulation failed: {e}"))?,
         );
     }
-    Ok(report(quick, points))
+    Ok(report(points))
 }
 
 #[cfg(test)]
@@ -703,7 +671,7 @@ mod tests {
             requests: 200,
             saturation_requests: 200,
             per_client_rps: 40.0,
-            ..ServeConfig::quick(500)
+            ..ServeConfig::full(500)
         }
     }
 
@@ -742,19 +710,19 @@ mod tests {
             let c = ServeConfig { clients, ..cfg };
             points.extend(run_scale(&c).expect("run"));
         }
-        let report = report(false, points);
+        let report = report(points);
         let json = report.to_json();
         let parsed = Report::parse(&json).expect("writer output parses");
         assert_eq!(parsed.points.len(), 6);
         assert_eq!(parsed, report);
         assert_eq!(
-            crate::suite::Suite::Serve.check(&json),
+            crate::suite::Suite::Serve.failures(&parsed),
             Vec::<String>::new()
         );
     }
 
     #[test]
-    fn checker_rejects_quick_errors_and_parity_violations() {
+    fn checker_rejects_errors_parity_violations_and_too_few_scales() {
         let mk = |transport: &str, clients: u64, errors: u64, parity: bool, p50: u64| {
             Point::new(format!("transport={transport} clients={clients}"))
                 .with("ops", 10u64)
@@ -763,9 +731,9 @@ mod tests {
                 .with("offered_rps", 1.0)
                 .with("achieved_rps", 1.0)
                 .with("p50_ns", p50)
-                .with("p99_ns", 20u64)
-                .with("p999_ns", 30u64)
-                .with("max_ns", 40u64)
+                .with("p99_ns", 100u64)
+                .with("p999_ns", 200u64)
+                .with("max_ns", 300u64)
                 .with("saturation_rps", 100.0)
                 .with("backpressure", 0u64)
                 .with("fingerprint", 1u64)
@@ -779,11 +747,15 @@ mod tests {
             mk("flacos-ipc", 300, 0, true, 60),
             mk("tcp/ip", 300, 0, true, 50),
         ];
-        let failures = crate::suite::Suite::Serve.check(&report(true, points).to_json());
-        assert!(failures.iter().any(|f| f.contains("--quick")));
+        let serve = crate::suite::Suite::Serve;
+        let failures = serve.failures(&report(points.clone()));
+        assert_eq!(failures.len(), 3, "{failures:?}");
         assert!(failures.iter().any(|f| f.contains("RESP error")));
         assert!(failures.iter().any(|f| f.contains("did not reproduce")));
         assert!(failures.iter().any(|f| f.contains("must beat")));
+        let failures = serve.failures(&report(points[..2].to_vec()));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains(">= 3 client scales"), "{failures:?}");
     }
 
     #[test]

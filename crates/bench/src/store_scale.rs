@@ -17,9 +17,8 @@
 //!   the rack does not already hold: `bytes_fetched` must equal the
 //!   byte size of B's unique chunks absent after A, exactly.
 //!
-//! The committed artifact is `BENCH_store.json`; `--check` re-reads it
-//! and enforces the invariants of [`gate_failures`] plus the speedup
-//! floor of [`target_failures`].
+//! The committed artifact is `BENCH_store.json`; [`failures`] judges it
+//! and `flac-bench store --check` re-derives it from the tree.
 
 use crate::report::{Point, Report};
 use flac_store::{BackendConfig, ChunkStore, ShardedBackends, StoreConfig, CHUNK_SIZE};
@@ -54,16 +53,7 @@ pub struct StoreScaleConfig {
 }
 
 impl StoreScaleConfig {
-    /// The ~1 s CI smoke configuration.
-    pub fn quick() -> Self {
-        StoreScaleConfig {
-            pages: 64,
-            layers: 4,
-            seed: 9000,
-        }
-    }
-
-    /// The full configuration behind the committed `BENCH_store.json`.
+    /// The configuration behind the committed `BENCH_store.json`.
     pub fn full() -> Self {
         StoreScaleConfig {
             pages: 2048,
@@ -187,18 +177,18 @@ pub fn run_overlap(cfg: StoreScaleConfig) -> OverlapPoint {
     }
 }
 
-/// The invariants every report must hold (the `--gate`): the 1/4/8
-/// shard sweep with cold fetch time strictly improving, warm starts
-/// beating cold, and the overlap phase downloading exactly the
-/// rack-absent bytes (rerun parity is the schema's own check). Every
-/// quantity is simulated time or exact chunk accounting, so there is no
-/// noise tolerance anywhere. Quick runs pass; the speedup floor lives
-/// in [`target_failures`].
+/// The judgement of a report: the 1/4/8 shard sweep with cold fetch
+/// time strictly improving and a top-shard cold-fetch speedup over
+/// 1-shard serial of at least [`SPEEDUP_TARGET`], warm starts beating
+/// cold, and the overlap phase downloading exactly the rack-absent
+/// bytes (rerun parity is the schema's own check). Every quantity is
+/// simulated time or exact chunk accounting, so there is no noise
+/// tolerance anywhere.
 ///
 /// # Errors
 ///
 /// Names a column or fact the report lacks.
-pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
+pub fn failures(report: &Report) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
     for need in SHARD_SWEEP {
         if report.point(&format!("shards={need}")).is_none() {
@@ -256,24 +246,15 @@ pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
              first ({first} bytes)"
         ));
     }
+    if let Some((shards, speedup)) = speedup(report)? {
+        if speedup < SPEEDUP_TARGET {
+            failures.push(format!(
+                "parallel fetch speedup {speedup:.2} at {shards} shards < {SPEEDUP_TARGET:.1} \
+                 over 1-shard serial"
+            ));
+        }
+    }
     Ok(failures)
-}
-
-/// The committed report's own target: top-shard cold-fetch speedup over
-/// 1-shard serial at least [`SPEEDUP_TARGET`]. Only a full run's larger
-/// image amortizes the per-request latency enough to reach it.
-///
-/// # Errors
-///
-/// Names a column the report lacks.
-pub fn target_failures(report: &Report) -> Result<Vec<String>, String> {
-    Ok(match speedup(report)? {
-        Some((shards, speedup)) if speedup < SPEEDUP_TARGET => vec![format!(
-            "parallel fetch speedup {speedup:.2} at {shards} shards < {SPEEDUP_TARGET:.1} \
-             over 1-shard serial"
-        )],
-        _ => Vec::new(),
-    })
 }
 
 /// The top shard count and its cold-fetch speedup over 1-shard serial.
@@ -295,21 +276,17 @@ fn speedup(report: &Report) -> Result<Option<(u64, f64)>, String> {
     Ok(Some((shards, speedup)))
 }
 
-/// Run the shard sweep and the overlap phase, printing the summary
-/// lines, and build the report.
-pub fn run(quick: bool) -> Report {
-    let cfg = if quick {
-        StoreScaleConfig::quick()
-    } else {
-        StoreScaleConfig::full()
-    };
-    println!(
-        "store: {} mode, image {} pages x {} layers",
-        if quick { "quick" } else { "full" },
-        cfg.pages,
-        cfg.layers
-    );
-    let mut report = Report::new("store", quick)
+/// Run the shard sweep and the overlap phase of
+/// [`StoreScaleConfig::full`], printing the summary lines, and build the
+/// report.
+pub fn run() -> Report {
+    run_with(StoreScaleConfig::full())
+}
+
+/// [`run`] at the sizes of `cfg`.
+fn run_with(cfg: StoreScaleConfig) -> Report {
+    println!("store: image {} pages x {} layers", cfg.pages, cfg.layers);
+    let mut report = Report::new("store")
         .fact("chunk_size", CHUNK_SIZE)
         .fact("per_shard_bw", PER_SHARD_BW)
         .fact("speedup_top_min", SPEEDUP_TARGET);
@@ -333,16 +310,39 @@ pub fn run(quick: bool) -> Report {
 mod tests {
     use super::*;
 
+    /// A 64-page image: every path of the full run in a fraction of
+    /// its time.
+    fn quick() -> StoreScaleConfig {
+        StoreScaleConfig {
+            pages: 64,
+            ..StoreScaleConfig::full()
+        }
+    }
+
+    /// The judgement of a quick run: every invariant holds, and the small
+    /// image leaves the per-request latency unamortized, so only the
+    /// speedup floor fails.
+    fn quick_failures(report: &Report) -> Vec<String> {
+        let mut found = failures(report).unwrap();
+        assert!(
+            found
+                .pop()
+                .is_some_and(|f| f.starts_with("parallel fetch speedup")),
+            "{found:?}"
+        );
+        found
+    }
+
     #[test]
     fn quick_sweep_is_monotonic_deterministic_and_warm_wins() {
-        let report = run(true);
+        let report = run_with(quick());
         assert_eq!(report.rerun_failures(), Vec::<String>::new());
-        assert_eq!(gate_failures(&report), Ok(Vec::new()));
+        assert_eq!(quick_failures(&report), Vec::<String>::new());
     }
 
     #[test]
     fn overlap_downloads_exactly_the_rack_absent_bytes() {
-        let o = run_overlap(StoreScaleConfig::quick());
+        let o = run_overlap(quick());
         // 4 layers of 16 pages; B shares A's last two layers.
         assert_eq!(o.shared_chunks, 32);
         assert_eq!(o.unique_missing_bytes, 32 * CHUNK_SIZE as u64);
@@ -351,29 +351,25 @@ mod tests {
 
     #[test]
     fn parse_report_roundtrips_the_writer() {
-        let report = run(true);
+        let report = run_with(quick());
         let parsed = Report::parse(&report.to_json()).expect("parse");
         assert_eq!(parsed, report);
         assert_eq!(parsed.points.len(), SHARD_SWEEP.len());
         assert_eq!(
             parsed.facts.u64("second_bytes_fetched"),
-            Ok(run_overlap(StoreScaleConfig::quick()).second_bytes_fetched)
+            Ok(run_overlap(quick()).second_bytes_fetched)
         );
     }
 
     #[test]
-    fn check_report_rejects_quick_runs_and_broken_monotonicity() {
-        let mut report = run(true);
-        let failures = crate::suite::Suite::Store.check(&report.to_json());
-        assert!(failures.iter().any(|f| f.contains("--quick")));
-
+    fn check_report_rejects_broken_monotonicity() {
+        let mut report = run_with(quick());
         let slower = report.points[0].u64("sim_ns").unwrap() + 1;
         report.points[2] = report.points[2]
             .clone()
             .with("sim_ns", slower)
             .with("sim_ns_rerun", slower);
-        assert!(gate_failures(&report)
-            .unwrap()
+        assert!(quick_failures(&report)
             .iter()
             .any(|f| f.contains("monotonic")));
     }

@@ -1,41 +1,39 @@
-//! `flac-bench` — the one runner behind the five gated benchmark
-//! reports (`BENCH_{cache,serve,store,sync,topo}.json`).
+//! `flac-bench` — the one runner behind the four committed benchmark
+//! reports (`BENCH_{serve,store,sync,topo}.json`).
 //!
 //! ```text
-//! flac-bench <suite> [--quick] [--out PATH] [--gate]
-//! flac-bench <suite> --check PATH
+//! flac-bench <suite>
+//! flac-bench <suite> --check
 //! ```
 //!
-//! * `<suite>`      — one of `cache`, `serve`, `store`, `sync`, `topo`
-//! * `--quick`      — the short run of the CI smoke in `verify.sh`
-//! * `--out PATH`   — where to write the report (default `BENCH_<suite>.json`)
-//! * `--gate`       — re-read the written file and exit nonzero unless it
-//!   holds the suite's invariants
-//! * `--check PATH` — run no benchmark; judge a *committed* report: a full
-//!   run, the suite's invariants, then its committed-only targets
+//! `<suite>` is one of `serve`, `store`, `sync`, `topo`. Every suite
+//! measures simulated time only, so every run of the same tree produces
+//! the same facts and points, byte for byte.
+//!
+//! * `flac-bench <suite>` runs the suite and re-records
+//!   `BENCH_<suite>.json` in the working directory. Its `before[]` rows
+//!   are the replaced report's own rows for every point the run changed
+//!   or dropped ([`Report::replacing`]).
+//! * `flac-bench <suite> --check` runs the suite fresh, judges the fresh
+//!   report ([`Suite::failures`]), then requires every fact and every
+//!   point column to equal the committed `BENCH_<suite>.json`'s
+//!   ([`Report::mismatches`]), so a committed report that the tree no
+//!   longer produces fails.
 //!
 //! Every suite builds one [`Report`] in the one schema of
-//! [`crate::report`], which writes, re-reads and judges rerun parity for
-//! all five. Each suite module supplies only its run and its two
-//! judgements of a parsed report: the gate's invariants and the
-//! committed-only targets. This module owns every step they share,
-//! including the `before[]` rows of a re-recording. Exits 0 on success,
-//! 1 on a gate or check failure, 2 on a usage or I/O error.
+//! [`crate::report`]. Each suite module supplies only its run and its
+//! judgement of a parsed report; this module owns every step they
+//! share. Exits 0 on success, 1 on a failed run or check, 2 on a usage
+//! error or a committed report that cannot be read or parsed.
 
 use crate::report::Report;
-use crate::{cache_scale, serve_scale, store_scale, sync_scale, topo_scale};
+use crate::{serve_scale, store_scale, sync_scale, topo_scale};
 
-/// The check every committed report must pass before any other.
-const QUICK_RULE: &str = "committed report must come from a full run, not --quick";
+const USAGE: &str = "usage: flac-bench <serve|store|sync|topo> [--check]";
 
-const USAGE: &str = "usage: flac-bench <cache|serve|store|sync|topo> [--quick] [--out PATH] [--gate]\n       flac-bench <cache|serve|store|sync|topo> --check PATH";
-
-/// One gated benchmark suite.
+/// One benchmark suite with a committed report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Suite {
-    /// Node cache vs the single-mutex baseline, wall-clock per op
-    /// ([`cache_scale`]).
-    Cache,
     /// Open-loop serving over FlacOS IPC and TCP/IP ([`serve_scale`]).
     Serve,
     /// Chunk-store shard sweep and overlap ([`store_scale`]).
@@ -48,18 +46,11 @@ pub enum Suite {
 
 impl Suite {
     /// Every suite.
-    pub const ALL: [Suite; 5] = [
-        Suite::Cache,
-        Suite::Serve,
-        Suite::Store,
-        Suite::Sync,
-        Suite::Topo,
-    ];
+    pub const ALL: [Suite; 4] = [Suite::Serve, Suite::Store, Suite::Sync, Suite::Topo];
 
     /// The suite's name on the command line.
     pub fn name(self) -> &'static str {
         match self {
-            Suite::Cache => "cache",
             Suite::Serve => "serve",
             Suite::Store => "store",
             Suite::Sync => "sync",
@@ -68,7 +59,7 @@ impl Suite {
     }
 
     /// The committed report's path, `BENCH_<name>.json`.
-    pub fn default_path(self) -> String {
+    pub fn path(self) -> String {
         format!("BENCH_{}.json", self.name())
     }
 
@@ -77,13 +68,12 @@ impl Suite {
     /// # Errors
     ///
     /// Describes a simulation that failed.
-    pub fn run(self, quick: bool) -> Result<Report, String> {
+    pub fn run(self) -> Result<Report, String> {
         let report = match self {
-            Suite::Cache => cache_scale::run(quick),
-            Suite::Serve => serve_scale::run(quick)?,
-            Suite::Store => store_scale::run(quick),
-            Suite::Sync => sync_scale::run(quick),
-            Suite::Topo => topo_scale::run(quick),
+            Suite::Serve => serve_scale::run()?,
+            Suite::Store => store_scale::run(),
+            Suite::Sync => sync_scale::run(),
+            Suite::Topo => topo_scale::run(),
         };
         for p in &report.points {
             println!("  {p}");
@@ -91,174 +81,110 @@ impl Suite {
         Ok(report)
     }
 
-    /// The `--gate` failures of a report: a report that does not parse
-    /// or lacks a column, a broken rerun parity, or a broken invariant.
+    /// The judgement of a report: it is of this suite, its seeded reruns
+    /// reproduced, and it holds the suite's invariants and targets.
     /// Empty means it passes.
-    pub fn gate(self, json: &str) -> Vec<String> {
-        self.judge(json, false)
-    }
-
-    /// The `--check` failures of a committed report: the quick rule (a
-    /// committed report must come from a full run), then the gate, then
-    /// the suite's committed-only targets. A quick run is sized for the
-    /// gate, not the targets, so those are judged only on a full run.
-    /// Empty means it passes.
-    pub fn check(self, json: &str) -> Vec<String> {
-        self.judge(json, true)
-    }
-
-    /// The gate's failures, plus the quick rule and the committed-only
-    /// targets when `check` is set.
-    fn judge(self, json: &str, check: bool) -> Vec<String> {
-        type Judge = fn(&Report) -> Result<Vec<String>, String>;
-        let report = match Report::parse(json) {
-            Ok(report) => report,
-            Err(e) => return vec![format!("report does not parse: {e}")],
-        };
+    pub fn failures(self, report: &Report) -> Vec<String> {
         if report.suite != self.name() {
             return vec![format!("report is of suite {:?}", report.suite)];
         }
-        let mut failures = Vec::new();
-        if check && report.quick {
-            failures.push(QUICK_RULE.to_string());
-        }
-        failures.extend(report.rerun_failures());
-        let (gate, targets): (Judge, Judge) = match self {
-            Suite::Cache => (cache_scale::gate_failures, cache_scale::target_failures),
-            Suite::Serve => (serve_scale::gate_failures, serve_scale::target_failures),
-            Suite::Store => (store_scale::gate_failures, store_scale::target_failures),
-            Suite::Sync => (sync_scale::gate_failures, sync_scale::target_failures),
-            Suite::Topo => (topo_scale::gate_failures, topo_scale::target_failures),
+        let judged = match self {
+            Suite::Serve => serve_scale::failures(report),
+            Suite::Store => store_scale::failures(report),
+            Suite::Sync => sync_scale::failures(report),
+            Suite::Topo => topo_scale::failures(report),
         };
-        let verdict = gate(&report).and_then(|mut found| {
-            if check && !report.quick {
-                found.extend(targets(&report)?);
-            }
-            Ok(found)
-        });
-        match verdict {
+        let mut failures = report.rerun_failures();
+        match judged {
             Ok(found) => failures.extend(found),
-            Err(e) => failures.push(format!("report does not parse: {e}")),
+            Err(e) => failures.push(format!("report lacks a column: {e}")),
         }
+        failures
+    }
+
+    /// The `--check` verdict on a `fresh` run against the `committed`
+    /// report: the fresh run's judgement, then every fact and point that
+    /// differs from the committed file. Empty means it passes.
+    pub fn check(self, fresh: &Report, committed: &Report) -> Vec<String> {
+        let mut failures = self.failures(fresh);
+        failures.extend(fresh.mismatches(committed));
         failures
     }
 }
 
-/// What one invocation does.
-#[derive(Debug, PartialEq, Eq)]
-enum Mode {
-    /// Run the suite, write the report to `out`, and gate the file if
-    /// `gate` is set.
-    Run {
-        quick: bool,
-        out: String,
-        gate: bool,
-    },
-    /// Judge the committed report at this path.
-    Check(String),
-}
-
-/// Parse the arguments after the program name.
-fn parse_args(args: &[String]) -> Result<(Suite, Mode), String> {
-    let mut args = args.iter();
-    let name = args.next().ok_or("missing suite")?;
+/// Parse the arguments after the program name into the suite and
+/// whether to check; the error is the full usage message.
+fn parse_args(args: &[String]) -> Result<(Suite, bool), String> {
+    let usage = |e: String| format!("flac-bench: {e}\n{USAGE}");
+    let (name, flags) = args
+        .split_first()
+        .ok_or_else(|| usage("missing suite".into()))?;
     let suite = Suite::ALL
         .into_iter()
         .find(|s| s.name() == name)
-        .ok_or_else(|| format!("unknown suite {name:?}"))?;
-    let (mut quick, mut gate, mut out, mut check) = (false, false, None, None);
-    while let Some(flag) = args.next() {
+        .ok_or_else(|| usage(format!("unknown suite {name:?}")))?;
+    let mut check = false;
+    for flag in flags {
         match flag.as_str() {
-            "--quick" => quick = true,
-            "--gate" => gate = true,
-            "--out" => out = Some(value_of(flag, &mut args)?),
-            "--check" => check = Some(value_of(flag, &mut args)?),
-            other => return Err(format!("unknown argument {other:?}")),
+            "--check" if !check => check = true,
+            path if check && !path.starts_with('-') => {
+                return Err(usage(format!("--check takes no path, got {path:?}")))
+            }
+            other => return Err(usage(format!("unknown argument {other:?}"))),
         }
     }
-    match (check, quick, gate, out) {
-        (None, quick, gate, out) => {
-            let out = out.unwrap_or_else(|| suite.default_path());
-            Ok((suite, Mode::Run { quick, out, gate }))
-        }
-        (Some(path), false, false, None) => Ok((suite, Mode::Check(path))),
-        _ => Err("--check judges a written report; it takes no --quick, --gate or --out".into()),
-    }
-}
-
-/// The value that follows `flag`.
-fn value_of(flag: &str, args: &mut std::slice::Iter<String>) -> Result<String, String> {
-    args.next()
-        .cloned()
-        .ok_or_else(|| format!("{flag} needs a value"))
-}
-
-/// Print each failure of the `label` step and return the exit code: 0
-/// when there are none, else 1.
-fn verdict(prefix: &str, label: &str, failures: &[String]) -> i32 {
-    for f in failures {
-        eprintln!("{prefix}: {} FAILURE: {f}", label.to_uppercase());
-    }
-    if failures.is_empty() {
-        println!("{prefix}: {label} OK");
-    }
-    i32::from(!failures.is_empty())
+    Ok((suite, check))
 }
 
 /// The `flac-bench` entry point over the arguments after the program
 /// name; returns the process exit code.
 pub fn main(args: &[String]) -> i32 {
-    let (suite, mode) = match parse_args(args) {
+    let (suite, check) = match parse_args(args) {
         Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("flac-bench: {e}\n{USAGE}");
+        Err(usage) => {
+            eprintln!("{usage}");
             return 2;
         }
     };
-    let prefix = format!("flac-bench {}", suite.name());
-    match mode {
-        Mode::Check(path) => match std::fs::read_to_string(&path) {
-            Ok(json) => verdict(&prefix, "check", &suite.check(&json)),
-            Err(e) => {
-                eprintln!("{prefix}: reading {path}: {e}");
-                2
+    let (prefix, path) = (format!("flac-bench {}", suite.name()), suite.path());
+    // The committed report: the one `--check` compares with, or the one
+    // a re-record replaces (its rows become the new `before[]`).
+    let committed = std::fs::read_to_string(&path)
+        .map_err(|e| format!("reading {path}: {e}"))
+        .and_then(|json| Report::parse(&json).map_err(|e| format!("{path} does not parse: {e}")));
+    if let (true, Err(e)) = (check, &committed) {
+        eprintln!("{prefix}: {e}");
+        return 2;
+    }
+    let fresh = match suite.run() {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("{prefix}: {e}");
+            return 1;
+        }
+    };
+    match (check, committed) {
+        (true, Ok(committed)) => {
+            let failures = suite.check(&fresh, &committed);
+            for f in &failures {
+                eprintln!("{prefix}: CHECK FAILURE: {f}");
             }
-        },
-        Mode::Run { quick, out, gate } => {
-            // The report this run replaces, if it is of the same suite
-            // and mode: its moved points become the new `before[]`.
-            let previous = std::fs::read_to_string(&out)
-                .ok()
-                .and_then(|json| Report::parse(&json).ok())
-                .filter(|p| p.suite == suite.name() && p.quick == quick);
-            let mut report = match suite.run(quick) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("{prefix}: {e}");
-                    return 1;
-                }
+            if failures.is_empty() {
+                println!("{prefix}: check OK: the tree re-derives {path}");
+            }
+            i32::from(!failures.is_empty())
+        }
+        (_, previous) => {
+            let report = match previous {
+                Ok(previous) => fresh.replacing(&previous),
+                Err(_) => fresh,
             };
-            if let Some(previous) = previous {
-                report.before = report.moved_since(&previous);
-            }
-            let json = report.to_json();
-            if let Err(e) = std::fs::write(&out, json) {
-                eprintln!("{prefix}: writing {out}: {e}");
+            if let Err(e) = std::fs::write(&path, report.to_json()) {
+                eprintln!("{prefix}: writing {path}: {e}");
                 return 2;
             }
-            println!("{prefix}: wrote {out}");
-            if !gate {
-                return 0;
-            }
-            // Judge what landed on disk, so a truncated or clobbered
-            // file fails, not just bad in-memory values.
-            match std::fs::read_to_string(&out) {
-                Ok(json) => verdict(&prefix, "gate", &suite.gate(&json)),
-                Err(e) => {
-                    eprintln!("{prefix}: re-reading {out}: {e}");
-                    1
-                }
-            }
+            println!("{prefix}: wrote {path}");
+            0
         }
     }
 }
@@ -266,149 +192,216 @@ pub fn main(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Point;
 
     fn args(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
     }
 
-    fn parse(line: &str) -> Result<(Suite, Mode), String> {
+    fn parse(line: &str) -> Result<(Suite, bool), String> {
         parse_args(&args(line))
+    }
+
+    /// The usage error `line` gets, after checking that it is one: the
+    /// usage text follows it, and `main` exits 2 without running a suite.
+    fn usage_error(line: &str) -> String {
+        let err = parse(line).unwrap_err();
+        assert!(err.ends_with(USAGE), "{line}: {err}");
+        assert_eq!(main(&args(line)), 2, "{line}");
+        err
+    }
+
+    /// The committed report of `suite`.
+    fn committed(suite: Suite) -> Report {
+        let json = match suite {
+            Suite::Serve => include_str!("../../../BENCH_serve.json"),
+            Suite::Store => include_str!("../../../BENCH_store.json"),
+            Suite::Sync => include_str!("../../../BENCH_sync.json"),
+            Suite::Topo => include_str!("../../../BENCH_topo.json"),
+        };
+        Report::parse(json).expect("committed report parses")
     }
 
     #[test]
     fn options_parse() {
-        let run = |quick, out: &str, gate| Mode::Run {
-            quick,
-            out: out.into(),
-            gate,
-        };
-        let cases = [
-            (
-                "sync --quick --out q.json --gate",
-                Suite::Sync,
-                run(true, "q.json", true),
-            ),
-            ("topo", Suite::Topo, run(false, "BENCH_topo.json", false)),
-            (
-                "cache --check c.json",
-                Suite::Cache,
-                Mode::Check("c.json".into()),
-            ),
-        ];
-        for (line, suite, mode) in cases {
-            assert_eq!(parse(line).unwrap(), (suite, mode), "{line}");
+        assert_eq!(parse("topo"), Ok((Suite::Topo, false)));
+        assert_eq!(parse("serve --check"), Ok((Suite::Serve, true)));
+        for suite in Suite::ALL {
+            assert_eq!(parse(suite.name()), Ok((suite, false)));
         }
-        assert!(parse("serve --seed 1").is_err(), "--seed is gone");
+        assert!(usage_error("serve --seed 1").contains("\"--seed\""));
     }
 
     #[test]
     fn check_with_quick_is_a_usage_error() {
-        let err = parse("sync --quick --check BENCH_sync.json").unwrap_err();
-        assert!(err.contains("--quick"), "{err}");
+        for line in [
+            "sync --quick",
+            "sync --check --quick",
+            "sync --quick --check",
+        ] {
+            assert!(usage_error(line).contains("\"--quick\""), "{line}");
+        }
     }
 
     #[test]
     fn check_with_gate_is_a_usage_error() {
-        let err = parse("store --check BENCH_store.json --gate").unwrap_err();
-        assert!(err.contains("--gate"), "{err}");
+        for line in ["store --gate", "store --check --gate"] {
+            assert!(usage_error(line).contains("\"--gate\""), "{line}");
+        }
     }
 
     #[test]
     fn check_with_out_is_a_usage_error() {
-        let err = parse("serve --out x.json --check BENCH_serve.json").unwrap_err();
-        assert!(err.contains("--out"), "{err}");
+        for line in ["serve --out x.json", "serve --check --out x.json"] {
+            assert!(usage_error(line).contains("\"--out\""), "{line}");
+        }
+    }
+
+    #[test]
+    fn check_with_a_path_is_a_usage_error() {
+        let err = usage_error("topo --check BENCH_topo.json");
+        assert!(err.contains("--check takes no path"), "{err}");
     }
 
     #[test]
     fn a_missing_suite_is_a_usage_error() {
-        assert_eq!(parse("").unwrap_err(), "missing suite");
-        assert_eq!(main(&[]), 2);
+        assert!(usage_error("").contains("missing suite"));
     }
 
     #[test]
     fn an_unknown_suite_is_a_usage_error() {
-        let err = parse("--quick").unwrap_err();
-        assert!(err.contains("unknown suite"), "{err}");
-        assert!(parse("loadgen --quick").is_err());
-    }
-
-    #[test]
-    fn a_flag_missing_its_value_is_a_usage_error() {
-        for line in ["cache --out", "topo --check"] {
-            let err = parse(line).unwrap_err();
-            assert!(err.ends_with("needs a value"), "{line}: {err}");
+        for line in ["--check", "loadgen", "cache", "cache --check"] {
+            assert!(usage_error(line).contains("unknown suite"), "{line}");
         }
-        assert_eq!(main(&args("serve --quick --out")), 2);
     }
 
-    /// `json` with the first value of `key` replaced by `value`.
-    fn with_field(json: &str, key: &str, value: &str) -> String {
-        let at = json.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
-        let end = at + json[at..].find([',', '}']).expect("value end");
-        format!("{} {value}{}", &json[..at], &json[end..])
+    /// `report` with column `name` of point `at` (or a fact, for `None`)
+    /// set to `value`.
+    fn edited(report: &Report, at: Option<usize>, name: &str, value: u64) -> Report {
+        let mut out = report.clone();
+        match at {
+            Some(i) => out.points[i] = out.points[i].clone().with(name, value),
+            None => out.facts = out.facts.clone().with(name, value),
+        }
+        out
     }
 
     #[test]
-    fn every_suite_gates_its_quick_run_and_checks_only_the_quick_flag() {
+    fn every_suite_judges_its_committed_report_and_rejects_a_mutation() {
         for suite in Suite::ALL {
-            // An invariant field whose mutation must fail the gate, and
-            // the rerun column the schema's one parity check compares.
-            let ((key, value), rerun) = match suite {
-                Suite::Cache => (("sim_ns", "1"), None),
-                Suite::Serve => (("errors", "1"), Some("fingerprint_rerun")),
-                Suite::Store => (("sim_ns_rerun", "1"), Some("sim_ns_rerun")),
-                Suite::Sync => (("replica_hit_fabric_ops", "1"), Some("sim_ns_rerun")),
-                Suite::Topo => (("huge_rounds", "2"), Some("sim_ns_rerun")),
-            };
             let name = suite.name();
-            let out =
-                std::env::temp_dir().join(format!("flac-bench-{name}-{}.json", std::process::id()));
-            let out = out.to_str().expect("utf-8 temp path").to_string();
-            let code = main(&[name, "--quick", "--out", &out, "--gate"].map(String::from));
-            let json = std::fs::read_to_string(&out).expect("report written");
-            std::fs::remove_file(&out).expect("remove temp report");
-            assert_eq!(code, 0, "{name}: the gate passes on the written file");
-            assert_eq!(suite.gate(&json), Vec::<String>::new(), "{name}");
-            assert_eq!(suite.check(&json), [QUICK_RULE], "{name}");
-            let mutated = with_field(&json, key, value);
-            assert_ne!(mutated, json, "{name}: {key} mutated");
+            let report = committed(suite);
+            assert_eq!(suite.failures(&report), Vec::<String>::new(), "{name}");
+            assert_eq!(
+                suite.check(&report, &report),
+                Vec::<String>::new(),
+                "{name}"
+            );
+            // An invariant column or fact whose mutation must fail the
+            // judgement, and the rerun column of the schema's one parity
+            // check.
+            let ((at, col, value), rerun) = match suite {
+                Suite::Serve => ((Some(0), "errors", 1), Some("fingerprint_rerun")),
+                Suite::Store => ((None, "second_bytes_fetched", 1), Some("sim_ns_rerun")),
+                Suite::Sync => ((None, "replica_hit_fabric_ops", 1), Some("sim_ns_rerun")),
+                Suite::Topo => ((None, "huge_rounds", 2), Some("sim_ns_rerun")),
+            };
+            let mutated = edited(&report, at, col, value);
             assert!(
-                !suite.gate(&mutated).is_empty(),
-                "{name}: {key} = {value} must fail the gate"
+                !suite.failures(&mutated).is_empty(),
+                "{name}: {col} = {value} must fail"
             );
             if let Some(rerun) = rerun {
-                let failures = suite.gate(&with_field(&json, rerun, "1"));
+                let failures = suite.failures(&edited(&report, Some(0), rerun, 1));
                 assert!(
                     failures.iter().any(|f| f.contains("did not reproduce")),
                     "{name}: {rerun} = 1 must break rerun parity: {failures:?}"
                 );
             }
+            let other = Suite::ALL.into_iter().find(|&s| s != suite).unwrap();
+            assert_eq!(other.failures(&report).len(), 1, "{name} judged as another");
         }
     }
 
     #[test]
+    fn check_names_the_point_column_and_both_values_of_an_edited_column() {
+        let fresh = committed(Suite::Topo);
+        let key = fresh.points[1].key.clone();
+        let was = fresh.points[1].u64("p50_ns").unwrap();
+        let failures = Suite::Topo.check(&fresh, &edited(&fresh, Some(1), "p50_ns", was + 1));
+        assert_eq!(
+            failures,
+            [format!(
+                "\"{key}\": p50_ns is {was} fresh, {} committed",
+                was + 1
+            )]
+        );
+        let base = fresh.facts.u64("base_rounds").unwrap();
+        let failures = Suite::Topo.check(&fresh, &edited(&fresh, None, "base_rounds", 7));
+        assert_eq!(
+            failures,
+            [format!(
+                "\"facts\": base_rounds is {base} fresh, 7 committed"
+            )]
+        );
+    }
+
+    #[test]
+    fn check_names_a_point_the_committed_report_lacks() {
+        let fresh = committed(Suite::Sync);
+        let mut lacking = fresh.clone();
+        let gone = lacking.points.remove(3);
+        let failures = Suite::Sync.check(&fresh, &lacking);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].starts_with(&format!("\"{}\": produced fresh, absent", gone.key)),
+            "{failures:?}"
+        );
+        assert!(
+            failures[0].ends_with(&gone.to_string()),
+            "every column named"
+        );
+    }
+
+    #[test]
+    fn check_names_an_extra_committed_point_and_an_extra_column() {
+        let fresh = committed(Suite::Store);
+        let mut extra = fresh.clone();
+        let stale = Point::new("shards=16").with("sim_ns", 1u64);
+        extra.points.push(stale.clone());
+        extra.points[0] = extra.points[0].clone().with("wall_ns", 5u64);
+        let failures = Suite::Store.check(&fresh, &extra);
+        let key = &fresh.points[0].key;
+        assert_eq!(
+            failures,
+            [
+                format!("\"{key}\": wall_ns is absent fresh, 5 committed"),
+                format!("\"shards=16\": committed, not produced fresh: {stale}"),
+            ]
+        );
+        // The same rows in another order fail too.
+        let mut reordered = fresh.clone();
+        reordered.points.swap(0, 1);
+        assert_eq!(Suite::Store.check(&fresh, &reordered).len(), 1);
+    }
+
+    #[test]
     fn a_rerun_records_the_moved_points_of_the_report_it_replaces() {
-        let name = Suite::Topo.name();
-        let out =
-            std::env::temp_dir().join(format!("flac-bench-before-{}.json", std::process::id()));
-        let out = out.to_str().expect("utf-8 temp path").to_string();
-        let run = || main(&[name, "--quick", "--out", &out].map(String::from));
-        assert_eq!(run(), 0);
-        let first = Report::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        assert!(first.before.is_empty(), "nothing to replace");
-        // Replace a recording in which one point was slower.
-        let key = first.points[1].key.clone();
-        let was = first.points[1].u64("sim_ns").unwrap();
-        let mut slower = first.clone();
-        slower.points[1] = slower.points[1].clone().with("sim_ns", was + 7);
-        std::fs::write(&out, slower.to_json()).unwrap();
-        assert_eq!(run(), 0);
-        let second = Report::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        std::fs::remove_file(&out).expect("remove temp report");
-        assert_eq!(second.points, first.points, "the run is deterministic");
-        assert_eq!(second.before.len(), 1, "{:?}", second.before);
-        assert_eq!(second.before[0].key, key);
-        assert_eq!(second.before[0].u64("sim_ns_before"), Ok(was + 7));
-        assert_eq!(second.before[0].u64("sim_ns_after"), Ok(was));
+        // Re-recording over a serve report with one edited p50_ns writes
+        // exactly that point's replaced row as `before[]`, verbatim.
+        let fresh = committed(Suite::Serve);
+        let was = fresh.points[2].u64("p50_ns").unwrap();
+        let previous = edited(&fresh, Some(2), "p50_ns", was + 7);
+        let written = fresh.clone().replacing(&previous);
+        assert_eq!(written.points, fresh.points);
+        assert_eq!(written.before, [previous.points[2].clone()]);
+        assert_eq!(written.before[0].u64("p50_ns"), Ok(was + 7));
+        let json = written.to_json();
+        assert_eq!(Report::parse(&json), Ok(written), "the file re-reads");
+        // The history is not compared: the re-recorded file checks.
+        assert_eq!(
+            Suite::Serve.check(&fresh, &Report::parse(&json).unwrap()),
+            Vec::<String>::new()
+        );
     }
 }

@@ -63,11 +63,6 @@ pub struct SyncScaleConfig {
 }
 
 impl SyncScaleConfig {
-    /// CI smoke: enough rounds to exercise every path, ~seconds.
-    pub fn quick() -> Self {
-        SyncScaleConfig { rounds: 40 }
-    }
-
     /// The committed-report configuration.
     pub fn full() -> Self {
         SyncScaleConfig { rounds: 400 }
@@ -344,8 +339,9 @@ pub fn run_numa_probe(rounds: usize) -> (u64, u64) {
     (out[0], out[1])
 }
 
-/// The invariants every report must hold (the `--gate`):
+/// The judgement of a report:
 ///
+/// * every (policy, writers, reads) point of the sweep present;
 /// * node-replicated ≤ delegated ns/op at **every** multi-writer point
 ///   (writers ≥ 2, all read ratios);
 /// * node-replicated strictly faster on the pure-write sweep at ≥ 2 of
@@ -359,8 +355,19 @@ pub fn run_numa_probe(rounds: usize) -> (u64, u64) {
 /// # Errors
 ///
 /// Names a column or fact the report lacks.
-pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
+pub fn failures(report: &Report) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
+    for &writers in &WRITER_COUNTS {
+        for &read_pct in &READ_PCTS {
+            for policy in ["delegated", "node_replicated"] {
+                if report.point(&key(policy, writers, read_pct)).is_none() {
+                    failures.push(format!(
+                        "missing point ({policy}, writers={writers}, reads={read_pct}%)"
+                    ));
+                }
+            }
+        }
+    }
     let mut strict_wins = 0;
     for &writers in &MULTI_WRITER {
         for &read_pct in &READ_PCTS {
@@ -368,10 +375,7 @@ pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
                 report.point(&key("node_replicated", writers, read_pct)),
                 report.point(&key("delegated", writers, read_pct)),
             ) else {
-                failures.push(format!(
-                    "missing (writers={writers}, reads={read_pct}%) pair"
-                ));
-                continue;
+                continue; // a missing point is named above
             };
             let (nr, del) = (nr.u64("avg_ns_per_op")?, del.u64("avg_ns_per_op")?);
             if nr > del {
@@ -416,41 +420,16 @@ pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
     Ok(failures)
 }
 
-/// The committed report's own target: every (policy, writers, reads)
-/// point of the sweep present.
-///
-/// # Errors
-///
-/// Never: every check is on point keys.
-pub fn target_failures(report: &Report) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-    for &writers in &WRITER_COUNTS {
-        for &read_pct in &READ_PCTS {
-            for policy in ["delegated", "node_replicated"] {
-                if report.point(&key(policy, writers, read_pct)).is_none() {
-                    failures.push(format!(
-                        "missing point ({policy}, writers={writers}, reads={read_pct}%)"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(failures)
+/// Run the sweep of [`SyncScaleConfig::full`] and the probes, printing
+/// the probe lines, and build the report.
+pub fn run() -> Report {
+    run_with(SyncScaleConfig::full(), 64)
 }
 
-/// Run the sweep and the probes, printing the probe lines, and build
-/// the report.
-pub fn run(quick: bool) -> Report {
-    let cfg = if quick {
-        SyncScaleConfig::quick()
-    } else {
-        SyncScaleConfig::full()
-    };
-    println!(
-        "sync: {} mode, {} write rounds per point",
-        if quick { "quick" } else { "full" },
-        cfg.rounds
-    );
+/// [`run`] at the sizes of `cfg`, with `numa_rounds` rounds of the
+/// NUMA probe.
+fn run_with(cfg: SyncScaleConfig, numa_rounds: usize) -> Report {
+    println!("sync: {} write rounds per point", cfg.rounds);
     let points = run_sweep(cfg);
     let probes = run_probes();
     println!(
@@ -462,14 +441,14 @@ pub fn run(quick: bool) -> Report {
          {} per 8-publication combine",
         probes.catch_up_global_reads, probes.combine_global_reads
     );
-    let (flat_claims, pod_claims) = run_numa_probe(if quick { 8 } else { 64 });
+    let (flat_claims, pod_claims) = run_numa_probe(numa_rounds);
     println!(
         "  NUMA combiner placement: remote combiner claims flat={flat_claims} \
          pod={pod_claims} (delta {})",
         pod_claims - flat_claims
     );
     let mut report = probes.record(
-        Report::new("sync", quick)
+        Report::new("sync")
             .fact("nodes", NODES)
             .fact("rounds", cfg.rounds),
     );
@@ -481,16 +460,21 @@ pub fn run(quick: bool) -> Report {
 mod tests {
     use super::*;
 
+    /// A tenth of the full run's rounds: every path in seconds.
+    fn quick() -> Report {
+        run_with(SyncScaleConfig { rounds: 40 }, 8)
+    }
+
     #[test]
     fn quick_sweep_passes_its_own_gate() {
-        let report = run(true);
+        let report = quick();
         assert_eq!(report.rerun_failures(), Vec::<String>::new());
-        assert_eq!(gate_failures(&report), Ok(Vec::new()));
+        assert_eq!(failures(&report), Ok(Vec::new()));
     }
 
     #[test]
     fn report_roundtrips_and_checks() {
-        let report = run(true);
+        let report = quick();
         let json = report.to_json();
         let parsed = Report::parse(&json).expect("parse");
         assert_eq!(parsed, report);
@@ -499,11 +483,16 @@ mod tests {
             2 * WRITER_COUNTS.len() * READ_PCTS.len()
         );
         assert_eq!(parsed.facts.u64("rounds"), Ok(40));
-        // A quick report fails the committed-report check on exactly
-        // the quick flag.
-        let failures = crate::suite::Suite::Sync.check(&json);
+        assert_eq!(
+            crate::suite::Suite::Sync.failures(&parsed),
+            Vec::<String>::new()
+        );
+        // A report that lost a point of the sweep fails on exactly it.
+        let mut lacking = parsed;
+        lacking.points.pop();
+        let failures = crate::suite::Suite::Sync.failures(&lacking);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("--quick"));
+        assert!(failures[0].contains("missing point"), "{failures:?}");
     }
 
     #[test]
@@ -527,7 +516,7 @@ mod tests {
             combine_global_reads: 2 + 3 * NODES as u64,
         };
         // No sweep needed: only the probe failures are counted.
-        let failures = gate_failures(&per_entry.record(Report::new("sync", true))).unwrap();
+        let failures = failures(&per_entry.record(Report::new("sync"))).unwrap();
         let about_reads = failures.iter().filter(|f| f.contains("global reads"));
         assert_eq!(about_reads.count(), 2, "{failures:?}");
     }

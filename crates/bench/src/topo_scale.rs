@@ -64,14 +64,6 @@ pub struct TopoScaleConfig {
 }
 
 impl TopoScaleConfig {
-    /// CI smoke sizing (~seconds).
-    pub fn quick() -> Self {
-        TopoScaleConfig {
-            warmup: 1000,
-            measured: 2000,
-        }
-    }
-
     /// Committed-report sizing.
     pub fn full() -> Self {
         TopoScaleConfig {
@@ -325,16 +317,16 @@ pub fn region_probe() -> (u64, u64) {
     (rounds[0], rounds[1])
 }
 
-/// The invariants every report must hold (the `--gate`): the region
-/// probe pins exactly 512 page-wise vs 1 region-wise shootdown rounds,
-/// and the huge arm beats the base arm's p50 and round count at the
-/// same local-DRAM budget on every topology. Rerun parity is the
-/// schema's own check.
+/// The judgement of a report: every (topology, mode) cell of the sweep
+/// present, the region probe pinning exactly 512 page-wise vs 1
+/// region-wise shootdown rounds, and the huge arm beating the base
+/// arm's p50 and round count at the same local-DRAM budget on every
+/// topology. Rerun parity is the schema's own check.
 ///
 /// # Errors
 ///
 /// Names a column or fact the report lacks.
-pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
+pub fn failures(report: &Report) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
     let probe = (
         report.facts.u64("base_rounds")?,
@@ -348,12 +340,16 @@ pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
         ));
     }
     for topo in ["flat", "pod"] {
+        for mode in ["base", "huge"] {
+            if report.point(&format!("topo={topo} mode={mode}")).is_none() {
+                failures.push(format!("missing sweep cell {topo}/{mode}"));
+            }
+        }
         let (Some(base), Some(huge)) = (
             report.point(&format!("topo={topo} mode=base")),
             report.point(&format!("topo={topo} mode=huge")),
         ) else {
-            failures.push(format!("{topo}: missing base/huge cell"));
-            continue;
+            continue; // a missing cell is named above
         };
         if huge.u64("region_promotions")? < 1 {
             failures.push(format!("{topo}: huge arm coalesced no region"));
@@ -380,42 +376,20 @@ pub fn gate_failures(report: &Report) -> Result<Vec<String>, String> {
     Ok(failures)
 }
 
-/// The committed report's own target: every (topology, mode) cell of
-/// the sweep present.
-///
-/// # Errors
-///
-/// Never: every check is on point keys.
-pub fn target_failures(report: &Report) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-    for topo in ["flat", "pod"] {
-        for mode in ["base", "huge"] {
-            if report.point(&format!("topo={topo} mode={mode}")).is_none() {
-                failures.push(format!("missing sweep cell {topo}/{mode}"));
-            }
-        }
-    }
-    Ok(failures)
+/// Run the region probe and the sweep of [`TopoScaleConfig::full`],
+/// printing the probe line, and build the report.
+pub fn run() -> Report {
+    run_with(TopoScaleConfig::full())
 }
 
-/// Run the region probe and the sweep, printing the probe line, and
-/// build the report.
-pub fn run(quick: bool) -> Report {
-    let cfg = if quick {
-        TopoScaleConfig::quick()
-    } else {
-        TopoScaleConfig::full()
-    };
-    println!(
-        "topo: {} mode, {} measured accesses per arm",
-        if quick { "quick" } else { "full" },
-        cfg.measured
-    );
+/// [`run`] at the sizes of `cfg`.
+fn run_with(cfg: TopoScaleConfig) -> Report {
+    println!("topo: {} measured accesses per arm", cfg.measured);
     let (base_rounds, huge_rounds) = region_probe();
     println!(
         "  region promotion: {base_rounds} page-wise shootdown rounds vs {huge_rounds} ranged round"
     );
-    let mut report = Report::new("topo", quick)
+    let mut report = Report::new("topo")
         .fact("pages", PAGES)
         .fact("zipf_skew", SKEW)
         .fact("budget_bytes", BUDGET_BYTES)
@@ -436,12 +410,13 @@ mod tests {
 
     #[test]
     fn quick_sweep_passes_the_gate_and_roundtrips() {
-        let report = run(true);
+        let report = run_with(TopoScaleConfig {
+            warmup: 1000,
+            measured: 2000,
+        });
         let json = report.to_json();
-        assert_eq!(Report::parse(&json), Ok(report));
-        // The same rows from a full run pass the committed-report check.
-        let full = json.replace("\"quick\": true", "\"quick\": false");
-        let failures = crate::suite::Suite::Topo.check(&full);
+        assert_eq!(Report::parse(&json).as_ref(), Ok(&report));
+        let failures = crate::suite::Suite::Topo.failures(&report);
         assert!(failures.is_empty(), "{failures:?}");
     }
 
@@ -456,17 +431,12 @@ mod tests {
             .with("demoted", 2u64)
             .with("region_promotions", 0u64)
             .with("shootdown_rounds", 12u64);
-        let mut report = Report::new("topo", false)
+        let mut report = Report::new("topo")
             .fact("base_rounds", 512u64)
             .fact("huge_rounds", 2u64);
         report.points = vec![row];
-        assert!(target_failures(&report)
-            .unwrap()
-            .iter()
-            .any(|f| f.contains("missing sweep cell")));
-        assert!(gate_failures(&report)
-            .unwrap()
-            .iter()
-            .any(|f| f.contains("region probe")));
+        let failures = failures(&report).unwrap();
+        assert!(failures.iter().any(|f| f.contains("missing sweep cell")));
+        assert!(failures.iter().any(|f| f.contains("region probe")));
     }
 }

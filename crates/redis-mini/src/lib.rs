@@ -7,8 +7,8 @@
 //! baseline — via the [`transport::Transport`] abstraction.
 //!
 //! The evaluation drives SET and GET at two request sizes and measures
-//! client-observed latency; see `bench/benches/fig4_redis.rs` and
-//! `figures -- fig4`. The heavy-traffic serving benchmark
+//! client-observed latency; see `bench::fig4` and `figures -- fig4`.
+//! The heavy-traffic serving benchmark
 //! (`flac-bench serve`, `BENCH_serve.json`) drives the same server with an
 //! open-loop multi-connection load via the [`server`] event loop's RESP
 //! pipelining and batched replies.

@@ -10,9 +10,11 @@ use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacos_fs::page_cache::SharedPageCache;
 use flacos_ipc::channel::FlacChannel;
 use flacos_mem::{AccessRing, AddressSpace, PhysFrame, Pte, VirtAddr, PAGE_SIZE};
+use rack_sim::cache::NodeCache;
 use rack_sim::metrics::{bucket_index, HistogramSnapshot};
 use rack_sim::{
-    AddrClass, CostClass, GAddr, NodeCtx, OpKind, Rack, RackConfig, SimError, LINE_SIZE,
+    AddrClass, CacheConfig, CostClass, GAddr, GlobalMemory, LatencyModel, NodeCtx, OpKind, Rack,
+    RackConfig, SimError, SplitMix64, LINE_SIZE,
 };
 
 fn small_rack() -> Rack {
@@ -297,6 +299,134 @@ fn multi_bank_spans_in_the_capacity_regime_charge_exactly() {
     assert!(buf[10..310].iter().all(|&b| b == 0x22));
     assert!(buf[310..].iter().all(|&b| b == 0x11));
     assert_eq!(n0.stats().snapshot().total_charged_ns(), n0.clock().now());
+}
+
+/// Lines in the seeded stream's working set: a quarter of one bank of
+/// the default cache, so no line is ever evicted.
+const STREAM_LINES: u64 = 2048;
+
+#[test]
+fn seeded_line_stream_charges_exactly_its_hits_misses_and_maintenance() {
+    // One thread's op stream over a warm 2 048-line working set: ~1/8
+    // 8-byte writes, the rest 8-byte reads, and before an op, with
+    // probability 1 - hit/1000, an invalidate that makes it miss. The
+    // test keeps its own resident and dirty line sets; the cache must
+    // charge exactly what they predict, and a closing writeback of the
+    // whole set must find exactly the lines the test saw dirtied.
+    const OPS: u64 = 200_000;
+    let lat = LatencyModel::hccs();
+    let tail = lat.transfer_ns(LINE_SIZE).max(1);
+    for hit_permille in [950, 500] {
+        let global = GlobalMemory::new(STREAM_LINES as usize * LINE_SIZE);
+        let cache = NodeCache::new(CacheConfig::default());
+        let mut buf = [0u8; 8];
+        let mut warm = 0;
+        for line in 0..STREAM_LINES {
+            let addr = GAddr(line * LINE_SIZE as u64);
+            warm += cache.read(&global, &lat, addr, &mut buf).unwrap();
+        }
+        assert_eq!(warm, STREAM_LINES * lat.global_read_ns);
+
+        let mut resident = vec![true; STREAM_LINES as usize];
+        let mut dirty = vec![false; STREAM_LINES as usize];
+        let (mut hits, mut misses, mut invalidations) = (0u64, 0u64, 0u64);
+        let mut charged = 0;
+        let mut rng = SplitMix64::new(0xCAC4E_5CA1E);
+        for _ in 0..OPS {
+            let line = rng.next_below(STREAM_LINES);
+            let (addr, at) = (GAddr(line * LINE_SIZE as u64), line as usize);
+            if rng.next_below(1000) >= hit_permille {
+                charged += cache.invalidate(&lat, addr, 8);
+                if std::mem::take(&mut resident[at]) {
+                    invalidations += 1;
+                    dirty[at] = false;
+                }
+            }
+            let write = rng.next_below(8) == 0;
+            charged += if write {
+                cache.write(&global, &lat, addr, &line.to_le_bytes())
+            } else {
+                cache.read(&global, &lat, addr, &mut buf)
+            }
+            .unwrap();
+            if std::mem::replace(&mut resident[at], true) {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+            dirty[at] |= write;
+        }
+        let dirty_lines = dirty.iter().filter(|&&d| d).count() as u64;
+        let span = STREAM_LINES as usize * LINE_SIZE;
+        charged += cache.writeback(&global, &lat, GAddr(0), span);
+
+        assert!(
+            dirty_lines > 1 && invalidations > 0,
+            "every term is exercised"
+        );
+        assert_eq!(
+            charged,
+            hits * lat.cache_hit_ns
+                + misses * lat.global_read_ns
+                + invalidations * lat.invalidate_line_ns
+                + lat.writeback_line_ns
+                + (dirty_lines - 1) * tail,
+            "hit_permille={hit_permille}"
+        );
+        let cs = cache.stats();
+        assert_eq!(
+            (cs.hits, cs.misses, cs.invalidations, cs.writebacks),
+            (hits, STREAM_LINES + misses, invalidations, dirty_lines)
+        );
+        assert_eq!(cs.evictions, 0, "the working set fits");
+    }
+}
+
+#[test]
+fn page_span_sweep_charges_its_closed_form_per_phase() {
+    // 24 sweeps over 256 resident-sized 4 KiB pages, each three phases:
+    // a cold read of every page (the first line of a page at full fabric
+    // latency, the other 63 at the bandwidth tail), a full-page write
+    // (64 hits) plus its writeback (one full-latency line, 63 tails), and
+    // the invalidation of every page (one instruction, 63 extra lines).
+    const PAGES: u64 = 256;
+    const PAGE: usize = 4096;
+    const ROUNDS: u64 = 24;
+    let lat = LatencyModel::hccs();
+    let tail = lat.transfer_ns(LINE_SIZE).max(1);
+    let lines = (PAGE / LINE_SIZE) as u64;
+    let global = GlobalMemory::new(PAGES as usize * PAGE);
+    let cache = NodeCache::new(CacheConfig::default());
+    let page = |p: u64| GAddr(p * PAGE as u64);
+    let mut buf = vec![0u8; PAGE];
+    let mut charged = [0u64; 3];
+    for round in 0..ROUNDS {
+        for p in 0..PAGES {
+            charged[0] += cache.read(&global, &lat, page(p), &mut buf).unwrap();
+            let last = round.checked_sub(1).map_or(0, |r| r as u8);
+            assert!(buf.iter().all(|&b| b == last), "last round's writeback");
+        }
+        let payload = vec![round as u8; PAGE];
+        for p in 0..PAGES {
+            charged[1] += cache.write(&global, &lat, page(p), &payload).unwrap()
+                + cache.writeback(&global, &lat, page(p), PAGE);
+        }
+        for p in 0..PAGES {
+            charged[2] += cache.invalidate(&lat, page(p), PAGE);
+        }
+    }
+    let per_page = [
+        lat.global_read_ns + (lines - 1) * tail,
+        lines * lat.cache_hit_ns + lat.writeback_line_ns + (lines - 1) * tail,
+        lat.invalidate_line_ns + (lines - 1) * lat.invalidate_extra_line_ns,
+    ];
+    assert_eq!(charged, per_page.map(|ns| ROUNDS * PAGES * ns));
+    let cs = cache.stats();
+    let line_visits = ROUNDS * PAGES * lines;
+    assert_eq!(
+        (cs.misses, cs.hits, cs.writebacks, cs.invalidations),
+        (line_visits, line_visits, line_visits, line_visits)
+    );
 }
 
 /// Committed-op counter for the node-replicated cost tests.
