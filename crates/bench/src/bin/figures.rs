@@ -1,112 +1,160 @@
-//! Regenerate the paper's figures/tables and the ablations.
+//! Regenerate the paper's figures/tables, the ablations and the judged
+//! scale sweeps.
 //!
 //! ```text
-//! figures [fig4|startup|sync|pagecache|ipc|faultbox|dedup|fabric|tiering|adaptive|all]
+//! figures [fig4|startup|sync|pagecache|ipc|faultbox|dedup|fabric|tiering|adaptive|serve|store|replication|topo|all]
 //! ```
 //!
-//! Every figure is followed by the rack-wide metrics decomposition of a
-//! representative cell — operation counts, per-cost-class latency
-//! histograms, and per-subsystem counters — so the headline numbers can
-//! be traced back to the simulated operations that produced them.
+//! Every figure and ablation A1–A8 is followed by the rack-wide metrics
+//! decomposition of a representative cell — operation counts,
+//! per-cost-class latency histograms, and per-subsystem counters — so
+//! the headline numbers can be traced back to the simulated operations
+//! that produced them. The four scale sweeps (`serve`, `store`,
+//! `replication`, `topo`) are judged instead: a sweep that breaks one of
+//! its invariants prints nothing on stdout, names each broken invariant
+//! on stderr, and makes `figures` exit 1, so `figures all > FIGURES.txt`
+//! cannot record it. An unknown section exits 2.
 
 use bench::{
-    adaptive_ab, dedup_ab, fabric_ab, faultbox_ab, fig4, ipc_ab, pagecache_ab, startup, sync_ab,
-    tiering_ab,
+    adaptive_ab, dedup_ab, fabric_ab, faultbox_ab, fig4, ipc_ab, pagecache_ab, serve_scale,
+    startup, store_scale, sync_ab, sync_scale, tiering_ab, topo_scale,
 };
 use rack_sim::RackReport;
 
-fn print_metrics(what: &str, report: &RackReport) {
-    println!("metrics — {what}:\n{report}\n");
+/// A section's text, or every invariant its run broke.
+type Outcome = Result<String, Vec<String>>;
+
+/// Run one section.
+type Section = fn() -> Outcome;
+
+/// A table followed by the metrics decomposition of `what`.
+fn figure(table: String, what: &str, metrics: &RackReport) -> Outcome {
+    Ok(format!("{table}\n\nmetrics — {what}:\n{metrics}\n\n"))
 }
+
+/// A judged run's table if `failures` is empty.
+fn judged(failures: Vec<String>, table: String) -> Outcome {
+    if failures.is_empty() {
+        Ok(format!("{table}\n"))
+    } else {
+        Err(failures)
+    }
+}
+
+/// Every section, in the order `all` prints them.
+const SECTIONS: [(&str, Section); 14] = [
+    ("fig4", || {
+        figure(
+            fig4::report(&fig4::run(1000)),
+            "Figure 4 representative cell (FlacOS SET, 4 KiB)",
+            &fig4::metrics(200),
+        )
+    }),
+    ("startup", || {
+        figure(
+            startup::report(&startup::run()),
+            "container startup (small image)",
+            &startup::metrics(),
+        )
+    }),
+    ("sync", || {
+        figure(
+            sync_ab::report(&sync_ab::run(400)),
+            "A1 representative cell (rcu, 2 nodes, 50% reads)",
+            &sync_ab::metrics(400),
+        )
+    }),
+    ("pagecache", || {
+        figure(
+            pagecache_ab::report(&pagecache_ab::run()),
+            "A2 representative cell (2 nodes, shared file set)",
+            &pagecache_ab::metrics(),
+        )
+    }),
+    ("ipc", || {
+        figure(
+            ipc_ab::report(&ipc_ab::run(200)),
+            "A4 representative point (FlacOS echo, 4 KiB)",
+            &ipc_ab::metrics(200),
+        )
+    }),
+    ("faultbox", || {
+        figure(
+            faultbox_ab::report(&faultbox_ab::run()),
+            "A3 representative cell (8 apps, fault-box path)",
+            &faultbox_ab::metrics(),
+        )
+    }),
+    ("dedup", || {
+        figure(
+            dedup_ab::report(&dedup_ab::run()),
+            "A5 representative cell (4 images, shared layers)",
+            &dedup_ab::metrics(),
+        )
+    }),
+    ("fabric", || {
+        figure(
+            fabric_ab::report(&fabric_ab::run(300)),
+            "A6 representative cell (HCCS, FlacOS SET, 4 KiB)",
+            &fabric_ab::metrics(300),
+        )
+    }),
+    ("tiering", || {
+        figure(
+            tiering_ab::report(&tiering_ab::run()),
+            "A7 representative cell (zipf 0.99, daemon on)",
+            &tiering_ab::metrics(),
+        )
+    }),
+    ("adaptive", || {
+        figure(
+            adaptive_ab::report(&adaptive_ab::run()),
+            "A8 representative cell (adaptive driver, 25% reads)",
+            &adaptive_ab::metrics(),
+        )
+    }),
+    ("serve", || {
+        let r = serve_scale::run().map_err(|e| vec![e])?;
+        judged(serve_scale::failures(&r), serve_scale::report(&r))
+    }),
+    ("store", || {
+        let r = store_scale::run();
+        judged(store_scale::failures(&r), store_scale::report(&r))
+    }),
+    ("replication", || {
+        let r = sync_scale::run();
+        judged(sync_scale::failures(&r), sync_scale::report(&r))
+    }),
+    ("topo", || {
+        let r = topo_scale::run();
+        judged(topo_scale::failures(&r), topo_scale::report(&r))
+    }),
+];
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let mut ran = false;
-
-    if matches!(arg.as_str(), "fig4" | "all") {
-        println!("{}\n", fig4::report(&fig4::run(1000)));
-        print_metrics(
-            "Figure 4 representative cell (FlacOS SET, 4 KiB)",
-            &fig4::metrics(200),
-        );
-        ran = true;
-    }
-    if matches!(arg.as_str(), "startup" | "all") {
-        println!("{}\n", startup::report(&startup::run()));
-        print_metrics("container startup (small image)", &startup::metrics());
-        ran = true;
-    }
-    if matches!(arg.as_str(), "sync" | "all") {
-        println!("{}\n", sync_ab::report(&sync_ab::run(400)));
-        print_metrics(
-            "A1 representative cell (rcu, 2 nodes, 50% reads)",
-            &sync_ab::metrics(400),
-        );
-        ran = true;
-    }
-    if matches!(arg.as_str(), "pagecache" | "all") {
-        println!("{}\n", pagecache_ab::report(&pagecache_ab::run()));
-        print_metrics(
-            "A2 representative cell (2 nodes, shared file set)",
-            &pagecache_ab::metrics(),
-        );
-        ran = true;
-    }
-    if matches!(arg.as_str(), "ipc" | "all") {
-        println!("{}\n", ipc_ab::report(&ipc_ab::run(200)));
-        print_metrics(
-            "A4 representative point (FlacOS echo, 4 KiB)",
-            &ipc_ab::metrics(200),
-        );
-        ran = true;
-    }
-    if matches!(arg.as_str(), "faultbox" | "all") {
-        println!("{}\n", faultbox_ab::report(&faultbox_ab::run()));
-        print_metrics(
-            "A3 representative cell (8 apps, fault-box path)",
-            &faultbox_ab::metrics(),
-        );
-        ran = true;
-    }
-    if matches!(arg.as_str(), "dedup" | "all") {
-        println!("{}\n", dedup_ab::report(&dedup_ab::run()));
-        print_metrics(
-            "A5 representative cell (4 images, shared layers)",
-            &dedup_ab::metrics(),
-        );
-        ran = true;
-    }
-    if matches!(arg.as_str(), "fabric" | "all") {
-        println!("{}\n", fabric_ab::report(&fabric_ab::run(300)));
-        print_metrics(
-            "A6 representative cell (HCCS, FlacOS SET, 4 KiB)",
-            &fabric_ab::metrics(300),
-        );
-        ran = true;
-    }
-
-    if matches!(arg.as_str(), "tiering" | "all") {
-        println!("{}\n", tiering_ab::report(&tiering_ab::run()));
-        print_metrics(
-            "A7 representative cell (zipf 0.99, daemon on)",
-            &tiering_ab::metrics(),
-        );
-        ran = true;
-    }
-
-    if matches!(arg.as_str(), "adaptive" | "all") {
-        println!("{}\n", adaptive_ab::report(&adaptive_ab::run()));
-        print_metrics(
-            "A8 representative cell (adaptive driver, 25% reads)",
-            &adaptive_ab::metrics(),
-        );
-        ran = true;
-    }
-
-    if !ran {
-        eprintln!(
-            "usage: figures [fig4|startup|sync|pagecache|ipc|faultbox|dedup|fabric|tiering|adaptive|all]"
-        );
+    let chosen: Vec<_> = SECTIONS
+        .iter()
+        .filter(|(name, _)| arg == "all" || arg == *name)
+        .collect();
+    if chosen.is_empty() {
+        let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+        eprintln!("usage: figures [{}|all]", names.join("|"));
         std::process::exit(2);
+    }
+    let mut failed = false;
+    for (name, section) in chosen {
+        match section() {
+            Ok(text) => print!("{text}"),
+            Err(failures) => {
+                failed = true;
+                for f in failures {
+                    eprintln!("figures {name}: JUDGEMENT FAILURE: {f}");
+                }
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

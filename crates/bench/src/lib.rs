@@ -2,8 +2,11 @@
 //! plus the ablations DESIGN.md commits to.
 //!
 //! Each experiment module returns structured rows; the `figures` binary
-//! prints them as the paper-style tables. Wall-clock speed is measured
-//! by the repo benchmark's `host_*` metrics (`benchmark/`), not here.
+//! prints them as the paper-style tables, one section per module, into
+//! the committed `FIGURES.txt`. The four judged sections (`serve`,
+//! `store`, `replication`, `topo`) print only a run that passes its
+//! module's `failures`. Wall-clock speed is measured by the repo
+//! benchmark's `host_*` metrics (`benchmark/`), not here.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -17,12 +20,10 @@
 //! | [`fabric_ab`] | Ablation A6 — sensitivity to the interconnect generation |
 //! | [`tiering_ab`] | Ablation A7 — page tiering daemon off vs on |
 //! | [`adaptive_ab`] | Ablation A8 — fixed sync policies vs adaptive driver |
-//! | [`serve_scale`] | §4 serving at scale — open-loop sweep, `flac-bench serve` |
-//! | [`store_scale`] | §4.2 chunk store — shard sweep and overlap, `flac-bench store` |
-//! | [`sync_scale`] | §3.2 node replication — flat-combining sweep, `flac-bench sync` |
-//! | [`topo_scale`] | §2.1/§3.3 — topology depth × page size, 1 shootdown per 2 MiB, `flac-bench topo` |
-//! | [`suite`] | the `flac-bench` runner: re-record a suite's report, or `--check` that the tree re-derives it |
-//! | [`report`] | the one report schema of those four suites: writer, parser, rerun parity, `before[]` rows, fresh-vs-committed comparison |
+//! | [`serve_scale`] | E3 — §4 serving at scale, open-loop sweep (`figures serve`) |
+//! | [`store_scale`] | A9 — §4.2 chunk store, shard sweep and overlap (`figures store`) |
+//! | [`sync_scale`] | A10 — §3.2 node replication, flat-combining sweep (`figures replication`) |
+//! | [`topo_scale`] | A11 — §2.1/§3.3 topology depth × page size, 1 shootdown per 2 MiB (`figures topo`) |
 //! | [`faultstorm`] | §3.6 reliability — five seeded fault-storm campaigns, `flac-faultstorm` |
 
 pub mod adaptive_ab;
@@ -33,13 +34,47 @@ pub mod faultstorm;
 pub mod fig4;
 pub mod ipc_ab;
 pub mod pagecache_ab;
-pub mod report;
 pub mod serve_scale;
 pub mod startup;
 pub mod store_scale;
-pub mod suite;
 pub mod sync_ab;
 pub mod sync_scale;
 pub mod table;
 pub mod tiering_ab;
 pub mod topo_scale;
+
+/// A text a judgement's failures must contain, and the edit of a
+/// passing result that must produce it.
+#[cfg(test)]
+type Mutation<T> = (&'static str, fn(&mut T));
+
+/// Assert that `failures` passes `good`, and that each mutation of it
+/// fails with a failure containing that mutation's text.
+#[cfg(test)]
+fn assert_judged<T: Clone>(
+    good: &T,
+    failures: impl Fn(&T) -> Vec<String>,
+    mutations: &[Mutation<T>],
+) {
+    assert_eq!(failures(good), Vec::<String>::new(), "unmutated");
+    for (want, mutate) in mutations {
+        let mut bad = good.clone();
+        mutate(&mut bad);
+        let found = failures(&bad);
+        assert!(found.iter().any(|f| f.contains(want)), "{want}: {found:?}");
+    }
+}
+
+/// The cells of each data row of the first table in a rendered report:
+/// the lines between the header rule and the next blank line, split on
+/// whitespace.
+#[cfg(test)]
+fn table_cells(report: &str) -> Vec<Vec<String>> {
+    report
+        .lines()
+        .skip_while(|l| !l.starts_with("---"))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_whitespace().map(str::to_string).collect())
+        .collect()
+}

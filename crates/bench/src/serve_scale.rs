@@ -1,5 +1,5 @@
-//! `bench::serve_scale` — the `flac-bench serve` heavy-traffic serving
-//! benchmark (ROADMAP item 1).
+//! `bench::serve_scale` — the heavy-traffic serving benchmark, section
+//! `serve` (E3) of `figures` (ROADMAP item 1).
 //!
 //! An **open-loop**, multi-node load generator: it simulates `clients`
 //! concurrent users (100 k – 1 M in the committed sweep) whose aggregate
@@ -21,12 +21,8 @@
 //! `fingerprint` is an order-sensitive checksum over the first run's
 //! latency stream and rates, `fingerprint_rerun` the same over the
 //! second, and the two must agree bit for bit — the simulated-time
-//! determinism gate.
-//!
-//! `flac-bench serve` writes `BENCH_serve.json`; `flac-bench serve
-//! --check` (run by `scripts/verify.sh`) re-derives it from the tree.
+//! determinism gate ([`failures`]).
 
-use crate::report::{tenths, Point, Report};
 use flacdk::alloc::GlobalAllocator;
 use flacos_ipc::channel::FlacChannel;
 use flacos_ipc::netstack::{NetConfig, NetPair};
@@ -40,7 +36,7 @@ use std::collections::VecDeque;
 /// Commands per pipelined message in the saturation firehose.
 const SATURATION_BATCH: usize = 64;
 
-/// Client scales the committed report must cover.
+/// Client scales the sweep must cover.
 pub const MIN_SCALES: usize = 3;
 
 /// Safety valve: abort a run whose event loop stops making progress
@@ -106,7 +102,7 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Full-run parameters at one client scale (committed report).
+    /// Full-run parameters at one client scale (the `figures` sweep).
     pub fn full(clients: u64) -> Self {
         ServeConfig {
             clients,
@@ -125,8 +121,8 @@ impl ServeConfig {
         }
     }
 
-    /// Client scales swept by a run. A report must carry at least
-    /// [`MIN_SCALES`] scales (enforced by [`failures`]).
+    /// Client scales swept by a run: at least [`MIN_SCALES`] (a
+    /// compile-time assertion).
     pub const SCALES: [u64; 3] = [100_000, 300_000, 1_000_000];
 
     /// Aggregate offered load, requests per simulated second.
@@ -134,6 +130,11 @@ impl ServeConfig {
         self.clients as f64 * self.per_client_rps
     }
 }
+
+const _: () = assert!(
+    ServeConfig::SCALES.len() >= MIN_SCALES,
+    "the serving sweep must cover MIN_SCALES client scales"
+);
 
 /// A freshly built measurement rack: the server, its load-generator
 /// connections, and the `Rack` that keeps the simulated nodes alive.
@@ -509,37 +510,78 @@ fn measure_once<T: Transport>(
     })
 }
 
-/// Measure one (transport, scale) point, keyed `transport=<t>
-/// clients=<n>`: two identical seeded runs, the second one only for its
-/// `fingerprint_rerun`. `ops` counts the open-loop requests completed,
-/// `errors` the RESP error replies, `backpressure` the transport's send
-/// `WouldBlock`s; rates are per simulated second and latencies
-/// simulated ns.
+/// One transport's measurement at one client scale: two identical
+/// seeded runs, the second one only for its `fingerprint_rerun`.
+/// Latencies are simulated ns and rates per simulated second.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServePoint {
+    /// Open-loop requests completed.
+    pub ops: u64,
+    /// RESP error replies.
+    pub errors: u64,
+    /// Offered load.
+    pub offered_rps: f64,
+    /// Open-loop completions per simulated second.
+    pub achieved_rps: f64,
+    /// Median open-loop latency.
+    pub p50_ns: u64,
+    /// 99th-percentile open-loop latency.
+    pub p99_ns: u64,
+    /// 99.9th-percentile open-loop latency.
+    pub p999_ns: u64,
+    /// Worst open-loop latency.
+    pub max_ns: u64,
+    /// Completions per simulated second of the closed firehose.
+    pub saturation_rps: f64,
+    /// The transport's send `WouldBlock`s over both phases.
+    pub backpressure: u64,
+    /// Order-sensitive checksum of the first run's latency stream,
+    /// rates, errors and backpressure.
+    pub fingerprint: u64,
+    /// The same checksum of the second run; must equal `fingerprint`.
+    pub fingerprint_rerun: u64,
+}
+
+/// Both transports at one client scale.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServeScale {
+    /// Simulated concurrent clients.
+    pub clients: u64,
+    /// Over FlacOS IPC.
+    pub flac: ServePoint,
+    /// Over the TCP/IP baseline.
+    pub net: ServePoint,
+}
+
+impl ServeScale {
+    /// Each transport's name and point.
+    pub fn points(&self) -> [(&'static str, &ServePoint); 2] {
+        [("flacos-ipc", &self.flac), ("tcp/ip", &self.net)]
+    }
+}
+
 fn run_transport_point<T: Transport>(
-    label: &'static str,
     builds: &dyn Fn() -> Result<BuiltRack<T>, SimError>,
     cfg: &ServeConfig,
-) -> Result<Point, SimError> {
+) -> Result<ServePoint, SimError> {
     let first = measure_once(builds, cfg)?;
     let second = measure_once(builds, cfg)?;
     let mut sorted = first.latencies.clone();
     sorted.sort_unstable();
-    Ok(
-        Point::new(format!("transport={label} clients={}", cfg.clients))
-            .with("ops", first.latencies.len())
-            .with("connections", cfg.connections)
-            .with("errors", first.errors)
-            .with("offered_rps", tenths(cfg.offered_rps()))
-            .with("achieved_rps", tenths(first.achieved_rps))
-            .with("p50_ns", percentile_ns(&sorted, 50.0))
-            .with("p99_ns", percentile_ns(&sorted, 99.0))
-            .with("p999_ns", percentile_ns(&sorted, 99.9))
-            .with("max_ns", sorted.last().copied().unwrap_or(0))
-            .with("saturation_rps", tenths(first.saturation_rps))
-            .with("backpressure", first.backpressure)
-            .with("fingerprint", fingerprint(&first))
-            .with("fingerprint_rerun", fingerprint(&second)),
-    )
+    Ok(ServePoint {
+        ops: first.latencies.len() as u64,
+        errors: first.errors,
+        offered_rps: cfg.offered_rps(),
+        achieved_rps: first.achieved_rps,
+        p50_ns: percentile_ns(&sorted, 50.0),
+        p99_ns: percentile_ns(&sorted, 99.0),
+        p999_ns: percentile_ns(&sorted, 99.9),
+        max_ns: sorted.last().copied().unwrap_or(0),
+        saturation_rps: first.saturation_rps,
+        backpressure: first.backpressure,
+        fingerprint: fingerprint(&first),
+        fingerprint_rerun: fingerprint(&second),
+    })
 }
 
 /// Measure both transports at one scale.
@@ -547,116 +589,137 @@ fn run_transport_point<T: Transport>(
 /// # Errors
 ///
 /// Propagates simulator failures (a wedged reply stream is a `Timeout`).
-pub fn run_scale(cfg: &ServeConfig) -> Result<Vec<Point>, SimError> {
-    let flac = run_transport_point("flacos-ipc", &|| build_flac(cfg), cfg)?;
-    let net = run_transport_point("tcp/ip", &|| Ok(build_net(cfg)), cfg)?;
-    Ok(vec![flac, net])
+pub fn run_scale(cfg: &ServeConfig) -> Result<ServeScale, SimError> {
+    Ok(ServeScale {
+        clients: cfg.clients,
+        flac: run_transport_point(&|| build_flac(cfg), cfg)?,
+        net: run_transport_point(&|| Ok(build_net(cfg)), cfg)?,
+    })
 }
 
-/// The client scales a report covers, ascending.
-fn scales(report: &Report) -> Result<Vec<u64>, String> {
-    let mut scales = report
-        .points
-        .iter()
-        .map(|p| p.key_u64("clients"))
-        .collect::<Result<Vec<u64>, String>>()?;
-    scales.sort_unstable();
-    scales.dedup();
-    Ok(scales)
-}
-
-/// The judgement of a report. Everything here is simulated-time-derived
+/// The judgement of a sweep. Everything here is simulated-time-derived
 /// and therefore exactly reproducible, so it is strict:
 ///
-/// * zero RESP errors at every point (rerun parity is the schema's own
-///   check);
+/// * zero RESP errors at every point, and its seeded rerun reproduced
+///   its fingerprint;
 /// * percentiles ordered (`p50 ≤ p99 ≤ p999 ≤ max`), all nonzero;
-/// * both transports at every scale, FlacOS IPC p50 strictly beating
-///   TCP/IP and its saturation throughput at least TCP/IP's;
-/// * at least [`MIN_SCALES`] client scales.
-///
-/// # Errors
-///
-/// Names a column the report lacks.
-pub fn failures(report: &Report) -> Result<Vec<String>, String> {
+/// * at every scale, FlacOS IPC p50 strictly beating TCP/IP and its
+///   saturation throughput at least TCP/IP's;
+/// * at least [`MIN_SCALES`] client scales (a [`run`] covers
+///   [`ServeConfig::SCALES`], which is checked at compile time).
+pub fn failures(scales: &[ServeScale]) -> Vec<String> {
     let mut failures = Vec::new();
-    for p in &report.points {
-        let at = p.key.replacen("transport=", "", 1);
-        let errors = p.u64("errors")?;
-        if errors != 0 {
-            failures.push(format!("{at}: {errors} RESP error replies (must be 0)"));
-        }
-        let [p50, p99, p999, max] =
-            ["p50_ns", "p99_ns", "p999_ns", "max_ns"].map(|name| p.u64(name));
-        let (p50, p99, p999, max) = (p50?, p99?, p999?, max?);
-        if p.u64("ops")? == 0 || p50 == 0 || p.f64("saturation_rps")? <= 0.0 {
-            failures.push(format!("{at}: empty or degenerate measurement"));
-        }
-        if !(p50 <= p99 && p99 <= p999 && p999 <= max) {
-            failures.push(format!(
-                "{at}: percentiles out of order ({p50} / {p99} / {p999} / {max})"
-            ));
-        }
-    }
-    let scales = scales(report)?;
-    for &scale in &scales {
-        let (Some(flac), Some(net)) = (
-            report.point(&format!("transport=flacos-ipc clients={scale}")),
-            report.point(&format!("transport=tcp/ip clients={scale}")),
-        ) else {
-            failures.push(format!(
-                "scale {scale}: missing a (flacos-ipc, tcp/ip) transport pair"
-            ));
-            continue;
-        };
-        let (flac_p50, net_p50) = (flac.u64("p50_ns")?, net.u64("p50_ns")?);
-        if flac_p50 >= net_p50 {
-            failures.push(format!(
-                "scale {scale}: FlacOS IPC p50 ({flac_p50} ns) must beat TCP/IP ({net_p50} ns)"
-            ));
-        }
-        let (flac_sat, net_sat) = (flac.f64("saturation_rps")?, net.f64("saturation_rps")?);
-        if flac_sat < net_sat {
-            failures.push(format!(
-                "scale {scale}: FlacOS saturation ({flac_sat:.0} rps) below TCP/IP \
-                 ({net_sat:.0} rps)"
-            ));
-        }
-    }
     if scales.len() < MIN_SCALES {
         failures.push(format!(
-            "report must cover >= {MIN_SCALES} client scales, found {scales:?}"
+            "sweep covers {} client scales; needs at least {MIN_SCALES}",
+            scales.len()
         ));
     }
-    Ok(failures)
-}
-
-/// The report of a run over `points`.
-fn report(points: Vec<Point>) -> Report {
-    let mut report = Report::new("serve").fact("min_scales", MIN_SCALES);
-    report.points = points;
-    report
+    for s in scales {
+        for (transport, p) in s.points() {
+            let at = format!("{transport} clients={}", s.clients);
+            if p.errors != 0 {
+                failures.push(format!("{at}: {} RESP error replies (must be 0)", p.errors));
+            }
+            if p.ops == 0 || p.p50_ns == 0 || p.saturation_rps <= 0.0 {
+                failures.push(format!("{at}: empty or degenerate measurement"));
+            }
+            let (p50, p99, p999, max) = (p.p50_ns, p.p99_ns, p.p999_ns, p.max_ns);
+            if !(p50 <= p99 && p99 <= p999 && p999 <= max) {
+                failures.push(format!(
+                    "{at}: percentiles out of order ({p50} / {p99} / {p999} / {max})"
+                ));
+            }
+            if p.fingerprint != p.fingerprint_rerun {
+                failures.push(format!(
+                    "{at}: seeded rerun did not reproduce fingerprint ({} vs {})",
+                    p.fingerprint, p.fingerprint_rerun
+                ));
+            }
+        }
+        let (scale, flac, net) = (s.clients, &s.flac, &s.net);
+        if flac.p50_ns >= net.p50_ns {
+            failures.push(format!(
+                "scale {scale}: FlacOS IPC p50 ({} ns) must beat TCP/IP ({} ns)",
+                flac.p50_ns, net.p50_ns
+            ));
+        }
+        if flac.saturation_rps < net.saturation_rps {
+            failures.push(format!(
+                "scale {scale}: FlacOS saturation ({:.0} rps) below TCP/IP ({:.0} rps)",
+                flac.saturation_rps, net.saturation_rps
+            ));
+        }
+    }
+    failures
 }
 
 /// Run every client scale of [`ServeConfig::SCALES`] over both
-/// transports and build the report.
+/// transports.
 ///
 /// # Errors
 ///
 /// Names the scale whose simulation failed.
-pub fn run() -> Result<Report, String> {
-    println!(
-        "serve: client scales {:?}, both transports, open loop + saturation",
-        ServeConfig::SCALES
-    );
-    let mut points = Vec::new();
-    for clients in ServeConfig::SCALES {
-        let cfg = ServeConfig::full(clients);
-        points.extend(
-            run_scale(&cfg).map_err(|e| format!("{clients} clients: simulation failed: {e}"))?,
-        );
-    }
-    Ok(report(points))
+pub fn run() -> Result<Vec<ServeScale>, String> {
+    ServeConfig::SCALES
+        .into_iter()
+        .map(|clients| {
+            run_scale(&ServeConfig::full(clients))
+                .map_err(|e| format!("{clients} clients: simulation failed: {e}"))
+        })
+        .collect()
+}
+
+/// Render the sweep: every value exact (latencies in simulated ns,
+/// rates to a tenth of a request per simulated second).
+pub fn report(scales: &[ServeScale]) -> String {
+    let cfg = ServeConfig::full(ServeConfig::SCALES[0]);
+    let rows: Vec<Vec<String>> = scales
+        .iter()
+        .flat_map(|s| {
+            s.points().map(|(transport, p)| {
+                vec![
+                    s.clients.to_string(),
+                    transport.to_string(),
+                    p.ops.to_string(),
+                    p.errors.to_string(),
+                    format!("{:.1}", p.offered_rps),
+                    format!("{:.1}", p.achieved_rps),
+                    p.p50_ns.to_string(),
+                    p.p99_ns.to_string(),
+                    p.p999_ns.to_string(),
+                    p.max_ns.to_string(),
+                    format!("{:.1}", p.saturation_rps),
+                    p.backpressure.to_string(),
+                    p.fingerprint.to_string(),
+                ]
+            })
+        })
+        .collect();
+    format!(
+        "E3: serving at scale, open loop + saturation ({} requests/point, {} connections, \
+         latencies in simulated ns, rates per simulated s)\n\n{}",
+        cfg.requests,
+        cfg.connections,
+        crate::table::render(
+            &[
+                "clients",
+                "transport",
+                "ops",
+                "errors",
+                "offered rps",
+                "achieved rps",
+                "p50 ns",
+                "p99 ns",
+                "p999 ns",
+                "max ns",
+                "saturation rps",
+                "backpressure",
+                "fingerprint"
+            ],
+            &rows
+        )
+    )
 }
 
 #[cfg(test)]
@@ -678,84 +741,113 @@ mod tests {
     #[test]
     fn open_loop_point_is_deterministic_and_error_free() {
         let cfg = tiny_cfg();
-        let points = run_scale(&cfg).expect("run");
-        assert_eq!(points.len(), 2);
-        for p in &points {
-            let u = |name| p.u64(name).unwrap();
-            assert_eq!(u("ops"), cfg.requests, "{}: all requests answered", p.key);
-            assert_eq!(u("errors"), 0, "{}: no RESP errors", p.key);
+        let scale = run_scale(&cfg).expect("run");
+        for (transport, p) in scale.points() {
+            assert_eq!(p.ops, cfg.requests, "{transport}: all requests answered");
+            assert_eq!(p.errors, 0, "{transport}: no RESP errors");
             assert_eq!(
-                u("fingerprint"),
-                u("fingerprint_rerun"),
-                "{}: seeded rerun must reproduce exactly",
-                p.key
+                p.fingerprint, p.fingerprint_rerun,
+                "{transport}: seeded rerun must reproduce exactly"
             );
-            assert!(u("p50_ns") > 0 && u("p50_ns") <= u("p99_ns") && u("p999_ns") <= u("max_ns"));
-            assert!(p.f64("saturation_rps").unwrap() > 0.0);
+            assert!(p.p50_ns > 0 && p.p50_ns <= p.p99_ns && p.p999_ns <= p.max_ns);
+            assert!(p.saturation_rps > 0.0);
         }
-        let (flac, net) = (&points[0], &points[1]);
-        assert_eq!(flac.key_part("transport"), Ok("flacos-ipc"));
-        let (flac_p50, net_p50) = (flac.u64("p50_ns").unwrap(), net.u64("p50_ns").unwrap());
+        let (flac_p50, net_p50) = (scale.flac.p50_ns, scale.net.p50_ns);
         assert!(
             flac_p50 < net_p50,
             "IPC p50 {flac_p50} must beat TCP p50 {net_p50}"
         );
     }
 
+    /// A three-scale run at the tiny sizes, run once for every test.
+    fn good() -> &'static Vec<ServeScale> {
+        static GOOD: std::sync::OnceLock<Vec<ServeScale>> = std::sync::OnceLock::new();
+        GOOD.get_or_init(|| {
+            [500u64, 1_000, 2_000]
+                .into_iter()
+                .map(|clients| {
+                    run_scale(&ServeConfig {
+                        clients,
+                        ..tiny_cfg()
+                    })
+                    .expect("run")
+                })
+                .collect()
+        })
+    }
+
     #[test]
     fn report_roundtrips_and_checker_accepts_a_good_full_run() {
-        let cfg = tiny_cfg();
-        let mut points = Vec::new();
-        for clients in [500u64, 1_000, 2_000] {
-            let c = ServeConfig { clients, ..cfg };
-            points.extend(run_scale(&c).expect("run"));
+        let good = good();
+        assert_eq!(failures(good), Vec::<String>::new());
+        let rows = crate::table_cells(&report(good));
+        let points: Vec<(u64, &str, &ServePoint)> = good
+            .iter()
+            .flat_map(|s| s.points().map(|(transport, p)| (s.clients, transport, p)))
+            .collect();
+        assert_eq!(rows.len(), points.len());
+        for (row, (clients, transport, p)) in rows.iter().zip(points) {
+            let int = |i: usize| row[i].parse::<u64>().expect("integer cell");
+            let rate = |i: usize| row[i].parse::<f64>().expect("rate cell");
+            assert_eq!(int(0), clients);
+            assert_eq!(row[1], transport);
+            assert_eq!(
+                [
+                    int(2),
+                    int(3),
+                    int(6),
+                    int(7),
+                    int(8),
+                    int(9),
+                    int(11),
+                    int(12)
+                ],
+                [
+                    p.ops,
+                    p.errors,
+                    p.p50_ns,
+                    p.p99_ns,
+                    p.p999_ns,
+                    p.max_ns,
+                    p.backpressure,
+                    p.fingerprint
+                ],
+                "{clients} {transport}"
+            );
+            for (i, v) in [
+                (4, p.offered_rps),
+                (5, p.achieved_rps),
+                (10, p.saturation_rps),
+            ] {
+                assert!(
+                    (rate(i) - v).abs() <= 0.05,
+                    "{clients} {transport} column {i}"
+                );
+            }
         }
-        let report = report(points);
-        let json = report.to_json();
-        let parsed = Report::parse(&json).expect("writer output parses");
-        assert_eq!(parsed.points.len(), 6);
-        assert_eq!(parsed, report);
-        assert_eq!(
-            crate::suite::Suite::Serve.failures(&parsed),
-            Vec::<String>::new()
-        );
     }
 
     #[test]
     fn checker_rejects_errors_parity_violations_and_too_few_scales() {
-        let mk = |transport: &str, clients: u64, errors: u64, parity: bool, p50: u64| {
-            Point::new(format!("transport={transport} clients={clients}"))
-                .with("ops", 10u64)
-                .with("connections", 2u64)
-                .with("errors", errors)
-                .with("offered_rps", 1.0)
-                .with("achieved_rps", 1.0)
-                .with("p50_ns", p50)
-                .with("p99_ns", 100u64)
-                .with("p999_ns", 200u64)
-                .with("max_ns", 300u64)
-                .with("saturation_rps", 100.0)
-                .with("backpressure", 0u64)
-                .with("fingerprint", 1u64)
-                .with("fingerprint_rerun", if parity { 1u64 } else { 2 })
-        };
-        let points = vec![
-            mk("flacos-ipc", 100, 0, true, 10),
-            mk("tcp/ip", 100, 0, true, 50),
-            mk("flacos-ipc", 200, 1, true, 10),
-            mk("tcp/ip", 200, 0, false, 50),
-            mk("flacos-ipc", 300, 0, true, 60),
-            mk("tcp/ip", 300, 0, true, 50),
-        ];
-        let serve = crate::suite::Suite::Serve;
-        let failures = serve.failures(&report(points.clone()));
-        assert_eq!(failures.len(), 3, "{failures:?}");
-        assert!(failures.iter().any(|f| f.contains("RESP error")));
-        assert!(failures.iter().any(|f| f.contains("did not reproduce")));
-        assert!(failures.iter().any(|f| f.contains("must beat")));
-        let failures = serve.failures(&report(points[..2].to_vec()));
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains(">= 3 client scales"), "{failures:?}");
+        crate::assert_judged(
+            good(),
+            |s| failures(s),
+            &[
+                ("RESP error", |s| s[0].flac.errors = 1),
+                ("degenerate", |s| s[1].net.ops = 0),
+                ("out of order", |s| s[2].flac.p99_ns = s[2].flac.p999_ns + 1),
+                ("tcp/ip clients=1000: seeded rerun did not reproduce", |s| {
+                    s[1].net.fingerprint_rerun ^= 1;
+                }),
+                ("must beat", |s| s[0].flac.p50_ns = s[0].net.p50_ns),
+                ("below TCP/IP", |s| {
+                    s[2].flac.saturation_rps = s[2].net.saturation_rps - 1.0;
+                }),
+                ("sweep covers 2 client scales", |s| {
+                    s.pop();
+                }),
+            ],
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! `flac-bench store` — shard-scaling and dedup gate for the chunk store.
+//! Shard scaling and dedup of the chunk store: section `store` (A9) of
+//! `figures`.
 //!
 //! Two deterministic phases, both in *simulated* time (the store charges
 //! every fetch/claim/intern against the rack clock, so there is no
@@ -17,10 +18,9 @@
 //!   the rack does not already hold: `bytes_fetched` must equal the
 //!   byte size of B's unique chunks absent after A, exactly.
 //!
-//! The committed artifact is `BENCH_store.json`; [`failures`] judges it
-//! and `flac-bench store --check` re-derives it from the tree.
+//! [`failures`] judges a run; `figures store` prints it only if it
+//! passes.
 
-use crate::report::{Point, Report};
 use flac_store::{BackendConfig, ChunkStore, ShardedBackends, StoreConfig, CHUNK_SIZE};
 use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
@@ -37,8 +37,10 @@ pub const SHARD_SWEEP: [usize; 3] = [1, 4, 8];
 pub const PER_SHARD_BW: u64 = 200_000_000;
 /// Per-request latency each shard charges per fetch batch (ns).
 pub const PER_REQUEST_NS: u64 = 5_000_000;
-/// Minimum cold-fetch speedup the committed full run must show at the
-/// top shard count over the 1-shard serial baseline.
+/// Backend shards of the overlap phase.
+pub const OVERLAP_SHARDS: usize = 4;
+/// Minimum cold-fetch speedup a run must show at the top shard count
+/// over the 1-shard serial baseline.
 pub const SPEEDUP_TARGET: f64 = 2.0;
 
 /// Workload size knobs.
@@ -53,7 +55,7 @@ pub struct StoreScaleConfig {
 }
 
 impl StoreScaleConfig {
-    /// The configuration behind the committed `BENCH_store.json`.
+    /// The configuration of `figures store`.
     pub fn full() -> Self {
         StoreScaleConfig {
             pages: 2048,
@@ -64,7 +66,7 @@ impl StoreScaleConfig {
 }
 
 /// Overlap-phase measurement (acceptance criterion (b)).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverlapPoint {
     /// Bytes node 0 fetched cold-starting image A.
     pub first_bytes_fetched: u64,
@@ -114,31 +116,61 @@ fn run_once(shards: usize, image: &ContainerImage) -> (u64, u64, u64, u64) {
     (cold_ns, warm_ns, cold.fetched, warm.rack_hits)
 }
 
-/// Run the shard sweep: one point per shard count, keyed `shards=<n>`,
-/// each run twice on fresh racks. `sim_ns` is node 0's cold fetch of
-/// every chunk and `sim_ns_rerun` the same on the second rack;
-/// `warm_fetch_ns` is node 1's warm start from the rack index, `fetched`
-/// the chunks the cold start downloaded and `warm_rack_hits` the chunks
-/// the warm start found in the index.
-pub fn run_shard_sweep(cfg: StoreScaleConfig) -> Vec<Point> {
+/// One shard count of the sweep, run twice on fresh racks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardPoint {
+    /// Backend shards.
+    pub shards: usize,
+    /// Node 0's cold fetch of every chunk, simulated ns.
+    pub cold_fetch_ns: u64,
+    /// The same on the second rack; must equal `cold_fetch_ns`.
+    pub cold_fetch_ns_rerun: u64,
+    /// Distinct chunks in the image.
+    pub chunks: u64,
+    /// Node 1's warm start from the rack index, simulated ns.
+    pub warm_fetch_ns: u64,
+    /// Chunks the cold start downloaded.
+    pub fetched: u64,
+    /// Chunks the warm start found in the rack index.
+    pub warm_rack_hits: u64,
+}
+
+/// The shard sweep and the overlap phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreScale {
+    /// Pages (= chunks) in the image.
+    pub pages: u64,
+    /// One point per [`SHARD_SWEEP`] entry, in its order.
+    pub sweep: [ShardPoint; SHARD_SWEEP.len()],
+    /// The overlap phase.
+    pub overlap: OverlapPoint,
+}
+
+impl StoreScale {
+    /// Cold-fetch speedup of sweep point `i` over 1-shard serial.
+    pub fn speedup(&self, i: usize) -> f64 {
+        self.sweep[0].cold_fetch_ns as f64 / self.sweep[i].cold_fetch_ns.max(1) as f64
+    }
+}
+
+/// Run the shard sweep, each point twice on fresh racks.
+pub fn run_shard_sweep(cfg: StoreScaleConfig) -> [ShardPoint; SHARD_SWEEP.len()] {
     let image = ContainerImage::synthetic("pytorch", cfg.pages, cfg.layers, cfg.seed);
     let unique: HashSet<u64> = image.chunk_hashes().into_iter().collect();
     let chunks = unique.len() as u64;
-    SHARD_SWEEP
-        .iter()
-        .map(|&shards| {
-            let (cold_fetch_ns, warm_fetch_ns, fetched, warm_rack_hits) = run_once(shards, &image);
-            let (cold_fetch_ns_rerun, _, _, _) = run_once(shards, &image);
-            Point::new(format!("shards={shards}"))
-                .with("sim_ns", cold_fetch_ns)
-                .with("sim_ns_rerun", cold_fetch_ns_rerun)
-                .with("chunks", chunks)
-                .with("bytes", chunks * CHUNK_SIZE as u64)
-                .with("warm_fetch_ns", warm_fetch_ns)
-                .with("fetched", fetched)
-                .with("warm_rack_hits", warm_rack_hits)
-        })
-        .collect()
+    SHARD_SWEEP.map(|shards| {
+        let (cold_fetch_ns, warm_fetch_ns, fetched, warm_rack_hits) = run_once(shards, &image);
+        let (cold_fetch_ns_rerun, _, _, _) = run_once(shards, &image);
+        ShardPoint {
+            shards,
+            cold_fetch_ns,
+            cold_fetch_ns_rerun,
+            chunks,
+            warm_fetch_ns,
+            fetched,
+            warm_rack_hits,
+        }
+    })
 }
 
 /// Run the overlap phase: image B shares its first two layers with A's
@@ -147,7 +179,7 @@ pub fn run_overlap(cfg: StoreScaleConfig) -> OverlapPoint {
     let rack = Rack::new(RackConfig::two_node_hccs());
     let a = ContainerImage::synthetic("pytorch", cfg.pages, cfg.layers, cfg.seed);
     let b = ContainerImage::synthetic("jupyter", cfg.pages, cfg.layers, cfg.seed + 2);
-    let backends = Arc::new(ShardedBackends::uniform(4, fixed_backend()));
+    let backends = Arc::new(ShardedBackends::uniform(OVERLAP_SHARDS, fixed_backend()));
     a.publish(&backends);
     b.publish(&backends);
     let dedup = Arc::new(PageDeduper::new(FrameAllocator::new(rack.global().clone())));
@@ -177,67 +209,62 @@ pub fn run_overlap(cfg: StoreScaleConfig) -> OverlapPoint {
     }
 }
 
-/// The judgement of a report: the 1/4/8 shard sweep with cold fetch
-/// time strictly improving and a top-shard cold-fetch speedup over
-/// 1-shard serial of at least [`SPEEDUP_TARGET`], warm starts beating
-/// cold, and the overlap phase downloading exactly the rack-absent
-/// bytes (rerun parity is the schema's own check). Every quantity is
+/// The judgement of a run: cold fetch time strictly improving along the
+/// shard sweep with a top-shard cold-fetch speedup over 1-shard serial
+/// of at least [`SPEEDUP_TARGET`], every cold start fetching and every
+/// warm start hitting every chunk, warm starts beating cold, seeded
+/// reruns reproducing every cold fetch, and the overlap phase
+/// downloading exactly the rack-absent bytes. Every quantity is
 /// simulated time or exact chunk accounting, so there is no noise
 /// tolerance anywhere.
-///
-/// # Errors
-///
-/// Names a column or fact the report lacks.
-pub fn failures(report: &Report) -> Result<Vec<String>, String> {
+pub fn failures(r: &StoreScale) -> Vec<String> {
     let mut failures = Vec::new();
-    for need in SHARD_SWEEP {
-        if report.point(&format!("shards={need}")).is_none() {
-            failures.push(format!("shard sweep lacks the {need}-shard point"));
-        }
-    }
-    for pair in report.points.windows(2) {
+    for pair in r.sweep.windows(2) {
         let (a, b) = (&pair[0], &pair[1]);
-        if b.key_u64("shards")? > a.key_u64("shards")? && b.u64("sim_ns")? >= a.u64("sim_ns")? {
+        if b.cold_fetch_ns >= a.cold_fetch_ns {
             failures.push(format!(
                 "cold fetch not monotonic: {} shards took {} ns, {} shards took {} ns",
-                a.key_u64("shards")?,
-                a.u64("sim_ns")?,
-                b.key_u64("shards")?,
-                b.u64("sim_ns")?
+                a.shards, a.cold_fetch_ns, b.shards, b.cold_fetch_ns
             ));
         }
     }
-    for p in &report.points {
-        let (shards, chunks) = (p.key_u64("shards")?, p.u64("chunks")?);
-        if p.u64("fetched")? != chunks {
+    for p in &r.sweep {
+        let (shards, chunks) = (p.shards, p.chunks);
+        if p.fetched != chunks {
             failures.push(format!(
                 "{shards} shards: cold start fetched {} of {chunks} chunks",
-                p.u64("fetched")?
+                p.fetched
             ));
         }
-        if p.u64("warm_rack_hits")? != chunks {
+        if p.warm_rack_hits != chunks {
             failures.push(format!(
                 "{shards} shards: warm start hit {} of {chunks} chunks in the rack index",
-                p.u64("warm_rack_hits")?
+                p.warm_rack_hits
             ));
         }
-        let (warm, cold) = (p.u64("warm_fetch_ns")?, p.u64("sim_ns")?);
+        let (warm, cold) = (p.warm_fetch_ns, p.cold_fetch_ns);
         if warm >= cold {
             failures.push(format!(
                 "{shards} shards: warm start ({warm} ns) not faster than cold ({cold} ns)"
             ));
         }
+        if cold != p.cold_fetch_ns_rerun {
+            failures.push(format!(
+                "{shards} shards: seeded rerun did not reproduce the cold fetch ({cold} vs {} ns)",
+                p.cold_fetch_ns_rerun
+            ));
+        }
     }
-    let fact = |name| report.facts.u64(name);
-    let (first, second) = (fact("first_bytes_fetched")?, fact("second_bytes_fetched")?);
-    let missing = fact("unique_missing_bytes")?;
-    if second != missing {
+    let o = r.overlap;
+    let (first, second) = (o.first_bytes_fetched, o.second_bytes_fetched);
+    if second != o.unique_missing_bytes {
         failures.push(format!(
-            "overlap: second node fetched {second} bytes but only {missing} bytes were \
-             rack-absent — duplicate chunks were re-downloaded"
+            "overlap: second node fetched {second} bytes but only {} bytes were \
+             rack-absent — duplicate chunks were re-downloaded",
+            o.unique_missing_bytes
         ));
     }
-    if fact("shared_chunks")? == 0 {
+    if o.shared_chunks == 0 {
         failures.push("overlap: images share no chunks — the phase tests nothing".into());
     }
     if second == 0 || second >= first {
@@ -246,131 +273,146 @@ pub fn failures(report: &Report) -> Result<Vec<String>, String> {
              first ({first} bytes)"
         ));
     }
-    if let Some((shards, speedup)) = speedup(report)? {
-        if speedup < SPEEDUP_TARGET {
-            failures.push(format!(
-                "parallel fetch speedup {speedup:.2} at {shards} shards < {SPEEDUP_TARGET:.1} \
-                 over 1-shard serial"
-            ));
-        }
+    let top = SHARD_SWEEP.len() - 1;
+    let speedup = r.speedup(top);
+    if speedup < SPEEDUP_TARGET {
+        failures.push(format!(
+            "parallel fetch speedup {speedup:.2} at {} shards < {SPEEDUP_TARGET:.1} \
+             over 1-shard serial",
+            SHARD_SWEEP[top]
+        ));
     }
-    Ok(failures)
-}
-
-/// The top shard count and its cold-fetch speedup over 1-shard serial.
-fn speedup(report: &Report) -> Result<Option<(u64, f64)>, String> {
-    let Some(serial) = report.point("shards=1") else {
-        return Ok(None);
-    };
-    let mut top: Option<(u64, &Point)> = None;
-    for p in &report.points {
-        let shards = p.key_u64("shards")?;
-        if top.is_none_or(|(t, _)| shards >= t) {
-            top = Some((shards, p));
-        }
-    }
-    let Some((shards, top)) = top else {
-        return Ok(None);
-    };
-    let speedup = serial.u64("sim_ns")? as f64 / top.u64("sim_ns")?.max(1) as f64;
-    Ok(Some((shards, speedup)))
+    failures
 }
 
 /// Run the shard sweep and the overlap phase of
-/// [`StoreScaleConfig::full`], printing the summary lines, and build the
-/// report.
-pub fn run() -> Report {
+/// [`StoreScaleConfig::full`].
+pub fn run() -> StoreScale {
     run_with(StoreScaleConfig::full())
 }
 
 /// [`run`] at the sizes of `cfg`.
-fn run_with(cfg: StoreScaleConfig) -> Report {
-    println!("store: image {} pages x {} layers", cfg.pages, cfg.layers);
-    let mut report = Report::new("store")
-        .fact("chunk_size", CHUNK_SIZE)
-        .fact("per_shard_bw", PER_SHARD_BW)
-        .fact("speedup_top_min", SPEEDUP_TARGET);
-    report.points = run_shard_sweep(cfg);
-    if let Ok(Some((shards, speedup))) = speedup(&report) {
-        println!("  parallel fetch speedup at {shards} shards: {speedup:.2}x over 1-shard serial");
+fn run_with(cfg: StoreScaleConfig) -> StoreScale {
+    StoreScale {
+        pages: cfg.pages,
+        sweep: run_shard_sweep(cfg),
+        overlap: run_overlap(cfg),
     }
-    let overlap = run_overlap(cfg);
-    println!(
-        "  overlap: second node fetched {} bytes, rack-absent {} bytes, shared {} chunks",
-        overlap.second_bytes_fetched, overlap.unique_missing_bytes, overlap.shared_chunks
-    );
-    report
-        .fact("first_bytes_fetched", overlap.first_bytes_fetched)
-        .fact("second_bytes_fetched", overlap.second_bytes_fetched)
-        .fact("unique_missing_bytes", overlap.unique_missing_bytes)
-        .fact("shared_chunks", overlap.shared_chunks)
+}
+
+/// Render the sweep and the overlap phase, every value exact.
+pub fn report(r: &StoreScale) -> String {
+    let rows: Vec<Vec<String>> = r
+        .sweep
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            vec![
+                p.shards.to_string(),
+                p.chunks.to_string(),
+                (p.chunks * CHUNK_SIZE as u64).to_string(),
+                p.cold_fetch_ns.to_string(),
+                format!("{:.2}x", r.speedup(i)),
+                p.warm_fetch_ns.to_string(),
+                p.fetched.to_string(),
+                p.warm_rack_hits.to_string(),
+            ]
+        })
+        .collect();
+    let o = r.overlap;
+    format!(
+        "Ablation A9: chunk-store cold start vs shard count ({} pages, {} B/s and {} ns per \
+         request per shard, simulated ns)\n\n{}\n\
+         overlap ({} shards): first node fetched {} bytes; second node fetched {} bytes, \
+         rack-absent {} bytes, {} chunks shared\n",
+        r.pages,
+        PER_SHARD_BW,
+        PER_REQUEST_NS,
+        crate::table::render(
+            &[
+                "shards",
+                "chunks",
+                "bytes",
+                "cold fetch ns",
+                "speedup",
+                "warm fetch ns",
+                "fetched",
+                "warm rack hits"
+            ],
+            &rows
+        ),
+        OVERLAP_SHARDS,
+        o.first_bytes_fetched,
+        o.second_bytes_fetched,
+        o.unique_missing_bytes,
+        o.shared_chunks
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A 64-page image: every path of the full run in a fraction of
-    /// its time.
-    fn quick() -> StoreScaleConfig {
-        StoreScaleConfig {
-            pages: 64,
-            ..StoreScaleConfig::full()
-        }
-    }
-
-    /// The judgement of a quick run: every invariant holds, and the small
-    /// image leaves the per-request latency unamortized, so only the
-    /// speedup floor fails.
-    fn quick_failures(report: &Report) -> Vec<String> {
-        let mut found = failures(report).unwrap();
-        assert!(
-            found
-                .pop()
-                .is_some_and(|f| f.starts_with("parallel fetch speedup")),
-            "{found:?}"
-        );
-        found
-    }
-
-    #[test]
-    fn quick_sweep_is_monotonic_deterministic_and_warm_wins() {
-        let report = run_with(quick());
-        assert_eq!(report.rerun_failures(), Vec::<String>::new());
-        assert_eq!(quick_failures(&report), Vec::<String>::new());
-    }
-
     #[test]
     fn overlap_downloads_exactly_the_rack_absent_bytes() {
-        let o = run_overlap(quick());
         // 4 layers of 16 pages; B shares A's last two layers.
+        let o = run_overlap(StoreScaleConfig {
+            pages: 64,
+            ..StoreScaleConfig::full()
+        });
         assert_eq!(o.shared_chunks, 32);
         assert_eq!(o.unique_missing_bytes, 32 * CHUNK_SIZE as u64);
         assert_eq!(o.second_bytes_fetched, o.unique_missing_bytes, "{o:?}");
     }
 
-    #[test]
-    fn parse_report_roundtrips_the_writer() {
-        let report = run_with(quick());
-        let parsed = Report::parse(&report.to_json()).expect("parse");
-        assert_eq!(parsed, report);
-        assert_eq!(parsed.points.len(), SHARD_SWEEP.len());
-        assert_eq!(
-            parsed.facts.u64("second_bytes_fetched"),
-            Ok(run_overlap(quick()).second_bytes_fetched)
-        );
+    /// A quarter of the full image, run once for every test: still large
+    /// enough for its fetches to amortize the per-request latency past
+    /// the speedup floor.
+    fn quick() -> &'static StoreScale {
+        static QUICK: std::sync::OnceLock<StoreScale> = std::sync::OnceLock::new();
+        QUICK.get_or_init(|| {
+            run_with(StoreScaleConfig {
+                pages: 512,
+                ..StoreScaleConfig::full()
+            })
+        })
     }
 
     #[test]
-    fn check_report_rejects_broken_monotonicity() {
-        let mut report = run_with(quick());
-        let slower = report.points[0].u64("sim_ns").unwrap() + 1;
-        report.points[2] = report.points[2]
-            .clone()
-            .with("sim_ns", slower)
-            .with("sim_ns_rerun", slower);
-        assert!(quick_failures(&report)
-            .iter()
-            .any(|f| f.contains("monotonic")));
+    fn quick_sweep_is_monotonic_deterministic_and_warm_wins() {
+        assert_eq!(failures(quick()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn judgement_rejects_each_broken_invariant() {
+        crate::assert_judged(
+            quick(),
+            failures,
+            &[
+                ("not monotonic", |r| {
+                    r.sweep[2].cold_fetch_ns = r.sweep[1].cold_fetch_ns;
+                    r.sweep[2].cold_fetch_ns_rerun = r.sweep[1].cold_fetch_ns;
+                }),
+                ("cold start fetched", |r| r.sweep[0].fetched -= 1),
+                ("warm start hit", |r| r.sweep[1].warm_rack_hits -= 1),
+                ("not faster than cold", |r| {
+                    r.sweep[2].warm_fetch_ns = r.sweep[2].cold_fetch_ns;
+                }),
+                ("4 shards: seeded rerun did not reproduce", |r| {
+                    r.sweep[1].cold_fetch_ns_rerun += 1;
+                }),
+                ("duplicate chunks", |r| r.overlap.second_bytes_fetched += 1),
+                ("share no chunks", |r| r.overlap.shared_chunks = 0),
+                ("strict subset", |r| {
+                    r.overlap.second_bytes_fetched = r.overlap.first_bytes_fetched;
+                    r.overlap.unique_missing_bytes = r.overlap.first_bytes_fetched;
+                }),
+                ("parallel fetch speedup", |r| {
+                    let slow = r.sweep[0].cold_fetch_ns / 2 + 1;
+                    r.sweep[2].cold_fetch_ns = slow;
+                    r.sweep[2].cold_fetch_ns_rerun = slow;
+                }),
+            ],
+        );
     }
 }

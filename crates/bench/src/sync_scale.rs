@@ -1,5 +1,5 @@
-//! `flac-bench sync` — writer-scaling gate for the node-replicated
-//! `SyncCell` tier (ablation A10).
+//! Writer scaling of the node-replicated `SyncCell` tier: section
+//! `replication` (ablation A10) of `figures`.
 //!
 //! §3.2's coordination story ends with a write-side question: once
 //! writers spread across nodes, does the flat-combined node-replicated
@@ -36,7 +36,6 @@
 //! Everything is simulated time on a seedless deterministic driver, so
 //! every point is re-run and must reproduce exactly (`sim_ns_rerun`).
 
-use crate::report::{Point, Report};
 use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacdk::wire::{Decoder, Encoder};
 use rack_sim::{Rack, RackConfig};
@@ -44,12 +43,11 @@ use std::sync::Arc;
 
 /// Nodes in the simulated rack.
 pub const NODES: usize = 8;
-/// Writer counts swept (1 is reference only; the gate binds at ≥ 2).
+/// Writer counts swept (1 is reference only; the judgement binds at
+/// ≥ 2).
 pub const WRITER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Read percentages swept.
 pub const READ_PCTS: [u32; 3] = [0, 50, 90];
-/// The writer counts where the gate demands strict wins (§gate).
-pub const MULTI_WRITER: [usize; 3] = [2, 4, 8];
 /// Ops each writer batches into one publication per round (sized to
 /// the 48-byte log entries' publication slots).
 pub const OPS_PER_PUB: usize = 2;
@@ -63,7 +61,7 @@ pub struct SyncScaleConfig {
 }
 
 impl SyncScaleConfig {
-    /// The committed-report configuration.
+    /// The configuration of `figures replication`.
     pub fn full() -> Self {
         SyncScaleConfig { rounds: 400 }
     }
@@ -198,43 +196,90 @@ fn run_point(policy: SyncPolicy, writers: usize, read_pct: u32, rounds: usize) -
     (ops, total_ns)
 }
 
-/// Run the full sweep, one point per (policy, writers, read ratio),
-/// keyed `policy=<p> writers=<w> read_pct=<r>`: `sim_ns` is the
-/// simulated time of all `ops`, `sim_ns_rerun` the same workload re-run
-/// from scratch, and `avg_ns_per_op` is `sim_ns / ops`.
-pub fn run_sweep(cfg: SyncScaleConfig) -> Vec<Point> {
+/// One arm of a sweep point, run twice from scratch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SyncArm {
+    /// Simulated time of all `ops`.
+    pub sim_ns: u64,
+    /// The same workload re-run from scratch; must equal `sim_ns`.
+    pub sim_ns_rerun: u64,
+    /// Updates and reads issued.
+    pub ops: u64,
+}
+
+impl SyncArm {
+    /// Simulated ns per op.
+    pub fn ns_per_op(&self) -> u64 {
+        self.sim_ns / self.ops.max(1)
+    }
+}
+
+/// One (writers, read ratio) point: both backends on the same workload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SyncPoint {
+    /// Concurrent writer nodes.
+    pub writers: usize,
+    /// Read percentage of the ops.
+    pub read_pct: u32,
+    /// The [`SyncPolicy::Delegated`] arm.
+    pub delegated: SyncArm,
+    /// The [`SyncPolicy::NodeReplicated`] arm.
+    pub node_replicated: SyncArm,
+}
+
+impl SyncPoint {
+    /// Each backend's name and arm.
+    pub fn arms(&self) -> [(&'static str, &SyncArm); 2] {
+        [
+            ("delegated", &self.delegated),
+            ("node_replicated", &self.node_replicated),
+        ]
+    }
+}
+
+/// The writer sweep and the read-side probes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SyncScale {
+    /// Write rounds per point.
+    pub rounds: usize,
+    /// One point per ([`WRITER_COUNTS`], [`READ_PCTS`]) pair.
+    pub sweep: Vec<SyncPoint>,
+    /// The read-side probes.
+    pub probes: Probes,
+}
+
+fn run_arm(policy: SyncPolicy, writers: usize, read_pct: u32, rounds: usize) -> SyncArm {
+    let (ops, sim_ns) = run_point(policy, writers, read_pct, rounds);
+    let (_, sim_ns_rerun) = run_point(policy, writers, read_pct, rounds);
+    SyncArm {
+        sim_ns,
+        sim_ns_rerun,
+        ops,
+    }
+}
+
+/// Run the full sweep, one point per (writers, read ratio), both arms
+/// each run twice from scratch.
+pub fn run_sweep(cfg: SyncScaleConfig) -> Vec<SyncPoint> {
     let mut out = Vec::new();
     for &writers in &WRITER_COUNTS {
         for &read_pct in &READ_PCTS {
-            for (policy, label) in [
-                (SyncPolicy::Delegated, "delegated"),
-                (SyncPolicy::NodeReplicated, "node_replicated"),
-            ] {
-                let (ops, total_ns) = run_point(policy, writers, read_pct, cfg.rounds);
-                let (_, total_ns_rerun) = run_point(policy, writers, read_pct, cfg.rounds);
-                out.push(
-                    Point::new(key(label, writers, read_pct))
-                        .with("sim_ns", total_ns)
-                        .with("sim_ns_rerun", total_ns_rerun)
-                        .with("ops", ops)
-                        .with("avg_ns_per_op", total_ns / ops.max(1)),
-                );
-            }
+            out.push(SyncPoint {
+                writers,
+                read_pct,
+                delegated: run_arm(SyncPolicy::Delegated, writers, read_pct, cfg.rounds),
+                node_replicated: run_arm(SyncPolicy::NodeReplicated, writers, read_pct, cfg.rounds),
+            });
         }
     }
     out
-}
-
-/// The key of one sweep point.
-fn key(policy: &str, writers: usize, read_pct: u32) -> String {
-    format!("policy={policy} writers={writers} read_pct={read_pct}")
 }
 
 /// Hardware-counter probes of the node-replicated read side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Probes {
     /// Fabric operations of a burst of replica-hit
-    /// [`SyncCell::read_local`] calls (the gate requires 0).
+    /// [`SyncCell::read_local`] calls (the judgement requires 0).
     pub replica_hit_fabric_ops: u64,
     /// Global reads of one [`SyncCell::sync_replica`] that is a full
     /// round ([`NODES`] × [`OPS_PER_PUB`] contiguous entries) behind.
@@ -252,14 +297,6 @@ impl Probes {
     /// line, and the append's tail and head probes — not three reads per
     /// publication.
     pub const COMBINE_GLOBAL_READS: u64 = 3;
-
-    /// `report` with the three counts as facts.
-    fn record(self, report: Report) -> Report {
-        report
-            .fact("replica_hit_fabric_ops", self.replica_hit_fabric_ops)
-            .fact("catch_up_global_reads", self.catch_up_global_reads)
-            .fact("combine_global_reads", self.combine_global_reads)
-    }
 }
 
 /// Run the read-side probes: drive one full publish/combine round and a
@@ -302,91 +339,42 @@ pub fn run_probes() -> Probes {
     }
 }
 
-/// NUMA combiner-placement probe: the same round-robin write workload
-/// on a flat rack versus a two-rack pod with an interleaved memory
-/// home. Returns `(flat, pod)` totals of the
-/// `sync/nr_combiner_remote_claims` counter — the flat rack has no
-/// distance classes (every claim is "near", so always 0), while the
-/// pod counts each combine won by a node away from the op log's home
-/// leaf, the traffic the claim tie-break steers toward the home.
-pub fn run_numa_probe(rounds: usize) -> (u64, u64) {
-    let mut out = [0u64; 2];
-    for (slot, rack) in [
-        Rack::new(RackConfig::n_node(NODES)),
-        Rack::new(RackConfig::pod(NODES / 2, 2)),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let cell = alloc_cell(&rack, SyncPolicy::NodeReplicated);
-        for _ in 0..rounds {
-            for w in 0..NODES {
-                cell.update(&rack.node(w), &tally_op(w, 1)).expect("update");
-            }
-        }
-        out[slot] = (0..NODES)
-            .map(|n| {
-                rack.node(n)
-                    .stats()
-                    .snapshot()
-                    .subsystems
-                    .iter()
-                    .find(|c| c.subsystem == "sync" && c.name == "nr_combiner_remote_claims")
-                    .map_or(0, |c| c.value)
-            })
-            .sum::<u64>();
-    }
-    (out[0], out[1])
-}
-
-/// The judgement of a report:
+/// The judgement of a run:
 ///
-/// * every (policy, writers, reads) point of the sweep present;
 /// * node-replicated ≤ delegated ns/op at **every** multi-writer point
 ///   (writers ≥ 2, all read ratios);
 /// * node-replicated strictly faster on the pure-write sweep at ≥ 2 of
 ///   the {2, 4, 8}-writer points;
+/// * every arm's seeded rerun reproduced its simulated time;
 /// * the replica-hit read path performed exactly 0 fabric operations;
 /// * a replica catch-up and a combine each read the fabric once per
 ///   span, not once per entry or slot.
-///
-/// Rerun parity is the schema's own check.
-///
-/// # Errors
-///
-/// Names a column or fact the report lacks.
-pub fn failures(report: &Report) -> Result<Vec<String>, String> {
+pub fn failures(r: &SyncScale) -> Vec<String> {
     let mut failures = Vec::new();
-    for &writers in &WRITER_COUNTS {
-        for &read_pct in &READ_PCTS {
-            for policy in ["delegated", "node_replicated"] {
-                if report.point(&key(policy, writers, read_pct)).is_none() {
-                    failures.push(format!(
-                        "missing point ({policy}, writers={writers}, reads={read_pct}%)"
-                    ));
-                }
-            }
-        }
-    }
     let mut strict_wins = 0;
-    for &writers in &MULTI_WRITER {
-        for &read_pct in &READ_PCTS {
-            let (Some(nr), Some(del)) = (
-                report.point(&key("node_replicated", writers, read_pct)),
-                report.point(&key("delegated", writers, read_pct)),
-            ) else {
-                continue; // a missing point is named above
-            };
-            let (nr, del) = (nr.u64("avg_ns_per_op")?, del.u64("avg_ns_per_op")?);
-            if nr > del {
+    for p in &r.sweep {
+        let (writers, read_pct) = (p.writers, p.read_pct);
+        for (policy, arm) in p.arms() {
+            if arm.sim_ns != arm.sim_ns_rerun {
                 failures.push(format!(
-                    "node_replicated loses at writers={writers}, reads={read_pct}%: \
-                     {nr} vs {del} ns/op"
+                    "{policy} writers={writers} reads={read_pct}%: seeded rerun did not \
+                     reproduce sim_ns ({} vs {})",
+                    arm.sim_ns, arm.sim_ns_rerun
                 ));
             }
-            if read_pct == 0 && nr < del {
-                strict_wins += 1;
-            }
+        }
+        if writers < 2 {
+            continue;
+        }
+        let (nr, del) = (p.node_replicated.ns_per_op(), p.delegated.ns_per_op());
+        if nr > del {
+            failures.push(format!(
+                "node_replicated loses at writers={writers}, reads={read_pct}%: \
+                 {nr} vs {del} ns/op"
+            ));
+        }
+        if read_pct == 0 && nr < del {
+            strict_wins += 1;
         }
     }
     if strict_wins < 2 {
@@ -395,104 +383,179 @@ pub fn failures(report: &Report) -> Result<Vec<String>, String> {
              {{2,4,8}}-writer points; won {strict_wins}"
         ));
     }
-    let replica_hit_fabric_ops = report.facts.u64("replica_hit_fabric_ops")?;
-    if replica_hit_fabric_ops != 0 {
+    let probes = r.probes;
+    if probes.replica_hit_fabric_ops != 0 {
         failures.push(format!(
-            "replica-hit reads performed {replica_hit_fabric_ops} fabric ops; must be 0"
+            "replica-hit reads performed {} fabric ops; must be 0",
+            probes.replica_hit_fabric_ops
         ));
     }
-    let catch_up_global_reads = report.facts.u64("catch_up_global_reads")?;
-    if catch_up_global_reads != Probes::CATCH_UP_GLOBAL_READS {
+    if probes.catch_up_global_reads != Probes::CATCH_UP_GLOBAL_READS {
         failures.push(format!(
-            "a replica catch-up over one contiguous run performed {catch_up_global_reads} \
-             global reads; must be {} (two probes + one burst)",
+            "a replica catch-up over one contiguous run performed {} global reads; must be {} \
+             (two probes + one burst)",
+            probes.catch_up_global_reads,
             Probes::CATCH_UP_GLOBAL_READS
         ));
     }
-    let combine_global_reads = report.facts.u64("combine_global_reads")?;
-    if combine_global_reads != Probes::COMBINE_GLOBAL_READS {
+    if probes.combine_global_reads != Probes::COMBINE_GLOBAL_READS {
         failures.push(format!(
-            "a combine over {NODES} pending publications performed {combine_global_reads} \
-             global reads; must be {} (two probes + one header burst)",
+            "a combine over {NODES} pending publications performed {} global reads; must be {} \
+             (two probes + one header burst)",
+            probes.combine_global_reads,
             Probes::COMBINE_GLOBAL_READS
         ));
     }
-    Ok(failures)
+    failures
 }
 
-/// Run the sweep of [`SyncScaleConfig::full`] and the probes, printing
-/// the probe lines, and build the report.
-pub fn run() -> Report {
-    run_with(SyncScaleConfig::full(), 64)
+/// Run the sweep of [`SyncScaleConfig::full`] and the probes.
+pub fn run() -> SyncScale {
+    run_with(SyncScaleConfig::full())
 }
 
-/// [`run`] at the sizes of `cfg`, with `numa_rounds` rounds of the
-/// NUMA probe.
-fn run_with(cfg: SyncScaleConfig, numa_rounds: usize) -> Report {
-    println!("sync: {} write rounds per point", cfg.rounds);
-    let points = run_sweep(cfg);
-    let probes = run_probes();
-    println!(
-        "  replica-hit read path: {} fabric ops across 64 reads",
-        probes.replica_hit_fabric_ops
-    );
-    println!(
-        "  span-granular read side: {} global reads per 16-entry catch-up, \
-         {} per 8-publication combine",
-        probes.catch_up_global_reads, probes.combine_global_reads
-    );
-    let (flat_claims, pod_claims) = run_numa_probe(numa_rounds);
-    println!(
-        "  NUMA combiner placement: remote combiner claims flat={flat_claims} \
-         pod={pod_claims} (delta {})",
-        pod_claims - flat_claims
-    );
-    let mut report = probes.record(
-        Report::new("sync")
-            .fact("nodes", NODES)
-            .fact("rounds", cfg.rounds),
-    );
-    report.points = points;
-    report
+/// [`run`] at the sizes of `cfg`.
+fn run_with(cfg: SyncScaleConfig) -> SyncScale {
+    SyncScale {
+        rounds: cfg.rounds,
+        sweep: run_sweep(cfg),
+        probes: run_probes(),
+    }
+}
+
+/// Render the sweep, one row per (policy, writers, read ratio), and the
+/// probes.
+pub fn report(r: &SyncScale) -> String {
+    let rows: Vec<Vec<String>> = r
+        .sweep
+        .iter()
+        .flat_map(|p| {
+            p.arms().map(|(policy, arm)| {
+                vec![
+                    p.writers.to_string(),
+                    format!("{}%", p.read_pct),
+                    policy.to_string(),
+                    arm.ops.to_string(),
+                    arm.sim_ns.to_string(),
+                    arm.ns_per_op().to_string(),
+                ]
+            })
+        })
+        .collect();
+    let probes = r.probes;
+    format!(
+        "Ablation A10: node-replicated tier vs delegation under concurrent writers \
+         ({NODES} nodes, {} rounds/point, simulated ns)\n\n{}\n\
+         replica-hit read path: {} fabric ops across 64 reads\n\
+         span-granular read side: {} global reads per {}-entry catch-up, {} per \
+         {NODES}-publication combine\n",
+        r.rounds,
+        crate::table::render(
+            &["writers", "reads", "policy", "ops", "sim ns", "ns/op"],
+            &rows
+        ),
+        probes.replica_hit_fabric_ops,
+        probes.catch_up_global_reads,
+        NODES * OPS_PER_PUB,
+        probes.combine_global_reads,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A tenth of the full run's rounds: every path in seconds.
-    fn quick() -> Report {
-        run_with(SyncScaleConfig { rounds: 40 }, 8)
+    /// A tenth of the full run's rounds, run once for every test: every
+    /// path in seconds.
+    fn quick() -> &'static SyncScale {
+        static QUICK: std::sync::OnceLock<SyncScale> = std::sync::OnceLock::new();
+        QUICK.get_or_init(|| run_with(SyncScaleConfig { rounds: 40 }))
     }
 
     #[test]
     fn quick_sweep_passes_its_own_gate() {
-        let report = quick();
-        assert_eq!(report.rerun_failures(), Vec::<String>::new());
-        assert_eq!(failures(&report), Ok(Vec::new()));
+        let r = quick();
+        assert_eq!(r.sweep.len(), WRITER_COUNTS.len() * READ_PCTS.len());
+        assert_eq!(failures(r), Vec::<String>::new());
+    }
+
+    #[test]
+    fn judgement_rejects_each_broken_invariant() {
+        // Point 3 is (2 writers, 0% reads), 6 is (4, 0%), 9 is (8, 0%).
+        crate::assert_judged(
+            quick(),
+            failures,
+            &[
+                ("node_replicated loses at writers=4, reads=50%", |r| {
+                    r.sweep[7].node_replicated.sim_ns = r.sweep[7].delegated.sim_ns * 2;
+                    r.sweep[7].node_replicated.sim_ns_rerun = r.sweep[7].delegated.sim_ns * 2;
+                }),
+                ("strictly win", |r| {
+                    for i in [3, 6] {
+                        r.sweep[i].node_replicated = r.sweep[i].delegated;
+                    }
+                }),
+                (
+                    "delegated writers=8 reads=90%: seeded rerun did not reproduce",
+                    |r| {
+                        r.sweep[11].delegated.sim_ns_rerun += 1;
+                    },
+                ),
+                ("replica-hit reads", |r| r.probes.replica_hit_fabric_ops = 1),
+            ],
+        );
+    }
+
+    #[test]
+    fn gate_rejects_a_per_entry_walk() {
+        // Three reads per entry or per publication, as a walk that reads
+        // each one's header, length and body separately would perform.
+        crate::assert_judged(
+            quick(),
+            failures,
+            &[
+                ("replica catch-up", |r| {
+                    r.probes.catch_up_global_reads = 2 + 3 * (NODES * OPS_PER_PUB) as u64;
+                }),
+                ("a combine over", |r| {
+                    r.probes.combine_global_reads = 2 + 3 * NODES as u64;
+                }),
+            ],
+        );
     }
 
     #[test]
     fn report_roundtrips_and_checks() {
-        let report = quick();
-        let json = report.to_json();
-        let parsed = Report::parse(&json).expect("parse");
-        assert_eq!(parsed, report);
-        assert_eq!(
-            parsed.points.len(),
-            2 * WRITER_COUNTS.len() * READ_PCTS.len()
-        );
-        assert_eq!(parsed.facts.u64("rounds"), Ok(40));
-        assert_eq!(
-            crate::suite::Suite::Sync.failures(&parsed),
-            Vec::<String>::new()
-        );
-        // A report that lost a point of the sweep fails on exactly it.
-        let mut lacking = parsed;
-        lacking.points.pop();
-        let failures = crate::suite::Suite::Sync.failures(&lacking);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("missing point"), "{failures:?}");
+        let r = quick();
+        assert_eq!(failures(r), Vec::<String>::new());
+        let text = report(r);
+        let rows = crate::table_cells(&text);
+        assert_eq!(rows.len(), 2 * r.sweep.len());
+        let arms = r
+            .sweep
+            .iter()
+            .flat_map(|p| p.arms().map(|(policy, arm)| (p, policy, arm)));
+        for (row, (p, policy, arm)) in rows.iter().zip(arms) {
+            let int = |i: usize| row[i].parse::<u64>().expect("integer cell");
+            assert_eq!(int(0), p.writers as u64);
+            assert_eq!(row[1], format!("{}%", p.read_pct));
+            assert_eq!(row[2], policy);
+            assert_eq!(
+                [int(3), int(4), int(5)],
+                [arm.ops, arm.sim_ns, arm.ns_per_op()]
+            );
+        }
+        let probes = r.probes;
+        assert!(text.contains(&format!(
+            "replica-hit read path: {} fabric ops",
+            probes.replica_hit_fabric_ops
+        )));
+        assert!(text.contains(&format!(
+            "{} global reads per {}-entry catch-up, {} per {NODES}-publication combine",
+            probes.catch_up_global_reads,
+            NODES * OPS_PER_PUB,
+            probes.combine_global_reads
+        )));
     }
 
     #[test]
@@ -505,27 +568,6 @@ mod tests {
                 combine_global_reads: Probes::COMBINE_GLOBAL_READS,
             }
         );
-    }
-
-    #[test]
-    fn gate_rejects_a_per_entry_walk() {
-        // Three reads per log entry, and three per publication header.
-        let per_entry = Probes {
-            replica_hit_fabric_ops: 0,
-            catch_up_global_reads: 2 + 3 * (NODES * OPS_PER_PUB) as u64,
-            combine_global_reads: 2 + 3 * NODES as u64,
-        };
-        // No sweep needed: only the probe failures are counted.
-        let failures = failures(&per_entry.record(Report::new("sync"))).unwrap();
-        let about_reads = failures.iter().filter(|f| f.contains("global reads"));
-        assert_eq!(about_reads.count(), 2, "{failures:?}");
-    }
-
-    #[test]
-    fn numa_probe_counts_remote_claims_only_on_the_pod() {
-        let (flat, pod) = run_numa_probe(4);
-        assert_eq!(flat, 0, "uniform home: no node is remote from the log");
-        assert!(pod > 0, "interleaved pod: off-home combines are counted");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! `flac-bench topo` — topology depth × page size on the zipf tiering
-//! workload.
+//! Topology depth × page size on the zipf tiering workload: section
+//! `topo` (ablation A11) of `figures`.
 //!
 //! The tentpole claim (paper §2.1/§3.3, hierarchical memory
 //! interconnects): page-granular tiering pays one rack-wide TLB
@@ -32,8 +32,6 @@ use flacos_mem::{
 use flacos_tier::{TierBudget, TierConfig, TierDaemon};
 use rack_sim::{GAddr, LAddr, Rack, RackConfig, SplitMix64, Zipf};
 
-use crate::report::{Point, Report};
-
 /// Address-space id used by the workload.
 const ASID: u64 = 1;
 /// Deterministic workload seed.
@@ -64,7 +62,7 @@ pub struct TopoScaleConfig {
 }
 
 impl TopoScaleConfig {
-    /// Committed-report sizing.
+    /// The sizing of `figures topo`.
     pub fn full() -> Self {
         TopoScaleConfig {
             warmup: 3000,
@@ -142,14 +140,27 @@ fn build_rack(topo: &str) -> Rack {
     }
 }
 
-struct ArmResult {
-    p50_ns: u64,
-    p99_ns: u64,
-    promoted: u64,
-    demoted: u64,
-    region_promotions: u64,
-    shootdown_rounds: u64,
-    total_ns: u64,
+/// One arm of a sweep row, run twice on fresh racks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TopoArm {
+    /// Sum of the measured access latencies, simulated ns.
+    pub sim_ns: u64,
+    /// The same from a second run on a fresh rack; must equal
+    /// `sim_ns` (`run_arm` leaves it 0 for `run_cell` to fill).
+    pub sim_ns_rerun: u64,
+    /// Median access latency, simulated ns.
+    pub p50_ns: u64,
+    /// Tail access latency, simulated ns.
+    pub p99_ns: u64,
+    /// 4 KiB promotions.
+    pub promoted: u64,
+    /// 4 KiB demotions.
+    pub demoted: u64,
+    /// 2 MiB region coalesces.
+    pub region_promotions: u64,
+    /// TLB shootdown rounds the initiator issued (one per 4 KiB
+    /// migration, one per 2 MiB region).
+    pub shootdown_rounds: u64,
 }
 
 /// The daemon policy for one arm: same budget ledger, different
@@ -168,7 +179,7 @@ fn arm_config(huge: bool) -> TierConfig {
 
 /// One arm: the zipf read stream, TLB-fronted, with the tiering daemon
 /// closing the loop from sampled accesses to migrations.
-fn run_arm(cfg: TopoScaleConfig, topo: &str, huge: bool) -> ArmResult {
+fn run_arm(cfg: TopoScaleConfig, topo: &str, huge: bool) -> TopoArm {
     let rack = build_rack(topo);
     let nodes = rack.node_count();
     let n0 = rack.node(0);
@@ -221,49 +232,67 @@ fn run_arm(cfg: TopoScaleConfig, topo: &str, huge: bool) -> ArmResult {
         }
     }
 
-    let total_ns = latencies.iter().sum();
+    let sim_ns = latencies.iter().sum();
     latencies.sort_unstable();
-    ArmResult {
+    TopoArm {
+        sim_ns,
+        sim_ns_rerun: 0,
         p50_ns: percentile_ns(&latencies, 50.0),
         p99_ns: percentile_ns(&latencies, 99.0),
         promoted,
         demoted,
         region_promotions,
         shootdown_rounds: tlbs[0].stats().shootdown_rounds,
-        total_ns,
     }
 }
 
-/// One sweep cell, keyed `topo=<flat|pod> mode=<base|huge>`: the arm
-/// run twice on fresh racks. `sim_ns` is the sum of the measured access
-/// latencies and `sim_ns_rerun` the same from the second run; `promoted`
-/// and `demoted` count 4 KiB migrations, `region_promotions` 2 MiB
-/// coalesces, and `shootdown_rounds` the TLB shootdown rounds the
-/// initiator issued (one per 4 KiB migration, one per 2 MiB region).
-fn run_cell(cfg: TopoScaleConfig, topo: &str, huge: bool) -> Point {
-    let a = run_arm(cfg, topo, huge);
-    let b = run_arm(cfg, topo, huge);
-    let mode = if huge { "huge" } else { "base" };
-    Point::new(format!("topo={topo} mode={mode}"))
-        .with("sim_ns", a.total_ns)
-        .with("sim_ns_rerun", b.total_ns)
-        .with("p50_ns", a.p50_ns)
-        .with("p99_ns", a.p99_ns)
-        .with("promoted", a.promoted)
-        .with("demoted", a.demoted)
-        .with("region_promotions", a.region_promotions)
-        .with("shootdown_rounds", a.shootdown_rounds)
+/// One topology: the 4 KiB-only arm and the region-granular arm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TopoRow {
+    /// `flat` or `pod`.
+    pub topo: &'static str,
+    /// 4 KiB-only tiering.
+    pub base: TopoArm,
+    /// Region-granular tiering.
+    pub huge: TopoArm,
+}
+
+impl TopoRow {
+    /// Each mode's name and arm.
+    pub fn arms(&self) -> [(&'static str, &TopoArm); 2] {
+        [("base", &self.base), ("huge", &self.huge)]
+    }
+}
+
+/// The region probe and the topology × page-size sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TopoScale {
+    /// Measured accesses per arm.
+    pub measured: usize,
+    /// The probe's page-wise shootdown rounds ([`region_probe`]).
+    pub base_rounds: u64,
+    /// The probe's region-wise shootdown rounds.
+    pub huge_rounds: u64,
+    /// The flat rack, then the pod.
+    pub rows: [TopoRow; 2],
+}
+
+/// One arm run twice on fresh racks.
+fn run_cell(cfg: TopoScaleConfig, topo: &str, huge: bool) -> TopoArm {
+    let first = run_arm(cfg, topo, huge);
+    TopoArm {
+        sim_ns_rerun: run_arm(cfg, topo, huge).sim_ns,
+        ..first
+    }
 }
 
 /// Run the topology × page-size sweep.
-pub fn run_sweep(cfg: TopoScaleConfig) -> Vec<Point> {
-    let mut rows = Vec::with_capacity(4);
-    for topo in ["flat", "pod"] {
-        for huge in [false, true] {
-            rows.push(run_cell(cfg, topo, huge));
-        }
-    }
-    rows
+pub fn run_sweep(cfg: TopoScaleConfig) -> [TopoRow; 2] {
+    ["flat", "pod"].map(|topo| TopoRow {
+        topo,
+        base: run_cell(cfg, topo, false),
+        huge: run_cell(cfg, topo, true),
+    })
 }
 
 /// Deterministic headline probe: promote ONE fully-hot 2 MiB region on a
@@ -317,91 +346,131 @@ pub fn region_probe() -> (u64, u64) {
     (rounds[0], rounds[1])
 }
 
-/// The judgement of a report: every (topology, mode) cell of the sweep
-/// present, the region probe pinning exactly 512 page-wise vs 1
-/// region-wise shootdown rounds, and the huge arm beating the base
-/// arm's p50 and round count at the same local-DRAM budget on every
-/// topology. Rerun parity is the schema's own check.
-///
-/// # Errors
-///
-/// Names a column or fact the report lacks.
-pub fn failures(report: &Report) -> Result<Vec<String>, String> {
+/// The judgement of a run: the region probe pinning exactly 512
+/// page-wise vs 1 region-wise shootdown rounds, the huge arm beating the
+/// base arm's p50 and round count at the same local-DRAM budget on
+/// every topology, only the huge arm coalescing regions, and every
+/// arm's fixed-seed rerun reproducing its simulated time.
+pub fn failures(r: &TopoScale) -> Vec<String> {
     let mut failures = Vec::new();
-    let probe = (
-        report.facts.u64("base_rounds")?,
-        report.facts.u64("huge_rounds")?,
-    );
-    if probe != (PAGES_PER_HUGE, 1) {
+    if (r.base_rounds, r.huge_rounds) != (PAGES_PER_HUGE, 1) {
         failures.push(format!(
             "region probe: expected ({PAGES_PER_HUGE}, 1) shootdown rounds \
              (page-wise, region-wise), got ({}, {})",
-            probe.0, probe.1
+            r.base_rounds, r.huge_rounds
         ));
     }
-    for topo in ["flat", "pod"] {
-        for mode in ["base", "huge"] {
-            if report.point(&format!("topo={topo} mode={mode}")).is_none() {
-                failures.push(format!("missing sweep cell {topo}/{mode}"));
+    for row in &r.rows {
+        let (topo, base, huge) = (row.topo, &row.base, &row.huge);
+        for (mode, arm) in row.arms() {
+            if arm.sim_ns != arm.sim_ns_rerun {
+                failures.push(format!(
+                    "topo={topo} mode={mode}: seeded rerun did not reproduce sim_ns ({} vs {})",
+                    arm.sim_ns, arm.sim_ns_rerun
+                ));
             }
         }
-        let (Some(base), Some(huge)) = (
-            report.point(&format!("topo={topo} mode=base")),
-            report.point(&format!("topo={topo} mode=huge")),
-        ) else {
-            continue; // a missing cell is named above
-        };
-        if huge.u64("region_promotions")? < 1 {
+        if huge.region_promotions < 1 {
             failures.push(format!("{topo}: huge arm coalesced no region"));
         }
-        if base.u64("region_promotions")? != 0 {
-            failures.push(format!("{topo}: base arm must not coalesce regions"));
-        }
-        let (huge_p50, base_p50) = (huge.u64("p50_ns")?, base.u64("p50_ns")?);
-        if huge_p50 >= base_p50 {
+        if base.region_promotions != 0 {
             failures.push(format!(
-                "{topo}: huge p50 {huge_p50} ns is not below base p50 {base_p50} ns at the \
-                 same budget"
+                "{topo}: base arm must not coalesce regions, coalesced {}",
+                base.region_promotions
             ));
         }
-        let (huge_rounds, base_rounds) =
-            (huge.u64("shootdown_rounds")?, base.u64("shootdown_rounds")?);
-        if huge_rounds >= base_rounds {
+        if huge.p50_ns >= base.p50_ns {
             failures.push(format!(
-                "{topo}: huge arm issued {huge_rounds} shootdown rounds, base {base_rounds} — \
-                 region coalescing must cut rounds"
+                "{topo}: huge p50 {} ns is not below base p50 {} ns at the same budget",
+                huge.p50_ns, base.p50_ns
+            ));
+        }
+        if huge.shootdown_rounds >= base.shootdown_rounds {
+            failures.push(format!(
+                "{topo}: huge arm issued {} shootdown rounds, base {} — region coalescing \
+                 must cut rounds",
+                huge.shootdown_rounds, base.shootdown_rounds
             ));
         }
     }
-    Ok(failures)
+    failures
 }
 
-/// Run the region probe and the sweep of [`TopoScaleConfig::full`],
-/// printing the probe line, and build the report.
-pub fn run() -> Report {
+/// Run the region probe and the sweep of [`TopoScaleConfig::full`].
+pub fn run() -> TopoScale {
     run_with(TopoScaleConfig::full())
 }
 
 /// [`run`] at the sizes of `cfg`.
-fn run_with(cfg: TopoScaleConfig) -> Report {
-    println!("topo: {} measured accesses per arm", cfg.measured);
+fn run_with(cfg: TopoScaleConfig) -> TopoScale {
     let (base_rounds, huge_rounds) = region_probe();
-    println!(
-        "  region promotion: {base_rounds} page-wise shootdown rounds vs {huge_rounds} ranged round"
-    );
-    let mut report = Report::new("topo")
-        .fact("pages", PAGES)
-        .fact("zipf_skew", SKEW)
-        .fact("budget_bytes", BUDGET_BYTES)
-        .fact("base_rounds", base_rounds)
-        .fact("huge_rounds", huge_rounds);
-    report.points = run_sweep(cfg);
-    report
+    TopoScale {
+        measured: cfg.measured,
+        base_rounds,
+        huge_rounds,
+        rows: run_sweep(cfg),
+    }
+}
+
+/// Render the sweep and the probe, every value exact.
+pub fn report(r: &TopoScale) -> String {
+    let rows: Vec<Vec<String>> = r
+        .rows
+        .iter()
+        .flat_map(|row| {
+            row.arms().map(|(mode, arm)| {
+                vec![
+                    row.topo.to_string(),
+                    mode.to_string(),
+                    arm.sim_ns.to_string(),
+                    arm.p50_ns.to_string(),
+                    arm.p99_ns.to_string(),
+                    arm.promoted.to_string(),
+                    arm.demoted.to_string(),
+                    arm.region_promotions.to_string(),
+                    arm.shootdown_rounds.to_string(),
+                ]
+            })
+        })
+        .collect();
+    format!(
+        "Ablation A11: topology depth x page size ({PAGES} pages, zipf {SKEW}, {BUDGET_BYTES} B \
+         local budget, {} reads/arm, simulated ns)\n\n{}\n\
+         region promotion probe: {} page-wise shootdown rounds vs {} region-wise\n",
+        r.measured,
+        crate::table::render(
+            &[
+                "topology",
+                "mode",
+                "sim ns",
+                "p50 ns",
+                "p99 ns",
+                "promoted",
+                "demoted",
+                "regions",
+                "shootdown rounds"
+            ],
+            &rows
+        ),
+        r.base_rounds,
+        r.huge_rounds
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fewer accesses than the full run, run once for every test.
+    fn quick() -> &'static TopoScale {
+        static QUICK: std::sync::OnceLock<TopoScale> = std::sync::OnceLock::new();
+        QUICK.get_or_init(|| {
+            run_with(TopoScaleConfig {
+                warmup: 1000,
+                measured: 2000,
+            })
+        })
+    }
 
     #[test]
     fn region_probe_pins_512_to_1() {
@@ -409,34 +478,33 @@ mod tests {
     }
 
     #[test]
-    fn quick_sweep_passes_the_gate_and_roundtrips() {
-        let report = run_with(TopoScaleConfig {
-            warmup: 1000,
-            measured: 2000,
-        });
-        let json = report.to_json();
-        assert_eq!(Report::parse(&json).as_ref(), Ok(&report));
-        let failures = crate::suite::Suite::Topo.failures(&report);
-        assert!(failures.is_empty(), "{failures:?}");
+    fn quick_sweep_passes_the_gate() {
+        assert_eq!(failures(quick()), Vec::<String>::new());
     }
 
     #[test]
-    fn check_rejects_missing_cells_and_bad_probe() {
-        let row = Point::new("topo=flat mode=base")
-            .with("sim_ns", 1u64)
-            .with("sim_ns_rerun", 1u64)
-            .with("p50_ns", 500u64)
-            .with("p99_ns", 900u64)
-            .with("promoted", 10u64)
-            .with("demoted", 2u64)
-            .with("region_promotions", 0u64)
-            .with("shootdown_rounds", 12u64);
-        let mut report = Report::new("topo")
-            .fact("base_rounds", 512u64)
-            .fact("huge_rounds", 2u64);
-        report.points = vec![row];
-        let failures = failures(&report).unwrap();
-        assert!(failures.iter().any(|f| f.contains("missing sweep cell")));
-        assert!(failures.iter().any(|f| f.contains("region probe")));
+    fn judgement_rejects_each_broken_invariant() {
+        crate::assert_judged(
+            quick(),
+            failures,
+            &[
+                ("region probe", |r| r.huge_rounds = 2),
+                ("topo=pod mode=huge: seeded rerun did not reproduce", |r| {
+                    r.rows[1].huge.sim_ns_rerun += 1;
+                }),
+                ("coalesced no region", |r| {
+                    r.rows[0].huge.region_promotions = 0
+                }),
+                ("must not coalesce", |r| {
+                    r.rows[1].base.region_promotions = 1
+                }),
+                ("is not below base p50", |r| {
+                    r.rows[0].huge.p50_ns = r.rows[0].base.p50_ns;
+                }),
+                ("must cut rounds", |r| {
+                    r.rows[1].huge.shootdown_rounds = r.rows[1].base.shootdown_rounds;
+                }),
+            ],
+        );
     }
 }

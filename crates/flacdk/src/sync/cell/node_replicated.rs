@@ -676,7 +676,7 @@ impl<T: SyncState> SyncCell<T> {
         Ok(tail)
     }
 
-    // ----- split-protocol hooks (flac-faultstorm / flac-bench sync) -----
+    // ----- split-protocol hooks (flac-faultstorm / figures replication) -----
 
     /// Publish `op` from this node and return, without waiting
     /// for a combiner. Drives the protocol one step at a time from the

@@ -9,7 +9,7 @@
 //! The evaluation drives SET and GET at two request sizes and measures
 //! client-observed latency; see `bench::fig4` and `figures -- fig4`.
 //! The heavy-traffic serving benchmark
-//! (`flac-bench serve`, `BENCH_serve.json`) drives the same server with an
+//! (`bench::serve_scale`, `figures -- serve`) drives the same server with an
 //! open-loop multi-connection load via the [`server`] event loop's RESP
 //! pipelining and batched replies.
 
