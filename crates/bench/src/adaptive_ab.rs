@@ -9,9 +9,10 @@
 //! track the best fixed policy at both ends of the sweep without
 //! thrashing in the middle.
 
+use crate::percentile_ns;
 use flacdk::sync::{AdaptiveConfig, SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacdk::wire::{Decoder, Encoder};
-use rack_sim::{Rack, RackConfig, SplitMix64};
+use rack_sim::{Rack, RackConfig, RackReport, SplitMix64};
 
 /// Nodes issuing operations (round-robin).
 const NODES: usize = 8;
@@ -23,10 +24,22 @@ const WARMUP_OPS: usize = 200;
 const MEASURED_OPS: usize = 1600;
 /// Read percentages swept, crossing the break-even from both sides.
 pub const READ_PCTS: [u32; 7] = [0, 10, 25, 50, 75, 90, 100];
+/// The adaptive driver's arm: no fixed policy.
+const ADAPTIVE: (&str, Option<SyncPolicy>) = ("adaptive", None);
+/// Every arm of a cell, in table column order: the fixed policies, then
+/// the adaptive driver.
+const ARMS: [(&str, Option<SyncPolicy>); 6] = [
+    ("lock", Some(SyncPolicy::Lock)),
+    ("replicated", Some(SyncPolicy::Replicated)),
+    ("delegated", Some(SyncPolicy::Delegated)),
+    ("rcu", Some(SyncPolicy::Rcu)),
+    ("node_replicated", Some(SyncPolicy::NodeReplicated)),
+    ADAPTIVE,
+];
 
 /// The shared state under test: per-node op tallies (16-byte footprint
-/// per node, applied from 12-byte committed ops). Ablation A1 measures
-/// the same state.
+/// per node, applied from 12-byte committed ops). Ablations A1 and A10
+/// measure the same state.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Tally {
     counts: Vec<u64>,
@@ -119,22 +132,15 @@ impl AdaptiveRow {
     }
 }
 
-fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Run one arm: a deterministic read/update mix issued round-robin from
-/// every node against a single cell on `rack` (fresh per arm).
+/// every node against a single cell on a fresh rack. Returns the arm and
+/// the rack's metrics.
 fn run_arm(
-    rack: &Rack,
     label: &'static str,
     read_pct: u32,
     policy: Option<SyncPolicy>,
-) -> AdaptiveArm {
+) -> (AdaptiveArm, RackReport) {
+    let rack = Rack::new(RackConfig::n_node(NODES).with_global_mem(64 << 20));
     let mut cfg =
         SyncCellConfig::new(NODES, policy.unwrap_or(SyncPolicy::Replicated)).with_log(8192, 48);
     if policy.is_none() {
@@ -158,80 +164,44 @@ fn run_arm(
         }
     }
     latencies.sort_unstable();
-    AdaptiveArm {
+    let arm = AdaptiveArm {
         label,
         p50_ns: percentile_ns(&latencies, 50.0),
         p99_ns: percentile_ns(&latencies, 99.0),
         switches: cell.switch_epoch(&rack.node(0)).expect("epoch"),
         final_policy: cell.policy(),
-    }
+    };
+    (arm, rack.metrics_report())
 }
 
-fn fresh_rack() -> Rack {
-    Rack::new(RackConfig::n_node(NODES).with_global_mem(64 << 20))
-}
-
-/// Run every arm of one read-ratio cell, each on a fresh rack.
-pub fn run_cell(read_pct: u32) -> AdaptiveRow {
-    let arms = vec![
-        run_arm(&fresh_rack(), "lock", read_pct, Some(SyncPolicy::Lock)),
-        run_arm(
-            &fresh_rack(),
-            "replicated",
-            read_pct,
-            Some(SyncPolicy::Replicated),
-        ),
-        run_arm(
-            &fresh_rack(),
-            "delegated",
-            read_pct,
-            Some(SyncPolicy::Delegated),
-        ),
-        run_arm(&fresh_rack(), "rcu", read_pct, Some(SyncPolicy::Rcu)),
-        run_arm(
-            &fresh_rack(),
-            "node_replicated",
-            read_pct,
-            Some(SyncPolicy::NodeReplicated),
-        ),
-        run_arm(&fresh_rack(), "adaptive", read_pct, None),
-    ];
-    AdaptiveRow {
+/// Run every arm of one read-ratio cell, each on a fresh rack, with the
+/// metrics of the adaptive arm: the `sync` per-policy op counters and
+/// the policy-switch events.
+pub fn run_cell(read_pct: u32) -> (AdaptiveRow, RackReport) {
+    let (arms, metrics) = crate::sweep(ARMS, ADAPTIVE, |(label, policy)| {
+        run_arm(label, read_pct, policy)
+    });
+    let row = AdaptiveRow {
         read_pct,
         ops: MEASURED_OPS,
         arms,
-    }
+    };
+    (row, metrics)
 }
 
-/// Rack-wide metrics behind a representative adaptive arm (25% reads):
-/// the `sync` per-policy op counters and the policy-switch events.
-pub fn metrics() -> rack_sim::RackReport {
-    let rack = fresh_rack();
-    rack.enable_tracing();
-    run_arm(&rack, "adaptive", 25, None);
-    rack.metrics_report()
-}
-
-/// Run the full read-ratio sweep.
-pub fn run() -> Vec<AdaptiveRow> {
-    READ_PCTS.iter().map(|&p| run_cell(p)).collect()
+/// Run the full read-ratio sweep, with the metrics of the adaptive arm
+/// at 25% reads.
+pub fn run() -> (Vec<AdaptiveRow>, RackReport) {
+    crate::sweep(READ_PCTS, 25, run_cell)
 }
 
 /// Render the sweep as a p50 table, one column per backend.
 pub fn report(rows: &[AdaptiveRow]) -> String {
-    let labels = [
-        "lock",
-        "replicated",
-        "delegated",
-        "rcu",
-        "node_replicated",
-        "adaptive",
-    ];
     let table_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             let mut cells = vec![format!("{}%", r.read_pct)];
-            for l in labels {
+            for (l, _) in ARMS {
                 cells.push(crate::table::fmt_ns(r.arm(l).p50_ns));
             }
             let ad = r.arm("adaptive");
@@ -270,7 +240,7 @@ mod tests {
     #[test]
     fn adaptive_tracks_best_fixed_at_both_ends() {
         for read_pct in [0u32, 100] {
-            let row = run_cell(read_pct);
+            let (row, _) = run_cell(read_pct);
             let adaptive = row.arm("adaptive").p50_ns;
             let best = row.best_fixed_p50();
             let worst = row.worst_fixed_p50();
@@ -287,7 +257,7 @@ mod tests {
 
     #[test]
     fn adaptive_lands_on_the_right_backend() {
-        let writes = run_cell(0);
+        let (writes, _) = run_cell(0);
         // Round-robin writers from every node: the write tier for a
         // multi-writer window is the flat-combined node-replicated log.
         assert_eq!(
@@ -295,7 +265,7 @@ mod tests {
             SyncPolicy::NodeReplicated
         );
         assert!(writes.arm("adaptive").switches >= 1);
-        let reads = run_cell(100);
+        let (reads, _) = run_cell(100);
         assert_eq!(reads.arm("adaptive").final_policy, SyncPolicy::Replicated);
         assert_eq!(reads.arm("adaptive").switches, 0, "already right");
     }
@@ -304,14 +274,14 @@ mod tests {
     fn break_even_crosses_inside_the_sweep() {
         // Replication must win the read-heavy end, delegation the
         // write-heavy end — otherwise the sweep brackets nothing.
-        let writes = run_cell(0);
+        let (writes, _) = run_cell(0);
         assert!(
             writes.arm("delegated").p50_ns < writes.arm("replicated").p50_ns,
             "delegated {} vs replicated {}",
             writes.arm("delegated").p50_ns,
             writes.arm("replicated").p50_ns
         );
-        let reads = run_cell(100);
+        let (reads, _) = run_cell(100);
         assert!(
             reads.arm("replicated").p50_ns < reads.arm("delegated").p50_ns,
             "replicated {} vs delegated {}",

@@ -6,14 +6,15 @@
 //! ```
 //!
 //! Every figure and ablation A1–A8 is followed by the rack-wide metrics
-//! decomposition of a representative cell — operation counts,
-//! per-cost-class latency histograms, and per-subsystem counters — so
-//! the headline numbers can be traced back to the simulated operations
-//! that produced them. The four scale sweeps (`serve`, `store`,
-//! `replication`, `topo`) are judged instead: a sweep that breaks one of
-//! its invariants prints nothing on stdout, names each broken invariant
-//! on stderr, and makes `figures` exit 1, so `figures all > FIGURES.txt`
-//! cannot record it. An unknown section exits 2.
+//! decomposition of one named cell of its table — operation counts,
+//! per-cost-class latency histograms, and per-subsystem counters — taken
+//! from the rack that cell ran on, so the headline numbers can be traced
+//! back to the simulated operations that produced them. The four scale
+//! sweeps (`serve`, `store`, `replication`, `topo`) are judged instead: a
+//! sweep that breaks one of its invariants prints nothing on stdout,
+//! names each broken invariant on stderr, and makes `figures` exit 1, so
+//! `figures all > FIGURES.txt` cannot record it. An unknown section
+//! exits 2.
 
 use bench::{
     adaptive_ab, dedup_ab, fabric_ab, faultbox_ab, fig4, ipc_ab, pagecache_ab, serve_scale,
@@ -27,7 +28,7 @@ type Outcome = Result<String, Vec<String>>;
 /// Run one section.
 type Section = fn() -> Outcome;
 
-/// A table followed by the metrics decomposition of `what`.
+/// A table followed by the metrics decomposition of its cell `what`.
 fn figure(table: String, what: &str, metrics: &RackReport) -> Outcome {
     Ok(format!("{table}\n\nmetrics — {what}:\n{metrics}\n\n"))
 }
@@ -44,73 +45,83 @@ fn judged(failures: Vec<String>, table: String) -> Outcome {
 /// Every section, in the order `all` prints them.
 const SECTIONS: [(&str, Section); 14] = [
     ("fig4", || {
+        let (rows, metrics) = fig4::run(1000);
         figure(
-            fig4::report(&fig4::run(1000)),
-            "Figure 4 representative cell (FlacOS SET, 4 KiB)",
-            &fig4::metrics(200),
+            fig4::report(&rows),
+            "Figure 4 cell (FlacOS SET, 4 KiB, 1000 requests)",
+            &metrics,
         )
     }),
     ("startup", || {
+        let (rows, metrics) = startup::run(startup::IMAGE_PAGES, startup::SCALE);
         figure(
-            startup::report(&startup::run()),
-            "container startup (small image)",
-            &startup::metrics(),
+            startup::report(&rows),
+            "container startup (cold on node 0, shared then hot on node 1)",
+            &metrics,
         )
     }),
     ("sync", || {
+        let (rows, metrics) = sync_ab::run(400);
         figure(
-            sync_ab::report(&sync_ab::run(400)),
+            sync_ab::report(&rows),
             "A1 representative cell (rcu, 2 nodes, 50% reads)",
-            &sync_ab::metrics(400),
+            &metrics,
         )
     }),
     ("pagecache", || {
+        let (rows, metrics) = pagecache_ab::run();
         figure(
-            pagecache_ab::report(&pagecache_ab::run()),
-            "A2 representative cell (2 nodes, shared file set)",
-            &pagecache_ab::metrics(),
+            pagecache_ab::report(&rows),
+            "A2 cell (2 nodes, 4 shared files of 64 pages)",
+            &metrics,
         )
     }),
     ("ipc", || {
+        let (rows, metrics) = ipc_ab::run(200);
         figure(
-            ipc_ab::report(&ipc_ab::run(200)),
+            ipc_ab::report(&rows),
             "A4 representative point (FlacOS echo, 4 KiB)",
-            &ipc_ab::metrics(200),
+            &metrics,
         )
     }),
     ("faultbox", || {
+        let (rows, metrics) = faultbox_ab::run();
         figure(
-            faultbox_ab::report(&faultbox_ab::run()),
+            faultbox_ab::report(&rows),
             "A3 representative cell (8 apps, fault-box path)",
-            &faultbox_ab::metrics(),
+            &metrics,
         )
     }),
     ("dedup", || {
+        let (rows, metrics) = dedup_ab::run();
         figure(
-            dedup_ab::report(&dedup_ab::run()),
+            dedup_ab::report(&rows),
             "A5 representative cell (4 images, shared layers)",
-            &dedup_ab::metrics(),
+            &metrics,
         )
     }),
     ("fabric", || {
+        let (rows, metrics) = fabric_ab::run(300);
         figure(
-            fabric_ab::report(&fabric_ab::run(300)),
+            fabric_ab::report(&rows),
             "A6 representative cell (HCCS, FlacOS SET, 4 KiB)",
-            &fabric_ab::metrics(300),
+            &metrics,
         )
     }),
     ("tiering", || {
+        let (rows, metrics) = tiering_ab::run();
         figure(
-            tiering_ab::report(&tiering_ab::run()),
+            tiering_ab::report(&rows),
             "A7 representative cell (zipf 0.99, daemon on)",
-            &tiering_ab::metrics(),
+            &metrics,
         )
     }),
     ("adaptive", || {
+        let (rows, metrics) = adaptive_ab::run();
         figure(
-            adaptive_ab::report(&adaptive_ab::run()),
+            adaptive_ab::report(&rows),
             "A8 representative cell (adaptive driver, 25% reads)",
-            &adaptive_ab::metrics(),
+            &metrics,
         )
     }),
     ("serve", || {

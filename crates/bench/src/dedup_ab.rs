@@ -8,7 +8,7 @@
 use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
 use flacos_mem::PAGE_SIZE;
-use rack_sim::{Rack, RackConfig};
+use rack_sim::{Rack, RackConfig, RackReport};
 use serverless::image::ContainerImage;
 
 /// One measured configuration.
@@ -34,17 +34,10 @@ impl DedupRow {
 }
 
 /// Intern `images` images of `pages_each` pages; all images share their
-/// first `shared_layers` (of 4) layers.
-pub fn run_cell(images: usize, pages_each: u64, shared_layers: usize) -> DedupRow {
-    run_cell_on(
-        &Rack::new(RackConfig::small_test().with_global_mem(256 << 20)),
-        images,
-        pages_each,
-        shared_layers,
-    )
-}
-
-fn run_cell_on(rack: &Rack, images: usize, pages_each: u64, shared_layers: usize) -> DedupRow {
+/// first `shared_layers` (of 4) layers. Returns the row and the rack's
+/// metrics.
+pub fn run_cell(images: usize, pages_each: u64, shared_layers: usize) -> (DedupRow, RackReport) {
+    let rack = Rack::new(RackConfig::small_test().with_global_mem(256 << 20));
     let dedup = PageDeduper::new(FrameAllocator::new(rack.global().clone()));
     let n0 = rack.node(0);
 
@@ -71,27 +64,20 @@ fn run_cell_on(rack: &Rack, images: usize, pages_each: u64, shared_layers: usize
     }
 
     let stats = dedup.stats();
-    DedupRow {
+    let row = DedupRow {
         images,
         shared_layers,
         pages_interned: stats.interned,
         unique_frames: stats.unique_frames,
         bytes_saved: stats.bytes_saved,
-    }
+    };
+    (row, rack.metrics_report())
 }
 
-/// Run the sweep over sharing degrees.
-pub fn run() -> Vec<DedupRow> {
-    [0usize, 2, 4].iter().map(|&s| run_cell(4, 64, s)).collect()
-}
-
-/// Rack-wide metrics behind one representative cell (4 images, fully
-/// shared layers): operation counts and latency histograms.
-pub fn metrics() -> rack_sim::RackReport {
-    let rack = Rack::new(RackConfig::small_test().with_global_mem(256 << 20));
-    rack.enable_tracing();
-    run_cell_on(&rack, 4, 64, 4);
-    rack.metrics_report()
+/// Run the sweep over sharing degrees, with the rack-wide metrics of
+/// the fully shared cell: operation counts and latency histograms.
+pub fn run() -> (Vec<DedupRow>, RackReport) {
+    crate::sweep([0usize, 2, 4], 4, |s| run_cell(4, 64, s))
 }
 
 /// Render the sweep.
@@ -132,7 +118,7 @@ mod tests {
 
     #[test]
     fn fully_shared_images_store_once() {
-        let row = run_cell(4, 32, 4);
+        let (row, _) = run_cell(4, 32, 4);
         // 4 identical images: only one image's worth of frames.
         assert_eq!(row.pages_interned, 4 * 32);
         assert_eq!(row.unique_frames, 32);
@@ -142,16 +128,16 @@ mod tests {
 
     #[test]
     fn unshared_images_store_everything() {
-        let row = run_cell(3, 32, 0);
+        let (row, _) = run_cell(3, 32, 0);
         assert_eq!(row.unique_frames, 3 * 32);
         assert_eq!(row.bytes_saved, 0);
     }
 
     #[test]
     fn savings_scale_with_shared_fraction() {
-        let none = run_cell(4, 64, 0);
-        let half = run_cell(4, 64, 2);
-        let all = run_cell(4, 64, 4);
+        let (none, _) = run_cell(4, 64, 0);
+        let (half, _) = run_cell(4, 64, 2);
+        let (all, _) = run_cell(4, 64, 4);
         assert!(none.bytes_saved < half.bytes_saved);
         assert!(half.bytes_saved < all.bytes_saved);
     }

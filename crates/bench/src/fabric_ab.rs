@@ -10,10 +10,11 @@
 use flacdk::alloc::GlobalAllocator;
 use flacos_ipc::channel::FlacChannel;
 use flacos_ipc::netstack::{NetConfig, NetPair};
-use rack_sim::{LatencyModel, Rack, RackConfig};
+use rack_sim::{LatencyModel, Rack, RackConfig, RackReport};
 use redis_mini::client::{request_stepped, RedisClient};
 use redis_mini::resp::Command;
 use redis_mini::server::RedisServer;
+use redis_mini::transport::Transport;
 
 /// A named latency-model constructor.
 pub type FabricModel = (&'static str, fn() -> LatencyModel);
@@ -45,63 +46,55 @@ impl FabricRow {
     }
 }
 
-fn measure_set(rack: &Rack, over_ipc: bool, size: usize, requests: usize) -> u64 {
-    let alloc = GlobalAllocator::new(rack.global().clone());
+/// Mean latency of `requests` Redis SETs of `size`-byte values from a
+/// client on node 1 to a server on node 0, over the server endpoint
+/// `sep` and the client endpoint `cep`.
+fn measure_set<T: Transport>(rack: &Rack, (sep, cep): (T, T), size: usize, requests: usize) -> u64 {
     let cmd = Command::Set {
         key: b"k".to_vec(),
         value: vec![1u8; size],
     };
-    let mut total = 0u64;
-    if over_ipc {
-        let (sep, cep) =
-            FlacChannel::create(rack.global(), alloc, rack.node(0), rack.node(1)).expect("chan");
-        let mut server = RedisServer::new(rack.node(0), sep);
-        let mut client = RedisClient::new(rack.node(1), cep);
-        for _ in 0..requests {
-            total += request_stepped(&mut client, &mut server, &cmd)
+    let mut server = RedisServer::new(rack.node(0), sep);
+    let mut client = RedisClient::new(rack.node(1), cep);
+    let total: u64 = (0..requests)
+        .map(|_| {
+            request_stepped(&mut client, &mut server, &cmd)
                 .expect("req")
-                .1;
-        }
-    } else {
-        let (sep, cep) = NetPair::connect(rack.node(0), rack.node(1), NetConfig::ten_gbe(), 0);
-        let mut server = RedisServer::new(rack.node(0), sep);
-        let mut client = RedisClient::new(rack.node(1), cep);
-        for _ in 0..requests {
-            total += request_stepped(&mut client, &mut server, &cmd)
-                .expect("req")
-                .1;
-        }
-    }
+                .1
+        })
+        .sum();
     total / requests as u64
 }
 
-/// Run the fabric sweep with `requests` SETs per cell.
-pub fn run(requests: usize) -> Vec<FabricRow> {
-    let mut rows = Vec::new();
-    for &size in &[16usize, 4096] {
-        for (fabric, model) in FABRICS {
-            let rack = Rack::new(RackConfig::two_node_hccs().with_latency(model()));
-            let flacos_ns = measure_set(&rack, true, size, requests);
-            let rack = Rack::new(RackConfig::two_node_hccs().with_latency(model()));
-            let networking_ns = measure_set(&rack, false, size, requests);
-            rows.push(FabricRow {
-                fabric,
-                size,
-                flacos_ns,
-                networking_ns,
-            });
-        }
-    }
-    rows
-}
+/// Run the fabric sweep with `requests` SETs per cell, with the
+/// rack-wide metrics of the HCCS 4 KiB FlacOS cell: operation counts
+/// and latency histograms.
+pub fn run(requests: usize) -> (Vec<FabricRow>, RackReport) {
+    let cells = [16usize, 4096]
+        .into_iter()
+        .flat_map(|size| (0..FABRICS.len()).map(move |f| (size, f)));
+    // `FABRICS[0]` is HCCS.
+    crate::sweep(cells, (4096, 0), |(size, f)| {
+        let (fabric, model) = FABRICS[f];
+        let rack = Rack::new(RackConfig::two_node_hccs().with_latency(model()));
+        let alloc = GlobalAllocator::new(rack.global().clone());
+        let pair =
+            FlacChannel::create(rack.global(), alloc, rack.node(0), rack.node(1)).expect("chan");
+        let flacos_ns = measure_set(&rack, pair, size, requests);
+        let metrics = rack.metrics_report();
 
-/// Rack-wide metrics behind one representative cell (HCCS fabric,
-/// FlacOS IPC, 4 KiB SETs): operation counts and latency histograms.
-pub fn metrics(requests: usize) -> rack_sim::RackReport {
-    let rack = Rack::new(RackConfig::two_node_hccs());
-    rack.enable_tracing();
-    measure_set(&rack, true, 4096, requests);
-    rack.metrics_report()
+        let rack = Rack::new(RackConfig::two_node_hccs().with_latency(model()));
+        let pair = NetPair::connect(rack.node(0), rack.node(1), NetConfig::ten_gbe(), 0);
+        let networking_ns = measure_set(&rack, pair, size, requests);
+
+        let row = FabricRow {
+            fabric,
+            size,
+            flacos_ns,
+            networking_ns,
+        };
+        (row, metrics)
+    })
 }
 
 /// Render the sweep.
@@ -133,7 +126,7 @@ mod tests {
 
     #[test]
     fn better_fabrics_help_flacos_not_tcp() {
-        let rows = run(30);
+        let (rows, _) = run(30);
         let at = |f: &str, size: usize| {
             rows.iter()
                 .find(|r| r.fabric == f && r.size == size)
@@ -150,7 +143,7 @@ mod tests {
 
     #[test]
     fn report_lists_all_fabrics() {
-        let text = report(&run(5));
+        let text = report(&run(5).0);
         for (f, _) in FABRICS {
             assert!(text.contains(f));
         }

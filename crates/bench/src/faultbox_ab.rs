@@ -13,7 +13,7 @@ use flacos_fault::fault_box::FaultBoxBuilder;
 use flacos_fault::recovery::RecoveryOrchestrator;
 use flacos_fault::redundancy::{Protection, RedundancyPolicy};
 use flacos_mem::fault::FrameAllocator;
-use rack_sim::{Rack, RackConfig};
+use rack_sim::{Rack, RackConfig, RackReport};
 
 /// One measured configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,8 +61,9 @@ fn build_orchestrator(rack: &Rack, apps: usize, heap_pages: usize) -> RecoveryOr
     orch
 }
 
-/// Run one cell: `apps` applications, fault injected into one.
-pub fn run_cell(apps: usize) -> FaultBoxRow {
+/// Run one cell: `apps` applications, fault injected into one, with the
+/// metrics of the fault-box path's rack.
+pub fn run_cell(apps: usize) -> (FaultBoxRow, RackReport) {
     // Fault-box path: targeted detection + single-app recovery.
     let rack = Rack::new(RackConfig::small_test().with_global_mem(192 << 20));
     let mut orch = build_orchestrator(&rack, apps, 2);
@@ -76,6 +77,7 @@ pub fn run_cell(apps: usize) -> FaultBoxRow {
         "fault box bounds the radius"
     );
     let recovery_flacos_ns = report.sweep_ns;
+    let metrics = rack.metrics_report();
 
     // Baseline path: the same single fault, but horizontally aggregated
     // state means the whole node's applications restart — modeled by
@@ -92,33 +94,21 @@ pub fn run_cell(apps: usize) -> FaultBoxRow {
     orch.sweep(&n0).expect("sweep all");
     let recovery_baseline_ns = n0.clock().now() - t0;
 
-    FaultBoxRow {
+    let row = FaultBoxRow {
         apps,
         disturbed_flacos: 1,
         disturbed_baseline: apps,
         recovery_flacos_ns,
         recovery_baseline_ns,
-    }
+    };
+    (row, metrics)
 }
 
-/// Run the app-count sweep.
-pub fn run() -> Vec<FaultBoxRow> {
-    [4usize, 8, 16].iter().map(|&k| run_cell(k)).collect()
-}
-
-/// Rack-wide metrics behind one representative cell (8 apps, fault-box
-/// path): operation counts, latency histograms, and the `fault_box`
-/// build/recovery counters.
-pub fn metrics() -> rack_sim::RackReport {
-    let apps = 8;
-    let rack = Rack::new(RackConfig::small_test().with_global_mem(192 << 20));
-    rack.enable_tracing();
-    let mut orch = build_orchestrator(&rack, apps, 2);
-    let n0 = rack.node(0);
-    orch.poison_app_heap(&n0, rack.faults(), (apps / 2) as u64, 64)
-        .expect("inject");
-    orch.sweep(&n0).expect("sweep");
-    rack.metrics_report()
+/// Run the app-count sweep, with the rack-wide metrics of the 8-app
+/// fault-box path: operation counts, latency histograms, and the
+/// `fault_box` build/recovery counters.
+pub fn run() -> (Vec<FaultBoxRow>, RackReport) {
+    crate::sweep([4usize, 8, 16], 8, run_cell)
 }
 
 /// Render the sweep.
@@ -158,7 +148,7 @@ mod tests {
 
     #[test]
     fn fault_box_bounds_radius_and_beats_restart() {
-        let row = run_cell(8);
+        let (row, _) = run_cell(8);
         assert_eq!(row.disturbed_flacos, 1);
         assert_eq!(row.disturbed_baseline, 8);
         assert!(
@@ -171,8 +161,8 @@ mod tests {
 
     #[test]
     fn speedup_grows_with_density() {
-        let small = run_cell(4);
-        let big = run_cell(16);
+        let (small, _) = run_cell(4);
+        let (big, _) = run_cell(16);
         assert!(
             big.speedup() > small.speedup(),
             "more co-located apps, bigger win"

@@ -1502,6 +1502,9 @@ node-replicated 0b5e28cea56330a7 d3e018de96ea1c71 4b86c487df2b28e7 df90ceb9b382b
 store b98449138fd08ba5 7aeccec802083355 f1c008c2d11d9112 432e913d6099d8bf 021aeeb8b292a4da cf68ae2139a0e7fb
 ";
 
+    /// FNV-1a 64 with the standard prime `0x100_0000_01b3`. Not
+    /// `flacdk::wire::fnv1a`, whose multiplier is `0x1000_0000_01b3`:
+    /// the digests above were recorded with this one.
     fn fnv1a(text: &str) -> u64 {
         text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)

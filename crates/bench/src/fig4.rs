@@ -9,7 +9,7 @@
 use flacdk::alloc::GlobalAllocator;
 use flacos_ipc::channel::FlacChannel;
 use flacos_ipc::netstack::{NetConfig, NetPair};
-use rack_sim::{Rack, RackConfig};
+use rack_sim::{Rack, RackConfig, RackReport};
 use redis_mini::client::{request_stepped, RedisClient};
 use redis_mini::resp::Command;
 use redis_mini::server::RedisServer;
@@ -72,50 +72,38 @@ fn measure<T: Transport>(
     total / requests as u64
 }
 
-/// Run Figure 4 with `requests` requests per cell.
-pub fn run(requests: usize) -> Vec<Fig4Row> {
-    let mut rows = Vec::new();
-    for &size in &SIZES {
-        for op in ["SET", "GET"] {
-            // Fresh racks per cell keep clocks and caches independent.
-            let rack = Rack::new(RackConfig::two_node_hccs());
-            let alloc = GlobalAllocator::new(rack.global().clone());
-            let (sep, cep) = FlacChannel::create(rack.global(), alloc, rack.node(0), rack.node(1))
-                .expect("channel");
-            let mut fserver = RedisServer::new(rack.node(0), sep);
-            let mut fclient = RedisClient::new(rack.node(1), cep);
-            let flacos_ns = measure(&mut fclient, &mut fserver, op, size, requests);
+/// Run Figure 4 with `requests` requests per cell, with the rack-wide
+/// metrics of the FlacOS SET 4 KiB cell: operation counts, latency
+/// histograms, and the `ipc` message counters.
+pub fn run(requests: usize) -> (Vec<Fig4Row>, RackReport) {
+    let cells = SIZES
+        .iter()
+        .flat_map(|&size| ["SET", "GET"].map(|op| (op, size)));
+    crate::sweep(cells, ("SET", 4096), |(op, size)| {
+        // Fresh racks per cell keep clocks and caches independent.
+        let rack = Rack::new(RackConfig::two_node_hccs());
+        let alloc = GlobalAllocator::new(rack.global().clone());
+        let (sep, cep) =
+            FlacChannel::create(rack.global(), alloc, rack.node(0), rack.node(1)).expect("channel");
+        let mut fserver = RedisServer::new(rack.node(0), sep);
+        let mut fclient = RedisClient::new(rack.node(1), cep);
+        let flacos_ns = measure(&mut fclient, &mut fserver, op, size, requests);
+        let metrics = rack.metrics_report();
 
-            let rack = Rack::new(RackConfig::two_node_hccs());
-            let (sep, cep) = NetPair::connect(rack.node(0), rack.node(1), NetConfig::ten_gbe(), 0);
-            let mut nserver = RedisServer::new(rack.node(0), sep);
-            let mut nclient = RedisClient::new(rack.node(1), cep);
-            let networking_ns = measure(&mut nclient, &mut nserver, op, size, requests);
+        let rack = Rack::new(RackConfig::two_node_hccs());
+        let (sep, cep) = NetPair::connect(rack.node(0), rack.node(1), NetConfig::ten_gbe(), 0);
+        let mut nserver = RedisServer::new(rack.node(0), sep);
+        let mut nclient = RedisClient::new(rack.node(1), cep);
+        let networking_ns = measure(&mut nclient, &mut nserver, op, size, requests);
 
-            rows.push(Fig4Row {
-                op,
-                size,
-                flacos_ns,
-                networking_ns,
-            });
-        }
-    }
-    rows
-}
-
-/// Rack-wide metrics behind one representative Figure 4 cell (FlacOS
-/// IPC, SET, 4 KiB values): operation counts, latency histograms, and
-/// the `ipc` message counters.
-pub fn metrics(requests: usize) -> rack_sim::RackReport {
-    let rack = Rack::new(RackConfig::two_node_hccs());
-    rack.enable_tracing();
-    let alloc = GlobalAllocator::new(rack.global().clone());
-    let (sep, cep) =
-        FlacChannel::create(rack.global(), alloc, rack.node(0), rack.node(1)).expect("channel");
-    let mut server = RedisServer::new(rack.node(0), sep);
-    let mut client = RedisClient::new(rack.node(1), cep);
-    measure(&mut client, &mut server, "SET", 4096, requests);
-    rack.metrics_report()
+        let row = Fig4Row {
+            op,
+            size,
+            flacos_ns,
+            networking_ns,
+        };
+        (row, metrics)
+    })
 }
 
 /// Render the figure as a table, with the networking-side overhead
@@ -188,7 +176,7 @@ mod tests {
 
     #[test]
     fn figure4_shape_holds() {
-        let rows = run(50);
+        let (rows, _) = run(50);
         assert_eq!(rows.len(), 4, "2 ops x 2 sizes");
         for row in &rows {
             assert!(
@@ -210,7 +198,7 @@ mod tests {
 
     #[test]
     fn report_renders_all_rows() {
-        let rows = run(5);
+        let (rows, _) = run(5);
         let text = report(&rows);
         assert!(text.contains("SET"));
         assert!(text.contains("GET"));

@@ -9,7 +9,8 @@
 use flacdk::alloc::GlobalAllocator;
 use flacos_ipc::channel::FlacChannel;
 use flacos_ipc::netstack::{NetConfig, NetPair};
-use rack_sim::{Rack, RackConfig};
+use rack_sim::{Rack, RackConfig, RackReport};
+use redis_mini::transport::Transport;
 
 /// Message sizes swept.
 pub const SIZES: [usize; 6] = [64, 256, 1024, 4096, 65536, 1 << 20];
@@ -25,72 +26,46 @@ pub struct IpcRow {
     pub tcp_rtt_ns: u64,
 }
 
-/// Run the sweep with `iters` round-trips per point.
-pub fn run(iters: usize) -> Vec<IpcRow> {
-    SIZES
-        .iter()
-        .map(|&size| {
-            // FlacOS IPC.
-            let rack = Rack::new(RackConfig::two_node_hccs());
-            let alloc = GlobalAllocator::new(rack.global().clone());
-            let (mut a, mut b) =
-                FlacChannel::create(rack.global(), alloc, rack.node(0), rack.node(1))
-                    .expect("channel");
-            let payload = vec![0x5Au8; size];
-            let t0 = a.node().clock().now();
-            for _ in 0..iters {
-                a.send(&payload).expect("send");
-                b.node().clock().advance_to(a.node().clock().now());
-                let echo = b.try_recv().expect("recv");
-                b.send(&echo).expect("echo");
-                a.node().clock().advance_to(b.node().clock().now());
-                a.try_recv().expect("reply");
-            }
-            let flacos_rtt_ns = (a.node().clock().now() - t0) / iters as u64;
-
-            // TCP/IP.
-            let rack = Rack::new(RackConfig::two_node_hccs());
-            let (mut a, mut b) =
-                NetPair::connect(rack.node(0), rack.node(1), NetConfig::ten_gbe(), 0);
-            let t0 = a.node().clock().now();
-            for _ in 0..iters {
-                a.send(&payload).expect("send");
-                b.node().clock().advance_to(a.node().clock().now());
-                let echo = b.try_recv().expect("recv");
-                b.send(&echo).expect("echo");
-                a.node().clock().advance_to(b.node().clock().now());
-                a.try_recv().expect("reply");
-            }
-            let tcp_rtt_ns = (a.node().clock().now() - t0) / iters as u64;
-
-            IpcRow {
-                size,
-                flacos_rtt_ns,
-                tcp_rtt_ns,
-            }
-        })
-        .collect()
-}
-
-/// Rack-wide metrics behind one representative sweep point (FlacOS IPC
-/// echo, 4 KiB messages): operation counts, latency histograms, and the
-/// `ipc` message counters.
-pub fn metrics(iters: usize) -> rack_sim::RackReport {
-    let rack = Rack::new(RackConfig::two_node_hccs());
-    rack.enable_tracing();
-    let alloc = GlobalAllocator::new(rack.global().clone());
-    let (mut a, mut b) =
-        FlacChannel::create(rack.global(), alloc, rack.node(0), rack.node(1)).expect("channel");
-    let payload = vec![0x5Au8; 4096];
+/// Mean round-trip time of `iters` echoes of `size`-byte messages from
+/// node 0's endpoint `a` to node 1's `b` and back.
+fn echo_rtt<T: Transport>(rack: &Rack, (mut a, mut b): (T, T), size: usize, iters: usize) -> u64 {
+    let (na, nb) = (rack.node(0), rack.node(1));
+    let payload = vec![0x5Au8; size];
+    let t0 = na.clock().now();
     for _ in 0..iters {
         a.send(&payload).expect("send");
-        b.node().clock().advance_to(a.node().clock().now());
+        nb.clock().advance_to(na.clock().now());
         let echo = b.try_recv().expect("recv");
         b.send(&echo).expect("echo");
-        a.node().clock().advance_to(b.node().clock().now());
+        na.clock().advance_to(nb.clock().now());
         a.try_recv().expect("reply");
     }
-    rack.metrics_report()
+    (na.clock().now() - t0) / iters as u64
+}
+
+/// Run the sweep with `iters` round-trips per point, with the rack-wide
+/// metrics of the FlacOS echo at 4 KiB: operation counts, latency
+/// histograms, and the `ipc` message counters.
+pub fn run(iters: usize) -> (Vec<IpcRow>, RackReport) {
+    crate::sweep(SIZES, 4096, |size| {
+        let rack = Rack::new(RackConfig::two_node_hccs());
+        let alloc = GlobalAllocator::new(rack.global().clone());
+        let pair =
+            FlacChannel::create(rack.global(), alloc, rack.node(0), rack.node(1)).expect("channel");
+        let flacos_rtt_ns = echo_rtt(&rack, pair, size, iters);
+        let metrics = rack.metrics_report();
+
+        let rack = Rack::new(RackConfig::two_node_hccs());
+        let pair = NetPair::connect(rack.node(0), rack.node(1), NetConfig::ten_gbe(), 0);
+        let tcp_rtt_ns = echo_rtt(&rack, pair, size, iters);
+
+        let row = IpcRow {
+            size,
+            flacos_rtt_ns,
+            tcp_rtt_ns,
+        };
+        (row, metrics)
+    })
 }
 
 /// Render the sweep.
@@ -121,7 +96,7 @@ mod tests {
 
     #[test]
     fn flacos_wins_across_all_sizes() {
-        for row in run(10) {
+        for row in run(10).0 {
             assert!(
                 row.flacos_rtt_ns < row.tcp_rtt_ns,
                 "{}B: FlacOS {} vs TCP {}",
@@ -134,7 +109,7 @@ mod tests {
 
     #[test]
     fn rtt_grows_with_size() {
-        let rows = run(5);
+        let (rows, _) = run(5);
         assert!(rows.last().unwrap().flacos_rtt_ns > rows[0].flacos_rtt_ns);
         assert!(rows.last().unwrap().tcp_rtt_ns > rows[0].tcp_rtt_ns);
     }

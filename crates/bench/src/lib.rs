@@ -3,7 +3,10 @@
 //!
 //! Each experiment module returns structured rows; the `figures` binary
 //! prints them as the paper-style tables, one section per module, into
-//! the committed `FIGURES.txt`. The four judged sections (`serve`,
+//! the committed `FIGURES.txt`. Each figure and ablation A1–A8 also
+//! returns the rack-wide metrics of one named cell of its table, taken
+//! from the rack that cell ran on, so the block under a table decomposes
+//! a number in it. The four judged sections (`serve`,
 //! `store`, `replication`, `topo`) print only a run that passes its
 //! module's `failures`. Wall-clock speed is measured by the repo
 //! benchmark's `host_*` metrics (`benchmark/`), not here.
@@ -43,6 +46,42 @@ pub mod table;
 pub mod tiering_ab;
 pub mod topo_scale;
 
+use rack_sim::RackReport;
+
+/// Run `cells` in order, keeping each cell's row and the metrics of the
+/// cell equal to `named`.
+///
+/// # Panics
+///
+/// Panics if `named` is not one of `cells`.
+fn sweep<K: Copy + PartialEq, R>(
+    cells: impl IntoIterator<Item = K>,
+    named: K,
+    mut cell: impl FnMut(K) -> (R, RackReport),
+) -> (Vec<R>, RackReport) {
+    let mut metrics = None;
+    let rows = cells
+        .into_iter()
+        .map(|k| {
+            let (row, report) = cell(k);
+            if k == named {
+                metrics = Some(report);
+            }
+            row
+        })
+        .collect();
+    (rows, metrics.expect("the named cell is one of the sweep's"))
+}
+
+/// The nearest-rank `p`th percentile of ascending `sorted`; 0 when empty.
+fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
+}
+
 /// A text a judgement's failures must contain, and the edit of a
 /// passing result that must produce it.
 #[cfg(test)]
@@ -77,4 +116,17 @@ fn table_cells(report: &str) -> Vec<Vec<String>> {
         .take_while(|l| !l.is_empty())
         .map(|l| l.split_whitespace().map(str::to_string).collect())
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentile_ns;
+
+    #[test]
+    fn percentile_covers_empty_and_both_ends() {
+        assert_eq!(percentile_ns(&[], 50.0), 0);
+        let sorted = [3, 5, 8, 13];
+        assert_eq!(percentile_ns(&sorted, 0.0), 3);
+        assert_eq!(percentile_ns(&sorted, 100.0), 13);
+    }
 }

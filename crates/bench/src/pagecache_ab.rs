@@ -12,7 +12,7 @@ use flacdk::sync::reclaim::RetireList;
 use flacos_fs::block::BlockDevice;
 use flacos_fs::memfs::{FsShared, MemFs};
 use flacos_mem::PAGE_SIZE;
-use rack_sim::{Rack, RackConfig};
+use rack_sim::{Rack, RackConfig, RackReport};
 use std::sync::Arc;
 
 /// Result of one configuration.
@@ -44,17 +44,9 @@ impl PageCacheRow {
 }
 
 /// Run with `nodes` nodes reading `files` files of `pages_per_file`
-/// pages each.
-pub fn run_cell(nodes: usize, files: usize, pages_per_file: u64) -> PageCacheRow {
-    run_cell_on(
-        &Rack::new(RackConfig::n_node(nodes).with_global_mem(256 << 20)),
-        nodes,
-        files,
-        pages_per_file,
-    )
-}
-
-fn run_cell_on(rack: &Rack, nodes: usize, files: usize, pages_per_file: u64) -> PageCacheRow {
+/// pages each, with the rack's metrics.
+pub fn run_cell(nodes: usize, files: usize, pages_per_file: u64) -> (PageCacheRow, RackReport) {
+    let rack = Rack::new(RackConfig::n_node(nodes).with_global_mem(256 << 20));
     let alloc = GlobalAllocator::new(rack.global().clone());
     let epochs = EpochManager::alloc(rack.global(), nodes).expect("epochs");
     let fs = FsShared::alloc(
@@ -92,28 +84,21 @@ fn run_cell_on(rack: &Rack, nodes: usize, files: usize, pages_per_file: u64) -> 
     }
 
     let fileset_bytes = (files as u64) * pages_per_file * PAGE_SIZE as u64;
-    PageCacheRow {
+    let row = PageCacheRow {
         nodes,
         fileset_bytes,
         shared_bytes: fs.cache().memory_bytes() as u64,
         per_node_bytes: fileset_bytes * nodes as u64,
         shared_read_ns: total_read_ns / reads.max(1),
-    }
+    };
+    (row, rack.metrics_report())
 }
 
-/// Run the node-count sweep.
-pub fn run() -> Vec<PageCacheRow> {
-    [2usize, 4, 8].iter().map(|&n| run_cell(n, 4, 64)).collect()
-}
-
-/// Rack-wide metrics behind one representative cell (2 nodes × 2 files):
-/// operation counts, latency histograms, and the `page_cache` hit/miss
-/// counters that explain the capacity gain.
-pub fn metrics() -> rack_sim::RackReport {
-    let rack = Rack::new(RackConfig::n_node(2).with_global_mem(256 << 20));
-    rack.enable_tracing();
-    run_cell_on(&rack, 2, 2, 16);
-    rack.metrics_report()
+/// Run the node-count sweep, with the rack-wide metrics of its 2-node
+/// cell: operation counts, latency histograms, and the `page_cache`
+/// hit/miss counters that explain the capacity gain.
+pub fn run() -> (Vec<PageCacheRow>, RackReport) {
+    crate::sweep([2usize, 4, 8], 2, |n| run_cell(n, 4, 64))
 }
 
 /// Render the sweep.
@@ -153,7 +138,7 @@ mod tests {
 
     #[test]
     fn sharing_saves_linear_memory() {
-        let row = run_cell(4, 2, 16);
+        let (row, _) = run_cell(4, 2, 16);
         // Shared design holds ~one copy; per-node holds four.
         assert!(row.shared_bytes <= row.fileset_bytes + (64 * PAGE_SIZE as u64));
         assert_eq!(row.per_node_bytes, row.fileset_bytes * 4);
@@ -163,7 +148,7 @@ mod tests {
 
     #[test]
     fn warm_reads_are_fast() {
-        let row = run_cell(2, 1, 16);
+        let (row, _) = run_cell(2, 1, 16);
         // A warm shared-cache page read is a lookup + burst fill, well
         // under 100 µs.
         assert!(

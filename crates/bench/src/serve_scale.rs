@@ -23,6 +23,7 @@
 //! second, and the two must agree bit for bit — the simulated-time
 //! determinism gate ([`failures`]).
 
+use crate::percentile_ns;
 use flacdk::alloc::GlobalAllocator;
 use flacos_ipc::channel::FlacChannel;
 use flacos_ipc::netstack::{NetConfig, NetPair};
@@ -159,15 +160,6 @@ struct RawPoint {
     backpressure: u64,
     achieved_rps: f64,
     saturation_rps: f64,
-}
-
-/// Exact percentile over a sorted latency sample.
-fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// Deterministic workload generator shared by both phases.

@@ -20,7 +20,7 @@ use flacos_fs::block::BlockDevice;
 use flacos_fs::memfs::{FsShared, MemFs};
 use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
-use rack_sim::{Rack, RackConfig};
+use rack_sim::{Rack, RackConfig, RackReport};
 use serverless::image::ContainerImage;
 use serverless::registry::{ImageRegistry, RegistryConfig};
 use serverless::runtime::{ContainerRuntime, StartupReport};
@@ -52,17 +52,13 @@ impl StartupRows {
     }
 }
 
-/// Run the experiment with the default scaled image.
-pub fn run() -> StartupRows {
-    run_with_pages(IMAGE_PAGES, SCALE)
-}
-
-/// Run with an explicit image size and bandwidth scale.
-pub fn run_with_pages(image_pages: u64, scale: u64) -> StartupRows {
-    run_on_rack(&Rack::new(RackConfig::two_node_hccs()), image_pages, scale)
-}
-
-fn run_on_rack(rack: &Rack, image_pages: u64, scale: u64) -> StartupRows {
+/// Run the cold/shared/hot progression for an image of `image_pages`
+/// real pages, its backend bandwidth scaled down by `scale` (the table
+/// runs [`IMAGE_PAGES`] at [`SCALE`]), with the rack-wide metrics of
+/// the run: operation counts, latency histograms, and the `sync/*` +
+/// `page_cache` counters that explain the shared-start win.
+pub fn run(image_pages: u64, scale: u64) -> (StartupRows, RackReport) {
+    let rack = Rack::new(RackConfig::two_node_hccs());
     let alloc = GlobalAllocator::new(rack.global().clone());
     let epochs = EpochManager::alloc(rack.global(), rack.node_count()).expect("epochs");
     let fs = FsShared::alloc(
@@ -111,17 +107,7 @@ fn run_on_rack(rack: &Rack, image_pages: u64, scale: u64) -> StartupRows {
     let (_, cold) = rt0.start_container("pytorch").expect("cold start");
     let (_, shared) = rt1.start_container("pytorch").expect("shared start");
     let (_, hot) = rt1.start_container("pytorch").expect("hot start");
-    StartupRows { cold, shared, hot }
-}
-
-/// Rack-wide metrics behind a small-image run of the cold/shared/hot
-/// progression: operation counts, latency histograms, and the
-/// `sync/*` + `page_cache` counters that explain the shared-start win.
-pub fn metrics() -> rack_sim::RackReport {
-    let rack = Rack::new(RackConfig::two_node_hccs());
-    rack.enable_tracing();
-    run_on_rack(&rack, 256, 4096);
-    rack.metrics_report()
+    (StartupRows { cold, shared, hot }, rack.metrics_report())
 }
 
 /// Render the experiment as a table.
@@ -166,7 +152,7 @@ mod tests {
     fn paper_progression_reproduced() {
         // A smaller image keeps the test fast; the scale factor keeps
         // the time decomposition identical.
-        let rows = run_with_pages(1024, 1024);
+        let (rows, _) = run(1024, 1024);
         assert_eq!(rows.cold.path, StartupPath::Cold);
         assert_eq!(rows.shared.path, StartupPath::SharedPageCache);
         assert_eq!(rows.hot.path, StartupPath::Hot);
@@ -183,8 +169,16 @@ mod tests {
     }
 
     #[test]
+    fn cold_total_is_the_runs_makespan() {
+        // Node 0 only cold-starts and node 1's shared + hot starts end
+        // sooner, so the run's makespan is the cold row's total.
+        let (rows, metrics) = run(1024, 1024);
+        assert_eq!(metrics.makespan_ns, rows.cold.total_ns);
+    }
+
+    #[test]
     fn report_mentions_all_paths() {
-        let rows = run_with_pages(256, 4096);
+        let (rows, _) = run(256, 4096);
         let text = report(&rows);
         assert!(text.contains("cold (node 0)"));
         assert!(text.contains("FlacOS shared chunk store"));

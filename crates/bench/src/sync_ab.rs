@@ -12,7 +12,7 @@
 
 use crate::adaptive_ab::{tally_op, Tally};
 use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy};
-use rack_sim::{Rack, RackConfig};
+use rack_sim::{Rack, RackConfig, RackReport};
 
 /// Methods under comparison.
 pub const METHODS: [&str; 4] = ["spinlock", "replication", "delegation", "rcu"];
@@ -45,7 +45,8 @@ fn is_read(i: usize, read_pct: u32) -> bool {
 }
 
 /// Run one (method, nodes, read_pct) cell with `ops` operations spread
-/// round-robin across nodes.
+/// round-robin across the nodes of a fresh rack, with that rack's
+/// metrics.
 ///
 /// Contention model: nodes issue operations in closed-loop rounds. Each
 /// method's *serial section* is tracked in virtual time — an operation
@@ -56,23 +57,13 @@ fn is_read(i: usize, read_pct: u32) -> bool {
 /// and reads do not serialize at all. This is what makes the paper's
 /// point measurable: the lock and the delegation owner serialize *work*,
 /// replication and RCU serialize only one atomic.
-pub fn run_cell(method: &'static str, nodes: usize, read_pct: u32, ops: usize) -> SyncRow {
-    run_cell_on(
-        &Rack::new(RackConfig::n_node(nodes)),
-        method,
-        nodes,
-        read_pct,
-        ops,
-    )
-}
-
-fn run_cell_on(
-    rack: &Rack,
+pub fn run_cell(
     method: &'static str,
     nodes: usize,
     read_pct: u32,
     ops: usize,
-) -> SyncRow {
+) -> (SyncRow, RackReport) {
+    let rack = Rack::new(RackConfig::n_node(nodes));
     let policy = policy_of(method);
     let cfg = SyncCellConfig::new(nodes, policy);
     let cell = SyncCell::alloc(rack.global(), "sync_ab", cfg, Tally::new(nodes)).expect("cell");
@@ -107,34 +98,27 @@ fn run_cell_on(
         }
     }
 
-    SyncRow {
+    let row = SyncRow {
         method,
         nodes,
         read_pct,
         mean_op_ns: total_ns / ops as u64,
-    }
+    };
+    (row, rack.metrics_report())
 }
 
-/// Rack-wide metrics behind one representative cell (RCU, 2 nodes,
-/// 50% reads): operation counts, latency histograms, subsystem counters.
-pub fn metrics(ops: usize) -> rack_sim::RackReport {
-    let rack = Rack::new(RackConfig::n_node(2));
-    rack.enable_tracing();
-    run_cell_on(&rack, "rcu", 2, 50, ops);
-    rack.metrics_report()
-}
-
-/// Run the full sweep: every method × node counts × read ratios.
-pub fn run(ops: usize) -> Vec<SyncRow> {
-    let mut rows = Vec::new();
-    for method in METHODS {
-        for nodes in [2usize, 4, 8] {
-            for read_pct in [0u32, 50, 90, 100] {
-                rows.push(run_cell(method, nodes, read_pct, ops));
-            }
-        }
-    }
-    rows
+/// Run the full sweep: every method × node counts × read ratios, with
+/// the rack-wide metrics of the (rcu, 2 nodes, 50% reads) cell:
+/// operation counts, latency histograms, subsystem counters.
+pub fn run(ops: usize) -> (Vec<SyncRow>, RackReport) {
+    let cells = METHODS.iter().flat_map(|&method| {
+        [2usize, 4, 8]
+            .into_iter()
+            .flat_map(move |nodes| [0u32, 50, 90, 100].map(|read_pct| (method, nodes, read_pct)))
+    });
+    crate::sweep(cells, ("rcu", 2, 50), |(method, nodes, read_pct)| {
+        run_cell(method, nodes, read_pct, ops)
+    })
 }
 
 /// Render the sweep.
@@ -162,8 +146,8 @@ mod tests {
 
     #[test]
     fn read_mostly_replication_beats_lock() {
-        let lock = run_cell("spinlock", 2, 90, 100);
-        let repl = run_cell("replication", 2, 90, 100);
+        let lock = run_cell("spinlock", 2, 90, 100).0;
+        let repl = run_cell("replication", 2, 90, 100).0;
         assert!(
             repl.mean_op_ns < lock.mean_op_ns,
             "replication ({}) must beat locking ({}) at 90% reads",
@@ -174,22 +158,22 @@ mod tests {
 
     #[test]
     fn rcu_reads_are_cheap() {
-        let reads = run_cell("rcu", 2, 100, 100);
-        let writes = run_cell("rcu", 2, 0, 100);
+        let reads = run_cell("rcu", 2, 100, 100).0;
+        let writes = run_cell("rcu", 2, 0, 100).0;
         assert!(reads.mean_op_ns < writes.mean_op_ns);
     }
 
     #[test]
     fn all_methods_produce_rows() {
         for m in METHODS {
-            let row = run_cell(m, 2, 50, 60);
+            let (row, _) = run_cell(m, 2, 50, 60);
             assert!(row.mean_op_ns > 0, "{m} measured nothing");
         }
     }
 
     #[test]
     fn report_covers_methods() {
-        let rows: Vec<SyncRow> = METHODS.iter().map(|m| run_cell(m, 2, 50, 40)).collect();
+        let rows: Vec<SyncRow> = METHODS.iter().map(|m| run_cell(m, 2, 50, 40).0).collect();
         let text = report(&rows);
         for m in METHODS {
             assert!(text.contains(m));

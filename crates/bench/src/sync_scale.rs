@@ -36,8 +36,8 @@
 //! Everything is simulated time on a seedless deterministic driver, so
 //! every point is re-run and must reproduce exactly (`sim_ns_rerun`).
 
-use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
-use flacdk::wire::{Decoder, Encoder};
+use crate::adaptive_ab::{tally_op, Tally};
+use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy};
 use rack_sim::{Rack, RackConfig};
 use std::sync::Arc;
 
@@ -67,41 +67,12 @@ impl SyncScaleConfig {
     }
 }
 
-/// The shared state under test: per-node op tallies.
-#[derive(Debug, Default, Clone)]
-struct Tally {
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl SyncState for Tally {
-    fn apply(&mut self, op: &[u8]) {
-        let mut d = Decoder::new(op);
-        let (Ok(node), Ok(amount)) = (d.u32(), d.u64()) else {
-            return;
-        };
-        if let Some(slot) = self.counts.get_mut(node as usize) {
-            *slot += amount;
-            self.total += amount;
-        }
-    }
-}
-
-fn tally_op(node: usize, amount: u64) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u32(node as u32).put_u64(amount);
-    e.into_vec()
-}
-
 fn alloc_cell(rack: &Rack, policy: SyncPolicy) -> Arc<SyncCell<Tally>> {
     SyncCell::alloc(
         rack.global(),
         "sync_scale",
         SyncCellConfig::new(NODES, policy).with_log(8192, 48),
-        Tally {
-            counts: vec![0; NODES],
-            total: 0,
-        },
+        Tally::new(NODES),
     )
     .expect("cell alloc")
 }

@@ -8,6 +8,7 @@
 //! TLB-fronted read workload twice — daemon off, then daemon on — and
 //! compare p50/p99.
 
+use crate::percentile_ns;
 use flacdk::alloc::GlobalAllocator;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
@@ -16,7 +17,7 @@ use flacos_mem::fault::FrameAllocator;
 use flacos_mem::tlb::{shootdown_stepped_range, Tlb};
 use flacos_mem::{AddressSpace, PhysFrame, Pte, PAGE_SIZE};
 use flacos_tier::{TierConfig, TierDaemon};
-use rack_sim::{Rack, RackConfig, SplitMix64, Zipf};
+use rack_sim::{Rack, RackConfig, RackReport, SplitMix64, Zipf};
 
 /// Address-space id used by the workload.
 const ASID: u64 = 1;
@@ -61,15 +62,6 @@ impl TieringRow {
     }
 }
 
-/// Exact percentile over raw latency samples.
-fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 struct ArmResult {
     p50_ns: u64,
     p99_ns: u64,
@@ -77,10 +69,13 @@ struct ArmResult {
     demotions: u64,
 }
 
-/// One arm of the A/B: the zipf read stream against `pages` global
-/// pages, TLB-fronted, optionally with the tiering daemon closing the
-/// loop from sampled accesses to promotions.
-fn run_arm(rack: &Rack, skew: f64, pages: usize, daemon_on: bool) -> ArmResult {
+/// One arm of the A/B on a fresh two-node rack (the off arm must not
+/// see the on arm's migrated pages): the zipf read stream against
+/// `pages` global pages, TLB-fronted, optionally with the tiering
+/// daemon closing the loop from sampled accesses to promotions. Returns
+/// the arm and the rack's metrics.
+fn run_arm(skew: f64, pages: usize, daemon_on: bool) -> (ArmResult, RackReport) {
+    let rack = Rack::new(RackConfig::n_node(2).with_global_mem(64 << 20));
     let nodes = rack.node_count();
     let n0 = rack.node(0);
     let alloc = GlobalAllocator::new(rack.global().clone());
@@ -153,30 +148,20 @@ fn run_arm(rack: &Rack, skew: f64, pages: usize, daemon_on: bool) -> ArmResult {
     }
 
     latencies.sort_unstable();
-    ArmResult {
+    let arm = ArmResult {
         p50_ns: percentile_ns(&latencies, 50.0),
         p99_ns: percentile_ns(&latencies, 99.0),
         promotions,
         demotions,
-    }
+    };
+    (arm, rack.metrics_report())
 }
 
-/// Run one skew cell on a fresh two-node rack per arm (the off arm must
-/// not see the on arm's migrated pages).
-pub fn run_cell(skew: f64, pages: usize) -> TieringRow {
-    let off = run_arm(
-        &Rack::new(RackConfig::n_node(2).with_global_mem(64 << 20)),
-        skew,
-        pages,
-        false,
-    );
-    let on = run_arm(
-        &Rack::new(RackConfig::n_node(2).with_global_mem(64 << 20)),
-        skew,
-        pages,
-        true,
-    );
-    TieringRow {
+/// Run one skew cell, with the metrics of its daemon-on arm.
+pub fn run_cell(skew: f64, pages: usize) -> (TieringRow, RackReport) {
+    let (off, _) = run_arm(skew, pages, false);
+    let (on, metrics) = run_arm(skew, pages, true);
+    let row = TieringRow {
         skew,
         pages,
         accesses: MEASURED_ACCESSES,
@@ -186,21 +171,15 @@ pub fn run_cell(skew: f64, pages: usize) -> TieringRow {
         on_p99_ns: on.p99_ns,
         promotions: on.promotions,
         demotions: on.demotions,
-    }
+    };
+    (row, metrics)
 }
 
-/// Run the skew sweep.
-pub fn run() -> Vec<TieringRow> {
-    [0.6, 0.99, 1.2].iter().map(|&s| run_cell(s, 512)).collect()
-}
-
-/// Rack-wide metrics behind the headline cell (zipf 0.99, daemon on):
-/// per-tier byte traffic and the `tier` promotion/shootdown counters.
-pub fn metrics() -> rack_sim::RackReport {
-    let rack = Rack::new(RackConfig::n_node(2).with_global_mem(64 << 20));
-    rack.enable_tracing();
-    run_arm(&rack, 0.99, 512, true);
-    rack.metrics_report()
+/// Run the skew sweep, with the rack-wide metrics of the headline cell
+/// (zipf 0.99, daemon on): per-tier byte traffic and the `tier`
+/// promotion/shootdown counters.
+pub fn run() -> (Vec<TieringRow>, RackReport) {
+    crate::sweep([0.6, 0.99, 1.2], 0.99, |s| run_cell(s, 512))
 }
 
 /// Render the sweep.
@@ -247,7 +226,7 @@ mod tests {
 
     #[test]
     fn skewed_workload_speeds_up_at_least_2x() {
-        let row = run_cell(0.99, 512);
+        let (row, _) = run_cell(0.99, 512);
         assert!(
             row.p50_speedup() >= 2.0,
             "p50 {} ns off vs {} ns on",
@@ -265,8 +244,8 @@ mod tests {
 
     #[test]
     fn uniform_ish_workload_gains_less_than_skewed() {
-        let flat = run_cell(0.3, 256);
-        let skewed = run_cell(1.2, 256);
+        let (flat, _) = run_cell(0.3, 256);
+        let (skewed, _) = run_cell(1.2, 256);
         assert!(skewed.p50_speedup() >= flat.p50_speedup());
         // The tail may include a shared-page-table walk after a
         // shootdown invalidation, but stays bounded by a few

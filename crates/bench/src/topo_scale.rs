@@ -20,6 +20,7 @@
 //! headline number exactly: promoting one fully-hot 2 MiB region takes
 //! 512 shootdown rounds page-wise and 1 round region-wise.
 
+use crate::percentile_ns;
 use flacdk::alloc::GlobalAllocator;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
@@ -69,15 +70,6 @@ impl TopoScaleConfig {
             measured: 5000,
         }
     }
-}
-
-/// Exact percentile over raw latency samples.
-fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// `frame` advanced `bytes` into its allocation.

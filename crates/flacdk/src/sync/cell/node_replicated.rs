@@ -109,12 +109,18 @@ fn pack_ops(framed: &[Vec<u8>]) -> Vec<u8> {
 }
 
 /// Unpack a slot payload back into framed ops. `None` on any framing
-/// corruption — the publication is then treated as never made.
+/// corruption — the publication is then treated as never made. An op
+/// shorter than its frame is corruption: a scan that reads a first
+/// publication's `PENDING` and length before its payload lands sees
+/// zero length prefixes, and must not take them for empty ops.
 fn unpack_ops(buf: &[u8]) -> Option<Vec<Vec<u8>>> {
     let mut ops = Vec::new();
     let mut at = 0usize;
     while at < buf.len() {
         let len = u32::from_le_bytes(buf.get(at..at + PACK_BYTES)?.try_into().ok()?) as usize;
+        if len < super::FRAME_BYTES {
+            return None;
+        }
         at += PACK_BYTES;
         ops.push(buf.get(at..at + len)?.to_vec());
         at += len;
@@ -1355,5 +1361,8 @@ mod tests {
         let mut hostile = u32::MAX.to_le_bytes().to_vec();
         hostile.extend_from_slice(b"short");
         assert_eq!(unpack_ops(&hostile), None);
+        // A first publication's length word read over its still-zero
+        // payload: zero length prefixes, not five empty ops.
+        assert_eq!(unpack_ops(&[0u8; 20]), None);
     }
 }
