@@ -2,7 +2,7 @@
 //! scale sweeps.
 //!
 //! ```text
-//! figures [fig4|startup|sync|pagecache|ipc|faultbox|dedup|fabric|tiering|adaptive|serve|store|replication|topo|all]
+//! figures [fig4|startup|sync|pagecache|ipc|faultbox|dedup|fabric|tiering|adaptive|serve|store|replication|topo|storm|all]
 //! ```
 //!
 //! Every figure and ablation A1–A8 is followed by the rack-wide metrics
@@ -10,15 +10,16 @@
 //! per-cost-class latency histograms, and per-subsystem counters — taken
 //! from the rack that cell ran on, so the headline numbers can be traced
 //! back to the simulated operations that produced them. The four scale
-//! sweeps (`serve`, `store`, `replication`, `topo`) are judged instead: a
-//! sweep that breaks one of its invariants prints nothing on stdout,
+//! sweeps (`serve`, `store`, `replication`, `topo`) and the fault-storm
+//! campaigns (`storm`, followed by one run's metrics) are judged: a
+//! section that breaks one of its invariants prints nothing on stdout,
 //! names each broken invariant on stderr, and makes `figures` exit 1, so
 //! `figures all > FIGURES.txt` cannot record it. An unknown section
 //! exits 2.
 
 use bench::{
-    adaptive_ab, dedup_ab, fabric_ab, faultbox_ab, fig4, ipc_ab, pagecache_ab, serve_scale,
-    startup, store_scale, sync_ab, sync_scale, tiering_ab, topo_scale,
+    adaptive_ab, dedup_ab, fabric_ab, faultbox_ab, faultstorm, fig4, ipc_ab, pagecache_ab,
+    serve_scale, startup, store_scale, sync_ab, sync_scale, tiering_ab, topo_scale,
 };
 use rack_sim::RackReport;
 
@@ -29,8 +30,13 @@ type Outcome = Result<String, Vec<String>>;
 type Section = fn() -> Outcome;
 
 /// A table followed by the metrics decomposition of its cell `what`.
+fn decomposed(table: String, what: &str, metrics: &RackReport) -> String {
+    format!("{table}\n\nmetrics — {what}:\n{metrics}\n")
+}
+
+/// An unjudged figure: its table and one cell's decomposition.
 fn figure(table: String, what: &str, metrics: &RackReport) -> Outcome {
-    Ok(format!("{table}\n\nmetrics — {what}:\n{metrics}\n\n"))
+    Ok(decomposed(table, what, metrics) + "\n")
 }
 
 /// A judged run's table if `failures` is empty.
@@ -43,7 +49,7 @@ fn judged(failures: Vec<String>, table: String) -> Outcome {
 }
 
 /// Every section, in the order `all` prints them.
-const SECTIONS: [(&str, Section); 14] = [
+const SECTIONS: [(&str, Section); 15] = [
     ("fig4", || {
         let (rows, metrics) = fig4::run(1000);
         figure(
@@ -139,6 +145,13 @@ const SECTIONS: [(&str, Section); 14] = [
     ("topo", || {
         let r = topo_scale::run();
         judged(topo_scale::failures(&r), topo_scale::report(&r))
+    }),
+    ("storm", || {
+        let runs = faultstorm::run();
+        let named = faultstorm::named(&runs);
+        let what = format!("{} campaign, seed {}", named.campaign.name(), named.seed);
+        let text = decomposed(faultstorm::report(&runs), &what, &named.metrics);
+        judged(faultstorm::failures(&runs), text)
     }),
 ];
 

@@ -1,17 +1,23 @@
-//! The `flac-faultstorm` campaign engine: seeded rack-wide fault storms
-//! driven against the FlacOS stack, with cross-subsystem invariant
-//! checking.
+//! Seeded rack-wide fault storms driven against the FlacOS stack, with
+//! cross-subsystem invariant checking: section `storm` of `figures`
+//! (paper §3.6).
 //!
 //! One driver runs all five [`Campaign`]s. It builds the 4-node rack
 //! from the seed, lets a [`StormCampaign`] crash and restart nodes
-//! underneath the workload, keeps the rack-wide `live` view, checks
-//! that every node is back up after the heal, and assembles one
-//! [`CampaignReport`]. Each campaign supplies only its reactions to the
-//! storm's steps and its post-heal invariants (see the variants).
+//! underneath the workload for [`STEPS`] steps, keeps the rack-wide
+//! `live` view, checks that every node is back up after the heal, and
+//! assembles one [`CampaignReport`]. Each campaign supplies only its
+//! reactions to the storm's steps and its post-heal invariants (see the
+//! variants).
 //!
 //! Everything derives from the campaign seed, so the event log is
-//! byte-identical across runs — the replay property pinned by this
-//! module's tests and checked by `flac-faultstorm --verify`.
+//! byte-identical across runs. [`run`] sweeps every campaign over
+//! [`SEEDS`], running each seed twice, and [`failures`] judges the sweep:
+//! every run survived and crashed a node, every rerun reproduced its log
+//! byte for byte, no two seeds share a log, and each campaign's headline
+//! event fired somewhere in the sweep. To reproduce one run, call
+//! `Campaign::Rack.run(seed)` (or another campaign's) and read its
+//! `log_text`.
 
 use flac_store::{BackendConfig, ChunkStore, ShardedBackends, StoreConfig};
 use flacdk::reliability::checkpoint::CheckpointManager;
@@ -34,6 +40,10 @@ use serverless::image::ContainerImage;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
+/// Scheduled storm steps of every campaign run.
+pub const STEPS: u32 = 60;
+/// The seeds [`run`] sweeps.
+pub const SEEDS: std::ops::RangeInclusive<u64> = 1..=6;
 /// Nodes in every campaign rack.
 const NODES: usize = 4;
 /// Rack campaign: the RPC server's node, its request port and the
@@ -82,7 +92,8 @@ pub enum Campaign {
     /// update is visible.
     Delegated,
     /// The same ledger, node-replicated, with combiners killed mid-batch
-    /// and publishers before their summary bit; the same invariants.
+    /// and publishers killed holding a flushed publication; the same
+    /// invariants.
     NodeReplicated,
     /// Cold starts of overlapping images through the chunk store's
     /// two-phase claim/complete protocol while fetchers die between the
@@ -92,7 +103,7 @@ pub enum Campaign {
 }
 
 impl Campaign {
-    /// Every campaign, in the order `flac-faultstorm` runs them.
+    /// Every campaign, in the order `figures storm` prints them.
     pub const ALL: [Campaign; 5] = [
         Campaign::Rack,
         Campaign::Tiering,
@@ -101,7 +112,7 @@ impl Campaign {
         Campaign::Store,
     ];
 
-    /// The campaign's name in the survival table.
+    /// The campaign's name in `figures storm`.
     pub fn name(self) -> &'static str {
         match self {
             Campaign::Rack => "rack",
@@ -112,38 +123,39 @@ impl Campaign {
         }
     }
 
-    /// Run one seeded campaign end to end and check every invariant.
+    /// Run one seeded campaign of [`STEPS`] steps end to end and check
+    /// every invariant.
     ///
-    /// Fully deterministic: the same `(seed, steps)` produces a
-    /// byte-identical [`CampaignReport::log_text`].
+    /// Fully deterministic: the same seed produces a byte-identical
+    /// [`CampaignReport::log_text`].
     ///
     /// # Panics
     ///
     /// Panics if the rack cannot be built (global memory exhausted) — a
     /// harness bug, not a campaign outcome.
-    pub fn run(self, seed: u64, steps: u32) -> CampaignReport {
+    pub fn run(self, seed: u64) -> CampaignReport {
         match self {
             Campaign::Rack => {
                 let flac = boot(seed);
-                drive(self, seed, steps, flac.sim(), RackStorm::new(&flac, steps))
+                drive(self, seed, flac.sim(), RackStorm::new(&flac))
             }
             Campaign::Tiering => {
                 let flac = boot(seed);
-                drive(self, seed, steps, flac.sim(), TieringStorm::new(&flac))
+                drive(self, seed, flac.sim(), TieringStorm::new(&flac))
             }
             Campaign::Delegated => {
                 let rack = bare_rack(seed);
                 let ledger = Ledger::new(&rack, "storm_ledger", SyncPolicy::Delegated);
-                drive(self, seed, steps, &rack, Delegated(ledger))
+                drive(self, seed, &rack, Delegated(ledger))
             }
             Campaign::NodeReplicated => {
                 let rack = bare_rack(seed);
                 let ledger = Ledger::new(&rack, "storm_nr_ledger", SyncPolicy::NodeReplicated);
-                drive(self, seed, steps, &rack, NodeReplicated(ledger))
+                drive(self, seed, &rack, NodeReplicated(ledger))
             }
             Campaign::Store => {
                 let rack = bare_rack(seed);
-                drive(self, seed, steps, &rack, StoreStorm::new(&rack))
+                drive(self, seed, &rack, StoreStorm::new(&rack))
             }
         }
     }
@@ -172,11 +184,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Whether every invariant held.
-    pub fn survived(&self) -> bool {
-        self.violations.is_empty()
-    }
-
     /// The value of the tally `name`.
     ///
     /// # Panics
@@ -188,34 +195,6 @@ impl CampaignReport {
             .find(|(k, _)| *k == name)
             .unwrap_or_else(|| panic!("{} keeps no tally {name:?}", self.campaign.name()))
             .1
-    }
-
-    /// One summary row for the survival table.
-    pub fn row(&self) -> String {
-        let tallies: Vec<String> = self
-            .tallies
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        format!(
-            "{:<15} | {:#018x} | {:>5} | {:>2}/{:<2} | {:<13} | {}",
-            self.campaign.name(),
-            self.seed,
-            self.events,
-            self.counts.crashes,
-            self.counts.restarts,
-            if self.survived() {
-                "ok".to_string()
-            } else {
-                format!("{} VIOLATIONS", self.violations.len())
-            },
-            tallies.join(" ")
-        )
-    }
-
-    /// Header matching [`CampaignReport::row`].
-    pub fn header() -> &'static str {
-        "campaign        | seed               | steps | cr/rs | verdict       | tallies"
     }
 }
 
@@ -237,7 +216,6 @@ fn bare_rack(seed: u64) -> Rack {
 /// violations found so far and the campaign's named tallies.
 struct Storm {
     seed: u64,
-    steps: u32,
     live: Vec<bool>,
     violations: Vec<String>,
     tallies: Vec<(&'static str, u64)>,
@@ -285,9 +263,9 @@ trait Hooks {
 
     /// The storm shape: crashes and restarts only, never below two live
     /// nodes.
-    fn config(&self, steps: u32) -> StormConfig {
+    fn config(&self) -> StormConfig {
         StormConfig {
-            steps,
+            steps: STEPS,
             min_live_nodes: 2,
             link_fail_weight: 0,
             link_restore_weight: 0,
@@ -315,21 +293,14 @@ trait Hooks {
 }
 
 /// Run `hooks` under a seeded storm on `rack` and assemble its report.
-fn drive<H: Hooks>(
-    campaign: Campaign,
-    seed: u64,
-    steps: u32,
-    rack: &Rack,
-    mut hooks: H,
-) -> CampaignReport {
+fn drive<H: Hooks>(campaign: Campaign, seed: u64, rack: &Rack, mut hooks: H) -> CampaignReport {
     let mut s = Storm {
         seed,
-        steps,
         live: vec![true; rack.node_count()],
         violations: Vec::new(),
         tallies: H::TALLIES.split_whitespace().map(|k| (k, 0)).collect(),
     };
-    let storm = StormCampaign::new(seed, hooks.config(steps));
+    let storm = StormCampaign::new(seed, hooks.config());
     let report = storm.run(rack, |step, op, rack| match *op {
         StormOp::Workload => hooks.workload(&mut s, step, rack),
         StormOp::CrashNode { node } => {
@@ -383,7 +354,7 @@ struct RackStorm {
 }
 
 impl RackStorm {
-    fn new(flac: &FlacRack, steps: u32) -> Self {
+    fn new(flac: &FlacRack) -> Self {
         let rack = flac.sim();
         let mut fs: Vec<MemFs> = (0..NODES)
             .map(|i| MemFs::mount(flac.fs_shared().clone(), rack.node(i)))
@@ -401,8 +372,12 @@ impl RackStorm {
             })
             .collect();
 
-        // Fault-boxed applications with checkpoint protection.
+        // Fault-boxed applications with checkpoint protection, and the
+        // rack's shared kernel cells, so a crashed owner is re-elected.
         let mut orch = RecoveryOrchestrator::new();
+        for cell in flac.sync_recovery() {
+            orch.attach_sync(cell);
+        }
         for (app_id, &home) in APP_HOMES.iter().enumerate() {
             let home_ctx = rack.node(home);
             let fbox = FaultBoxBuilder::new(app_id as u64)
@@ -440,7 +415,7 @@ impl RackStorm {
         }
         let scratch_base = rack
             .global()
-            .alloc(64 * steps as usize + 64, 64)
+            .alloc(64 * STEPS as usize + 64, 64)
             .expect("scratch region");
         RackStorm {
             fs,
@@ -477,9 +452,9 @@ impl Hooks for RackStorm {
         rpc_degraded rpc_executed rpc_dup_suppressed scrubs scratch_lost reelections";
 
     /// Every op class, with the scrub region as the poison target.
-    fn config(&self, steps: u32) -> StormConfig {
+    fn config(&self) -> StormConfig {
         StormConfig {
-            steps,
+            steps: STEPS,
             min_live_nodes: 2,
             poison_region: Some((self.scrub_base, SCRUB_WORDS * 8)),
             ..StormConfig::default()
@@ -1036,7 +1011,7 @@ impl Ledger {
             ));
         }
         let want = expected.len() + 1;
-        match cell.update(&n0, &sync_op(0, s.steps)) {
+        match cell.update(&n0, &sync_op(0, STEPS)) {
             Ok(_) => {
                 let len = cell.read(&n0, |l| l.entries.len()).expect("post-heal read");
                 if len != want {
@@ -1484,48 +1459,224 @@ impl Hooks for StoreStorm {
     }
 }
 
+/// One swept run and the event log of its rerun from the same seed.
+#[derive(Debug, Clone)]
+pub struct SweptRun {
+    /// The first run.
+    pub report: CampaignReport,
+    /// The rerun's [`CampaignReport::log_text`]; must equal the first's.
+    pub rerun_log: String,
+}
+
+/// Every seed of [`SEEDS`] of `campaign`, each run twice.
+fn sweep(campaign: Campaign) -> Vec<SweptRun> {
+    SEEDS
+        .map(|seed| SweptRun {
+            report: campaign.run(seed),
+            rerun_log: campaign.run(seed).log_text,
+        })
+        .collect()
+}
+
+/// The `storm` section: every campaign in [`Campaign::ALL`] order, each
+/// over [`SEEDS`], each seed run twice.
+pub fn run() -> Vec<SweptRun> {
+    Campaign::ALL.into_iter().flat_map(sweep).collect()
+}
+
+/// The tally each campaign's headline event bumps, and the least its
+/// sum over the sweep must reach: the crash-recovery path the campaign
+/// exists to exercise.
+const HEADLINES: [(Campaign, &str, u64); 6] = [
+    (Campaign::Rack, "fs_commits", 1),
+    (Campaign::Tiering, "aborts", 1),
+    (Campaign::Delegated, "reelections", 1),
+    (Campaign::NodeReplicated, "reelections", 2),
+    (Campaign::NodeReplicated, "publisher_deaths", 1),
+    (Campaign::Store, "aborted", 1),
+];
+
+/// The merged `sync/reelections` counter of a run: shared kernel cells
+/// whose crashed owner a survivor replaced.
+fn sync_reelections(r: &CampaignReport) -> u64 {
+    r.metrics
+        .merged
+        .subsystems
+        .iter()
+        .filter(|c| c.subsystem == "sync" && c.name == "reelections")
+        .map(|c| c.value)
+        .sum()
+}
+
+/// The first line where two event logs differ: (line number, line of
+/// `a`, line of `b`), with an empty string past the end of a log.
+fn first_divergence<'a>(a: &'a str, b: &'a str) -> Option<(usize, &'a str, &'a str)> {
+    let (mut la, mut lb) = (a.lines(), b.lines());
+    let mut line = 1;
+    loop {
+        match (la.next(), lb.next()) {
+            (None, None) => return None,
+            (x, y) if x != y => return Some((line, x.unwrap_or(""), y.unwrap_or(""))),
+            _ => line += 1,
+        }
+    }
+}
+
+/// The judgement of a sweep: every run survived its invariants and
+/// crashed a node, every rerun reproduced its event log byte for byte,
+/// no two seeds of a campaign produced the same log, every headline
+/// event of `HEADLINES` fired, every rack row keeps
+/// `rpc_acked <= rpc_executed <= rpc_issued`, and the rack campaign
+/// re-elected a shared kernel cell's owner at least once.
+pub fn failures(runs: &[SweptRun]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for SweptRun {
+        report: r,
+        rerun_log,
+    } in runs
+    {
+        let (name, seed) = (r.campaign.name(), r.seed);
+        for v in &r.violations {
+            failures.push(format!("{name} seed {seed}: {v}"));
+        }
+        if r.counts.crashes == 0 {
+            failures.push(format!("{name} seed {seed}: the storm crashed no node"));
+        }
+        if let Some((line, first, rerun)) = first_divergence(&r.log_text, rerun_log) {
+            failures.push(format!(
+                "{name} seed {seed}: rerun diverged at log line {line}: run {first:?}, \
+                 rerun {rerun:?}"
+            ));
+        }
+        if let Some(twin) = runs.iter().find(|o| {
+            o.report.campaign == r.campaign
+                && o.report.seed < seed
+                && o.report.log_text == r.log_text
+        }) {
+            failures.push(format!(
+                "{name} seeds {} and {seed} produced the same event log",
+                twin.report.seed
+            ));
+        }
+        if r.campaign == Campaign::Rack {
+            let (acked, executed, issued) = (
+                r.tally("rpc_acked"),
+                r.tally("rpc_executed"),
+                r.tally("rpc_issued"),
+            );
+            if !(acked <= executed && executed <= issued) {
+                failures.push(format!(
+                    "rack seed {seed}: rpc acked {acked}, executed {executed}, issued {issued} \
+                     (want acked <= executed <= issued)"
+                ));
+            }
+        }
+    }
+    let of = |campaign| {
+        runs.iter()
+            .map(|r| &r.report)
+            .filter(move |r| r.campaign == campaign)
+    };
+    for (campaign, tally, least) in HEADLINES {
+        let got: u64 = of(campaign).map(|r| r.tally(tally)).sum();
+        if got < least {
+            failures.push(format!(
+                "{}: headline {tally} = {got} across the sweep, want >= {least}",
+                campaign.name()
+            ));
+        }
+    }
+    if of(Campaign::Rack).map(sync_reelections).sum::<u64>() == 0 {
+        failures.push(
+            "rack: no crash re-elected a shared kernel cell's owner (ctr[sync/reelections] = 0)"
+                .to_string(),
+        );
+    }
+    failures
+}
+
+/// The run whose metrics `figures storm` prints under its tables: the
+/// rack campaign's first seed, the run that drives every subsystem.
+///
+/// # Panics
+///
+/// Panics if `runs` holds no rack campaign run.
+pub fn named(runs: &[SweptRun]) -> &CampaignReport {
+    runs.iter()
+        .map(|r| &r.report)
+        .find(|r| r.campaign == Campaign::Rack)
+        .expect("the sweep runs the rack campaign")
+}
+
+/// Render one table per campaign: seed, executed steps, crashes and
+/// restarts, every tally, and the [`flacdk::wire::fnv1a`] digest of the
+/// event log.
+pub fn report(runs: &[SweptRun]) -> String {
+    let mut out = format!(
+        "§3.6 fault storms: {} campaigns x seeds {}..={} x {STEPS} steps, every run rerun \
+         byte-identically (event-log digest: flacdk::wire::fnv1a)\n",
+        Campaign::ALL.len(),
+        SEEDS.start(),
+        SEEDS.end()
+    );
+    for campaign in Campaign::ALL {
+        let mine: Vec<&CampaignReport> = runs
+            .iter()
+            .map(|r| &r.report)
+            .filter(|r| r.campaign == campaign)
+            .collect();
+        let Some(first) = mine.first() else { continue };
+        let mut headers = vec!["seed", "steps", "cr/rs"];
+        headers.extend(first.tallies.iter().map(|&(k, _)| k));
+        headers.push("log digest");
+        let rows: Vec<Vec<String>> = mine
+            .iter()
+            .map(|r| {
+                let mut row = vec![
+                    r.seed.to_string(),
+                    r.events.to_string(),
+                    format!("{}/{}", r.counts.crashes, r.counts.restarts),
+                ];
+                row.extend(r.tallies.iter().map(|(_, v)| v.to_string()));
+                row.push(format!(
+                    "{:016x}",
+                    flacdk::wire::fnv1a(r.log_text.as_bytes())
+                ));
+                row
+            })
+            .collect();
+        out.push_str(&format!(
+            "\n{} campaign\n\n{}",
+            campaign.name(),
+            crate::table::render(&headers, &rows)
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    /// FNV-1a 64 of every campaign's `log_text` for seeds 1..=6 at 60
-    /// steps, recorded when each campaign still had its own driver (the
-    /// node-replicated line since re-recorded for the rewording of its
-    /// publisher-death line, nothing else moved): one line per campaign,
-    /// name then the six digests.
-    const DIGESTS: &str = "\
-rack 58cbd1aae3e3903a 2fc2f8cc37c66671 ec3e2a183ce447da 119a9d2a760c611d a9a6e798f1d72306 e9ff36350a6c91af
-tiering 68111fe21584cc15 7bcd77505bbdaf99 2e781849f3494367 282f7c66e3fedb1c a89a4676fa37e531 67edc768c286ebcc
-delegated 97a6f819d6c398b0 b3185d9c79193039 81b078cffee3a864 7958806a97c1e39e d89615a3fb8085b8 e79847c23a708cb1
-node-replicated 0b5e28cea56330a7 d3e018de96ea1c71 4b86c487df2b28e7 df90ceb9b382b374 9c82373e7b1cfa9f 1723ac28728a4d23
-store b98449138fd08ba5 7aeccec802083355 f1c008c2d11d9112 432e913d6099d8bf 021aeeb8b292a4da cf68ae2139a0e7fb
-";
-
-    /// FNV-1a 64 with the standard prime `0x100_0000_01b3`. Not
-    /// `flacdk::wire::fnv1a`, whose multiplier is `0x1000_0000_01b3`:
-    /// the digests above were recorded with this one.
-    fn fnv1a(text: &str) -> u64 {
-        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
+    /// [`sweep`] of `campaign`. Each campaign sweeps once per test
+    /// process; every sweep test below reads the same runs.
+    fn swept(campaign: Campaign) -> &'static [SweptRun] {
+        static SWEEPS: [OnceLock<Vec<SweptRun>>; 5] = [const { OnceLock::new() }; 5];
+        SWEEPS[campaign as usize].get_or_init(|| sweep(campaign))
     }
 
-    /// Seeds 1..=6 of `campaign` at 60 steps, every one survived. Each
-    /// (campaign, seed) pair runs once per test process; every sweep
-    /// test below reads the same reports.
-    fn sweep(campaign: Campaign) -> &'static [CampaignReport] {
-        static SWEEPS: [OnceLock<Vec<CampaignReport>>; 5] = [const { OnceLock::new() }; 5];
-        SWEEPS[campaign as usize]
-            .get_or_init(|| (1..=6).map(|seed| survivor(campaign, seed, 60)).collect())
+    /// The first runs of [`swept`] `campaign`.
+    fn reports(campaign: Campaign) -> Vec<CampaignReport> {
+        swept(campaign).iter().map(|r| r.report.clone()).collect()
     }
 
     /// Run one campaign and assert that it survived a storm that crashed
     /// nodes.
-    fn survivor(campaign: Campaign, seed: u64, steps: u32) -> CampaignReport {
-        let r = campaign.run(seed, steps);
+    fn survivor(campaign: Campaign, seed: u64) -> CampaignReport {
+        let r = campaign.run(seed);
         let name = campaign.name();
-        assert!(r.survived(), "{name} seed {seed}: {:?}", r.violations);
+        assert_eq!(r.violations, Vec::<String>::new(), "{name} seed {seed}");
         assert!(r.counts.crashes > 0, "{name} seed {seed} crashed nothing");
         r
     }
@@ -1537,28 +1688,108 @@ store b98449138fd08ba5 7aeccec802083355 f1c008c2d11d9112 432e913d6099d8bf 021aee
         assert!(got >= at_least, "{campaign} {name} = {got} < {at_least}");
     }
 
-    #[test]
-    fn campaign_logs_match_recorded_digests() {
-        assert_eq!(DIGESTS.lines().count(), Campaign::ALL.len());
-        for (campaign, line) in Campaign::ALL.into_iter().zip(DIGESTS.lines()) {
-            let words: Vec<&str> = line.split_whitespace().collect();
-            assert_eq!(words.len(), 7, "{line}");
-            assert_eq!(words[0], campaign.name());
-            for (r, &want) in sweep(campaign).iter().zip(&words[1..]) {
-                let got = format!("{:016x}", fnv1a(&r.log_text));
-                assert_eq!(got, want, "{} seed {} log changed", campaign.name(), r.seed);
-            }
+    /// The tally `name` of `r`, mutably.
+    fn tally_mut<'a>(r: &'a mut SweptRun, name: &str) -> &'a mut u64 {
+        let tally = r.report.tallies.iter_mut().find(|(k, _)| *k == name);
+        &mut tally.expect("a declared tally").1
+    }
+
+    /// Zero tally `name` on every run of `campaign`.
+    fn zero(runs: &mut [SweptRun], campaign: Campaign, name: &str) {
+        for r in runs.iter_mut().filter(|r| r.report.campaign == campaign) {
+            *tally_mut(r, name) = 0;
         }
     }
 
-    /// Re-runs the campaign's first sweep seed and compares its event log
-    /// byte for byte with the cached run; the second seed must diverge.
+    /// Change line 2 of the rack seed 1 rerun's log.
+    fn rerun_differs(runs: &mut [SweptRun]) {
+        let mut lines: Vec<&str> = runs[0].rerun_log.lines().collect();
+        lines[1] = "a different step";
+        runs[0].rerun_log = lines.join("\n");
+    }
+
+    #[test]
+    fn first_divergence_names_the_line() {
+        assert_eq!(first_divergence("a\nb\n", "a\nb\n"), None);
+        assert_eq!(first_divergence("a\nb\n", "a\nc\n"), Some((2, "b", "c")));
+        assert_eq!(first_divergence("a\n", "a\nb\n"), Some((2, "", "b")));
+    }
+
+    #[test]
+    fn judgement_rejects_each_broken_invariant() {
+        let all: Vec<SweptRun> = Campaign::ALL
+            .into_iter()
+            .flat_map(|c| swept(c).iter().cloned())
+            .collect();
+        // Runs 0..6 are the rack campaign's seeds 1..=6, 6..12 tiering's.
+        crate::assert_judged(
+            &all,
+            |r: &Vec<SweptRun>| failures(r),
+            &[
+                ("tiering seed 2: vpn 3 corrupted", |r| {
+                    r[7].report.violations.push("vpn 3 corrupted".into());
+                }),
+                ("rack seed 4: the storm crashed no node", |r| {
+                    r[3].report.counts.crashes = 0;
+                }),
+                ("rack seed 1: rerun diverged at log line 2: run \"", |r| {
+                    rerun_differs(r)
+                }),
+                ("rerun \"a different step\"", |r| rerun_differs(r)),
+                ("tiering seeds 1 and 3 produced the same event log", |r| {
+                    r[8].report.log_text = r[6].report.log_text.clone();
+                    r[8].rerun_log = r[6].rerun_log.clone();
+                }),
+                ("rack: headline fs_commits", |r| {
+                    zero(r, Campaign::Rack, "fs_commits");
+                }),
+                ("tiering: headline aborts", |r| {
+                    zero(r, Campaign::Tiering, "aborts");
+                }),
+                ("delegated: headline reelections", |r| {
+                    zero(r, Campaign::Delegated, "reelections");
+                }),
+                ("node-replicated: headline reelections", |r| {
+                    zero(r, Campaign::NodeReplicated, "reelections");
+                }),
+                ("node-replicated: headline publisher_deaths", |r| {
+                    zero(r, Campaign::NodeReplicated, "publisher_deaths");
+                }),
+                ("store: headline aborted", |r| {
+                    zero(r, Campaign::Store, "aborted");
+                }),
+                ("rack seed 2: rpc acked", |r| {
+                    *tally_mut(&mut r[1], "rpc_executed") = 0;
+                }),
+                ("rack seed 5: rpc acked", |r| {
+                    *tally_mut(&mut r[4], "rpc_executed") += 1_000;
+                }),
+                ("ctr[sync/reelections] = 0", |r| {
+                    for run in &mut r[..6] {
+                        run.report
+                            .metrics
+                            .merged
+                            .subsystems
+                            .retain(|c| c.subsystem != "sync" || c.name != "reelections");
+                    }
+                }),
+            ],
+        );
+    }
+
+    /// The rerun of the campaign's first sweep seed matches its event log
+    /// byte for byte; the second seed must diverge.
     fn assert_replays(campaign: Campaign) {
-        let (a, b) = (&sweep(campaign)[0], &sweep(campaign)[1]);
+        let (a, b) = (&swept(campaign)[0], &swept(campaign)[1]);
         let name = campaign.name();
-        let replay = campaign.run(a.seed, 60).log_text;
-        assert_eq!(replay, a.log_text, "{name}: same seed, same bytes");
-        assert_ne!(a.log_text, b.log_text, "{name}: different seeds diverge");
+        assert_eq!(
+            a.rerun_log, a.report.log_text,
+            "{name}: same seed, same bytes"
+        );
+        assert_ne!(
+            a.report.log_text, b.report.log_text,
+            "{name}: different seeds diverge"
+        );
     }
 
     #[test]
@@ -1588,23 +1819,19 @@ store b98449138fd08ba5 7aeccec802083355 f1c008c2d11d9112 432e913d6099d8bf 021aee
 
     #[test]
     fn smoke_campaign_survives() {
-        fired(
-            &[survivor(Campaign::Rack, 0xF1AC_5708, 60)],
-            "fs_commits",
-            1,
-        );
+        fired(&[survivor(Campaign::Rack, 0xF1AC_5708)], "fs_commits", 1);
     }
 
     #[test]
     fn acked_rpcs_execute_exactly_once() {
-        let r = survivor(Campaign::Rack, 0xD15EA5E, 80);
+        let r = survivor(Campaign::Rack, 0xD15EA5E);
         assert!(r.tally("rpc_executed") >= r.tally("rpc_acked"));
         assert!(r.tally("rpc_executed") <= r.tally("rpc_issued"));
     }
 
     #[test]
     fn tiering_campaign_survives_and_migrates() {
-        let r = [survivor(Campaign::Tiering, 0xF1AC_71E4, 60)];
+        let r = [survivor(Campaign::Tiering, 0xF1AC_71E4)];
         fired(&r, "promotions", 1);
         fired(&r, "writes_committed", 1);
     }
@@ -1613,12 +1840,12 @@ store b98449138fd08ba5 7aeccec802083355 f1c008c2d11d9112 432e913d6099d8bf 021aee
     fn some_seed_crashes_the_migrating_node_mid_flight() {
         // The crash-consistency path (survivor abort, old copy
         // authoritative) must actually fire across the sweep.
-        fired(sweep(Campaign::Tiering), "aborts", 1);
+        fired(&reports(Campaign::Tiering), "aborts", 1);
     }
 
     #[test]
     fn sync_campaign_survives_and_replays() {
-        let r = [survivor(Campaign::Delegated, 0xF1AC_5C11, 60)];
+        let r = [survivor(Campaign::Delegated, 0xF1AC_5C11)];
         fired(&r, "ops_committed", 1);
         assert_eq!(r[0].tally("replayed"), r[0].tally("ops_committed"));
     }
@@ -1627,12 +1854,12 @@ store b98449138fd08ba5 7aeccec802083355 f1c008c2d11d9112 432e913d6099d8bf 021aee
     fn some_seed_kills_the_delegation_owner_mid_storm() {
         // The headline invariant — owner crash mid-delegation loses no
         // committed op — must actually fire across the sweep.
-        fired(sweep(Campaign::Delegated), "reelections", 1);
+        fired(&reports(Campaign::Delegated), "reelections", 1);
     }
 
     #[test]
     fn nr_sync_campaign_survives_combiner_deaths_mid_batch() {
-        let r = [survivor(Campaign::NodeReplicated, 0xF1AC_5C11, 60)];
+        let r = [survivor(Campaign::NodeReplicated, 0xF1AC_5C11)];
         fired(&r, "ops_committed", 1);
         assert_eq!(r[0].tally("replayed"), r[0].tally("ops_committed"));
         // Combiners die mid-batch, in either fatal window.
@@ -1644,13 +1871,14 @@ store b98449138fd08ba5 7aeccec802083355 f1c008c2d11d9112 432e913d6099d8bf 021aee
         // Both fatal windows — before the tail CAS and after the append
         // — must fire across the sweep, and so must a publisher dying
         // holding a flushed publication.
-        fired(sweep(Campaign::NodeReplicated), "reelections", 2);
-        fired(sweep(Campaign::NodeReplicated), "publisher_deaths", 1);
+        let runs = reports(Campaign::NodeReplicated);
+        fired(&runs, "reelections", 2);
+        fired(&runs, "publisher_deaths", 1);
     }
 
     #[test]
     fn store_campaign_survives_without_duplicate_downloads() {
-        let r = [survivor(Campaign::Store, 0xF1AC_5704, 60)];
+        let r = [survivor(Campaign::Store, 0xF1AC_5704)];
         fired(&r, "claims_won", 1);
         fired(&r, "committed", 1);
     }
@@ -1660,6 +1888,6 @@ store b98449138fd08ba5 7aeccec802083355 f1c008c2d11d9112 432e913d6099d8bf 021aee
         // The headline invariant — a fetcher crash between claim and
         // commit triggers recovery aborts, yet no chunk is ever shipped
         // twice — must actually fire across the sweep.
-        fired(sweep(Campaign::Store), "aborted", 1);
+        fired(&reports(Campaign::Store), "aborted", 1);
     }
 }

@@ -6,9 +6,9 @@
 //! the committed `FIGURES.txt`. Each figure and ablation A1–A8 also
 //! returns the rack-wide metrics of one named cell of its table, taken
 //! from the rack that cell ran on, so the block under a table decomposes
-//! a number in it. The four judged sections (`serve`,
-//! `store`, `replication`, `topo`) print only a run that passes its
-//! module's `failures`. Wall-clock speed is measured by the repo
+//! a number in it. The five judged sections (`serve`,
+//! `store`, `replication`, `topo`, `storm`) print only a run that passes
+//! its module's `failures`. Wall-clock speed is measured by the repo
 //! benchmark's `host_*` metrics (`benchmark/`), not here.
 //!
 //! | Module | Paper artifact |
@@ -27,7 +27,7 @@
 //! | [`store_scale`] | A9 — §4.2 chunk store, shard sweep and overlap (`figures store`) |
 //! | [`sync_scale`] | A10 — §3.2 node replication, flat-combining sweep (`figures replication`) |
 //! | [`topo_scale`] | A11 — §2.1/§3.3 topology depth × page size, 1 shootdown per 2 MiB (`figures topo`) |
-//! | [`faultstorm`] | §3.6 reliability — five seeded fault-storm campaigns, `flac-faultstorm` |
+//! | [`faultstorm`] | §3.6 reliability — five seeded fault-storm campaigns, each seed rerun (`figures storm`) |
 
 pub mod adaptive_ab;
 pub mod dedup_ab;

@@ -120,11 +120,6 @@ impl ShardedBackends {
         Self::new(vec![config; shards.max(1)])
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `hash`. The raw fnv1a value is passed through a
     /// murmur3-style finalizer first: fnv1a's low bits are weak (bit 0
     /// is a parity over the input bytes, which is *constant* for any

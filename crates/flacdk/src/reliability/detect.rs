@@ -115,11 +115,6 @@ impl FaultDetector {
         Ok(())
     }
 
-    /// Stop guarding `region`.
-    pub fn unprotect(&mut self, region: u64) {
-        self.regions.remove(&region);
-    }
-
     /// Check one region.
     ///
     /// # Errors

@@ -1,7 +1,7 @@
 //! The `Lock` backend: a global spinlock plus the non-coherent-fabric
-//! flush discipline over the whole protected footprint.
+//! flush discipline over the protected state's one line.
 
-use super::{lines, SyncCell, SyncState};
+use super::{SyncCell, SyncState};
 use rack_sim::{NodeCtx, SimError};
 
 impl<T: SyncState> SyncCell<T> {
@@ -11,11 +11,10 @@ impl<T: SyncState> SyncCell<T> {
     pub(super) fn lock_pre_op(&self, ctx: &NodeCtx, is_read: bool) -> Result<(), SimError> {
         let lat = ctx.latency();
         let guard = self.lock.lock(ctx)?;
-        let l = lines(self.footprint_bytes);
         if is_read {
-            ctx.charge(l * lat.invalidate_line_ns + lat.global_read_ns);
+            ctx.charge(lat.invalidate_line_ns + lat.global_read_ns);
         } else {
-            ctx.charge(l * lat.invalidate_line_ns + lat.global_read_ns + l * lat.writeback_line_ns);
+            ctx.charge(lat.invalidate_line_ns + lat.global_read_ns + lat.writeback_line_ns);
         }
         guard.unlock()?;
         Ok(())

@@ -175,15 +175,10 @@ pub struct SyncCellConfig {
     pub policy: SyncPolicy,
     /// Enable the adaptive driver with these knobs.
     pub adaptive: Option<AdaptiveConfig>,
-    /// Approximate protected-state footprint in bytes, used by the Lock
-    /// and RCU backends to charge the flush discipline and by replica
-    /// materialization to charge the snapshot fetch.
-    pub footprint_bytes: usize,
 }
 
 impl SyncCellConfig {
-    /// Defaults: 4096-slot log of 64-byte entries, one-line footprint,
-    /// no adaptive driver.
+    /// Defaults: 4096-slot log of 64-byte entries, no adaptive driver.
     pub fn new(nodes: usize, policy: SyncPolicy) -> Self {
         SyncCellConfig {
             nodes,
@@ -191,7 +186,6 @@ impl SyncCellConfig {
             entry_size: 64,
             policy,
             adaptive: None,
-            footprint_bytes: rack_sim::LINE_SIZE,
         }
     }
 
@@ -205,12 +199,6 @@ impl SyncCellConfig {
     /// Enable runtime re-tuning.
     pub fn with_adaptive(mut self, cfg: AdaptiveConfig) -> Self {
         self.adaptive = Some(cfg);
-        self
-    }
-
-    /// Override the charged state footprint.
-    pub fn with_footprint(mut self, bytes: usize) -> Self {
-        self.footprint_bytes = bytes.max(1);
         self
     }
 }
@@ -312,7 +300,6 @@ pub struct SyncCell<T: SyncState> {
     /// use: a node's snapshot lists only the counters it bumped, and a
     /// bump is one relaxed atomic, not a registry lookup.
     counters: Box<[OnceLock<Counter>]>,
-    footprint_bytes: usize,
     inner: rack_sim::sync::Mutex<CellInner<T>>,
 }
 
@@ -389,7 +376,6 @@ impl<T: SyncState> SyncCell<T> {
             counters: (0..cfg.nodes * SyncCounter::PER_NODE)
                 .map(|_| OnceLock::new())
                 .collect(),
-            footprint_bytes: cfg.footprint_bytes,
             inner: rack_sim::sync::Mutex::new(CellInner {
                 state: init,
                 applied: 0,

@@ -71,12 +71,13 @@
 //! every publication's first op, and only unseen ops are re-appended.
 //! Recovery runs under the host mutex every append runs under, so that
 //! window holds no in-flight publication. The `nr_combine_crash_*`
-//! hooks expose the first two windows to `flac-faultstorm`.
+//! hooks expose the first two windows to the node-replicated fault-storm
+//! campaign (`figures storm`).
 //!
 //! [`SharedOpLog::append_batch`]: crate::sync::oplog::SharedOpLog::append_batch
 //! [`SharedOpLog::read_range`]: crate::sync::oplog::SharedOpLog::read_range
 
-use super::{frame_op, lines, unframe, CellInner, SyncCell, SyncCounter, SyncPolicy, SyncState};
+use super::{frame_op, unframe, CellInner, SyncCell, SyncCounter, SyncPolicy, SyncState};
 use rack_sim::{GAddr, NodeCtx, NodeId, SimError, LINE_SIZE};
 use std::ops::ControlFlow;
 
@@ -446,8 +447,8 @@ impl<T: SyncState> SyncCell<T> {
     }
 
     /// Materialize `me`'s replica if absent (a clone of the
-    /// authoritative state, charged as one snapshot fetch of the
-    /// footprint). Returns the guard.
+    /// authoritative state, charged as one snapshot fetch of the state's
+    /// line). Returns the guard.
     fn replica_or_materialize(
         &self,
         ctx: &NodeCtx,
@@ -457,10 +458,7 @@ impl<T: SyncState> SyncCell<T> {
         if guard.is_none() {
             let inner = self.inner.lock();
             let lat = ctx.latency();
-            ctx.charge(
-                lines(self.footprint_bytes) * (lat.invalidate_line_ns + lat.local_write_ns)
-                    + lat.global_read_ns,
-            );
+            ctx.charge(lat.invalidate_line_ns + lat.local_write_ns + lat.global_read_ns);
             *guard = Some(Replica {
                 state: inner.state.clone(),
                 applied: inner.applied,
@@ -496,10 +494,7 @@ impl<T: SyncState> SyncCell<T> {
             let inner = self.inner.lock();
             if rep.applied < head {
                 let lat = ctx.latency();
-                ctx.charge(
-                    lines(self.footprint_bytes) * (lat.invalidate_line_ns + lat.local_write_ns)
-                        + lat.global_read_ns,
-                );
+                ctx.charge(lat.invalidate_line_ns + lat.local_write_ns + lat.global_read_ns);
                 rep.state = inner.state.clone();
                 rep.applied = inner.applied;
             }
@@ -682,7 +677,7 @@ impl<T: SyncState> SyncCell<T> {
         Ok(tail)
     }
 
-    // ----- split-protocol hooks (flac-faultstorm / figures replication) -----
+    // ----- split-protocol hooks (figures storm / figures replication) -----
 
     /// Publish `op` from this node and return, without waiting
     /// for a combiner. Drives the protocol one step at a time from the

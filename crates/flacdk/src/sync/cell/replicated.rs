@@ -1,7 +1,7 @@
 //! The `Replicated` backend: node-local reads after a tail check; every
 //! node pays the replay of mutations it has not yet caught up with.
 
-use super::{lines, CellInner, SyncCell, SyncState};
+use super::{CellInner, SyncCell, SyncState};
 use rack_sim::{NodeCtx, SimError};
 
 impl<T: SyncState> SyncCell<T> {
@@ -30,13 +30,10 @@ impl<T: SyncState> SyncCell<T> {
         let head = self.log.head(ctx)?;
         if inner.synced[me] < head {
             // The entries this replica missed were garbage collected:
-            // model a bulk snapshot fetch (one fabric read of the state
-            // footprint) instead of per-entry replay.
+            // model a bulk snapshot fetch (one fabric read of the state's
+            // line) instead of per-entry replay.
             let lat = ctx.latency();
-            ctx.charge(
-                lines(self.footprint_bytes) * (lat.invalidate_line_ns + lat.local_write_ns)
-                    + lat.global_read_ns,
-            );
+            ctx.charge(lat.invalidate_line_ns + lat.local_write_ns + lat.global_read_ns);
             inner.synced[me] = head;
         }
         let mut idx = inner.synced[me];

@@ -142,7 +142,12 @@ impl<'a> Decoder<'a> {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// FNV-1a 64-bit hash, used for keys and content hashes across the stack.
+/// An FNV-1a-style 64-bit hash, used for keys and content hashes across
+/// the stack. It starts from the standard FNV-1a 64 offset basis but
+/// multiplies by `0x1000_0000_01b3`, not the standard prime
+/// `0x100_0000_01b3`, so its values differ from textbook FNV-1a 64. The
+/// constant stays: chunk ids and the event-log digests in `FIGURES.txt`
+/// derive from it.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {

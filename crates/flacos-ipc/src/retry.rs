@@ -16,7 +16,7 @@
 //!   call carries a client-unique id, the server caches the reply per
 //!   id, and a retried request re-sends the cached reply **without
 //!   re-executing the handler**. That is the "no double-delivery"
-//!   invariant the `flac-faultstorm` harness checks.
+//!   invariant the rack fault-storm campaign checks (`figures storm`).
 //!
 //! Because the simulator is cooperative (no background threads), the
 //! client's call path takes a `pump` closure that gives the caller a

@@ -28,9 +28,9 @@ pub struct Vma {
     pub writable: bool,
     /// Caller tag (e.g. heap/stack/file id).
     pub tag: u64,
-    /// Preferred translation granularity for this area. The tiering
-    /// daemon only coalesces 4 KiB pages into 2 MiB mappings inside
-    /// areas that allow it.
+    /// Preferred translation granularity for this area, carried through
+    /// the bulk export and import. Nothing reads it to decide a mapping:
+    /// the tiering daemon works on page tables and never sees a `Vma`.
     pub page_size: PageSize,
 }
 

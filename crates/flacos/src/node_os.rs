@@ -90,11 +90,6 @@ impl NodeOs {
         &mut self.sockets
     }
 
-    /// This node's software TLB.
-    pub fn tlb_mut(&mut self) -> &mut Tlb {
-        &mut self.tlb
-    }
-
     /// This node's page-fault handler.
     pub fn fault_handler(&self) -> &PageFaultHandler {
         &self.fault_handler
@@ -103,11 +98,6 @@ impl NodeOs {
     /// This node's page-tiering daemon.
     pub fn tier(&self) -> &TierDaemon {
         &self.tier
-    }
-
-    /// This node's page-tiering daemon, mutably.
-    pub fn tier_mut(&mut self) -> &mut TierDaemon {
-        &mut self.tier
     }
 
     /// The shared RPC context table.

@@ -74,11 +74,6 @@ impl Process {
         &self.protection
     }
 
-    /// Mutable protection access (for custom capture schedules).
-    pub fn protection_mut(&mut self) -> &mut Protection {
-        &mut self.protection
-    }
-
     /// Execute `work` against the process's address space on `ctx`,
     /// transitioning Ready → Running → Ready.
     ///
@@ -128,16 +123,6 @@ impl Process {
     pub fn protect_now(&mut self, ctx: &Arc<NodeCtx>) -> Result<bool, SimError> {
         self.protection.force_capture(ctx, &self.fbox)?;
         Ok(true)
-    }
-
-    /// Run the periodic protection schedule (captures only when the
-    /// policy's period has elapsed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates capture errors.
-    pub fn protect_tick(&mut self, ctx: &Arc<NodeCtx>) -> Result<bool, SimError> {
-        self.protection.tick(ctx, &self.fbox)
     }
 
     /// Restore the process's full state from its protection and return

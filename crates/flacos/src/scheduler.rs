@@ -80,11 +80,6 @@ impl RackScheduler {
         self.nodes
     }
 
-    /// The backend the adaptive driver currently runs the load state on.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.cell.policy()
-    }
-
     /// The sync cell guarding the load state, as a recovery hook.
     pub fn sync_cell(&self) -> Arc<dyn flacdk::sync::SyncRecover> {
         self.cell.clone()

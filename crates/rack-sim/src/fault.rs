@@ -120,12 +120,6 @@ impl FaultInjector {
         self.seed
     }
 
-    /// Restart the randomized schedule from an explicit seed (between
-    /// experiment repetitions). The fault log is kept.
-    pub fn reseed(&self, seed: u64) {
-        *self.rng.lock() = SplitMix64::new(seed);
-    }
-
     /// Poison `len` bytes of global memory at `addr` at simulated time `at_ns`.
     pub fn poison_memory(&self, global: &GlobalMemory, addr: GAddr, len: usize, at_ns: u64) {
         global.poison(addr, len);

@@ -83,13 +83,6 @@ impl RackConfig {
         }
     }
 
-    /// Replace the topology (builder-style).
-    #[must_use]
-    pub fn with_topology(mut self, topology: RackTopology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Replace the latency model (builder-style).
     #[must_use]
     pub fn with_latency(mut self, latency: LatencyModel) -> Self {

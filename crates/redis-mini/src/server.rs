@@ -96,12 +96,6 @@ impl<T: Transport> RedisServer<T> {
         }
     }
 
-    /// Add another connection to the event loop; returns its index.
-    pub fn add_connection(&mut self, transport: T) -> usize {
-        self.conns.push(Conn::new(transport));
-        self.conns.len() - 1
-    }
-
     /// Number of connections multiplexed by this server.
     pub fn connection_count(&self) -> usize {
         self.conns.len()
@@ -213,11 +207,6 @@ impl<T: Transport> RedisServer<T> {
     /// Event-loop counters.
     pub fn stats(&self) -> ServerStats {
         self.stats
-    }
-
-    /// Reply bytes parked behind transport backpressure, all connections.
-    pub fn pending_reply_bytes(&self) -> usize {
-        self.conns.iter().map(|c| c.tx_pending.len()).sum()
     }
 
     /// The backing keyspace (inspection).

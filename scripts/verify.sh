@@ -23,15 +23,11 @@ cargo test -q --offline --workspace
 echo "== repo benchmark package unit tests (offline, release) =="
 (cd benchmark && cargo test --offline --release -q)
 
-# The two runners below come from the release build above; calling
-# them directly spares a cargo invocation (and its freshness check) per
-# step.
+# The runner comes from the release build above; calling it directly
+# spares a cargo invocation (and its freshness check).
 bin="${CARGO_TARGET_DIR:-target}/release"
 
-echo "== fault-storm smoke: all five campaigns (rack, tiering, delegated, node-replicated, store; fixed seeds, replay-verified) =="
-"$bin/flac-faultstorm" --seeds 2 --steps 60 --verify
-
-echo "== figures: every table regenerated (the serve, store, replication and topo sweeps judged before they print) and diffed against the golden FIGURES.txt =="
+echo "== figures: every table regenerated (the serve, store, replication, topo and storm sections judged before they print) and diffed against the golden FIGURES.txt =="
 "$bin/figures" all > target/FIGURES.txt
 diff -u FIGURES.txt target/FIGURES.txt || {
     echo "figures drifted from FIGURES.txt (a moved simulated number must be re-recorded: figures all > FIGURES.txt)" >&2

@@ -727,7 +727,7 @@ fn seeded_storm_campaigns_replay_byte_identically() {
     // Property: any seed replayed against a fresh rack with the same
     // deterministic reaction produces the identical event log and the
     // identical cache/fault activity — the reproducibility guarantee
-    // `flac-faultstorm --verify` rests on.
+    // the judged rerun of `figures storm` rests on.
     check("seeded_storm_campaigns_replay_byte_identically", |rng| {
         let seed = rng.next_u64();
         let config = StormConfig {
