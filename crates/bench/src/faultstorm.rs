@@ -21,7 +21,7 @@
 
 use flac_store::{BackendConfig, ChunkStore, ShardedBackends, StoreConfig};
 use flacdk::reliability::checkpoint::CheckpointManager;
-use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy};
+use flacdk::sync::{CombineWindow, SyncCell, SyncCellConfig, SyncPolicy};
 use flacos::FlacRack;
 use flacos_fault::fault_box::FaultBoxBuilder;
 use flacos_fault::recovery::RecoveryOrchestrator;
@@ -34,14 +34,12 @@ use flacos_mem::fault::FrameAllocator;
 use flacos_mem::tlb::Tlb;
 use flacos_mem::{AddressSpace, PageSize, PhysFrame, Pte};
 use flacos_tier::{LocalFramePool, Migration};
-use rack_sim::storm::{StormCampaign, StormConfig, StormCounts, StormOp};
+use rack_sim::storm::{StormCampaign, StormCounts, StormOp, StormShape, STEPS};
 use rack_sim::{GAddr, LAddr, NodeCtx, NodeId, Rack, RackConfig, SimError};
 use serverless::image::ContainerImage;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-/// Scheduled storm steps of every campaign run.
-pub const STEPS: u32 = 60;
 /// The seeds [`run`] sweeps.
 pub const SEEDS: std::ops::RangeInclusive<u64> = 1..=6;
 /// Nodes in every campaign rack.
@@ -87,9 +85,9 @@ pub enum Campaign {
     /// stays within its budget.
     Tiering,
     /// Live nodes commit to a delegated [`SyncCell`] ledger while its
-    /// owner dies. The cell ends equal to the acknowledged ops in log
-    /// order, a from-scratch log replay reproduces it, and a post-heal
-    /// update is visible.
+    /// owner dies. Every recovery leaves a live owner, the cell ends
+    /// equal to the acknowledged ops in log order, a from-scratch log
+    /// replay reproduces it, and a post-heal update is visible.
     Delegated,
     /// The same ledger, node-replicated, with combiners killed mid-batch
     /// and publishers killed holding a flushed publication; the same
@@ -242,7 +240,7 @@ impl Storm {
         self.live
             .iter()
             .position(|&a| a)
-            .expect("min_live_nodes >= 2")
+            .expect("MIN_LIVE_NODES >= 2")
     }
 
     /// The first live node at or after `step`, round-robin.
@@ -261,19 +259,9 @@ trait Hooks {
     /// The campaign's tally names, space-separated, in row order.
     const TALLIES: &'static str;
 
-    /// The storm shape: crashes and restarts only, never below two live
-    /// nodes.
-    fn config(&self) -> StormConfig {
-        StormConfig {
-            steps: STEPS,
-            min_live_nodes: 2,
-            link_fail_weight: 0,
-            link_restore_weight: 0,
-            poison_weight: 0,
-            delayed_writeback_weight: 0,
-            poison_region: None,
-            ..StormConfig::default()
-        }
+    /// The storm shape: crashes and restarts only.
+    fn shape(&self) -> StormShape {
+        StormShape::CrashRestart
     }
 
     fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String;
@@ -283,7 +271,7 @@ trait Hooks {
     fn restart(&mut self, s: &mut Storm, step: u32, node: usize) -> String;
 
     /// Link, poison and delayed-writeback steps, which only a campaign
-    /// overriding [`Hooks::config`] schedules.
+    /// overriding [`Hooks::shape`] schedules.
     fn other(&mut self, _s: &mut Storm, _step: u32, _op: StormOp, _rack: &Rack) -> String {
         "unused op class (weight 0)".to_string()
     }
@@ -300,7 +288,7 @@ fn drive<H: Hooks>(campaign: Campaign, seed: u64, rack: &Rack, mut hooks: H) -> 
         violations: Vec::new(),
         tallies: H::TALLIES.split_whitespace().map(|k| (k, 0)).collect(),
     };
-    let storm = StormCampaign::new(seed, hooks.config());
+    let storm = StormCampaign::new(seed, hooks.shape());
     let report = storm.run(rack, |step, op, rack| match *op {
         StormOp::Workload => hooks.workload(&mut s, step, rack),
         StormOp::CrashNode { node } => {
@@ -452,12 +440,9 @@ impl Hooks for RackStorm {
         rpc_degraded rpc_executed rpc_dup_suppressed scrubs scratch_lost reelections";
 
     /// Every op class, with the scrub region as the poison target.
-    fn config(&self) -> StormConfig {
-        StormConfig {
-            steps: STEPS,
-            min_live_nodes: 2,
-            poison_region: Some((self.scrub_base, SCRUB_WORDS * 8)),
-            ..StormConfig::default()
+    fn shape(&self) -> StormShape {
+        StormShape::Full {
+            poison_region: (self.scrub_base, SCRUB_WORDS * 8),
         }
     }
 
@@ -471,7 +456,7 @@ impl Hooks for RackStorm {
             note = format!(", flushed {addr}");
         }
         // A committed file write from the round-robin writer.
-        let writer = s.round_robin(step).expect("min_live_nodes >= 2");
+        let writer = s.round_robin(step).expect("MIN_LIVE_NODES >= 2");
         let path = format!("/storm/f{:04}", self.committed.len());
         let content = format!("s{:016x}-{step:04}", s.seed);
         if let Err(e) = self.fs[writer].write_file(&path, content.as_bytes()) {
@@ -1073,6 +1058,12 @@ impl Hooks for Delegated {
             return format!("crash n{node_idx}: sync recovery FAILED: {e}");
         }
         let owner_after = self.0.cell.owner_node(&ctx).expect("owner");
+        if let Some(owner) = owner_after.filter(|&o| !rack.is_alive(o)) {
+            s.fail(format!(
+                "step {step}: after n{node_idx}'s crash the owner word names dead n{}",
+                owner.0
+            ));
+        }
         if owner_before != Some(node) {
             return format!("crash n{node_idx}: owner {owner_before:?} unaffected");
         }
@@ -1101,10 +1092,16 @@ impl Hooks for Delegated {
 /// commit it once and leave no header pending).
 struct NodeReplicated(Ledger);
 
+/// The two combiner crash windows `mid_batch` arms, on a combine of the
+/// two one-op publications it strands (neither spills past its header
+/// line).
+const COMBINE_WINDOWS: [CombineWindow; 2] =
+    [CombineWindow::BeforeAppend, CombineWindow::AfterAppend];
+
 impl NodeReplicated {
-    /// Strand two publications, arm a crash window on the last live
-    /// node, kill it, recover, restart it and check that every stranded
-    /// op landed exactly once.
+    /// Strand two publications, crash the last live node inside its
+    /// combine (or after it publishes), recover, restart it and check
+    /// that every stranded op landed exactly once.
     fn mid_batch(&mut self, s: &mut Storm, step: u32, live: &[usize], rack: &Rack) -> String {
         let cell = self.0.cell.clone();
         let window = (step / 3) % 3;
@@ -1116,17 +1113,48 @@ impl NodeReplicated {
                 return format!("mid-batch stage failed: publish on n{p}: {e}");
             }
         }
-        let victim_ctx = rack.node(victim);
-        let armed = match window {
-            0 => cell.nr_combine_crash_before_append(&victim_ctx),
-            1 => cell.nr_combine_crash_after_append(&victim_ctx),
-            _ => cell.nr_publish(&victim_ctx, &sync_op(victim, step)),
-        };
-        if let Err(e) = armed {
-            s.fail(format!("step {step}: crash stage failed on n{victim}: {e}"));
-            return format!("mid-batch stage failed on n{victim}: {e}");
+        let (victim_ctx, witness) = (rack.node(victim), rack.node(publishers[0]));
+        if window < 2 {
+            let fuse = COMBINE_WINDOWS[window as usize];
+            let want_ran = fuse.issued_before(2, 2, false);
+            let (tail, before) = (
+                cell.committed(&witness).expect("tail"),
+                victim_ctx.stats().snapshot().fabric_ops(),
+            );
+            rack.faults()
+                .arm_crash(NodeId(victim), fuse.fuse_op(2, 2, false));
+            let died = matches!(cell.nr_combine(&victim_ctx), Err(SimError::NodeDown { .. }));
+            let after = victim_ctx.stats().snapshot().fabric_ops();
+            let ran = [0, 1, 2].map(|i| after[i] - before[i]);
+            if !died || ran != want_ran {
+                s.fail(format!(
+                    "step {step}: n{victim}'s combine issued {ran:?} (atomics, reads, writes) \
+                     by its fuse in window {window}, want {want_ran:?} and a crash"
+                ));
+            }
+            if !died {
+                // The fuse never burnt: crash the node here so the rest of
+                // the step runs on the state the campaign models.
+                rack.faults().crash_node(NodeId(victim), u64::from(step));
+            }
+            // Window 0 committed nothing, window 1 the whole batch; either
+            // way both publications still read `PENDING`.
+            let landed = cell.committed(&witness).expect("tail") - tail;
+            let pending = cell.pending_publishers(&witness).expect("headers");
+            let want: Vec<NodeId> = publishers.iter().map(|&p| NodeId(p)).collect();
+            if landed != 2 * u64::from(window) || pending != want {
+                s.fail(format!(
+                    "step {step}: crash window {window} left {landed} ops committed and \
+                     {pending:?} pending"
+                ));
+            }
+        } else {
+            if let Err(e) = cell.nr_publish(&victim_ctx, &sync_op(victim, step)) {
+                s.fail(format!("step {step}: crash stage failed on n{victim}: {e}"));
+                return format!("mid-batch stage failed on n{victim}: {e}");
+            }
+            rack.faults().crash_node(NodeId(victim), u64::from(step));
         }
-        rack.faults().crash_node(NodeId(victim), u64::from(step));
         s.live[victim] = false;
         let rescuer = s.lowest_live();
         if let Err(e) = self

@@ -23,8 +23,8 @@
 //! [`SyncCell`]: flacdk::sync::SyncCell
 
 use crate::backend::ShardedBackends;
+use crate::chunk_hash_each;
 use crate::index::{abort_op, claim_op, commit_op, ChunkIndexState, ChunkState};
-use crate::{chunk_hash, chunk_hash_each};
 use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncRecover};
 use flacos_mem::dedup::PageDeduper;
 use rack_sim::sync::Condvar;
@@ -544,24 +544,6 @@ impl ChunkStore {
         }
     }
 
-    /// Read and hash-verify one resident chunk (`None` if absent).
-    ///
-    /// # Errors
-    ///
-    /// Propagates fabric errors.
-    pub fn verify_chunk(&self, ctx: &NodeCtx, hash: u64) -> Result<Option<bool>, SimError> {
-        let mut buf = vec![0u8; crate::CHUNK_SIZE];
-        match self.lookup(ctx, &[hash])?[0] {
-            Some((frame, len)) => {
-                let len = len as usize;
-                ctx.invalidate(frame, len);
-                ctx.read(frame, &mut buf[..len])?;
-                Ok(Some(chunk_hash(&buf[..len]) == hash))
-            }
-            None => Ok(None),
-        }
-    }
-
     /// Abort every in-flight claim held by `node` (crash recovery).
     /// Returns the number of claims reverted.
     ///
@@ -629,7 +611,7 @@ fn landed(s: &ChunkIndexState, me: u32, (hash, frame, _): (u64, GAddr, u32)) -> 
 mod tests {
     use super::*;
     use crate::backend::BackendConfig;
-    use crate::CHUNK_SIZE;
+    use crate::{chunk_hash, CHUNK_SIZE};
     use flacos_mem::fault::FrameAllocator;
     use rack_sim::{Rack, RackConfig};
 
@@ -704,7 +686,6 @@ mod tests {
                 1,
                 "chunk fetched exactly once"
             );
-            assert_eq!(store.verify_chunk(&n1, h).unwrap(), Some(true));
         }
     }
 

@@ -46,12 +46,6 @@ impl HotnessTracker {
         self.sizes.insert(id, size);
     }
 
-    /// Remove an object from tracking.
-    pub fn forget(&mut self, id: ObjectId) {
-        self.scores.remove(&id);
-        self.sizes.remove(&id);
-    }
-
     /// Record one access to `id` (auto-registers unknown objects with
     /// size 0).
     pub fn touch(&mut self, id: ObjectId) {
@@ -156,16 +150,6 @@ mod tests {
         let (hot, cold) = t.tier_split(200);
         assert_eq!(hot, vec![1, 2]);
         assert_eq!(cold, vec![3]);
-    }
-
-    #[test]
-    fn forget_removes_object() {
-        let mut t = HotnessTracker::new(100);
-        t.touch(9);
-        assert_eq!(t.len(), 1);
-        t.forget(9);
-        assert!(t.is_empty());
-        assert_eq!(t.score(9), 0.0);
     }
 
     #[test]

@@ -187,22 +187,6 @@ impl SpscRing {
             ring: self,
         })
     }
-
-    /// Peek the length of the next message without consuming it.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::WouldBlock`] if empty; memory errors are propagated.
-    pub fn peek_len(&self, ctx: &NodeCtx) -> Result<usize, SimError> {
-        let head = self.head.load(ctx)?;
-        let tail = self.tail.load(ctx)?;
-        if head == tail {
-            return Err(SimError::WouldBlock);
-        }
-        let slot = self.slot_addr(head);
-        ctx.invalidate(slot, 8);
-        Ok(ctx.read_u64(slot)? as usize)
-    }
 }
 
 /// The producing side of a ring with locally cached cursors — the
@@ -245,11 +229,6 @@ impl RingProducer {
         self.ring.tail.store(ctx, self.tail + 1)?;
         self.tail += 1;
         Ok(())
-    }
-
-    /// Free slots as of the last cursor observation (may understate).
-    pub fn space_hint(&self) -> u64 {
-        self.ring.capacity - (self.tail - self.head_cache)
     }
 }
 
@@ -365,7 +344,6 @@ mod tests {
         let (p, c) = (rack.node(0), rack.node(1));
         let r = ring(&rack, 4, 64);
         r.push(&p, b"xyz").unwrap();
-        assert_eq!(r.peek_len(&c).unwrap(), 3);
         assert_eq!(r.len(&c).unwrap(), 1);
         assert_eq!(r.pop(&c).unwrap(), b"xyz");
     }
@@ -398,7 +376,6 @@ mod tests {
         let mut cons = r.consumer(&c).unwrap();
         prod.push(&p, b"a").unwrap();
         prod.push(&p, b"b").unwrap();
-        assert_eq!(prod.space_hint(), 0);
         assert!(matches!(prod.push(&p, b"c"), Err(SimError::WouldBlock)));
         cons.pop(&c).unwrap();
         // The freed slot is found via the apparent-full head refresh.

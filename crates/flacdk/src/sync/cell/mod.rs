@@ -37,6 +37,7 @@ mod rcu;
 mod replicated;
 
 pub use adaptive::{AdaptiveConfig, AdaptivePolicy};
+pub use node_replicated::CombineWindow;
 
 use crate::hw::GlobalCell;
 use crate::sync::oplog::SharedOpLog;

@@ -70,9 +70,20 @@
 //! committed window: one range pass looks up the `[node][seq]` frame of
 //! every publication's first op, and only unseen ops are re-appended.
 //! Recovery runs under the host mutex every append runs under, so that
-//! window holds no in-flight publication. The `nr_combine_crash_*`
-//! hooks expose the first two windows to the node-replicated fault-storm
-//! campaign (`figures storm`).
+//! window holds no in-flight publication.
+//!
+//! Each window is a fuse point: [`rack_sim::FaultInjector::arm_crash`]
+//! crashes a node on its `k`-th fabric op, so a test or campaign arms
+//! `k` and calls the real entry point. A combine issues the claim CAS,
+//! the header burst, an overflow burst when a pending publication
+//! spilled, then the append's tail and head loads, its tail CAS and
+//! three entry writes per op, then one header mark per publication,
+//! then the fold's reads; [`CombineWindow`] turns a window and the
+//! batch shape into its `k`. With nothing pending, the window before
+//! the append is the release, which leaves the role with the dead node.
+//! A spilling `nr_publish` dies between its overflow and its header at
+//! `k = 2`, the first header write. The node-replicated fault-storm
+//! campaign (`figures storm`) arms the first two combine windows.
 //!
 //! [`SharedOpLog::append_batch`]: crate::sync::oplog::SharedOpLog::append_batch
 //! [`SharedOpLog::read_range`]: crate::sync::oplog::SharedOpLog::read_range
@@ -801,60 +812,59 @@ impl<T: SyncState> SyncCell<T> {
         }
         Ok(out)
     }
+}
 
-    /// Crash hook: the combiner claims the role and scans the headers,
-    /// then dies **before the tail CAS**. Nothing is committed; every
-    /// publication stays `PENDING` and the combiner word stays claimed
-    /// by this node. Returns the number of publications stranded.
-    ///
-    /// # Errors
-    ///
-    /// `Protocol` if the combiner role is already claimed.
-    pub fn nr_combine_crash_before_append(&self, ctx: &NodeCtx) -> Result<u64, SimError> {
-        let me = self.me(ctx);
-        if self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? != 0 {
-            return Err(SimError::Protocol("combiner role already claimed".into()));
+/// A crash window inside [`SyncCell::nr_combine`], for a
+/// [`rack_sim::FaultInjector::arm_crash`] fuse: the fabric op the fuse
+/// burns on follows a fixed sequence, so the window and the batch shape
+/// fix its `k`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CombineWindow {
+    /// The append's first tail load: the batch is scanned, nothing is
+    /// committed. With nothing pending this op is the release, which
+    /// leaves the role with the dead node.
+    BeforeAppend,
+    /// The first header mark: the batch committed, every header still
+    /// `PENDING`.
+    AfterAppend,
+    /// The fold's first read: every header marked, nothing folded.
+    AfterMarks,
+}
+
+impl CombineWindow {
+    /// The `[atomics, reads, writes]` a combine of `ops` pending ops in
+    /// `publications` publications issues before this window; `spilled`
+    /// when any of them spilled past its header line.
+    pub fn issued_before(self, publications: u64, ops: u64, spilled: bool) -> [u64; 3] {
+        // The claim CAS, the header burst and any overflow burst.
+        let scan = [1, 1 + u64::from(spilled), 0];
+        // The append's tail and head loads, its tail CAS and three entry
+        // writes per op.
+        let append = [scan[0] + 1, scan[1] + 2, 3 * ops];
+        match self {
+            CombineWindow::BeforeAppend => scan,
+            CombineWindow::AfterAppend => append,
+            // One header mark per publication.
+            CombineWindow::AfterMarks => [append[0], append[1], append[2] + publications],
         }
-        let pend = self.scan_pending(ctx, None)?;
-        Ok(pend.iter().map(|p| p.ops.len() as u64).sum())
     }
 
-    /// Crash hook: the combiner appends the batch (tail CAS + committed
-    /// entries), then dies **before marking any header or releasing the
-    /// role**. Publications stay `PENDING` while their ops are already
-    /// committed — the double-apply trap recovery's dedup must defuse.
-    /// Returns the number of ops committed.
-    ///
-    /// # Errors
-    ///
-    /// `Protocol` if the combiner role is already claimed; log and
-    /// memory errors are propagated.
-    pub fn nr_combine_crash_after_append(&self, ctx: &NodeCtx) -> Result<u64, SimError> {
-        let me = self.me(ctx);
-        if self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? != 0 {
-            return Err(SimError::Protocol("combiner role already claimed".into()));
-        }
-        let pend = self.scan_pending(ctx, None)?;
-        if pend.is_empty() {
-            return Ok(0);
-        }
-        let payloads: Vec<&[u8]> = pend
+    /// The `k` to arm: the op right after [`Self::issued_before`].
+    pub fn fuse_op(self, publications: u64, ops: u64, spilled: bool) -> u64 {
+        self.issued_before(publications, ops, spilled)
             .iter()
-            .flat_map(|p| p.ops.iter().map(Vec::as_slice))
-            .collect();
-        self.log.append_batch(ctx, &payloads)?;
-        // Crash: no header marked, no authoritative fold, role not
-        // released.
-        Ok(payloads.len() as u64)
+            .sum::<u64>()
+            + 1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
+    use super::CombineWindow;
     use std::sync::Arc;
 
-    use rack_sim::{Rack, RackConfig};
+    use rack_sim::{NodeCtx, NodeId, Rack, RackConfig, SimError};
 
     #[derive(Debug, Default, Clone, PartialEq)]
     struct Tally {
@@ -876,6 +886,24 @@ mod tests {
         let mut v = node.to_le_bytes().to_vec();
         v.extend_from_slice(&step.to_le_bytes());
         v
+    }
+
+    /// Arm node `n`'s crash fuse at its `k`-th op, run `f` there, check
+    /// that the fuse burnt, and return the `[atomics, reads, writes]`
+    /// the node issued before it did.
+    fn issued_before_fuse<R: std::fmt::Debug>(
+        rack: &Rack,
+        n: usize,
+        k: u64,
+        f: impl FnOnce(&NodeCtx) -> Result<R, SimError>,
+    ) -> [u64; 3] {
+        let node = rack.node(n);
+        let before = node.stats().snapshot().fabric_ops();
+        rack.faults().arm_crash(NodeId(n), k);
+        let res = f(&node);
+        assert!(matches!(res, Err(SimError::NodeDown { .. })), "{res:?}");
+        let after = node.stats().snapshot().fabric_ops();
+        [0, 1, 2].map(|i| after[i] - before[i])
     }
 
     fn nr_cell(rack: &Rack) -> Arc<SyncCell<Tally>> {
@@ -990,12 +1018,18 @@ mod tests {
         c.update(&rack.node(0), &op(0, 0)).unwrap();
         c.nr_publish(&rack.node(1), &op(1, 1)).unwrap();
         c.nr_publish(&rack.node(2), &op(2, 2)).unwrap();
-        // Node 3 claims, scans, dies before the tail CAS.
-        assert_eq!(c.nr_combine_crash_before_append(&rack.node(3)).unwrap(), 2);
-        rack.faults().crash_node(rack_sim::NodeId(3), 0);
+        // Node 3 claims and scans, then dies on the append's first tail
+        // load, its third fabric op.
+        let k = CombineWindow::BeforeAppend.fuse_op(2, 2, false);
+        let issued = issued_before_fuse(&rack, 3, k, |n3| c.nr_combine(n3));
+        assert_eq!(issued, [1, 1, 0], "the claim and the scan");
         assert_eq!(c.committed(&rack.node(0)).unwrap(), 1, "nothing committed");
+        assert_eq!(
+            c.pending_publishers(&rack.node(0)).unwrap(),
+            [NodeId(1), NodeId(2)]
+        );
         // Recovery re-elects and commits the stranded publications.
-        assert!(c.on_node_crash(&rack.node(0), rack_sim::NodeId(3)).unwrap());
+        assert!(c.on_node_crash(&rack.node(0), NodeId(3)).unwrap());
         assert_eq!(c.committed(&rack.node(0)).unwrap(), 3);
         assert_eq!(c.nr_poll(&rack.node(1)).unwrap(), Some(1));
         assert_eq!(c.nr_poll(&rack.node(2)).unwrap(), Some(2));
@@ -1013,12 +1047,19 @@ mod tests {
         c.nr_publish_batch(&rack.node(1), &[&op(1, 1), &op(1, 2)])
             .unwrap();
         c.nr_publish(&rack.node(2), &op(2, 3)).unwrap();
-        // Node 3 appends the batch, dies before consuming the slots.
-        assert_eq!(c.nr_combine_crash_after_append(&rack.node(3)).unwrap(), 3);
-        rack.faults().crash_node(rack_sim::NodeId(3), 0);
+        // Node 3 claims, scans and appends the batch (tail and head loads,
+        // the tail CAS, three entry writes per op), then dies on its
+        // first header mark, its fifteenth fabric op.
+        let k = CombineWindow::AfterAppend.fuse_op(2, 3, false);
+        let issued = issued_before_fuse(&rack, 3, k, |n3| c.nr_combine(n3));
+        assert_eq!(issued, [2, 3, 9], "through the entries, no mark");
         assert_eq!(c.committed(&rack.node(0)).unwrap(), 3, "batch landed");
+        assert_eq!(
+            c.pending_publishers(&rack.node(0)).unwrap(),
+            [NodeId(1), NodeId(2)]
+        );
         // Recovery dedups against the committed window: no re-append.
-        assert!(c.on_node_crash(&rack.node(0), rack_sim::NodeId(3)).unwrap());
+        assert!(c.on_node_crash(&rack.node(0), NodeId(3)).unwrap());
         assert_eq!(
             c.committed(&rack.node(0)).unwrap(),
             3,
@@ -1039,12 +1080,12 @@ mod tests {
         let n0 = rack.node(0);
         c.nr_publish(&rack.node(1), &op(1, 1)).unwrap();
         c.nr_publish(&rack.node(2), &op(2, 7)).unwrap();
-        rack.faults().crash_node(rack_sim::NodeId(2), 0);
+        rack.faults().crash_node(NodeId(2), 0);
         let pending = c.pending_publishers(&n0).unwrap();
-        assert_eq!(pending, [rack_sim::NodeId(1), rack_sim::NodeId(2)]);
+        assert_eq!(pending, [NodeId(1), NodeId(2)]);
         // No combiner was involved; recovery still commits the orphan,
         // and the live publication beside it.
-        assert!(!c.on_node_crash(&n0, rack_sim::NodeId(2)).unwrap());
+        assert!(!c.on_node_crash(&n0, NodeId(2)).unwrap());
         assert_eq!(c.pending_publishers(&n0).unwrap(), []);
         assert_eq!(c.nr_poll(&rack.node(1)).unwrap(), Some(0));
         assert_eq!(c.peek(|t| t.per_node.clone()), vec![(1, 1), (2, 7)]);
@@ -1106,30 +1147,31 @@ mod tests {
         );
         // A batch past the header plus the overflow area is refused.
         let err = c.nr_publish_batch(&rack.node(1), &[&long_op(1, 5, 100), &long_op(1, 6, 100)]);
-        assert!(matches!(err, Err(rack_sim::SimError::Protocol(_))));
+        assert!(matches!(err, Err(SimError::Protocol(_))));
     }
 
     #[test]
     fn a_publisher_dead_between_its_overflow_and_its_header_publishes_nothing() {
-        use super::INLINE;
         let rack = Rack::new(RackConfig::n_node(4));
         let c = spill_cell(&rack);
         let (n0, n2) = (rack.node(0), rack.node(2));
+        // A 100-byte op spills: the overflow is written and flushed, then
+        // the header write, the publication's second fabric op, burns.
         let big = long_op(2, 7, 100);
-        let (_, packed) = c.pack_publication(2, &[&big]).unwrap();
-        assert!(packed.len() > INLINE, "the publication spills");
-        // The overflow half of a publication, flushed; then the crash,
-        // before the header is written.
-        let spill = &packed[INLINE..];
-        n2.write(c.spill_addr(2), spill).unwrap();
-        n2.flush(c.spill_addr(2), spill.len());
-        rack.faults().crash_node(rack_sim::NodeId(2), 0);
-        assert!(!c.on_node_crash(&n0, rack_sim::NodeId(2)).unwrap());
+        let issued = issued_before_fuse(&rack, 2, 2, |n2| c.nr_publish(n2, &big));
+        assert_eq!(issued, [0, 0, 1], "the overflow write");
+        let overflow = rack.global().load_u64(c.spill_addr(2)).unwrap();
+        assert_eq!(
+            overflow,
+            u64::from_le_bytes([0xA5; 8]),
+            "the overflow landed"
+        );
+        assert!(!c.on_node_crash(&n0, NodeId(2)).unwrap());
         assert_eq!(c.committed(&n0).unwrap(), 0, "never applied");
         assert_eq!(c.pending_publishers(&n0).unwrap(), []);
         assert_eq!(c.nr_combine(&rack.node(1)).unwrap(), 0);
         // The restarted publisher's next publication lands once.
-        rack.faults().restart_node(rack_sim::NodeId(2), 0);
+        rack.faults().restart_node(NodeId(2), 0);
         c.nr_publish(&n2, &long_op(2, 8, 100)).unwrap();
         assert_eq!(c.nr_combine(&rack.node(1)).unwrap(), 1);
         assert_eq!(c.nr_poll(&n2).unwrap(), Some(0));
@@ -1137,34 +1179,51 @@ mod tests {
     }
 
     #[test]
+    fn a_combiner_dead_before_appending_a_spilled_batch_loses_nothing() {
+        let rack = Rack::new(RackConfig::n_node(4));
+        let c = spill_cell(&rack);
+        let n0 = rack.node(0);
+        c.nr_publish(&rack.node(2), &long_op(2, 7, 100)).unwrap();
+        // The overflow burst is one more read before the append.
+        let k = CombineWindow::BeforeAppend.fuse_op(1, 1, true);
+        let issued = issued_before_fuse(&rack, 1, k, |n1| c.nr_combine(n1));
+        assert_eq!(
+            issued,
+            [1, 2, 0],
+            "the claim, the header and overflow bursts"
+        );
+        assert_eq!(c.committed(&n0).unwrap(), 0, "nothing committed");
+        assert!(c.on_node_crash(&n0, NodeId(1)).unwrap());
+        assert_eq!(c.nr_poll(&rack.node(2)).unwrap(), Some(0));
+        assert_eq!(c.peek(|t| t.per_node.clone()), vec![(2, 7)]);
+    }
+
+    #[test]
     fn combiner_dead_after_its_marks_leaves_every_later_op_landing_once() {
         let rack = Rack::new(RackConfig::n_node(4));
         let c = nr_cell(&rack);
-        let (n0, n3) = (rack.node(0), rack.node(3));
+        let n0 = rack.node(0);
         // Four committed entries no fold has applied yet (log lines 0..3
         // exactly), so the combine below has an older fold to die in.
         let early: Vec<Vec<u8>> = (0..4)
             .map(|i| super::super::frame_op(3, 1000 + i, &op(3, 1000 + i)))
             .collect();
         c.op_log().append_batch(&n0, &early).unwrap();
-        c.nr_publish(&rack.node(1), &op(1, 1)).unwrap();
+        c.nr_publish_batch(&rack.node(1), &[&op(1, 1), &op(1, 5)])
+            .unwrap();
         c.nr_publish(&rack.node(2), &op(2, 2)).unwrap();
-        // Node 3 claims the role, appends, marks and flushes the marks,
-        // then dies before it folds or releases: the poisoned entry stops
-        // its fold right after the marks.
-        let flag = c.op_log().base();
-        let word = rack.global().load_u64(flag).unwrap();
-        rack.global().poison(flag, 8);
-        assert_eq!(c.combiner.compare_exchange(&n3, 0, 4).unwrap(), 0);
-        assert!(c.combine_locked(&n3, None, |_| ()).is_err());
-        rack.faults().crash_node(rack_sim::NodeId(3), 0);
-        rack.global().scrub(flag, 8);
-        rack.global().store_u64(flag, word).unwrap();
+        // Node 3 claims the role, scans, appends three ops, marks two
+        // headers and flushes the marks, then dies on its fold's first
+        // read (its seventeenth fabric op), before it folds or releases.
+        let k = CombineWindow::AfterMarks.fuse_op(2, 3, false);
+        let issued = issued_before_fuse(&rack, 3, k, |n3| c.nr_combine(n3));
+        assert_eq!(issued, [2, 3, 11], "through the marks, no fold read");
         assert_eq!(c.pending_publishers(&n0).unwrap(), []);
+        assert_eq!(c.fold_position(), (0, 0), "nothing folded");
         // Recovery takes the role over and has nothing to re-append.
-        assert!(c.on_node_crash(&n0, rack_sim::NodeId(3)).unwrap());
-        assert_eq!(c.committed(&n0).unwrap(), 6);
-        rack.faults().restart_node(rack_sim::NodeId(3), 0);
+        assert!(c.on_node_crash(&n0, NodeId(3)).unwrap());
+        assert_eq!(c.committed(&n0).unwrap(), 7);
+        rack.faults().restart_node(NodeId(3), 0);
         // A full round: every node publishes, one node combines.
         for n in 0..4u32 {
             c.nr_publish(&rack.node(n as usize), &op(n, 10 + n))
@@ -1172,14 +1231,14 @@ mod tests {
         }
         assert_eq!(c.nr_combine(&rack.node(1)).unwrap(), 4);
         for n in 0..4u64 {
-            assert_eq!(c.nr_poll(&rack.node(n as usize)).unwrap(), Some(6 + n));
+            assert_eq!(c.nr_poll(&rack.node(n as usize)).unwrap(), Some(7 + n));
         }
         assert_eq!(c.pending_publishers(&n0).unwrap(), []);
         let mut expected: Vec<(u32, u32)> = (1000..1004).map(|s| (3, s)).collect();
-        expected.extend([(1, 1), (2, 2), (0, 10), (1, 11), (2, 12), (3, 13)]);
+        expected.extend([(1, 1), (1, 5), (2, 2), (0, 10), (1, 11), (2, 12), (3, 13)]);
         assert_eq!(c.peek(|t| t.per_node.clone()), expected);
         let (rebuilt, replayed) = c.replay(&n0, Tally::default()).unwrap();
-        assert_eq!(replayed, 10);
+        assert_eq!(replayed, 11);
         assert_eq!(c.peek(|t| t.clone()), rebuilt);
     }
 
@@ -1213,8 +1272,8 @@ mod tests {
         rack.global().store_u64(flag, word).unwrap();
         // Recovery from a free role skips the log search; it must not
         // re-append the committed publications.
-        rack.faults().crash_node(rack_sim::NodeId(3), 0);
-        assert!(!c.on_node_crash(&n0, rack_sim::NodeId(3)).unwrap());
+        rack.faults().crash_node(NodeId(3), 0);
+        assert!(!c.on_node_crash(&n0, NodeId(3)).unwrap());
         assert_eq!(c.committed(&n0).unwrap(), 6, "no duplicate entries");
         c.nr_publish(&rack.node(1), &op(1, 3)).unwrap();
         assert_eq!(c.nr_combine(&n0).unwrap(), 1);
@@ -1247,9 +1306,9 @@ mod tests {
         let topo = n0.interconnect().topology();
         let home = topo.home_of(c.log.base().0).expect("interleaved home");
         let far = (0..rack.node_count())
-            .max_by_key(|&n| topo.lca_level(rack_sim::NodeId(n), home))
+            .max_by_key(|&n| topo.lca_level(NodeId(n), home))
             .unwrap();
-        assert!(topo.lca_level(rack_sim::NodeId(far), home) > 0);
+        assert!(topo.lca_level(NodeId(far), home) > 0);
 
         c.update(&rack.node(far), &op(far as u32, 1)).unwrap();
         assert_eq!(remote_claims(&rack, far), 1, "off-home combine counted");
@@ -1277,18 +1336,22 @@ mod tests {
         let topo = n0.interconnect().topology();
         let home = topo.home_of(c.log.base().0).expect("interleaved home");
         let far = (0..rack.node_count())
-            .max_by_key(|&n| topo.lca_level(rack_sim::NodeId(n), home))
+            .max_by_key(|&n| topo.lca_level(NodeId(n), home))
             .unwrap();
-        let dist = u64::from(topo.lca_level(rack_sim::NodeId(far), home));
+        let dist = u64::from(topo.lca_level(NodeId(far), home));
         assert!(dist > 0 && far != home.0);
         let other = (0..rack.node_count())
             .find(|&n| n != far && n != home.0)
             .unwrap();
 
-        // Hold the combiner word hostage, then drive a near and a far
-        // waiter to the stall error: the far one must have skipped its
-        // first `dist` re-claim CASes in deference to closer peers.
-        c.nr_combine_crash_before_append(&rack.node(other)).unwrap();
+        // Hold the combiner word hostage: with nothing pending, `other`'s
+        // combine dies on its release, the store after the claim CAS and
+        // the scan. Then drive a near and a far waiter to the stall
+        // error: the far one must have skipped its first `dist` re-claim
+        // CASes in deference to closer peers.
+        let k = CombineWindow::BeforeAppend.fuse_op(0, 0, false);
+        let issued = issued_before_fuse(&rack, other, k, |n| c.nr_combine(n));
+        assert_eq!(issued, [1, 1, 0], "the claim and the scan");
         let atomics_spent = |n: usize| {
             let node = rack.node(n);
             let before = node.stats().snapshot().global_atomics;
@@ -1315,10 +1378,7 @@ mod tests {
         c.nr_publish(&rack.node(1), &op(1, 2)).unwrap();
         assert!(c.nr_combine(&rack.node(0)).is_err(), "ring full");
         assert!(
-            matches!(
-                c.nr_poll(&rack.node(1)),
-                Err(rack_sim::SimError::Protocol(_))
-            ),
+            matches!(c.nr_poll(&rack.node(1)), Err(SimError::Protocol(_))),
             "waiter sees the abort"
         );
         assert_eq!(c.peek(|t| t.per_node.len()), 2, "state untouched");

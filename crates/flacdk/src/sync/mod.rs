@@ -35,7 +35,8 @@ pub mod reclaim;
 pub mod spinlock;
 
 pub use cell::{
-    AdaptiveConfig, SyncCell, SyncCellConfig, SyncPolicy, SyncRecover, SyncState, FRAME_BYTES,
+    AdaptiveConfig, CombineWindow, SyncCell, SyncCellConfig, SyncPolicy, SyncRecover, SyncState,
+    FRAME_BYTES,
 };
 pub use oplog::SharedOpLog;
 pub use rcu::{EpochManager, RcuHandle};

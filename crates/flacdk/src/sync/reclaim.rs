@@ -73,15 +73,6 @@ impl RetireList {
         });
         Ok(freed)
     }
-
-    /// Drop all retired blocks **without** freeing them (used when the
-    /// backing region itself is being torn down or has failed).
-    pub fn abandon(&self) -> usize {
-        let mut list = self.inner.lock();
-        let n = list.len();
-        list.clear();
-        n
-    }
 }
 
 #[cfg(test)]
@@ -104,19 +95,6 @@ mod tests {
         assert_eq!(list.reclaim(&n0, &mgr, &alloc).unwrap(), 0);
         mgr.advance(&n0).unwrap();
         assert_eq!(list.reclaim(&n0, &mgr, &alloc).unwrap(), 1);
-    }
-
-    #[test]
-    fn abandon_drops_without_freeing() {
-        let rack = Rack::new(RackConfig::small_test());
-        let n0 = rack.node(0);
-        let alloc = GlobalAllocator::new(rack.global().clone());
-        let list = RetireList::new();
-        let a = alloc.alloc(&n0, 64).unwrap();
-        list.retire(a, 64, 1);
-        assert_eq!(list.abandon(), 1);
-        assert_eq!(list.pending(), 0);
-        assert_eq!(alloc.free_count(64), 0, "abandoned blocks are not recycled");
     }
 
     #[test]

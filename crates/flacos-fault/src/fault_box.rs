@@ -159,11 +159,6 @@ impl FaultBox {
         &self.space
     }
 
-    /// Address of the saved execution context record.
-    pub fn context_addr(&self) -> GAddr {
-        self.context
-    }
-
     /// Attach a communication buffer (e.g. an IPC ring segment) to the
     /// box, so its state recovers together with the application.
     pub fn register_comm_buffer(&mut self, addr: GAddr, len: usize) {
@@ -281,11 +276,6 @@ impl FaultBox {
     pub fn heap_va(&self, offset: u64) -> VirtAddr {
         HEAP_BASE.offset(offset)
     }
-
-    /// Stack virtual address of byte `offset`.
-    pub fn stack_va(&self, offset: u64) -> VirtAddr {
-        STACK_BASE.offset(offset)
-    }
 }
 
 #[cfg(test)]
@@ -318,7 +308,7 @@ mod tests {
         assert_eq!(objs.len(), 5);
         assert_eq!(fbox.state_bytes(), CONTEXT_BYTES + 3 * PAGE_SIZE + 256);
         assert!(fbox.owns(GAddr(0x100)));
-        assert!(fbox.owns(fbox.context_addr()));
+        assert!(fbox.owns(fbox.context));
     }
 
     #[test]
@@ -332,9 +322,7 @@ mod tests {
         let mut buf = [0u8; 16];
         fbox.space().read(&n0, fbox.heap_va(100), &mut buf).unwrap();
         assert_eq!(&buf, b"application data");
-        fbox.space()
-            .write(&n0, fbox.stack_va(0), &[1, 2, 3])
-            .unwrap();
+        fbox.space().write(&n0, STACK_BASE, &[1, 2, 3]).unwrap();
     }
 
     #[test]

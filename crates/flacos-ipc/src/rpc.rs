@@ -50,7 +50,6 @@ struct RpcTable {
 }
 
 const RPC_REGISTER: u8 = 0;
-const RPC_UNREGISTER: u8 = 1;
 
 impl SyncState for RpcTable {
     fn apply(&mut self, op: &[u8]) {
@@ -58,14 +57,8 @@ impl SyncState for RpcTable {
         let (Ok(tag), Ok(id)) = (d.u8(), d.u64()) else {
             return;
         };
-        match tag {
-            RPC_REGISTER => {
-                self.ids.insert(id);
-            }
-            RPC_UNREGISTER => {
-                self.ids.remove(&id);
-            }
-            _ => {}
+        if tag == RPC_REGISTER {
+            self.ids.insert(id);
         }
     }
 }
@@ -129,17 +122,6 @@ impl RpcRegistry {
     ) -> Result<(), SimError> {
         self.table.update(ctx, &rpc_op(RPC_REGISTER, id))?;
         self.services.lock().insert(id, service);
-        Ok(())
-    }
-
-    /// Remove a service context.
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory errors.
-    pub fn unregister(&self, ctx: &NodeCtx, id: u64) -> Result<(), SimError> {
-        self.table.update(ctx, &rpc_op(RPC_UNREGISTER, id))?;
-        self.services.lock().remove(&id);
         Ok(())
     }
 
@@ -296,20 +278,5 @@ mod tests {
             2,
             "same backing state"
         );
-    }
-
-    #[test]
-    fn unregister_removes_context() {
-        let rack = Rack::new(RackConfig::small_test());
-        let reg = RpcRegistry::alloc(rack.global(), rack.node_count()).unwrap();
-        reg.register(
-            &rack.node(0),
-            5,
-            Arc::new(|_: &NodeCtx, _: &[u8]| Ok(vec![])),
-        )
-        .unwrap();
-        assert_eq!(reg.len(), 1);
-        reg.unregister(&rack.node(1), 5).unwrap();
-        assert!(reg.call(&rack.node(0), 5, b"").is_err());
     }
 }

@@ -63,12 +63,6 @@ impl VirtAddr {
         (self.0 % PAGE_SIZE as u64) as usize
     }
 
-    /// First address of the page containing this address.
-    #[must_use]
-    pub fn page_base(self) -> VirtAddr {
-        VirtAddr(self.0 & !(PAGE_SIZE as u64 - 1))
-    }
-
     /// Address `bytes` past this one.
     #[must_use]
     pub fn offset(self, bytes: u64) -> VirtAddr {
@@ -132,7 +126,6 @@ mod tests {
         let va = VirtAddr(3 * PAGE_SIZE as u64 + 17);
         assert_eq!(va.vpn(), 3);
         assert_eq!(va.page_offset(), 17);
-        assert_eq!(va.page_base(), VirtAddr(3 * PAGE_SIZE as u64));
         assert_eq!(VirtAddr::from_vpn(3).vpn(), 3);
         assert_eq!(va.offset(PAGE_SIZE as u64).vpn(), 4);
     }

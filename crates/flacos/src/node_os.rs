@@ -18,8 +18,6 @@ use flacos_ipc::rpc::RpcRegistry;
 use flacos_ipc::socket_meta::SocketRegistry;
 use flacos_mem::fault::{PageFaultHandler, PagePlacement};
 use flacos_mem::tlb::Tlb;
-use flacos_mem::AddressSpace;
-use flacos_tier::{TierConfig, TierDaemon, TierTickReport};
 use rack_sim::{NodeCtx, NodeId, SimError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,7 +34,6 @@ pub struct NodeOs {
     sockets: SocketRegistry,
     tlb: Tlb,
     fault_handler: PageFaultHandler,
-    tier: TierDaemon,
     next_pid: AtomicU64,
 }
 
@@ -46,12 +43,6 @@ impl NodeOs {
         let sockets = SocketRegistry::new(rack.socket_table().clone(), node.clone());
         let tlb = Tlb::new(node.clone(), TLB_ENTRIES);
         let fault_handler = PageFaultHandler::new(rack.frames().clone(), PagePlacement::Global);
-        let tier_config = TierConfig {
-            local_budget_bytes: rack.tier_budget().budget_bytes(),
-            ..TierConfig::default()
-        };
-        let tier =
-            TierDaemon::new(node.clone(), tier_config).with_budget(rack.tier_budget().clone());
         let next_pid = AtomicU64::new((node.id().0 as u64) << 32 | 1);
         NodeOs {
             rack,
@@ -60,7 +51,6 @@ impl NodeOs {
             sockets,
             tlb,
             fault_handler,
-            tier,
             next_pid,
         }
     }
@@ -95,11 +85,6 @@ impl NodeOs {
         &self.fault_handler
     }
 
-    /// This node's page-tiering daemon.
-    pub fn tier(&self) -> &TierDaemon {
-        &self.tier
-    }
-
     /// The shared RPC context table.
     pub fn rpc(&self) -> &Arc<RpcRegistry> {
         self.rack.rpc()
@@ -124,27 +109,6 @@ impl NodeOs {
     pub fn tick(&mut self) -> Result<usize, SimError> {
         self.heartbeat()?;
         self.tlb.service_shootdowns()
-    }
-
-    /// Run one tiering-daemon tick over `space`: drain the telemetry
-    /// ring, then demote/promote pages under the rack-shared budget, with
-    /// each remap driving a rack-wide TLB shootdown from this node's TLB.
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory and fabric errors.
-    pub fn tier_tick(&mut self, space: &AddressSpace) -> Result<TierTickReport, SimError> {
-        let peers: Vec<NodeId> = (0..self.rack.sim().node_count()).map(NodeId).collect();
-        let frames = self.rack.frames().clone();
-        let tlb = &mut self.tlb;
-        let mut shoot = |asid: u64, vpn: u64, span: u64| -> Result<(), SimError> {
-            let expected = tlb.begin_shootdown_range(&peers, asid, vpn, span)?;
-            // Peers ack when they next run `tick()`; drain any that
-            // already arrived but do not block on stragglers.
-            let _ = tlb.collect_acks(expected);
-            Ok(())
-        };
-        self.tier.tick(space, &frames, &mut shoot)
     }
 
     /// Spawn a process on this node with protection derived from its
@@ -303,62 +267,6 @@ mod tests {
             .health_of(&rack.sim().node(0), os1.id())
             .unwrap();
         assert_eq!(health, flacdk::reliability::monitor::NodeHealth::Healthy);
-    }
-
-    #[test]
-    fn tier_daemon_promotes_sampled_hot_pages() {
-        use flacos_mem::addr::VirtAddr;
-        use flacos_mem::{PhysFrame, Pte};
-
-        let rack = booted();
-        let mut os0 = rack.node_os(0);
-        let space = AddressSpace::alloc(
-            42,
-            rack.sim().global(),
-            rack.alloc().clone(),
-            rack.epochs().clone(),
-            rack.retired().clone(),
-        )
-        .unwrap();
-        let frame = rack.frames().alloc(os0.node()).unwrap();
-        space
-            .map(os0.node(), 11, Pte::new(PhysFrame::Global(frame), true))
-            .unwrap();
-        space
-            .write(os0.node(), VirtAddr::from_vpn(11), &[9u8; 32])
-            .unwrap();
-
-        // Every translation on this space now feeds the daemon's ring.
-        space.attach_sampler(Some(os0.tier().ring()));
-        let mut buf = [0u8; 32];
-        for _ in 0..6 {
-            space
-                .read(os0.node(), VirtAddr::from_vpn(11), &mut buf)
-                .unwrap();
-        }
-
-        let report = os0.tier_tick(&space).unwrap();
-        assert_eq!(report.promoted, 1);
-        assert!(os0.tier().is_local(11));
-        space
-            .read(os0.node(), VirtAddr::from_vpn(11), &mut buf)
-            .unwrap();
-        assert_eq!(buf, [9u8; 32]);
-
-        // The promotion charged the rack-shared ledger and its counters
-        // surface in the rack metrics report.
-        let budget = rack.tier_budget();
-        let free = budget.free_bytes(os0.node(), os0.id()).unwrap();
-        assert_eq!(free, budget.budget_bytes() - flacos_mem::PAGE_SIZE as u64);
-        let report_text = rack.sim().metrics_report().to_string();
-        assert!(
-            report_text.contains("ctr[tier/promotions]"),
-            "tier counters missing from:\n{report_text}"
-        );
-
-        // Peer OS instances service the shootdown on their next tick.
-        let mut os1 = rack.node_os(1);
-        os1.tick().unwrap();
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl Process {
         &self.fbox
     }
 
-    /// Mutable access to the fault box (e.g. to attach comm buffers).
-    pub fn fault_box_mut(&mut self) -> &mut FaultBox {
-        &mut self.fbox
-    }
-
     /// The redundancy protection guarding this process.
     pub fn protection(&self) -> &Protection {
         &self.protection

@@ -57,28 +57,6 @@ impl SimClock {
     }
 }
 
-/// A span measured on a [`SimClock`], for timing whole operations.
-#[derive(Debug)]
-pub struct SimSpan {
-    clock: SimClock,
-    start_ns: u64,
-}
-
-impl SimSpan {
-    /// Begin measuring from the clock's current time.
-    pub fn begin(clock: &SimClock) -> Self {
-        SimSpan {
-            clock: clock.clone(),
-            start_ns: clock.now(),
-        }
-    }
-
-    /// Simulated nanoseconds elapsed since `begin`.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.clock.now().saturating_sub(self.start_ns)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,15 +85,6 @@ mod tests {
         let b = a.clone();
         a.advance(7);
         assert_eq!(b.now(), 7);
-    }
-
-    #[test]
-    fn span_measures_elapsed() {
-        let c = SimClock::new();
-        c.advance(3);
-        let span = SimSpan::begin(&c);
-        c.advance(39);
-        assert_eq!(span.elapsed_ns(), 39);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::sync::{Mutex, RwLock};
 use crate::topology::NodeId;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The kind of an injected fault (or recovery action).
@@ -62,30 +62,64 @@ impl fmt::Display for FaultEvent {
     }
 }
 
-/// Shared liveness flags consulted by node contexts and the interconnect.
+/// Shared liveness consulted by node contexts and the interconnect: one
+/// fuse word per node. 0 means crashed, `u64::MAX` means up with no
+/// crash armed, and any `k` in between means up with `k` ops left before
+/// [`FaultInjector::arm_crash`]'s crash fires.
 #[derive(Debug)]
 pub struct NodeLiveness {
-    alive: Vec<AtomicBool>,
+    fuse: Vec<AtomicU64>,
+}
+
+/// The fuse word of a crashed node.
+const DOWN: u64 = 0;
+/// The fuse word of a live node with no crash armed.
+const DISARMED: u64 = u64::MAX;
+
+/// What one op found in its node's fuse word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fuse {
+    /// The node is up; the op goes ahead.
+    Up,
+    /// The node was already down.
+    Down,
+    /// This op was the armed one: the node is now down.
+    Fired,
 }
 
 impl NodeLiveness {
     pub(crate) fn new(nodes: usize) -> Arc<Self> {
         Arc::new(NodeLiveness {
-            alive: (0..nodes).map(|_| AtomicBool::new(true)).collect(),
+            fuse: (0..nodes).map(|_| AtomicU64::new(DISARMED)).collect(),
         })
     }
 
     /// Whether the node is currently executing.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive
+        self.fuse
             .get(node.0)
-            .map(|a| a.load(Ordering::SeqCst))
-            .unwrap_or(false)
+            .is_some_and(|f| f.load(Ordering::SeqCst) != DOWN)
     }
 
-    fn set(&self, node: NodeId, alive: bool) {
-        if let Some(a) = self.alive.get(node.0) {
-            a.store(alive, Ordering::SeqCst);
+    /// Count one op of `node` against its fuse. An armed fuse counts
+    /// down; the op that finds one op left burns it and reports
+    /// [`Fuse::Fired`], leaving the node down. A disarmed fuse costs one
+    /// load.
+    pub(crate) fn tick(&self, node: NodeId) -> Fuse {
+        let Some(f) = self.fuse.get(node.0) else {
+            return Fuse::Down;
+        };
+        let armed = |w| (w != DOWN && w != DISARMED).then(|| w - 1);
+        match f.fetch_update(Ordering::SeqCst, Ordering::SeqCst, armed) {
+            Ok(1) => Fuse::Fired,
+            Err(DOWN) => Fuse::Down,
+            _ => Fuse::Up,
+        }
+    }
+
+    fn set(&self, node: NodeId, word: u64) {
+        if let Some(f) = self.fuse.get(node.0) {
+            f.store(word, Ordering::SeqCst);
         }
     }
 }
@@ -148,16 +182,37 @@ impl FaultInjector {
     /// Crash a node: all of its subsequent operations fail with
     /// [`crate::SimError::NodeDown`] until [`FaultInjector::restart_node`].
     pub fn crash_node(&self, node: NodeId, at_ns: u64) {
-        self.liveness.set(node, false);
+        self.liveness.set(node, DOWN);
         self.log.lock().push(FaultEvent {
             kind: FaultKind::NodeCrash { node },
             at_ns,
         });
     }
 
-    /// Bring a crashed node back at simulated time `at_ns`.
+    /// Arm a crash inside a protocol: the `k`-th op `node` issues from
+    /// now on (`k >= 1`; an op is any [`crate::NodeCtx`] call that can
+    /// fail with `NodeDown`) fails with `NodeDown` before it takes effect
+    /// or charges anything, and the node is crashed as by
+    /// [`FaultInjector::crash_node`] at its own clock. Ops `1..k` run
+    /// normally. Re-arming replaces the count; arming a dead node does
+    /// nothing; [`FaultInjector::restart_node`] disarms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is 0.
+    pub fn arm_crash(&self, node: NodeId, k: u64) {
+        assert!(k >= 1, "the fuse counts ops from 1");
+        if let Some(f) = self.liveness.fuse.get(node.0) {
+            let _ = f.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |w| {
+                (w != DOWN).then_some(k.min(DISARMED - 1))
+            });
+        }
+    }
+
+    /// Bring a crashed node back at simulated time `at_ns`, its fuse
+    /// disarmed.
     pub fn restart_node(&self, node: NodeId, at_ns: u64) {
-        self.liveness.set(node, true);
+        self.liveness.set(node, DISARMED);
         self.log.lock().push(FaultEvent {
             kind: FaultKind::NodeRestart { node },
             at_ns,

@@ -56,7 +56,8 @@ pub struct Interconnect {
     topology: RackTopology,
     latency: LatencyModel,
     liveness: Arc<NodeLiveness>,
-    faults: Arc<FaultInjector>,
+    /// Also where a node's burnt crash fuse is logged.
+    pub(crate) faults: Arc<FaultInjector>,
     /// Per-node, per-port FIFO queues.
     queues: Vec<NodeInbox>,
 }

@@ -10,7 +10,7 @@
 use crate::cache::{CacheConfig, NodeCache};
 use crate::clock::SimClock;
 use crate::error::SimError;
-use crate::fault::NodeLiveness;
+use crate::fault::{Fuse, NodeLiveness};
 use crate::interconnect::{Interconnect, Message};
 use crate::latency::LatencyModel;
 use crate::memory::{GAddr, GlobalMemory, LAddr, LocalMemory};
@@ -96,11 +96,17 @@ impl NodeCtx {
         self.liveness.is_alive(self.id)
     }
 
+    /// Gate one op on liveness and count it against an armed crash fuse
+    /// ([`crate::FaultInjector::arm_crash`]): the op that burns the fuse
+    /// crashes the node and fails like any op of a dead node.
     fn ensure_alive(&self) -> Result<(), SimError> {
-        if self.is_alive() {
-            Ok(())
-        } else {
-            Err(SimError::NodeDown { node: self.id })
+        match self.liveness.tick(self.id) {
+            Fuse::Up => Ok(()),
+            Fuse::Fired => {
+                (self.interconnect.faults).crash_node(self.id, self.clock.now());
+                Err(SimError::NodeDown { node: self.id })
+            }
+            Fuse::Down => Err(SimError::NodeDown { node: self.id }),
         }
     }
 
@@ -484,6 +490,68 @@ mod tests {
         ));
         rack.faults().restart_node(n0.id(), 0);
         assert!(n0.read_u64(a).is_ok());
+    }
+
+    #[test]
+    fn an_armed_fuse_crashes_the_node_on_exactly_its_kth_op() {
+        use crate::fault::{FaultEvent, FaultKind};
+        let rack = Rack::new(RackConfig::small_test());
+        let (n0, n1) = (rack.node(0), rack.node(1));
+        let a = rack.global().alloc(8, 8).unwrap();
+        rack.faults().arm_crash(n0.id(), 3);
+        n0.store_uncached_u64(a, 1).unwrap();
+        n0.fetch_add_u64(a, 1).unwrap();
+        let (t, before) = (n0.clock().now(), n0.stats().snapshot());
+        assert!(matches!(
+            n0.compare_exchange_u64(a, 2, 9),
+            Err(SimError::NodeDown { .. })
+        ));
+        assert_eq!(n0.clock().now(), t, "the burnt op charges nothing");
+        assert_eq!(n0.stats().snapshot().global_atomics, before.global_atomics);
+        assert_eq!(
+            rack.global().load_u64(a).unwrap(),
+            2,
+            "ops 1 and 2 landed, op 3 did not"
+        );
+        assert!(!n0.is_alive());
+        assert!(matches!(n0.read_u64(a), Err(SimError::NodeDown { .. })));
+        assert!(matches!(n0.local_alloc(8), Err(SimError::NodeDown { .. })));
+        assert!(matches!(
+            n0.send(n1.id(), 4, vec![1]),
+            Err(SimError::NodeDown { .. })
+        ));
+        assert_eq!(
+            rack.faults().events(),
+            [FaultEvent {
+                kind: FaultKind::NodeCrash { node: n0.id() },
+                at_ns: t
+            }],
+            "one crash, logged at the node's clock"
+        );
+        // The restart disarms: ops run past any count.
+        rack.faults().restart_node(n0.id(), t);
+        for _ in 0..8 {
+            n0.fetch_add_u64(a, 1).unwrap();
+        }
+        assert_eq!(rack.global().load_u64(a).unwrap(), 10);
+    }
+
+    #[test]
+    fn arming_a_dead_node_does_nothing_and_a_restart_disarms() {
+        let rack = Rack::new(RackConfig::small_test());
+        let n1 = rack.node(1);
+        let a = rack.global().alloc(8, 8).unwrap();
+        rack.faults().crash_node(n1.id(), 0);
+        rack.faults().arm_crash(n1.id(), 1);
+        assert!(!n1.is_alive(), "arming does not revive");
+        rack.faults().restart_node(n1.id(), 0);
+        n1.fetch_add_u64(a, 1).unwrap();
+        // Armed, then restarted before the fuse burnt: disarmed.
+        rack.faults().arm_crash(n1.id(), 1);
+        rack.faults().restart_node(n1.id(), 0);
+        n1.fetch_add_u64(a, 1).unwrap();
+        assert!(n1.is_alive());
+        assert_eq!(rack.faults().events().len(), 3, "crash and two restarts");
     }
 
     #[test]

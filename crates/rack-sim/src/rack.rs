@@ -221,13 +221,6 @@ impl Rack {
             .unwrap_or(0)
     }
 
-    /// Reset every node clock to zero (between experiment repetitions).
-    pub fn reset_clocks(&self) {
-        for n in &self.nodes {
-            n.clock().reset();
-        }
-    }
-
     /// Enable event tracing on every node.
     pub fn enable_tracing(&self) {
         for n in &self.nodes {
@@ -351,8 +344,6 @@ mod tests {
         rack.node(0).charge(50);
         rack.node(1).charge(75);
         assert_eq!(rack.max_time_ns(), 75);
-        rack.reset_clocks();
-        assert_eq!(rack.max_time_ns(), 0);
     }
 
     #[test]

@@ -30,11 +30,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next 32-bit output (upper half of the 64-bit stream).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)`. `bound` must be non-zero.
     ///
     /// Uses Lemire's multiply-shift reduction; the modulo bias is at most

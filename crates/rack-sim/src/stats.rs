@@ -122,6 +122,11 @@ impl Default for StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// `[atomics, reads, writes]` issued to global memory.
+    pub fn fabric_ops(&self) -> [u64; 3] {
+        [self.global_atomics, self.global_reads, self.global_writes]
+    }
+
     /// The histogram for one cost class.
     pub fn histogram(&self, class: CostClass) -> &HistogramSnapshot {
         &self.histograms[class.index()]

@@ -18,75 +18,47 @@
 //! deterministic (no host time, no host randomness) keeps the whole log
 //! reproducible — the property `tests/properties.rs` checks.
 
-use crate::fault::FaultKind;
 use crate::memory::GAddr;
 use crate::rack::Rack;
 use crate::rng::SplitMix64;
 use crate::topology::NodeId;
 use std::fmt;
 
-/// Shape of one seeded campaign: how many steps, the relative frequency
-/// of each operation class, and the safety limits the scheduler respects.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StormConfig {
-    /// Number of scheduled steps (heal actions at the end are extra).
-    pub steps: u32,
-    /// Relative weight of plain workload steps.
-    pub workload_weight: u32,
-    /// Relative weight of node crashes.
-    pub crash_weight: u32,
-    /// Relative weight of node restarts.
-    pub restart_weight: u32,
-    /// Relative weight of directed link failures.
-    pub link_fail_weight: u32,
-    /// Relative weight of directed link restores.
-    pub link_restore_weight: u32,
-    /// Relative weight of single-word memory poisoning.
-    pub poison_weight: u32,
-    /// Relative weight of delayed-writeback steps (the reaction layer
-    /// writes without flushing, committing only on a later step).
-    pub delayed_writeback_weight: u32,
-    /// The scheduler never crashes below this many live nodes.
-    pub min_live_nodes: usize,
-    /// Global-memory region poison picks target (base, len in bytes).
-    /// `None` demotes poison steps to workload steps.
-    pub poison_region: Option<(GAddr, usize)>,
-    /// Simulated-time gap between steps, drawn uniformly from this
-    /// inclusive range.
-    pub gap_ns: (u64, u64),
-    /// Restart every down node and restore every down link after the
-    /// last step, so liveness invariants can be checked post-campaign.
-    pub heal_at_end: bool,
+/// Scheduled steps of every campaign (the heal's restarts are extra).
+pub const STEPS: u32 = 60;
+/// The scheduler never crashes below this many live nodes.
+pub const MIN_LIVE_NODES: usize = 2;
+/// Relative weights of workload steps, node crashes and node restarts.
+const WORKLOAD_WEIGHT: u32 = 10;
+const CRASH_WEIGHT: u32 = 2;
+const RESTART_WEIGHT: u32 = 3;
+/// Simulated-time gap between steps, drawn uniformly from this
+/// inclusive range.
+const GAP_NS: (u64, u64) = (500, 5_000);
+
+/// What a campaign injects besides crashes and restarts. Every campaign
+/// runs [`STEPS`] steps, keeps [`MIN_LIVE_NODES`] up, and ends by
+/// restarting every down node and restoring every down link, so
+/// liveness invariants can be checked after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StormShape {
+    /// Node crashes and restarts only.
+    CrashRestart,
+    /// Also directed link failures and restores, single-word poison
+    /// inside `poison_region` (base, len in bytes), and delayed
+    /// writebacks (the reaction layer writes without flushing,
+    /// committing only on a later step).
+    Full { poison_region: (GAddr, usize) },
 }
 
-impl Default for StormConfig {
-    fn default() -> Self {
-        StormConfig {
-            steps: 100,
-            workload_weight: 10,
-            crash_weight: 2,
-            restart_weight: 3,
-            link_fail_weight: 2,
-            link_restore_weight: 3,
-            poison_weight: 1,
-            delayed_writeback_weight: 2,
-            min_live_nodes: 1,
-            poison_region: None,
-            gap_ns: (500, 5_000),
-            heal_at_end: true,
+impl StormShape {
+    /// Relative weights of link failures, link restores, poison and
+    /// delayed writebacks.
+    fn extra_weights(self) -> [u32; 4] {
+        match self {
+            StormShape::CrashRestart => [0; 4],
+            StormShape::Full { .. } => [2, 3, 1, 2],
         }
-    }
-}
-
-impl StormConfig {
-    fn total_weight(&self) -> u64 {
-        u64::from(self.workload_weight)
-            + u64::from(self.crash_weight)
-            + u64::from(self.restart_weight)
-            + u64::from(self.link_fail_weight)
-            + u64::from(self.link_restore_weight)
-            + u64::from(self.poison_weight)
-            + u64::from(self.delayed_writeback_weight)
     }
 }
 
@@ -196,11 +168,11 @@ impl StormReport {
 /// A seeded fault-storm campaign over one [`Rack`].
 ///
 /// ```
-/// use rack_sim::storm::{StormCampaign, StormConfig};
+/// use rack_sim::storm::{StormCampaign, StormShape};
 /// use rack_sim::{Rack, RackConfig};
 ///
 /// let rack = Rack::new(RackConfig::small_test());
-/// let campaign = StormCampaign::new(42, StormConfig { steps: 20, ..Default::default() });
+/// let campaign = StormCampaign::new(42, StormShape::CrashRestart);
 /// let report = campaign.run(&rack, |_step, _op, _rack| "ok".to_string());
 /// assert_eq!(report.events.len() as u64,
 ///            report.counts.workload + report.counts.delayed_writebacks
@@ -211,13 +183,13 @@ impl StormReport {
 #[derive(Debug, Clone)]
 pub struct StormCampaign {
     seed: u64,
-    config: StormConfig,
+    shape: StormShape,
 }
 
 impl StormCampaign {
     /// A campaign that will replay identically for a given `seed`.
-    pub fn new(seed: u64, config: StormConfig) -> Self {
-        StormCampaign { seed, config }
+    pub fn new(seed: u64, shape: StormShape) -> Self {
+        StormCampaign { seed, shape }
     }
 
     /// The campaign's seed.
@@ -239,13 +211,12 @@ impl StormCampaign {
         rack: &Rack,
         mut react: impl FnMut(u32, &StormOp, &Rack) -> String,
     ) -> StormReport {
-        let cfg = &self.config;
         let n = rack.node_count();
         let mut rng = SplitMix64::new(self.seed);
         let mut t = 0u64;
         let mut down_nodes: Vec<NodeId> = Vec::new();
         let mut down_links: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut events = Vec::with_capacity(cfg.steps as usize);
+        let mut events = Vec::with_capacity(STEPS as usize);
         let mut counts = StormCounts::default();
 
         let mut step = 0u32;
@@ -289,44 +260,42 @@ impl StormCampaign {
             });
         };
 
-        for _ in 0..cfg.steps {
-            let (lo, hi) = cfg.gap_ns;
+        for _ in 0..STEPS {
+            let (lo, hi) = GAP_NS;
             t += lo + rng.next_below(hi.saturating_sub(lo) + 1);
             let op = self.pick_op(&mut rng, n, &mut down_nodes, &mut down_links);
             emit(rack, &mut react, step, t, op, &mut counts, &mut events);
             step += 1;
         }
 
-        if cfg.heal_at_end {
-            // Deterministic heal order: nodes ascending, then links.
-            down_nodes.sort_unstable_by_key(|n| n.0);
-            for node in down_nodes.drain(..) {
-                t += cfg.gap_ns.0;
-                emit(
-                    rack,
-                    &mut react,
-                    step,
-                    t,
-                    StormOp::RestartNode { node },
-                    &mut counts,
-                    &mut events,
-                );
-                step += 1;
-            }
-            down_links.sort_unstable_by_key(|(a, b)| (a.0, b.0));
-            for (from, to) in down_links.drain(..) {
-                t += cfg.gap_ns.0;
-                emit(
-                    rack,
-                    &mut react,
-                    step,
-                    t,
-                    StormOp::RestoreLink { from, to },
-                    &mut counts,
-                    &mut events,
-                );
-                step += 1;
-            }
+        // Deterministic heal order: nodes ascending, then links.
+        down_nodes.sort_unstable_by_key(|n| n.0);
+        for node in down_nodes.drain(..) {
+            t += GAP_NS.0;
+            emit(
+                rack,
+                &mut react,
+                step,
+                t,
+                StormOp::RestartNode { node },
+                &mut counts,
+                &mut events,
+            );
+            step += 1;
+        }
+        down_links.sort_unstable_by_key(|(a, b)| (a.0, b.0));
+        for (from, to) in down_links.drain(..) {
+            t += GAP_NS.0;
+            emit(
+                rack,
+                &mut react,
+                step,
+                t,
+                StormOp::RestoreLink { from, to },
+                &mut counts,
+                &mut events,
+            );
+            step += 1;
         }
 
         // Surface the campaign in the PR-1 metrics layer so the rack
@@ -358,8 +327,10 @@ impl StormCampaign {
         down_nodes: &mut Vec<NodeId>,
         down_links: &mut Vec<(NodeId, NodeId)>,
     ) -> StormOp {
-        let cfg = &self.config;
-        let mut r = rng.next_below(cfg.total_weight().max(1));
+        let [link_fail, link_restore, poison, delayed] = self.shape.extra_weights();
+        let total = WORKLOAD_WEIGHT + CRASH_WEIGHT + RESTART_WEIGHT;
+        let total = total + link_fail + link_restore + poison + delayed;
+        let mut r = rng.next_below(u64::from(total));
         let mut in_class = |w: u32| {
             if r < u64::from(w) {
                 true
@@ -369,29 +340,29 @@ impl StormCampaign {
             }
         };
 
-        if in_class(cfg.workload_weight) {
+        if in_class(WORKLOAD_WEIGHT) {
             return StormOp::Workload;
         }
-        if in_class(cfg.crash_weight) {
+        if in_class(CRASH_WEIGHT) {
             let live: Vec<NodeId> = (0..n)
                 .map(NodeId)
                 .filter(|id| !down_nodes.contains(id))
                 .collect();
-            if live.len() > cfg.min_live_nodes {
+            if live.len() > MIN_LIVE_NODES {
                 let victim = live[rng.gen_index(live.len())];
                 down_nodes.push(victim);
                 return StormOp::CrashNode { node: victim };
             }
             return StormOp::Workload;
         }
-        if in_class(cfg.restart_weight) {
+        if in_class(RESTART_WEIGHT) {
             if !down_nodes.is_empty() {
                 let node = down_nodes.swap_remove(rng.gen_index(down_nodes.len()));
                 return StormOp::RestartNode { node };
             }
             return StormOp::Workload;
         }
-        if in_class(cfg.link_fail_weight) {
+        if in_class(link_fail) {
             if n >= 2 {
                 let from = NodeId(rng.gen_index(n));
                 let mut to = NodeId(rng.gen_index(n - 1));
@@ -405,15 +376,18 @@ impl StormCampaign {
             }
             return StormOp::Workload;
         }
-        if in_class(cfg.link_restore_weight) {
+        if in_class(link_restore) {
             if !down_links.is_empty() {
                 let (from, to) = down_links.swap_remove(rng.gen_index(down_links.len()));
                 return StormOp::RestoreLink { from, to };
             }
             return StormOp::Workload;
         }
-        if in_class(cfg.poison_weight) {
-            if let Some((base, len)) = cfg.poison_region {
+        if in_class(poison) {
+            if let StormShape::Full {
+                poison_region: (base, len),
+            } = self.shape
+            {
                 let words = (len / 8).max(1);
                 let addr = GAddr((base.0 & !7) + rng.gen_index(words) as u64 * 8);
                 return StormOp::PoisonWord { addr };
@@ -434,47 +408,49 @@ impl StormCampaign {
     }
 }
 
-/// Render the campaign's fault-injector view next to the storm's own log
-/// (the injector log is the ground truth of what was injected; the storm
-/// log adds workload steps and reaction outcomes).
-pub fn injector_log_matches(rack: &Rack, report: &StormReport) -> bool {
-    let injected: Vec<FaultKind> = rack.faults().events().iter().map(|e| e.kind).collect();
-    let expected: Vec<FaultKind> = report
-        .events
-        .iter()
-        .filter_map(|e| match e.op {
-            StormOp::CrashNode { node } => Some(FaultKind::NodeCrash { node }),
-            StormOp::RestartNode { node } => Some(FaultKind::NodeRestart { node }),
-            StormOp::FailLink { from, to } => Some(FaultKind::LinkFailure { from, to }),
-            StormOp::RestoreLink { from, to } => Some(FaultKind::LinkRestore { from, to }),
-            StormOp::PoisonWord { addr } => Some(FaultKind::MemoryPoison { addr, len: 8 }),
-            _ => None,
-        })
-        .collect();
-    // The injector may hold extra events injected by the reaction layer;
-    // require the storm's sequence to appear as a subsequence.
-    let mut it = injected.iter();
-    expected.iter().all(|want| it.any(|got| got == want))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
     use crate::rack::RackConfig;
 
-    fn config() -> StormConfig {
-        StormConfig {
-            steps: 200,
-            poison_region: Some((GAddr(0), 4096)),
-            ..Default::default()
-        }
+    /// Render the campaign's fault-injector view next to the storm's own log
+    /// (the injector log is the ground truth of what was injected; the storm
+    /// log adds workload steps and reaction outcomes).
+    fn injector_log_matches(rack: &Rack, report: &StormReport) -> bool {
+        let injected: Vec<FaultKind> = rack.faults().events().iter().map(|e| e.kind).collect();
+        let expected: Vec<FaultKind> = report
+            .events
+            .iter()
+            .filter_map(|e| match e.op {
+                StormOp::CrashNode { node } => Some(FaultKind::NodeCrash { node }),
+                StormOp::RestartNode { node } => Some(FaultKind::NodeRestart { node }),
+                StormOp::FailLink { from, to } => Some(FaultKind::LinkFailure { from, to }),
+                StormOp::RestoreLink { from, to } => Some(FaultKind::LinkRestore { from, to }),
+                StormOp::PoisonWord { addr } => Some(FaultKind::MemoryPoison { addr, len: 8 }),
+                _ => None,
+            })
+            .collect();
+        // The injector may hold extra events injected by the reaction layer;
+        // require the storm's sequence to appear as a subsequence.
+        let mut it = injected.iter();
+        expected.iter().all(|want| it.any(|got| got == want))
+    }
+
+    const FULL: StormShape = StormShape::Full {
+        poison_region: (GAddr(0), 4096),
+    };
+
+    /// Four nodes: two above the crash floor.
+    fn rack() -> Rack {
+        Rack::new(RackConfig::n_node(4))
     }
 
     #[test]
     fn same_seed_yields_byte_identical_log() {
         let run = |seed: u64| {
-            let rack = Rack::new(RackConfig::small_test());
-            StormCampaign::new(seed, config())
+            let rack = rack();
+            StormCampaign::new(seed, FULL)
                 .run(&rack, |step, op, _| format!("saw {op} at {step}"))
                 .log_text()
         };
@@ -484,22 +460,22 @@ mod tests {
 
     #[test]
     fn campaign_respects_min_live_floor() {
-        let rack = Rack::new(RackConfig::small_test());
+        let rack = rack();
         let mut min_live = usize::MAX;
-        StormCampaign::new(3, config()).run(&rack, |_, _, rack| {
+        StormCampaign::new(3, FULL).run(&rack, |_, _, rack| {
             let live = (0..rack.node_count())
                 .filter(|&i| rack.liveness().is_alive(NodeId(i)))
                 .count();
             min_live = min_live.min(live);
             String::new()
         });
-        assert!(min_live >= 1, "never crashed below the floor");
+        assert!(min_live >= MIN_LIVE_NODES, "never crashed below the floor");
     }
 
     #[test]
     fn heal_at_end_restores_everything() {
-        let rack = Rack::new(RackConfig::small_test());
-        let report = StormCampaign::new(11, config()).run(&rack, |_, _, _| String::new());
+        let rack = rack();
+        let report = StormCampaign::new(11, FULL).run(&rack, |_, _, _| String::new());
         for i in 0..rack.node_count() {
             assert!(rack.liveness().is_alive(NodeId(i)), "node {i} healed");
         }
@@ -514,8 +490,8 @@ mod tests {
 
     #[test]
     fn injected_faults_land_in_injector_log() {
-        let rack = Rack::new(RackConfig::small_test());
-        let report = StormCampaign::new(5, config()).run(&rack, |_, _, _| String::new());
+        let rack = rack();
+        let report = StormCampaign::new(5, FULL).run(&rack, |_, _, _| String::new());
         let injected = rack.faults().events().len() as u64;
         let storm_faults = report.counts.crashes
             + report.counts.restarts
@@ -527,8 +503,8 @@ mod tests {
 
     #[test]
     fn timeline_is_monotonic_and_counts_match() {
-        let rack = Rack::new(RackConfig::small_test());
-        let report = StormCampaign::new(13, config()).run(&rack, |_, _, _| String::new());
+        let rack = rack();
+        let report = StormCampaign::new(13, FULL).run(&rack, |_, _, _| String::new());
         let mut last = 0;
         for e in &report.events {
             assert!(e.at_ns > last, "strictly increasing virtual time");

@@ -175,11 +175,6 @@ impl RackTopology {
         self
     }
 
-    /// The home policy in effect.
-    pub fn home_policy(&self) -> HomePolicy {
-        self.home
-    }
-
     /// Number of nodes in the rack.
     pub fn nodes(&self) -> usize {
         self.nodes
@@ -349,7 +344,6 @@ mod tests {
     #[test]
     fn uniform_home_has_no_distance() {
         let t = RackTopology::switched(4, 8);
-        assert_eq!(t.home_policy(), HomePolicy::Uniform);
         assert_eq!(t.home_of(0x1234), None);
         assert_eq!(t.mem_path(NodeId(0), 0x1234), None);
     }

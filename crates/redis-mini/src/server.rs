@@ -96,11 +96,6 @@ impl<T: Transport> RedisServer<T> {
         }
     }
 
-    /// Number of connections multiplexed by this server.
-    pub fn connection_count(&self) -> usize {
-        self.conns.len()
-    }
-
     /// One event-loop iteration: for every connection, retry pending
     /// reply flushes, drain arrived messages into the receive buffer,
     /// execute every complete frame (pipelining), and write the batched
@@ -334,7 +329,6 @@ mod tests {
         let (sep2, cep2) =
             FlacChannel::create(rack.global(), alloc, rack.node(0), rack.node(2)).unwrap();
         let mut server = RedisServer::with_connections(rack.node(0), vec![sep1, sep2]);
-        assert_eq!(server.connection_count(), 2);
         let mut c1 = RedisClient::new(rack.node(1), cep1);
         let mut c2 = RedisClient::new(rack.node(2), cep2);
 

@@ -160,11 +160,6 @@ impl ContainerImage {
         self.layers.iter().map(|l| l.pages).sum()
     }
 
-    /// Total size in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_pages() * PAGE_SIZE as u64
-    }
-
     /// Every chunk hash in the image, in layer order (duplicates kept —
     /// the store coalesces them).
     pub fn chunk_hashes(&self) -> Vec<u64> {
@@ -191,7 +186,6 @@ mod tests {
         let img = ContainerImage::synthetic("pytorch", 100, 3, 7);
         assert_eq!(img.layers.len(), 3);
         assert_eq!(img.total_pages(), 100);
-        assert_eq!(img.total_bytes(), 100 * PAGE_SIZE as u64);
         assert_eq!(img.layers[0].pages, 33);
         assert_eq!(img.layers[2].pages, 34, "remainder on last layer");
         assert_eq!(img.chunk_hashes().len(), 100);

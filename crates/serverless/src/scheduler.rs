@@ -141,11 +141,6 @@ impl DensityScheduler {
         Some(node)
     }
 
-    /// Where instance `id` runs.
-    pub fn node_of(&self, id: u64) -> Option<NodeId> {
-        self.placements.get(&id).copied()
-    }
-
     /// Instances on `node`.
     pub fn density(&self, node: NodeId) -> usize {
         self.load[node.0]
@@ -192,8 +187,7 @@ mod tests {
         assert!(s.place(2).is_err());
         assert_eq!(s.evict(1), Some(NodeId(0)));
         assert_eq!(s.evict(1), None);
-        s.place(2).unwrap();
-        assert_eq!(s.node_of(2), Some(NodeId(0)));
+        assert_eq!(s.place(2).unwrap(), NodeId(0));
         assert_eq!(s.total(), 1);
     }
 

@@ -17,9 +17,12 @@
 # pairs the working tree won, then whether the two sides' sim
 # fingerprints agree.
 #
-# Exits 1 when, on any workload, a metric's median is worse than the
-# parent's by more than its bound or any run failed an op, 2 on a usage
-# or build error.
+# A metric whose median is worse than the parent's by more than its
+# bound reads WORSE, or UNRESOLVED when the parent's own quartile spread
+# on it (q3 - q1 over the median) is already wider than the bound: the
+# runs cannot tell a regression from this host's noise, so repeat them.
+# Exits 1 when, on any workload, a metric is WORSE or UNRESOLVED or any
+# run failed an op, 2 on a usage or build error.
 # Needs bash, git, cargo and jq.
 set -euo pipefail
 
@@ -90,7 +93,7 @@ run_one() { # side pair
     grep -o 'sim_fingerprint 0x[0-9a-f]*' "$out" | awk '{print $2}' >"$runs/$side-$i.fp" || true
 }
 
-ab_workload() { # prints one workload's table; fails if it has a WORSE line
+ab_workload() { # prints one workload's table; fails if it has a WORSE or UNRESOLVED line
     for i in $(seq 1 "$pairs"); do
         if [ $((i % 2)) -eq 1 ]; then order="parent work"; else order="work parent"; fi
         for side in $order; do
@@ -122,12 +125,13 @@ ab_workload() { # prints one workload's table; fails if it has a WORSE line
            | (if $pm == 0 then null else $wm / $pm end) as $ratio
            | (if $m.better == "lower" then $wm > $pm * (1 + $m.bound)
               else $wm < $pm * (1 - $m.bound) end) as $worse
+           | ($pm != 0 and ($pv | q(0.75)) - ($pv | q(0.25)) > $m.bound * ($pm | fabs)) as $noisy
            | [$m.name, $m.better, "\($m.bound * 100 | round_to(10))%",
               "\($pm | num) [\($pv | q(0.25) | num), \($pv | q(0.75) | num)]",
               "\($wm | num) [\($wv | q(0.25) | num), \($wv | q(0.75) | num)]",
               (if $ratio == null then "-" else ($ratio | round_to(1000) | tostring) + "x" end),
               "\($won)/\($pv | length)" + (if $tied > 0 then " (\($tied) tied)" else "" end),
-              (if $worse then "WORSE" else "ok" end)] | @tsv),
+              (if $worse and $noisy then "UNRESOLVED" elif $worse then "WORSE" else "ok" end)] | @tsv),
           (["failed ops", "-", "0", "\([$pr[] | .failed] | add)", "\([$wr[] | .failed] | add)", "-", "-",
             (if ([$pr[], $wr[] | select(.failed > 0 or .correct != true)] | length) > 0
              then "WORSE" else "ok" end)] | @tsv)
@@ -143,7 +147,7 @@ ab_workload() { # prints one workload's table; fails if it has a WORSE line
     else
         echo "sim_fingerprint: parent $(fp parent), work $(fp work)"
     fi
-    ! grep -q 'WORSE' "$runs/table.txt"
+    ! grep -qE 'WORSE|UNRESOLVED' "$runs/table.txt"
 }
 
 failed=""
@@ -160,9 +164,9 @@ done
 
 if [ -n "$failed" ]; then
     if [ "$multi" = 1 ]; then
-        echo "bench_ab: FAILED on$failed — a metric is worse than its bound or an op failed" >&2
+        echo "bench_ab: FAILED on$failed — a metric is worse than its bound (or unresolved) or an op failed" >&2
     else
-        echo "bench_ab: FAILED — a metric is worse than its bound or an op failed" >&2
+        echo "bench_ab: FAILED — a metric is worse than its bound (or unresolved) or an op failed" >&2
     fi
     exit 1
 fi

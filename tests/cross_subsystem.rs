@@ -8,6 +8,8 @@ use flacdk::reliability::checkpoint::CheckpointManager;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
 use flacos::prelude::*;
+use flacos_fault::fault_box::FaultBoxBuilder;
+use flacos_fault::redundancy::Protection;
 use flacos_fs::journal;
 use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
@@ -122,14 +124,26 @@ fn fault_box_covers_an_ipc_buffer() {
     // Communication buffers belong to the application's fault box
     // (§3.6 lists them explicitly); recovery restores them with the app.
     let rack = booted();
-    let mut os0 = rack.node_os(0);
-    let mut p = os0.spawn(1, Criticality::Medium).unwrap();
+    let os0 = rack.node_os(0);
 
-    // Attach a comm buffer region to the box and fill it.
+    // Attach a filled comm buffer region to a process's box.
     let buf_region = rack.sim().global().alloc(256, 64).unwrap();
     os0.node().write(buf_region, &[9u8; 256]).unwrap();
     os0.node().writeback(buf_region, 256);
-    p.fault_box_mut().register_comm_buffer(buf_region, 256);
+    let (alloc, epochs) = (rack.alloc().clone(), rack.epochs().clone());
+    let mut fbox = FaultBoxBuilder::new(1)
+        .build(
+            os0.node(),
+            rack.sim().global(),
+            alloc.clone(),
+            rack.frames(),
+            epochs.clone(),
+        )
+        .unwrap();
+    fbox.register_comm_buffer(buf_region, 256);
+    let policy = RedundancyPolicy::for_criticality(Criticality::Medium);
+    let protection = Protection::new(policy, CheckpointManager::new(alloc, epochs));
+    let mut p = Process::new(1, fbox, protection);
     p.protect_now(os0.node()).unwrap();
 
     // The buffer gets poisoned; recovery brings it back with the app.

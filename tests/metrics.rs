@@ -6,7 +6,7 @@
 use flacdk::alloc::GlobalAllocator;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
-use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
+use flacdk::sync::{CombineWindow, SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacos_fs::page_cache::SharedPageCache;
 use flacos_ipc::channel::FlacChannel;
 use flacos_mem::{AccessRing, AddressSpace, PhysFrame, Pte, VirtAddr, PAGE_SIZE};
@@ -799,11 +799,22 @@ fn recovering_after_a_combiner_died_past_its_append_reads_the_log_window_once() 
     let rack = Rack::new(RackConfig::n_node(4).with_global_mem(1 << 20));
     let cell = nr_ring_cell(&rack);
     cell.nr_publish(&rack.node(2), &[2]).unwrap();
+    // Node 3 dies on its first header mark: past the claim CAS, the
+    // header burst, the append's tail and head loads, its tail CAS and
+    // the entry's three writes.
+    let k = CombineWindow::AfterAppend.fuse_op(1, 1, false);
+    rack.faults().arm_crash(rack_sim::NodeId(3), k);
+    let combine = cell.nr_combine(&rack.node(3));
+    assert!(matches!(combine, Err(SimError::NodeDown { .. })));
     assert_eq!(
-        cell.nr_combine_crash_after_append(&rack.node(3)).unwrap(),
-        1
+        cell.committed(&rack.node(0)).unwrap(),
+        1,
+        "the batch landed"
     );
-    rack.faults().crash_node(rack_sim::NodeId(3), 0);
+    assert_eq!(
+        cell.pending_publishers(&rack.node(0)).unwrap(),
+        [rack_sim::NodeId(2)]
+    );
     let [_, _, atomics, spans] = nr_recovery_cost(&cell, &rack, true);
     assert_eq!(atomics, 2, "the failed CAS from free, the takeover CAS");
     // The dead combiner's own header rides the header burst.

@@ -227,7 +227,7 @@ fn resp_parser_never_panics_on_garbage() {
 fn wire_codec_roundtrip() {
     check("wire_codec_roundtrip", |rng| {
         let a = rng.next_u64();
-        let b = rng.next_u32();
+        let b = (rng.next_u64() >> 32) as u32;
         let slen = rng.gen_index(64);
         let s = rng.gen_bytes(slen);
         let mut e = Encoder::new();
@@ -274,7 +274,9 @@ fn vma_set_never_holds_overlaps() {
 
 #[test]
 fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
-    use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState, FRAME_BYTES};
+    use flacdk::sync::{
+        CombineWindow, SyncCell, SyncCellConfig, SyncPolicy, SyncState, FRAME_BYTES,
+    };
     use rack_sim::NodeId;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -399,14 +401,43 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
                     publish(rng, node, &mut pending);
                 }
             }
+            let packed = |ops: &[Vec<u8>]| {
+                ops.iter()
+                    .map(|op| 4 + FRAME_BYTES + op.len())
+                    .sum::<usize>()
+            };
+            // The dead combiner's own mark, polled while it is alive.
+            let dead_mark = poll(&cell, &rack.node(dead));
             match window_kind {
-                0 => {
-                    cell.nr_combine_crash_after_append(&rack.node(dead))
-                        .unwrap();
-                }
-                1 => {
-                    cell.nr_combine_crash_before_append(&rack.node(dead))
-                        .unwrap();
+                0 | 1 => {
+                    // The dying combine burns on its first header mark
+                    // (window 0, with a batch to append) or else on the
+                    // append's first tail load (the release when nothing
+                    // is pending).
+                    let pubs = pending.len() as u64;
+                    let ops: u64 = pending.iter().map(|p| p.2.len() as u64).sum();
+                    let spill = pending.iter().any(|p| packed(&p.2) > 48);
+                    let past_append = window_kind == 0 && ops > 0;
+                    let fuse = if past_append {
+                        CombineWindow::AfterAppend
+                    } else {
+                        CombineWindow::BeforeAppend
+                    };
+                    let tail = window(&obs).1;
+                    let nodes: Vec<NodeId> = pending.iter().map(|p| NodeId(p.0)).collect();
+                    let victim = rack.node(dead);
+                    let before = victim.stats().snapshot().fabric_ops();
+                    rack.faults()
+                        .arm_crash(NodeId(dead), fuse.fuse_op(pubs, ops, spill));
+                    let combine = cell.nr_combine(&victim);
+                    assert!(matches!(combine, Err(SimError::NodeDown { .. })));
+                    let after = victim.stats().snapshot().fabric_ops();
+                    let want_ran = fuse.issued_before(pubs, ops, spill);
+                    let ran = [0, 1, 2].map(|i| after[i] - before[i]);
+                    assert_eq!(ran, want_ran, "window {window_kind}: ops before the fuse");
+                    let landed = if past_append { ops } else { 0 };
+                    assert_eq!(window(&obs).1, tail + landed, "window {window_kind}");
+                    assert_eq!(cell.pending_publishers(&obs).unwrap(), nodes);
                 }
                 2 => {}
                 _ => {
@@ -427,11 +458,6 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
                 }
             }
             pending.sort_by_key(|p| p.0);
-            let packed = |ops: &[Vec<u8>]| {
-                ops.iter()
-                    .map(|op| 4 + FRAME_BYTES + op.len())
-                    .sum::<usize>()
-            };
             if pending.iter().any(|p| packed(&p.2) > 48) {
                 spilled[window_kind].fetch_add(1, Ordering::Relaxed);
             }
@@ -445,8 +471,18 @@ fn node_replicated_recovery_drain_matches_a_per_entry_reference() {
                     rack.global().store_u64(log.base().offset(slot), 0).unwrap();
                 }
             }
-            let marks_before: Vec<_> = (0..NODES).map(|n| poll(&cell, &rack.node(n))).collect();
-            rack.faults().crash_node(NodeId(dead), 0);
+            let marks_before: Vec<_> = (0..NODES)
+                .map(|n| {
+                    if n == dead && window_kind < 2 {
+                        dead_mark
+                    } else {
+                        poll(&cell, &rack.node(n))
+                    }
+                })
+                .collect();
+            if window_kind >= 2 {
+                rack.faults().crash_node(NodeId(dead), 0);
+            }
 
             // The reference, entry by entry through the checked reader.
             let read = |idx: u64| log.read(&obs, idx).unwrap();
@@ -722,7 +758,7 @@ fn radix_reads_see_complete_versions() {
 
 #[test]
 fn seeded_storm_campaigns_replay_byte_identically() {
-    use rack_sim::storm::{StormCampaign, StormConfig, StormOp};
+    use rack_sim::storm::{StormCampaign, StormOp, StormShape};
 
     // Property: any seed replayed against a fresh rack with the same
     // deterministic reaction produces the identical event log and the
@@ -730,18 +766,17 @@ fn seeded_storm_campaigns_replay_byte_identically() {
     // the judged rerun of `figures storm` rests on.
     check("seeded_storm_campaigns_replay_byte_identically", |rng| {
         let seed = rng.next_u64();
-        let config = StormConfig {
-            steps: 40,
-            poison_region: Some((GAddr(0), 4096)),
-            ..StormConfig::default()
+        let shape = StormShape::Full {
+            poison_region: (GAddr(0), 4096),
         };
         let run = || {
-            let rack = small_rack();
+            // Four nodes, so the storm can crash two of them.
+            let rack = Rack::new(RackConfig::n_node(4).with_global_mem(32 << 20));
             // A deterministic reaction that actually touches the rack:
             // every workload step does a cached write + writeback.
             let scratch = rack.global().alloc(4096, 64).unwrap();
             let mut writes = 0u64;
-            let report = StormCampaign::new(seed, config.clone()).run(&rack, |step, op, rack| {
+            let report = StormCampaign::new(seed, shape).run(&rack, |step, op, rack| {
                 if matches!(op, StormOp::Workload) {
                     let addr = GAddr(scratch.0 + (writes % 64) * 64);
                     let node = rack.node(0);
