@@ -2,13 +2,14 @@
 //! cross-subsystem invariant checking: section `storm` of `figures`
 //! (paper §3.6).
 //!
-//! One driver runs all five [`Campaign`]s. It builds the 4-node rack
-//! from the seed, lets a [`StormCampaign`] crash and restart nodes
-//! underneath the workload for [`STEPS`] steps, keeps the rack-wide
-//! `live` view, checks that every node is back up after the heal, and
-//! assembles one [`CampaignReport`]. Each campaign supplies only its
-//! reactions to the storm's steps and its post-heal invariants (see the
-//! variants).
+//! One driver loop runs all five [`Campaign`]s. It builds the 4-node
+//! rack from the seed, takes the seed's [`storm::plan`] ([`STEPS`] steps
+//! and the heal) and, for each step, injects its fault, dispatches it to
+//! the campaign's reaction and logs the outcome; then it checks that
+//! every node is back up and assembles one [`CampaignReport`]. Each
+//! campaign supplies only its reactions to the storm's steps and its
+//! post-heal invariants (see the variants); a reaction reads which nodes
+//! are up from the rack itself.
 //!
 //! Everything derives from the campaign seed, so the event log is
 //! byte-identical across runs. [`run`] sweeps every campaign over
@@ -27,14 +28,14 @@ use flacos_fault::fault_box::FaultBoxBuilder;
 use flacos_fault::recovery::RecoveryOrchestrator;
 use flacos_fault::redundancy::{Protection, RedundancyPolicy};
 use flacos_fs::memfs::MemFs;
-use flacos_ipc::{MsgRpcClient, MsgRpcServer, RetryPolicy};
+use flacos_ipc::{MsgRpcClient, MsgRpcServer};
 use flacos_mem::addr::VirtAddr;
 use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
 use flacos_mem::tlb::Tlb;
 use flacos_mem::{AddressSpace, PageSize, PhysFrame, Pte};
 use flacos_tier::{LocalFramePool, Migration};
-use rack_sim::storm::{StormCampaign, StormCounts, StormOp, StormShape, STEPS};
+use rack_sim::storm::{self, StormCounts, StormOp, StormShape, STEPS};
 use rack_sim::{GAddr, LAddr, NodeCtx, NodeId, Rack, RackConfig, SimError};
 use serverless::image::ContainerImage;
 use std::collections::{BTreeMap, HashSet};
@@ -210,11 +211,10 @@ fn bare_rack(seed: u64) -> Rack {
     )
 }
 
-/// What the driver keeps for every campaign: which nodes are up, the
-/// violations found so far and the campaign's named tallies.
+/// What the driver keeps for every campaign: the violations found so
+/// far and the campaign's named tallies.
 struct Storm {
     seed: u64,
-    live: Vec<bool>,
     violations: Vec<String>,
     tallies: Vec<(&'static str, u64)>,
 }
@@ -235,26 +235,30 @@ impl Storm {
     fn add(&mut self, name: &str, by: u64) {
         *self.tally(name) += by;
     }
+}
 
-    fn lowest_live(&self) -> usize {
-        self.live
-            .iter()
-            .position(|&a| a)
-            .expect("MIN_LIVE_NODES >= 2")
-    }
+/// Whether node `k` of `rack` is up.
+fn live(rack: &Rack, k: usize) -> bool {
+    rack.is_alive(NodeId(k))
+}
 
-    /// The first live node at or after `step`, round-robin.
-    fn round_robin(&self, step: u32) -> Option<usize> {
-        let n = self.live.len();
-        (step as usize..step as usize + n)
-            .map(|k| k % n)
-            .find(|&k| self.live[k])
-    }
+fn lowest_live(rack: &Rack) -> usize {
+    (0..NODES)
+        .find(|&k| live(rack, k))
+        .expect("MIN_LIVE_NODES >= 2")
+}
+
+/// The first live node at or after `step`, round-robin.
+fn round_robin(rack: &Rack, step: u32) -> Option<usize> {
+    (step as usize..step as usize + NODES)
+        .map(|k| k % NODES)
+        .find(|&k| live(rack, k))
 }
 
 /// One campaign's part: reactions to the storm's steps and the
-/// post-heal invariants. The driver marks a node down or up in
-/// [`Storm::live`] before calling [`Hooks::crash`] or [`Hooks::restart`].
+/// post-heal invariants. The driver injects a step's fault before it
+/// calls the step's hook, so a crashed or restarted node already reads
+/// so in `rack.is_alive`.
 trait Hooks {
     /// The campaign's tally names, space-separated, in row order.
     const TALLIES: &'static str;
@@ -280,29 +284,31 @@ trait Hooks {
     fn heal(&mut self, s: &mut Storm, rack: &Rack);
 }
 
-/// Run `hooks` under a seeded storm on `rack` and assemble its report.
+/// Run `hooks` under the seed's storm plan on `rack` and assemble its
+/// report. Each step injects its fault, runs its hook and appends
+/// `"{step} :: {outcome}"` to the event log, whose first line names the
+/// seed.
 fn drive<H: Hooks>(campaign: Campaign, seed: u64, rack: &Rack, mut hooks: H) -> CampaignReport {
     let mut s = Storm {
         seed,
-        live: vec![true; rack.node_count()],
         violations: Vec::new(),
         tallies: H::TALLIES.split_whitespace().map(|k| (k, 0)).collect(),
     };
-    let storm = StormCampaign::new(seed, hooks.shape());
-    let report = storm.run(rack, |step, op, rack| match *op {
-        StormOp::Workload => hooks.workload(&mut s, step, rack),
-        StormOp::CrashNode { node } => {
-            s.live[node.0] = false;
-            hooks.crash(&mut s, step, node, rack)
-        }
-        StormOp::RestartNode { node } => {
-            s.live[node.0] = true;
-            hooks.restart(&mut s, step, node.0)
-        }
-        other => hooks.other(&mut s, step, other, rack),
-    });
+    let plan = storm::plan(seed, hooks.shape(), rack.node_count());
+    let mut log_text = format!("seed {seed:#018x}\n");
+    for step in &plan {
+        storm::inject(rack, step);
+        let outcome = match step.op {
+            StormOp::Workload => hooks.workload(&mut s, step.step, rack),
+            StormOp::CrashNode { node } => hooks.crash(&mut s, step.step, node, rack),
+            StormOp::RestartNode { node } => hooks.restart(&mut s, step.step, node.0),
+            op => hooks.other(&mut s, step.step, op, rack),
+        };
+        log_text.push_str(&format!("{step} :: {outcome}\n"));
+    }
+    let counts = StormCounts::record(rack, &plan);
     for i in 0..rack.node_count() {
-        if !rack.is_alive(NodeId(i)) {
+        if !live(rack, i) {
             s.fail(format!("node {i} still down after heal"));
         }
     }
@@ -310,11 +316,11 @@ fn drive<H: Hooks>(campaign: Campaign, seed: u64, rack: &Rack, mut hooks: H) -> 
     CampaignReport {
         campaign,
         seed,
-        counts: report.counts,
-        events: report.events.len(),
+        counts,
+        events: plan.len(),
         tallies: s.tallies,
         violations: s.violations,
-        log_text: report.log_text(),
+        log_text,
         metrics: rack.metrics_report(),
     }
 }
@@ -427,7 +433,7 @@ impl RackStorm {
     /// One echo RPC from `caller`, draining the server on every retry.
     fn echo(&mut self, caller: usize, args: &[u8]) -> Result<Vec<u8>, SimError> {
         let server = &mut self.server;
-        self.clients[caller].call_with_retry(args, &RetryPolicy::default(), &mut |_| {
+        self.clients[caller].call_with_retry(args, &mut |_| {
             server
                 .drain(&mut |req: &[u8]| [b"ack:".as_slice(), req].concat())
                 .map(|_| ())
@@ -449,14 +455,18 @@ impl Hooks for RackStorm {
     fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String {
         // Flush the oldest pending dirty line whose node is live.
         let mut note = String::new();
-        if let Some(i) = self.pending.iter().position(|&(node, _, _)| s.live[node]) {
+        if let Some(i) = self
+            .pending
+            .iter()
+            .position(|&(node, _, _)| live(rack, node))
+        {
             let (node, addr, value) = self.pending.remove(i);
             rack.node(node).writeback(addr, 8);
             self.flushed.push((addr, value));
             note = format!(", flushed {addr}");
         }
         // A committed file write from the round-robin writer.
-        let writer = s.round_robin(step).expect("MIN_LIVE_NODES >= 2");
+        let writer = round_robin(rack, step).expect("MIN_LIVE_NODES >= 2");
         let path = format!("/storm/f{:04}", self.committed.len());
         let content = format!("s{:016x}-{step:04}", s.seed);
         if let Err(e) = self.fs[writer].write_file(&path, content.as_bytes()) {
@@ -466,8 +476,8 @@ impl Hooks for RackStorm {
         self.committed.push((path.clone(), content));
         s.add("fs_commits", 1);
         // An RPC from the first live non-server node.
-        let caller = (0..NODES).find(|&k| s.live[k] && k != SERVER_NODE);
-        if !s.live[SERVER_NODE] {
+        let caller = (0..NODES).find(|&k| live(rack, k) && k != SERVER_NODE);
+        if !live(rack, SERVER_NODE) {
             s.add("rpc_degraded", 1);
             return format!("wrote {path} on n{writer}; rpc skipped (server down){note}");
         }
@@ -501,7 +511,7 @@ impl Hooks for RackStorm {
         let lost = (before - self.pending.len()) as u64;
         s.add("scratch_lost", lost);
         // Re-elect every fault box homed there onto a survivor.
-        let rescuer = s.lowest_live();
+        let rescuer = lowest_live(rack);
         match self.orch.handle_node_crash(&rack.node(rescuer), node) {
             Ok(rehomed) => {
                 s.add("reelections", rehomed.len() as u64);
@@ -535,7 +545,7 @@ impl Hooks for RackStorm {
         match op {
             StormOp::DelayedWriteback { node } => {
                 let node_idx = node.0;
-                if !s.live[node_idx] {
+                if !live(rack, node_idx) {
                     return format!("dirty write skipped: n{node_idx} down");
                 }
                 let addr = GAddr(self.scratch_base.0 + self.next_slot * 64);
@@ -555,7 +565,7 @@ impl Hooks for RackStorm {
             StormOp::RestoreLink { from, to } => format!("link n{}->n{} restored", from.0, to.0),
             StormOp::PoisonWord { addr } => {
                 // Scrub and repair from the known-good pattern.
-                let fixer = s.lowest_live();
+                let fixer = lowest_live(rack);
                 let ctx = rack.node(fixer);
                 ctx.global().scrub(addr, 8);
                 match ctx.store_uncached_u64(addr, self.scrub_word(addr)) {
@@ -650,7 +660,7 @@ impl Hooks for RackStorm {
 /// stragglers are not awaited).
 fn shootdown_live(
     tlbs: &mut [Tlb],
-    live: &[bool],
+    rack: &Rack,
     asid: u64,
     vpn: u64,
     span: u64,
@@ -658,7 +668,7 @@ fn shootdown_live(
     let peers: Vec<NodeId> = tlbs.iter().map(Tlb::node_id).collect();
     let expected = tlbs[TIER_NODE].begin_shootdown_range(&peers, asid, vpn, span)?;
     for (i, tlb) in tlbs.iter_mut().enumerate() {
-        if i != TIER_NODE && live[i] {
+        if i != TIER_NODE && live(rack, i) {
             tlb.service_shootdowns()?;
         }
     }
@@ -739,7 +749,7 @@ impl TieringStorm {
 
     /// One migration micro-step on the tiering node; returns the log
     /// note.
-    fn migrate(&mut self, s: &mut Storm) -> String {
+    fn migrate(&mut self, s: &mut Storm, rack: &Rack) -> String {
         let n0 = self.n0.clone();
         let Some((mut m, promote)) = self.in_flight.take() else {
             // Choose the next migration: demote the smallest promoted vpn
@@ -772,10 +782,10 @@ impl TieringStorm {
             return format!(", copy of vpn {vpn} failed; aborted");
         }
         let dst = m.new_frame();
-        let (tlbs, live) = (&mut self.tlbs, &s.live);
+        let tlbs = &mut self.tlbs;
         let old = m
             .commit(&n0, &self.space, &mut |asid, vpn, span| {
-                shootdown_live(tlbs, live, asid, vpn, span)
+                shootdown_live(tlbs, rack, asid, vpn, span)
             })
             .expect("commit");
         self.release(&n0, old[0].frame);
@@ -798,15 +808,15 @@ impl Hooks for TieringStorm {
     const TALLIES: &'static str = "writes_committed writes_skipped promotions demotions aborts";
 
     fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String {
-        let note = if s.live[TIER_NODE] {
-            self.migrate(s)
+        let note = if live(rack, TIER_NODE) {
+            self.migrate(s, rack)
         } else {
             format!(", tier idle (n{TIER_NODE} down)")
         };
         // A committed write to a round-robin page from the node that can
         // reach its frame.
         let vpn = u64::from(step) % TIER_PAGES;
-        let lowest_live = s.lowest_live();
+        let lowest_live = lowest_live(rack);
         let pte = self
             .space
             .translate(&rack.node(lowest_live), VirtAddr::from_vpn(vpn))
@@ -817,7 +827,7 @@ impl Hooks for TieringStorm {
             return format!("write vpn {vpn} skipped: migrating{note}");
         }
         let writer = match pte.frame {
-            PhysFrame::Local(home, _) if !s.live[home.0] => {
+            PhysFrame::Local(home, _) if !live(rack, home.0) => {
                 s.add("writes_skipped", 1);
                 return format!("write vpn {vpn} skipped: local home n{} down{note}", home.0);
             }
@@ -851,7 +861,7 @@ impl Hooks for TieringStorm {
         let Some((m, _)) = self.in_flight.take() else {
             return format!("crash n{node_idx}: tiering paused, no migration in flight");
         };
-        let rescuer = s.lowest_live();
+        let rescuer = lowest_live(rack);
         self.abort(s, &rack.node(rescuer), &m);
         format!(
             "crash n{node_idx}: survivor n{rescuer} aborted mid-flight \
@@ -1021,7 +1031,7 @@ impl Hooks for Delegated {
     fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String {
         // A round-robin live node commits one update; a second live node
         // reads and must see every previously committed op.
-        let Some(writer) = s.round_robin(step) else {
+        let Some(writer) = round_robin(rack, step) else {
             s.add("ops_skipped", 1);
             return "update skipped: no live writer".to_string();
         };
@@ -1029,7 +1039,10 @@ impl Hooks for Delegated {
         match cell.update(&rack.node(writer), &sync_op(writer, step)) {
             Ok(idx) => {
                 self.0.commit(s, idx, writer, step);
-                let reader = (0..NODES).rev().find(|&k| s.live[k]).expect("live reader");
+                let reader = (0..NODES)
+                    .rev()
+                    .find(|&k| live(rack, k))
+                    .expect("live reader");
                 let seen = cell
                     .read(&rack.node(reader), |l| l.entries.len())
                     .expect("read");
@@ -1050,7 +1063,7 @@ impl Hooks for Delegated {
 
     fn crash(&mut self, s: &mut Storm, step: u32, node: NodeId, rack: &Rack) -> String {
         let node_idx = node.0;
-        let rescuer = s.lowest_live();
+        let rescuer = lowest_live(rack);
         let ctx = rack.node(rescuer);
         let owner_before = self.0.cell.owner_node(&ctx).expect("owner");
         if let Err(e) = self.0.orch.handle_node_crash(&ctx, node) {
@@ -1155,8 +1168,7 @@ impl NodeReplicated {
             }
             rack.faults().crash_node(NodeId(victim), u64::from(step));
         }
-        s.live[victim] = false;
-        let rescuer = s.lowest_live();
+        let rescuer = lowest_live(rack);
         if let Err(e) = self
             .0
             .orch
@@ -1179,7 +1191,6 @@ impl NodeReplicated {
             )),
         }
         rack.faults().restart_node(NodeId(victim), u64::from(step));
-        s.live[victim] = true;
         for &p in &stranded {
             match cell.nr_poll(&rack.node(p)) {
                 Ok(Some(idx)) => self.0.commit(s, idx, p, step),
@@ -1214,13 +1225,13 @@ impl Hooks for NodeReplicated {
     const TALLIES: &'static str = "ops_committed ops_skipped reelections publisher_deaths replayed";
 
     fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String {
-        let live: Vec<usize> = (0..NODES).filter(|&k| s.live[k]).collect();
+        let live: Vec<usize> = (0..NODES).filter(|&k| live(rack, k)).collect();
         if step % 3 == 2 && live.len() >= 4 {
             return self.mid_batch(s, step, &live, rack);
         }
         // Clean round: round-robin publisher, a different live combiner
         // drains, the publisher polls its index.
-        let Some(writer) = s.round_robin(step) else {
+        let Some(writer) = round_robin(rack, step) else {
             s.add("ops_skipped", 1);
             return "publish skipped: no live writer".to_string();
         };
@@ -1259,7 +1270,7 @@ impl Hooks for NodeReplicated {
     }
 
     fn crash(&mut self, s: &mut Storm, step: u32, node: NodeId, rack: &Rack) -> String {
-        let rescuer = s.lowest_live();
+        let rescuer = lowest_live(rack);
         match self.0.orch.handle_node_crash(&rack.node(rescuer), node) {
             Ok(_) => format!("crash n{}: slots drained by n{rescuer}", node.0),
             Err(e) => {
@@ -1347,7 +1358,7 @@ impl Hooks for StoreStorm {
     const TALLIES: &'static str = "claims_won committed aborted rack_hits skipped";
 
     fn workload(&mut self, s: &mut Storm, step: u32, rack: &Rack) -> String {
-        let Some(worker) = s.round_robin(step) else {
+        let Some(worker) = round_robin(rack, step) else {
             s.add("skipped", 1);
             return "store step skipped: no live worker".to_string();
         };
@@ -1418,7 +1429,7 @@ impl Hooks for StoreStorm {
         let before = self.pending.len();
         self.pending.retain(|&(owner, _)| owner != node_idx);
         let dropped = before - self.pending.len();
-        let rescuer = s.lowest_live();
+        let rescuer = lowest_live(rack);
         match self.orch.handle_node_crash(&rack.node(rescuer), node) {
             Ok(_) => format!(
                 "crash n{node_idx} mid-fetch: {dropped} pending batch(es) dropped, \

@@ -109,6 +109,10 @@ impl<'a> LockGuard<'a> {
     /// Coherently read protected data: invalidate the node's cached copy
     /// first so the read observes the previous holder's write-back.
     ///
+    /// Test probe: [`crate::sync::SyncCell`]'s lock policy charges this
+    /// discipline as a cost, so only `sync_discipline_makes_lock_correct`
+    /// runs it.
+    ///
     /// # Errors
     ///
     /// Propagates memory errors.
@@ -119,6 +123,8 @@ impl<'a> LockGuard<'a> {
 
     /// Coherently write protected data: write through the cache and write
     /// it back before the lock can be released to another node.
+    ///
+    /// Test probe, like [`LockGuard::read_sync`].
     ///
     /// # Errors
     ///

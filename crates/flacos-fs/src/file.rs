@@ -47,11 +47,6 @@ impl FileHandle {
         self.pos
     }
 
-    /// Move the cursor to `pos`.
-    pub fn seek(&mut self, pos: u64) {
-        self.pos = pos;
-    }
-
     /// Read at the cursor, advancing it. Returns bytes read.
     ///
     /// # Errors
@@ -124,7 +119,7 @@ mod tests {
         h.write(&mut fs, b"line two\n").unwrap();
         assert_eq!(h.position(), 18);
 
-        h.seek(0);
+        let mut h = FileHandle::open(&mut fs, "/log").unwrap();
         let mut buf = [0u8; 64];
         let n = h.read(&mut fs, &mut buf).unwrap();
         assert_eq!(&buf[..n], b"line one\nline two\n");
@@ -136,7 +131,9 @@ mod tests {
         let (_rack, mut fs) = fs();
         let mut h = FileHandle::create(&mut fs, "/f").unwrap();
         h.write(&mut fs, b"0123456789").unwrap();
-        h.seek(2);
+        let mut h = FileHandle::open(&mut fs, "/f").unwrap();
+        h.read(&mut fs, &mut [0u8; 2]).unwrap();
+        assert_eq!(h.position(), 2);
         h.append(&mut fs, b"END").unwrap();
         assert_eq!(fs.read_file("/f").unwrap(), b"0123456789END");
         assert_eq!(h.position(), 13);

@@ -13,33 +13,6 @@ use crate::memfs::FsShared;
 use crate::meta::MetaReplica;
 use rack_sim::{NodeCtx, SimError};
 
-/// Journal state summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalInfo {
-    /// Oldest retained entry.
-    pub head: u64,
-    /// One past the newest entry.
-    pub tail: u64,
-    /// Entries currently retained.
-    pub depth: u64,
-}
-
-/// Inspect the journal (metadata op log) of `shared`.
-///
-/// # Errors
-///
-/// Propagates memory errors.
-pub fn journal_info(ctx: &NodeCtx, shared: &FsShared) -> Result<JournalInfo, SimError> {
-    let log = shared.meta().op_log();
-    let head = log.head(ctx)?;
-    let tail = log.tail(ctx)?;
-    Ok(JournalInfo {
-        head,
-        tail,
-        depth: tail - head,
-    })
-}
-
 /// Rebuild file-system metadata by replaying the journal from its head
 /// ([`flacdk::sync::SyncCell::replay`]).
 ///
@@ -159,12 +132,12 @@ mod tests {
     fn journal_info_reports_depth() {
         let (rack, shared) = setup();
         let mut fs = MemFs::mount(shared.clone(), rack.node(0));
-        let before = journal_info(&rack.node(0), &shared).unwrap();
+        let (n0, journal) = (rack.node(0), shared.meta().op_log());
+        let before = journal.tail(&n0).unwrap();
         fs.mkdir("/x").unwrap();
         fs.write_file("/x/y", b"z").unwrap();
-        let after = journal_info(&rack.node(0), &shared).unwrap();
-        // mkdir + create + set_size = 3 entries.
-        assert_eq!(after.depth - before.depth, 3);
-        assert_eq!(after.head, 0);
+        // mkdir + create + set_size = 3 entries, none trimmed.
+        assert_eq!(journal.tail(&n0).unwrap() - before, 3);
+        assert_eq!(journal.head(&n0).unwrap(), 0);
     }
 }

@@ -34,7 +34,7 @@ pub mod socket_meta;
 
 pub use channel::{FlacChannel, FlacEndpoint};
 pub use netstack::{NetConfig, NetEndpoint, NetPair};
-pub use retry::{retry_with_backoff, MsgRpcClient, MsgRpcServer, RetryPolicy};
+pub use retry::{MsgRpcClient, MsgRpcServer};
 pub use rpc::{RpcRegistry, RpcService};
 pub use shm_buf::ShmBufferPool;
 pub use socket_meta::SocketRegistry;

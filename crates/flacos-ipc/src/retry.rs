@@ -7,10 +7,10 @@
 //! lost. This module adds the two mechanisms the paper's §3.5 relies on
 //! for graceful degradation:
 //!
-//! * [`RetryPolicy`] / [`retry_with_backoff`] — exponential backoff with
-//!   the wait charged to the caller's simulated clock, retrying only the
-//!   error classes injected faults produce (link down, node down,
-//!   timeout).
+//! * Retry with exponential backoff ([`MAX_ATTEMPTS`] attempts, from
+//!   [`BASE_BACKOFF_NS`] doubling up to 1 ms) with the wait charged to
+//!   the caller's simulated clock, retrying only the error classes
+//!   injected faults produce (link down, node down, timeout).
 //! * [`MsgRpcClient`] / [`MsgRpcServer`] — a message-based RPC with
 //!   simulated-time timeouts and server-side duplicate suppression: each
 //!   call carries a client-unique id, the server caches the reply per
@@ -27,91 +27,40 @@ use rack_sim::{Counter, NodeCtx, NodeId, SimError};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Exponential-backoff retry policy; waits are simulated nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included).
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_backoff_ns: u64,
-    /// Backoff multiplier per further retry.
-    pub multiplier: u64,
-    /// Backoff ceiling.
-    pub max_backoff_ns: u64,
+/// Attempts per call, the first try included.
+pub const MAX_ATTEMPTS: u32 = 5;
+/// Backoff before the first retry, in simulated ns; each further retry
+/// waits twice as long, up to 1 ms.
+pub const BASE_BACKOFF_NS: u64 = 10_000;
+const BACKOFF_MULTIPLIER: u64 = 2;
+const MAX_BACKOFF_NS: u64 = 1_000_000;
+
+/// Backoff charged before attempt number `attempt` (1-based retries;
+/// attempt 0 is the initial try and waits nothing).
+fn backoff_ns(attempt: u32) -> u64 {
+    if attempt == 0 {
+        return 0;
+    }
+    let mut b = BASE_BACKOFF_NS;
+    for _ in 1..attempt {
+        b = b.saturating_mul(BACKOFF_MULTIPLIER);
+        if b >= MAX_BACKOFF_NS {
+            return MAX_BACKOFF_NS;
+        }
+    }
+    b.min(MAX_BACKOFF_NS)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_backoff_ns: 10_000,
-            multiplier: 2,
-            max_backoff_ns: 1_000_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff charged before attempt number `attempt` (1-based retries;
-    /// attempt 0 is the initial try and waits nothing).
-    pub fn backoff_ns(&self, attempt: u32) -> u64 {
-        if attempt == 0 {
-            return 0;
-        }
-        let mut b = self.base_backoff_ns;
-        for _ in 1..attempt {
-            b = b.saturating_mul(self.multiplier);
-            if b >= self.max_backoff_ns {
-                return self.max_backoff_ns;
-            }
-        }
-        b.min(self.max_backoff_ns)
-    }
-
-    /// Whether an error is a transient fabric condition worth retrying,
-    /// as opposed to a programming error that will never succeed.
-    pub fn is_transient(err: &SimError) -> bool {
-        matches!(
-            err,
-            SimError::LinkDown { .. }
-                | SimError::NodeDown { .. }
-                | SimError::Timeout { .. }
-                | SimError::WouldBlock
-        )
-    }
-}
-
-/// Run `op` until it succeeds, a non-transient error occurs, or the
-/// policy's attempts are exhausted. Backoff between attempts is charged
-/// to `node`'s simulated clock and counted in the `ipc` registry.
-///
-/// # Errors
-///
-/// The last transient error when attempts are exhausted, or the first
-/// non-transient error.
-pub fn retry_with_backoff<T>(
-    node: &NodeCtx,
-    policy: &RetryPolicy,
-    mut op: impl FnMut(u32) -> Result<T, SimError>,
-) -> Result<T, SimError> {
-    let mut last = None;
-    // Fetched once on the first retry and bumped thereafter; the retry
-    // loop must not re-take the registry lock per attempt.
-    let mut ctr_retries: Option<Counter> = None;
-    for attempt in 0..policy.max_attempts.max(1) {
-        if attempt > 0 {
-            node.charge(policy.backoff_ns(attempt));
-            ctr_retries
-                .get_or_insert_with(|| node.stats().registry().counter("ipc", "retries"))
-                .incr();
-        }
-        match op(attempt) {
-            Ok(v) => return Ok(v),
-            Err(e) if RetryPolicy::is_transient(&e) => last = Some(e),
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last.unwrap_or(SimError::Timeout { waited_ns: 0 }))
+/// Whether an error is a transient fabric condition worth retrying, as
+/// opposed to a programming error that will never succeed.
+fn is_transient(err: &SimError) -> bool {
+    matches!(
+        err,
+        SimError::LinkDown { .. }
+            | SimError::NodeDown { .. }
+            | SimError::Timeout { .. }
+            | SimError::WouldBlock
+    )
 }
 
 const CALL_HEADER: usize = 10; // call id (8) + reply port (2)
@@ -234,7 +183,7 @@ impl MsgRpcServer {
 }
 
 /// Client side of the message-fabric RPC: at-most-once execution with
-/// simulated-time timeouts and policy-driven retry.
+/// simulated-time timeouts and retry with backoff.
 #[derive(Debug)]
 pub struct MsgRpcClient {
     node: Arc<NodeCtx>,
@@ -275,9 +224,9 @@ impl MsgRpcClient {
 
     /// One call with retry: send the request, let `pump` run the server
     /// (and any mid-call fault choreography), then poll for the reply
-    /// until `timeout_ns`. Transient failures back off per `policy` and
-    /// retry **with the same call id**, so the server's duplicate
-    /// suppression guarantees at-most-once execution.
+    /// until `timeout_ns`. Transient failures back off and retry, up to
+    /// [`MAX_ATTEMPTS`] attempts, **with the same call id**, so the
+    /// server's duplicate suppression guarantees at-most-once execution.
     ///
     /// # Errors
     ///
@@ -286,7 +235,6 @@ impl MsgRpcClient {
     pub fn call_with_retry(
         &mut self,
         args: &[u8],
-        policy: &RetryPolicy,
         pump: &mut dyn FnMut(u32) -> Result<(), SimError>,
     ) -> Result<Vec<u8>, SimError> {
         let call_id = self.next_call_id;
@@ -296,16 +244,16 @@ impl MsgRpcClient {
             .get_or_insert_with(|| node.stats().registry().counter("ipc", "rpc_calls"))
             .incr();
         let mut last = None;
-        for attempt in 0..policy.max_attempts.max(1) {
+        for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
-                node.charge(policy.backoff_ns(attempt));
+                node.charge(backoff_ns(attempt));
                 self.ctr_retries
                     .get_or_insert_with(|| node.stats().registry().counter("ipc", "rpc_retries"))
                     .incr();
             }
             match self.attempt(call_id, args, attempt, pump) {
                 Ok(v) => return Ok(v),
-                Err(e) if RetryPolicy::is_transient(&e) => last = Some(e),
+                Err(e) if is_transient(&e) => last = Some(e),
                 Err(e) => return Err(e),
             }
         }
@@ -369,50 +317,52 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_ns(0), 0);
-        assert_eq!(p.backoff_ns(1), 10_000);
-        assert_eq!(p.backoff_ns(2), 20_000);
-        assert_eq!(p.backoff_ns(3), 40_000);
-        assert_eq!(p.backoff_ns(60), p.max_backoff_ns, "capped, no overflow");
+        assert_eq!(backoff_ns(0), 0);
+        assert_eq!(backoff_ns(1), 10_000);
+        assert_eq!(backoff_ns(2), 20_000);
+        assert_eq!(backoff_ns(3), 40_000);
+        assert_eq!(backoff_ns(60), MAX_BACKOFF_NS, "capped, no overflow");
     }
 
     #[test]
     fn retry_helper_retries_transient_and_charges_backoff() {
         let rack = rack();
         let n0 = rack.node(0);
+        let mut server = MsgRpcServer::new(rack.node(1), 7);
+        let mut client = MsgRpcClient::new(n0.clone(), NodeId(1), 7, 8);
+        let mut echo = |req: &[u8]| req.to_vec();
         let before = n0.clock().now();
-        let mut failures = 2;
-        let out = retry_with_backoff(&n0, &RetryPolicy::default(), |_| {
-            if failures > 0 {
-                failures -= 1;
-                Err(SimError::LinkDown {
-                    from: NodeId(0),
-                    to: NodeId(1),
-                })
-            } else {
-                Ok(99)
-            }
-        })
-        .unwrap();
-        assert_eq!(out, 99);
-        assert_eq!(
-            n0.clock().now() - before,
-            10_000 + 20_000,
-            "backoff charged"
+        let out = client
+            .call_with_retry(b"x", &mut |attempt| {
+                if attempt < 2 {
+                    return Err(SimError::LinkDown {
+                        from: NodeId(0),
+                        to: NodeId(1),
+                    });
+                }
+                server.serve_once(&mut echo).map(|_| ())
+            })
+            .unwrap();
+        assert_eq!(out, b"x");
+        assert_eq!(server.executed(), 1);
+        let waited = n0.clock().now() - before;
+        assert!(
+            waited >= backoff_ns(1) + backoff_ns(2),
+            "backoff charged: {waited} ns"
         );
     }
 
     #[test]
     fn retry_helper_gives_up_on_non_transient() {
         let rack = rack();
-        let n0 = rack.node(0);
+        let mut client = MsgRpcClient::new(rack.node(0), NodeId(1), 7, 8);
         let mut calls = 0;
-        let err = retry_with_backoff::<()>(&n0, &RetryPolicy::default(), |_| {
-            calls += 1;
-            Err(SimError::Protocol("bad".into()))
-        })
-        .unwrap_err();
+        let err = client
+            .call_with_retry(b"y", &mut |_| {
+                calls += 1;
+                Err(SimError::Protocol("bad".into()))
+            })
+            .unwrap_err();
         assert!(matches!(err, SimError::Protocol(_)));
         assert_eq!(calls, 1, "non-transient errors are not retried");
     }
@@ -423,7 +373,7 @@ mod tests {
         let mut server = MsgRpcServer::new(rack.node(1), 7);
         let mut client = MsgRpcClient::new(rack.node(0), NodeId(1), 7, 8);
         let out = client
-            .call_with_retry(b"ping", &RetryPolicy::default(), &mut |_| {
+            .call_with_retry(b"ping", &mut |_| {
                 let mut echo = |req: &[u8]| {
                     let mut r = b"pong:".to_vec();
                     r.extend_from_slice(req);
@@ -449,7 +399,7 @@ mod tests {
         faults.fail_link(NodeId(1), NodeId(0), 0);
         let mut handler = |_req: &[u8]| b"done".to_vec();
         let out = client
-            .call_with_retry(b"work", &RetryPolicy::default(), &mut |attempt| {
+            .call_with_retry(b"work", &mut |attempt| {
                 if attempt == 1 {
                     faults.restore_link(NodeId(1), NodeId(0), 0);
                 }
@@ -469,16 +419,17 @@ mod tests {
         let mut server = MsgRpcServer::new(rack.node(1), 7);
         let mut client = MsgRpcClient::new(rack.node(0), NodeId(1), 7, 8);
         faults.fail_link(NodeId(1), NodeId(0), 0); // never restored
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            ..Default::default()
-        };
         let mut handler = |_req: &[u8]| Vec::new();
+        let mut attempts = 0;
         let err = client
-            .call_with_retry(b"x", &policy, &mut |_| {
+            .call_with_retry(b"x", &mut |_| {
+                attempts += 1;
                 server.serve_once(&mut handler).map(|_| ())
             })
             .unwrap_err();
         assert!(matches!(err, SimError::Timeout { .. }), "got {err:?}");
+        assert_eq!(attempts, MAX_ATTEMPTS);
+        assert_eq!(server.executed(), 1, "every retry answered from cache");
+        assert_eq!(server.dup_suppressed(), u64::from(MAX_ATTEMPTS) - 1);
     }
 }

@@ -94,11 +94,6 @@ pub enum PhysFrame {
 }
 
 impl PhysFrame {
-    /// Whether this frame is accessible from every node.
-    pub fn is_global(self) -> bool {
-        matches!(self, PhysFrame::Global(_))
-    }
-
     /// The owning node for local frames.
     pub fn home_node(self) -> Option<NodeId> {
         match self {
@@ -153,8 +148,6 @@ mod tests {
     fn frame_kinds() {
         let g = PhysFrame::Global(GAddr(0x1000));
         let l = PhysFrame::Local(NodeId(1), LAddr(0x2000));
-        assert!(g.is_global());
-        assert!(!l.is_global());
         assert_eq!(g.home_node(), None);
         assert_eq!(l.home_node(), Some(NodeId(1)));
         assert!(g.to_string().contains("0x1000"));

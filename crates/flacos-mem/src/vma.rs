@@ -117,7 +117,8 @@ impl VmaSet {
         self.areas.values()
     }
 
-    /// Serialized size of this set in a bulk blob.
+    /// Serialized size of this set in a bulk blob. Like
+    /// [`VmaSet::export_bulk`], a test probe.
     pub fn bulk_size(&self) -> usize {
         8 + self.areas.len() * 27
     }
@@ -159,6 +160,9 @@ impl VmaSet {
     /// Bulk-publish this set into global memory at `blob`
     /// (`[len: u64][payload]`). One write-back covers the whole set.
     ///
+    /// Test probe: no node OS publishes its VMA set yet, so only the
+    /// `bulk_*` tests export and [`VmaSet::import_bulk`] it.
+    ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] if the blob region is too small; memory
@@ -177,7 +181,8 @@ impl VmaSet {
         Ok(())
     }
 
-    /// Bulk-import a peer's set from global memory at `blob`.
+    /// Bulk-import a peer's set from global memory at `blob` (a test
+    /// probe, like [`VmaSet::export_bulk`]).
     ///
     /// # Errors
     ///
@@ -222,7 +227,8 @@ impl RMap {
         }
     }
 
-    /// All mappings of `frame_key`.
+    /// All mappings of `frame_key` (a test probe: nothing unmaps shared
+    /// frames through the reverse map yet).
     pub fn mappers(&self, frame_key: u64) -> &[(u64, u64)] {
         self.map.get(&frame_key).map(Vec::as_slice).unwrap_or(&[])
     }

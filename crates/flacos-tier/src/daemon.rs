@@ -184,7 +184,8 @@ impl TierDaemon {
         &self.config
     }
 
-    /// Pages currently promoted into this node's local DRAM.
+    /// Pages currently promoted into this node's local DRAM (a test
+    /// probe: only the daemon's tests read it).
     pub fn local_page_count(&self) -> usize {
         self.local_pages.len()
     }
@@ -195,7 +196,8 @@ impl TierDaemon {
         self.local_pages.contains_key(&vpn) || self.huge_regions.contains_key(&huge_base(vpn))
     }
 
-    /// Regions currently coalesced into huge local mappings.
+    /// Regions currently coalesced into huge local mappings (a test
+    /// probe: only the daemon's tests read it).
     pub fn huge_region_count(&self) -> usize {
         self.huge_regions.len()
     }

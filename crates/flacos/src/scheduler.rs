@@ -147,6 +147,9 @@ impl RackScheduler {
     /// [`RackScheduler::place`] — a full fast tier is a performance
     /// concern, not a placement failure.
     ///
+    /// Test probe: no boot path places by tier yet, so only
+    /// `tiered_placement_avoids_exhausted_nodes` calls it.
+    ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] when every node is down.
@@ -176,34 +179,6 @@ impl RackScheduler {
             None => self.place(ctx, alive),
         }
     }
-
-    /// Imbalance = max load − min load across live nodes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory errors.
-    pub fn imbalance(
-        &self,
-        ctx: &NodeCtx,
-        alive: impl Fn(NodeId) -> bool,
-    ) -> Result<u64, SimError> {
-        self.cell.read(ctx, |s| {
-            let mut min = u64::MAX;
-            let mut max = 0u64;
-            for (i, &l) in s.load.iter().enumerate() {
-                if !alive(NodeId(i)) {
-                    continue;
-                }
-                min = min.min(l);
-                max = max.max(l);
-            }
-            if min == u64::MAX {
-                0
-            } else {
-                max - min
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +203,10 @@ mod tests {
         sched.task_started(&n0, NodeId(2)).unwrap();
         sched.task_started(&n0, NodeId(2)).unwrap();
         assert_eq!(sched.place(&n0, |_| true).unwrap(), NodeId(1));
-        assert_eq!(sched.imbalance(&n0, |_| true).unwrap(), 1);
+        let loads: Vec<u64> = (0..3)
+            .map(|i| sched.load_of(&n0, NodeId(i)).unwrap())
+            .collect();
+        assert_eq!(loads, [2, 1, 2]);
     }
 
     #[test]

@@ -49,12 +49,6 @@ impl SimClock {
         }
         cur
     }
-
-    /// Reset the clock to zero. Intended for experiment harnesses between
-    /// repetitions; concurrent use with `advance` is a logic error.
-    pub fn reset(&self) {
-        self.ns.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -85,13 +79,5 @@ mod tests {
         let b = a.clone();
         a.advance(7);
         assert_eq!(b.now(), 7);
-    }
-
-    #[test]
-    fn reset_returns_to_zero() {
-        let c = SimClock::new();
-        c.advance(123);
-        c.reset();
-        assert_eq!(c.now(), 0);
     }
 }

@@ -130,7 +130,6 @@ impl NodeLiveness {
 /// the exact same fault schedule.
 #[derive(Debug)]
 pub struct FaultInjector {
-    seed: u64,
     rng: Mutex<SplitMix64>,
     liveness: Arc<NodeLiveness>,
     down_links: RwLock<HashSet<(NodeId, NodeId)>>,
@@ -140,18 +139,11 @@ pub struct FaultInjector {
 impl FaultInjector {
     pub(crate) fn new(seed: u64, liveness: Arc<NodeLiveness>) -> Self {
         FaultInjector {
-            seed,
             rng: Mutex::new(SplitMix64::new(seed)),
             liveness,
             down_links: RwLock::new(HashSet::new()),
             log: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The explicit seed this injector was built with. Every randomized
-    /// choice derives from it, so replaying a run only needs this value.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Poison `len` bytes of global memory at `addr` at simulated time `at_ns`.
@@ -163,8 +155,12 @@ impl FaultInjector {
         });
     }
 
-    /// Poison a uniformly random word inside `[base, base+len)`.
-    /// Returns the poisoned address.
+    /// Poison a uniformly random word inside `[base, base+len)`, drawn
+    /// from the injector's seeded RNG. Returns the poisoned address.
+    ///
+    /// Test probe: the fault storms schedule their poison from their own
+    /// plan ([`crate::storm::plan`]), so only the seed-replay tests call
+    /// it.
     pub fn poison_random_word(
         &self,
         global: &GlobalMemory,

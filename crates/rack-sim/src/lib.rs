@@ -69,5 +69,5 @@ pub use node::NodeCtx;
 pub use rack::{Rack, RackConfig, RackReport};
 pub use rng::{SplitMix64, Zipf};
 pub use stats::{NodeStats, StatsSnapshot};
-pub use storm::{StormCampaign, StormCounts, StormEvent, StormOp, StormReport, StormShape};
+pub use storm::{StormCounts, StormOp, StormShape, StormStep};
 pub use topology::{HomePolicy, NodeId, RackTopology, TopoLevel};

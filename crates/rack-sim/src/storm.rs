@@ -1,22 +1,22 @@
-//! Seeded fault-storm campaigns: reproducible timelines of injected
-//! faults interleaved with workload steps.
+//! Seeded fault-storm plans: reproducible timelines of injected faults
+//! interleaved with workload steps.
 //!
 //! The paper argues (§2.2, §4) that fault tolerance must be exercised as
-//! a *system-wide, continuous* property, not a hand-placed unit test. A
-//! [`StormCampaign`] turns one `u64` seed into a deterministic schedule
-//! of node crashes/restarts, link failures/restores, memory poisoning,
-//! and delayed writebacks, interleaved with workload steps driven by a
-//! caller-supplied reaction closure. Every decision — which fault, which
-//! victim, how much simulated time passes between steps — draws from a
-//! single [`SplitMix64`] stream, so the same seed replays the exact same
-//! campaign and emits a **byte-identical event log**.
+//! a *system-wide, continuous* property, not a hand-placed unit test.
+//! [`plan`] turns one `u64` seed into a deterministic schedule of node
+//! crashes/restarts, link failures/restores, memory poisoning, and
+//! delayed writebacks, interleaved with workload steps. Every decision —
+//! which fault, which victim, how much simulated time passes between
+//! steps — draws from a single [`SplitMix64`] stream, and the plan takes
+//! no rack, so the same seed always yields the same [`StormStep`]s.
 //!
-//! The campaign engine only schedules and injects; recovery behaviour
-//! (retry, re-election, journal replay) lives in the layers above, which
-//! observe each [`StormOp`] through the reaction closure and report an
-//! outcome string that becomes part of the log. A reaction that is itself
-//! deterministic (no host time, no host randomness) keeps the whole log
-//! reproducible — the property `tests/properties.rs` checks.
+//! The plan is data: a driver walks it, calls [`inject`] for each step
+//! (the one place a scheduled fault enters the rack) and then runs its
+//! own reaction — recovery behaviour (retry, re-election, journal
+//! replay) lives in the layers above. A log of `"{step} :: {outcome}"`
+//! lines is byte-identical across runs as long as the reaction is
+//! deterministic (no host time, no host randomness) — the property
+//! `tests/properties.rs` checks.
 
 use crate::memory::GAddr;
 use crate::rack::Rack;
@@ -65,20 +65,20 @@ impl StormShape {
 /// One scheduled operation of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StormOp {
-    /// A plain workload step: the reaction closure does subsystem work.
+    /// A plain workload step: the driver's reaction does subsystem work.
     Workload,
     /// The reaction layer should write *without* flushing, committing on
     /// a later step — the crash-during-writeback window.
     DelayedWriteback { node: NodeId },
-    /// `crash_node(node)` was injected before the reaction ran.
+    /// [`inject`] calls `crash_node(node)`.
     CrashNode { node: NodeId },
-    /// `restart_node(node)` was injected before the reaction ran.
+    /// [`inject`] calls `restart_node(node)`.
     RestartNode { node: NodeId },
-    /// `fail_link(from, to)` was injected before the reaction ran.
+    /// [`inject`] calls `fail_link(from, to)`.
     FailLink { from: NodeId, to: NodeId },
-    /// `restore_link(from, to)` was injected before the reaction ran.
+    /// [`inject`] calls `restore_link(from, to)`.
     RestoreLink { from: NodeId, to: NodeId },
-    /// One word at `addr` was poisoned before the reaction ran.
+    /// [`inject`] poisons the word at `addr`.
     PoisonWord { addr: GAddr },
 }
 
@@ -98,26 +98,25 @@ impl fmt::Display for StormOp {
     }
 }
 
-/// One executed campaign step: what happened, when, and how the reaction
-/// layer fared (its returned outcome string).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StormEvent {
-    /// Step index (heal steps continue the numbering past `steps`).
+/// One step of a storm plan: its index, its campaign-virtual time and
+/// its operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StormStep {
+    /// Step index (heal steps continue the numbering past [`STEPS`]).
     pub step: u32,
-    /// Campaign-virtual simulated time of the step.
+    /// Campaign-virtual simulated time of the step; every injected fault
+    /// is stamped with it.
     pub at_ns: u64,
     /// The scheduled operation.
     pub op: StormOp,
-    /// Outcome reported by the reaction closure.
-    pub outcome: String,
 }
 
-impl fmt::Display for StormEvent {
+impl fmt::Display for StormStep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "[step {:04} @ {:>10} ns] {} :: {}",
-            self.step, self.at_ns, self.op, self.outcome
+            "[step {:04} @ {:>10} ns] {}",
+            self.step, self.at_ns, self.op
         )
     }
 }
@@ -134,385 +133,304 @@ pub struct StormCounts {
     pub poisons: u64,
 }
 
-/// The deterministic result of one campaign run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StormReport {
-    /// The seed the campaign ran from (print it to reproduce a failure).
-    pub seed: u64,
-    /// Every executed step, in order.
-    pub events: Vec<StormEvent>,
-    /// Per-class operation counts.
-    pub counts: StormCounts,
-    /// Campaign-virtual time at the last step.
-    pub final_ns: u64,
-}
-
-impl StormReport {
-    /// The event log, one stable line per step.
-    pub fn log_lines(&self) -> Vec<String> {
-        self.events.iter().map(|e| e.to_string()).collect()
-    }
-
-    /// The whole event log as one newline-joined string, prefixed with
-    /// the seed — the byte-identical replay artifact.
-    pub fn log_text(&self) -> String {
-        let mut out = format!("seed {:#018x}\n", self.seed);
-        for e in &self.events {
-            out.push_str(&e.to_string());
-            out.push('\n');
+impl StormCounts {
+    /// Count `plan`'s steps per class and add them to the rack's
+    /// `storm/*` counters (node 0's registry), so the rack report shows
+    /// what the storm did.
+    pub fn record(rack: &Rack, plan: &[StormStep]) -> Self {
+        let mut c = StormCounts::default();
+        for s in plan {
+            *match s.op {
+                StormOp::Workload => &mut c.workload,
+                StormOp::DelayedWriteback { .. } => &mut c.delayed_writebacks,
+                StormOp::CrashNode { .. } => &mut c.crashes,
+                StormOp::RestartNode { .. } => &mut c.restarts,
+                StormOp::FailLink { .. } => &mut c.link_failures,
+                StormOp::RestoreLink { .. } => &mut c.link_restores,
+                StormOp::PoisonWord { .. } => &mut c.poisons,
+            } += 1;
         }
-        out
-    }
-}
-
-/// A seeded fault-storm campaign over one [`Rack`].
-///
-/// ```
-/// use rack_sim::storm::{StormCampaign, StormShape};
-/// use rack_sim::{Rack, RackConfig};
-///
-/// let rack = Rack::new(RackConfig::small_test());
-/// let campaign = StormCampaign::new(42, StormShape::CrashRestart);
-/// let report = campaign.run(&rack, |_step, _op, _rack| "ok".to_string());
-/// assert_eq!(report.events.len() as u64,
-///            report.counts.workload + report.counts.delayed_writebacks
-///            + report.counts.crashes + report.counts.restarts
-///            + report.counts.link_failures + report.counts.link_restores
-///            + report.counts.poisons);
-/// ```
-#[derive(Debug, Clone)]
-pub struct StormCampaign {
-    seed: u64,
-    shape: StormShape,
-}
-
-impl StormCampaign {
-    /// A campaign that will replay identically for a given `seed`.
-    pub fn new(seed: u64, shape: StormShape) -> Self {
-        StormCampaign { seed, shape }
-    }
-
-    /// The campaign's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Drive the campaign against `rack`. Faults are injected through the
-    /// rack's [`crate::FaultInjector`] *before* `react` observes the
-    /// [`StormOp`]; `react`'s returned string becomes the step outcome.
-    ///
-    /// The campaign keeps its own virtual timeline (the `at_ns` stamps)
-    /// and its own bookkeeping of which nodes/links it took down, so its
-    /// schedule never depends on rack state mutated by the reaction
-    /// layer — determinism holds as long as `react` itself is
-    /// deterministic.
-    pub fn run(
-        &self,
-        rack: &Rack,
-        mut react: impl FnMut(u32, &StormOp, &Rack) -> String,
-    ) -> StormReport {
-        let n = rack.node_count();
-        let mut rng = SplitMix64::new(self.seed);
-        let mut t = 0u64;
-        let mut down_nodes: Vec<NodeId> = Vec::new();
-        let mut down_links: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut events = Vec::with_capacity(STEPS as usize);
-        let mut counts = StormCounts::default();
-
-        let mut step = 0u32;
-        let emit = |rack: &Rack,
-                    react: &mut dyn FnMut(u32, &StormOp, &Rack) -> String,
-                    step: u32,
-                    at_ns: u64,
-                    op: StormOp,
-                    counts: &mut StormCounts,
-                    events: &mut Vec<StormEvent>| {
-            match op {
-                StormOp::Workload => counts.workload += 1,
-                StormOp::DelayedWriteback { .. } => counts.delayed_writebacks += 1,
-                StormOp::CrashNode { node } => {
-                    rack.faults().crash_node(node, at_ns);
-                    counts.crashes += 1;
-                }
-                StormOp::RestartNode { node } => {
-                    rack.faults().restart_node(node, at_ns);
-                    counts.restarts += 1;
-                }
-                StormOp::FailLink { from, to } => {
-                    rack.faults().fail_link(from, to, at_ns);
-                    counts.link_failures += 1;
-                }
-                StormOp::RestoreLink { from, to } => {
-                    rack.faults().restore_link(from, to, at_ns);
-                    counts.link_restores += 1;
-                }
-                StormOp::PoisonWord { addr } => {
-                    rack.faults().poison_memory(rack.global(), addr, 8, at_ns);
-                    counts.poisons += 1;
-                }
-            }
-            let outcome = react(step, &op, rack);
-            events.push(StormEvent {
-                step,
-                at_ns,
-                op,
-                outcome,
-            });
-        };
-
-        for _ in 0..STEPS {
-            let (lo, hi) = GAP_NS;
-            t += lo + rng.next_below(hi.saturating_sub(lo) + 1);
-            let op = self.pick_op(&mut rng, n, &mut down_nodes, &mut down_links);
-            emit(rack, &mut react, step, t, op, &mut counts, &mut events);
-            step += 1;
-        }
-
-        // Deterministic heal order: nodes ascending, then links.
-        down_nodes.sort_unstable_by_key(|n| n.0);
-        for node in down_nodes.drain(..) {
-            t += GAP_NS.0;
-            emit(
-                rack,
-                &mut react,
-                step,
-                t,
-                StormOp::RestartNode { node },
-                &mut counts,
-                &mut events,
-            );
-            step += 1;
-        }
-        down_links.sort_unstable_by_key(|(a, b)| (a.0, b.0));
-        for (from, to) in down_links.drain(..) {
-            t += GAP_NS.0;
-            emit(
-                rack,
-                &mut react,
-                step,
-                t,
-                StormOp::RestoreLink { from, to },
-                &mut counts,
-                &mut events,
-            );
-            step += 1;
-        }
-
-        // Surface the campaign in the PR-1 metrics layer so the rack
-        // report shows what the storm did.
         let node0 = rack.node(0);
         let reg = node0.stats().registry();
-        reg.add("storm", "steps", events.len() as u64);
-        reg.add("storm", "crashes", counts.crashes);
-        reg.add("storm", "restarts", counts.restarts);
-        reg.add("storm", "link_failures", counts.link_failures);
-        reg.add("storm", "link_restores", counts.link_restores);
-        reg.add("storm", "poisons", counts.poisons);
-
-        StormReport {
-            seed: self.seed,
-            events,
-            counts,
-            final_ns: t,
-        }
+        reg.add("storm", "steps", plan.len() as u64);
+        reg.add("storm", "crashes", c.crashes);
+        reg.add("storm", "restarts", c.restarts);
+        reg.add("storm", "link_failures", c.link_failures);
+        reg.add("storm", "link_restores", c.link_restores);
+        reg.add("storm", "poisons", c.poisons);
+        c
     }
+}
 
-    /// Draw the next operation. Infeasible draws (crash below the live
-    /// floor, restart with nothing down, …) demote to a workload step —
-    /// still a deterministic function of the RNG stream.
-    fn pick_op(
-        &self,
-        rng: &mut SplitMix64,
-        n: usize,
-        down_nodes: &mut Vec<NodeId>,
-        down_links: &mut Vec<(NodeId, NodeId)>,
-    ) -> StormOp {
-        let [link_fail, link_restore, poison, delayed] = self.shape.extra_weights();
-        let total = WORKLOAD_WEIGHT + CRASH_WEIGHT + RESTART_WEIGHT;
-        let total = total + link_fail + link_restore + poison + delayed;
-        let mut r = rng.next_below(u64::from(total));
-        let mut in_class = |w: u32| {
-            if r < u64::from(w) {
-                true
-            } else {
-                r -= u64::from(w);
-                false
-            }
-        };
+/// The storm `seed` schedules on a rack of `nodes` nodes: [`STEPS`]
+/// drawn steps, then the heal — a restart of every node still down, by
+/// ascending node, then a restore of every link still down, by
+/// ascending (from, to) — each heal step 500 ns after the last.
+///
+/// The plan is a pure function of its arguments: it keeps its own
+/// virtual timeline and its own record of the nodes and links it took
+/// down, so the schedule never depends on rack state. A driver replays
+/// it step by step: [`inject`], then its own reaction.
+///
+/// ```
+/// use rack_sim::storm::{self, StormOp, StormShape, MIN_LIVE_NODES};
+/// use rack_sim::{NodeId, Rack, RackConfig};
+///
+/// let plan = storm::plan(42, StormShape::CrashRestart, 4);
+/// assert_eq!(plan, storm::plan(42, StormShape::CrashRestart, 4));
+/// let rack = Rack::new(RackConfig::n_node(4));
+/// for step in &plan {
+///     storm::inject(&rack, step);
+///     let live = (0..4).filter(|&i| rack.is_alive(NodeId(i))).count();
+///     assert!(live >= MIN_LIVE_NODES);
+/// }
+/// assert!((0..4).all(|i| rack.is_alive(NodeId(i))), "the heal restarts every node");
+/// ```
+pub fn plan(seed: u64, shape: StormShape, nodes: usize) -> Vec<StormStep> {
+    let mut rng = SplitMix64::new(seed);
+    let (mut down_nodes, mut down_links) = (Vec::new(), Vec::new());
+    let mut plan = Vec::with_capacity(STEPS as usize);
+    let (lo, hi) = GAP_NS;
+    let mut at_ns = 0u64;
+    for step in 0..STEPS {
+        at_ns += lo + rng.next_below(hi - lo + 1);
+        let op = pick_op(shape, &mut rng, nodes, &mut down_nodes, &mut down_links);
+        plan.push(StormStep { step, at_ns, op });
+    }
+    down_nodes.sort_unstable_by_key(|n| n.0);
+    down_links.sort_unstable_by_key(|(a, b)| (a.0, b.0));
+    let heal = down_nodes
+        .into_iter()
+        .map(|node| StormOp::RestartNode { node })
+        .chain(
+            down_links
+                .into_iter()
+                .map(|(from, to)| StormOp::RestoreLink { from, to }),
+        );
+    for op in heal {
+        at_ns += lo;
+        let step = plan.len() as u32;
+        plan.push(StormStep { step, at_ns, op });
+    }
+    plan
+}
 
-        if in_class(WORKLOAD_WEIGHT) {
-            return StormOp::Workload;
+/// Inject `step`'s fault into `rack` through its
+/// [`crate::FaultInjector`], stamped at the step's `at_ns`. Workload and
+/// delayed-writeback steps inject nothing: they are the driver's work.
+pub fn inject(rack: &Rack, step: &StormStep) {
+    let (faults, at) = (rack.faults(), step.at_ns);
+    match step.op {
+        StormOp::Workload | StormOp::DelayedWriteback { .. } => {}
+        StormOp::CrashNode { node } => faults.crash_node(node, at),
+        StormOp::RestartNode { node } => faults.restart_node(node, at),
+        StormOp::FailLink { from, to } => faults.fail_link(from, to, at),
+        StormOp::RestoreLink { from, to } => faults.restore_link(from, to, at),
+        StormOp::PoisonWord { addr } => faults.poison_memory(rack.global(), addr, 8, at),
+    }
+}
+
+/// Draw the next operation. Infeasible draws (crash below the live
+/// floor, restart with nothing down, …) demote to a workload step —
+/// still a deterministic function of the RNG stream.
+fn pick_op(
+    shape: StormShape,
+    rng: &mut SplitMix64,
+    n: usize,
+    down_nodes: &mut Vec<NodeId>,
+    down_links: &mut Vec<(NodeId, NodeId)>,
+) -> StormOp {
+    let [link_fail, link_restore, poison, delayed] = shape.extra_weights();
+    let total = WORKLOAD_WEIGHT + CRASH_WEIGHT + RESTART_WEIGHT;
+    let total = total + link_fail + link_restore + poison + delayed;
+    let mut r = rng.next_below(u64::from(total));
+    let mut in_class = |w: u32| {
+        if r < u64::from(w) {
+            true
+        } else {
+            r -= u64::from(w);
+            false
         }
-        if in_class(CRASH_WEIGHT) {
-            let live: Vec<NodeId> = (0..n)
-                .map(NodeId)
-                .filter(|id| !down_nodes.contains(id))
-                .collect();
-            if live.len() > MIN_LIVE_NODES {
-                let victim = live[rng.gen_index(live.len())];
-                down_nodes.push(victim);
-                return StormOp::CrashNode { node: victim };
-            }
-            return StormOp::Workload;
-        }
-        if in_class(RESTART_WEIGHT) {
-            if !down_nodes.is_empty() {
-                let node = down_nodes.swap_remove(rng.gen_index(down_nodes.len()));
-                return StormOp::RestartNode { node };
-            }
-            return StormOp::Workload;
-        }
-        if in_class(link_fail) {
-            if n >= 2 {
-                let from = NodeId(rng.gen_index(n));
-                let mut to = NodeId(rng.gen_index(n - 1));
-                if to.0 >= from.0 {
-                    to.0 += 1;
-                }
-                if !down_links.contains(&(from, to)) {
-                    down_links.push((from, to));
-                    return StormOp::FailLink { from, to };
-                }
-            }
-            return StormOp::Workload;
-        }
-        if in_class(link_restore) {
-            if !down_links.is_empty() {
-                let (from, to) = down_links.swap_remove(rng.gen_index(down_links.len()));
-                return StormOp::RestoreLink { from, to };
-            }
-            return StormOp::Workload;
-        }
-        if in_class(poison) {
-            if let StormShape::Full {
-                poison_region: (base, len),
-            } = self.shape
-            {
-                let words = (len / 8).max(1);
-                let addr = GAddr((base.0 & !7) + rng.gen_index(words) as u64 * 8);
-                return StormOp::PoisonWord { addr };
-            }
-            return StormOp::Workload;
-        }
-        // Remaining weight: delayed writeback on a live node.
+    };
+
+    if in_class(WORKLOAD_WEIGHT) {
+        return StormOp::Workload;
+    }
+    if in_class(CRASH_WEIGHT) {
         let live: Vec<NodeId> = (0..n)
             .map(NodeId)
             .filter(|id| !down_nodes.contains(id))
             .collect();
-        if live.is_empty() {
-            return StormOp::Workload;
+        if live.len() > MIN_LIVE_NODES {
+            let victim = live[rng.gen_index(live.len())];
+            down_nodes.push(victim);
+            return StormOp::CrashNode { node: victim };
         }
-        StormOp::DelayedWriteback {
-            node: live[rng.gen_index(live.len())],
+        return StormOp::Workload;
+    }
+    if in_class(RESTART_WEIGHT) {
+        if !down_nodes.is_empty() {
+            let node = down_nodes.swap_remove(rng.gen_index(down_nodes.len()));
+            return StormOp::RestartNode { node };
         }
+        return StormOp::Workload;
+    }
+    if in_class(link_fail) {
+        if n >= 2 {
+            let from = NodeId(rng.gen_index(n));
+            let mut to = NodeId(rng.gen_index(n - 1));
+            if to.0 >= from.0 {
+                to.0 += 1;
+            }
+            if !down_links.contains(&(from, to)) {
+                down_links.push((from, to));
+                return StormOp::FailLink { from, to };
+            }
+        }
+        return StormOp::Workload;
+    }
+    if in_class(link_restore) {
+        if !down_links.is_empty() {
+            let (from, to) = down_links.swap_remove(rng.gen_index(down_links.len()));
+            return StormOp::RestoreLink { from, to };
+        }
+        return StormOp::Workload;
+    }
+    if in_class(poison) {
+        if let StormShape::Full {
+            poison_region: (base, len),
+        } = shape
+        {
+            let words = (len / 8).max(1);
+            let addr = GAddr((base.0 & !7) + rng.gen_index(words) as u64 * 8);
+            return StormOp::PoisonWord { addr };
+        }
+        return StormOp::Workload;
+    }
+    // Remaining weight: delayed writeback on a live node.
+    let live: Vec<NodeId> = (0..n)
+        .map(NodeId)
+        .filter(|id| !down_nodes.contains(id))
+        .collect();
+    if live.is_empty() {
+        return StormOp::Workload;
+    }
+    StormOp::DelayedWriteback {
+        node: live[rng.gen_index(live.len())],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultKind;
+    use crate::fault::{FaultEvent, FaultKind};
     use crate::rack::RackConfig;
-
-    /// Render the campaign's fault-injector view next to the storm's own log
-    /// (the injector log is the ground truth of what was injected; the storm
-    /// log adds workload steps and reaction outcomes).
-    fn injector_log_matches(rack: &Rack, report: &StormReport) -> bool {
-        let injected: Vec<FaultKind> = rack.faults().events().iter().map(|e| e.kind).collect();
-        let expected: Vec<FaultKind> = report
-            .events
-            .iter()
-            .filter_map(|e| match e.op {
-                StormOp::CrashNode { node } => Some(FaultKind::NodeCrash { node }),
-                StormOp::RestartNode { node } => Some(FaultKind::NodeRestart { node }),
-                StormOp::FailLink { from, to } => Some(FaultKind::LinkFailure { from, to }),
-                StormOp::RestoreLink { from, to } => Some(FaultKind::LinkRestore { from, to }),
-                StormOp::PoisonWord { addr } => Some(FaultKind::MemoryPoison { addr, len: 8 }),
-                _ => None,
-            })
-            .collect();
-        // The injector may hold extra events injected by the reaction layer;
-        // require the storm's sequence to appear as a subsequence.
-        let mut it = injected.iter();
-        expected.iter().all(|want| it.any(|got| got == want))
-    }
 
     const FULL: StormShape = StormShape::Full {
         poison_region: (GAddr(0), 4096),
     };
 
-    /// Four nodes: two above the crash floor.
-    fn rack() -> Rack {
-        Rack::new(RackConfig::n_node(4))
+    /// Inject every step of `seed`'s plan into a fresh four-node rack (two
+    /// above the crash floor). Returns the rack, the plan and the fewest
+    /// live nodes seen after any step.
+    fn storm(seed: u64) -> (Rack, Vec<StormStep>, usize) {
+        let rack = Rack::new(RackConfig::n_node(4));
+        let plan = plan(seed, FULL, rack.node_count());
+        let mut min_live = usize::MAX;
+        for step in &plan {
+            inject(&rack, step);
+            let live = (0..rack.node_count())
+                .filter(|&i| rack.is_alive(NodeId(i)))
+                .count();
+            min_live = min_live.min(live);
+        }
+        (rack, plan, min_live)
+    }
+
+    /// The faults `plan` schedules, as the injector logs them.
+    fn scheduled_faults(plan: &[StormStep]) -> Vec<FaultEvent> {
+        plan.iter()
+            .filter_map(|s| {
+                let kind = match s.op {
+                    StormOp::CrashNode { node } => FaultKind::NodeCrash { node },
+                    StormOp::RestartNode { node } => FaultKind::NodeRestart { node },
+                    StormOp::FailLink { from, to } => FaultKind::LinkFailure { from, to },
+                    StormOp::RestoreLink { from, to } => FaultKind::LinkRestore { from, to },
+                    StormOp::PoisonWord { addr } => FaultKind::MemoryPoison { addr, len: 8 },
+                    StormOp::Workload | StormOp::DelayedWriteback { .. } => return None,
+                };
+                Some(FaultEvent {
+                    kind,
+                    at_ns: s.at_ns,
+                })
+            })
+            .collect()
     }
 
     #[test]
     fn same_seed_yields_byte_identical_log() {
-        let run = |seed: u64| {
-            let rack = rack();
-            StormCampaign::new(seed, FULL)
-                .run(&rack, |step, op, _| format!("saw {op} at {step}"))
-                .log_text()
+        let log = |seed: u64| -> String {
+            plan(seed, FULL, 4)
+                .iter()
+                .map(|s| format!("{s}\n"))
+                .collect()
         };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8), "different seeds diverge");
+        assert_eq!(log(7), log(7));
+        assert_ne!(log(7), log(8), "different seeds diverge");
     }
 
     #[test]
     fn campaign_respects_min_live_floor() {
-        let rack = rack();
-        let mut min_live = usize::MAX;
-        StormCampaign::new(3, FULL).run(&rack, |_, _, rack| {
-            let live = (0..rack.node_count())
-                .filter(|&i| rack.liveness().is_alive(NodeId(i)))
-                .count();
-            min_live = min_live.min(live);
-            String::new()
-        });
+        let (_, plan, min_live) = storm(3);
+        assert!(plan
+            .iter()
+            .any(|s| matches!(s.op, StormOp::CrashNode { .. })));
         assert!(min_live >= MIN_LIVE_NODES, "never crashed below the floor");
     }
 
     #[test]
     fn heal_at_end_restores_everything() {
-        let rack = rack();
-        let report = StormCampaign::new(11, FULL).run(&rack, |_, _, _| String::new());
+        let (rack, plan, _) = storm(11);
         for i in 0..rack.node_count() {
-            assert!(rack.liveness().is_alive(NodeId(i)), "node {i} healed");
+            assert!(rack.is_alive(NodeId(i)), "node {i} healed");
         }
         for a in 0..rack.node_count() {
             for b in 0..rack.node_count() {
                 assert!(!rack.faults().link_down(NodeId(a), NodeId(b)));
             }
         }
-        assert!(report.counts.crashes > 0, "storm actually crashed nodes");
-        assert!(injector_log_matches(&rack, &report));
+        let counts = StormCounts::record(&rack, &plan);
+        assert!(counts.crashes > 0, "storm actually crashed nodes");
+        assert_eq!(counts.restarts, counts.crashes, "every crash healed");
+        assert_eq!(counts.link_restores, counts.link_failures);
     }
 
     #[test]
     fn injected_faults_land_in_injector_log() {
-        let rack = rack();
-        let report = StormCampaign::new(5, FULL).run(&rack, |_, _, _| String::new());
-        let injected = rack.faults().events().len() as u64;
-        let storm_faults = report.counts.crashes
-            + report.counts.restarts
-            + report.counts.link_failures
-            + report.counts.link_restores
-            + report.counts.poisons;
-        assert_eq!(injected, storm_faults);
+        let (rack, plan, _) = storm(5);
+        let injected = rack.faults().events();
+        assert_eq!(
+            injected,
+            scheduled_faults(&plan),
+            "same faults, same stamps"
+        );
+        let c = StormCounts::record(&rack, &plan);
+        let storm_faults = c.crashes + c.restarts + c.link_failures + c.link_restores + c.poisons;
+        assert_eq!(injected.len() as u64, storm_faults);
     }
 
     #[test]
     fn timeline_is_monotonic_and_counts_match() {
-        let rack = rack();
-        let report = StormCampaign::new(13, FULL).run(&rack, |_, _, _| String::new());
+        let (rack, plan, _) = storm(13);
         let mut last = 0;
-        for e in &report.events {
-            assert!(e.at_ns > last, "strictly increasing virtual time");
-            last = e.at_ns;
+        for (i, s) in plan.iter().enumerate() {
+            assert_eq!(s.step as usize, i, "steps numbered in order");
+            assert!(s.at_ns > last, "strictly increasing virtual time");
+            last = s.at_ns;
         }
-        let c = report.counts;
+        let c = StormCounts::record(&rack, &plan);
         assert_eq!(
-            report.events.len() as u64,
+            plan.len() as u64,
             c.workload
                 + c.delayed_writebacks
                 + c.crashes
@@ -521,5 +439,13 @@ mod tests {
                 + c.link_restores
                 + c.poisons
         );
+        let recorded = |name: &str| {
+            let reg = rack.node(0).stats().registry().snapshot();
+            reg.iter()
+                .find(|c| c.subsystem == "storm" && c.name == name)
+                .map(|c| c.value)
+        };
+        assert_eq!(recorded("steps"), Some(plan.len() as u64));
+        assert_eq!(recorded("crashes"), Some(c.crashes));
     }
 }

@@ -107,7 +107,8 @@ impl<T: Transport> RedisClient<T> {
         }
     }
 
-    /// Reply bytes buffered but not yet consumed (tests/diagnostics).
+    /// Reply bytes buffered but not yet consumed (a test probe: only the
+    /// client's tests read it).
     pub fn buffered_reply_bytes(&self) -> usize {
         self.rx_buf.len() - self.rx_pos
     }

@@ -72,6 +72,10 @@ impl DensityScheduler {
     /// closure decouples this crate from the tier ledger: callers pass
     /// `|n| budget.free_bytes(ctx, n).unwrap_or(0)` or a model.
     ///
+    /// Test probe: the serverless runtime places with
+    /// [`DensityScheduler::place`], so only
+    /// `budgeted_placement_skips_tier_exhausted_nodes` calls it.
+    ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] when the rack is full or the id is taken.
@@ -109,6 +113,9 @@ impl DensityScheduler {
     /// back to capacity-only placement when no warm node has room.
     /// Image *data* needs no such affinity — the chunk store makes it
     /// resident rack-wide — so this only chases per-node runtime state.
+    ///
+    /// Test probe: only `warm_placement_prefers_warm_nodes_until_full`
+    /// calls it.
     ///
     /// # Errors
     ///

@@ -201,14 +201,14 @@ fn rpc_times_out_backs_off_and_succeeds_after_link_restore() {
     // Acceptance: an in-flight RPC across a failed link observably
     // times out, retries with backoff, and succeeds once the link is
     // restored — executing the handler exactly once.
-    use flacos_ipc::{MsgRpcClient, MsgRpcServer, RetryPolicy};
+    use flacos_ipc::retry::BASE_BACKOFF_NS;
+    use flacos_ipc::{MsgRpcClient, MsgRpcServer};
 
     let rack = booted();
     let faults = rack.sim().faults().clone();
     let n0 = rack.sim().node(0);
     let mut server = MsgRpcServer::new(rack.sim().node(1), 7);
     let mut client = MsgRpcClient::new(n0.clone(), NodeId(1), 7, 8);
-    let policy = RetryPolicy::default();
 
     // Sever the reply path mid-call: the request arrives, the handler
     // runs, the reply is lost.
@@ -220,7 +220,7 @@ fn rpc_times_out_backs_off_and_succeeds_after_link_restore() {
         r
     };
     let out = client
-        .call_with_retry(b"payload", &policy, &mut |attempt| {
+        .call_with_retry(b"payload", &mut |attempt| {
             if attempt == 1 {
                 faults.restore_link(NodeId(1), NodeId(0), 0);
             }
@@ -234,7 +234,7 @@ fn rpc_times_out_backs_off_and_succeeds_after_link_restore() {
     assert_eq!(server.replies_lost(), 1, "first reply hit the dead link");
     let elapsed = n0.clock().now() - before_ns;
     assert!(
-        elapsed >= client.timeout_ns + policy.backoff_ns(1),
+        elapsed >= client.timeout_ns + BASE_BACKOFF_NS,
         "observable timeout + backoff: waited {elapsed} ns"
     );
     // Both fault events made the injector's deterministic log.
